@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 use analysis::Summary;
 use baselines::{luby_mis, AfekStyleMis, JsxMis};
 use graphs::generators::GraphFamily;
-use mis::runner::{InitialLevels, RunConfig, StabilizationError};
+use mis::runner::{InitialLevels, RunConfig, RunError};
 use mis::{Algorithm1, Algorithm2, LmaxPolicy};
 
 /// Why one comparison row could not be measured: some algorithm exhausted
@@ -33,8 +33,9 @@ use mis::{Algorithm1, Algorithm2, LmaxPolicy};
 /// abort the whole sweep.
 #[derive(Debug)]
 pub enum BaselineError {
-    /// Algorithm 1/2 exhausted the stabilization budget.
-    Stabilization(StabilizationError),
+    /// Algorithm 1/2 rejected its plans or exhausted the stabilization
+    /// budget.
+    Run(RunError),
     /// A clean-start baseline failed to terminate within the budget.
     BudgetExhausted {
         /// Column label of the failing baseline.
@@ -47,7 +48,7 @@ pub enum BaselineError {
 impl std::fmt::Display for BaselineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BaselineError::Stabilization(e) => write!(f, "{e}"),
+            BaselineError::Run(e) => write!(f, "{e}"),
             BaselineError::BudgetExhausted { algorithm, seed } => {
                 write!(f, "{algorithm} did not terminate within budget (seed {seed})")
             }
@@ -57,9 +58,9 @@ impl std::fmt::Display for BaselineError {
 
 impl std::error::Error for BaselineError {}
 
-impl From<StabilizationError> for BaselineError {
-    fn from(e: StabilizationError) -> BaselineError {
-        BaselineError::Stabilization(e)
+impl From<RunError> for BaselineError {
+    fn from(e: RunError) -> BaselineError {
+        BaselineError::Run(e)
     }
 }
 

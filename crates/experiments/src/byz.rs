@@ -36,9 +36,10 @@ use beeping::byzantine::{ByzantineBehavior, ByzantinePlan, Resurrect};
 use graphs::generators::GraphFamily;
 use graphs::Graph;
 use mis::adversary::{worst_case_search, AdversaryConfig, SearchBehavior, WorstCase};
-use mis::containment::{run_contained, ContainmentConfig};
+use mis::containment::run_contained;
 use mis::levels::Level;
-use mis::runner::SelfStabilizingMis;
+use mis::resumable::PlanError;
+use mis::runner::{RunConfig, SelfStabilizingMis};
 use mis::theory::burn_in_horizon;
 use mis::{Algorithm1, Algorithm2, LmaxPolicy};
 use telemetry::Telemetry;
@@ -69,7 +70,7 @@ fn measure_contained<A: SelfStabilizingMis>(
     seeds: u64,
     budget: u64,
     radius: usize,
-) -> Cell {
+) -> Result<Cell, PlanError> {
     measure_contained_streaming(g, algo, plan, seeds, budget, radius, &Telemetry::disabled())
 }
 
@@ -86,28 +87,31 @@ fn measure_contained_streaming<A: SelfStabilizingMis>(
     budget: u64,
     radius: usize,
     tele: &Telemetry,
-) -> Cell {
+) -> Result<Cell, PlanError> {
     let burn_in = burn_in_horizon(algo.policy());
     let mut cell = Cell { contained: 0, rounds: Vec::new(), worst_radius: 0 };
     for seed in 0..seeds {
-        let mut config = ContainmentConfig::new(seed)
-            .with_max_rounds(budget)
-            .with_radius(radius)
-            .with_burn_in(burn_in);
+        let mut config = RunConfig::new(seed).with_max_rounds(budget).with_byzantine(plan.clone());
         if seed == 0 && tele.is_enabled() {
             config = config.with_telemetry(tele.clone());
         }
-        let outcome = run_contained(g, algo, plan, &config);
+        let outcome = run_contained(g, algo, &config, radius, burn_in, false)?;
         if let Some(r) = outcome.contained_round {
             cell.contained += 1;
             cell.rounds.push(r);
         }
         cell.worst_radius = cell.worst_radius.max(outcome.final_radius);
     }
-    cell
+    Ok(cell)
 }
 
-fn cell_row(cell: &Cell, seeds: u64) -> [String; 3] {
+/// The `contained / mean round / worst radius` columns of a cell; a
+/// rejected plan fills the row with its error instead.
+fn cell_row(cell: &Result<Cell, PlanError>, seeds: u64) -> [String; 3] {
+    let cell = match cell {
+        Ok(cell) => cell,
+        Err(e) => return [format!("error: {e}"), "-".into(), "-".into()],
+    };
     let mean = if cell.rounds.is_empty() {
         "-".to_string()
     } else {
@@ -336,11 +340,12 @@ mod tests {
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
         let plan =
             ByzantinePlan::new().with_behavior(max_degree_node(&g), ByzantineBehavior::StuckBeep);
-        let plain = measure_contained(&g, &algo, &plan, 2, 20_000, RADIUS);
+        let plain = measure_contained(&g, &algo, &plan, 2, 20_000, RADIUS).unwrap();
         let tele = Telemetry::enabled(TeleConfig::default());
         let (sink, handle) = MemorySink::new();
         tele.add_sink(Box::new(sink));
-        let streamed = measure_contained_streaming(&g, &algo, &plan, 2, 20_000, RADIUS, &tele);
+        let streamed =
+            measure_contained_streaming(&g, &algo, &plan, 2, 20_000, RADIUS, &tele).unwrap();
         // Observational: same cell with or without the stream attached.
         assert_eq!(plain.contained, streamed.contained);
         assert_eq!(plain.rounds, streamed.rounds);
@@ -361,7 +366,7 @@ mod tests {
             let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
             let plan = ByzantinePlan::new()
                 .with_behavior(max_degree_node(&g), ByzantineBehavior::StuckBeep);
-            let cell = measure_contained(&g, &algo, &plan, 3, 20_000, RADIUS);
+            let cell = measure_contained(&g, &algo, &plan, 3, 20_000, RADIUS).unwrap();
             assert_eq!(cell.contained, 3, "family {family} failed containment");
             assert!(cell.worst_radius <= RADIUS);
         }

@@ -157,9 +157,8 @@ mod tests {
         let tele = Telemetry::enabled(Config { level_stride: 1 });
         let (sink, handle) = MemorySink::new();
         tele.add_sink(Box::new(sink));
-        let outcome = algo
-            .run(&g, RunConfig::new(5).with_level_recording().with_telemetry(tele.clone()))
-            .expect("stabilizes");
+        let config = RunConfig::new(5).with_telemetry(tele.clone());
+        let outcome = mis::runner::run_with_history(&g, &algo, config).expect("stabilizes");
         let stats = trajectory(&g, algo.policy().lmax_values(), &outcome.level_history.unwrap());
         let cap = i64::from(algo.policy().lmax_values()[0]);
         // History entry 0 is the initial configuration; round event t maps

@@ -13,7 +13,7 @@
 
 use analysis::Summary;
 use graphs::generators::GraphFamily;
-use mis::runner::{InitialLevels, RunConfig, StabilizationError};
+use mis::runner::{InitialLevels, RunConfig, RunError};
 use mis::{Algorithm1, Algorithm2, LmaxPolicy};
 
 /// Energy measurements for one algorithm at one size.
@@ -34,7 +34,7 @@ pub fn measure_energy(
     g: &graphs::Graph,
     two_channel: bool,
     seeds: u64,
-) -> Result<EnergyPoint, StabilizationError> {
+) -> Result<EnergyPoint, RunError> {
     let mut rounds = Vec::new();
     let mut beeps = Vec::new();
     let mut steady = Vec::new();

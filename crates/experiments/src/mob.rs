@@ -60,7 +60,7 @@ use crate::resilience::outcome_digest;
 pub const RADIUS: usize = 2;
 
 /// Why a motion measurement could not be taken. Mirrors `PERF`'s
-/// [`mis::runner::StabilizationError`] pattern: measurement helpers return
+/// [`mis::runner::RunError`] pattern: measurement helpers return
 /// `Result` and the report skips the affected cell with a warning line
 /// instead of panicking mid-experiment.
 #[derive(Debug, Clone, PartialEq)]

@@ -34,8 +34,9 @@ use beeping::channel::{ChannelFault, JammerKind};
 use beeping::churn::{ChurnAction, ChurnPlan};
 use graphs::generators::GraphFamily;
 use graphs::Graph;
-use mis::recovery::{run_noisy, Disturbance, NoisyRunConfig};
-use mis::runner::{RunConfig, StabilizationError};
+use mis::recovery::{run_noisy, Disturbance};
+use mis::resumable::PlanError;
+use mis::runner::{RunConfig, RunError};
 use mis::{Algorithm1, LmaxPolicy};
 use telemetry::Telemetry;
 
@@ -43,8 +44,9 @@ use telemetry::Telemetry;
 /// instead of aborting the whole sweep.
 #[derive(Debug)]
 pub enum NoiseError {
-    /// The zero-noise acceptance baseline exhausted its round budget.
-    Stabilization(StabilizationError),
+    /// A run's plans were rejected, or the zero-noise acceptance baseline
+    /// exhausted its round budget.
+    Run(RunError),
     /// A run that claimed to stabilize carries no recovered initial
     /// segment — a recovery-subsystem inconsistency, not a workload fact.
     MissingRecovery {
@@ -56,7 +58,7 @@ pub enum NoiseError {
 impl std::fmt::Display for NoiseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            NoiseError::Stabilization(e) => write!(f, "{e}"),
+            NoiseError::Run(e) => write!(f, "{e}"),
             NoiseError::MissingRecovery { seed } => {
                 write!(f, "stabilized run has no recovered initial segment (seed {seed})")
             }
@@ -66,9 +68,15 @@ impl std::fmt::Display for NoiseError {
 
 impl std::error::Error for NoiseError {}
 
-impl From<StabilizationError> for NoiseError {
-    fn from(e: StabilizationError) -> NoiseError {
-        NoiseError::Stabilization(e)
+impl From<RunError> for NoiseError {
+    fn from(e: RunError) -> NoiseError {
+        NoiseError::Run(e)
+    }
+}
+
+impl From<PlanError> for NoiseError {
+    fn from(e: PlanError) -> NoiseError {
+        NoiseError::Run(RunError::Plan(e))
     }
 }
 
@@ -119,9 +127,8 @@ fn measure_noisy(
     let mut rounds = Vec::new();
     let mut diverged = 0;
     for seed in 0..seeds {
-        let config =
-            NoisyRunConfig::new(seed).with_max_rounds(budget).with_channel(channel.clone());
-        let outcome = run_noisy(g, algo, &config);
+        let config = RunConfig::new(seed).with_channel(channel.clone());
+        let outcome = run_noisy(g, algo, &config, budget)?;
         if outcome.stabilized {
             let stab = outcome.events[0]
                 .outcome
@@ -251,10 +258,14 @@ pub fn run_with(quick: bool, tele: &Telemetry) -> String {
             let mut stabilized = 0;
             let mut jammer_in_mis = 0usize;
             for seed in 0..seeds {
-                let config = NoisyRunConfig::new(seed)
-                    .with_max_rounds(budget.min(50_000))
-                    .with_channel(channel.clone());
-                let outcome = run_noisy(&g, &algo, &config);
+                let config = RunConfig::new(seed).with_channel(channel.clone());
+                let outcome = match run_noisy(&g, &algo, &config, budget.min(50_000)) {
+                    Ok(outcome) => outcome,
+                    Err(e) => {
+                        let _ = writeln!(out, "warning: skipping {kind:?} x{k} seed {seed}: {e}");
+                        continue;
+                    }
+                };
                 if outcome.stabilized {
                     // A stabilized run without a recovered segment is a
                     // recovery-subsystem inconsistency; drop the sample
@@ -310,17 +321,21 @@ pub fn run_with(quick: bool, tele: &Telemetry) -> String {
     let mut labels: Vec<String> = vec![String::new(); n_events];
     let mut interrupted = 0usize;
     for seed in 0..seeds {
-        let mut config = NoisyRunConfig::new(seed)
-            .with_max_rounds(budget)
-            .with_churn(plan.clone())
-            .with_channel(channel.clone());
+        let mut config =
+            RunConfig::new(seed).with_churn(plan.clone()).with_channel(channel.clone());
         if seed == 0 {
             // Featured run: stream round events and churn/fault markers.
             // Telemetry is observational — attaching it cannot change the
             // outcome (enforced by the bit-identity tests in crates/mis).
             config = config.with_telemetry(tele.clone());
         }
-        let outcome = run_noisy(&g, &algo, &config);
+        let outcome = match run_noisy(&g, &algo, &config, budget) {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                let _ = writeln!(out, "warning: skipping churn composite: {e}");
+                return out;
+            }
+        };
         assert!(outcome.stabilized, "churn composite must re-stabilize (seed {seed})");
         for (i, event) in outcome.events.iter().enumerate() {
             labels[i] = label(&event.disturbance);
@@ -414,10 +429,9 @@ mod tests {
         for seed in 0..3u64 {
             let target = FaultTarget::RandomFraction(0.5);
             let rec = run_recovery(&g, &algo, seed, target.clone(), 1_000_000).unwrap();
-            let config = NoisyRunConfig::new(seed)
-                .with_max_rounds(1_000_000)
+            let config = RunConfig::new(seed)
                 .with_faults(FaultPlan::new().with_fault(rec.initial_stabilization, target));
-            let noisy = run_noisy(&g, &algo, &config);
+            let noisy = run_noisy(&g, &algo, &config, 1_000_000).unwrap();
             assert_eq!(
                 noisy.events[1].outcome.recovered_rounds(),
                 Some(rec.recovery_rounds),
@@ -433,15 +447,15 @@ mod tests {
         let g =
             GraphFamily::Geometric { avg_degree: 8.0 }.generate(48, crate::common::graph_seed(0));
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
-        let base = NoisyRunConfig::new(0)
-            .with_max_rounds(200_000)
+        let base = RunConfig::new(0)
             .with_churn(churn_plan(&g).expect("workload graph supports the churn schedule"))
             .with_channel(ChannelFault::reliable().with_drop(0.02));
-        let plain = run_noisy(&g, &algo, &base);
+        let plain = run_noisy(&g, &algo, &base, 200_000).unwrap();
         let tele = Telemetry::enabled(TeleConfig::default());
         let (sink, handle) = MemorySink::new();
         tele.add_sink(Box::new(sink));
-        let streamed = run_noisy(&g, &algo, &base.clone().with_telemetry(tele.clone()));
+        let streamed =
+            run_noisy(&g, &algo, &base.clone().with_telemetry(tele.clone()), 200_000).unwrap();
         // Observational: attaching telemetry must not perturb the run.
         assert_eq!(plain.mis, streamed.mis);
         assert_eq!(plain.stabilized, streamed.stabilized);
@@ -460,11 +474,10 @@ mod tests {
         // scheduled event.
         let g = GraphFamily::Geometric { avg_degree: 8.0 }.generate(48, 2);
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
-        let config = NoisyRunConfig::new(0)
-            .with_max_rounds(200_000)
+        let config = RunConfig::new(0)
             .with_churn(churn_plan(&g).expect("workload graph supports the churn schedule"))
             .with_channel(ChannelFault::reliable().with_drop(0.02));
-        let outcome = run_noisy(&g, &algo, &config);
+        let outcome = run_noisy(&g, &algo, &config, 200_000).unwrap();
         assert!(outcome.stabilized);
         assert!(outcome.all_recovered(), "{:?}", outcome.events);
         assert_eq!(outcome.events.len(), 5);

@@ -50,7 +50,7 @@ use beeping::{EngineMode, Simulator};
 use graphs::generators::GraphFamily;
 use graphs::Graph;
 use mis::levels::Level;
-use mis::runner::{self, RunConfig, StabilizationError};
+use mis::runner::{self, RunConfig, RunError};
 use mis::{Algorithm1, LmaxPolicy};
 use telemetry::Stopwatch;
 
@@ -138,11 +138,7 @@ impl PerfPoint {
 /// A stabilized (steady-state) configuration for the timing workload: MIS
 /// members beep every round, everyone else listens. Errors (instead of
 /// panicking) when the workload run exhausts its budget.
-fn steady_state_levels(
-    g: &Graph,
-    algo: &Algorithm1,
-    seed: u64,
-) -> Result<Vec<Level>, StabilizationError> {
+fn steady_state_levels(g: &Graph, algo: &Algorithm1, seed: u64) -> Result<Vec<Level>, RunError> {
     let config = RunConfig::new(seed).with_max_rounds(1_000_000);
     Ok(runner::run(g, algo, config)?.levels)
 }
@@ -289,7 +285,7 @@ pub fn measure_point(
     seed: u64,
     quick: bool,
     workload: Workload,
-) -> Result<PerfPoint, StabilizationError> {
+) -> Result<PerfPoint, RunError> {
     let g = family.generate(n, crate::common::graph_seed(0));
     let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
     let levels = steady_state_levels(&g, &algo, seed)?;

@@ -32,7 +32,7 @@ use beeping::{EngineMode, Simulator};
 use graphs::generators::GraphFamily;
 use graphs::Graph;
 use mis::levels::Level;
-use mis::runner::{InitialLevels, RunConfig, StabilizationError};
+use mis::runner::{InitialLevels, RunConfig, RunError};
 use mis::{Algorithm1, LmaxPolicy};
 use telemetry::Stopwatch;
 
@@ -55,7 +55,7 @@ pub struct ScalePoint {
 }
 
 /// Measures one size (part 1). Errors when the run exhausts its budget.
-pub fn measure_scale(n: usize, seed: u64) -> Result<ScalePoint, StabilizationError> {
+pub fn measure_scale(n: usize, seed: u64) -> Result<ScalePoint, RunError> {
     let family = GraphFamily::Geometric { avg_degree: 8.0 };
     let g = family.generate(n, seed);
     let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));

@@ -23,9 +23,9 @@ use graphs::{Graph, NodeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::containment::{run_contained, ContainmentConfig};
+use crate::containment::run_contained;
 use crate::levels::{state_space_bounds, Level};
-use crate::runner::{InitialLevels, SelfStabilizingMis};
+use crate::runner::{InitialLevels, RunConfig, SelfStabilizingMis};
 
 /// Purpose tag separating the adversary-search RNG stream from node,
 /// channel, fault and Byzantine streams.
@@ -82,7 +82,7 @@ pub struct AdversaryConfig {
     pub iterations: usize,
     /// Round budget per candidate evaluation.
     pub max_rounds: u64,
-    /// Containment radius to certify (see [`ContainmentConfig::radius`]).
+    /// Containment radius to certify (see [`run_contained`]).
     pub radius: usize,
     /// Burn-in horizon passed through to the containment run.
     pub burn_in: u64,
@@ -175,12 +175,15 @@ fn evaluate<A: SelfStabilizingMis>(
     for &v in &candidate.placement {
         plan.set_behavior(v, config.behavior.to_behavior());
     }
-    let containment = ContainmentConfig::new(config.seed)
+    let containment = RunConfig::new(config.seed)
         .with_init(InitialLevels::Custom(candidate.init_levels.clone()))
         .with_max_rounds(config.max_rounds)
-        .with_radius(config.radius)
-        .with_burn_in(config.burn_in);
-    let outcome = run_contained(graph, algo, &plan, &containment);
+        .with_byzantine(plan);
+    let outcome =
+        match run_contained(graph, algo, &containment, config.radius, config.burn_in, false) {
+            Ok(outcome) => outcome,
+            Err(e) => panic!("{e}"),
+        };
     let score = outcome.contained_round.unwrap_or(config.max_rounds + 1);
     (score, outcome.is_contained(), outcome.final_radius)
 }

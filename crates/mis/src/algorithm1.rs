@@ -29,7 +29,7 @@ use crate::invariant::{debug_assert_level_in_range, LevelSpace};
 use crate::levels::{beep_probability, claiming_level, update_level, Level};
 use crate::observer;
 use crate::policy::LmaxPolicy;
-use crate::runner::{self, Outcome, RunConfig, StabilizationError};
+use crate::runner::{self, Outcome, RunConfig, RunError};
 
 /// The single-channel self-stabilizing MIS protocol (paper Algorithm 1).
 ///
@@ -92,9 +92,10 @@ impl Algorithm1 {
     ///
     /// # Errors
     ///
-    /// Returns [`StabilizationError`] if the round budget is exhausted
-    /// before `S_t = V`.
-    pub fn run(&self, graph: &Graph, config: RunConfig) -> Result<Outcome, StabilizationError> {
+    /// As [`runner::run`]: [`RunError::Plan`] for a schedule invalid on
+    /// `graph`, [`RunError::Budget`] if the round budget is exhausted before
+    /// `S_t = V`.
+    pub fn run(&self, graph: &Graph, config: RunConfig) -> Result<Outcome, RunError> {
         runner::run_algorithm1(graph, self, config)
     }
 }

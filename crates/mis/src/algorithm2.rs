@@ -29,7 +29,7 @@ use crate::invariant::{debug_assert_level_in_range, LevelSpace};
 use crate::levels::{beep1_probability, update_level_two_channel, Level};
 use crate::observer;
 use crate::policy::LmaxPolicy;
-use crate::runner::{self, Outcome, RunConfig, StabilizationError};
+use crate::runner::{self, Outcome, RunConfig, RunError};
 
 /// The two-channel self-stabilizing MIS protocol (paper Algorithm 2,
 /// Corollary 2.3).
@@ -87,9 +87,10 @@ impl Algorithm2 {
     ///
     /// # Errors
     ///
-    /// Returns [`StabilizationError`] if the round budget is exhausted
-    /// before stabilization.
-    pub fn run(&self, graph: &Graph, config: RunConfig) -> Result<Outcome, StabilizationError> {
+    /// As [`runner::run`]: [`RunError::Plan`] for a schedule invalid on
+    /// `graph`, [`RunError::Budget`] if the round budget is exhausted before
+    /// `S_t = V`.
+    pub fn run(&self, graph: &Graph, config: RunConfig) -> Result<Outcome, RunError> {
         runner::run_algorithm2(graph, self, config)
     }
 }

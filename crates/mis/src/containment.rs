@@ -32,17 +32,16 @@
 //! credit a liar's claim use [`correct_claimed_mis`], which strips the
 //! Byzantine nodes themselves from the membership bitmap.
 
-use beeping::byzantine::ByzantinePlan;
-use beeping::{EngineMode, Simulator};
+use std::borrow::Cow;
+
 use graphs::{Graph, NodeId};
-use telemetry::{Event, Marker, MarkerKind, Telemetry};
+use telemetry::MarkerKind;
 
 use crate::dynamics::{round_stats, RoundStats};
 use crate::levels::Level;
 use crate::recovery::claimed_mis;
-use crate::runner::{
-    emit_round_event, initial_levels, InitialLevels, RunConfig, SelfStabilizingMis,
-};
+use crate::resumable::{mark, PlanError, RunLoop, RunStatus};
+use crate::runner::{RunConfig, SelfStabilizingMis};
 
 /// BFS distance from every node to its nearest node in `byz` (multi-source
 /// BFS). Byzantine nodes are at distance `0`; nodes unreachable from every
@@ -205,94 +204,6 @@ pub struct ContainmentSample {
     pub stats: RoundStats,
 }
 
-/// Configuration of a [`run_contained`] measurement.
-#[derive(Debug, Clone)]
-pub struct ContainmentConfig {
-    /// Master seed (node streams, initial levels, Byzantine draws).
-    pub seed: u64,
-    /// Round budget.
-    pub max_rounds: u64,
-    /// Initial configuration.
-    pub init: InitialLevels,
-    /// The containment radius to certify: the run stops at the first round
-    /// `>= burn_in` whose disruption radius is `<= radius`.
-    pub radius: usize,
-    /// Rounds to run before the radius check may stop the run (use
-    /// [`crate::theory::burn_in_horizon`] for the paper-aligned choice).
-    /// Randomized behaviors (babblers) make per-round radii fluctuate, so
-    /// the measurement is "first contained round after burn-in", not
-    /// "contained at every round".
-    pub burn_in: u64,
-    /// Record a [`ContainmentSample`] per round (including round 0).
-    pub record_trajectory: bool,
-    /// Delivery engine for the underlying simulator (bit-identical choices;
-    /// see [`EngineMode`]).
-    pub engine: EngineMode,
-    /// Telemetry handle (disabled by default): a Byzantine marker for the
-    /// installed plan, round events with correct-subgraph observables, and
-    /// a `containment.final_radius` gauge. Observational only.
-    pub telemetry: Telemetry,
-}
-
-impl ContainmentConfig {
-    /// Defaults: 50,000-round budget, random initial levels, radius-2
-    /// certificate, no burn-in, no trajectory.
-    pub fn new(seed: u64) -> ContainmentConfig {
-        ContainmentConfig {
-            seed,
-            max_rounds: 50_000,
-            init: InitialLevels::Random,
-            radius: 2,
-            burn_in: 0,
-            record_trajectory: false,
-            engine: EngineMode::default(),
-            telemetry: Telemetry::disabled(),
-        }
-    }
-
-    /// Sets the initial configuration.
-    pub fn with_init(mut self, init: InitialLevels) -> ContainmentConfig {
-        self.init = init;
-        self
-    }
-
-    /// Sets the round budget.
-    pub fn with_max_rounds(mut self, max_rounds: u64) -> ContainmentConfig {
-        self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Sets the certified radius.
-    pub fn with_radius(mut self, radius: usize) -> ContainmentConfig {
-        self.radius = radius;
-        self
-    }
-
-    /// Sets the burn-in horizon.
-    pub fn with_burn_in(mut self, burn_in: u64) -> ContainmentConfig {
-        self.burn_in = burn_in;
-        self
-    }
-
-    /// Enables per-round trajectory recording.
-    pub fn with_trajectory(mut self) -> ContainmentConfig {
-        self.record_trajectory = true;
-        self
-    }
-
-    /// Selects the simulator delivery engine.
-    pub fn with_engine(mut self, engine: EngineMode) -> ContainmentConfig {
-        self.engine = engine;
-        self
-    }
-
-    /// Attaches a telemetry handle.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> ContainmentConfig {
-        self.telemetry = telemetry;
-        self
-    }
-}
-
 /// The result of a [`run_contained`] measurement.
 #[derive(Debug, Clone)]
 pub struct ContainmentOutcome {
@@ -318,112 +229,78 @@ impl ContainmentOutcome {
     }
 }
 
-/// Runs `algo` under the Byzantine `plan` until the first round `>=
-/// config.burn_in` whose disruption radius is `<= config.radius`, or until
-/// the budget runs out.
+/// Runs `algo` under `config` — whose [`RunConfig::byzantine`] plan names
+/// the adversary — until the first round `>= burn_in` whose disruption
+/// radius is `<= radius`, or until `config.max_rounds` runs out. Randomized
+/// behaviors (babblers) make per-round radii fluctuate, so the measurement
+/// is "first contained round after burn-in", not "contained at every
+/// round"; use [`crate::theory::burn_in_horizon`] for the paper-aligned
+/// burn-in. With `record_trajectory`, a [`ContainmentSample`] is recorded
+/// per round (including round 0).
 ///
-/// The run deliberately does *not* install the debug-build
-/// [`crate::invariant::InvariantChecker`]: a Byzantine node's RAM is
-/// adversary-controlled and legitimately violates protocol invariants.
+/// A Byzantine node's RAM is adversary-controlled and legitimately
+/// violates protocol invariants, so a debug build does not install the
+/// [`crate::invariant::InvariantChecker`] for a non-empty plan.
 /// (Crash-restart resurrection closures must still return levels inside the
 /// state space — the protocol's own `transmit` executes on them.)
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the plan is invalid for this graph and protocol (see
-/// [`ByzantinePlan::validate`]).
+/// Returns a [`PlanError`] if a schedule in `config` is invalid for this
+/// graph and protocol (see [`beeping::byzantine::ByzantinePlan::validate`]).
 pub fn run_contained<A: SelfStabilizingMis>(
     graph: &Graph,
     algo: &A,
-    plan: &ByzantinePlan<Level>,
-    config: &ContainmentConfig,
-) -> ContainmentOutcome {
-    let run_config = RunConfig::new(config.seed).with_init(config.init.clone());
-    let levels = initial_levels(algo, &run_config);
-    let tele = config.telemetry.clone();
-    let mut sim = Simulator::new(graph, algo.clone(), levels, config.seed)
-        .with_byzantine(plan.clone())
-        .with_engine(config.engine)
-        .with_telemetry(tele.clone());
-    let byz = plan.nodes();
-    if tele.is_enabled() {
-        tele.record(Event::RunStart {
-            label: "containment".into(),
-            n: graph.len() as u64,
-            seed: config.seed,
-        });
-        tele.record(Event::Marker(Marker {
-            round: 0,
-            kind: MarkerKind::Byzantine,
-            detail: "plan".into(),
-            magnitude: byz.len() as u64,
-        }));
-    }
+    config: &RunConfig,
+    radius: usize,
+    burn_in: u64,
+    record_trajectory: bool,
+) -> Result<ContainmentOutcome, PlanError> {
+    let mut run = RunLoop::start(Cow::Borrowed(graph), algo, config.clone(), "containment")?;
+    let byz = config.byzantine.nodes();
+    let tele = &config.telemetry;
+    mark(tele, 0, MarkerKind::Byzantine, "plan", byz.len() as u64);
     let dist = byz_distances(graph, &byz);
     let lmax = algo.policy().lmax_values();
-    let mut trajectory = config.record_trajectory.then(Vec::new);
-
-    let mut contained_round = None;
-    let mut radius = disruption_radius_with(algo, graph, sim.states(), sim.active(), &dist);
-    loop {
+    let mut trajectory = record_trajectory.then(Vec::new);
+    let (contained_round, final_radius) = loop {
+        run.apply_events();
+        let round = run.round();
+        let current = disruption_radius_with(algo, run.graph(), run.levels(), run.active(), &dist);
         if let Some(t) = &mut trajectory {
             t.push(ContainmentSample {
-                round: sim.round(),
-                radius,
-                stats: round_stats(graph, lmax, sim.states(), sim.round() as usize),
+                round,
+                radius: current,
+                stats: round_stats(run.graph(), lmax, run.levels(), round as usize),
             });
         }
-        if sim.round() >= config.burn_in && radius <= config.radius {
-            contained_round = Some(sim.round());
-            break;
+        if round >= burn_in && current <= radius {
+            break (Some(round), current);
         }
-        if sim.round() >= config.max_rounds {
-            break;
+        if round >= config.max_rounds {
+            break (None, current);
         }
-        let report = sim.step();
-        radius = disruption_radius_with(algo, graph, sim.states(), sim.active(), &dist);
-        if tele.is_enabled() {
-            let in_mis = claimed_mis(algo, graph, sim.states(), sim.active());
-            let stable = graph
-                .nodes()
-                .filter(|&v| {
-                    sim.active()[v]
-                        && (in_mis[v] || graph.neighbors(v).iter().any(|&u| in_mis[u as usize]))
-                })
-                .count();
-            emit_round_event(
-                &tele,
-                &report,
-                sim.active_count() as u64,
-                graph.len() as u64,
-                in_mis.iter().filter(|&&m| m).count() as u64,
-                stable as u64,
-                sim.states(),
-            );
-        }
-    }
+        run.step();
+    };
 
     if tele.is_enabled() {
         tele.gauge_set(
             "containment.final_radius",
-            if radius == usize::MAX { f64::INFINITY } else { radius as f64 },
+            if final_radius == usize::MAX { f64::INFINITY } else { final_radius as f64 },
         );
-        tele.record(Event::RunEnd {
-            rounds: sim.round(),
-            stabilized: contained_round.is_some(),
-            stabilization_round: contained_round,
-        });
-        tele.finish();
     }
+    let status =
+        if contained_round.is_some() { RunStatus::Stabilized } else { RunStatus::BudgetExhausted };
+    run.finish(status, contained_round);
 
-    ContainmentOutcome {
+    Ok(ContainmentOutcome {
         contained_round,
-        final_radius: radius,
-        rounds_run: sim.round(),
-        correct_mis: correct_claimed_mis(algo, graph, sim.states(), sim.active(), &byz),
-        levels: sim.states().to_vec(),
+        final_radius,
+        rounds_run: run.round(),
+        correct_mis: correct_claimed_mis(algo, run.graph(), run.levels(), run.active(), &byz),
+        levels: run.levels().to_vec(),
         trajectory,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -434,7 +311,7 @@ mod tests {
     use crate::policy::LmaxPolicy;
     use crate::recovery::stabilized_active;
     use crate::theory::burn_in_horizon;
-    use beeping::byzantine::ByzantineBehavior;
+    use beeping::byzantine::{ByzantineBehavior, ByzantinePlan};
     use graphs::generators::{classic, random};
 
     #[test]
@@ -498,18 +375,16 @@ mod tests {
         let g = classic::cycle(32);
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
         let plan = ByzantinePlan::new().with_behavior(5, ByzantineBehavior::StuckBeep);
-        let config = ContainmentConfig::new(3)
-            .with_burn_in(burn_in_horizon(algo.policy()))
-            .with_radius(2)
-            .with_trajectory();
-        let outcome = run_contained(&g, &algo, &plan, &config);
+        let config = RunConfig::new(3).with_max_rounds(50_000).with_byzantine(plan);
+        let burn_in = burn_in_horizon(algo.policy());
+        let outcome = run_contained(&g, &algo, &config, 2, burn_in, true).unwrap();
         assert!(outcome.is_contained(), "final radius {}", outcome.final_radius);
         assert!(outcome.final_radius <= 2);
         assert!(!outcome.correct_mis[5], "byz node never certified");
         let t = outcome.trajectory.expect("recorded");
         assert_eq!(t.len() as u64, outcome.rounds_run + 1);
         assert_eq!(t.last().unwrap().radius, outcome.final_radius);
-        assert!(t.last().unwrap().round >= config.burn_in);
+        assert!(t.last().unwrap().round >= burn_in);
     }
 
     #[test]
@@ -517,9 +392,9 @@ mod tests {
         let g = classic::cycle(24);
         let algo = Algorithm2::new(&g, LmaxPolicy::two_hop_degree(&g));
         let plan = ByzantinePlan::new().with_behavior(7, ByzantineBehavior::Channel2Liar);
-        let config =
-            ContainmentConfig::new(5).with_burn_in(burn_in_horizon(algo.policy())).with_radius(1);
-        let outcome = run_contained(&g, &algo, &plan, &config);
+        let config = RunConfig::new(5).with_max_rounds(50_000).with_byzantine(plan);
+        let burn_in = burn_in_horizon(algo.policy());
+        let outcome = run_contained(&g, &algo, &config, 1, burn_in, false).unwrap();
         assert!(outcome.is_contained(), "final radius {}", outcome.final_radius);
         assert!(!outcome.correct_mis[7]);
     }
@@ -529,9 +404,8 @@ mod tests {
         let g = classic::cycle(16);
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
         let plan = ByzantinePlan::new().with_behavior(0, ByzantineBehavior::StuckSilent);
-        let config =
-            ContainmentConfig::new(1).with_max_rounds(20).with_burn_in(20).with_trajectory();
-        let outcome = run_contained(&g, &algo, &plan, &config);
+        let config = RunConfig::new(1).with_max_rounds(20).with_byzantine(plan);
+        let outcome = run_contained(&g, &algo, &config, 2, 20, true).unwrap();
         let t = outcome.trajectory.expect("recorded");
         for (i, s) in t.iter().enumerate() {
             assert_eq!(s.round, i as u64);
@@ -544,12 +418,23 @@ mod tests {
         let g = random::gnp(30, 0.12, 9);
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
         let plan = ByzantinePlan::new().with_behavior(3, ByzantineBehavior::Babbler(0.5));
-        let config = ContainmentConfig::new(21).with_burn_in(burn_in_horizon(algo.policy()));
-        let a = run_contained(&g, &algo, &plan, &config);
-        let b = run_contained(&g, &algo, &plan, &config);
+        let config = RunConfig::new(21).with_max_rounds(50_000).with_byzantine(plan);
+        let burn_in = burn_in_horizon(algo.policy());
+        let a = run_contained(&g, &algo, &config, 2, burn_in, false).unwrap();
+        let b = run_contained(&g, &algo, &config, 2, burn_in, false).unwrap();
         assert_eq!(a.contained_round, b.contained_round);
         assert_eq!(a.levels, b.levels);
         assert_eq!(a.correct_mis, b.correct_mis);
         assert_eq!(a.final_radius, b.final_radius);
+    }
+
+    #[test]
+    fn out_of_range_byzantine_node_is_a_plan_error() {
+        let g = classic::path(3);
+        let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
+        let config = RunConfig::new(0)
+            .with_byzantine(ByzantinePlan::new().with_behavior(9, ByzantineBehavior::StuckBeep));
+        let err = run_contained(&g, &algo, &config, 2, 0, false).unwrap_err();
+        assert!(matches!(err, PlanError::Byzantine(_)), "{err}");
     }
 }

@@ -33,7 +33,7 @@ pub struct RoundStats {
 }
 
 /// Computes the per-round statistics for a recorded level history (as
-/// produced by [`crate::runner::RunConfig::with_level_recording`]).
+/// produced by [`crate::runner::run_with_history`]).
 ///
 /// # Panics
 ///
@@ -83,7 +83,7 @@ pub fn round_stats(graph: &Graph, lmax: &[Level], levels: &[Level], round: usize
 mod tests {
     use super::*;
     use crate::policy::LmaxPolicy;
-    use crate::runner::RunConfig;
+    use crate::runner::{run_with_history, RunConfig};
     use crate::Algorithm1;
     use graphs::generators::random;
 
@@ -91,7 +91,7 @@ mod tests {
     fn trajectory_matches_outcome() {
         let g = random::gnp(50, 0.1, 1);
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
-        let outcome = algo.run(&g, RunConfig::new(2).with_level_recording()).expect("stabilizes");
+        let outcome = run_with_history(&g, &algo, RunConfig::new(2)).expect("stabilizes");
         let history = outcome.level_history.as_ref().unwrap();
         let stats = trajectory(&g, algo.policy().lmax_values(), history);
         assert_eq!(stats.len(), history.len());
@@ -132,14 +132,8 @@ mod tests {
         // adversarial start where everyone beeps.
         let g = random::gnp(60, 0.15, 3);
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
-        let outcome = algo
-            .run(
-                &g,
-                RunConfig::new(1)
-                    .with_init(crate::runner::InitialLevels::AllClaiming)
-                    .with_level_recording(),
-            )
-            .unwrap();
+        let config = RunConfig::new(1).with_init(crate::runner::InitialLevels::AllClaiming);
+        let outcome = run_with_history(&g, &algo, config).unwrap();
         let history = outcome.level_history.unwrap();
         let stats = trajectory(&g, algo.policy().lmax_values(), &history);
         assert!(stats.first().unwrap().mean_d > stats.last().unwrap().mean_d);

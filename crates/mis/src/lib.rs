@@ -25,9 +25,11 @@
 //! `I_t`/`S_t`, prominent vertices, platinum and golden rounds, and the
 //! potentials `d_t`, `η_t`, `η′_t` — so experiments can measure exactly the
 //! quantities the proofs bound. [`runner`] is the high-level "run until
-//! stabilized" API used by examples, tests, benches and experiments, and
+//! stabilized" API used by examples, tests and experiments, and
 //! [`recovery`] extends it to unreliable networks: channel noise, jammers
-//! and topology churn with per-event re-stabilization tracking.
+//! and topology churn with per-event re-stabilization tracking. Every entry
+//! point drives the one run loop of [`resumable`], which is also the
+//! checkpointable run the resilient harness supervises.
 //! [`containment`] certifies that permanently Byzantine nodes disrupt only
 //! a bounded radius around themselves, and [`adversary`] hill-climbs over
 //! Byzantine placements and initial configurations for worst cases;
@@ -68,13 +70,13 @@ pub mod theory;
 pub use adversary::{AdversaryConfig, SearchBehavior, WorstCase};
 pub use algorithm1::Algorithm1;
 pub use algorithm2::Algorithm2;
-pub use containment::{ContainmentConfig, ContainmentOutcome, ContainmentSample};
+pub use containment::{ContainmentOutcome, ContainmentSample};
 pub use invariant::{InvariantChecker, LevelSpace};
 pub use policy::LmaxPolicy;
-pub use recovery::{NoisyOutcome, NoisyRunConfig};
+pub use recovery::NoisyOutcome;
 pub use resumable::{
     PlanError, ResumableConfig, ResumableOutcome, ResumableRun, ResumeError, RunCheckpoint,
-    RunStatus,
+    RunLoop, RunStatus,
 };
-pub use runner::{InitialLevels, Outcome, RunConfig, StabilizationError};
+pub use runner::{InitialLevels, Outcome, RunConfig, RunError, StabilizationError};
 pub use scenario::{Scenario, ScenarioConfig, ScenarioScore, WorstScenario};

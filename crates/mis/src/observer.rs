@@ -253,8 +253,8 @@ fn close_under_neighbors(graph: &Graph, in_set: &[bool]) -> Vec<bool> {
 
 /// `S_t = V` for Algorithm 1 — the stabilization criterion used everywhere.
 pub fn is_stabilized(graph: &Graph, lmax: &[Level], levels: &[Level]) -> bool {
-    // Direct check without allocating: every vertex is in I_t or has an
-    // I_t neighbor.
+    // Every vertex is in I_t or has an I_t neighbor. Allocates the
+    // n-element I_t bitmap (`stable_mis`) on every call.
     let in_mis = stable_mis(graph, lmax, levels);
     graph.nodes().all(|v| in_mis[v] || graph.neighbors(v).iter().any(|&u| in_mis[u as usize]))
 }

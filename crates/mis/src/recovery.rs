@@ -22,20 +22,16 @@
 //! membership of both endpoints *and* of all their neighbors. "Stable MIS"
 //! and "violation live" are mutually exclusive by construction.
 
-use beeping::channel::ChannelFault;
-use beeping::churn::{ChurnAction, ChurnPlan};
-use beeping::faults::FaultPlan;
-use beeping::rng::aux_rng;
-use beeping::{EngineMode, Simulator};
+use std::borrow::Cow;
+
+use beeping::churn::ChurnAction;
+use beeping::Simulator;
 use graphs::Graph;
 use rand_pcg::Pcg64Mcg;
-use telemetry::{Event, Marker, MarkerKind, Telemetry};
 
 use crate::levels::Level;
-use crate::runner::{
-    corrupt_targets, emit_round_event, initial_levels, random_level, InitialLevels, RunConfig,
-    SelfStabilizingMis, FAULT_RNG_PURPOSE,
-};
+use crate::resumable::{PlanError, RunLoop, RunStatus};
+use crate::runner::{random_level, RunConfig, SelfStabilizingMis};
 
 /// `I_t` restricted to the active subgraph: node `v` is a stable MIS member
 /// iff it is active, sits at its claiming level, and every *active* neighbor
@@ -53,15 +49,37 @@ pub fn claimed_mis<A: SelfStabilizingMis>(
 ) -> Vec<bool> {
     assert_eq!(levels.len(), graph.len(), "one level per vertex");
     assert_eq!(active.len(), graph.len(), "one active flag per vertex");
+    if all_set(active) {
+        claimed_mis_where(algo, graph, levels, |_| true)
+    } else {
+        claimed_mis_where(algo, graph, levels, |v| active[v])
+    }
+}
+
+/// `true` iff every flag is set. Folds 64-flag chunks without an early exit
+/// inside a chunk, so the scan vectorizes: on 2^16 flags it costs about a
+/// tenth of a plain short-circuiting `all`, which matters once per round.
+fn all_set(flags: &[bool]) -> bool {
+    flags.chunks(64).all(|chunk| chunk.iter().fold(true, |acc, &f| acc & f))
+}
+
+/// [`claimed_mis`] with participation given as a predicate, so the common
+/// fully active network compiles to a loop without per-neighbor flag loads.
+fn claimed_mis_where<A: SelfStabilizingMis>(
+    algo: &A,
+    graph: &Graph,
+    levels: &[Level],
+    active: impl Fn(usize) -> bool + Copy,
+) -> Vec<bool> {
     let lmax = algo.policy().lmax_values();
     graph
         .nodes()
         .map(|v| {
-            active[v]
+            active(v)
                 && levels[v] == algo.claiming_level(lmax[v])
                 && graph.neighbors(v).iter().all(|&u| {
                     let u = u as usize;
-                    !active[u] || levels[u] == lmax[u]
+                    !active(u) || levels[u] == lmax[u]
                 })
         })
         .collect()
@@ -178,105 +196,6 @@ pub struct EventRecovery {
     pub max_violation_streak: u64,
 }
 
-/// Configuration of a [`run_noisy`] execution.
-///
-/// # Example
-///
-/// ```
-/// use beeping::channel::ChannelFault;
-/// use beeping::churn::{ChurnAction, ChurnPlan};
-/// use beeping::faults::{FaultPlan, FaultTarget};
-/// use mis::recovery::NoisyRunConfig;
-///
-/// let config = NoisyRunConfig::new(7)
-///     .with_channel(ChannelFault::reliable().with_drop(0.02))
-///     .with_faults(FaultPlan::new().with_fault(500, FaultTarget::RandomFraction(0.3)))
-///     .with_churn(ChurnPlan::new().with_event(900, ChurnAction::NodeLeave(0)));
-/// assert_eq!(config.seed, 7);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct NoisyRunConfig {
-    /// Master seed: node randomness, initial levels, fault targets, channel
-    /// noise and churn boot states all derive from it (disjoint streams).
-    pub seed: u64,
-    /// Per-segment round budget; a segment exceeding it diverges.
-    pub max_rounds: u64,
-    /// Initial configuration.
-    pub init: InitialLevels,
-    /// Scheduled RAM corruptions.
-    pub faults: FaultPlan,
-    /// Scheduled topology changes.
-    pub churn: ChurnPlan,
-    /// The channel model, active for the whole run.
-    pub channel: ChannelFault,
-    /// Delivery engine for the underlying simulator (bit-identical choices;
-    /// see [`EngineMode`]).
-    pub engine: EngineMode,
-    /// Telemetry handle (disabled by default): round events with
-    /// active-aware observables, plus a fault/churn [`telemetry::Marker`]
-    /// per disturbance. Observational only.
-    pub telemetry: Telemetry,
-}
-
-impl NoisyRunConfig {
-    /// Defaults: random initial levels, a 1,000,000-round per-segment
-    /// budget, no faults, no churn, reliable channel.
-    pub fn new(seed: u64) -> NoisyRunConfig {
-        NoisyRunConfig {
-            seed,
-            max_rounds: 1_000_000,
-            init: InitialLevels::Random,
-            faults: FaultPlan::new(),
-            churn: ChurnPlan::new(),
-            channel: ChannelFault::reliable(),
-            engine: EngineMode::default(),
-            telemetry: Telemetry::disabled(),
-        }
-    }
-
-    /// Sets the per-segment round budget.
-    pub fn with_max_rounds(mut self, max_rounds: u64) -> NoisyRunConfig {
-        self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Sets the initial configuration.
-    pub fn with_init(mut self, init: InitialLevels) -> NoisyRunConfig {
-        self.init = init;
-        self
-    }
-
-    /// Sets the fault schedule.
-    pub fn with_faults(mut self, faults: FaultPlan) -> NoisyRunConfig {
-        self.faults = faults;
-        self
-    }
-
-    /// Sets the churn schedule.
-    pub fn with_churn(mut self, churn: ChurnPlan) -> NoisyRunConfig {
-        self.churn = churn;
-        self
-    }
-
-    /// Sets the channel model.
-    pub fn with_channel(mut self, channel: ChannelFault) -> NoisyRunConfig {
-        self.channel = channel;
-        self
-    }
-
-    /// Selects the simulator delivery engine.
-    pub fn with_engine(mut self, engine: EngineMode) -> NoisyRunConfig {
-        self.engine = engine;
-        self
-    }
-
-    /// Attaches a telemetry handle.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> NoisyRunConfig {
-        self.telemetry = telemetry;
-        self
-    }
-}
-
 /// The result of a [`run_noisy`] execution.
 #[derive(Debug, Clone)]
 pub struct NoisyOutcome {
@@ -334,9 +253,14 @@ impl SegmentTracker {
         }
     }
 
-    fn observe(&mut self, round: u64, stabilized: bool, violations: usize) {
+    /// Observes the run's current configuration; returns whether it is
+    /// [`stabilized_active`].
+    fn observe<A: SelfStabilizingMis>(&mut self, algo: &A, run: &RunLoop<'_, A>) -> bool {
+        let (graph, levels, active) = (run.graph(), run.levels(), run.active());
+        let stabilized = stabilized_active(algo, graph, levels, active);
+        let violations = independence_violations(algo, graph, levels, active);
         if stabilized && self.first_recovery.is_none() {
-            self.first_recovery = Some(round - self.start_round);
+            self.first_recovery = Some(run.round() - self.start_round);
         }
         if violations > 0 {
             self.violation_rounds += 1;
@@ -345,6 +269,7 @@ impl SegmentTracker {
         } else {
             self.streak = 0;
         }
+        stabilized
     }
 
     fn close(self, end_round: u64, diverged: bool) -> EventRecovery {
@@ -392,7 +317,8 @@ pub(crate) fn apply_churn<A: SelfStabilizingMis>(
 }
 
 /// Runs `algo` on `graph` under the full adversary — channel noise, RAM
-/// faults and topology churn — segmenting the execution at every event.
+/// faults and topology churn from `config` — segmenting the execution at
+/// every fault and churn event.
 ///
 /// Execution order per round boundary: the round-`r` configuration is
 /// observed (stability, violations), then all fault events scheduled after
@@ -403,7 +329,8 @@ pub(crate) fn apply_churn<A: SelfStabilizingMis>(
 /// segment are [`SegmentOutcome::Interrupted`] at zero rounds.
 ///
 /// The run ends when the execution is stabilized with no events left, or
-/// when a segment exhausts `config.max_rounds` without re-stabilizing
+/// when a segment runs `segment_budget` rounds without re-stabilizing, or
+/// the run reaches its total budget `config.max_rounds`
 /// ([`SegmentOutcome::Diverged`]; remaining scheduled events are not
 /// applied).
 ///
@@ -413,163 +340,52 @@ pub(crate) fn apply_churn<A: SelfStabilizingMis>(
 /// nodes, same recovery time (the zero-noise baseline; asserted by a test
 /// below and by experiment `NOISE`).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the churn plan references a node `>= graph.len()`, if a
-/// channel jammer is out of range, or if the fault plan is invalid for this
-/// graph (checked up front via [`beeping::faults::FaultPlan::validate`] so
-/// the round loop's fault application is infallible).
+/// Returns a [`PlanError`] if a schedule in `config` is invalid for this
+/// graph (a churn or fault node out of range, …).
 pub fn run_noisy<A: SelfStabilizingMis>(
     graph: &Graph,
     algo: &A,
-    config: &NoisyRunConfig,
-) -> NoisyOutcome {
-    if let Err(e) = config.churn.validate(graph.len()) {
-        panic!("invalid churn plan: {e}");
-    }
-    if let Err(e) = config.faults.validate(graph.len()) {
-        panic!("invalid fault plan: {e}");
-    }
-    let run_config = RunConfig::new(config.seed).with_init(config.init.clone());
-    let levels = initial_levels(algo, &run_config);
-    let tele = config.telemetry.clone();
-    let mut sim = Simulator::new(graph, algo.clone(), levels, config.seed)
-        .with_channel(config.channel.clone())
-        .with_engine(config.engine)
-        .with_telemetry(tele.clone());
-    let mut fault_rng = aux_rng(config.seed, FAULT_RNG_PURPOSE);
-    if tele.is_enabled() {
-        tele.record(Event::RunStart {
-            label: "noisy".into(),
-            n: graph.len() as u64,
-            seed: config.seed,
-        });
-    }
-
-    let last_event_round = config
-        .faults
-        .last_fault_round()
-        .unwrap_or(0)
-        .max(config.churn.last_event_round().unwrap_or(0));
-
+    config: &RunConfig,
+    segment_budget: u64,
+) -> Result<NoisyOutcome, PlanError> {
+    let mut run = RunLoop::start(Cow::Borrowed(graph), algo, config.clone(), "noisy")?;
     let mut events: Vec<EventRecovery> = Vec::new();
     let mut tracker = SegmentTracker::new(Disturbance::Initial, 0);
-    // Rounds whose scheduled events have already been applied (events fire
-    // once even though the same round is re-observed after application).
-    let mut applied_through: Option<u64> = None;
-
-    let (stabilized, mis, active, total_rounds) = loop {
-        let r = sim.round();
-        let stab = stabilized_active(algo, sim.graph(), sim.states(), sim.active());
-        let violations = independence_violations(algo, sim.graph(), sim.states(), sim.active());
-        tracker.observe(r, stab, violations);
-
-        let events_pending = applied_through != Some(r)
-            && (config.faults.events_after_round(r).next().is_some()
-                || config.churn.events_after_round(r).next().is_some());
-        if events_pending {
-            for fault in config.faults.events_after_round(r) {
-                let corrupted = corrupt_targets(&mut sim, algo, &fault.target, &mut fault_rng);
-                if tele.is_enabled() {
-                    tele.record(Event::Marker(Marker {
-                        round: r,
-                        kind: MarkerKind::Fault,
-                        detail: "corrupt".into(),
-                        magnitude: corrupted as u64,
-                    }));
-                }
-                events.push(
-                    std::mem::replace(
-                        &mut tracker,
-                        SegmentTracker::new(Disturbance::TransientFault { corrupted }, r),
-                    )
-                    .close(r, false),
-                );
+    let mut stab = tracker.observe(algo, &run);
+    let stabilized = loop {
+        let r = run.round();
+        run.apply_events();
+        if !run.applied().is_empty() {
+            for disturbance in run.applied() {
+                let next = SegmentTracker::new(disturbance.clone(), r);
+                events.push(std::mem::replace(&mut tracker, next).close(r, false));
             }
-            let churn_actions: Vec<ChurnAction> =
-                config.churn.events_after_round(r).map(|e| e.action.clone()).collect();
-            for action in churn_actions {
-                apply_churn(&mut sim, algo, &action, &mut fault_rng);
-                if tele.is_enabled() {
-                    tele.record(Event::Marker(Marker {
-                        round: r,
-                        kind: MarkerKind::Churn,
-                        detail: churn_detail(&action).into(),
-                        magnitude: 1,
-                    }));
-                }
-                events.push(
-                    std::mem::replace(
-                        &mut tracker,
-                        SegmentTracker::new(Disturbance::Churn(action), r),
-                    )
-                    .close(r, false),
-                );
-            }
-            applied_through = Some(r);
-            continue; // observe the post-event configuration as the new start
+            // The post-event configuration is the new segment's start.
+            stab = tracker.observe(algo, &run);
         }
-
-        if stab && r >= last_event_round {
+        if stab && r >= run.last_event_round() {
             events.push(tracker.close(r, false));
-            break (
-                true,
-                claimed_mis(algo, sim.graph(), sim.states(), sim.active()),
-                sim.active().to_vec(),
-                r,
-            );
+            break true;
         }
-        if r - tracker.start_round >= config.max_rounds {
+        if r - tracker.start_round >= segment_budget || r >= config.max_rounds {
             events.push(tracker.close(r, true));
-            break (
-                false,
-                claimed_mis(algo, sim.graph(), sim.states(), sim.active()),
-                sim.active().to_vec(),
-                r,
-            );
+            break false;
         }
-        let report = sim.step();
-        if tele.is_enabled() {
-            let graph = sim.graph();
-            let in_mis = claimed_mis(algo, graph, sim.states(), sim.active());
-            let stable = graph
-                .nodes()
-                .filter(|&v| {
-                    sim.active()[v]
-                        && (in_mis[v] || graph.neighbors(v).iter().any(|&u| in_mis[u as usize]))
-                })
-                .count();
-            emit_round_event(
-                &tele,
-                &report,
-                sim.active_count() as u64,
-                graph.len() as u64,
-                in_mis.iter().filter(|&&m| m).count() as u64,
-                stable as u64,
-                sim.states(),
-            );
-        }
+        run.step();
+        stab = tracker.observe(algo, &run);
     };
-
-    if tele.is_enabled() {
-        tele.record(Event::RunEnd {
-            rounds: total_rounds,
-            stabilized,
-            stabilization_round: stabilized.then_some(total_rounds),
-        });
-        tele.finish();
-    }
-    NoisyOutcome { events, total_rounds, stabilized, mis, active }
-}
-
-/// Stable lowercase name of a churn action for telemetry markers.
-fn churn_detail(action: &ChurnAction) -> &'static str {
-    match action {
-        ChurnAction::AddEdge(..) => "add_edge",
-        ChurnAction::RemoveEdge(..) => "remove_edge",
-        ChurnAction::NodeLeave(..) => "node_leave",
-        ChurnAction::NodeJoin(..) => "node_join",
-    }
+    let total_rounds = run.round();
+    let status = if stabilized { RunStatus::Stabilized } else { RunStatus::BudgetExhausted };
+    run.finish(status, stabilized.then_some(total_rounds));
+    Ok(NoisyOutcome {
+        events,
+        total_rounds,
+        stabilized,
+        mis: run.mis(),
+        active: run.active().to_vec(),
+    })
 }
 
 #[cfg(test)]
@@ -578,8 +394,10 @@ mod tests {
     use crate::algorithm1::Algorithm1;
     use crate::algorithm2::Algorithm2;
     use crate::policy::LmaxPolicy;
-    use crate::runner::run_recovery;
-    use beeping::faults::FaultTarget;
+    use crate::runner::{run_recovery, InitialLevels};
+    use beeping::channel::ChannelFault;
+    use beeping::churn::{ChurnError, ChurnPlan};
+    use beeping::faults::{FaultPlan, FaultTarget};
     use graphs::generators::{classic, random};
 
     #[test]
@@ -634,10 +452,9 @@ mod tests {
         let target = FaultTarget::RandomFraction(0.5);
         let rec = run_recovery(&g, &algo, seed, target.clone(), 100_000).expect("recovers");
 
-        let config = NoisyRunConfig::new(seed)
-            .with_max_rounds(100_000)
+        let config = RunConfig::new(seed)
             .with_faults(FaultPlan::new().with_fault(rec.initial_stabilization, target));
-        let noisy = run_noisy(&g, &algo, &config);
+        let noisy = run_noisy(&g, &algo, &config, 100_000).unwrap();
 
         assert!(noisy.stabilized);
         assert_eq!(noisy.events.len(), 2);
@@ -661,10 +478,8 @@ mod tests {
     fn mild_noise_still_stabilizes() {
         let g = random::gnp(40, 0.1, 3);
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
-        let config = NoisyRunConfig::new(3)
-            .with_max_rounds(200_000)
-            .with_channel(ChannelFault::reliable().with_drop(0.05));
-        let outcome = run_noisy(&g, &algo, &config);
+        let config = RunConfig::new(3).with_channel(ChannelFault::reliable().with_drop(0.05));
+        let outcome = run_noisy(&g, &algo, &config, 200_000).unwrap();
         assert!(outcome.stabilized, "p=0.05 beep loss must still stabilize");
         assert!(outcome.all_recovered());
         assert!(graphs::mis::is_maximal_independent_set(&g, &outcome.mis));
@@ -679,8 +494,8 @@ mod tests {
             .with_event(800, ChurnAction::NodeJoin(3, vec![0, 5, 7]))
             .with_event(1200, ChurnAction::RemoveEdge(0, 1))
             .with_event(1600, ChurnAction::AddEdge(0, 1));
-        let config = NoisyRunConfig::new(9).with_max_rounds(100_000).with_churn(churn);
-        let outcome = run_noisy(&g, &algo, &config);
+        let config = RunConfig::new(9).with_churn(churn);
+        let outcome = run_noisy(&g, &algo, &config, 100_000).unwrap();
         assert_eq!(outcome.events.len(), 5);
         for event in &outcome.events {
             assert!(
@@ -705,11 +520,10 @@ mod tests {
         let algo = Algorithm1::new(&g, LmaxPolicy::fixed(4, 4));
         // AllOne start: deaf nodes can never reach ℓmax, so no observed
         // configuration can be stabilized — the divergence is deterministic.
-        let config = NoisyRunConfig::new(2)
-            .with_max_rounds(300)
+        let config = RunConfig::new(2)
             .with_init(InitialLevels::AllOne)
             .with_channel(ChannelFault::reliable().with_drop(1.0));
-        let outcome = run_noisy(&g, &algo, &config);
+        let outcome = run_noisy(&g, &algo, &config, 300).unwrap();
         assert!(!outcome.stabilized);
         assert_eq!(outcome.events.len(), 1);
         assert_eq!(outcome.events[0].outcome, SegmentOutcome::Diverged { rounds: 300 });
@@ -721,11 +535,10 @@ mod tests {
     fn simultaneous_events_interrupt_in_order() {
         let g = classic::cycle(8);
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
-        let config = NoisyRunConfig::new(4)
-            .with_max_rounds(100_000)
+        let config = RunConfig::new(4)
             .with_faults(FaultPlan::new().with_fault(100, FaultTarget::All))
             .with_churn(ChurnPlan::new().with_event(100, ChurnAction::RemoveEdge(0, 1)));
-        let outcome = run_noisy(&g, &algo, &config);
+        let outcome = run_noisy(&g, &algo, &config, 100_000).unwrap();
         assert_eq!(outcome.events.len(), 3);
         // Faults apply before churn at the same boundary; the fault segment
         // is cut at zero rounds by the churn event.
@@ -739,13 +552,22 @@ mod tests {
     fn two_channel_algorithm_recovers_under_noise_and_churn() {
         let g = random::gnp(30, 0.15, 11);
         let algo = Algorithm2::new(&g, LmaxPolicy::two_hop_degree(&g));
-        let config = NoisyRunConfig::new(11)
-            .with_max_rounds(200_000)
+        let config = RunConfig::new(11)
             .with_channel(ChannelFault::reliable().with_drop(0.02))
             .with_churn(ChurnPlan::new().with_event(500, ChurnAction::NodeLeave(2)));
-        let outcome = run_noisy(&g, &algo, &config);
+        let outcome = run_noisy(&g, &algo, &config, 200_000).unwrap();
         assert!(outcome.stabilized);
         assert_eq!(outcome.events.len(), 2);
         assert!(!outcome.active[2]);
+    }
+
+    #[test]
+    fn out_of_range_churn_node_is_a_plan_error() {
+        let g = classic::path(3);
+        let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
+        let config =
+            RunConfig::new(0).with_churn(ChurnPlan::new().with_event(1, ChurnAction::NodeLeave(9)));
+        let err = run_noisy(&g, &algo, &config, 100).unwrap_err();
+        assert_eq!(err, PlanError::Churn(ChurnError::NodeOutOfRange { node: 9, n: 3 }));
     }
 }

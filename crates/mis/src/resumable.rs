@@ -1,56 +1,69 @@
-//! A steppable, checkpointable run driver — the crash-safe core of the
-//! resilient harness (`crates/harness`).
+//! The one run loop of this crate: a steppable, checkpointable state
+//! machine that every run entry point drives.
 //!
-//! [`crate::runner::run`] and [`crate::recovery::run_noisy`] execute a whole
-//! run inside one function call, so a crash (or a supervisor-imposed budget)
-//! loses everything. [`ResumableRun`] is the same execution *inverted into a
-//! state machine*: one [`ResumableRun::tick`] per round boundary, with a
-//! [`RunCheckpoint`] capturable between any two ticks that contains every
-//! bit of mutable run state — simulator checkpoint (states, per-stream RNG
-//! positions, churned topology, participation bitmap, channel window), the
-//! fault-stream RNG, the event-application cursor and the accumulated
-//! trace. Resuming from a checkpoint and running to completion is
-//! bit-identical to never having stopped (pinned by tests here and by the
-//! crash-injection proptests in `crates/harness`).
-//!
-//! The round-boundary semantics mirror [`crate::runner::run`] exactly: at
-//! boundary `r`, scheduled faults are applied first (in schedule order),
-//! then scheduled churn, then — for a moving deployment
+//! A [`RunLoop`] owns the only simulator a run builds. At every round
+//! boundary `r` it applies the scheduled faults (in schedule order), then
+//! the scheduled churn, then — for a moving deployment
 //! ([`ResumableConfig::with_motion`]) — one mobility step reconciled into
-//! the simulator as a batched edge diff; stabilization is then judged
-//! (active-aware, on the live topology) and only counts once `r` has passed
-//! the last scheduled event; the budget is a *total* round budget. Under
-//! sustained motion the topology never quiesces, so "stabilized" means the
-//! current configuration is a valid MIS *on the current graph* — the
-//! instantaneous condition the MOB experiment measures. For a fault-only
-//! plan on a static graph the outcome, trace and final levels equal
-//! [`crate::runner::run`]'s field for field.
+//! the simulator as a batched edge diff, each with its telemetry marker and
+//! exactly once per boundary, even across a checkpoint/resume. It then
+//! steps the simulator one round and emits that round's
+//! [`telemetry::RoundEvent`]; it brackets the run with `RunStart` and
+//! `RunEnd`; and it judges stability with one predicate,
+//! [`crate::recovery::stabilized_active`] (active-aware, on the live
+//! topology), which only counts once `r` has passed the last scheduled
+//! event.
+//!
+//! The *stopping rule* belongs to the caller. [`RunLoop::tick`] is the
+//! default one — stop when stabilized, or when the total round budget
+//! [`ResumableConfig::max_rounds`] is spent — and is what
+//! [`crate::runner::run`], [`crate::runner::run_recovery`], the resilient
+//! harness (`crates/harness`) and the scenario search drive.
+//! [`crate::recovery::run_noisy`] and
+//! [`crate::containment::run_contained`] drive the same boundary, step and
+//! bracket with their own rules: a per-segment budget, and a containment
+//! radius after a burn-in.
+//!
+//! Under sustained motion the topology never quiesces, so "stabilized"
+//! means the current configuration is a valid MIS *on the current graph* —
+//! the instantaneous condition the MOB experiment measures.
+//!
+//! [`ResumableRun`] is the loop over an owned graph, so it can be stored
+//! and resumed: a [`RunCheckpoint`] capturable between any two ticks holds
+//! every bit of mutable run state — simulator checkpoint (states,
+//! per-stream RNG positions, churned topology, participation bitmap,
+//! channel window), the fault-stream RNG, the event-application cursor and
+//! the accumulated trace. Resuming from a checkpoint and running to
+//! completion is bit-identical to never having stopped (pinned by tests
+//! here and by the crash-injection proptests in `crates/harness`). The
+//! one-call entry points borrow the caller's graph instead.
+
+use std::borrow::Cow;
 
 use beeping::byzantine::ByzantinePlan;
 use beeping::channel::ChannelFault;
 use beeping::churn::{ChurnAction, ChurnPlan};
 use beeping::dynamic::{DynamicTopology, MotionSpec, MotionState};
-use beeping::faults::FaultPlan;
+use beeping::faults::{FaultPlan, FaultTarget};
 use beeping::rng::aux_rng;
-use beeping::trace::Trace;
+use beeping::trace::{RoundReport, Trace};
 use beeping::{
     ByzantineError, Checkpoint, ChurnError, EngineMode, FaultError, RestoreError, Simulator,
 };
 use graphs::Graph;
 use rand_pcg::Pcg64Mcg;
-use telemetry::{Event, Marker, MarkerKind, Telemetry};
+use telemetry::{Event, Marker, MarkerKind, RoundEvent, Telemetry};
 
 use crate::levels::Level;
-use crate::recovery::{apply_churn, claimed_mis, stabilized_active};
-use crate::runner::{
-    corrupt_targets, emit_round_event, initial_levels, InitialLevels, RunConfig,
-    SelfStabilizingMis, FAULT_RNG_PURPOSE,
-};
+use crate::recovery::{apply_churn, claimed_mis, stabilized_active, Disturbance};
+use crate::runner::{initial_levels, random_level, InitialLevels, SelfStabilizingMis};
+
+/// Purpose tag of the fault-injection RNG stream (see
+/// [`beeping::rng::aux_rng`]), shared by corruptions and churn boot levels.
+const FAULT_RNG_PURPOSE: u64 = 0xFA17;
 
 /// Why a run configuration is invalid for its graph. The constructors check
-/// every plan up front so the tick loop applies events infallibly — the
-/// typed counterpart of the panics documented on [`crate::runner::run`] and
-/// [`crate::recovery::run_noisy`].
+/// every plan up front so the round loop applies events infallibly.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
     /// The fault schedule is invalid (see [`beeping::faults::FaultError`]).
@@ -130,10 +143,25 @@ impl From<RestoreError> for ResumeError {
     }
 }
 
-/// Configuration of a [`ResumableRun`]: the union of
-/// [`crate::runner::RunConfig`] and [`crate::recovery::NoisyRunConfig`]
-/// plus a Byzantine plan, so one driver covers all three existing run
-/// entry points' fault axes.
+/// Configuration of a run — the one config type every entry point takes
+/// (also exported as [`crate::runner::RunConfig`]). It holds what the
+/// execution is: seed, budget, initial configuration, the four fault axes
+/// (RAM faults, churn, channel, Byzantine nodes), motion, engine and
+/// telemetry. What an entry point *measures* — level history, segment
+/// budget, containment radius — is an argument of that entry point.
+///
+/// # Example
+///
+/// ```
+/// use beeping::faults::{FaultPlan, FaultTarget};
+/// use mis::runner::{InitialLevels, RunConfig};
+///
+/// let config = RunConfig::new(42)
+///     .with_init(InitialLevels::AllClaiming)
+///     .with_max_rounds(50_000)
+///     .with_faults(FaultPlan::new().with_fault(100, FaultTarget::RandomFraction(0.2)));
+/// assert_eq!(config.seed, 42);
+/// ```
 #[derive(Debug, Clone)]
 pub struct ResumableConfig {
     /// Master seed; every stream (node, init, fault, channel, Byzantine)
@@ -144,7 +172,8 @@ pub struct ResumableConfig {
     pub max_rounds: u64,
     /// Initial configuration.
     pub init: InitialLevels,
-    /// Scheduled RAM corruptions.
+    /// Scheduled RAM corruptions (corrupted nodes get uniform-random levels
+    /// — arbitrary RAM contents).
     pub faults: FaultPlan,
     /// Scheduled topology changes.
     pub churn: ChurnPlan,
@@ -152,7 +181,10 @@ pub struct ResumableConfig {
     pub channel: ChannelFault,
     /// Permanently deviating nodes. Configuration only — it is *not* part
     /// of a [`RunCheckpoint`]; resuming under a different plan is guarded by
-    /// the harness snapshot's config fingerprint, not here.
+    /// the harness snapshot's config fingerprint, not here. Without one, a
+    /// debug build installs [`crate::invariant::InvariantChecker`] on every
+    /// round; a Byzantine node's RAM is adversary-controlled and
+    /// legitimately violates the protocol invariants.
     pub byzantine: ByzantinePlan<Level>,
     /// Optional moving deployment: when set, the topology is the spec's
     /// radius graph, reconciled against the simulator at every round
@@ -165,15 +197,18 @@ pub struct ResumableConfig {
     pub motion: Option<MotionSpec>,
     /// Delivery engine (bit-identical choices; see [`EngineMode`]).
     pub engine: EngineMode,
-    /// Telemetry handle (disabled by default). Observational only: enabling
-    /// it, or resuming with a fresh handle, never changes the execution.
+    /// Telemetry handle (disabled by default). When enabled, the run emits
+    /// a `RunStart`, a [`telemetry::Marker`] per fault, churn event and
+    /// motion reconciliation, one [`telemetry::RoundEvent`] per executed
+    /// round and a closing `RunEnd` + metrics snapshot. Observational only:
+    /// enabling it, or resuming with a fresh handle, never changes the
+    /// execution.
     pub telemetry: Telemetry,
 }
 
 impl ResumableConfig {
-    /// Defaults matching [`crate::runner::RunConfig::new`]: random initial
-    /// levels, a 1,000,000-round budget, no faults, no churn, reliable
-    /// channel, no Byzantine nodes.
+    /// Defaults: random initial levels, a 1,000,000-round budget, no
+    /// faults, no churn, reliable channel, no Byzantine nodes, no motion.
     pub fn new(seed: u64) -> ResumableConfig {
         ResumableConfig {
             seed,
@@ -245,7 +280,7 @@ impl ResumableConfig {
     }
 }
 
-/// Where a [`ResumableRun`] stands after a tick.
+/// Where a run stands after a tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunStatus {
     /// More rounds to execute.
@@ -257,7 +292,7 @@ pub enum RunStatus {
     BudgetExhausted,
 }
 
-/// The final observables of a finished [`ResumableRun`].
+/// The final observables of a finished run.
 #[derive(Debug, Clone)]
 pub struct ResumableOutcome {
     /// `true` if the run stabilized within budget.
@@ -305,9 +340,10 @@ pub struct RunCheckpoint {
     pub motion: Option<MotionState>,
 }
 
-/// A stabilization run inverted into a state machine; see the module docs.
-pub struct ResumableRun<A: SelfStabilizingMis> {
-    sim: Simulator<'static, A>,
+/// A run inverted into a state machine over a graph borrowed for `'g`; see
+/// the module docs.
+pub struct RunLoop<'g, A: SelfStabilizingMis> {
+    sim: Simulator<'g, A>,
     algo: A,
     config: ResumableConfig,
     fault_rng: Pcg64Mcg,
@@ -315,63 +351,34 @@ pub struct ResumableRun<A: SelfStabilizingMis> {
     trace: Trace,
     last_event_round: u64,
     applied_through: Option<u64>,
+    /// The faults and churn events the latest boundary applied, in
+    /// application order.
+    applied: Vec<Disturbance>,
     status: RunStatus,
     /// Crash instrumentation for the harness test rig: panic immediately
     /// before executing this round. `None` in production use.
     crash_before_round: Option<u64>,
 }
 
-impl<A: SelfStabilizingMis> ResumableRun<A> {
-    /// Starts a fresh run of `algo` on `graph` under `config`.
+/// The run loop over an owned graph: storable, checkpointable and
+/// resumable — the crash-safe core of the resilient harness.
+pub type ResumableRun<A> = RunLoop<'static, A>;
+
+impl<A: SelfStabilizingMis> RunLoop<'static, A> {
+    /// Starts a fresh run of `algo` on a private copy of `graph` under
+    /// `config`.
     ///
     /// # Errors
     ///
-    /// Returns a [`PlanError`] if any schedule (faults, churn, Byzantine)
-    /// is invalid for this graph, so the tick loop never panics on event
-    /// application.
+    /// Returns a [`PlanError`] if any schedule (faults, churn, Byzantine,
+    /// motion) is invalid for this graph, so the tick loop never panics on
+    /// event application.
     pub fn new(
         graph: &Graph,
         algo: &A,
         config: ResumableConfig,
     ) -> Result<ResumableRun<A>, PlanError> {
-        Self::validate_plans(&config, algo, graph.len())?;
-        let motion = match &config.motion {
-            Some(spec) => {
-                let dt = DynamicTopology::new(graph.len(), spec, config.seed)
-                    .map_err(|e| PlanError::Motion(e.to_string()))?;
-                if dt.graph() != graph {
-                    return Err(PlanError::Motion(
-                        "graph is not the spec's initial deployment \
-                         (use MotionSpec::initial_graph)"
-                            .into(),
-                    ));
-                }
-                Some(dt)
-            }
-            None => None,
-        };
-        let run_config = RunConfig::new(config.seed).with_init(config.init.clone());
-        let levels = initial_levels(algo, &run_config);
-        let sim = Self::build_sim(graph.clone(), algo, &config, levels);
-        if config.telemetry.is_enabled() {
-            config.telemetry.record(Event::RunStart {
-                label: "resumable".into(),
-                n: graph.len() as u64,
-                seed: config.seed,
-            });
-        }
-        Ok(ResumableRun {
-            sim,
-            algo: algo.clone(),
-            fault_rng: aux_rng(config.seed, FAULT_RNG_PURPOSE),
-            motion,
-            trace: Trace::new(),
-            last_event_round: Self::last_event_round(&config),
-            applied_through: None,
-            status: RunStatus::Running,
-            crash_before_round: None,
-            config,
-        })
+        RunLoop::start(Cow::Owned(graph.clone()), algo, config, "resumable")
     }
 
     /// Rebuilds a run at the exact point `checkpoint` was captured. The
@@ -390,7 +397,7 @@ impl<A: SelfStabilizingMis> ResumableRun<A> {
         checkpoint: &RunCheckpoint,
     ) -> Result<ResumableRun<A>, ResumeError> {
         let n = checkpoint.sim.graph().len();
-        Self::validate_plans(&config, algo, n)?;
+        validate_plans(&config, algo, n)?;
         let motion =
             match (&config.motion, &checkpoint.motion) {
                 (Some(spec), Some(state)) => Some(
@@ -410,57 +417,303 @@ impl<A: SelfStabilizingMis> ResumableRun<A> {
                 }
             };
         let levels = checkpoint.sim.states().to_vec();
-        let mut sim = Self::build_sim(checkpoint.sim.graph().clone(), algo, &config, levels);
+        let mut sim = build_sim(Cow::Owned(checkpoint.sim.graph().clone()), algo, &config, levels);
         sim.restore(&checkpoint.sim)?;
-        Ok(ResumableRun {
-            sim,
-            algo: algo.clone(),
-            fault_rng: checkpoint.fault_rng.clone(),
-            motion,
-            trace: checkpoint.trace.clone(),
-            last_event_round: Self::last_event_round(&config),
-            applied_through: checkpoint.applied_through,
-            status: RunStatus::Running,
-            crash_before_round: None,
-            config,
-        })
+        let mut run = RunLoop::assemble(sim, algo, config, motion);
+        run.fault_rng = checkpoint.fault_rng.clone();
+        run.trace = checkpoint.trace.clone();
+        run.applied_through = checkpoint.applied_through;
+        Ok(run)
     }
+}
 
-    fn validate_plans(config: &ResumableConfig, algo: &A, n: usize) -> Result<(), PlanError> {
-        config.faults.validate(n)?;
-        config.churn.validate(n)?;
-        config.byzantine.validate(n, algo.channels())?;
-        Ok(())
-    }
+/// Checks every schedule of `config` against an `n`-node network.
+fn validate_plans<A: SelfStabilizingMis>(
+    config: &ResumableConfig,
+    algo: &A,
+    n: usize,
+) -> Result<(), PlanError> {
+    config.faults.validate(n)?;
+    config.churn.validate(n)?;
+    config.byzantine.validate(n, algo.channels())?;
+    Ok(())
+}
 
-    fn build_sim(
-        graph: Graph,
-        algo: &A,
-        config: &ResumableConfig,
-        levels: Vec<Level>,
-    ) -> Simulator<'static, A> {
-        let mut sim = Simulator::new_owned(graph, algo.clone(), levels, config.seed)
-            .with_channel(config.channel.clone())
-            .with_engine(config.engine)
-            .with_telemetry(config.telemetry.clone());
-        if !config.byzantine.is_empty() {
-            sim = sim.with_byzantine(config.byzantine.clone());
+/// Builds the simulator of a run — the only simulator construction in this
+/// crate's drivers. Debug builds install the per-round
+/// [`crate::invariant::InvariantChecker`] unless the configuration carries
+/// Byzantine nodes.
+fn build_sim<'g, A: SelfStabilizingMis>(
+    graph: Cow<'g, Graph>,
+    algo: &A,
+    config: &ResumableConfig,
+    levels: Vec<Level>,
+) -> Simulator<'g, A> {
+    let sim = match graph {
+        Cow::Borrowed(graph) => Simulator::new(graph, algo.clone(), levels, config.seed),
+        Cow::Owned(graph) => Simulator::new_owned(graph, algo.clone(), levels, config.seed),
+    };
+    let mut sim = sim
+        .with_channel(config.channel.clone())
+        .with_engine(config.engine)
+        .with_telemetry(config.telemetry.clone());
+    if config.byzantine.is_empty() {
+        if cfg!(debug_assertions) {
+            let checker = crate::invariant::InvariantChecker::for_algorithm(algo);
+            sim.set_invariant_hook(move |g, round, states| checker.check_round(g, round, states));
         }
-        sim
+    } else {
+        sim = sim.with_byzantine(config.byzantine.clone());
+    }
+    sim
+}
+
+/// Records a disturbance marker at round boundary `round`.
+pub(crate) fn mark(tele: &Telemetry, round: u64, kind: MarkerKind, detail: &str, magnitude: u64) {
+    if tele.is_enabled() {
+        tele.record(Event::Marker(Marker { round, kind, detail: detail.into(), magnitude }));
+    }
+}
+
+/// Corrupts `target` and marks it — the one fault application of every
+/// run. Each victim's level is overwritten with a uniform draw over its full
+/// state space (arbitrary RAM contents), victims and levels both drawn from
+/// the fault stream. Returns the number of corrupted nodes.
+fn apply_fault<A: SelfStabilizingMis>(
+    sim: &mut Simulator<'_, A>,
+    algo: &A,
+    target: &FaultTarget,
+    fault_rng: &mut Pcg64Mcg,
+    tele: &Telemetry,
+) -> usize {
+    let victims = target.select(sim.graph().len(), fault_rng);
+    for &v in &victims {
+        sim.corrupt_state(v, random_level(algo, v, fault_rng));
+    }
+    mark(tele, sim.round(), MarkerKind::Fault, "corrupt", victims.len() as u64);
+    victims.len()
+}
+
+/// Sorted `(level, count)` histogram of a configuration — the telemetry
+/// stream's level snapshot format.
+fn level_histogram(levels: &[Level]) -> Vec<(i64, u64)> {
+    let mut histogram = std::collections::BTreeMap::new();
+    for &level in levels {
+        *histogram.entry(i64::from(level)).or_insert(0u64) += 1;
+    }
+    histogram.into_iter().collect()
+}
+
+/// Stable lowercase name of a churn action for telemetry markers.
+fn churn_detail(action: &ChurnAction) -> &'static str {
+    match action {
+        ChurnAction::AddEdge(..) => "add_edge",
+        ChurnAction::RemoveEdge(..) => "remove_edge",
+        ChurnAction::NodeLeave(..) => "node_leave",
+        ChurnAction::NodeJoin(..) => "node_join",
+    }
+}
+
+impl<'g, A: SelfStabilizingMis> RunLoop<'g, A> {
+    /// Starts a run of `algo` on `graph` under `config`: validates every
+    /// plan, samples the initial configuration, builds the simulator and
+    /// opens the telemetry bracket with a `RunStart` labelled `label`.
+    pub(crate) fn start(
+        graph: Cow<'g, Graph>,
+        algo: &A,
+        config: ResumableConfig,
+        label: &str,
+    ) -> Result<RunLoop<'g, A>, PlanError> {
+        validate_plans(&config, algo, graph.len())?;
+        let motion = match &config.motion {
+            Some(spec) => {
+                let dt = DynamicTopology::new(graph.len(), spec, config.seed)
+                    .map_err(|e| PlanError::Motion(e.to_string()))?;
+                if dt.graph() != &*graph {
+                    return Err(PlanError::Motion(
+                        "graph is not the spec's initial deployment \
+                         (use MotionSpec::initial_graph)"
+                            .into(),
+                    ));
+                }
+                Some(dt)
+            }
+            None => None,
+        };
+        let n = graph.len() as u64;
+        let levels = initial_levels(algo, &config);
+        let sim = build_sim(graph, algo, &config, levels);
+        if config.telemetry.is_enabled() {
+            config.telemetry.record(Event::RunStart { label: label.into(), n, seed: config.seed });
+        }
+        Ok(RunLoop::assemble(sim, algo, config, motion))
     }
 
-    fn last_event_round(config: &ResumableConfig) -> u64 {
-        config
+    fn assemble(
+        sim: Simulator<'g, A>,
+        algo: &A,
+        config: ResumableConfig,
+        motion: Option<DynamicTopology>,
+    ) -> RunLoop<'g, A> {
+        let last_event_round = config
             .faults
             .last_fault_round()
             .unwrap_or(0)
-            .max(config.churn.last_event_round().unwrap_or(0))
+            .max(config.churn.last_event_round().unwrap_or(0));
+        RunLoop {
+            sim,
+            algo: algo.clone(),
+            fault_rng: aux_rng(config.seed, FAULT_RNG_PURPOSE),
+            motion,
+            trace: Trace::new(),
+            last_event_round,
+            applied_through: None,
+            applied: Vec::new(),
+            status: RunStatus::Running,
+            crash_before_round: None,
+            config,
+        }
     }
 
-    /// Executes one round boundary: applies any events scheduled at the
-    /// current round (faults first, then churn — once, even across a
-    /// checkpoint/resume), re-judges stabilization and the budget, and if
-    /// the run is still live, steps the simulator one round.
+    /// Applies the events scheduled at the current round boundary — faults
+    /// in schedule order, then churn, then one motion step, each with its
+    /// marker — unless this boundary's events already fired (even across a
+    /// checkpoint/resume). [`RunLoop::applied`] then lists the faults and
+    /// churn events applied here.
+    pub(crate) fn apply_events(&mut self) {
+        self.applied.clear();
+        let r = self.sim.round();
+        if self.applied_through == Some(r) {
+            return;
+        }
+        let tele = &self.config.telemetry;
+        for fault in self.config.faults.events_after_round(r) {
+            let corrupted =
+                apply_fault(&mut self.sim, &self.algo, &fault.target, &mut self.fault_rng, tele);
+            self.applied.push(Disturbance::TransientFault { corrupted });
+        }
+        for event in self.config.churn.events_after_round(r) {
+            apply_churn(&mut self.sim, &self.algo, &event.action, &mut self.fault_rng);
+            mark(tele, r, MarkerKind::Churn, churn_detail(&event.action), 1);
+            self.applied.push(Disturbance::Churn(event.action.clone()));
+        }
+        if let Some(dt) = &mut self.motion {
+            let (added, removed) = dt.advance(&mut self.sim);
+            if added + removed > 0 {
+                mark(tele, r, MarkerKind::Motion, "reconcile", (added + removed) as u64);
+            }
+        }
+        self.applied_through = Some(r);
+    }
+
+    /// The faults and churn events the latest [`RunLoop::apply_events`]
+    /// applied, in application order.
+    pub(crate) fn applied(&self) -> &[Disturbance] {
+        &self.applied
+    }
+
+    /// The round boundary of the last scheduled fault or churn event.
+    pub(crate) fn last_event_round(&self) -> u64 {
+        self.last_event_round
+    }
+
+    /// The default stopping predicate: past the last scheduled event and
+    /// [`stabilized_active`] on the live configuration.
+    pub(crate) fn stabilized(&self) -> bool {
+        self.sim.round() >= self.last_event_round
+            && stabilized_active(&self.algo, self.sim.graph(), self.sim.states(), self.sim.active())
+    }
+
+    /// Executes one round — the only place a run steps its simulator — and
+    /// emits the round's [`telemetry::RoundEvent`] with active-aware
+    /// claimed-MIS and stable-set sizes.
+    pub(crate) fn step(&mut self) -> RoundReport {
+        let r = self.sim.round();
+        if self.crash_before_round == Some(r + 1) {
+            panic!("crash injection: killed before round {}", r + 1);
+        }
+        let report = self.sim.step();
+        if self.config.telemetry.is_enabled() {
+            self.emit_round(&report);
+        }
+        report
+    }
+
+    /// Records `report` as a [`RoundEvent`] — plus the claimed-MIS and
+    /// stable-set sizes and, at the handle's sampling stride, a level
+    /// histogram — and accumulates the `trace.*` counters mirroring
+    /// [`Trace`]'s aggregates. Costs O(n + m); only called with telemetry
+    /// enabled.
+    fn emit_round(&self, report: &RoundReport) {
+        let tele = &self.config.telemetry;
+        let (graph, levels, active) = (self.sim.graph(), self.sim.states(), self.sim.active());
+        let in_mis = claimed_mis(&self.algo, graph, levels, active);
+        let stable = graph
+            .nodes()
+            .filter(|&v| {
+                active[v] && (in_mis[v] || graph.neighbors(v).iter().any(|&u| in_mis[u as usize]))
+            })
+            .count();
+        tele.record(Event::Round(RoundEvent {
+            round: report.round,
+            beeps_channel1: report.beeps_channel1 as u64,
+            beeps_channel2: report.beeps_channel2 as u64,
+            hearers_channel1: report.hearers_channel1 as u64,
+            hearers_channel2: report.hearers_channel2 as u64,
+            lone_beepers: report.lone_beepers as u64,
+            lone_beepers_channel2: report.lone_beepers_channel2 as u64,
+            active: self.sim.active_count() as u64,
+            n: graph.len() as u64,
+            in_mis: Some(in_mis.iter().filter(|&&m| m).count() as u64),
+            stable: Some(stable as u64),
+            levels: tele.sample_levels(report.round).then(|| level_histogram(levels)),
+        }));
+        tele.counter_add("trace.rounds", 1);
+        tele.counter_add("trace.beeps_c1", report.beeps_channel1 as u64);
+        tele.counter_add("trace.beeps_c2", report.beeps_channel2 as u64);
+        tele.counter_add("trace.hearers_c1", report.hearers_channel1 as u64);
+        tele.counter_add("trace.hearers_c2", report.hearers_channel2 as u64);
+        tele.counter_add("trace.lone_c1", report.lone_beepers as u64);
+        tele.counter_add("trace.lone_c2", report.lone_beepers_channel2 as u64);
+    }
+
+    /// Ends the run with `status` and closes the telemetry bracket: a
+    /// `RunEnd` carrying the caller's `stabilization_round`, then the
+    /// metrics snapshot.
+    pub(crate) fn finish(
+        &mut self,
+        status: RunStatus,
+        stabilization_round: Option<u64>,
+    ) -> RunStatus {
+        self.status = status;
+        let tele = &self.config.telemetry;
+        if tele.is_enabled() {
+            tele.record(Event::RunEnd {
+                rounds: self.sim.round(),
+                stabilized: status == RunStatus::Stabilized,
+                stabilization_round,
+            });
+            tele.finish();
+        }
+        status
+    }
+
+    /// Corrupts `target` at the current boundary (from the fault stream,
+    /// with its marker) and reopens a finished run for `budget` more rounds.
+    /// Serves [`crate::runner::run_recovery`], whose fault round is the
+    /// first stabilization round and so cannot be scheduled up front.
+    /// Returns the number of corrupted nodes.
+    pub(crate) fn reopen_with_fault(&mut self, target: &FaultTarget, budget: u64) -> usize {
+        let tele = &self.config.telemetry;
+        let corrupted = apply_fault(&mut self.sim, &self.algo, target, &mut self.fault_rng, tele);
+        self.config.max_rounds = self.sim.round() + budget;
+        self.status = RunStatus::Running;
+        corrupted
+    }
+
+    /// Executes one round boundary under the default stopping rule:
+    /// applies the boundary's events, stops if stabilized or if the total
+    /// budget is spent, and otherwise steps the simulator one round.
     ///
     /// Returns the status *after* this tick; once it leaves
     /// [`RunStatus::Running`], further ticks are no-ops.
@@ -468,97 +721,17 @@ impl<A: SelfStabilizingMis> ResumableRun<A> {
         if self.status != RunStatus::Running {
             return self.status;
         }
+        self.apply_events();
         let r = self.sim.round();
-        let tele = self.config.telemetry.clone();
-        if self.applied_through != Some(r) {
-            for fault in self.config.faults.events_after_round(r) {
-                let corrupted =
-                    corrupt_targets(&mut self.sim, &self.algo, &fault.target, &mut self.fault_rng);
-                if tele.is_enabled() {
-                    tele.record(Event::Marker(Marker {
-                        round: r,
-                        kind: MarkerKind::Fault,
-                        detail: "corrupt".into(),
-                        magnitude: corrupted as u64,
-                    }));
-                }
-            }
-            let churn_actions: Vec<ChurnAction> =
-                self.config.churn.events_after_round(r).map(|e| e.action.clone()).collect();
-            for action in churn_actions {
-                apply_churn(&mut self.sim, &self.algo, &action, &mut self.fault_rng);
-                if tele.is_enabled() {
-                    tele.record(Event::Marker(Marker {
-                        round: r,
-                        kind: MarkerKind::Churn,
-                        detail: "churn".into(),
-                        magnitude: 1,
-                    }));
-                }
-            }
-            if let Some(dt) = &mut self.motion {
-                let (added, removed) = dt.advance(&mut self.sim);
-                if tele.is_enabled() && added + removed > 0 {
-                    tele.record(Event::Marker(Marker {
-                        round: r,
-                        kind: MarkerKind::Motion,
-                        detail: "reconcile".into(),
-                        magnitude: (added + removed) as u64,
-                    }));
-                }
-            }
-            self.applied_through = Some(r);
-        }
-        if r >= self.last_event_round
-            && stabilized_active(&self.algo, self.sim.graph(), self.sim.states(), self.sim.active())
-        {
-            self.status = RunStatus::Stabilized;
-            return self.finish(true);
+        if self.stabilized() {
+            let fault_free = r.saturating_sub(self.last_event_round);
+            return self.finish(RunStatus::Stabilized, Some(fault_free));
         }
         if r >= self.config.max_rounds {
-            self.status = RunStatus::BudgetExhausted;
-            return self.finish(false);
+            return self.finish(RunStatus::BudgetExhausted, None);
         }
-        if self.crash_before_round == Some(r + 1) {
-            panic!("crash injection: killed before round {}", r + 1);
-        }
-        let report = self.sim.step();
-        if tele.is_enabled() {
-            let graph = self.sim.graph();
-            let in_mis = claimed_mis(&self.algo, graph, self.sim.states(), self.sim.active());
-            let stable = graph
-                .nodes()
-                .filter(|&v| {
-                    self.sim.active()[v]
-                        && (in_mis[v] || graph.neighbors(v).iter().any(|&u| in_mis[u as usize]))
-                })
-                .count();
-            emit_round_event(
-                &tele,
-                &report,
-                self.sim.active_count() as u64,
-                graph.len() as u64,
-                in_mis.iter().filter(|&&m| m).count() as u64,
-                stable as u64,
-                self.sim.states(),
-            );
-        }
+        let report = self.step();
         self.trace.push(report);
-        self.status
-    }
-
-    fn finish(&mut self, stabilized: bool) -> RunStatus {
-        let tele = &self.config.telemetry;
-        if tele.is_enabled() {
-            let rounds = self.sim.round();
-            tele.record(Event::RunEnd {
-                rounds,
-                stabilized,
-                stabilization_round: stabilized
-                    .then(|| rounds.saturating_sub(self.last_event_round)),
-            });
-            tele.finish();
-        }
         self.status
     }
 
@@ -591,10 +764,15 @@ impl<A: SelfStabilizingMis> ResumableRun<A> {
             stabilization_round: stabilized
                 .then(|| self.sim.round().saturating_sub(self.last_event_round)),
             levels: self.sim.states().to_vec(),
-            mis: claimed_mis(&self.algo, self.sim.graph(), self.sim.states(), self.sim.active()),
+            mis: self.mis(),
             active: self.sim.active().to_vec(),
             trace: self.trace.clone(),
         })
+    }
+
+    /// [`crate::recovery::claimed_mis`] of the current configuration.
+    pub(crate) fn mis(&self) -> Vec<bool> {
+        claimed_mis(&self.algo, self.sim.graph(), self.sim.states(), self.sim.active())
     }
 
     /// Current status without ticking.
@@ -642,7 +820,7 @@ impl<A: SelfStabilizingMis> ResumableRun<A> {
     }
 }
 
-impl<A: SelfStabilizingMis> std::fmt::Debug for ResumableRun<A> {
+impl<A: SelfStabilizingMis> std::fmt::Debug for RunLoop<'_, A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResumableRun")
             .field("round", &self.sim.round())
@@ -659,9 +837,8 @@ mod tests {
     use crate::algorithm1::Algorithm1;
     use crate::algorithm2::Algorithm2;
     use crate::policy::LmaxPolicy;
-    use crate::runner::run;
+    use crate::runner::{run, RunConfig};
     use beeping::byzantine::ByzantineBehavior;
-    use beeping::faults::FaultTarget;
     use graphs::generators::{classic, random};
 
     #[test]
@@ -779,6 +956,37 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(byz_err, PlanError::Byzantine(_)));
+    }
+
+    #[test]
+    fn churn_markers_name_the_action() {
+        let g = classic::cycle(8);
+        let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
+        let tele = Telemetry::enabled(telemetry::Config::default());
+        let (sink, handle) = telemetry::MemorySink::new();
+        tele.add_sink(Box::new(sink));
+        let config = ResumableConfig::new(3)
+            .with_churn(ChurnPlan::new().with_event(5, ChurnAction::NodeLeave(2)))
+            .with_telemetry(tele);
+        let mut run = ResumableRun::new(&g, &algo, config).unwrap();
+        run.run_to_completion();
+        let churn: Vec<Marker> = handle
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::Marker(m) if m.kind == MarkerKind::Churn => Some(m),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            churn,
+            vec![Marker {
+                round: 5,
+                kind: MarkerKind::Churn,
+                detail: "node_leave".into(),
+                magnitude: 1
+            }]
+        );
     }
 
     #[test]

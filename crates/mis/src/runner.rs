@@ -6,24 +6,21 @@
 //! (`S_t = V`), at which point the configuration is a fixpoint and `I_t` is
 //! an MIS.
 
-use beeping::faults::{FaultPlan, FaultTarget};
+use std::borrow::Cow;
+
+use beeping::faults::FaultTarget;
 use beeping::rng::aux_rng;
-use beeping::trace::{RoundReport, Trace};
-use beeping::{BeepingProtocol, EngineMode, Simulator};
+use beeping::trace::Trace;
+use beeping::BeepingProtocol;
 use graphs::Graph;
 use rand::Rng;
 use rand_pcg::Pcg64Mcg;
-use telemetry::{Event, Marker, MarkerKind, RoundEvent, Telemetry};
 
 use crate::algorithm1::Algorithm1;
 use crate::algorithm2::Algorithm2;
 use crate::levels::{self, clamp_level, clamp_level_two_channel, state_space_bounds, Level};
 use crate::policy::LmaxPolicy;
-
-/// Purpose tag of the fault-injection RNG stream (see
-/// [`beeping::rng::aux_rng`]); shared with [`crate::recovery`] so the
-/// zero-noise path reproduces this module's corruptions exactly.
-pub(crate) const FAULT_RNG_PURPOSE: u64 = 0xFA17;
+use crate::resumable::{PlanError, ResumableConfig, RunLoop, RunStatus};
 
 /// Purpose tag of the initial-configuration RNG stream.
 pub(crate) const INIT_RNG_PURPOSE: u64 = 0xC0FF_EE00;
@@ -78,98 +75,9 @@ impl InitialLevels {
     }
 }
 
-/// Configuration of a stabilization run.
-///
-/// # Example
-///
-/// ```
-/// use beeping::faults::{FaultPlan, FaultTarget};
-/// use mis::runner::{InitialLevels, RunConfig};
-///
-/// let config = RunConfig::new(42)
-///     .with_init(InitialLevels::AllClaiming)
-///     .with_max_rounds(50_000)
-///     .with_faults(FaultPlan::new().with_fault(100, FaultTarget::RandomFraction(0.2)));
-/// assert_eq!(config.seed, 42);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunConfig {
-    /// Master seed for node randomness, initial levels and fault targets.
-    pub seed: u64,
-    /// Round budget; exceeding it yields [`StabilizationError`].
-    pub max_rounds: u64,
-    /// Initial configuration.
-    pub init: InitialLevels,
-    /// Scheduled transient faults (corrupted nodes get uniform-random
-    /// levels — arbitrary RAM contents).
-    pub faults: FaultPlan,
-    /// Record a full level snapshot after every round (memory-heavy; for
-    /// lemma-level experiments on small graphs only).
-    pub record_levels: bool,
-    /// Delivery engine for the underlying simulator. Both engines are
-    /// bit-identical per seed; `Scalar` is the reference implementation kept
-    /// for differential testing.
-    pub engine: EngineMode,
-    /// Telemetry handle (disabled by default). When enabled, the run emits
-    /// a `RunStart`, one [`telemetry::RoundEvent`] per executed round
-    /// (counters, claimed-MIS and stable-set sizes, level histograms at the
-    /// configured stride), a fault [`telemetry::Marker`] per corruption
-    /// burst, and a closing `RunEnd` + metrics snapshot. Telemetry observes
-    /// only — enabling it never changes the run's outcome.
-    pub telemetry: Telemetry,
-}
-
-impl RunConfig {
-    /// Default configuration: random initial levels, a 1,000,000-round
-    /// budget, no faults, no level recording.
-    pub fn new(seed: u64) -> RunConfig {
-        RunConfig {
-            seed,
-            max_rounds: 1_000_000,
-            init: InitialLevels::Random,
-            faults: FaultPlan::new(),
-            record_levels: false,
-            engine: EngineMode::default(),
-            telemetry: Telemetry::disabled(),
-        }
-    }
-
-    /// Sets the initial configuration.
-    pub fn with_init(mut self, init: InitialLevels) -> RunConfig {
-        self.init = init;
-        self
-    }
-
-    /// Sets the round budget.
-    pub fn with_max_rounds(mut self, max_rounds: u64) -> RunConfig {
-        self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Sets the fault schedule.
-    pub fn with_faults(mut self, faults: FaultPlan) -> RunConfig {
-        self.faults = faults;
-        self
-    }
-
-    /// Enables per-round level snapshots.
-    pub fn with_level_recording(mut self) -> RunConfig {
-        self.record_levels = true;
-        self
-    }
-
-    /// Selects the simulator delivery engine.
-    pub fn with_engine(mut self, engine: EngineMode) -> RunConfig {
-        self.engine = engine;
-        self
-    }
-
-    /// Attaches a telemetry handle.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> RunConfig {
-        self.telemetry = telemetry;
-        self
-    }
-}
+/// Configuration of a stabilization run: the crate's one config type (see
+/// [`ResumableConfig`]).
+pub type RunConfig = ResumableConfig;
 
 /// The result of a successful stabilization run.
 #[derive(Debug, Clone)]
@@ -187,9 +95,9 @@ pub struct Outcome {
     pub rounds_run: u64,
     /// Per-round beep activity.
     pub trace: Trace,
-    /// Level snapshots per round (entry `t` = levels *after* round `t+1`),
-    /// present when [`RunConfig::record_levels`] was set. The initial
-    /// configuration is prepended as entry 0.
+    /// Level snapshots per round (entry `t` = levels *after* round `t+1`,
+    /// before that boundary's faults), present for [`run_with_history`]. The
+    /// initial configuration is prepended as entry 0.
     pub level_history: Option<Vec<Vec<Level>>>,
 }
 
@@ -215,6 +123,38 @@ impl std::fmt::Display for StabilizationError {
 }
 
 impl std::error::Error for StabilizationError {}
+
+/// Why [`run`] or [`run_recovery`] produced no outcome.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RunError {
+    /// A schedule in the configuration is invalid for the graph.
+    Plan(PlanError),
+    /// The round budget ran out before stabilization.
+    Budget(StabilizationError),
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::Plan(e) => e.fmt(f),
+            RunError::Budget(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+impl From<PlanError> for RunError {
+    fn from(e: PlanError) -> RunError {
+        RunError::Plan(e)
+    }
+}
+
+impl From<StabilizationError> for RunError {
+    fn from(e: StabilizationError) -> RunError {
+        RunError::Budget(e)
+    }
+}
 
 /// Shared behavior of the paper's two self-stabilizing protocols, enabling
 /// experiment code generic over the algorithm variant.
@@ -299,208 +239,73 @@ pub fn initial_levels<A: SelfStabilizingMis>(algo: &A, config: &RunConfig) -> Ve
 ///
 /// # Errors
 ///
-/// Returns [`StabilizationError`] if `config.max_rounds` rounds elapse
-/// without reaching `S_t = V` after the last fault.
-///
-/// # Panics
-///
-/// Panics if the fault schedule is invalid for this graph (explicit node id
-/// out of range, `RandomCount` above `n`, fraction outside `[0, 1]`) —
-/// checked up front so the round loop's fault application is infallible.
+/// [`RunError::Plan`] if a schedule in `config` is invalid for this graph
+/// (explicit node id out of range, `RandomCount` above `n`, fraction
+/// outside `[0, 1]`, …); [`RunError::Budget`] if `config.max_rounds`
+/// rounds elapse without reaching `S_t = V` after the last fault.
 pub fn run<A: SelfStabilizingMis>(
     graph: &Graph,
     algo: &A,
     config: RunConfig,
-) -> Result<Outcome, StabilizationError> {
-    if let Err(e) = config.faults.validate(graph.len()) {
-        panic!("invalid fault plan: {e}");
-    }
-    let levels = initial_levels(algo, &config);
-    let tele = config.telemetry.clone();
-    let mut sim = Simulator::new(graph, algo.clone(), levels, config.seed)
-        .with_engine(config.engine)
-        .with_telemetry(tele.clone());
-    if cfg!(debug_assertions) {
-        let checker = crate::invariant::InvariantChecker::for_algorithm(algo);
-        sim.set_invariant_hook(move |g, round, states| checker.check_round(g, round, states));
-    }
-    let mut fault_rng = aux_rng(config.seed, FAULT_RNG_PURPOSE);
-    let mut trace = Trace::new();
-    let mut history = config.record_levels.then(|| vec![sim.states().to_vec()]);
-    let last_fault = config.faults.last_fault_round().unwrap_or(0);
-
-    if tele.is_enabled() {
-        tele.record(Event::RunStart {
-            label: "runner".into(),
-            n: graph.len() as u64,
-            seed: config.seed,
-        });
-    }
-
-    // Apply any faults scheduled "after round 0" (i.e. corrupt the initial
-    // configuration).
-    apply_faults(&mut sim, algo, &config, 0, &mut fault_rng);
-
-    let mut stabilized_at: Option<u64> = None;
-    if sim.round() >= last_fault && algo.stabilized(graph, sim.states()) {
-        stabilized_at = Some(0);
-    }
-    while stabilized_at.is_none() && sim.round() < config.max_rounds {
-        let report = sim.step();
-        if tele.is_enabled() {
-            emit_round(&tele, algo, graph, &sim, &report);
-        }
-        trace.push(report);
-        if let Some(h) = &mut history {
-            h.push(sim.states().to_vec());
-        }
-        let round = sim.round();
-        apply_faults(&mut sim, algo, &config, round, &mut fault_rng);
-        if sim.round() >= last_fault && algo.stabilized(graph, sim.states()) {
-            stabilized_at = Some(sim.round());
-        }
-    }
-    if tele.is_enabled() {
-        tele.record(Event::RunEnd {
-            rounds: sim.round(),
-            stabilized: stabilized_at.is_some(),
-            stabilization_round: stabilized_at.map(|round| round.saturating_sub(last_fault)),
-        });
-        tele.finish();
-    }
-    match stabilized_at {
-        Some(round) => Ok(Outcome {
-            mis: algo.mis_of(graph, sim.states()),
-            levels: sim.states().to_vec(),
-            stabilization_round: round.saturating_sub(last_fault),
-            rounds_run: sim.round(),
-            trace,
-            level_history: history,
-        }),
-        None => Err(StabilizationError {
-            max_rounds: config.max_rounds,
-            stable_count: crate::observer::Snapshot::new(
-                graph,
-                algo.policy().lmax_values(),
-                sim.states(),
-            )
-            .stable_count(),
-            n: graph.len(),
-        }),
-    }
+) -> Result<Outcome, RunError> {
+    run_recorded(graph, algo, config, false)
 }
 
-fn apply_faults<A: SelfStabilizingMis>(
-    sim: &mut Simulator<'_, A>,
-    algo: &A,
-    config: &RunConfig,
-    round: u64,
-    fault_rng: &mut Pcg64Mcg,
-) {
-    for event in config.faults.events_after_round(round) {
-        let corrupted = corrupt_targets(sim, algo, &event.target, fault_rng);
-        if config.telemetry.is_enabled() {
-            config.telemetry.record(Event::Marker(Marker {
-                round,
-                kind: MarkerKind::Fault,
-                detail: "corrupt".into(),
-                magnitude: corrupted as u64,
-            }));
-        }
-    }
-}
-
-/// Sorted `(level, count)` histogram of a configuration — the telemetry
-/// stream's level snapshot format.
-pub(crate) fn level_histogram(levels: &[Level]) -> Vec<(i64, u64)> {
-    let mut histogram = std::collections::BTreeMap::new();
-    for &level in levels {
-        *histogram.entry(i64::from(level)).or_insert(0u64) += 1;
-    }
-    histogram.into_iter().collect()
-}
-
-/// Builds and records one [`RoundEvent`] from a [`RoundReport`] plus
-/// already-computed MIS observables, and accumulates the `trace.*` counter
-/// totals mirroring [`Trace`]'s aggregates. Shared by [`run`],
-/// [`crate::recovery::run_noisy`] and [`crate::containment::run_contained`].
-pub(crate) fn emit_round_event(
-    tele: &Telemetry,
-    report: &RoundReport,
-    active: u64,
-    n: u64,
-    in_mis: u64,
-    stable: u64,
-    levels: &[Level],
-) {
-    tele.record(Event::Round(RoundEvent {
-        round: report.round,
-        beeps_channel1: report.beeps_channel1 as u64,
-        beeps_channel2: report.beeps_channel2 as u64,
-        hearers_channel1: report.hearers_channel1 as u64,
-        hearers_channel2: report.hearers_channel2 as u64,
-        lone_beepers: report.lone_beepers as u64,
-        lone_beepers_channel2: report.lone_beepers_channel2 as u64,
-        active,
-        n,
-        in_mis: Some(in_mis),
-        stable: Some(stable),
-        levels: tele.sample_levels(report.round).then(|| level_histogram(levels)),
-    }));
-    tele.counter_add("trace.rounds", 1);
-    tele.counter_add("trace.beeps_c1", report.beeps_channel1 as u64);
-    tele.counter_add("trace.beeps_c2", report.beeps_channel2 as u64);
-    tele.counter_add("trace.hearers_c1", report.hearers_channel1 as u64);
-    tele.counter_add("trace.hearers_c2", report.hearers_channel2 as u64);
-    tele.counter_add("trace.lone_c1", report.lone_beepers as u64);
-    tele.counter_add("trace.lone_c2", report.lone_beepers_channel2 as u64);
-}
-
-/// Emits the runner's per-round telemetry event: the [`RoundReport`]
-/// counters plus claimed-MIS size, stable-set size (`S_t = I_t ∪ N(I_t)`,
-/// this algorithm's stability semantics) and — at the handle's sampling
-/// stride — a level histogram. Call only when `tele` is enabled; the
-/// observables cost O(n + m) per round.
-fn emit_round<A: SelfStabilizingMis>(
-    tele: &Telemetry,
-    algo: &A,
+/// [`run`] that also records the level history
+/// ([`Outcome::level_history`]): one full snapshot per round, so for
+/// lemma-level experiments on small graphs only.
+///
+/// # Errors
+///
+/// As [`run`].
+pub fn run_with_history<A: SelfStabilizingMis>(
     graph: &Graph,
-    sim: &Simulator<'_, A>,
-    report: &RoundReport,
-) {
-    let levels = sim.states();
-    let in_mis = algo.mis_of(graph, levels);
-    let stable = graph
-        .nodes()
-        .filter(|&v| in_mis[v] || graph.neighbors(v).iter().any(|&u| in_mis[u as usize]))
-        .count();
-    emit_round_event(
-        tele,
-        report,
-        sim.active_count() as u64,
-        graph.len() as u64,
-        in_mis.iter().filter(|&&m| m).count() as u64,
-        stable as u64,
-        levels,
-    );
+    algo: &A,
+    config: RunConfig,
+) -> Result<Outcome, RunError> {
+    run_recorded(graph, algo, config, true)
 }
 
-/// Resolves `target` and overwrites each victim's level with a uniform draw
-/// over its full state space — the shared corruption payload of [`run`],
-/// [`run_recovery`] and [`crate::recovery::run_noisy`]. Returns the number
-/// of corrupted nodes.
-pub(crate) fn corrupt_targets<A: SelfStabilizingMis>(
-    sim: &mut Simulator<'_, A>,
+fn run_recorded<A: SelfStabilizingMis>(
+    graph: &Graph,
     algo: &A,
-    target: &FaultTarget,
-    fault_rng: &mut Pcg64Mcg,
-) -> usize {
-    let n = sim.graph().len();
-    let victims = target.select(n, fault_rng);
-    for &v in &victims {
-        sim.corrupt_state(v, random_level(algo, v, fault_rng));
+    config: RunConfig,
+    record_levels: bool,
+) -> Result<Outcome, RunError> {
+    let max_rounds = config.max_rounds;
+    let mut run = RunLoop::start(Cow::Borrowed(graph), algo, config, "runner")?;
+    let mut history = record_levels.then(|| vec![run.levels().to_vec()]);
+    while run.tick() == RunStatus::Running {
+        if let Some(h) = &mut history {
+            h.push(run.levels().to_vec());
+        }
     }
-    victims.len()
+    if run.status() != RunStatus::Stabilized {
+        return Err(budget_error(&run, algo, max_rounds).into());
+    }
+    Ok(Outcome {
+        mis: run.mis(),
+        levels: run.levels().to_vec(),
+        stabilization_round: run.round().saturating_sub(run.last_event_round()),
+        rounds_run: run.round(),
+        trace: run.trace().clone(),
+        level_history: history,
+    })
+}
+
+/// The error of a run whose `max_rounds` budget ran out.
+fn budget_error<A: SelfStabilizingMis>(
+    run: &RunLoop<'_, A>,
+    algo: &A,
+    max_rounds: u64,
+) -> StabilizationError {
+    let lmax = algo.policy().lmax_values();
+    StabilizationError {
+        max_rounds,
+        stable_count: crate::observer::Snapshot::new(run.graph(), lmax, run.levels())
+            .stable_count(),
+        n: run.graph().len(),
+    }
 }
 
 /// A uniform draw over node `v`'s full state space — "arbitrary RAM
@@ -517,7 +322,7 @@ pub fn run_algorithm1(
     graph: &Graph,
     algo: &Algorithm1,
     config: RunConfig,
-) -> Result<Outcome, StabilizationError> {
+) -> Result<Outcome, RunError> {
     run(graph, algo, config)
 }
 
@@ -526,7 +331,7 @@ pub fn run_algorithm2(
     graph: &Graph,
     algo: &Algorithm2,
     config: RunConfig,
-) -> Result<Outcome, StabilizationError> {
+) -> Result<Outcome, RunError> {
     run(graph, algo, config)
 }
 
@@ -549,63 +354,40 @@ pub struct RecoveryOutcome {
 ///
 /// # Errors
 ///
-/// Returns [`StabilizationError`] if either phase exceeds `max_rounds`.
-///
-/// # Panics
-///
-/// Panics if `target` is invalid for this graph (see
-/// [`beeping::faults::FaultTarget::validate`]).
+/// [`RunError::Plan`] if `target` is invalid for this graph (see
+/// [`beeping::faults::FaultTarget::validate`]); [`RunError::Budget`] if
+/// either phase exceeds `max_rounds`.
 pub fn run_recovery<A: SelfStabilizingMis>(
     graph: &Graph,
     algo: &A,
     seed: u64,
     target: FaultTarget,
     max_rounds: u64,
-) -> Result<RecoveryOutcome, StabilizationError> {
-    if let Err(e) = target.validate(graph.len()) {
-        panic!("invalid fault target: {e}");
-    }
-    let budget_error = |sim: &Simulator<'_, A>| StabilizationError {
-        max_rounds,
-        stable_count: crate::observer::Snapshot::new(
-            graph,
-            algo.policy().lmax_values(),
-            sim.states(),
-        )
-        .stable_count(),
-        n: graph.len(),
-    };
-
+) -> Result<RecoveryOutcome, RunError> {
+    target.validate(graph.len()).map_err(PlanError::from)?;
     let config = RunConfig::new(seed).with_max_rounds(max_rounds);
-    let levels = initial_levels(algo, &config);
-    let mut sim = Simulator::new(graph, algo.clone(), levels, seed).with_engine(config.engine);
-    if cfg!(debug_assertions) {
-        let checker = crate::invariant::InvariantChecker::for_algorithm(algo);
-        sim.set_invariant_hook(move |g, round, states| checker.check_round(g, round, states));
+    let mut run = RunLoop::start(Cow::Borrowed(graph), algo, config, "runner")?;
+    if run.run_to_completion() != RunStatus::Stabilized {
+        return Err(budget_error(&run, algo, max_rounds).into());
     }
-    let first = sim
-        .run_until(max_rounds, |s| algo.stabilized(graph, s.states()))
-        .ok_or_else(|| budget_error(&sim))?;
-
-    let mut fault_rng = aux_rng(seed, FAULT_RNG_PURPOSE);
-    let victims = corrupt_targets(&mut sim, algo, &target, &mut fault_rng);
-
-    let fault_round = sim.round();
-    let recovered = sim
-        .run_until(fault_round + max_rounds, |s| algo.stabilized(graph, s.states()))
-        .ok_or_else(|| budget_error(&sim))?;
-
+    let initial_stabilization = run.round();
+    let corrupted_nodes = run.reopen_with_fault(&target, max_rounds);
+    if run.run_to_completion() != RunStatus::Stabilized {
+        return Err(budget_error(&run, algo, max_rounds).into());
+    }
     Ok(RecoveryOutcome {
-        initial_stabilization: first,
-        recovery_rounds: recovered - fault_round,
-        corrupted_nodes: victims,
-        mis: algo.mis_of(graph, sim.states()),
+        initial_stabilization,
+        recovery_rounds: run.round() - initial_stabilization,
+        corrupted_nodes,
+        mis: run.mis(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use beeping::faults::FaultPlan;
+    use beeping::EngineMode;
     use graphs::generators::{classic, random};
 
     #[test]
@@ -665,6 +447,7 @@ mod tests {
         let g = random::gnp(60, 0.2, 4);
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
         let err = algo.run(&g, RunConfig::new(1).with_max_rounds(1)).unwrap_err();
+        let RunError::Budget(err) = err else { panic!("expected a budget error, got {err}") };
         assert_eq!(err.max_rounds, 1);
         assert_eq!(err.n, 60);
         assert!(err.to_string().contains("not stabilized"));
@@ -747,7 +530,7 @@ mod tests {
     fn level_history_recording() {
         let g = classic::cycle(10);
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
-        let outcome = algo.run(&g, RunConfig::new(2).with_level_recording()).expect("stabilizes");
+        let outcome = run_with_history(&g, &algo, RunConfig::new(2)).expect("stabilizes");
         let history = outcome.level_history.expect("recording was enabled");
         assert_eq!(history.len() as u64, outcome.rounds_run + 1);
         assert_eq!(history.last().unwrap(), &outcome.levels);
@@ -772,5 +555,16 @@ mod tests {
         let rec = run_recovery(&g, &algo, 6, FaultTarget::All, 100_000).expect("recovers");
         assert_eq!(rec.corrupted_nodes, 50);
         assert!(graphs::mis::is_maximal_independent_set(&g, &rec.mis));
+    }
+
+    #[test]
+    fn out_of_range_fault_node_is_a_plan_error() {
+        let g = classic::path(3);
+        let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
+        let faults = FaultPlan::new().with_fault(1, FaultTarget::Nodes(vec![9]));
+        let err = run(&g, &algo, RunConfig::new(0).with_faults(faults)).unwrap_err();
+        assert!(matches!(err, RunError::Plan(PlanError::Fault(_))), "{err}");
+        let err = run_recovery(&g, &algo, 0, FaultTarget::Nodes(vec![9]), 100).unwrap_err();
+        assert!(matches!(err, RunError::Plan(PlanError::Fault(_))), "{err}");
     }
 }

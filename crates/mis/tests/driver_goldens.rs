@@ -13,11 +13,11 @@ use beeping::churn::{ChurnAction, ChurnPlan};
 use beeping::faults::{FaultPlan, FaultTarget};
 use beeping::trace::Trace;
 use graphs::generators::{classic, random};
-use mis::containment::{run_contained, ContainmentConfig};
+use mis::containment::run_contained;
 use mis::levels::Level;
-use mis::recovery::{run_noisy, Disturbance, EventRecovery, NoisyRunConfig, SegmentOutcome};
+use mis::recovery::{run_noisy, Disturbance, EventRecovery, SegmentOutcome};
 use mis::resumable::{ResumableConfig, ResumableRun, RunStatus};
-use mis::runner::{run, run_recovery, InitialLevels, RunConfig};
+use mis::runner::{run, run_recovery, run_with_history, InitialLevels, RunConfig, RunError};
 use mis::{Algorithm1, Algorithm2, LmaxPolicy};
 
 /// 64-bit FNV-1a over a byte stream.
@@ -77,8 +77,7 @@ fn run_with_faults_and_level_history() {
         .with_fault(0, FaultTarget::RandomCount(3))
         .with_fault(30, FaultTarget::RandomFraction(0.5))
         .with_fault(60, FaultTarget::Nodes(vec![1, 2, 3]));
-    let outcome =
-        run(&g, &algo, RunConfig::new(5).with_faults(faults).with_level_recording()).unwrap();
+    let outcome = run_with_history(&g, &algo, RunConfig::new(5).with_faults(faults)).unwrap();
     let history = outcome.level_history.as_ref().unwrap();
     let observed = (
         outcome.rounds_run,
@@ -125,7 +124,10 @@ fn run_algorithm2_with_faults() {
 fn run_budget_exhaustion() {
     let g = random::gnp(60, 0.2, 4);
     let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
-    let err = run(&g, &algo, RunConfig::new(1).with_max_rounds(7)).unwrap_err();
+    let RunError::Budget(err) = run(&g, &algo, RunConfig::new(1).with_max_rounds(7)).unwrap_err()
+    else {
+        panic!("expected a budget error");
+    };
     let observed = (err.max_rounds, err.stable_count, err.n);
     assert_eq!(observed, (7, 0, 60));
 }
@@ -159,8 +161,7 @@ fn run_noisy_events_under_noise_faults_and_churn() {
     let g = random::gnp(30, 0.15, 9);
     let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
     // Round 200 carries a fault and a churn event at the same boundary.
-    let config = NoisyRunConfig::new(9)
-        .with_max_rounds(100_000)
+    let config = RunConfig::new(9)
         .with_init(InitialLevels::AllClaiming)
         .with_channel(ChannelFault::reliable().with_drop(0.03))
         .with_faults(
@@ -174,7 +175,7 @@ fn run_noisy_events_under_noise_faults_and_churn() {
                 .with_event(400, ChurnAction::NodeJoin(3, vec![0, 5, 7]))
                 .with_event(600, ChurnAction::RemoveEdge(0, 1)),
         );
-    let outcome = run_noisy(&g, &algo, &config);
+    let outcome = run_noisy(&g, &algo, &config, 100_000).unwrap();
     let recovered = |rounds| SegmentOutcome::Recovered { rounds };
     let expected = vec![
         segment(Disturbance::Initial, 0, recovered(46), 120, 1, 1),
@@ -214,12 +215,11 @@ fn run_noisy_events_under_noise_faults_and_churn() {
 fn run_noisy_diverging_run() {
     let g = classic::path(6);
     let algo = Algorithm1::new(&g, LmaxPolicy::fixed(6, 4));
-    let config = NoisyRunConfig::new(2)
-        .with_max_rounds(150)
+    let config = RunConfig::new(2)
         .with_init(InitialLevels::AllOne)
         .with_channel(ChannelFault::reliable().with_drop(1.0))
         .with_faults(FaultPlan::new().with_fault(40, FaultTarget::Nodes(vec![2])));
-    let outcome = run_noisy(&g, &algo, &config);
+    let outcome = run_noisy(&g, &algo, &config, 150).unwrap();
     let expected = vec![
         segment(Disturbance::Initial, 0, SegmentOutcome::Interrupted { rounds: 40 }, 40, 39, 39),
         segment(
@@ -243,8 +243,8 @@ fn run_contained_babbler_trajectory() {
     let g = random::gnp(40, 0.1, 12);
     let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
     let plan = ByzantinePlan::new().with_behavior(4, ByzantineBehavior::Babbler(0.4));
-    let config = ContainmentConfig::new(17).with_radius(1).with_burn_in(40).with_trajectory();
-    let outcome = run_contained(&g, &algo, &plan, &config);
+    let config = RunConfig::new(17).with_max_rounds(50_000).with_byzantine(plan);
+    let outcome = run_contained(&g, &algo, &config, 1, 40, true).unwrap();
     let trajectory = outcome.trajectory.as_ref().unwrap();
     let radii: Vec<usize> = trajectory.iter().map(|s| s.radius).collect();
     let observed = (

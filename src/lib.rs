@@ -57,5 +57,5 @@ pub mod prelude {
     pub use mis::algorithm1::Algorithm1;
     pub use mis::algorithm2::Algorithm2;
     pub use mis::policy::LmaxPolicy;
-    pub use mis::runner::{InitialLevels, Outcome, RunConfig, StabilizationError};
+    pub use mis::runner::{InitialLevels, Outcome, RunConfig, RunError, StabilizationError};
 }

@@ -7,7 +7,7 @@
 use beeping_mis::prelude::*;
 use graphs::generators::GraphFamily;
 use graphs::Graph;
-use mis::containment::{run_contained, ContainmentConfig};
+use mis::containment::run_contained;
 use mis::theory::burn_in_horizon;
 
 fn max_degree_node(g: &Graph) -> usize {
@@ -28,11 +28,9 @@ fn assert_contained(behavior: ByzantineBehavior<i32>, sim_seed: u64) {
             let algo = mis::Algorithm1::new(&g, mis::LmaxPolicy::global_delta(&g));
             let site = max_degree_node(&g);
             let plan = ByzantinePlan::new().with_behavior(site, behavior.clone());
-            let config = ContainmentConfig::new(sim_seed)
-                .with_max_rounds(200_000)
-                .with_radius(2)
-                .with_burn_in(burn_in_horizon(algo.policy()));
-            let outcome = run_contained(&g, &algo, &plan, &config);
+            let config = RunConfig::new(sim_seed).with_max_rounds(200_000).with_byzantine(plan);
+            let burn_in = burn_in_horizon(algo.policy());
+            let outcome = run_contained(&g, &algo, &config, 2, burn_in, false).unwrap();
             assert!(
                 outcome.is_contained(),
                 "{} not contained on {family} n={n}: final radius {} after {} rounds",

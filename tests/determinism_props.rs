@@ -14,6 +14,7 @@ use beeping::channel::ChannelFault;
 use beeping_mis::prelude::*;
 use graphs::generators::{random, small_world};
 use mis::adaptive::AdaptiveMis;
+use mis::runner::run_with_history;
 use proptest::prelude::*;
 
 /// Byte-exact comparison via the full `Debug` representation, covering
@@ -30,10 +31,7 @@ proptest! {
         let g = random::gnp(n, 0.15, seed ^ 0xA5A5);
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
         let run = || {
-            algo.run(
-                &g,
-                RunConfig::new(seed).with_init(InitialLevels::Random).with_level_recording(),
-            )
+            run_with_history(&g, &algo, RunConfig::new(seed).with_init(InitialLevels::Random))
         };
         prop_assert_eq!(debug_repr(&run()), debug_repr(&run()));
     }
@@ -43,10 +41,7 @@ proptest! {
         let g = random::gnp(n, 0.15, seed ^ 0x5A5A);
         let algo = Algorithm2::new(&g, LmaxPolicy::two_hop_degree(&g));
         let run = || {
-            algo.run(
-                &g,
-                RunConfig::new(seed).with_init(InitialLevels::Random).with_level_recording(),
-            )
+            run_with_history(&g, &algo, RunConfig::new(seed).with_init(InitialLevels::Random))
         };
         prop_assert_eq!(debug_repr(&run()), debug_repr(&run()));
     }

@@ -5,6 +5,7 @@
 use beeping_mis::prelude::*;
 use mis::dynamics;
 use mis::observer::Snapshot;
+use mis::runner::run_with_history;
 use mis::theory;
 
 #[test]
@@ -36,7 +37,7 @@ fn eta_bound_is_respected_by_live_executions() {
     // Observe a real run: η_t(v) never exceeds the static Thm 2.1 bound.
     let g = graphs::generators::random::gnp(80, 0.1, 4);
     let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
-    let outcome = algo.run(&g, RunConfig::new(2).with_level_recording()).expect("stabilizes");
+    let outcome = run_with_history(&g, &algo, RunConfig::new(2)).expect("stabilizes");
     let history = outcome.level_history.unwrap();
     let lmax = algo.policy().lmax_values();
     let bound = theory::eta_bound_thm21(mis::policy::C1_GLOBAL_DELTA);
@@ -54,9 +55,8 @@ fn burn_in_horizon_bounds_the_lemma31_invariant() {
     let g = graphs::generators::scale_free::barabasi_albert(60, 3, 9).unwrap();
     let algo = Algorithm1::new(&g, LmaxPolicy::own_degree(&g));
     let horizon = theory::burn_in_horizon(algo.policy());
-    let outcome = algo
-        .run(&g, RunConfig::new(1).with_init(InitialLevels::AllClaiming).with_level_recording())
-        .expect("stabilizes");
+    let config = RunConfig::new(1).with_init(InitialLevels::AllClaiming);
+    let outcome = run_with_history(&g, &algo, config).expect("stabilizes");
     let history = outcome.level_history.unwrap();
     let lmax = algo.policy().lmax_values();
     for (t, levels) in history.iter().enumerate().skip(horizon as usize + 1) {
@@ -71,7 +71,7 @@ fn burn_in_horizon_bounds_the_lemma31_invariant() {
 fn dynamics_trajectory_is_usable_from_facade() {
     let g = graphs::generators::classic::cycle(40);
     let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
-    let outcome = algo.run(&g, RunConfig::new(5).with_level_recording()).expect("stabilizes");
+    let outcome = run_with_history(&g, &algo, RunConfig::new(5)).expect("stabilizes");
     let stats = dynamics::trajectory(
         &g,
         algo.policy().lmax_values(),

@@ -7,7 +7,6 @@ use beeping_mis::prelude::*;
 use graphs::generators::{classic, random};
 use mis::containment::{
     byz_distances, disruption_radius, disruption_radius_with, run_contained, stabilized_except,
-    ContainmentConfig,
 };
 use mis::runner::{initial_levels, run_recovery};
 use mis::theory::burn_in_horizon;
@@ -145,9 +144,9 @@ fn channel2_liar_never_certifies_false_mis() {
     let g = classic::path(5);
     let algo = Algorithm2::new(&g, LmaxPolicy::two_hop_degree(&g));
     let plan = ByzantinePlan::new().with_behavior(2, ByzantineBehavior::Channel2Liar);
-    let config =
-        ContainmentConfig::new(3).with_radius(1).with_burn_in(burn_in_horizon(algo.policy()));
-    let outcome = run_contained(&g, &algo, &plan, &config);
+    let config = RunConfig::new(3).with_max_rounds(50_000).with_byzantine(plan);
+    let burn_in = burn_in_horizon(algo.policy());
+    let outcome = run_contained(&g, &algo, &config, 1, burn_in, false).unwrap();
     assert!(outcome.is_contained(), "final radius {}", outcome.final_radius);
     assert!(!outcome.correct_mis[2], "the liar itself is never certified");
     for (u, v) in g.edges() {
