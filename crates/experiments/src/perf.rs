@@ -567,6 +567,123 @@ mod tests {
         assert!(frontier.edge_visits <= scatter.edge_visits, "{frontier:?} vs {scatter:?}");
     }
 
+    /// The engines whose work counters are pinned, in golden-column order.
+    const GOLDEN_ENGINES: [EngineMode; 5] = [
+        EngineMode::Scalar,
+        EngineMode::Scatter,
+        EngineMode::Frontier,
+        EngineMode::ParScatter { threads: 1 },
+        EngineMode::ParScatter { threads: 2 },
+    ];
+
+    /// `(rounds, node_execs, edge_visits)` of one engine over a PERF
+    /// workload: `rounds` steps from the stabilized start, faults injected
+    /// exactly as the timed loop injects them.
+    fn workload_work(
+        g: &Graph,
+        algo: &Algorithm1,
+        levels: &[Level],
+        faults: &[(usize, Level)],
+        rounds: u64,
+        engine: EngineMode,
+    ) -> (u64, u64, u64) {
+        let mut sim = Simulator::new(g, algo.clone(), levels.to_vec(), 0x9E2F).with_engine(engine);
+        let mut next = 0usize;
+        for r in 0..rounds {
+            inject_fault(&mut sim, r, faults, &mut next);
+            sim.step();
+        }
+        let work = sim.work();
+        (sim.round(), work.node_execs, work.edge_visits)
+    }
+
+    /// Exact work counters of every engine over one PERF `--quick` family
+    /// at n = 2^12, both workloads, with the timed loop's round count.
+    /// A kernel refactor must leave every number unchanged: a change here
+    /// means some engine now executes or scans a different amount.
+    fn assert_perf_work(family: GraphFamily, golden: [[(u64, u64, u64); 5]; 2]) {
+        let n = 1 << 12;
+        let g = family.generate(n, crate::common::graph_seed(0));
+        let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
+        let levels = steady_state_levels(&g, &algo, 0x9E2F).expect("stabilizes");
+        let rounds = ((1u64 << 21) / n as u64).max(16);
+        for (workload, expected) in Workload::all().into_iter().zip(golden) {
+            let faults = fault_schedule(&g, &algo, &levels, workload);
+            let actual = GOLDEN_ENGINES
+                .map(|engine| workload_work(&g, &algo, &levels, &faults, rounds, engine));
+            assert_eq!(actual, expected, "{family} {} work changed", workload.label());
+        }
+    }
+
+    #[test]
+    fn work_counters_pinned_cycle() {
+        assert_perf_work(
+            GraphFamily::Cycle,
+            [
+                [
+                    (512, 2097152, 4194304),
+                    (512, 2097152, 1808384),
+                    (512, 4096, 3532),
+                    (512, 2097152, 1808384),
+                    (512, 2097152, 1808384),
+                ],
+                [
+                    (512, 2097152, 4194304),
+                    (512, 2097152, 1808182),
+                    (512, 4222, 3560),
+                    (512, 2097152, 1808182),
+                    (512, 2097152, 1808182),
+                ],
+            ],
+        );
+    }
+
+    #[test]
+    fn work_counters_pinned_regular() {
+        assert_perf_work(
+            GraphFamily::Regular { d: 4 },
+            [
+                [
+                    (512, 2097152, 8388608),
+                    (512, 2097152, 2758656),
+                    (512, 4096, 5388),
+                    (512, 2097152, 2758656),
+                    (512, 2097152, 2758656),
+                ],
+                [
+                    (512, 2097152, 8388608),
+                    (512, 2097152, 2758192),
+                    (512, 4341, 5468),
+                    (512, 2097152, 2758192),
+                    (512, 2097152, 2758192),
+                ],
+            ],
+        );
+    }
+
+    #[test]
+    fn work_counters_pinned_gnp() {
+        assert_perf_work(
+            GraphFamily::Gnp { avg_degree: 8.0 },
+            [
+                [
+                    (512, 2097152, 16715776),
+                    (512, 2097152, 3881472),
+                    (512, 4096, 7581),
+                    (512, 2097152, 3881472),
+                    (512, 2097152, 3881472),
+                ],
+                [
+                    (512, 2097152, 16715776),
+                    (512, 2097152, 3880523),
+                    (512, 4455, 7701),
+                    (512, 2097152, 3880523),
+                    (512, 2097152, 3880523),
+                ],
+            ],
+        );
+    }
+
     #[test]
     fn json_is_well_formed() {
         let points = vec![PerfPoint {

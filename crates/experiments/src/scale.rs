@@ -461,6 +461,58 @@ mod tests {
         }
     }
 
+    /// Exact `(rounds, node_execs, edge_visits)` of every engine over the
+    /// SCALE `--quick` part-2 workloads (cycle, synthetic stabilized start,
+    /// the timed round count): columns are Scalar, Scatter, Frontier,
+    /// ParScatter{1}, ParScatter{2}. A kernel refactor must leave every
+    /// number unchanged.
+    #[test]
+    fn work_counters_pinned_par_sizes() {
+        let engines = [
+            EngineMode::Scalar,
+            EngineMode::Scatter,
+            EngineMode::Frontier,
+            EngineMode::ParScatter { threads: 1 },
+            EngineMode::ParScatter { threads: 2 },
+        ];
+        let golden: [(usize, [(u64, u64, u64); 5]); 2] = [
+            (
+                1 << 12,
+                [
+                    (1024, 4194304, 8388608),
+                    (1024, 4194304, 4194304),
+                    (1024, 4096, 4096),
+                    (1024, 4194304, 4194304),
+                    (1024, 4194304, 4194304),
+                ],
+            ),
+            (
+                1 << 14,
+                [
+                    (256, 4194304, 8388608),
+                    (256, 4194304, 4194304),
+                    (256, 16384, 16384),
+                    (256, 4194304, 4194304),
+                    (256, 4194304, 4194304),
+                ],
+            ),
+        ];
+        for (n, expected) in golden {
+            let g = GraphFamily::Cycle.generate(n, crate::common::graph_seed(0));
+            let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
+            let levels = stabilized_levels(&g, &algo);
+            let rounds = ((1u64 << 22) / n as u64).max(8);
+            let actual = engines.map(|engine| {
+                let mut sim =
+                    Simulator::new(&g, algo.clone(), levels.clone(), 0x5CA1E).with_engine(engine);
+                sim.run(rounds);
+                let work = sim.work();
+                (sim.round(), work.node_execs, work.edge_visits)
+            });
+            assert_eq!(actual, expected, "n={n} work changed");
+        }
+    }
+
     #[test]
     fn digest_depends_on_levels() {
         assert_ne!(levels_digest(&[1, 2, 3]), levels_digest(&[1, 2, 4]));
