@@ -76,6 +76,7 @@ pub mod protocol;
 pub mod rng;
 pub mod sim;
 pub mod sleep;
+pub(crate) mod sweep;
 pub mod trace;
 
 pub use byzantine::{ByzantineBehavior, ByzantineError, ByzantinePlan, Resurrect};

@@ -1,5 +1,7 @@
-//! Parallel sharded scatter kernel — the engine behind
-//! [`EngineMode::ParScatter`](crate::sim::EngineMode::ParScatter).
+//! Parallel sharded scatter — the engine behind
+//! [`EngineMode::ParScatter`](crate::sim::EngineMode::ParScatter): the
+//! full-sweep kernel of [`crate::sweep`], run over one node range per
+//! worker.
 //!
 //! # Layout
 //!
@@ -9,24 +11,26 @@
 //! what makes the data decomposition safe: every per-node array (`states`,
 //! `rngs`, `sent`, `heard`) *and* every word-packed per-channel bitset can
 //! be split at worker boundaries into disjoint `&mut` slices, so the whole
-//! kernel is expressible with `std::thread::scope` and `split_at_mut` —
-//! no locks, no atomics, no unsafe.
+//! engine is expressible with `std::thread::scope` and `split_at_mut` —
+//! no locks, no atomics, no unsafe. A plan with a single range (one
+//! thread, or a graph of at most 64 nodes) makes the sequential
+//! whole-network call instead and never enters a thread scope.
 //!
 //! # Two-phase round
 //!
-//! **Phase 1 (transmit + scatter).** Each worker walks its own node range,
-//! drawing transmissions from the per-node RNG streams it exclusively owns
-//! and scattering each beeper's signal into *thread-local* full-length word
-//! accumulators. Writes to a shared "heard" bitset would race (a beeper's
-//! neighbors live in other workers' ranges); thread-local accumulators make
-//! every phase-1 write private.
+//! **Phase 1 (transmit + scatter).** Each worker runs the kernel's step 1
+//! over its own range, drawing transmissions from the per-node RNG streams
+//! it exclusively owns and scattering each beeper's signal into
+//! *thread-local* full-length word accumulators. Writes to a shared
+//! "heard" bitset would race (a beeper's neighbors live in other workers'
+//! ranges); thread-local accumulators make every phase-1 write private.
 //!
-//! **Phase 2 (merge + gather + receive).** Each worker OR-merges all
+//! **Phase 2 (merge + mask + gather + receive).** Each worker OR-merges all
 //! workers' accumulators — in fixed worker order — over its *own* word
-//! range into the shared heard bitsets, masks them with the packed
-//! participation bitset, then immediately gathers its nodes' bits and runs
-//! `receive`. The fusion is sound because the gather for node `v` reads
-//! only word `v / 64`, which lies in the worker's own word range.
+//! range into the shared heard bitsets, then runs the kernel's steps 2–3
+//! over its nodes. The fusion is sound because the mask and the gather for
+//! node `v` read only word `v / 64`, which lies in the worker's own word
+//! range.
 //!
 //! # Determinism
 //!
@@ -37,10 +41,11 @@
 //!   so execution order across nodes cannot change what any node draws;
 //! - per-channel delivery is an OR — commutative and associative — so the
 //!   merge order over accumulators cannot change any heard bit;
-//! - report and work totals are sums of per-node indicators, accumulated
-//!   per worker and added up in fixed worker order on the calling thread.
+//! - report and work totals are sums of per-word popcounts and per-node
+//!   indicators, accumulated per worker and added up in fixed worker order
+//!   on the calling thread.
 //!
-//! The kernel is only entered on fault-free rounds: channel noise and
+//! The engine is only entered on fault-free rounds: channel noise and
 //! Byzantine behavior draw from shared streams in strict node order, which
 //! a parallel sweep cannot preserve, so those rounds run the phased
 //! sequential path instead (see `Simulator::step`).
@@ -52,6 +57,7 @@ use rand_pcg::Pcg64Mcg;
 
 use crate::protocol::{BeepSignal, BeepingProtocol, Channels};
 use crate::sim::WorkCounters;
+use crate::sweep::{self, Bitsets, Shard, Sweep};
 use crate::trace::RoundReport;
 
 /// Persistent bookkeeping of the parallel kernel: the worker ranges and the
@@ -96,19 +102,6 @@ impl ParPlan {
     }
 }
 
-/// Per-worker partial totals, summed in worker order by [`run_round`].
-#[derive(Debug, Default, Clone, Copy)]
-struct WorkerTally {
-    beeps1: usize,
-    beeps2: usize,
-    hearers1: usize,
-    hearers2: usize,
-    lone1: usize,
-    lone2: usize,
-    node_execs: u64,
-    edge_visits: u64,
-}
-
 /// Splits `slice` into one disjoint `&mut` piece per worker range.
 ///
 /// The ranges are contiguous and cover `0..slice.len()` (a [`ShardPlan`]
@@ -126,191 +119,118 @@ fn split_by_ranges<'a, T>(mut slice: &'a mut [T], ranges: &[Range<usize>]) -> Ve
 /// Executes one fault-free round across the plan's workers. See the module
 /// docs for the phase structure and the determinism argument.
 ///
-/// `heard1`/`heard2` are the simulator's shared per-channel bitsets (resized
-/// and overwritten here); `active`/`active_bits` are the participation
-/// bitmap and its word-packed mirror; `round` is the 1-based round being
-/// executed, stamped into the report.
+/// A plan with a single range makes the sequential [`Sweep::whole`] call
+/// directly, without entering a thread scope. `bits` are the simulator's
+/// shared bitsets (resized and overwritten here). The returned report's
+/// `round` is left 0.
 ///
 /// # Panics
 ///
 /// Panics if the protocol transmits on an undeclared channel (a model
 /// violation, exactly as on the sequential engines). A panic on a worker
 /// thread propagates to the caller when the scope joins.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_round<P: BeepingProtocol>(
     plan: &mut ParPlan,
-    graph: &Graph,
-    protocol: &P,
-    channels: Channels,
-    full_duplex: bool,
-    round: u64,
-    active: &[bool],
-    active_bits: &[u64],
+    kernel: &Sweep<'_, P>,
     states: &mut [P::State],
     rngs: &mut [Pcg64Mcg],
     sent: &mut [BeepSignal],
     heard: &mut [BeepSignal],
-    heard1: &mut Vec<u64>,
-    heard2: &mut Vec<u64>,
+    bits: &mut Bitsets,
 ) -> (RoundReport, WorkCounters) {
-    let n = graph.len();
-    let words = n.div_ceil(64);
-    let two = channels == Channels::Two;
-    heard1.clear();
-    heard1.resize(words, 0);
-    heard2.clear();
-    heard2.resize(words, 0);
-    let workers = plan.ranges.len();
-    let mut tallies = vec![WorkerTally::default(); workers];
-
-    // Phase 1: transmit + scatter into thread-local accumulators. Workers
-    // exclusively own their range's RNG and `sent` slices; `states` and the
-    // graph are shared read-only.
-    {
-        let rng_parts = split_by_ranges(rngs, &plan.ranges);
-        let sent_parts = split_by_ranges(sent, &plan.ranges);
-        let states_ro: &[P::State] = states;
-        std::thread::scope(|scope| {
-            let jobs = plan
-                .ranges
-                .iter()
-                .zip(rng_parts)
-                .zip(sent_parts)
-                .zip(plan.locals1.iter_mut())
-                .zip(plan.locals2.iter_mut())
-                .zip(tallies.iter_mut());
-            for (((((range, rngs_w), sent_w), local1), local2), tally) in jobs {
-                scope.spawn(move || {
-                    local1.clear();
-                    local1.resize(words, 0);
-                    if two {
-                        local2.clear();
-                        local2.resize(words, 0);
-                    }
-                    for (i, v) in range.clone().enumerate() {
-                        let signal = if active[v] {
-                            tally.node_execs += 1;
-                            let s = protocol.transmit(v, &states_ro[v], &mut rngs_w[i]);
-                            assert!(
-                                s.allowed_by(channels),
-                                "protocol beeped on an undeclared channel (node {v}, signal {s})"
-                            );
-                            s
-                        } else {
-                            BeepSignal::silent()
-                        };
-                        sent_w[i] = signal;
-                        if signal.is_silent() {
-                            continue;
-                        }
-                        if signal.on_channel1() {
-                            tally.beeps1 += 1;
-                            tally.edge_visits += graph.degree(v) as u64;
-                            for &w in graph.neighbors(v) {
-                                local1[(w >> 6) as usize] |= 1u64 << (w & 63);
-                            }
-                        }
-                        if signal.on_channel2() {
-                            tally.beeps2 += 1;
-                            tally.edge_visits += graph.degree(v) as u64;
-                            for &w in graph.neighbors(v) {
-                                local2[(w >> 6) as usize] |= 1u64 << (w & 63);
-                            }
-                        }
-                    }
-                });
-            }
-        });
+    if plan.ranges.len() == 1 {
+        return kernel.whole(states, rngs, sent, heard, bits, |_, _, _, _, _| {});
     }
+    let words = states.len().div_ceil(64);
+    let two = kernel.channels == Channels::Two;
+    bits.reset(words);
+    let ranges = &plan.ranges;
+    let word_ranges: Vec<Range<usize>> =
+        ranges.iter().map(|r| (r.start >> 6)..r.end.div_ceil(64)).collect();
+    let Bitsets { sent1, sent2, heard1, heard2 } = bits;
+    let mut shards: Vec<Shard<'_, P::State>> = split_by_ranges(states, ranges)
+        .into_iter()
+        .zip(split_by_ranges(rngs, ranges))
+        .zip(split_by_ranges(sent, ranges))
+        .zip(split_by_ranges(heard, ranges))
+        .zip(split_by_ranges(sent1, &word_ranges))
+        .zip(split_by_ranges(sent2, &word_ranges))
+        .zip(ranges)
+        .map(|((((((states, rngs), sent), heard), sent1), sent2), r)| Shard {
+            start: r.start,
+            states,
+            rngs,
+            sent,
+            heard,
+            sent1,
+            sent2,
+        })
+        .collect();
+    let mut works = vec![WorkCounters::default(); shards.len()];
+    let mut reports = vec![RoundReport::default(); shards.len()];
 
-    // Phase 2: merge + gather + receive. The accumulators are now shared
-    // read-only; the shared heard bitsets are split at the (word-aligned)
-    // worker boundaries, so merging and gathering fuse without a barrier
-    // between them — a worker only ever gathers words it just merged.
-    {
-        let locals1: &[Vec<u64>] = &plan.locals1;
-        let locals2: &[Vec<u64>] = &plan.locals2;
-        let sent_ro: &[BeepSignal] = sent;
-        let state_parts = split_by_ranges(states, &plan.ranges);
-        let rng_parts = split_by_ranges(rngs, &plan.ranges);
-        let heard_parts = split_by_ranges(heard, &plan.ranges);
-        let word_ranges: Vec<Range<usize>> =
-            plan.ranges.iter().map(|r| (r.start >> 6)..r.end.div_ceil(64)).collect();
-        let heard1_parts = split_by_ranges(heard1, &word_ranges);
-        let heard2_parts = split_by_ranges(heard2, &word_ranges);
-        std::thread::scope(|scope| {
-            let jobs = plan
-                .ranges
-                .iter()
-                .zip(state_parts)
-                .zip(rng_parts)
-                .zip(heard_parts)
-                .zip(heard1_parts)
-                .zip(heard2_parts)
-                .zip(tallies.iter_mut());
-            for ((((((range, states_w), rngs_w), heard_w), heard1_w), heard2_w), tally) in jobs {
-                scope.spawn(move || {
-                    let word_start = range.start >> 6;
-                    // Merge, masking departed listeners at word granularity
-                    // with the packed participation bitset.
-                    for (i, dst) in heard1_w.iter_mut().enumerate() {
-                        let w = word_start + i;
-                        let mut acc = 0u64;
-                        for local in locals1 {
-                            acc |= local[w];
-                        }
-                        *dst = acc & active_bits[w];
+    // Phase 1: transmit + scatter into thread-local accumulators. Every
+    // write outside a worker's own shard lands in its private accumulators.
+    std::thread::scope(|scope| {
+        let jobs = shards
+            .iter_mut()
+            .zip(plan.locals1.iter_mut())
+            .zip(plan.locals2.iter_mut())
+            .zip(works.iter_mut());
+        for (((shard, local1), local2), work) in jobs {
+            scope.spawn(move || {
+                sweep::reset(local1, words);
+                if two {
+                    sweep::reset(local2, words);
+                }
+                *work = kernel.transmit_scatter(shard, local1, local2);
+            });
+        }
+    });
+
+    // Phase 2: merge + mask + gather + receive. The accumulators are now
+    // shared read-only; the shared heard bitsets are split at the
+    // (word-aligned) worker boundaries, so merging and gathering fuse
+    // without a barrier between them — a worker only ever gathers words it
+    // just merged.
+    let locals1: &[Vec<u64>] = &plan.locals1;
+    let locals2: &[Vec<u64>] = &plan.locals2;
+    std::thread::scope(|scope| {
+        let jobs = shards
+            .iter_mut()
+            .zip(split_by_ranges(heard1, &word_ranges))
+            .zip(split_by_ranges(heard2, &word_ranges))
+            .zip(reports.iter_mut());
+        for (((shard, heard1_w), heard2_w), report) in jobs {
+            scope.spawn(move || {
+                let word_start = shard.start >> 6;
+                for (i, dst) in heard1_w.iter_mut().enumerate() {
+                    *dst = locals1.iter().fold(0, |acc, local| acc | local[word_start + i]);
+                }
+                if two {
+                    for (i, dst) in heard2_w.iter_mut().enumerate() {
+                        *dst = locals2.iter().fold(0, |acc, local| acc | local[word_start + i]);
                     }
-                    if two {
-                        for (i, dst) in heard2_w.iter_mut().enumerate() {
-                            let w = word_start + i;
-                            let mut acc = 0u64;
-                            for local in locals2 {
-                                acc |= local[w];
-                            }
-                            *dst = acc & active_bits[w];
-                        }
-                    }
-                    // Gather + receive over the worker's own nodes.
-                    for (i, v) in range.clone().enumerate() {
-                        let s = sent_ro[v];
-                        let h = if full_duplex || s.is_silent() {
-                            let word = (v >> 6) - word_start;
-                            let bit = 1u64 << (v & 63);
-                            BeepSignal::new(
-                                heard1_w[word] & bit != 0,
-                                two && heard2_w[word] & bit != 0,
-                            )
-                        } else {
-                            BeepSignal::silent()
-                        };
-                        heard_w[i] = h;
-                        tally.hearers1 += h.on_channel1() as usize;
-                        tally.hearers2 += h.on_channel2() as usize;
-                        tally.lone1 += (s.on_channel1() && !h.on_channel1()) as usize;
-                        tally.lone2 += (s.on_channel2() && !h.on_channel2()) as usize;
-                        if active[v] {
-                            protocol.receive(v, &mut states_w[i], s, h, &mut rngs_w[i]);
-                        }
-                    }
-                });
-            }
-        });
-    }
+                }
+                *report = kernel.mask_receive(shard, heard1_w, heard2_w, |_, _, _, _, _| {});
+            });
+        }
+    });
 
     // Deterministic reduction: fixed worker order, and every total is a sum
-    // of per-node indicators, so the value is independent of thread timing.
-    let mut report = RoundReport { round, ..RoundReport::default() };
+    // of per-word popcounts and per-node indicators, so the value is
+    // independent of thread timing.
+    let mut report = RoundReport::default();
     let mut work = WorkCounters::default();
-    for t in &tallies {
-        report.beeps_channel1 += t.beeps1;
-        report.beeps_channel2 += t.beeps2;
-        report.hearers_channel1 += t.hearers1;
-        report.hearers_channel2 += t.hearers2;
-        report.lone_beepers += t.lone1;
-        report.lone_beepers_channel2 += t.lone2;
-        work.node_execs += t.node_execs;
-        work.edge_visits += t.edge_visits;
+    for (r, w) in reports.iter().zip(&works) {
+        report.beeps_channel1 += r.beeps_channel1;
+        report.beeps_channel2 += r.beeps_channel2;
+        report.hearers_channel1 += r.hearers_channel1;
+        report.hearers_channel2 += r.hearers_channel2;
+        report.lone_beepers += r.lone_beepers;
+        report.lone_beepers_channel2 += r.lone_beepers_channel2;
+        work.node_execs += w.node_execs;
+        work.edge_visits += w.edge_visits;
     }
     (report, work)
 }

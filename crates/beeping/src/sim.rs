@@ -13,6 +13,7 @@ use crate::churn::ChurnError;
 use crate::protocol::SettledRound;
 use crate::protocol::{BeepSignal, BeepingProtocol};
 use crate::rng;
+use crate::sweep::{self, Bitsets, Sweep};
 use crate::trace::RoundReport;
 use telemetry::Telemetry;
 
@@ -62,8 +63,10 @@ pub enum EngineMode {
     /// Fast kernel: the round's beepers *scatter* their signals into
     /// per-channel word-packed "heard" bitsets — O(Σ deg(beeper)) work,
     /// which near stabilization (where only the MIS nodes beep) is far
-    /// below O(m). Falls back to the scalar gather whenever per-edge beep
-    /// loss is in effect this round, because loss draws one coin per
+    /// below O(m). Fault-free rounds are one sequential call of the
+    /// full-sweep kernel over the whole network, with every report counter
+    /// a word popcount. Falls back to the scalar gather whenever per-edge
+    /// beep loss is in effect this round, because loss draws one coin per
     /// (listener, beeping neighbor) pair in listener order and that order
     /// must be preserved exactly.
     #[default]
@@ -75,20 +78,25 @@ pub enum EngineMode {
     /// from persistent word-packed bitsets and its RNG streams ticked
     /// lazily by jump-ahead. Post-stabilization and localized fault/churn
     /// rounds cost O(Σ deg(frontier)) instead of O(n + m); a frontier
-    /// denser than [`frontier_fallback_threshold`] falls back to one full
-    /// scatter sweep that also rebuilds the settled set. On an unreliable
+    /// denser than [`frontier_fallback_threshold`] falls back to one
+    /// sequential call of the full-sweep kernel (the same as
+    /// [`EngineMode::Scatter`]'s) that also rebuilds the settled set and
+    /// the persistent sent bitsets. On an unreliable
     /// channel or under a Byzantine plan the engine runs the phased
     /// scatter path (channel noise draws per-listener coins that skipping
     /// cannot reproduce). Bit-identical to the other engines per seed.
     Frontier,
     /// Parallel scatter kernel: the node range is partitioned into
     /// word-aligned, work-balanced worker ranges (`graphs::ShardPlan`) and
-    /// `threads` scoped worker threads run the round in two phases —
-    /// transmit + scatter into *thread-local* per-channel word accumulators,
-    /// then a fixed-shard-order OR-merge into the shared bitsets fused with
-    /// gather + receive. Per-node RNG streams are independent and the
-    /// per-channel OR is commutative, so same-seed runs are bit-identical
-    /// to every other engine at any thread count. Falls back to the phased
+    /// `threads` scoped worker threads run the full-sweep kernel in two
+    /// phases — transmit + scatter into *thread-local* per-channel word
+    /// accumulators, then a fixed-shard-order OR-merge into the shared
+    /// bitsets fused with mask + gather + receive. A single worker range
+    /// (`threads: 1`, or a graph of at most 64 nodes) makes the same
+    /// sequential call as [`EngineMode::Scatter`] with no thread scope.
+    /// Per-node RNG streams are independent and the per-channel OR is
+    /// commutative, so same-seed runs are bit-identical to every other
+    /// engine at any thread count. Falls back to the phased
     /// scatter path whenever the channel is unreliable or a Byzantine plan
     /// is installed: those draw from *shared* noise/adversary streams in
     /// strict node order, which parallel execution cannot preserve.
@@ -206,13 +214,11 @@ pub struct Simulator<'g, P: BeepingProtocol> {
     active_bits: Vec<u64>,
     inactive: usize,
     engine: EngineMode,
-    /// Scatter-kernel scratch: word-packed per-listener "heard" and
-    /// per-beeper "sent" bitsets, one per channel, rebuilt every round
-    /// (never part of a checkpoint).
-    scatter_heard1: Vec<u64>,
-    scatter_heard2: Vec<u64>,
-    scatter_sent1: Vec<u64>,
-    scatter_sent2: Vec<u64>,
+    /// Word-packed per-channel sent/heard bitsets of the full-sweep kernel
+    /// ([`crate::sweep`]), rebuilt every full-sweep round; the frontier
+    /// engine patches the sent bitsets between its sweeps. Never part of a
+    /// checkpoint.
+    scatter: Bitsets,
     hook: InvariantHook<P::State>,
     /// Frontier-kernel bookkeeping (dirty set, settled flags, lazy RNG
     /// accounting, persistent signal bitsets and running report totals).
@@ -249,8 +255,8 @@ pub struct Simulator<'g, P: BeepingProtocol> {
 ///   for live execution next round;
 /// - `rngs[v]` reflects all draws through round `last_exec[v]`; for
 ///   non-settled nodes `last_exec[v]` is the current round;
-/// - `sent1`/`sent2` are word-packed per-channel views of the `sent`
-///   vector, and the six `total_*` fields equal the
+/// - the simulator's sent bitsets are word-packed per-channel views of the
+///   `sent` vector, and the six `total_*` fields equal the
 ///   [`RoundReport::from_signals`] counters over the current
 ///   `sent`/`heard` vectors.
 #[derive(Debug, Default)]
@@ -268,10 +274,6 @@ struct FrontierState {
     rate: Vec<u64>,
     /// Round through which `rngs[v]` is materialized.
     last_exec: Vec<u64>,
-    /// Persistent word-packed per-channel transmissions (bit `v` set ⇔
-    /// `sent[v]` beeps on the channel); patched in place as signals change.
-    sent1: Vec<u64>,
-    sent2: Vec<u64>,
     /// Running `RoundReport` counters over the persistent signal vectors.
     total_beeps1: usize,
     total_beeps2: usize,
@@ -293,15 +295,12 @@ impl FrontierState {
         if self.queued.len() == n {
             return;
         }
-        let words = n.div_ceil(64);
         self.synced = false;
         self.dirty = Vec::new();
         self.queued = vec![false; n];
         self.settled = vec![false; n];
         self.rate = vec![0; n];
         self.last_exec = vec![0; n];
-        self.sent1 = vec![0; words];
-        self.sent2 = vec![0; words];
         self.listener_mark = vec![false; n];
     }
 
@@ -425,10 +424,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             active_bits: full_active_bits(n),
             inactive: 0,
             engine: EngineMode::default(),
-            scatter_heard1: Vec::new(),
-            scatter_heard2: Vec::new(),
-            scatter_sent1: Vec::new(),
-            scatter_sent2: Vec::new(),
+            scatter: Bitsets::default(),
             hook: InvariantHook(None),
             frontier: FrontierState::default(),
             par: None,
@@ -474,10 +470,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             active_bits: full_active_bits(n),
             inactive: 0,
             engine: EngineMode::default(),
-            scatter_heard1: Vec::new(),
-            scatter_heard2: Vec::new(),
-            scatter_sent1: Vec::new(),
-            scatter_sent2: Vec::new(),
+            scatter: Bitsets::default(),
             hook: InvariantHook(None),
             frontier: FrontierState::default(),
             par: None,
@@ -1178,12 +1171,29 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         if drop_p > 0.0 {
             return self.deliver_scalar(n, channels, drop_p, spurious_p);
         }
-        self.scatter_signals(n);
+        // Inactive nodes are already silent in `sent`, so they never
+        // scatter; inactive/deaf listeners are masked below.
+        let words = n.div_ceil(64);
+        sweep::reset(&mut self.scatter.heard1, words);
+        sweep::reset(&mut self.scatter.heard2, words);
+        for u in 0..n {
+            let sig = self.sent[u];
+            if sig.on_channel1() {
+                self.work.edge_visits += sweep::scatter(&self.graph, u, &mut self.scatter.heard1);
+            }
+            if sig.on_channel2() {
+                self.work.edge_visits += sweep::scatter(&self.graph, u, &mut self.scatter.heard2);
+            }
+        }
         let two = channels == SimulatorChannels::Two;
         for v in 0..n {
             let mut heard = BeepSignal::silent();
             if self.active[v] && (self.duplex == DuplexMode::Full || self.sent[v].is_silent()) {
-                heard = self.gather_bit(v, two);
+                let (word, bit) = (v >> 6, 1u64 << (v & 63));
+                heard = BeepSignal::new(
+                    self.scatter.heard1[word] & bit != 0,
+                    two && self.scatter.heard2[word] & bit != 0,
+                );
                 if spurious_p > 0.0 {
                     let c1 = self.channel_rng.gen_bool(spurious_p);
                     let c2 = two && self.channel_rng.gen_bool(spurious_p);
@@ -1194,46 +1204,9 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         }
     }
 
-    /// Clears the scatter bitsets and pushes every beeper's signal to its
-    /// neighbors. Inactive nodes are already silent in `sent`, so they
-    /// never scatter; inactive/deaf listeners are masked at gather time.
-    fn scatter_signals(&mut self, n: usize) {
-        let words = n.div_ceil(64);
-        self.scatter_heard1.clear();
-        self.scatter_heard1.resize(words, 0);
-        self.scatter_heard2.clear();
-        self.scatter_heard2.resize(words, 0);
-        for u in 0..n {
-            let sig = self.sent[u];
-            if sig.is_silent() {
-                continue;
-            }
-            if sig.on_channel1() {
-                self.work.edge_visits += self.graph.degree(u) as u64;
-                for &w in self.graph.neighbors(u) {
-                    self.scatter_heard1[(w >> 6) as usize] |= 1u64 << (w & 63);
-                }
-            }
-            if sig.on_channel2() {
-                self.work.edge_visits += self.graph.degree(u) as u64;
-                for &w in self.graph.neighbors(u) {
-                    self.scatter_heard2[(w >> 6) as usize] |= 1u64 << (w & 63);
-                }
-            }
-        }
-    }
-
-    /// Reads listener `v`'s per-channel bits out of the scatter bitsets.
-    fn gather_bit(&self, v: usize, two: bool) -> BeepSignal {
-        let word = v >> 6;
-        let bit = 1u64 << (v & 63);
-        let c1 = self.scatter_heard1[word] & bit != 0;
-        let c2 = two && self.scatter_heard2[word] & bit != 0;
-        BeepSignal::new(c1, c2)
-    }
-
-    /// Fused no-fault round: transmit + scatter + gather + receive in two
-    /// passes, with the [`RoundReport`] accumulated inline instead of a
+    /// Fused no-fault round: one call of the full-sweep kernel
+    /// ([`crate::sweep`]) over the whole network, with the
+    /// [`RoundReport`] counted from the kernel's bitsets instead of a
     /// separate [`RoundReport::from_signals`] sweep. Only reachable when
     /// the channel is reliable and the Byzantine plan is empty, so every
     /// skipped branch (burst windows, reboots, jammers, loss, spurious) is
@@ -1241,150 +1214,24 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
     /// making this bit-identical to the phased path under either engine.
     fn fast_round(&mut self, n: usize, channels: SimulatorChannels) -> RoundReport {
         let fused_span = self.telemetry.time("sim.phase.fused");
-        let two = channels == SimulatorChannels::Two;
-        let words = n.div_ceil(64);
-        self.scatter_heard1.clear();
-        self.scatter_heard1.resize(words, 0);
-        self.scatter_heard2.clear();
-        self.scatter_heard2.resize(words, 0);
-        self.scatter_sent1.clear();
-        self.scatter_sent1.resize(words, 0);
-        self.scatter_sent2.clear();
-        self.scatter_sent2.resize(words, 0);
-        let mut report = RoundReport { round: self.round + 1, ..RoundReport::default() };
-        // Split borrows with fixed-length slices: the Cow deref happens once
-        // instead of per neighbors() call, and every per-node index below is
-        // provably in bounds, so the hot loops carry no bounds checks.
-        let graph: &Graph = &self.graph;
-        let protocol = &self.protocol;
-        let states = &mut self.states[..n];
-        let rngs = &mut self.rngs[..n];
-        let sent = &mut self.sent[..n];
-        let heard = &mut self.heard[..n];
-        let active = &self.active[..n];
-        let heard1 = &mut self.scatter_heard1[..words];
-        let heard2 = &mut self.scatter_heard2[..words];
-        let sent1 = &mut self.scatter_sent1[..words];
-        let sent2 = &mut self.scatter_sent2[..words];
-        let full = self.duplex == DuplexMode::Full;
-        // With every node active and full duplex — the steady state of an
-        // unfaulted network — the per-node activity/deafness checks are
-        // vacuous and every report counter is a set cardinality: beepers are
-        // popcount(sent_c), hearers popcount(heard_c), lone beepers
-        // popcount(sent_c & !heard_c). Track `sent` as bitsets too and the
-        // whole report falls out of a word sweep, leaving pass 2 with just
-        // the gather and the state update.
-        let all_active = self.inactive == 0;
-        let mut edge_visits = 0u64;
-        if all_active && full {
-            // Pass 1: transmissions, fused with the beeper scatter.
-            for v in 0..n {
-                let signal = protocol.transmit(v, &states[v], &mut rngs[v]);
-                assert!(
-                    signal.allowed_by(channels),
-                    "protocol beeped on an undeclared channel (node {v}, signal {signal})"
-                );
-                sent[v] = signal;
-                if signal.is_silent() {
-                    continue;
-                }
-                let word = v >> 6;
-                let bit = 1u64 << (v & 63);
-                if signal.on_channel1() {
-                    sent1[word] |= bit;
-                    edge_visits += graph.degree(v) as u64;
-                    for &w in graph.neighbors(v) {
-                        heard1[(w >> 6) as usize] |= 1u64 << (w & 63);
-                    }
-                }
-                if signal.on_channel2() {
-                    sent2[word] |= bit;
-                    edge_visits += graph.degree(v) as u64;
-                    for &w in graph.neighbors(v) {
-                        heard2[(w >> 6) as usize] |= 1u64 << (w & 63);
-                    }
-                }
-            }
-            // Report counters as word-wise popcounts. Bits at index >= n are
-            // never set (every scattered index is a node id), so no masking
-            // of the final word is needed.
-            for w in 0..words {
-                report.beeps_channel1 += sent1[w].count_ones() as usize;
-                report.hearers_channel1 += heard1[w].count_ones() as usize;
-                report.lone_beepers += (sent1[w] & !heard1[w]).count_ones() as usize;
-            }
-            if two {
-                for w in 0..words {
-                    report.beeps_channel2 += sent2[w].count_ones() as usize;
-                    report.hearers_channel2 += heard2[w].count_ones() as usize;
-                    report.lone_beepers_channel2 += (sent2[w] & !heard2[w]).count_ones() as usize;
-                }
-            }
-            // Pass 2: gather + state update.
-            for v in 0..n {
-                let word = v >> 6;
-                let bit = 1u64 << (v & 63);
-                let h = BeepSignal::new(heard1[word] & bit != 0, two && heard2[word] & bit != 0);
-                heard[v] = h;
-                protocol.receive(v, &mut states[v], sent[v], h, &mut rngs[v]);
-            }
-        } else {
-            // General no-fault round: inactive nodes and half duplex mask
-            // transmissions/hearing per node, so counters stay inline.
-            // Pass 1: transmissions, fused with the beeper scatter.
-            for v in 0..n {
-                let signal = if active[v] {
-                    let s = protocol.transmit(v, &states[v], &mut rngs[v]);
-                    assert!(
-                        s.allowed_by(channels),
-                        "protocol beeped on an undeclared channel (node {v}, signal {s})"
-                    );
-                    s
-                } else {
-                    BeepSignal::silent()
-                };
-                sent[v] = signal;
-                if signal.is_silent() {
-                    continue;
-                }
-                if signal.on_channel1() {
-                    report.beeps_channel1 += 1;
-                    edge_visits += graph.degree(v) as u64;
-                    for &w in graph.neighbors(v) {
-                        heard1[(w >> 6) as usize] |= 1u64 << (w & 63);
-                    }
-                }
-                if signal.on_channel2() {
-                    report.beeps_channel2 += 1;
-                    edge_visits += graph.degree(v) as u64;
-                    for &w in graph.neighbors(v) {
-                        heard2[(w >> 6) as usize] |= 1u64 << (w & 63);
-                    }
-                }
-            }
-            // Pass 2: gather + state update, fused with report accumulation.
-            for v in 0..n {
-                let s = sent[v];
-                let is_active = active[v];
-                let h = if is_active && (full || s.is_silent()) {
-                    let word = v >> 6;
-                    let bit = 1u64 << (v & 63);
-                    BeepSignal::new(heard1[word] & bit != 0, two && heard2[word] & bit != 0)
-                } else {
-                    BeepSignal::silent()
-                };
-                heard[v] = h;
-                report.hearers_channel1 += h.on_channel1() as usize;
-                report.hearers_channel2 += h.on_channel2() as usize;
-                report.lone_beepers += (s.on_channel1() && !h.on_channel1()) as usize;
-                report.lone_beepers_channel2 += (s.on_channel2() && !h.on_channel2()) as usize;
-                if is_active {
-                    protocol.receive(v, &mut states[v], s, h, &mut rngs[v]);
-                }
-            }
-        }
-        self.work.node_execs += (n - self.inactive) as u64;
-        self.work.edge_visits += edge_visits;
+        let kernel = Sweep {
+            graph: &self.graph,
+            protocol: &self.protocol,
+            channels,
+            full_duplex: self.duplex == DuplexMode::Full,
+            active_bits: &self.active_bits,
+        };
+        let (mut report, work) = kernel.whole(
+            &mut self.states[..n],
+            &mut self.rngs[..n],
+            &mut self.sent[..n],
+            &mut self.heard[..n],
+            &mut self.scatter,
+            |_, _, _, _, _| {},
+        );
+        report.round = self.round + 1;
+        self.work.node_execs += work.node_execs;
+        self.work.edge_visits += work.edge_visits;
         // Bookkeeping tail in the exact order of the phased path — span
         // closed, counter bumped, round advanced, hook run — so telemetry
         // totals and hook observations line up between the two paths even
@@ -1394,7 +1241,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         self.telemetry.counter_add("sim.rounds.fused", 1);
         self.round += 1;
         if let Some(hook) = self.hook.0.as_mut() {
-            hook(graph, self.round, states);
+            hook(&self.graph, self.round, &self.states);
         }
         report
     }
@@ -1411,24 +1258,23 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             Some(plan) if plan.matches(&self.graph, threads) => plan,
             slot => slot.insert(crate::par::ParPlan::build(&self.graph, threads)),
         };
-        let graph: &Graph = &self.graph;
-        let full = self.duplex == DuplexMode::Full;
-        let (report, work) = crate::par::run_round(
-            plan,
-            graph,
-            &self.protocol,
+        let kernel = Sweep {
+            graph: &self.graph,
+            protocol: &self.protocol,
             channels,
-            full,
-            self.round + 1,
-            &self.active[..n],
-            &self.active_bits,
+            full_duplex: self.duplex == DuplexMode::Full,
+            active_bits: &self.active_bits,
+        };
+        let (mut report, work) = crate::par::run_round(
+            plan,
+            &kernel,
             &mut self.states[..n],
             &mut self.rngs[..n],
             &mut self.sent[..n],
             &mut self.heard[..n],
-            &mut self.scatter_heard1,
-            &mut self.scatter_heard2,
+            &mut self.scatter,
         );
+        report.round = self.round + 1;
         self.work.node_execs += work.node_execs;
         self.work.edge_visits += work.edge_visits;
         // Bookkeeping tail in the exact order of the other engines — span
@@ -1505,23 +1351,24 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         }
         let h = self.heard[v];
         let fr = &mut self.frontier;
+        let bits = &mut self.scatter;
         let word = v >> 6;
         let bit = 1u64 << (v & 63);
         if s.on_channel1() != old.on_channel1() {
             if s.on_channel1() {
-                fr.sent1[word] |= bit;
+                bits.sent1[word] |= bit;
                 fr.total_beeps1 += 1;
             } else {
-                fr.sent1[word] &= !bit;
+                bits.sent1[word] &= !bit;
                 fr.total_beeps1 -= 1;
             }
         }
         if s.on_channel2() != old.on_channel2() {
             if s.on_channel2() {
-                fr.sent2[word] |= bit;
+                bits.sent2[word] |= bit;
                 fr.total_beeps2 += 1;
             } else {
-                fr.sent2[word] &= !bit;
+                bits.sent2[word] &= !bit;
                 fr.total_beeps2 -= 1;
             }
         }
@@ -1557,14 +1404,14 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
     /// neighbors never have a bit set (their `sent` is silent), so no
     /// activity mask is needed here.
     fn frontier_gather(&self, u: NodeId, two: bool) -> BeepSignal {
-        let fr = &self.frontier;
+        let bits = &self.scatter;
         let mut c1 = false;
         let mut c2 = false;
         for &w in self.graph.neighbors(u) {
             let word = (w >> 6) as usize;
             let bit = 1u64 << (w & 63);
-            c1 |= fr.sent1[word] & bit != 0;
-            c2 |= two && fr.sent2[word] & bit != 0;
+            c1 |= bits.sent1[word] & bit != 0;
+            c2 |= two && bits.sent2[word] & bit != 0;
             if c1 && (c2 || !two) {
                 break;
             }
@@ -1584,127 +1431,61 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         }
     }
 
-    /// Full frontier sweep: executes every node like the fused kernel,
-    /// then re-derives the settled set, the persistent signal bitsets and
+    /// Full frontier sweep: executes every node through the full-sweep
+    /// kernel, re-deriving the settled set, the persistent sent bitsets and
     /// the running report totals. Entered while unsynced and whenever the
     /// frontier outgrows the density threshold.
     fn frontier_full_sweep(&mut self, n: usize, channels: SimulatorChannels) -> RoundReport {
         let span = self.telemetry.time("sim.phase.frontier");
         let executing = self.round + 1;
-        let two = channels == SimulatorChannels::Two;
-        let words = n.div_ceil(64);
         // Materialize every lazily accounted stream through the previous
         // round so the live transmissions below start at the right
-        // positions, then forget the old settled set.
-        if self.frontier.synced {
-            for v in 0..n {
-                if self.frontier.settled[v] {
-                    self.frontier.materialize(&mut self.rngs[v], v, executing - 1);
-                    self.frontier.settled[v] = false;
-                }
-            }
-        }
-        self.frontier.dirty.clear();
-        for q in &mut self.frontier.queued {
-            *q = false;
-        }
-        // Per-round heard accumulation reuses the scatter scratch; the
-        // persistent sent bitsets are rebuilt from scratch.
-        self.scatter_heard1.clear();
-        self.scatter_heard1.resize(words, 0);
-        self.scatter_heard2.clear();
-        self.scatter_heard2.resize(words, 0);
-        let mut report = RoundReport { round: executing, ..RoundReport::default() };
-        let graph: &Graph = &self.graph;
-        let protocol = &self.protocol;
-        let states = &mut self.states[..n];
-        let rngs = &mut self.rngs[..n];
-        let sent = &mut self.sent[..n];
-        let heard = &mut self.heard[..n];
-        let active = &self.active[..n];
-        let heard1 = &mut self.scatter_heard1[..words];
-        let heard2 = &mut self.scatter_heard2[..words];
+        // positions, then forget the old settled set. A departed node is
+        // frozen and draw-free: settled at rate 0, so skipped rounds never
+        // advance its stream.
+        let synced = self.frontier.synced;
         let fr = &mut self.frontier;
-        fr.sent1.clear();
-        fr.sent1.resize(words, 0);
-        fr.sent2.clear();
-        fr.sent2.resize(words, 0);
-        let full = self.duplex == DuplexMode::Full;
-        let mut edge_visits = 0u64;
-        // Pass 1: live transmissions, fused with the heard scatter and the
-        // persistent sent-bitset rebuild.
         for v in 0..n {
-            let signal = if active[v] {
-                let s = protocol.transmit(v, &states[v], &mut rngs[v]);
-                assert!(
-                    s.allowed_by(channels),
-                    "protocol beeped on an undeclared channel (node {v}, signal {s})"
-                );
-                s
-            } else {
-                BeepSignal::silent()
-            };
-            sent[v] = signal;
-            if signal.is_silent() {
-                continue;
+            if synced && fr.settled[v] {
+                fr.materialize(&mut self.rngs[v], v, executing - 1);
             }
-            let word = v >> 6;
-            let bit = 1u64 << (v & 63);
-            if signal.on_channel1() {
-                report.beeps_channel1 += 1;
-                edge_visits += graph.degree(v) as u64;
-                for &w in graph.neighbors(v) {
-                    heard1[(w >> 6) as usize] |= 1u64 << (w & 63);
-                }
-                fr.sent1[word] |= bit;
-            }
-            if signal.on_channel2() {
-                report.beeps_channel2 += 1;
-                edge_visits += graph.degree(v) as u64;
-                for &w in graph.neighbors(v) {
-                    heard2[(w >> 6) as usize] |= 1u64 << (w & 63);
-                }
-                fr.sent2[word] |= bit;
-            }
-        }
-        // Pass 2: gather + state update + settle evaluation.
-        for v in 0..n {
-            let s = sent[v];
-            let is_active = active[v];
-            let h = if is_active && (full || s.is_silent()) {
-                let word = v >> 6;
-                let bit = 1u64 << (v & 63);
-                BeepSignal::new(heard1[word] & bit != 0, two && heard2[word] & bit != 0)
-            } else {
-                BeepSignal::silent()
-            };
-            heard[v] = h;
-            report.hearers_channel1 += h.on_channel1() as usize;
-            report.hearers_channel2 += h.on_channel2() as usize;
-            report.lone_beepers += (s.on_channel1() && !h.on_channel1()) as usize;
-            report.lone_beepers_channel2 += (s.on_channel2() && !h.on_channel2()) as usize;
             fr.last_exec[v] = executing;
-            if is_active {
-                protocol.receive(v, &mut states[v], s, h, &mut rngs[v]);
-                match protocol.settled_round(v, &states[v], h) {
-                    Some(sr) if sr.signal == s => {
-                        #[cfg(debug_assertions)]
-                        debug_check_settled_contract(protocol, v, &states[v], &rngs[v], sr, h);
-                        fr.settled[v] = true;
-                        fr.rate[v] = sr.draws;
-                    }
-                    _ => {
-                        fr.settled[v] = false;
-                        fr.push_dirty(v);
-                    }
-                }
-            } else {
-                // A departed node is frozen and draw-free: settled at rate
-                // 0, so skipped rounds never advance its stream.
-                fr.settled[v] = true;
+            fr.settled[v] = !self.active[v];
+            if !self.active[v] {
                 fr.rate[v] = 0;
             }
         }
+        fr.dirty.clear();
+        for q in &mut fr.queued {
+            *q = false;
+        }
+        // The kernel rebuilds the persistent sent bitsets; each executed
+        // node is judged for settling right after its `receive`.
+        let protocol = &self.protocol;
+        let kernel = Sweep {
+            graph: &self.graph,
+            protocol,
+            channels,
+            full_duplex: self.duplex == DuplexMode::Full,
+            active_bits: &self.active_bits,
+        };
+        let (mut report, work) = kernel.whole(
+            &mut self.states[..n],
+            &mut self.rngs[..n],
+            &mut self.sent[..n],
+            &mut self.heard[..n],
+            &mut self.scatter,
+            |v, state, s, h, _rng| match protocol.settled_round(v, state, h) {
+                Some(sr) if sr.signal == s => {
+                    #[cfg(debug_assertions)]
+                    debug_check_settled_contract(protocol, v, state, _rng, sr, h);
+                    fr.settled[v] = true;
+                    fr.rate[v] = sr.draws;
+                }
+                _ => fr.push_dirty(v),
+            },
+        );
+        report.round = executing;
         fr.total_beeps1 = report.beeps_channel1;
         fr.total_beeps2 = report.beeps_channel2;
         fr.total_hearers1 = report.hearers_channel1;
@@ -1712,15 +1493,15 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         fr.total_lone1 = report.lone_beepers;
         fr.total_lone2 = report.lone_beepers_channel2;
         fr.synced = true;
-        self.work.node_execs += (n - self.inactive) as u64;
-        self.work.edge_visits += edge_visits;
+        self.work.node_execs += work.node_execs;
+        self.work.edge_visits += work.edge_visits;
         // Bookkeeping tail in phased-path order: span, counters, round, hook.
         drop(span);
         self.telemetry.counter_add("sim.rounds.frontier", 1);
         self.telemetry.counter_add("sim.rounds.frontier.fallback", 1);
         self.round = executing;
         if let Some(hook) = self.hook.0.as_mut() {
-            hook(graph, self.round, states);
+            hook(&self.graph, self.round, &self.states);
         }
         report
     }

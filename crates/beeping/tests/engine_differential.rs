@@ -17,9 +17,11 @@ use proptest::test_runner::TestCaseError;
 use rand::RngCore;
 use telemetry::{Config as TelemetryConfig, MemorySink, Telemetry};
 
+/// Random graphs of 2..200 nodes: past 64 nodes `par(2)` splits the node
+/// range into two worker ranges, including non-multiple-of-64 tails.
 fn arb_graph() -> impl Strategy<Value = Graph> {
-    (2usize..24).prop_flat_map(|n| {
-        proptest::collection::vec((0..n, 0..n), 0..60).prop_map(move |pairs| {
+    (2usize..200).prop_flat_map(|n| {
+        proptest::collection::vec((0..n, 0..n), 0..3 * n).prop_map(move |pairs| {
             let mut b = GraphBuilder::new(n);
             for (u, v) in pairs {
                 if u != v {
@@ -219,6 +221,21 @@ fn assert_engines_identical(
             }
         }
     }
+    // Work counters: the parallel engine shards the scatter sweep, so it
+    // does exactly the same work at every thread count, and the frontier
+    // engine never executes more nodes than the scalar reference. (Its edge
+    // visits have no such bound: a sparse round scans deg(v) for every node
+    // whose signal *changed*, a scatter deg(beeper) per beeping channel, a
+    // gather deg(listener) per hearing listener.)
+    let work = |want: &str| {
+        others.iter().find(|(name, _)| *name == want).map(|(_, sim)| sim.work()).unwrap_or_default()
+    };
+    let scatter = work("scatter");
+    for name in ["par(1)", "par(2)", "par(nproc)"] {
+        prop_assert_eq!(work(name), scatter, "{} work differs from scatter", name);
+    }
+    let (frontier, reference) = (work("frontier"), scalar.work());
+    prop_assert!(frontier.node_execs <= reference.node_execs, "{:?} vs {:?}", frontier, reference);
     Ok(())
 }
 

@@ -30,10 +30,9 @@
 //!
 //! *Artifacts*: the report table, plus `results/BENCH_PERF.json` (one entry
 //! per `(family, workload, n)` with rounds/sec for all three engines and
-//! the speedups) when a `results/` directory exists. The committed
-//! root-level `BENCH_PERF.json` baseline is replaced only by a *full*
-//! (non-`--quick`) run, and the run warns when its git provenance is dirty
-//! or unknown.
+//! the speedups) when a `results/` directory exists. The committed baseline
+//! is that file from a *full* (non-`--quick`) run; a full run warns when
+//! its git provenance is dirty or unknown.
 //!
 //! *Expected shape*: scatter's speedup over scalar grows with n and is
 //! largest on sparse families (cycle, regular), where per-round bookkeeping
@@ -430,10 +429,9 @@ pub fn run(quick: bool) -> String {
     // Written whenever the standard output directory exists (the CI smoke
     // and full runs pass `--out results`); plain `cargo test` runs from the
     // crate directory, which has no results/, and never rewrites the
-    // committed baselines. The root-level copy is the canonical committed
-    // baseline: only a *full* run may replace it (a quick run's truncated
-    // budget would masquerade as the reference numbers), and a run from a
-    // dirty or unknown tree gets a provenance warning — its numbers cannot
+    // committed baseline. Only a *full* run's file is a baseline (a quick
+    // run's truncated budget is marked `"quick": true`), and a full run from
+    // a dirty or unknown tree gets a provenance warning — its numbers cannot
     // be traced back to a commit.
     let results = std::path::Path::new("results");
     if results.is_dir() {
@@ -442,26 +440,12 @@ pub fn run(quick: bool) -> String {
         } else {
             out.push_str("\nbaseline written to results/BENCH_PERF.json\n");
         }
-        if quick {
-            out.push_str("quick run: committed baseline BENCH_PERF.json left untouched\n");
-        } else {
-            if untraceable_provenance(&git) {
-                let _ = writeln!(
-                    out,
-                    "warning: baseline provenance is \"{git}\" (dirty or unknown tree); \
-                     re-run from a clean commit before committing BENCH_PERF.json"
-                );
-            }
-            let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .ancestors()
-                .nth(2)
-                .unwrap_or_else(|| std::path::Path::new("."))
-                .join("BENCH_PERF.json");
-            if let Err(e) = std::fs::write(&root, &json) {
-                let _ = writeln!(out, "warning: cannot write {}: {e}", root.display());
-            } else {
-                let _ = writeln!(out, "baseline written to {}", root.display());
-            }
+        if !quick && untraceable_provenance(&git) {
+            let _ = writeln!(
+                out,
+                "warning: baseline provenance is \"{git}\" (dirty or unknown tree); \
+                 re-run from a clean commit before committing results/BENCH_PERF.json"
+            );
         }
     }
     out.push_str(

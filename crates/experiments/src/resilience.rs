@@ -16,7 +16,7 @@
 //! *Artifacts*: the report table, plus `results/BENCH_HARNESS.json` (one
 //! entry per cadence with both times and the overhead fraction) when a
 //! `results/` directory exists — the resilience companion of
-//! `BENCH_PERF.json`.
+//! `results/BENCH_PERF.json`.
 //!
 //! *Expected shape*: overhead falls as the cadence grows; at k = 1024 it is
 //! within the 5% acceptance bound, and the digests match exactly.

@@ -21,10 +21,10 @@
 //! Determinism is asserted, not assumed: every engine configuration must
 //! produce the **same FNV-1a digest** of the final level vector — at any
 //! thread count — before its timing is reported. The committed artifact is
-//! `BENCH_SCALE.json` (one entry per size with per-engine node-rounds/sec
-//! and per-core rates); the ≥ 2× ParScatter acceptance gate applies only on
-//! machines with ≥ 4 cores — on smaller hosts the digests still pin
-//! bit-identity and the gate reports `skipped`.
+//! `results/BENCH_SCALE.json` (one entry per size with per-engine
+//! node-rounds/sec and per-core rates); the ≥ 2× ParScatter acceptance gate
+//! applies only on machines with ≥ 4 cores — on smaller hosts the digests
+//! still pin bit-identity and the gate reports `skipped`.
 
 use std::fmt::Write as _;
 
@@ -246,8 +246,9 @@ pub fn gate_verdict(points: &[ParScalePoint], cores: usize) -> String {
     }
 }
 
-/// Renders part 2 as the committed `BENCH_SCALE.json` artifact (fixed field
-/// order; rates are wall-clock measurements, digests are deterministic).
+/// Renders part 2 as the committed `results/BENCH_SCALE.json` artifact
+/// (fixed field order; rates are wall-clock measurements, digests are
+/// deterministic).
 pub fn bench_json(points: &[ParScalePoint], quick: bool, git: &str, gate: &str) -> String {
     let mut out = String::from("{\n  \"experiment\": \"SCALE\",\n");
     let _ = writeln!(out, "  \"quick\": {quick},");
@@ -363,10 +364,9 @@ pub fn run(quick: bool) -> String {
     let json = bench_json(&points, quick, &git, &gate);
     out.push_str("\nbench baseline:\n");
     out.push_str(&json);
-    // Mirrors the PERF artifact policy: results/ copy whenever the standard
-    // output directory exists; the committed root-level BENCH_SCALE.json is
-    // replaced only by a full run, with a provenance warning from a dirty
-    // or unknown tree.
+    // Mirrors the PERF artifact policy: written to results/ whenever the
+    // standard output directory exists, with a provenance warning when a
+    // full run comes from a dirty or unknown tree.
     let results = std::path::Path::new("results");
     if results.is_dir() {
         if let Err(e) = std::fs::write(results.join("BENCH_SCALE.json"), &json) {
@@ -374,33 +374,19 @@ pub fn run(quick: bool) -> String {
         } else {
             out.push_str("\nbaseline written to results/BENCH_SCALE.json\n");
         }
-        if quick {
-            out.push_str("quick run: committed baseline BENCH_SCALE.json left untouched\n");
-        } else {
-            if crate::perf::untraceable_provenance(&git) {
-                let _ = writeln!(
-                    out,
-                    "warning: baseline provenance is \"{git}\" (dirty or unknown tree); \
-                     re-run from a clean commit before committing BENCH_SCALE.json"
-                );
-            }
-            match std::path::Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2) {
-                Some(root) => {
-                    let root = root.join("BENCH_SCALE.json");
-                    if let Err(e) = std::fs::write(&root, &json) {
-                        let _ = writeln!(out, "warning: cannot write {}: {e}", root.display());
-                    } else {
-                        let _ = writeln!(out, "baseline written to {}", root.display());
-                    }
-                }
-                None => out.push_str("warning: cannot locate workspace root\n"),
-            }
+        if !quick && crate::perf::untraceable_provenance(&git) {
+            let _ = writeln!(
+                out,
+                "warning: baseline provenance is \"{git}\" (dirty or unknown tree); \
+                 re-run from a clean commit before committing results/BENCH_SCALE.json"
+            );
         }
     }
     out.push_str(
         "\nexpected shape: scatter node-rounds/sec is flat in n (the full sweep is O(n + m) \
-         per round); ParScatter matches it at 1 thread (sharding overhead within noise) and \
-         scales with cores when they exist, with identical digests at every thread count.\n",
+         per round); ParScatter at 1 thread makes the same sequential kernel call as scatter \
+         (no thread scope), so it matches scatter within noise, and it scales with cores \
+         when they exist, with identical digests at every thread count.\n",
     );
     out
 }
@@ -475,7 +461,8 @@ mod tests {
             EngineMode::ParScatter { threads: 1 },
             EngineMode::ParScatter { threads: 2 },
         ];
-        let golden: [(usize, [(u64, u64, u64); 5]); 2] = [
+        type Work = (u64, u64, u64);
+        let golden: [(usize, [Work; 5]); 2] = [
             (
                 1 << 12,
                 [

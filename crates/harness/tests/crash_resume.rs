@@ -145,8 +145,10 @@ fn parallel_scatter_fast_path_survives_kills() {
     // pins that checkpoint/restore stays engine-agnostic: a run killed
     // mid-flight and resumed (worker ranges and thread-local accumulators
     // rebuilt from scratch, never snapshotted) matches an uninterrupted
-    // run, and an uninterrupted *scalar* run, bit for bit.
-    let g = random::gnp(24, 0.15, 9);
+    // run, and an uninterrupted *scalar* run, bit for bit. At 160 nodes
+    // (two and a half bitset words) the plan splits into two worker
+    // ranges, the second one ending in a partial word.
+    let g = random::gnp(160, 0.03, 9);
     let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
     let config = ResumableConfig::new(9)
         .with_engine(EngineMode::ParScatter { threads: 2 })
