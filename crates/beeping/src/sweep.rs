@@ -2,20 +2,20 @@
 //! engine ([`EngineMode::Scatter`], [`EngineMode::ParScatter`] and the
 //! [`EngineMode::Frontier`] rebuild sweep) executes the paper's round.
 //!
-//! The kernel runs over a word-aligned node range (a [`Shard`]) in three
-//! steps:
+//! The kernel runs over a word-aligned node range (a [`Shard`]), one
+//! 64-node bitset word at a time, in three steps:
 //!
-//! 1. **Transmit and scatter** ([`Sweep::transmit_scatter`]): every active node
-//!    transmits; `sent` and the per-channel sent bitset words are written,
-//!    and each beeper's signal is scattered into per-channel word
+//! 1. **Transmit and scatter** ([`Sweep::transmit_scatter`]): every active
+//!    node transmits; `sent` and the per-channel sent bitset words are
+//!    written, and each beeper's signal is scattered into per-channel word
 //!    accumulators.
-//! 2. **Mask and count** ([`Sweep::mask_receive`], first pass): the merged heard
-//!    words are masked with the participation bitset and, under half
-//!    duplex, with `!(sent1 | sent2)`. The masked bitsets are then exactly
-//!    the `heard` vector, so every [`RoundReport`] counter is a word
-//!    popcount.
-//! 3. **Gather and receive** ([`Sweep::mask_receive`], second pass): each node
-//!    reads its bits and the active nodes run `receive`.
+//! 2. **Mask and count** ([`Sweep::mask_receive`]): each merged heard word
+//!    is masked with the participation bitset and, under half duplex, with
+//!    `!(sent1 | sent2)`. The masked bitsets are then exactly the `heard`
+//!    vector, so every [`RoundReport`] counter is a word popcount.
+//! 3. **Gather and receive** ([`Sweep::mask_receive`], right after its
+//!    word's mask): each node reads its bits and the active nodes run
+//!    `receive`.
 //!
 //! [`Sweep::whole`] is the sequential whole-network call, with the shared
 //! heard bitsets as the accumulators. The parallel engine ([`crate::par`])
