@@ -132,6 +132,10 @@ impl<P: BeepingProtocol> Sweep<'_, P> {
     ///
     /// Panics if the protocol transmits on an undeclared channel — a model
     /// violation, not a recoverable condition.
+    // Kept out of line, like `mask_receive`: with both steps inlined into
+    // one caller a round measured about 15% slower (paired rounds,
+    // n = 2^16 G(n,p) from a random start, x86-64).
+    #[inline(never)]
     pub(crate) fn transmit_scatter(
         &self,
         shard: &mut Shard<'_, P::State>,
@@ -180,6 +184,7 @@ impl<P: BeepingProtocol> Sweep<'_, P> {
     /// shard's merged heard words `heard1`/`heard2` and count the report by
     /// popcount, then gather each node's bits and `receive` on the active
     /// nodes (followed by `settle`). The returned report's `round` is 0.
+    #[inline(never)]
     pub(crate) fn mask_receive<F>(
         &self,
         shard: &mut Shard<'_, P::State>,
