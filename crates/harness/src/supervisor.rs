@@ -15,14 +15,16 @@
 //! invisibly, with telemetry counters as the audit trail.
 //!
 //! Durable snapshots are *double-buffered*: at a checkpoint boundary the
-//! supervisor clones the run state (cheap, a few memcpys) and hands it to a
+//! supervisor captures the run state once (cheap, a few memcpys) as the
+//! shared last good checkpoint and hands the same allocation to a
 //! background thread that encodes and atomically writes it, while the next
 //! chunk of rounds executes concurrently. The writer is joined before the
-//! next write is spawned (renames land in checkpoint order) and before any
-//! outcome is returned (a snapshot the supervisor advertises — including
-//! the [`RunOutcome::Panicked`] resume point — is always fully durable).
-//! Checkpoint overhead on the critical path is therefore the clone alone,
-//! not the encode + I/O.
+//! next checkpoint is captured (so at most two checkpoints and one encode
+//! buffer are ever alive, and renames land in checkpoint order) and before
+//! any outcome is returned (a snapshot the supervisor advertises —
+//! including the [`RunOutcome::Panicked`] resume point — is always fully
+//! durable). Checkpoint overhead on the critical path is therefore the
+//! capture alone, not the encode + I/O.
 //!
 //! Wall-clock time is measured with [`telemetry::Stopwatch`], the
 //! workspace's sanctioned clock (direct `std::time::Instant` use is banned
@@ -30,6 +32,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use graphs::Graph;
 use mis::resumable::{
@@ -281,17 +284,18 @@ pub fn supervise_resume<A: SelfStabilizingMis>(
 /// a cadence worth of computation has long since hidden the write).
 type PendingWrite = std::thread::JoinHandle<Result<(), SnapshotError>>;
 
-/// Hands a checkpoint to a background thread for encoding and durable
-/// (atomic tmp-then-rename) writing.
-fn spawn_write(path: &Path, checkpoint: &RunCheckpoint, fingerprint: u64) -> PendingWrite {
+/// Shares a checkpoint with a background thread for encoding and durable
+/// (atomic tmp-then-rename) writing; the checkpoint is not copied.
+fn spawn_write(path: &Path, checkpoint: &Arc<RunCheckpoint>, fingerprint: u64) -> PendingWrite {
     let path = path.to_path_buf();
-    let cp = checkpoint.clone();
+    let cp = Arc::clone(checkpoint);
     std::thread::spawn(move || snapshot::write_file(&path, &cp, fingerprint))
 }
 
 /// Waits for the in-flight background write, if any, surfacing its result.
 /// Writes are strictly serialized: the previous one is always joined before
-/// the next is spawned, so renames land in checkpoint order.
+/// the next checkpoint is captured, so renames land in checkpoint order and
+/// the writer's share of the old checkpoint is released first.
 fn join_write(pending: &mut Option<PendingWrite>) -> Result<(), SupervisorError> {
     match pending.take() {
         None => Ok(()),
@@ -329,7 +333,7 @@ fn drive<A: SelfStabilizingMis>(
     let mut retries_used = 0u32;
     let mut pending: Option<PendingWrite> = None;
 
-    let mut last_good = run.checkpoint();
+    let mut last_good = Arc::new(run.checkpoint());
     if sup.checkpoint_every.is_some() {
         if let Some(path) = &file {
             pending = Some(spawn_write(path, &last_good, fingerprint));
@@ -375,10 +379,10 @@ fn drive<A: SelfStabilizingMis>(
                         _ => RunOutcome::BudgetExhausted(outcome),
                     });
                 }
-                last_good = run.checkpoint();
+                join_write(&mut pending)?;
+                last_good = Arc::new(run.checkpoint());
                 if sup.checkpoint_every.is_some() {
                     if let Some(path) = &file {
-                        join_write(&mut pending)?;
                         pending = Some(spawn_write(path, &last_good, fingerprint));
                         tele.counter_add("harness.checkpoints_written", 1);
                     }

@@ -65,6 +65,7 @@ pub mod recovery;
 pub mod resumable;
 pub mod runner;
 pub mod scenario;
+mod stable_set;
 pub mod theory;
 
 pub use adversary::{AdversaryConfig, SearchBehavior, WorstCase};

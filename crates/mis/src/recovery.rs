@@ -15,6 +15,13 @@
 //! fully active, un-churned graph they coincide exactly with
 //! [`crate::observer`]'s definitions.
 //!
+//! These three functions are full O(n + m) sweeps and serve as *oracles*:
+//! the run loop ([`crate::resumable`]) answers the same questions every
+//! round from an incremental tracker that re-judges only the 2-hop balls
+//! of the nodes that changed, and the tests (plus a debug-build
+//! cross-check of every stopping decision) hold it to these definitions.
+//! [`run_noisy`]'s per-round observation reads that tracker.
+//!
 //! A structural invariant worth stating (and guarded by a property test):
 //! a configuration with a live independence violation — two adjacent active
 //! nodes both at their claiming level — can never satisfy
@@ -253,14 +260,14 @@ impl SegmentTracker {
         }
     }
 
-    /// Observes the run's current configuration; returns whether it is
-    /// [`stabilized_active`].
-    fn observe<A: SelfStabilizingMis>(&mut self, algo: &A, run: &RunLoop<'_, A>) -> bool {
-        let (graph, levels, active) = (run.graph(), run.levels(), run.active());
-        let stabilized = stabilized_active(algo, graph, levels, active);
-        let violations = independence_violations(algo, graph, levels, active);
+    /// Observes the run's current configuration through its stable-set
+    /// tracker; returns whether it is [`stabilized_active`].
+    fn observe<A: SelfStabilizingMis>(&mut self, run: &mut RunLoop<'_, A>) -> bool {
+        let round = run.round();
+        let set = run.observe();
+        let (stabilized, violations) = (set.stabilized(), set.violations());
         if stabilized && self.first_recovery.is_none() {
-            self.first_recovery = Some(run.round() - self.start_round);
+            self.first_recovery = Some(round - self.start_round);
         }
         if violations > 0 {
             self.violation_rounds += 1;
@@ -353,7 +360,7 @@ pub fn run_noisy<A: SelfStabilizingMis>(
     let mut run = RunLoop::start(Cow::Borrowed(graph), algo, config.clone(), "noisy")?;
     let mut events: Vec<EventRecovery> = Vec::new();
     let mut tracker = SegmentTracker::new(Disturbance::Initial, 0);
-    let mut stab = tracker.observe(algo, &run);
+    let mut stab = tracker.observe(&mut run);
     let stabilized = loop {
         let r = run.round();
         run.apply_events();
@@ -363,7 +370,7 @@ pub fn run_noisy<A: SelfStabilizingMis>(
                 events.push(std::mem::replace(&mut tracker, next).close(r, false));
             }
             // The post-event configuration is the new segment's start.
-            stab = tracker.observe(algo, &run);
+            stab = tracker.observe(&mut run);
         }
         if stab && r >= run.last_event_round() {
             events.push(tracker.close(r, false));
@@ -374,7 +381,7 @@ pub fn run_noisy<A: SelfStabilizingMis>(
             break false;
         }
         run.step();
-        stab = tracker.observe(algo, &run);
+        stab = tracker.observe(&mut run);
     };
     let total_rounds = run.round();
     let status = if stabilized { RunStatus::Stabilized } else { RunStatus::BudgetExhausted };

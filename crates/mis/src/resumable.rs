@@ -14,6 +14,19 @@
 //! topology), which only counts once `r` has passed the last scheduled
 //! event.
 //!
+//! One incremental tracker (`StableSet`, private to this crate) answers
+//! that predicate, the round event's `in_mis` and `stable` sizes, the
+//! outcome's MIS, the budget error's stable count and the per-round
+//! observation of [`crate::recovery::run_noisy`]. A refresh diffs one class
+//! byte per node against the live levels and active flags and re-judges
+//! only the 2-hop balls of the nodes that changed, so a sparse round costs
+//! O(n) sequential reads plus the local work instead of an O(n + m) sweep;
+//! after churn or motion edge events, or when the changed set is dense, it
+//! re-judges every node. With telemetry enabled the number of node
+//! judgments accumulates in the `check.rejudged` counter. The full-sweep
+//! functions of [`crate::recovery`] remain the oracles it is tested
+//! against; debug builds cross-check every stopping decision.
+//!
 //! The *stopping rule* belongs to the caller. [`RunLoop::tick`] is the
 //! default one — stop when stabilized, or when the total round budget
 //! [`ResumableConfig::max_rounds`] is spent — and is what
@@ -55,8 +68,9 @@ use rand_pcg::Pcg64Mcg;
 use telemetry::{Event, Marker, MarkerKind, RoundEvent, Telemetry};
 
 use crate::levels::Level;
-use crate::recovery::{apply_churn, claimed_mis, stabilized_active, Disturbance};
+use crate::recovery::{apply_churn, stabilized_active, Disturbance};
 use crate::runner::{initial_levels, random_level, InitialLevels, SelfStabilizingMis};
+use crate::stable_set::StableSet;
 
 /// Purpose tag of the fault-injection RNG stream (see
 /// [`beeping::rng::aux_rng`]), shared by corruptions and churn boot levels.
@@ -354,6 +368,8 @@ pub struct RunLoop<'g, A: SelfStabilizingMis> {
     /// The faults and churn events the latest boundary applied, in
     /// application order.
     applied: Vec<Disturbance>,
+    /// The incremental `I_t`/`S_t` tracker of the live configuration.
+    stable_set: StableSet,
     status: RunStatus,
     /// Crash instrumentation for the harness test rig: panic immediately
     /// before executing this round. `None` in production use.
@@ -560,6 +576,7 @@ impl<'g, A: SelfStabilizingMis> RunLoop<'g, A> {
             .last_fault_round()
             .unwrap_or(0)
             .max(config.churn.last_event_round().unwrap_or(0));
+        let stable_set = StableSet::new(sim.graph().len());
         RunLoop {
             sim,
             algo: algo.clone(),
@@ -569,6 +586,7 @@ impl<'g, A: SelfStabilizingMis> RunLoop<'g, A> {
             last_event_round,
             applied_through: None,
             applied: Vec::new(),
+            stable_set,
             status: RunStatus::Running,
             crash_before_round: None,
             config,
@@ -590,16 +608,19 @@ impl<'g, A: SelfStabilizingMis> RunLoop<'g, A> {
         for fault in self.config.faults.events_after_round(r) {
             let corrupted =
                 apply_fault(&mut self.sim, &self.algo, &fault.target, &mut self.fault_rng, tele);
+            self.stable_set.touch_levels();
             self.applied.push(Disturbance::TransientFault { corrupted });
         }
         for event in self.config.churn.events_after_round(r) {
             apply_churn(&mut self.sim, &self.algo, &event.action, &mut self.fault_rng);
+            self.stable_set.touch_topology();
             mark(tele, r, MarkerKind::Churn, churn_detail(&event.action), 1);
             self.applied.push(Disturbance::Churn(event.action.clone()));
         }
         if let Some(dt) = &mut self.motion {
             let (added, removed) = dt.advance(&mut self.sim);
             if added + removed > 0 {
+                self.stable_set.touch_topology();
                 mark(tele, r, MarkerKind::Motion, "reconcile", (added + removed) as u64);
             }
         }
@@ -617,11 +638,37 @@ impl<'g, A: SelfStabilizingMis> RunLoop<'g, A> {
         self.last_event_round
     }
 
+    /// The stable-set tracker, brought up to date with the live
+    /// configuration (adding its node judgments to the `check.rejudged`
+    /// counter).
+    pub(crate) fn observe(&mut self) -> &StableSet {
+        let judged = self.stable_set.refresh(
+            &self.algo,
+            self.sim.graph(),
+            self.sim.states(),
+            self.sim.active(),
+        );
+        if judged > 0 {
+            self.config.telemetry.counter_add("check.rejudged", judged);
+        }
+        &self.stable_set
+    }
+
     /// The default stopping predicate: past the last scheduled event and
-    /// [`stabilized_active`] on the live configuration.
-    pub(crate) fn stabilized(&self) -> bool {
-        self.sim.round() >= self.last_event_round
-            && stabilized_active(&self.algo, self.sim.graph(), self.sim.states(), self.sim.active())
+    /// [`stabilized_active`] on the live configuration, as tracked by the
+    /// stable set (debug builds cross-check the full sweep).
+    pub(crate) fn stabilized(&mut self) -> bool {
+        if self.sim.round() < self.last_event_round {
+            return false;
+        }
+        let stabilized = self.observe().stabilized();
+        debug_assert_eq!(
+            stabilized,
+            stabilized_active(&self.algo, self.sim.graph(), self.sim.states(), self.sim.active()),
+            "stable-set tracker disagrees with the full sweep at round {}",
+            self.sim.round()
+        );
+        stabilized
     }
 
     /// Executes one round — the only place a run steps its simulator — and
@@ -633,6 +680,7 @@ impl<'g, A: SelfStabilizingMis> RunLoop<'g, A> {
             panic!("crash injection: killed before round {}", r + 1);
         }
         let report = self.sim.step();
+        self.stable_set.touch_levels();
         if self.config.telemetry.is_enabled() {
             self.emit_round(&report);
         }
@@ -640,20 +688,15 @@ impl<'g, A: SelfStabilizingMis> RunLoop<'g, A> {
     }
 
     /// Records `report` as a [`RoundEvent`] — plus the claimed-MIS and
-    /// stable-set sizes and, at the handle's sampling stride, a level
-    /// histogram — and accumulates the `trace.*` counters mirroring
-    /// [`Trace`]'s aggregates. Costs O(n + m); only called with telemetry
-    /// enabled.
-    fn emit_round(&self, report: &RoundReport) {
+    /// stable-set sizes from the tracker and, at the handle's sampling
+    /// stride, a level histogram — and accumulates the `trace.*` counters
+    /// mirroring [`Trace`]'s aggregates. Costs one tracker refresh; only
+    /// called with telemetry enabled.
+    fn emit_round(&mut self, report: &RoundReport) {
+        let set = self.observe();
+        let (in_mis, stable) = (set.in_mis_count(), set.stable_count());
         let tele = &self.config.telemetry;
-        let (graph, levels, active) = (self.sim.graph(), self.sim.states(), self.sim.active());
-        let in_mis = claimed_mis(&self.algo, graph, levels, active);
-        let stable = graph
-            .nodes()
-            .filter(|&v| {
-                active[v] && (in_mis[v] || graph.neighbors(v).iter().any(|&u| in_mis[u as usize]))
-            })
-            .count();
+        let (graph, levels) = (self.sim.graph(), self.sim.states());
         tele.record(Event::Round(RoundEvent {
             round: report.round,
             beeps_channel1: report.beeps_channel1 as u64,
@@ -664,7 +707,7 @@ impl<'g, A: SelfStabilizingMis> RunLoop<'g, A> {
             lone_beepers_channel2: report.lone_beepers_channel2 as u64,
             active: self.sim.active_count() as u64,
             n: graph.len() as u64,
-            in_mis: Some(in_mis.iter().filter(|&&m| m).count() as u64),
+            in_mis: Some(in_mis as u64),
             stable: Some(stable as u64),
             levels: tele.sample_levels(report.round).then(|| level_histogram(levels)),
         }));
@@ -677,15 +720,16 @@ impl<'g, A: SelfStabilizingMis> RunLoop<'g, A> {
         tele.counter_add("trace.lone_c2", report.lone_beepers_channel2 as u64);
     }
 
-    /// Ends the run with `status` and closes the telemetry bracket: a
-    /// `RunEnd` carrying the caller's `stabilization_round`, then the
-    /// metrics snapshot.
+    /// Ends the run with `status`, refreshes the stable-set tracker the
+    /// outcome reads, and closes the telemetry bracket: a `RunEnd` carrying
+    /// the caller's `stabilization_round`, then the metrics snapshot.
     pub(crate) fn finish(
         &mut self,
         status: RunStatus,
         stabilization_round: Option<u64>,
     ) -> RunStatus {
         self.status = status;
+        self.observe();
         let tele = &self.config.telemetry;
         if tele.is_enabled() {
             tele.record(Event::RunEnd {
@@ -706,6 +750,7 @@ impl<'g, A: SelfStabilizingMis> RunLoop<'g, A> {
     pub(crate) fn reopen_with_fault(&mut self, target: &FaultTarget, budget: u64) -> usize {
         let tele = &self.config.telemetry;
         let corrupted = apply_fault(&mut self.sim, &self.algo, target, &mut self.fault_rng, tele);
+        self.stable_set.touch_levels();
         self.config.max_rounds = self.sim.round() + budget;
         self.status = RunStatus::Running;
         corrupted
@@ -770,9 +815,18 @@ impl<'g, A: SelfStabilizingMis> RunLoop<'g, A> {
         })
     }
 
-    /// [`crate::recovery::claimed_mis`] of the current configuration.
+    /// [`crate::recovery::claimed_mis`] of the configuration at the last
+    /// [`RunLoop::finish`], read from the tracker.
     pub(crate) fn mis(&self) -> Vec<bool> {
-        claimed_mis(&self.algo, self.sim.graph(), self.sim.states(), self.sim.active())
+        debug_assert!(!self.stable_set.is_stale(), "mis() read before finish()");
+        self.stable_set.in_mis().to_vec()
+    }
+
+    /// Active nodes in `S_t` at the last [`RunLoop::finish`] — the round
+    /// event's `stable` field.
+    pub(crate) fn stable_count(&self) -> usize {
+        debug_assert!(!self.stable_set.is_stale(), "stable_count() read before finish()");
+        self.stable_set.stable_count()
     }
 
     /// Current status without ticking.
@@ -1097,6 +1151,39 @@ mod tests {
         let err = ResumableRun::resume(&algo, ResumableConfig::new(2).with_motion(spec), &cp)
             .unwrap_err();
         assert!(matches!(err, ResumeError::Plan(PlanError::Motion(_))));
+    }
+
+    #[test]
+    fn rejudged_counter_is_pinned_on_a_point_fault_recovery() {
+        // The `point-fault` benchmark shape at n = 2^12: the greedy
+        // lexicographic MIS fixpoint with 16 nodes knocked to their claiming
+        // level, Frontier engine. The first refresh judges all 2n flags;
+        // every later one only the 2-hop balls of the nodes that changed.
+        let n = 1usize << 12;
+        let g = random::gnp(n, 8.0 / (n as f64 - 1.0), 1);
+        let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
+        let mut member = vec![false; n];
+        for v in g.nodes() {
+            member[v] = !g.neighbors(v).iter().any(|&u| member[u as usize]);
+        }
+        let lmax = algo.policy().lmax_values();
+        let mut levels: Vec<i64> = g
+            .nodes()
+            .map(|v| i64::from(if member[v] { algo.claiming_level(lmax[v]) } else { lmax[v] }))
+            .collect();
+        for v in FaultTarget::RandomCount(16).select(n, &mut aux_rng(1, 0xB0B5)) {
+            levels[v] = i64::from(algo.claiming_level(lmax[v]));
+        }
+        let tele = Telemetry::enabled(telemetry::Config::default());
+        let config = RunConfig::new(1)
+            .with_init(InitialLevels::Custom(levels))
+            .with_engine(EngineMode::Frontier)
+            .with_telemetry(tele.clone());
+        let outcome = run(&g, &algo, config).expect("recovers");
+        assert_eq!(outcome.rounds_run, 47);
+        // 2n = 8192 for the first refresh, 1169 for the 47 rounds after it
+        // (a full sweep per check would judge 2n every round).
+        assert_eq!(tele.metrics().counter("check.rejudged"), 9361);
     }
 
     #[test]

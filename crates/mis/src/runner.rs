@@ -106,7 +106,9 @@ pub struct Outcome {
 pub struct StabilizationError {
     /// The exhausted budget.
     pub max_rounds: u64,
-    /// How many vertices were stable when the budget ran out.
+    /// How many active vertices were in `S_t` when the budget ran out,
+    /// under the algorithm's own claiming level (the same number as the
+    /// final round event's `stable` field).
     pub stable_count: usize,
     /// Graph size, for context.
     pub n: usize,
@@ -281,7 +283,7 @@ fn run_recorded<A: SelfStabilizingMis>(
         }
     }
     if run.status() != RunStatus::Stabilized {
-        return Err(budget_error(&run, algo, max_rounds).into());
+        return Err(budget_error(&run, max_rounds).into());
     }
     Ok(Outcome {
         mis: run.mis(),
@@ -293,19 +295,12 @@ fn run_recorded<A: SelfStabilizingMis>(
     })
 }
 
-/// The error of a run whose `max_rounds` budget ran out.
+/// The error of a finished run whose `max_rounds` budget ran out.
 fn budget_error<A: SelfStabilizingMis>(
     run: &RunLoop<'_, A>,
-    algo: &A,
     max_rounds: u64,
 ) -> StabilizationError {
-    let lmax = algo.policy().lmax_values();
-    StabilizationError {
-        max_rounds,
-        stable_count: crate::observer::Snapshot::new(run.graph(), lmax, run.levels())
-            .stable_count(),
-        n: run.graph().len(),
-    }
+    StabilizationError { max_rounds, stable_count: run.stable_count(), n: run.graph().len() }
 }
 
 /// A uniform draw over node `v`'s full state space — "arbitrary RAM
@@ -368,12 +363,12 @@ pub fn run_recovery<A: SelfStabilizingMis>(
     let config = RunConfig::new(seed).with_max_rounds(max_rounds);
     let mut run = RunLoop::start(Cow::Borrowed(graph), algo, config, "runner")?;
     if run.run_to_completion() != RunStatus::Stabilized {
-        return Err(budget_error(&run, algo, max_rounds).into());
+        return Err(budget_error(&run, max_rounds).into());
     }
     let initial_stabilization = run.round();
     let corrupted_nodes = run.reopen_with_fault(&target, max_rounds);
     if run.run_to_completion() != RunStatus::Stabilized {
-        return Err(budget_error(&run, algo, max_rounds).into());
+        return Err(budget_error(&run, max_rounds).into());
     }
     Ok(RecoveryOutcome {
         initial_stabilization,
@@ -451,6 +446,30 @@ mod tests {
         assert_eq!(err.max_rounds, 1);
         assert_eq!(err.n, 60);
         assert!(err.to_string().contains("not stabilized"));
+    }
+
+    #[test]
+    fn budget_error_counts_stable_vertices_of_the_algorithm() {
+        // Algorithm 2 claims at level 0, not -ℓmax: the stable count must
+        // use the algorithm's own semantics.
+        let g = random::gnp(60, 0.2, 4);
+        let algo = Algorithm2::new(&g, LmaxPolicy::two_hop_degree(&g));
+        for (budget, expected) in [(5, 44), (10, 51)] {
+            let err = algo.run(&g, RunConfig::new(1).with_max_rounds(budget)).unwrap_err();
+            let RunError::Budget(err) = err else { panic!("expected a budget error, got {err}") };
+            let mut run = crate::resumable::ResumableRun::new(
+                &g,
+                &algo,
+                RunConfig::new(1).with_max_rounds(budget),
+            )
+            .unwrap();
+            run.run_to_completion();
+            let lmax = algo.policy().lmax_values();
+            let oracle = crate::observer::Snapshot::new_two_channel(&g, lmax, run.levels());
+            assert_eq!(err.stable_count, oracle.stable_count(), "budget {budget}");
+            assert_eq!(err.stable_count, expected, "budget {budget}");
+            assert!(err.to_string().contains(&format!("({expected}/60 vertices stable)")));
+        }
     }
 
     #[test]
