@@ -1,7 +1,7 @@
 //! Dynamic-topology driver: applies per-round mobility edge diffs to a
 //! running [`Simulator`] through the batched churn path.
 //!
-//! [`graphs::motion`] animates a geometric deployment and recomputes the
+//! [`graphs::motion`] animates a geometric deployment and rebuilds the
 //! radius graph each round; this module owns the glue that keeps a
 //! simulator's copy-on-write topology synchronized with the moving
 //! deployment. [`DynamicTopology::advance`] is one round of that glue: it
@@ -9,14 +9,16 @@
 //! against the new radius graph with a single
 //! [`Simulator::apply_edge_diff`] batch — no per-edge graph rebuilds.
 //!
-//! Reconciliation (rather than replaying the raw motion diff) is what makes
-//! mobility compose with node churn: a departed node keeps moving but its
-//! radio is off, so its radius edges are withheld from the simulator until
-//! it rejoins, at which point the next `advance` restores exactly the edges
-//! its current position warrants. Under a dynamic topology the motion layer
-//! owns the edge set — scheduled `AddEdge`/`RemoveEdge` churn events are
-//! overwritten at the next reconciliation, so dynamic runs should restrict
-//! churn plans to node leave/join.
+//! That reconciliation merge is the round's only diff. Diffing against the
+//! simulator's edge set (rather than against the previous radius graph) is
+//! what makes mobility compose with node churn: a departed node keeps
+//! moving but its radio is off, so its radius edges are withheld from the
+//! simulator until it rejoins, at which point the next `advance` restores
+//! exactly the edges its current position warrants. Under a dynamic
+//! topology the motion layer owns the edge set — scheduled
+//! `AddEdge`/`RemoveEdge` churn events are overwritten at the next
+//! reconciliation, so dynamic runs should restrict churn plans to node
+//! leave/join.
 //!
 //! Determinism: mobility randomness comes from a dedicated
 //! [`aux_rng`] purpose stream ([`MOTION_RNG_PURPOSE`]), independent of the
@@ -297,6 +299,29 @@ mod tests {
             assert_eq!(sim.graph(), dt.graph());
             sim.step();
         }
+    }
+
+    #[test]
+    fn advance_reports_the_radius_graph_edge_changes() {
+        // Drift moves every node every round; each advance must leave the
+        // simulator on the new radius graph and report exactly the set
+        // differences between consecutive radius graphs.
+        let model = MotionModel::Drift { speed: 0.05, turn: 0.7 };
+        let radius = graphs::generators::geometric::radius_for_expected_degree(50, 6.0);
+        let mut dt = DynamicTopology::from_points(random_points(50, 11), radius, model, 4).unwrap();
+        let mut sim = Simulator::new_owned(dt.graph().clone(), Parity, vec![0; 50], 4);
+        let mut changed = 0;
+        for _ in 0..40 {
+            let before: std::collections::BTreeSet<_> = dt.graph().edges().collect();
+            let counts = dt.advance(&mut sim);
+            assert_eq!(sim.graph(), dt.graph());
+            let after: std::collections::BTreeSet<_> = dt.graph().edges().collect();
+            let diff = (after.difference(&before).count(), before.difference(&after).count());
+            assert_eq!(counts, diff);
+            changed += diff.0 + diff.1;
+            sim.step();
+        }
+        assert!(changed > 0, "drift at speed 0.05 must change some edges");
     }
 
     #[test]

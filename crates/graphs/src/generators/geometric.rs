@@ -8,7 +8,8 @@
 use rand::Rng;
 
 use super::rng_from_seed;
-use crate::{Graph, GraphBuilder};
+use crate::graph::node_id32;
+use crate::Graph;
 
 /// Random geometric graph: `n` points uniform in the unit square, edges
 /// between pairs at Euclidean distance `< radius`.
@@ -69,59 +70,94 @@ pub fn random_geometric_expected_degree(n: usize, avg_degree: f64, seed: u64) ->
 /// Builds the geometric graph over explicit `points` (unit-square
 /// coordinates) with connection `radius`. Exposed so deployments with known
 /// sensor positions can be simulated.
+///
+/// `O(n + m)` in expectation, with no edge list and no sort: the nodes are
+/// counting-sorted into a grid of cells at least `radius` wide, each
+/// node's neighbors are collected from the three cell rows around it, and
+/// one transpose of those lists writes every CSR slice already sorted. The
+/// grid has at most about `⌈√n⌉` cells per side, so a tiny radius cannot
+/// blow up its size.
+///
+/// # Panics
+///
+/// Panics if `radius` is negative or NaN, or if there are more than
+/// `u32::MAX` points.
 pub fn geometric_from_points(points: &[(f64, f64)], radius: f64) -> Graph {
     assert!(radius >= 0.0, "radius must be non-negative, got {radius}");
     let n = points.len();
-    let mut b = GraphBuilder::new(n);
+    assert!(n <= u32::MAX as usize, "graphs are limited to u32::MAX nodes");
     if n < 2 || radius == 0.0 {
-        return b.build();
+        return Graph::empty(n);
     }
-    let cell = radius.max(1e-9);
-    let cells_per_side = (1.0 / cell).ceil().max(1.0) as usize;
+    // Cells never narrower than `radius`, so a node's neighbors all lie in
+    // its 3×3 block of cells.
+    let cell = radius.max(1.0 / (n as f64).sqrt().ceil());
+    let side = (1.0 / cell).ceil().max(1.0) as usize;
     let cell_of = |(x, y): (f64, f64)| -> (usize, usize) {
-        let cx = ((x / cell) as usize).min(cells_per_side - 1);
-        let cy = ((y / cell) as usize).min(cells_per_side - 1);
+        let cx = ((x / cell) as usize).min(side - 1);
+        let cy = ((y / cell) as usize).min(side - 1);
         (cx, cy)
     };
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); cells_per_side * cells_per_side];
-    for (i, &p) in points.iter().enumerate() {
+    // Counting sort by cell: cell `c` holds `order[start[c]..start[c + 1]]`,
+    // in increasing id order, with the coordinates copied alongside.
+    let mut start = vec![0usize; side * side + 1];
+    for &p in points {
         let (cx, cy) = cell_of(p);
-        buckets[cy * cells_per_side + cx].push(crate::graph::node_id32(i));
+        start[cy * side + cx] += 1;
+    }
+    for c in 1..start.len() {
+        start[c] += start[c - 1];
+    }
+    let mut order = vec![(0u32, (0.0, 0.0)); n];
+    for (i, &p) in points.iter().enumerate().rev() {
+        let (cx, cy) = cell_of(p);
+        start[cy * side + cx] -= 1;
+        order[start[cy * side + cx]] = (node_id32(i), p);
     }
     let r2 = radius * radius;
+    // Pass 1: each node's neighbors, in cell order. Every candidate is
+    // written and the cursor only advances on a hit, so the buffer keeps
+    // room for one cell row of candidates past the cursor. It starts with
+    // room for an average degree of 8 and grows only past that.
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0usize);
+    let mut unsorted: Vec<u32> = Vec::with_capacity(8 * n);
+    let mut len = 0usize;
     for (i, &(x, y)) in points.iter().enumerate() {
         let (cx, cy) = cell_of((x, y));
-        for dy in -1i64..=1 {
-            for dx in -1i64..=1 {
-                let nx = cx as i64 + dx;
-                let ny = cy as i64 + dy;
-                if nx < 0 || ny < 0 || nx >= cells_per_side as i64 || ny >= cells_per_side as i64 {
-                    continue;
-                }
-                for &j in &buckets[ny as usize * cells_per_side + nx as usize] {
-                    let j = j as usize;
-                    if j <= i {
-                        continue;
-                    }
-                    let (px, py) = points[j];
-                    let d2 = (x - px) * (x - px) + (y - py) * (y - py);
-                    if d2 < r2 {
-                        // i < j < n by construction, so the edge is always
-                        // accepted; checked in debug builds only to keep
-                        // the motion hot path panic-free.
-                        let edge = b.add_edge(i, j);
-                        debug_assert!(edge.is_ok(), "geometric edges are valid");
-                    }
-                }
+        let (x0, x1) = (cx.saturating_sub(1), (cx + 1).min(side - 1));
+        let me = node_id32(i);
+        for row in cy.saturating_sub(1)..=(cy + 1).min(side - 1) {
+            let candidates = &order[start[row * side + x0]..start[row * side + x1 + 1]];
+            if unsorted.len() < len + candidates.len() {
+                unsorted.resize(len + candidates.len(), 0);
+            }
+            for &(j, (px, py)) in candidates {
+                let d2 = (x - px) * (x - px) + (y - py) * (y - py);
+                unsorted[len] = j;
+                len += usize::from((d2 < r2) & (j != me));
             }
         }
+        offsets.push(len);
     }
-    b.build()
+    // Pass 2: the relation is symmetric, so writing `j` into the slice of
+    // each of its neighbors, for `j` in increasing order, fills every slice
+    // sorted.
+    let mut neighbors = vec![0u32; len];
+    let mut fill = offsets[..n].to_vec();
+    for j in 0..n {
+        for &i in &unsorted[offsets[j]..offsets[j + 1]] {
+            neighbors[fill[i as usize]] = node_id32(j);
+            fill[i as usize] += 1;
+        }
+    }
+    Graph::from_csr_trusted(offsets, neighbors)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphBuilder;
 
     #[test]
     fn zero_radius_no_edges() {
@@ -135,13 +171,7 @@ mod tests {
         assert_eq!(g.num_edges(), 20 * 19 / 2);
     }
 
-    #[test]
-    fn matches_brute_force() {
-        let mut rng = super::super::rng_from_seed(77);
-        let points: Vec<(f64, f64)> =
-            (0..120).map(|_| (rng.gen::<f64>(), rng.gen::<f64>())).collect();
-        let r = 0.17;
-        let fast = geometric_from_points(&points, r);
+    fn brute_force(points: &[(f64, f64)], r: f64) -> Graph {
         let mut slow = GraphBuilder::new(points.len());
         for i in 0..points.len() {
             for j in (i + 1)..points.len() {
@@ -152,7 +182,32 @@ mod tests {
                 }
             }
         }
-        assert_eq!(fast, slow.build());
+        slow.build()
+    }
+
+    #[test]
+    fn matches_brute_force() {
+        let mut rng = super::super::rng_from_seed(77);
+        let points: Vec<(f64, f64)> =
+            (0..120).map(|_| (rng.gen::<f64>(), rng.gen::<f64>())).collect();
+        let r = 0.17;
+        assert_eq!(geometric_from_points(&points, r), brute_force(&points, r));
+    }
+
+    #[test]
+    fn tiny_radius_keeps_the_grid_small() {
+        // ⌈1/r⌉² cells would be 10^10 (r = 1e-5) or 10^18 (r = 1e-9); the
+        // grid is capped at about ⌈√n⌉ cells per side instead.
+        let mut points = random_points(100, 1);
+        points[7] = points[3];
+        points[8] = (points[3].0 + 5e-6, points[3].1);
+        for r in [1e-5, 1e-9] {
+            let g = geometric_from_points(&points, r);
+            assert_eq!(g, brute_force(&points, r));
+            assert!(g.has_edge(3, 7));
+        }
+        assert!(geometric_from_points(&points, 1e-5).has_edge(3, 8));
+        assert!(!geometric_from_points(&points, 1e-9).has_edge(3, 8));
     }
 
     #[test]

@@ -380,9 +380,10 @@ impl Graph {
     /// [`Graph::remove_edge`]. Duplicates within a list are collapsed.
     ///
     /// Unlike the per-edge churn entry points, which cost `O(n + m)` *each*
-    /// (sorted-slice splice plus a full offset shift), the whole batch is a
-    /// single `O(n + m + k log k)` CSR rebuild (`k` = batch size) — the
-    /// entry point for motion-driven topology diffs (see [`crate::motion`])
+    /// (sorted-slice splice plus a full offset shift), the whole batch is
+    /// one sort of its `2k` half-edge deltas (`k` = batch size) and a
+    /// single `O(n + m)` merge into a fresh adjacency buffer — the entry
+    /// point for motion-driven topology diffs (see [`crate::motion`])
     /// where dozens of edges flip per round.
     ///
     /// # Errors
@@ -407,63 +408,47 @@ impl Graph {
                 return Err(crate::GraphError::SelfLoop(u));
             }
         }
-        // Per-source sorted half-edge delta lists.
-        let mut add: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut rem: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for &(u, v) in removed {
-            rem[u].push(node_id32(v));
-            rem[v].push(node_id32(u));
-        }
-        for &(u, v) in added {
-            add[u].push(node_id32(v));
-            add[v].push(node_id32(u));
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::with_capacity(self.neighbors.len() + 2 * added.len());
-        let mut inserted_half = 0usize;
-        let mut removed_half = 0usize;
-        offsets.push(0usize);
-        for v in 0..n {
-            add[v].sort_unstable();
-            add[v].dedup();
-            rem[v].sort_unstable();
-            rem[v].dedup();
-            // Merge the old sorted adjacency (minus removals) with the
-            // sorted insertion list.
-            let old = &self.neighbors[self.offsets[v]..self.offsets[v + 1]];
-            let (adds, rems) = (&add[v], &rem[v]);
-            let (mut oi, mut ai) = (0usize, 0usize);
-            while oi < old.len() || ai < adds.len() {
-                let take_add = match (old.get(oi), adds.get(ai)) {
-                    (Some(&o), Some(&a)) => a <= o,
-                    (None, Some(_)) => true,
-                    _ => false,
-                };
-                if take_add {
-                    let a = adds[ai];
-                    ai += 1;
-                    if old.get(oi) == Some(&a) {
-                        // Already present: re-insertion is a no-op, and it
-                        // shadows a same-edge removal (removals first).
-                        oi += 1;
-                        neighbors.push(a);
-                    } else {
-                        neighbors.push(a);
-                        inserted_half += 1;
-                    }
-                } else {
-                    let o = old[oi];
-                    oi += 1;
-                    if rems.binary_search(&o).is_ok() {
-                        removed_half += 1;
-                    } else {
-                        neighbors.push(o);
-                    }
-                }
+        // Half-edge deltas `(src, dst, remove)`, sorted so each node's deltas
+        // form one ascending run. An insertion sorts before a removal of the
+        // same half-edge and is the one kept, so insertions win.
+        let mut deltas = Vec::with_capacity(2 * (added.len() + removed.len()));
+        for (list, remove) in [(added, false), (removed, true)] {
+            for &(u, v) in list {
+                let (u, v) = (node_id32(u), node_id32(v));
+                deltas.push((u, v, remove));
+                deltas.push((v, u, remove));
             }
-            offsets.push(neighbors.len());
         }
-        self.offsets = offsets;
+        if deltas.is_empty() {
+            return Ok((0, 0));
+        }
+        deltas.sort_unstable();
+        deltas.dedup_by_key(|&mut (src, dst, _)| (src, dst));
+        let mut neighbors = Vec::with_capacity(self.neighbors.len() + 2 * added.len());
+        let (mut inserted_half, mut removed_half) = (0usize, 0usize);
+        let mut pending = deltas.iter().peekable();
+        let mut old_start = 0usize;
+        for v in 0..n {
+            // `offsets[v + 1]` is rewritten below, so carry the old value.
+            let old_end = self.offsets[v + 1];
+            let old = &self.neighbors[old_start..old_end];
+            old_start = old_end;
+            let mut oi = 0usize;
+            while let Some(&(_, dst, remove)) = pending.next_if(|d| d.0 as usize == v) {
+                let below = old[oi..].partition_point(|&w| w < dst);
+                neighbors.extend_from_slice(&old[oi..oi + below]);
+                oi += below;
+                let present = old.get(oi) == Some(&dst);
+                oi += usize::from(present);
+                if !remove {
+                    neighbors.push(dst);
+                }
+                inserted_half += usize::from(!remove && !present);
+                removed_half += usize::from(remove && present);
+            }
+            neighbors.extend_from_slice(&old[oi..]);
+            self.offsets[v + 1] = neighbors.len();
+        }
         self.neighbors = neighbors;
         Ok((inserted_half / 2, removed_half / 2))
     }

@@ -11,7 +11,7 @@
 //!   topologies, lattices, random graphs, trees, scale-free and geometric
 //!   (wireless-sensor-like) graphs;
 //! - [`motion`]: mobility models (random waypoint, drift) that animate a
-//!   geometric deployment and emit batched per-round edge diffs;
+//!   geometric deployment and rebuild its radius graph every round;
 //! - [`properties`]: structural measurements (components, diameter,
 //!   degeneracy, degree statistics) used to characterize workloads;
 //! - [`dot`]: Graphviz export with MIS highlighting;

@@ -6,9 +6,10 @@
 //! freezes the deployment at time zero. This module animates the point
 //! cloud behind [`crate::generators::geometric`]: a [`Motion`] holds the
 //! node positions plus per-node mobility state, and each [`Motion::step`]
-//! moves every node one round, recomputes the radius graph and returns the
-//! batched [`EdgeDiff`] against the previous round — the input to
-//! [`Graph::apply_edge_diff`].
+//! moves every node one round and rebuilds the radius graph with
+//! [`geometric_from_points`]. Consumers diff that graph against their own
+//! topology (`beeping::dynamic` reconciles a simulator's edge set and
+//! applies the result with [`Graph::apply_edge_diff`]).
 //!
 //! Two classic models are provided:
 //!
@@ -30,7 +31,7 @@ use rand::Rng;
 use rand_pcg::Pcg64Mcg;
 
 use crate::generators::geometric::geometric_from_points;
-use crate::{Graph, GraphError, NodeId};
+use crate::{Graph, GraphError};
 
 /// How nodes move, per round, inside the unit square.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,73 +87,6 @@ impl MotionModel {
         }
         Ok(())
     }
-}
-
-/// A batch of undirected edge changes between two consecutive rounds of a
-/// moving deployment; each edge appears once as `(u, v)` with `u < v`, the
-/// shape [`Graph::apply_edge_diff`] consumes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EdgeDiff {
-    /// Edges present now but not in the previous round.
-    pub added: Vec<(NodeId, NodeId)>,
-    /// Edges present in the previous round but not now.
-    pub removed: Vec<(NodeId, NodeId)>,
-}
-
-impl EdgeDiff {
-    /// `true` when the topology did not change.
-    pub fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty()
-    }
-}
-
-/// Computes the batched [`EdgeDiff`] from `old` to `new` (same node count)
-/// by a per-node sorted-adjacency merge, `O(n + m)`.
-///
-/// # Panics
-///
-/// Panics if the two graphs have different node counts.
-pub fn diff_graphs(old: &Graph, new: &Graph) -> EdgeDiff {
-    assert_eq!(old.len(), new.len(), "diff_graphs requires equal node counts");
-    let mut diff = EdgeDiff::default();
-    for u in 0..old.len() {
-        let (a, b) = (old.neighbors(u), new.neighbors(u));
-        let (mut ai, mut bi) = (0usize, 0usize);
-        loop {
-            match (a.get(ai), b.get(bi)) {
-                (Some(&x), Some(&y)) if x == y => {
-                    ai += 1;
-                    bi += 1;
-                }
-                (Some(&x), Some(&y)) if x < y => {
-                    ai += 1;
-                    if u < x as usize {
-                        diff.removed.push((u, x as usize));
-                    }
-                }
-                (Some(_), Some(&y)) => {
-                    bi += 1;
-                    if u < y as usize {
-                        diff.added.push((u, y as usize));
-                    }
-                }
-                (Some(&x), None) => {
-                    ai += 1;
-                    if u < x as usize {
-                        diff.removed.push((u, x as usize));
-                    }
-                }
-                (None, Some(&y)) => {
-                    bi += 1;
-                    if u < y as usize {
-                        diff.added.push((u, y as usize));
-                    }
-                }
-                (None, None) => break,
-            }
-        }
-    }
-    diff
 }
 
 /// A moving geometric deployment: node positions, per-node mobility state
@@ -314,11 +248,10 @@ impl Motion {
         &self.graph
     }
 
-    /// Advances every node one round, recomputes the radius graph and
-    /// returns the batched edge diff against the previous round. Randomness
-    /// (new waypoints on arrival, heading perturbations) is drawn from
-    /// `rng` in node order.
-    pub fn step(&mut self, rng: &mut Pcg64Mcg) -> EdgeDiff {
+    /// Advances every node one round and rebuilds the radius graph over
+    /// the new positions. Randomness (new waypoints on arrival, heading
+    /// perturbations) is drawn from `rng` in node order.
+    pub fn step(&mut self, rng: &mut Pcg64Mcg) {
         match self.model {
             MotionModel::RandomWaypoint { speed, pause } => {
                 for v in 0..self.positions.len() {
@@ -370,10 +303,7 @@ impl Motion {
                 }
             }
         }
-        let new_graph = geometric_from_points(&self.positions, self.radius);
-        let diff = diff_graphs(&self.graph, &new_graph);
-        self.graph = new_graph;
-        diff
+        self.graph = geometric_from_points(&self.positions, self.radius);
     }
 }
 
@@ -397,7 +327,10 @@ mod tests {
         let mut a = Motion::new(points.clone(), r, rwp(0.03), &mut rng(1)).unwrap();
         let mut b = Motion::new(points, r, rwp(0.03), &mut rng(1)).unwrap();
         for _ in 0..50 {
-            assert_eq!(a.step(&mut rng(0)).is_empty(), b.step(&mut rng(0)).is_empty());
+            a.step(&mut rng(0));
+            b.step(&mut rng(0));
+            assert_eq!(a.positions(), b.positions());
+            assert_eq!(a.graph(), b.graph());
         }
         // Same seed, fresh rng per run: full trajectories must agree.
         let points = random_points(60, 9);
@@ -405,7 +338,8 @@ mod tests {
         let mut a = Motion::new(points.clone(), r, rwp(0.03), &mut r1).unwrap();
         let mut b = Motion::new(points, r, rwp(0.03), &mut r2).unwrap();
         for _ in 0..50 {
-            assert_eq!(a.step(&mut r1), b.step(&mut r2));
+            a.step(&mut r1);
+            b.step(&mut r2);
             assert_eq!(a.positions(), b.positions());
             assert_eq!(a.graph(), b.graph());
         }
@@ -418,29 +352,9 @@ mod tests {
         let mut m = Motion::new(points.clone(), r, rwp(0.0), &mut rng(2)).unwrap();
         let g0 = m.graph().clone();
         for _ in 0..20 {
-            assert!(m.step(&mut rng(0)).is_empty());
-        }
-        assert_eq!(*m.graph(), g0);
-        assert_eq!(m.positions(), &points[..]);
-    }
-
-    #[test]
-    fn diff_applies_cleanly() {
-        // Applying each round's diff to a copy of the previous graph must
-        // reproduce the recomputed radius graph exactly.
-        let points = random_points(50, 11);
-        let r = radius_for_expected_degree(50, 6.0);
-        let mut stream = rng(4);
-        let mut m =
-            Motion::new(points, r, MotionModel::Drift { speed: 0.05, turn: 0.7 }, &mut stream)
-                .unwrap();
-        let mut tracked = m.graph().clone();
-        for _ in 0..40 {
-            let diff = m.step(&mut stream);
-            let (ins, del) = tracked.apply_edge_diff(&diff.added, &diff.removed).unwrap();
-            assert_eq!(ins, diff.added.len());
-            assert_eq!(del, diff.removed.len());
-            assert_eq!(tracked, *m.graph());
+            m.step(&mut rng(0));
+            assert_eq!(*m.graph(), g0);
+            assert_eq!(m.positions(), &points[..]);
         }
     }
 
@@ -496,7 +410,10 @@ mod tests {
         let mut cont2 = cont.clone();
         let mut m2 = rebuilt;
         for _ in 0..10 {
-            assert_eq!(m.step(&mut cont), m2.step(&mut cont2));
+            m.step(&mut cont);
+            m2.step(&mut cont2);
+            assert_eq!(m.positions(), m2.positions());
+            assert_eq!(m.graph(), m2.graph());
         }
     }
 
@@ -528,14 +445,5 @@ mod tests {
             &mut r
         )
         .is_err());
-    }
-
-    #[test]
-    fn diff_graphs_matches_edge_sets() {
-        let old = Graph::from_edges(5, [(0, 1), (1, 2), (3, 4)]).unwrap();
-        let new = Graph::from_edges(5, [(0, 1), (2, 3), (3, 4), (0, 4)]).unwrap();
-        let diff = diff_graphs(&old, &new);
-        assert_eq!(diff.added, vec![(0, 4), (2, 3)]);
-        assert_eq!(diff.removed, vec![(1, 2)]);
     }
 }

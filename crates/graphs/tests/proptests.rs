@@ -1,8 +1,9 @@
 //! Property-based tests for the graph substrate.
 
 use graphs::generators::{classic, geometric, random, scale_free, small_world, trees};
-use graphs::{edgelist, mis, properties, Graph, GraphBuilder};
+use graphs::{edgelist, mis, properties, Graph, GraphBuilder, GraphError};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Strategy: an arbitrary simple graph as (n, edge list).
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -19,7 +20,135 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Strategy: unit-square points that hit the builder's edge cases — exact
+/// 0.0 and 1.0 coordinates, points snapped to a coarse lattice, and exact
+/// duplicates of earlier points.
+fn arb_points() -> impl Strategy<Value = Vec<(f64, f64)>> {
+    let coord = || {
+        (0u8..6, 0.0f64..1.0).prop_map(|(kind, u)| match kind {
+            0 => 0.0,
+            1 => 1.0,
+            2 => (u * 8.0).floor() / 8.0,
+            _ => u,
+        })
+    };
+    (proptest::collection::vec((coord(), coord()), 0..60), 0usize..60, 0usize..60).prop_map(
+        |(mut points, from, to)| {
+            if !points.is_empty() {
+                let len = points.len();
+                points[to % len] = points[from % len];
+            }
+            points
+        },
+    )
+}
+
+/// Strategy: a connection radius — zero, tiny, typical or at least √2
+/// (every pair connected).
+fn arb_radius() -> impl Strategy<Value = f64> {
+    (0u8..7, 0.0f64..1.0).prop_map(|(kind, u)| match kind {
+        0 => 0.0,
+        1 => 1e-9,
+        2 => 1e-5,
+        3 => std::f64::consts::SQRT_2,
+        4 => 2.0 + u,
+        _ => 0.02 + 0.4 * u,
+    })
+}
+
+/// The O(n²) definition of the geometric graph, with the builder's exact
+/// distance expression.
+fn brute_force_geometric(points: &[(f64, f64)], radius: f64) -> Graph {
+    let mut b = GraphBuilder::new(points.len());
+    for (i, &(x, y)) in points.iter().enumerate() {
+        for (j, &(px, py)) in points.iter().enumerate().skip(i + 1) {
+            if (x - px) * (x - px) + (y - py) * (y - py) < radius * radius {
+                b.add_edge(i, j).unwrap();
+            }
+        }
+    }
+    b.build()
+}
+
+/// A graph with an insertion list and a removal list for it.
+type Batch = (Graph, Vec<(usize, usize)>, Vec<(usize, usize)>);
+
+/// Strategy: a graph plus an edge batch for it: insertion and removal
+/// lists with duplicates, both orientations, and edges listed in both.
+fn arb_graph_and_batch() -> impl Strategy<Value = Batch> {
+    arb_graph().prop_flat_map(|g| {
+        let n = g.len();
+        let pairs = || {
+            proptest::collection::vec((0..n, 0..n), 0..30)
+                .prop_map(|pairs| pairs.into_iter().filter(|&(u, v)| u != v).collect::<Vec<_>>())
+        };
+        (pairs(), pairs(), pairs()).prop_map(move |(mut added, mut removed, both)| {
+            // Existing edges in the removal list, flipped duplicates, and
+            // pairs listed for both insertion and removal.
+            removed.extend(g.edges().step_by(3));
+            removed.extend(g.edges().step_by(5).map(|(u, v)| (v, u)));
+            added.extend(added.clone().into_iter().map(|(u, v)| (v, u)).take(4));
+            added.extend(&both);
+            removed.extend(both.iter().map(|&(u, v)| (v, u)));
+            (g.clone(), added, removed)
+        })
+    })
+}
+
 proptest! {
+    #[test]
+    fn geometric_builder_matches_brute_force(points in arb_points(), radius in arb_radius()) {
+        let g = geometric::geometric_from_points(&points, radius);
+        prop_assert_eq!(&g, &brute_force_geometric(&points, radius));
+        for v in g.nodes() {
+            let adj = g.neighbors(v);
+            prop_assert!(adj.windows(2).all(|w| w[0] < w[1]), "node {} not sorted", v);
+            prop_assert!(!adj.contains(&(v as u32)), "self loop at {}", v);
+            for &u in adj {
+                prop_assert!(g.neighbors(u as usize).contains(&(v as u32)));
+            }
+        }
+    }
+
+    #[test]
+    fn apply_edge_diff_matches_set_model((g, added, removed) in arb_graph_and_batch()) {
+        let norm = |(u, v): (usize, usize)| (u.min(v), u.max(v));
+        let before: BTreeSet<(usize, usize)> = g.edges().collect();
+        let mut after = before.clone();
+        for &e in &removed {
+            after.remove(&norm(e));
+        }
+        after.extend(added.iter().map(|&e| norm(e)));
+        let mut batched = g.clone();
+        let counts = batched.apply_edge_diff(&added, &removed).unwrap();
+        prop_assert_eq!(
+            counts,
+            (after.difference(&before).count(), before.difference(&after).count())
+        );
+        prop_assert_eq!(batched, Graph::from_edges(g.len(), after).unwrap());
+    }
+
+    #[test]
+    fn apply_edge_diff_errors_leave_the_graph_unchanged(
+        (g, added, removed) in arb_graph_and_batch(),
+        bad in 0usize..3,
+        at in 0usize..64,
+        into_added in any::<bool>(),
+    ) {
+        let n = g.len();
+        let (pair, expected) = match bad {
+            0 => ((n, 0), GraphError::NodeOutOfRange { node: n, n }),
+            1 => ((0, n + 7), GraphError::NodeOutOfRange { node: n + 7, n }),
+            _ => ((1, 1), GraphError::SelfLoop(1)),
+        };
+        let (mut added, mut removed) = (added, removed);
+        let list = if into_added { &mut added } else { &mut removed };
+        list.insert(at % (list.len() + 1), pair);
+        let mut batched = g.clone();
+        prop_assert_eq!(batched.apply_edge_diff(&added, &removed), Err(expected));
+        prop_assert_eq!(batched, g);
+    }
+
     #[test]
     fn csr_adjacency_is_symmetric_sorted_dedup(g in arb_graph()) {
         for v in g.nodes() {
