@@ -115,9 +115,9 @@ impl Graph {
 
     /// Builds a graph from CSR buffers whose structural invariants the
     /// caller upholds *by construction* — the crate-internal back door for
-    /// [`GraphBuilder::build`](crate::builder::GraphBuilder::build), whose
-    /// prefix-sum loop cannot produce an empty or non-monotonic offsets
-    /// array. Debug builds still verify the contract; release builds skip
+    /// [`GraphBuilder::build`](crate::builder::GraphBuilder::build) and
+    /// the geometric builder, whose prefix-sum loops cannot produce an
+    /// empty or non-monotonic offsets array. Debug builds still verify the contract; release builds skip
     /// the scan (and the panic path a fallible call would reintroduce on
     /// the hot decode route).
     pub(crate) fn from_csr_trusted(offsets: Vec<usize>, neighbors: Vec<u32>) -> Graph {
