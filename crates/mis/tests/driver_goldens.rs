@@ -299,3 +299,36 @@ fn resumable_run_composed_axes() {
         )
     );
 }
+
+#[test]
+fn initial_levels_every_variant_both_algorithms() {
+    let g = random::gnp(8, 0.4, 1);
+    let policy = LmaxPolicy::own_degree(&g);
+    let algo1 = Algorithm1::new(&g, policy.clone());
+    let algo2 = Algorithm2::new(&g, policy);
+    let variants = [
+        InitialLevels::Random,
+        InitialLevels::AllMax,
+        InitialLevels::AllClaiming,
+        InitialLevels::AllOne,
+        InitialLevels::Custom(vec![i64::MIN, -40, -1, 0, 1, 7, 40, i64::MAX]),
+    ];
+    let observed: Vec<(Vec<Level>, Vec<Level>)> = variants
+        .into_iter()
+        .map(|init| {
+            let config = RunConfig::new(1).with_init(init);
+            (
+                mis::runner::initial_levels(&algo1, &config),
+                mis::runner::initial_levels(&algo2, &config),
+            )
+        })
+        .collect();
+    let expected: Vec<(Vec<Level>, Vec<Level>)> = vec![
+        (vec![26, -5, -2, 19, -33, 18, -11, 16], vec![30, 16, 14, 27, 0, 26, 10, 26]),
+        (vec![34, 36, 30, 34, 34, 34, 32, 36], vec![34, 36, 30, 34, 34, 34, 32, 36]),
+        (vec![-34, -36, -30, -34, -34, -34, -32, -36], vec![0; 8]),
+        (vec![1; 8], vec![1; 8]),
+        (vec![-34, -36, -1, 0, 1, 7, 32, 36], vec![0, 0, 0, 0, 1, 7, 32, 36]),
+    ];
+    assert_eq!(observed, expected);
+}

@@ -223,3 +223,127 @@ proptest! {
         }
     }
 }
+
+/// Symmetric adjacency matrix built from the edge list alone, so the brute
+/// force below never reads the CSR neighbour slices the sweeps use.
+fn adjacency(g: &Graph) -> Vec<Vec<bool>> {
+    let mut adj = vec![vec![false; g.len()]; g.len()];
+    for (u, v) in g.edges() {
+        adj[u][v] = true;
+        adj[v][u] = true;
+    }
+    adj
+}
+
+/// `I_t` from the paper's definition: `v` is active, sits at its claiming
+/// level `claiming(ℓmax(v))`, and every active neighbour sits at its `ℓmax`.
+fn brute_mis(
+    adj: &[Vec<bool>],
+    lmax: &[Level],
+    levels: &[Level],
+    active: &[bool],
+    claiming: fn(Level) -> Level,
+) -> Vec<bool> {
+    let n = adj.len();
+    (0..n)
+        .map(|v| {
+            active[v]
+                && levels[v] == claiming(lmax[v])
+                && (0..n).all(|u| !adj[v][u] || !active[u] || levels[u] == lmax[u])
+        })
+        .collect()
+}
+
+/// `S_t = I_t ∪ N(I_t)` from the paper's definition, over active nodes.
+fn brute_stable(adj: &[Vec<bool>], mis: &[bool], active: &[bool]) -> Vec<bool> {
+    let n = adj.len();
+    (0..n).map(|v| active[v] && (mis[v] || (0..n).any(|u| adj[v][u] && mis[u]))).collect()
+}
+
+/// Checks every active-aware full-sweep predicate of one algorithm against
+/// the brute force, and that the invariant checker accepts the fully active
+/// configuration.
+fn check_active_aware<A: mis::runner::SelfStabilizingMis>(
+    algo: &A,
+    g: &Graph,
+    levels: &[Level],
+    active: &[bool],
+    claiming: fn(Level) -> Level,
+) -> Result<(), TestCaseError> {
+    let adj = adjacency(g);
+    let lmax = algo.policy().lmax_values();
+    let mis = brute_mis(&adj, lmax, levels, active, claiming);
+    let stable = brute_stable(&adj, &mis, active);
+    let stabilized = (0..g.len()).all(|v| !active[v] || stable[v]);
+    let claims = |v: usize| active[v] && levels[v] == claiming(lmax[v]);
+    let violations = g.edges().filter(|&(u, v)| claims(u) && claims(v)).count();
+
+    prop_assert_eq!(mis::recovery::claimed_mis(algo, g, levels, active), mis);
+    prop_assert_eq!(mis::recovery::stabilized_active(algo, g, levels, active), stabilized);
+    prop_assert_eq!(mis::recovery::independence_violations(algo, g, levels, active), violations);
+
+    let dist = mis::containment::byz_distances(g, &[]);
+    for radius in [0, 1, g.len()] {
+        prop_assert_eq!(
+            mis::containment::stabilized_except(algo, g, levels, active, &dist, radius),
+            stabilized
+        );
+    }
+    prop_assert_eq!(
+        mis::containment::disruption_radius_with(algo, g, levels, active, &dist),
+        if stabilized { 0 } else { usize::MAX }
+    );
+    mis::InvariantChecker::for_algorithm(algo).check_round(g, 1, levels);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every full-sweep `I_t`/`S_t` entry point agrees with a brute force of
+    /// the paper's definitions, for both algorithms, with levels covering
+    /// the whole state space and arbitrary participation masks.
+    #[test]
+    fn stability_predicates_match_the_paper_definition(
+        g in arb_graph(),
+        caps in proptest::collection::vec(2i32..6, 24),
+        raw in proptest::collection::vec(-7i64..8, 24),
+        active_bits in proptest::collection::vec(any::<bool>(), 24),
+    ) {
+        let n = g.len();
+        let lmax: Vec<Level> = caps[..n].to_vec();
+        let active: Vec<bool> = active_bits[..n].to_vec();
+        let all = vec![true; n];
+        let adj = adjacency(&g);
+        let policy = LmaxPolicy::custom("brute", lmax.clone());
+        let algo1 = Algorithm1::new(&g, policy.clone());
+        let algo2 = Algorithm2::new(&g, policy);
+        let levels1: Vec<Level> = (0..n)
+            .map(|v| raw[v].clamp(-i64::from(lmax[v]), i64::from(lmax[v])) as Level)
+            .collect();
+        let levels2: Vec<Level> =
+            (0..n).map(|v| raw[v].clamp(0, i64::from(lmax[v])) as Level).collect();
+        let claim1: fn(Level) -> Level = |l| -l;
+        let claim2: fn(Level) -> Level = |_| 0;
+
+        let mis1 = brute_mis(&adj, &lmax, &levels1, &all, claim1);
+        let stable1 = brute_stable(&adj, &mis1, &all);
+        prop_assert_eq!(algo1.mis_members(&g, &levels1), mis1.clone());
+        prop_assert_eq!(algo1.is_stabilized(&g, &levels1), stable1.iter().all(|&s| s));
+        let snap = Snapshot::new(&g, &lmax, &levels1);
+        prop_assert_eq!(snap.mis(), &mis1[..]);
+        prop_assert_eq!(snap.stable_set(), &stable1[..]);
+        prop_assert_eq!(snap.is_stabilized(), stable1.iter().all(|&s| s));
+        prop_assert_eq!(snap.stable_count(), stable1.iter().filter(|&&s| s).count());
+
+        let mis2 = brute_mis(&adj, &lmax, &levels2, &all, claim2);
+        let stable2 = brute_stable(&adj, &mis2, &all);
+        prop_assert_eq!(algo2.mis_members(&g, &levels2), mis2);
+        prop_assert_eq!(algo2.is_stabilized(&g, &levels2), stable2.iter().all(|&s| s));
+
+        for mask in [&active, &all] {
+            check_active_aware(&algo1, &g, &levels1, mask, claim1)?;
+            check_active_aware(&algo2, &g, &levels2, mask, claim2)?;
+        }
+    }
+}
