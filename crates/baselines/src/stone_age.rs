@@ -442,9 +442,7 @@ mod tests {
         let init = initial_levels(&algo, &config);
         let embedded = BeepingInStoneAge::new(algo.clone());
         let mut stone = embedded.into_simulator(&g, init, 2);
-        let lmax = algo.policy().lmax_values().to_vec();
-        let done =
-            stone.run_until(1_000_000, |levels| mis::observer::is_stabilized(&g, &lmax, levels));
+        let done = stone.run_until(1_000_000, |levels| algo.is_stabilized(&g, levels));
         assert!(done.is_some());
         let mis_set = algo.mis_members(&g, stone.states());
         assert!(graphs::mis::is_maximal_independent_set(&g, &mis_set));

@@ -207,7 +207,7 @@ pub fn run_with(quick: bool, tele: &Telemetry) -> String {
     let site = max_degree_node(&g);
     // Adversarial reboot RAM: the node resurrects claiming MIS membership.
     let claim: Vec<Level> =
-        algo.policy().lmax_values().iter().map(|&l| algo.claiming_level(l)).collect();
+        algo.policy().lmax_values().iter().map(|&l| Algorithm1::SPACE.claiming(l)).collect();
     let resurrect = Resurrect::new(move |v: usize, _round, _rng: &mut _| claim[v]);
     let mut table =
         analysis::Table::new(["behavior", "algorithm", "contained", "mean round", "worst radius"]);

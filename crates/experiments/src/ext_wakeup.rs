@@ -21,7 +21,7 @@ use beeping::Simulator;
 use graphs::generators::GraphFamily;
 use graphs::Graph;
 use mis::levels::Level;
-use mis::runner::{initial_levels, RunConfig, SelfStabilizingMis};
+use mis::runner::{initial_levels, RunConfig};
 use mis::{Algorithm1, LmaxPolicy};
 use rand::Rng;
 
@@ -89,11 +89,11 @@ pub fn measure_wakeup(
     let stabilized = sim.run_until(max_rounds, |s| {
         s.states().iter().all(SleepyState::is_awake) && {
             let levels: Vec<Level> = s.states().iter().map(|st| st.inner).collect();
-            algo.stabilized(g, &levels)
+            algo.is_stabilized(g, &levels)
         }
     })?;
     let levels: Vec<Level> = sim.states().iter().map(|st| st.inner).collect();
-    assert!(graphs::mis::is_maximal_independent_set(g, &algo.mis_of(g, &levels)));
+    assert!(graphs::mis::is_maximal_independent_set(g, &algo.mis_members(g, &levels)));
     Some((stabilized.saturating_sub(last_wake), stabilized))
 }
 

@@ -30,6 +30,7 @@ use rand::{Rng, RngCore};
 
 use crate::invariant::{debug_assert_level_in_range, LevelSpace};
 use crate::levels::{beep_probability, update_level, Level};
+use crate::recovery::stable_where;
 
 /// Universal upper limit on learned caps (≈ `2 log₂(2^15) + 30`; supports
 /// any realistic network size).
@@ -117,8 +118,7 @@ impl AdaptiveMis {
     /// `true` when the stable set covers the graph; the resulting
     /// configuration is a fixpoint absent faults.
     pub fn is_stabilized(&self, graph: &Graph, states: &[AdaptiveState]) -> bool {
-        let mis = self.mis_members(graph, states);
-        graph.nodes().all(|v| mis[v] || graph.neighbors(v).iter().any(|&u| mis[u as usize]))
+        stable_where(graph, &self.mis_members(graph, states), |_| true).all(|s| s)
     }
 
     /// Runs from uniformly random (adversarial) states; returns the MIS

@@ -24,7 +24,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::containment::run_contained;
-use crate::levels::{state_space_bounds, Level};
+use crate::levels::Level;
 use crate::runner::{InitialLevels, RunConfig, SelfStabilizingMis};
 
 /// Purpose tag separating the adversary-search RNG stream from node,
@@ -216,7 +216,6 @@ pub fn worst_case_search<A: SelfStabilizingMis>(
     );
     let mut rng = aux_rng(config.seed, ADV_RNG_PURPOSE);
     let lmax = algo.policy().lmax_values();
-    let signed = algo.has_negative_levels();
 
     let mut pool: Vec<NodeId> = (0..n).collect();
     pool.shuffle(&mut rng);
@@ -224,7 +223,7 @@ pub fn worst_case_search<A: SelfStabilizingMis>(
     placement.sort_unstable();
     let init_levels: Vec<i64> = (0..n)
         .map(|v| {
-            let (low, high) = state_space_bounds(lmax[v], signed);
+            let (low, high) = A::SPACE.bounds(lmax[v]);
             rng.gen_range(low..=high)
         })
         .collect();
@@ -253,7 +252,7 @@ pub fn worst_case_search<A: SelfStabilizingMis>(
             let batch = (n / 10).max(1);
             for _ in 0..batch {
                 let v = rng.gen_range(0..n);
-                let (low, high) = state_space_bounds(lmax[v], signed);
+                let (low, high) = A::SPACE.bounds(lmax[v]);
                 candidate.init_levels[v] = rng.gen_range(low..=high);
             }
         }

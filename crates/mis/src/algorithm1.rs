@@ -25,11 +25,11 @@ use beeping::protocol::{BeepSignal, BeepingProtocol, Channels, SettledRound};
 use graphs::{Graph, NodeId};
 use rand::{Rng, RngCore};
 
-use crate::invariant::{debug_assert_level_in_range, LevelSpace};
-use crate::levels::{beep_probability, claiming_level, update_level, Level};
-use crate::observer;
+use crate::invariant::debug_assert_level_in_range;
+use crate::levels::{beep_probability, update_level, Level};
 use crate::policy::LmaxPolicy;
-use crate::runner::{self, Outcome, RunConfig, RunError};
+use crate::recovery::{claimed_mis_where, stable_where};
+use crate::runner::{self, Outcome, RunConfig, RunError, SelfStabilizingMis};
 
 /// The single-channel self-stabilizing MIS protocol (paper Algorithm 1).
 ///
@@ -75,16 +75,16 @@ impl Algorithm1 {
 
     /// The set `I_t` for a level snapshot: vertices stable in the MIS
     /// (`ℓ(v) = -ℓmax(v)` and every neighbor at its `ℓmax`). See
-    /// [`observer`] for the full analysis machinery.
+    /// [`crate::observer`] for the full analysis machinery.
     pub fn mis_members(&self, graph: &Graph, levels: &[Level]) -> Vec<bool> {
-        observer::stable_mis(graph, self.policy.lmax_values(), levels)
+        claimed_mis_where(Self::SPACE, graph, self.policy.lmax_values(), levels, |_| true)
     }
 
     /// `true` if every vertex is stable (`S_t = V`): the stabilization
     /// criterion of the experiments. Once this holds, the configuration is a
     /// fixpoint in the absence of faults.
     pub fn is_stabilized(&self, graph: &Graph, levels: &[Level]) -> bool {
-        observer::is_stabilized(graph, self.policy.lmax_values(), levels)
+        stable_where(graph, &self.mis_members(graph, levels), |_| true).all(|s| s)
     }
 
     /// Runs the algorithm to stabilization under `config` (see
@@ -109,7 +109,7 @@ impl BeepingProtocol for Algorithm1 {
 
     fn transmit(&self, node: NodeId, state: &Level, rng: &mut dyn RngCore) -> BeepSignal {
         let lmax = self.policy.lmax(node);
-        debug_assert_level_in_range(*state, lmax, LevelSpace::Signed);
+        debug_assert_level_in_range(*state, lmax, Self::SPACE);
         let p = beep_probability(*state, lmax);
         // Draw even when p is 0 or 1 would be avoidable, but gen_bool(0.0)
         // and gen_bool(1.0) are exact, and drawing unconditionally keeps the
@@ -154,7 +154,7 @@ impl BeepingProtocol for Algorithm1 {
     ) -> Option<SettledRound> {
         let lmax = self.policy.lmax(node);
         let heard1 = heard.on_channel1();
-        if *state == claiming_level(lmax) && !heard1 {
+        if *state == Self::SPACE.claiming(lmax) && !heard1 {
             Some(SettledRound { signal: BeepSignal::channel1(), draws: 1 })
         } else if *state == lmax && lmax > 0 && heard1 {
             Some(SettledRound { signal: BeepSignal::silent(), draws: 0 })

@@ -25,11 +25,11 @@ use beeping::protocol::{BeepSignal, BeepingProtocol, Channels};
 use graphs::{Graph, NodeId};
 use rand::{Rng, RngCore};
 
-use crate::invariant::{debug_assert_level_in_range, LevelSpace};
+use crate::invariant::debug_assert_level_in_range;
 use crate::levels::{beep1_probability, update_level_two_channel, Level};
-use crate::observer;
 use crate::policy::LmaxPolicy;
-use crate::runner::{self, Outcome, RunConfig, RunError};
+use crate::recovery::{claimed_mis_where, stable_where};
+use crate::runner::{self, Outcome, RunConfig, RunError, SelfStabilizingMis};
 
 /// The two-channel self-stabilizing MIS protocol (paper Algorithm 2,
 /// Corollary 2.3).
@@ -74,13 +74,13 @@ impl Algorithm2 {
     /// The stable MIS members of a level snapshot: `ℓ(v) = 0` with every
     /// neighbor at its `ℓmax`.
     pub fn mis_members(&self, graph: &Graph, levels: &[Level]) -> Vec<bool> {
-        observer::stable_mis_two_channel(graph, self.policy.lmax_values(), levels)
+        claimed_mis_where(Self::SPACE, graph, self.policy.lmax_values(), levels, |_| true)
     }
 
     /// `true` if every vertex is stable — MIS members and their dominated
     /// neighbors cover the whole graph.
     pub fn is_stabilized(&self, graph: &Graph, levels: &[Level]) -> bool {
-        observer::is_stabilized_two_channel(graph, self.policy.lmax_values(), levels)
+        stable_where(graph, &self.mis_members(graph, levels), |_| true).all(|s| s)
     }
 
     /// Runs the algorithm to stabilization under `config`.
@@ -105,7 +105,7 @@ impl BeepingProtocol for Algorithm2 {
     fn transmit(&self, node: NodeId, state: &Level, rng: &mut dyn RngCore) -> BeepSignal {
         let lmax = self.policy.lmax(node);
         let l = *state;
-        debug_assert_level_in_range(l, lmax, LevelSpace::NonNegative);
+        debug_assert_level_in_range(l, lmax, Self::SPACE);
         // `beep1_probability` asserts ℓ ∈ [0, ℓmax]; the draw is gated on
         // p > 0 so the RNG stream is untouched in the deterministic regions.
         let p1 = beep1_probability(l, lmax);

@@ -39,7 +39,7 @@ use telemetry::MarkerKind;
 
 use crate::dynamics::{round_stats, RoundStats};
 use crate::levels::Level;
-use crate::recovery::claimed_mis;
+use crate::recovery::{claimed_mis, stable_where};
 use crate::resumable::{mark, PlanError, RunLoop, RunStatus};
 use crate::runner::{RunConfig, SelfStabilizingMis};
 
@@ -74,27 +74,6 @@ pub fn byz_distances(graph: &Graph, byz: &[NodeId]) -> Vec<usize> {
     dist
 }
 
-/// Per-node stability of the configuration, Byzantine-aware: entry `v` is
-/// `true` iff `v` is active and is a claimed MIS member or adjacent to one.
-///
-/// Membership is evaluated over the *full* active graph — a Byzantine node
-/// holding a claiming level (e.g. a stuck beeper that settled at `-ℓmax`)
-/// can dominate its correct neighbors; the quantifier restriction of
-/// [`stabilized_except`] decides only *which* nodes are required to be
-/// stable, not what stability means.
-fn stable_nodes<A: SelfStabilizingMis>(
-    algo: &A,
-    graph: &Graph,
-    levels: &[Level],
-    active: &[bool],
-) -> Vec<bool> {
-    let in_mis = claimed_mis(algo, graph, levels, active);
-    graph
-        .nodes()
-        .map(|v| active[v] && (in_mis[v] || graph.neighbors(v).iter().any(|&u| in_mis[u as usize])))
-        .collect()
-}
-
 /// [`crate::recovery::stabilized_active`] restricted to correct nodes far
 /// from the adversary: `true` iff every active node at distance `> radius`
 /// from every Byzantine site is stable (`dist` as computed by
@@ -117,18 +96,21 @@ pub fn stabilized_except<A: SelfStabilizingMis>(
     radius: usize,
 ) -> bool {
     assert_eq!(dist.len(), graph.len(), "one distance per vertex");
-    let stable = stable_nodes(algo, graph, levels, active);
-    graph.nodes().all(|v| !active[v] || dist[v] <= radius || stable[v])
+    let in_mis = claimed_mis(algo, graph, levels, active);
+    let stabilized = stable_where(graph, &in_mis, |v| active[v])
+        .enumerate()
+        .all(|(v, stable)| stable || !active[v] || dist[v] <= radius);
+    stabilized
 }
 
 /// The disruption radius of a configuration: the smallest `r` such that
 /// [`stabilized_except`] holds at radius `r`.
 ///
 /// `0` means every active node outside the Byzantine set itself is stable
-/// (in particular, `0` whenever [`stabilized_active`] holds on the full
-/// graph). [`usize::MAX`] means some failing node is unreachable from every
-/// Byzantine site, so no finite radius around the adversary explains the
-/// disruption.
+/// (in particular, `0` whenever [`crate::recovery::stabilized_active`]
+/// holds on the full graph). [`usize::MAX`] means some failing node is
+/// unreachable from every Byzantine site, so no finite radius around the
+/// adversary explains the disruption.
 ///
 /// # Panics
 ///
@@ -142,13 +124,14 @@ pub fn disruption_radius_with<A: SelfStabilizingMis>(
     dist: &[usize],
 ) -> usize {
     assert_eq!(dist.len(), graph.len(), "one distance per vertex");
-    let stable = stable_nodes(algo, graph, levels, active);
-    graph
-        .nodes()
-        .filter(|&v| active[v] && dist[v] > 0 && !stable[v])
-        .map(|v| dist[v])
+    let in_mis = claimed_mis(algo, graph, levels, active);
+    let radius = stable_where(graph, &in_mis, |v| active[v])
+        .enumerate()
+        .filter(|&(v, stable)| !stable && active[v] && dist[v] > 0)
+        .map(|(v, _)| dist[v])
         .max()
-        .unwrap_or(0)
+        .unwrap_or(0);
+    radius
 }
 
 /// [`disruption_radius_with`], computing [`byz_distances`] internally.

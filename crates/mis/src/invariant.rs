@@ -5,44 +5,28 @@
 //! [`beeping::Simulator`]'s per-round hook when `debug_assertions` are on,
 //! so every debug-mode test and experiment continuously validates:
 //!
-//! 1. **ℓ-range** — every level stays inside the algorithm's state space
-//!    (`{-ℓmax, …, ℓmax}` for Algorithm 1, `{0, …, ℓmax}` for Algorithm 2);
+//! 1. **ℓ-range** — every level stays inside the algorithm's
+//!    [`LevelSpace`] (`{-ℓmax, …, ℓmax}` for Algorithm 1, `{0, …, ℓmax}`
+//!    for Algorithm 2);
 //! 2. **probability-table conformance** — the beeping probability implied
 //!    by each level matches Figure 1's table `{1, 2^{-ℓ}, 0}`, recomputed
 //!    here independently of [`crate::levels`] so the check is not
 //!    tautological;
 //! 3. **MIS validity at stability** — whenever `S_t = V` holds, the claimed
-//!    set `I_t` is a maximal independent set of the graph.
+//!    set `I_t` is a maximal independent set of the graph. Both sets come
+//!    from the crate's one full-sweep `I_t`/`S_t` definition in
+//!    [`crate::recovery`], the oracle of every other stability predicate.
 //!
 //! The checker observes state only and draws no randomness, so installing
 //! it never changes an execution; release builds skip it entirely.
 
 use graphs::Graph;
 
-use crate::levels::{beep1_probability, beep_probability, claiming_level, Level};
-use crate::observer;
+pub use crate::levels::LevelSpace;
+use crate::levels::{beep1_probability, beep_probability, Level};
 use crate::policy::LmaxPolicy;
+use crate::recovery::{claimed_mis_where, stable_where};
 use crate::runner::SelfStabilizingMis;
-
-/// Which level state space a protocol uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LevelSpace {
-    /// Algorithm 1: `ℓ ∈ {-ℓmax, …, ℓmax}`.
-    Signed,
-    /// Algorithm 2: `ℓ ∈ {0, …, ℓmax}`.
-    NonNegative,
-}
-
-impl LevelSpace {
-    /// `true` iff `level` lies inside this space for the given `ℓmax`.
-    pub fn contains(self, level: Level, lmax: Level) -> bool {
-        let lo = match self {
-            LevelSpace::Signed => claiming_level(lmax),
-            LevelSpace::NonNegative => 0,
-        };
-        (lo..=lmax).contains(&level)
-    }
-}
 
 /// The consolidated ℓ-range assertion used by protocol hot paths and
 /// the [`InvariantChecker`] — one definition instead of per-protocol
@@ -72,9 +56,7 @@ impl InvariantChecker {
 
     /// A checker matching `algo`'s state space.
     pub fn for_algorithm<A: SelfStabilizingMis>(algo: &A) -> InvariantChecker {
-        let space =
-            if algo.has_negative_levels() { LevelSpace::Signed } else { LevelSpace::NonNegative };
-        InvariantChecker::new(algo.policy(), space)
+        InvariantChecker::new(algo.policy(), A::SPACE)
     }
 
     /// Validates one post-round configuration.
@@ -112,19 +94,10 @@ impl InvariantChecker {
     /// If the configuration satisfies the stabilization criterion
     /// `S_t = V`, the claimed set `I_t` must be a maximal independent set.
     fn check_stability(&self, graph: &Graph, round: u64, levels: &[Level]) {
-        let stabilized = match self.space {
-            LevelSpace::Signed => observer::is_stabilized(graph, &self.lmax, levels),
-            LevelSpace::NonNegative => {
-                observer::is_stabilized_two_channel(graph, &self.lmax, levels)
-            }
-        };
-        if !stabilized {
+        let mis = claimed_mis_where(self.space, graph, &self.lmax, levels, |_| true);
+        if !stable_where(graph, &mis, |_| true).all(|s| s) {
             return;
         }
-        let mis = match self.space {
-            LevelSpace::Signed => observer::stable_mis(graph, &self.lmax, levels),
-            LevelSpace::NonNegative => observer::stable_mis_two_channel(graph, &self.lmax, levels),
-        };
         assert!(
             graphs::mis::is_maximal_independent_set(graph, &mis),
             "round {round}: S_t = V but I_t is not a maximal independent set"
@@ -202,7 +175,7 @@ mod tests {
         let g = classic::path(3);
         let policy = LmaxPolicy::fixed(3, 4);
         let checker = InvariantChecker::new(&policy, LevelSpace::Signed);
-        checker.check_round(&g, 9, &[4, claiming_level(4), 4]);
+        checker.check_round(&g, 9, &[4, LevelSpace::Signed.claiming(4), 4]);
     }
 
     #[test]

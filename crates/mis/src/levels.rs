@@ -1,10 +1,53 @@
-//! Level arithmetic shared by both algorithms: the beep-probability
-//! activation function of Figure 1 and the level update rules of the
-//! pseudocode.
+//! Level arithmetic shared by both algorithms: the level state space
+//! ([`LevelSpace`], the only place the two algorithms' level ranges are
+//! described), the beep-probability activation function of Figure 1 and
+//! the level update rules of the pseudocode.
 
 /// A node level. Algorithm 1 uses `ℓ ∈ {-ℓmax, …, ℓmax}`; Algorithm 2 uses
 /// `ℓ ∈ {0, …, ℓmax}`.
 pub type Level = i32;
+
+/// Which level state space a protocol uses. The two algorithms differ only
+/// here: both claim MIS membership at the space's lowest level and are
+/// silenced at `ℓmax`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LevelSpace {
+    /// Algorithm 1: `ℓ ∈ {-ℓmax, …, ℓmax}`.
+    Signed,
+    /// Algorithm 2: `ℓ ∈ {0, …, ℓmax}`.
+    NonNegative,
+}
+
+impl LevelSpace {
+    /// The *claiming* level, the lowest of the space: `-ℓmax` for
+    /// Algorithm 1 (reached after a lone beep), `0` for Algorithm 2. A node
+    /// holds it while it believes it is in the MIS.
+    #[inline]
+    pub const fn claiming(self, lmax: Level) -> Level {
+        match self {
+            LevelSpace::Signed => -lmax,
+            LevelSpace::NonNegative => 0,
+        }
+    }
+
+    /// Inclusive bounds of the space as `i64`, for sampling arbitrary RAM
+    /// contents.
+    pub fn bounds(self, lmax: Level) -> (i64, i64) {
+        (i64::from(self.claiming(lmax)), i64::from(lmax))
+    }
+
+    /// Clamps an arbitrary (possibly corrupted) integer into the space —
+    /// what a node's RAM can physically hold.
+    pub fn clamp(self, raw: i64, lmax: Level) -> Level {
+        let (low, high) = self.bounds(lmax);
+        raw.clamp(low, high) as Level
+    }
+
+    /// `true` iff `level` lies inside this space for the given `ℓmax`.
+    pub fn contains(self, level: Level, lmax: Level) -> bool {
+        (self.claiming(lmax)..=lmax).contains(&level)
+    }
+}
 
 /// Ceiling of `log₂(x)` for `x ≥ 1`; by convention 0 for `x ∈ {0, 1}`.
 ///
@@ -72,20 +115,16 @@ pub fn beep1_probability(level: Level, lmax: Level) -> f64 {
     }
 }
 
-/// The *claiming* level of Algorithm 1's state space: `-ℓmax`, the level a
-/// node jumps to after a lone beep and holds while it believes it is in the
-/// MIS. Centralized here so protocol code never negates `ℓmax` directly.
+/// Algorithm 1's claiming level: [`LevelSpace::claiming`] of the signed
+/// space. The three free functions below stay for the `perfbench` crate,
+/// which imports them; crate code calls [`LevelSpace`] directly.
 pub fn claiming_level(lmax: Level) -> Level {
-    -lmax
+    LevelSpace::Signed.claiming(lmax)
 }
 
-/// Inclusive bounds of the level state space as `i64`, for sampling
-/// arbitrary RAM contents: `[-ℓmax, ℓmax]` when the space is signed
-/// (Algorithm 1), `[0, ℓmax]` otherwise (Algorithm 2). Centralized here so
-/// sampling code never widens or negates `ℓmax` directly.
+/// [`LevelSpace::bounds`] of the signed (`true`) or non-negative space.
 pub fn state_space_bounds(lmax: Level, signed: bool) -> (i64, i64) {
-    let hi = i64::from(lmax);
-    (if signed { -hi } else { 0 }, hi)
+    if signed { LevelSpace::Signed } else { LevelSpace::NonNegative }.bounds(lmax)
 }
 
 /// Algorithm 1's level update (paper Algorithm 1, second half of the round):
@@ -136,15 +175,9 @@ pub fn update_level_two_channel(
     }
 }
 
-/// Clamps an arbitrary (possibly corrupted) integer into Algorithm 1's state
-/// space `{-ℓmax, …, ℓmax}` — what a node's RAM can physically hold.
+/// [`LevelSpace::clamp`] into Algorithm 1's space `{-ℓmax, …, ℓmax}`.
 pub fn clamp_level(raw: i64, lmax: Level) -> Level {
-    raw.clamp(-(lmax as i64), lmax as i64) as Level
-}
-
-/// Clamps into Algorithm 2's state space `{0, …, ℓmax}`.
-pub fn clamp_level_two_channel(raw: i64, lmax: Level) -> Level {
-    raw.clamp(0, lmax as i64) as Level
+    LevelSpace::Signed.clamp(raw, lmax)
 }
 
 #[cfg(test)]
@@ -276,11 +309,12 @@ mod tests {
     #[test]
     fn claiming_and_bounds() {
         assert_eq!(claiming_level(7), -7);
+        assert_eq!(LevelSpace::NonNegative.claiming(7), 0);
         assert_eq!(state_space_bounds(7, true), (-7, 7));
         assert_eq!(state_space_bounds(7, false), (0, 7));
         // The bounds agree with the clamps.
         assert_eq!(clamp_level(i64::MIN, 7), claiming_level(7));
-        assert_eq!(clamp_level_two_channel(i64::MIN, 7), 0);
+        assert_eq!(LevelSpace::NonNegative.clamp(i64::MIN, 7), 0);
     }
 
     #[test]
@@ -288,8 +322,8 @@ mod tests {
         assert_eq!(clamp_level(100, 7), 7);
         assert_eq!(clamp_level(-100, 7), -7);
         assert_eq!(clamp_level(3, 7), 3);
-        assert_eq!(clamp_level_two_channel(-5, 7), 0);
-        assert_eq!(clamp_level_two_channel(100, 7), 7);
-        assert_eq!(clamp_level_two_channel(4, 7), 4);
+        assert_eq!(LevelSpace::NonNegative.clamp(-5, 7), 0);
+        assert_eq!(LevelSpace::NonNegative.clamp(100, 7), 7);
+        assert_eq!(LevelSpace::NonNegative.clamp(4, 7), 4);
     }
 }

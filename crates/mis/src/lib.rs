@@ -12,6 +12,11 @@
 //!   2, Corollary 2.3), where channel 2 is a persistent "I am in the MIS"
 //!   signal and `ℓ ∈ {0, …, ℓmax(v)}`.
 //!
+//! The two differ only in their [`LevelSpace`] (range and claiming level),
+//! the one constant [`runner::SelfStabilizingMis`] carries besides the
+//! policy. Stability — the paper's `I_t` and `S_t = I_t ∪ N(I_t)` — has one
+//! full-sweep definition, in [`recovery`], that every predicate calls.
+//!
 //! The *knowledge* each vertex has about the topology is captured by
 //! [`policy::LmaxPolicy`], with one constructor per theorem:
 //! global maximum degree (Thm 2.1), own degree (Thm 2.2), and 1-hop
@@ -21,9 +26,9 @@
 //! knowledge-free variant that learns its level cap from collisions, and
 //! [`dynamics`] computes per-round convergence trajectories.
 //!
-//! [`observer`] mirrors the paper's analysis machinery — the stable sets
-//! `I_t`/`S_t`, prominent vertices, platinum and golden rounds, and the
-//! potentials `d_t`, `η_t`, `η′_t` — so experiments can measure exactly the
+//! [`observer`] mirrors the paper's analysis machinery — prominent
+//! vertices, platinum and golden rounds, and the potentials `d_t`, `η_t`,
+//! `η′_t`, next to `I_t`/`S_t` — so experiments can measure exactly the
 //! quantities the proofs bound. [`runner`] is the high-level "run until
 //! stabilized" API used by examples, tests and experiments, and
 //! [`recovery`] extends it to unreliable networks: channel noise, jammers

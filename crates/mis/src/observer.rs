@@ -3,7 +3,8 @@
 //! Given a snapshot of all levels, this module computes the random-process
 //! observables the analysis reasons about:
 //!
-//! - the stable MIS `I_t` and stable set `S_t = I_t ∪ N(I_t)`;
+//! - the stable MIS `I_t` and stable set `S_t = I_t ∪ N(I_t)`, taken from
+//!   the crate's one full-sweep definition in [`crate::recovery`];
 //! - `μ_t(v) = min_{u∈N(v)} ℓ_t(u)/ℓmax(u)`;
 //! - prominent vertices (`ℓ ≤ 0`, Def 3.3) and **platinum rounds** (a
 //!   prominent vertex in `N⁺(v)`);
@@ -20,7 +21,8 @@
 
 use graphs::{Graph, NodeId};
 
-use crate::levels::{beep_probability, claiming_level, Level};
+use crate::levels::{beep_probability, Level, LevelSpace};
+use crate::recovery::{claimed_mis_where, stable_where};
 
 /// A read-only view of one round's configuration, with the stable set
 /// precomputed.
@@ -56,26 +58,8 @@ impl<'a> Snapshot<'a> {
     ///
     /// Panics if `lmax` and `levels` do not both have `graph.len()` entries.
     pub fn new(graph: &'a Graph, lmax: &'a [Level], levels: &'a [Level]) -> Snapshot<'a> {
-        let in_mis = stable_mis(graph, lmax, levels);
-        let stable = close_under_neighbors(graph, &in_mis);
-        assert_eq!(levels.len(), graph.len(), "one level per vertex");
-        Snapshot { graph, lmax, levels, in_mis, stable }
-    }
-
-    /// Builds a snapshot for Algorithm 2 semantics (in-MIS ⟺ `ℓ(v) = 0`
-    /// with all neighbors at their `ℓmax`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lmax` and `levels` do not both have `graph.len()` entries.
-    pub fn new_two_channel(
-        graph: &'a Graph,
-        lmax: &'a [Level],
-        levels: &'a [Level],
-    ) -> Snapshot<'a> {
-        let in_mis = stable_mis_two_channel(graph, lmax, levels);
-        let stable = close_under_neighbors(graph, &in_mis);
-        assert_eq!(levels.len(), graph.len(), "one level per vertex");
+        let in_mis = claimed_mis_where(LevelSpace::Signed, graph, lmax, levels, |_| true);
+        let stable = stable_where(graph, &in_mis, |_| true).collect();
         Snapshot { graph, lmax, levels, in_mis, stable }
     }
 
@@ -203,71 +187,11 @@ impl<'a> Snapshot<'a> {
     }
 }
 
-/// `I_t` for Algorithm 1: `ℓ(v) = -ℓmax(v)` and every neighbor at its
-/// `ℓmax`. For an isolated vertex the neighbor condition is vacuous.
-///
-/// # Panics
-///
-/// Panics if `lmax` and `levels` do not both have `graph.len()` entries.
-pub fn stable_mis(graph: &Graph, lmax: &[Level], levels: &[Level]) -> Vec<bool> {
-    assert_eq!(lmax.len(), graph.len(), "one ℓmax per vertex");
-    assert_eq!(levels.len(), graph.len(), "one level per vertex");
-    graph
-        .nodes()
-        .map(|v| {
-            levels[v] == claiming_level(lmax[v])
-                && graph.neighbors(v).iter().all(|&u| levels[u as usize] == lmax[u as usize])
-        })
-        .collect()
-}
-
-/// `I_t` for Algorithm 2: `ℓ(v) = 0` and every neighbor at its `ℓmax`.
-///
-/// # Panics
-///
-/// Panics if `lmax` and `levels` do not both have `graph.len()` entries.
-pub fn stable_mis_two_channel(graph: &Graph, lmax: &[Level], levels: &[Level]) -> Vec<bool> {
-    assert_eq!(lmax.len(), graph.len(), "one ℓmax per vertex");
-    assert_eq!(levels.len(), graph.len(), "one level per vertex");
-    graph
-        .nodes()
-        .map(|v| {
-            levels[v] == 0
-                && graph.neighbors(v).iter().all(|&u| levels[u as usize] == lmax[u as usize])
-        })
-        .collect()
-}
-
-/// `S_t = I ∪ N(I)` from an `I` bitmap.
-fn close_under_neighbors(graph: &Graph, in_set: &[bool]) -> Vec<bool> {
-    let mut stable = in_set.to_vec();
-    for v in graph.nodes() {
-        if in_set[v] {
-            for &u in graph.neighbors(v) {
-                stable[u as usize] = true;
-            }
-        }
-    }
-    stable
-}
-
-/// `S_t = V` for Algorithm 1 — the stabilization criterion used everywhere.
-pub fn is_stabilized(graph: &Graph, lmax: &[Level], levels: &[Level]) -> bool {
-    // Every vertex is in I_t or has an I_t neighbor. Allocates the
-    // n-element I_t bitmap (`stable_mis`) on every call.
-    let in_mis = stable_mis(graph, lmax, levels);
-    graph.nodes().all(|v| in_mis[v] || graph.neighbors(v).iter().any(|&u| in_mis[u as usize]))
-}
-
-/// `S_t = V` for Algorithm 2.
-pub fn is_stabilized_two_channel(graph: &Graph, lmax: &[Level], levels: &[Level]) -> bool {
-    let in_mis = stable_mis_two_channel(graph, lmax, levels);
-    graph.nodes().all(|v| in_mis[v] || graph.neighbors(v).iter().any(|&u| in_mis[u as usize]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm2::Algorithm2;
+    use crate::policy::LmaxPolicy;
     use graphs::generators::classic;
 
     #[test]
@@ -276,8 +200,8 @@ mod tests {
         let lmax = vec![4; 5];
         // 0 and 2 in MIS; 4 not yet (neighbor 3 at ℓmax but ℓ(4) = 2).
         let levels = vec![-4, 4, -4, 4, 2];
-        assert_eq!(stable_mis(&g, &lmax, &levels), vec![true, false, true, false, false]);
         let snap = Snapshot::new(&g, &lmax, &levels);
+        assert_eq!(snap.mis(), &[true, false, true, false, false]);
         assert_eq!(snap.stable_set(), &[true, true, true, true, false]);
         assert!(!snap.is_stabilized());
         assert_eq!(snap.stable_count(), 4);
@@ -288,18 +212,20 @@ mod tests {
         let g = classic::path(2);
         let lmax = vec![4, 4];
         let levels = vec![-4, -4];
-        assert_eq!(stable_mis(&g, &lmax, &levels), vec![false, false]);
-        assert!(!is_stabilized(&g, &lmax, &levels));
+        let snap = Snapshot::new(&g, &lmax, &levels);
+        assert_eq!(snap.mis(), &[false, false]);
+        assert!(!snap.is_stabilized());
     }
 
     #[test]
     fn isolated_vertex_stability() {
         let g = graphs::Graph::empty(1);
         let lmax = vec![3];
-        assert!(is_stabilized(&g, &lmax, &[-3]));
-        assert!(!is_stabilized(&g, &lmax, &[3]));
-        assert!(is_stabilized_two_channel(&g, &lmax, &[0]));
-        assert!(!is_stabilized_two_channel(&g, &lmax, &[3]));
+        assert!(Snapshot::new(&g, &lmax, &[-3]).is_stabilized());
+        assert!(!Snapshot::new(&g, &lmax, &[3]).is_stabilized());
+        let two_channel = Algorithm2::new(&g, LmaxPolicy::fixed(1, 3));
+        assert!(two_channel.is_stabilized(&g, &[0]));
+        assert!(!two_channel.is_stabilized(&g, &[3]));
     }
 
     #[test]
@@ -399,10 +325,9 @@ mod tests {
     #[test]
     fn two_channel_stability() {
         let g = classic::path(3);
-        let lmax = vec![5; 3];
-        assert!(is_stabilized_two_channel(&g, &lmax, &[5, 0, 5]));
-        assert!(!is_stabilized_two_channel(&g, &lmax, &[5, 0, 4]));
-        let snap = Snapshot::new_two_channel(&g, &lmax, &[5, 0, 5]);
-        assert_eq!(snap.mis(), &[false, true, false]);
+        let algo = Algorithm2::new(&g, LmaxPolicy::fixed(3, 5));
+        assert!(algo.is_stabilized(&g, &[5, 0, 5]));
+        assert!(!algo.is_stabilized(&g, &[5, 0, 4]));
+        assert_eq!(algo.mis_members(&g, &[5, 0, 5]), [false, true, false]);
     }
 }

@@ -11,11 +11,18 @@
 //! Because churn can deactivate nodes and rewire edges, stability is judged
 //! *active-aware* against the live topology: [`claimed_mis`],
 //! [`stabilized_active`] and [`independence_violations`] restrict the
-//! paper's `I_t`/`S_t` machinery to the currently active subgraph. For a
-//! fully active, un-churned graph they coincide exactly with
-//! [`crate::observer`]'s definitions.
+//! paper's `I_t`/`S_t` machinery to the currently active subgraph.
 //!
-//! These three functions are full O(n + m) sweeps and serve as *oracles*:
+//! This module holds the crate's one full-sweep definition of each set:
+//! `claimed_mis_where` computes `I_t` for either [`LevelSpace`] under a
+//! participation predicate, and `stable_where` derives `S_t = I_t ∪ N(I_t)`
+//! from it. Every other stability predicate — the algorithms'
+//! `mis_members`/`is_stabilized`, [`crate::observer::Snapshot`], the
+//! [`crate::invariant::InvariantChecker`] and [`crate::containment`] — is
+//! a call into these two, with every node participating when the network
+//! is fully active.
+//!
+//! The full sweeps are O(n + m) and serve as *oracles*:
 //! the run loop ([`crate::resumable`]) answers the same questions every
 //! round from an incremental tracker that re-judges only the 2-hop balls
 //! of the nodes that changed, and the tests (plus a debug-build
@@ -36,7 +43,7 @@ use beeping::Simulator;
 use graphs::Graph;
 use rand_pcg::Pcg64Mcg;
 
-use crate::levels::Level;
+use crate::levels::{Level, LevelSpace};
 use crate::resumable::{PlanError, RunLoop, RunStatus};
 use crate::runner::{random_level, RunConfig, SelfStabilizingMis};
 
@@ -54,12 +61,12 @@ pub fn claimed_mis<A: SelfStabilizingMis>(
     levels: &[Level],
     active: &[bool],
 ) -> Vec<bool> {
-    assert_eq!(levels.len(), graph.len(), "one level per vertex");
     assert_eq!(active.len(), graph.len(), "one active flag per vertex");
+    let lmax = algo.policy().lmax_values();
     if all_set(active) {
-        claimed_mis_where(algo, graph, levels, |_| true)
+        claimed_mis_where(A::SPACE, graph, lmax, levels, |_| true)
     } else {
-        claimed_mis_where(algo, graph, levels, |v| active[v])
+        claimed_mis_where(A::SPACE, graph, lmax, levels, |v| active[v])
     }
 }
 
@@ -70,26 +77,49 @@ fn all_set(flags: &[bool]) -> bool {
     flags.chunks(64).all(|chunk| chunk.iter().fold(true, |acc, &f| acc & f))
 }
 
-/// [`claimed_mis`] with participation given as a predicate, so the common
-/// fully active network compiles to a loop without per-neighbor flag loads.
-fn claimed_mis_where<A: SelfStabilizingMis>(
-    algo: &A,
+/// The crate's one full-sweep `I_t`: node `v` is a member iff it
+/// participates, sits at `space`'s claiming level, and every participating
+/// neighbor sits at its `ℓmax`. Participation is a predicate, so a fully
+/// active network (`|_| true`) compiles to a loop without per-neighbor flag
+/// loads.
+///
+/// # Panics
+///
+/// Panics if `lmax` or `levels` length differs from `graph.len()`.
+pub(crate) fn claimed_mis_where(
+    space: LevelSpace,
     graph: &Graph,
+    lmax: &[Level],
     levels: &[Level],
     active: impl Fn(usize) -> bool + Copy,
 ) -> Vec<bool> {
-    let lmax = algo.policy().lmax_values();
+    assert_eq!(lmax.len(), graph.len(), "one ℓmax per vertex");
+    assert_eq!(levels.len(), graph.len(), "one level per vertex");
     graph
         .nodes()
         .map(|v| {
             active(v)
-                && levels[v] == algo.claiming_level(lmax[v])
+                && levels[v] == space.claiming(lmax[v])
                 && graph.neighbors(v).iter().all(|&u| {
                     let u = u as usize;
                     !active(u) || levels[u] == lmax[u]
                 })
         })
         .collect()
+}
+
+/// The crate's one `S_t = I_t ∪ N(I_t)`, from an `I_t` bitmap: entry `v`
+/// is `true` iff `v` participates and is a member or adjacent to one. Lazy,
+/// so a caller asking whether `S_t` covers the network stops at the first
+/// unstable node.
+pub(crate) fn stable_where<'a>(
+    graph: &'a Graph,
+    in_mis: &'a [bool],
+    active: impl Fn(usize) -> bool + 'a,
+) -> impl Iterator<Item = bool> + 'a {
+    graph.nodes().map(move |v| {
+        active(v) && (in_mis[v] || graph.neighbors(v).iter().any(|&u| in_mis[u as usize]))
+    })
 }
 
 /// `S_t = V` restricted to the active subgraph: every active node is in
@@ -106,9 +136,8 @@ pub fn stabilized_active<A: SelfStabilizingMis>(
     active: &[bool],
 ) -> bool {
     let in_mis = claimed_mis(algo, graph, levels, active);
-    graph
-        .nodes()
-        .all(|v| !active[v] || in_mis[v] || graph.neighbors(v).iter().any(|&u| in_mis[u as usize]))
+    let stabilized = stable_where(graph, &in_mis, |v| active[v]).zip(active).all(|(s, &a)| s || !a);
+    stabilized
 }
 
 /// Number of live MIS-validity violations: edges whose two endpoints are
@@ -128,7 +157,7 @@ pub fn independence_violations<A: SelfStabilizingMis>(
     assert_eq!(levels.len(), graph.len(), "one level per vertex");
     assert_eq!(active.len(), graph.len(), "one active flag per vertex");
     let lmax = algo.policy().lmax_values();
-    let claiming = |v: usize| active[v] && levels[v] == algo.claiming_level(lmax[v]);
+    let claiming = |v: usize| active[v] && levels[v] == A::SPACE.claiming(lmax[v]);
     graph.edges().filter(|&(u, v)| claiming(u) && claiming(v)).count()
 }
 
@@ -413,8 +442,8 @@ mod tests {
         let algo = Algorithm1::new(&g, LmaxPolicy::fixed(5, 4));
         let levels = vec![-4, 4, -4, 4, 2];
         let active = vec![true; 5];
-        let expected = crate::observer::stable_mis(&g, algo.policy().lmax_values(), &levels);
-        assert_eq!(claimed_mis(&algo, &g, &levels, &active), expected);
+        let snap = crate::observer::Snapshot::new(&g, algo.policy().lmax_values(), &levels);
+        assert_eq!(claimed_mis(&algo, &g, &levels, &active), snap.mis());
         assert!(!stabilized_active(&algo, &g, &levels, &active));
         let stabilized = vec![-4, 4, -4, 4, -4];
         assert!(stabilized_active(&algo, &g, &stabilized, &active));

@@ -1169,10 +1169,12 @@ mod tests {
         let lmax = algo.policy().lmax_values();
         let mut levels: Vec<i64> = g
             .nodes()
-            .map(|v| i64::from(if member[v] { algo.claiming_level(lmax[v]) } else { lmax[v] }))
+            .map(|v| {
+                i64::from(if member[v] { Algorithm1::SPACE.claiming(lmax[v]) } else { lmax[v] })
+            })
             .collect();
         for v in FaultTarget::RandomCount(16).select(n, &mut aux_rng(1, 0xB0B5)) {
-            levels[v] = i64::from(algo.claiming_level(lmax[v]));
+            levels[v] = i64::from(Algorithm1::SPACE.claiming(lmax[v]));
         }
         let tele = Telemetry::enabled(telemetry::Config::default());
         let config = RunConfig::new(1)

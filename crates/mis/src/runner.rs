@@ -18,7 +18,7 @@ use rand_pcg::Pcg64Mcg;
 
 use crate::algorithm1::Algorithm1;
 use crate::algorithm2::Algorithm2;
-use crate::levels::{self, clamp_level, clamp_level_two_channel, state_space_bounds, Level};
+use crate::levels::{Level, LevelSpace};
 use crate::policy::LmaxPolicy;
 use crate::resumable::{PlanError, ResumableConfig, RunLoop, RunStatus};
 
@@ -49,27 +49,20 @@ pub enum InitialLevels {
 }
 
 impl InitialLevels {
-    fn sample(
-        &self,
-        policy: &LmaxPolicy,
-        clamp: impl Fn(i64, Level) -> Level,
-        claim: impl Fn(Level) -> Level,
-        rng: &mut Pcg64Mcg,
-        low_is_claim: bool,
-    ) -> Vec<Level> {
+    fn sample(&self, policy: &LmaxPolicy, space: LevelSpace, rng: &mut Pcg64Mcg) -> Vec<Level> {
         policy
             .lmax_values()
             .iter()
             .enumerate()
             .map(|(v, &lmax)| match self {
                 InitialLevels::Random => {
-                    let (low, high) = state_space_bounds(lmax, low_is_claim);
-                    clamp(rng.gen_range(low..=high), lmax)
+                    let (low, high) = space.bounds(lmax);
+                    space.clamp(rng.gen_range(low..=high), lmax)
                 }
                 InitialLevels::AllMax => lmax,
-                InitialLevels::AllClaiming => claim(lmax),
+                InitialLevels::AllClaiming => space.claiming(lmax),
                 InitialLevels::AllOne => 1,
-                InitialLevels::Custom(values) => clamp(values[v], lmax),
+                InitialLevels::Custom(values) => space.clamp(values[v], lmax),
             })
             .collect()
     }
@@ -159,82 +152,41 @@ impl From<StabilizationError> for RunError {
 }
 
 /// Shared behavior of the paper's two self-stabilizing protocols, enabling
-/// experiment code generic over the algorithm variant.
+/// experiment code generic over the algorithm variant. The two differ only
+/// in their [`LevelSpace`]; stability is judged for both by the one
+/// full-sweep definition in [`crate::recovery`].
 ///
 /// This trait is sealed in spirit: it is implemented by [`Algorithm1`] and
 /// [`Algorithm2`] and not intended for downstream implementations.
 pub trait SelfStabilizingMis: BeepingProtocol<State = Level> + Clone {
+    /// The protocol's level state space. A constant, so the claiming level
+    /// folds into the stable-set tracker's per-node class computation.
+    const SPACE: LevelSpace;
+
     /// The knowledge policy in use.
     fn policy(&self) -> &LmaxPolicy;
-
-    /// `S_t = V` for this algorithm's stability semantics.
-    fn stabilized(&self, graph: &Graph, levels: &[Level]) -> bool;
-
-    /// The stable MIS members of a snapshot.
-    fn mis_of(&self, graph: &Graph, levels: &[Level]) -> Vec<bool>;
-
-    /// Clamps a raw integer into this algorithm's per-node state space.
-    fn clamp_raw(&self, raw: i64, lmax: Level) -> Level;
-
-    /// The "I claim MIS membership" level (`-ℓmax` / `0`).
-    fn claiming_level(&self, lmax: Level) -> Level;
-
-    /// `true` if the state space extends below zero (Algorithm 1).
-    fn has_negative_levels(&self) -> bool;
 }
 
 impl SelfStabilizingMis for Algorithm1 {
+    const SPACE: LevelSpace = LevelSpace::Signed;
+
     fn policy(&self) -> &LmaxPolicy {
         Algorithm1::policy(self)
-    }
-    fn stabilized(&self, graph: &Graph, levels: &[Level]) -> bool {
-        self.is_stabilized(graph, levels)
-    }
-    fn mis_of(&self, graph: &Graph, levels: &[Level]) -> Vec<bool> {
-        self.mis_members(graph, levels)
-    }
-    fn clamp_raw(&self, raw: i64, lmax: Level) -> Level {
-        clamp_level(raw, lmax)
-    }
-    fn claiming_level(&self, lmax: Level) -> Level {
-        levels::claiming_level(lmax)
-    }
-    fn has_negative_levels(&self) -> bool {
-        true
     }
 }
 
 impl SelfStabilizingMis for Algorithm2 {
+    const SPACE: LevelSpace = LevelSpace::NonNegative;
+
     fn policy(&self) -> &LmaxPolicy {
         Algorithm2::policy(self)
-    }
-    fn stabilized(&self, graph: &Graph, levels: &[Level]) -> bool {
-        self.is_stabilized(graph, levels)
-    }
-    fn mis_of(&self, graph: &Graph, levels: &[Level]) -> Vec<bool> {
-        self.mis_members(graph, levels)
-    }
-    fn clamp_raw(&self, raw: i64, lmax: Level) -> Level {
-        clamp_level_two_channel(raw, lmax)
-    }
-    fn claiming_level(&self, _lmax: Level) -> Level {
-        0
-    }
-    fn has_negative_levels(&self) -> bool {
-        false
     }
 }
 
 /// Samples the initial configuration for `algo` under `config`.
 pub fn initial_levels<A: SelfStabilizingMis>(algo: &A, config: &RunConfig) -> Vec<Level> {
     let mut rng = aux_rng(config.seed, INIT_RNG_PURPOSE);
-    config.init.sample(
-        algo.policy(),
-        |raw, lmax| algo.clamp_raw(raw, lmax),
-        |lmax| algo.claiming_level(lmax),
-        &mut rng,
-        algo.has_negative_levels(),
-    )
+    config.init.sample(algo.policy(), A::SPACE, &mut rng)
 }
 
 /// Runs `algo` on `graph` until stabilization, honoring the fault schedule.
@@ -307,8 +259,8 @@ fn budget_error<A: SelfStabilizingMis>(
 /// contents" for corruption or an adversarial fresh boot.
 pub(crate) fn random_level<A: SelfStabilizingMis>(algo: &A, v: usize, rng: &mut Pcg64Mcg) -> Level {
     let lmax = algo.policy().lmax(v);
-    let (low, high) = state_space_bounds(lmax, algo.has_negative_levels());
-    algo.clamp_raw(rng.gen_range(low..=high), lmax)
+    let (low, high) = A::SPACE.bounds(lmax);
+    A::SPACE.clamp(rng.gen_range(low..=high), lmax)
 }
 
 /// [`run`] specialized to [`Algorithm1`] (kept as a named entry point for
@@ -464,9 +416,9 @@ mod tests {
             )
             .unwrap();
             run.run_to_completion();
-            let lmax = algo.policy().lmax_values();
-            let oracle = crate::observer::Snapshot::new_two_channel(&g, lmax, run.levels());
-            assert_eq!(err.stable_count, oracle.stable_count(), "budget {budget}");
+            let oracle = crate::recovery::claimed_mis(&algo, &g, run.levels(), &[true; 60]);
+            let oracle = crate::recovery::stable_where(&g, &oracle, |_| true).filter(|&s| s);
+            assert_eq!(err.stable_count, oracle.count(), "budget {budget}");
             assert_eq!(err.stable_count, expected, "budget {budget}");
             assert!(err.to_string().contains(&format!("({expected}/60 vertices stable)")));
         }

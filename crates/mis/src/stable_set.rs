@@ -46,10 +46,10 @@ const DENSE_FLOOR: usize = 64;
 /// The class byte of a node with `level`, cap `cap` and participation
 /// `active` (branch-free, so the diff pass vectorizes).
 #[inline]
-fn class_of<A: SelfStabilizingMis>(algo: &A, level: Level, cap: Level, active: bool) -> u8 {
+fn class_of<A: SelfStabilizingMis>(level: Level, cap: Level, active: bool) -> u8 {
     u8::from(active)
         * (ACTIVE
-            | (u8::from(level == algo.claiming_level(cap)) * CLAIMING)
+            | (u8::from(level == A::SPACE.claiming(cap)) * CLAIMING)
             | (u8::from(level == cap) * AT_MAX))
 }
 
@@ -156,7 +156,7 @@ impl StableSet {
             let nodes = || levels.iter().zip(caps).zip(active).zip(class);
             let diff =
                 |(((&level, &cap), &is_active), &class): (((&Level, &Level), &bool), &u8)| {
-                    class_of(algo, level, cap, is_active) ^ class
+                    class_of::<A>(level, cap, is_active) ^ class
                 };
             // No early exit inside a chunk, so the common clean chunk is one
             // vectorized pass (about 1.6× the plain scan at n = 2^16).
@@ -186,7 +186,7 @@ impl StableSet {
         // One node at a time, so an edge between two changed claimers is
         // counted exactly once: by whichever endpoint is updated second.
         for &v in &changed {
-            let (old, new) = (self.class[v], class_of(algo, levels[v], caps[v], active[v]));
+            let (old, new) = (self.class[v], class_of::<A>(levels[v], caps[v], active[v]));
             self.class[v] = new;
             if (old ^ new) & ACTIVE != 0 {
                 if new & ACTIVE != 0 {
@@ -233,7 +233,7 @@ impl StableSet {
         let caps = algo.policy().lmax_values();
         let nodes = levels.iter().zip(caps).zip(active);
         for (class, ((&level, &cap), &is_active)) in self.class.iter_mut().zip(nodes) {
-            *class = class_of(algo, level, cap, is_active);
+            *class = class_of::<A>(level, cap, is_active);
         }
         self.active_count = self.class.iter().filter(|&&c| c & ACTIVE != 0).count();
         // Only claimers read their neighbourhood: one scan settles both their
@@ -349,7 +349,7 @@ mod tests {
     use crate::algorithm1::Algorithm1;
     use crate::algorithm2::Algorithm2;
     use crate::policy::LmaxPolicy;
-    use crate::recovery::{claimed_mis, independence_violations, stabilized_active};
+    use crate::recovery::{claimed_mis, independence_violations, stabilized_active, stable_where};
     use graphs::generators::random;
     use rand::Rng;
 
@@ -364,12 +364,7 @@ mod tests {
         let in_mis = claimed_mis(algo, graph, levels, active);
         assert_eq!(set.in_mis(), &in_mis[..]);
         assert_eq!(set.in_mis_count(), in_mis.iter().filter(|&&m| m).count());
-        let stable = graph
-            .nodes()
-            .filter(|&v| {
-                active[v] && (in_mis[v] || graph.neighbors(v).iter().any(|&u| in_mis[u as usize]))
-            })
-            .count();
+        let stable = stable_where(graph, &in_mis, |v| active[v]).filter(|&s| s).count();
         assert_eq!(set.stable_count(), stable);
         assert_eq!(set.stabilized(), stabilized_active(algo, graph, levels, active));
         assert_eq!(set.violations(), independence_violations(algo, graph, levels, active));
@@ -393,7 +388,7 @@ mod tests {
                 let v = rng.gen_range(0..n);
                 match rng.gen_range(0..6) {
                     0 => active[v] = !active[v],
-                    1 | 2 => levels[v] = algo.claiming_level(caps[v]),
+                    1 | 2 => levels[v] = A::SPACE.claiming(caps[v]),
                     3 | 4 => levels[v] = caps[v],
                     _ => levels[v] = 1,
                 }

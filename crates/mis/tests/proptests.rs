@@ -3,10 +3,10 @@
 
 use graphs::{Graph, GraphBuilder};
 use mis::levels::{
-    beep_probability, clamp_level, clamp_level_two_channel, log2_ceil, update_level,
-    update_level_two_channel, Level,
+    beep_probability, clamp_level, log2_ceil, update_level, update_level_two_channel, Level,
+    LevelSpace,
 };
-use mis::observer::{stable_mis, Snapshot};
+use mis::observer::Snapshot;
 use mis::policy::LmaxPolicy;
 use mis::recovery::{claimed_mis, independence_violations, stabilized_active};
 use mis::{Algorithm1, Algorithm2};
@@ -90,7 +90,7 @@ proptest! {
         let once = clamp_level(raw, lmax);
         prop_assert_eq!(clamp_level(once as i64, lmax), once);
         prop_assert!((-lmax..=lmax).contains(&once));
-        let once2 = clamp_level_two_channel(raw, lmax);
+        let once2 = LevelSpace::NonNegative.clamp(raw, lmax);
         prop_assert!((0..=lmax).contains(&once2));
     }
 
@@ -128,7 +128,7 @@ proptest! {
             .map(|v| clamp_level(raw[v], lmax[v]))
             .collect();
         let snap = Snapshot::new(&g, &lmax, &levels);
-        let mis = stable_mis(&g, &lmax, &levels);
+        let mis = Algorithm1::new(&g, policy.clone()).mis_members(&g, &levels);
         for v in g.nodes() {
             // MIS membership matches the formal definition via μ.
             let in_mis_def = levels[v] == -lmax[v] && snap.mu(v) == 1.0;
@@ -180,7 +180,7 @@ proptest! {
             g.nodes().map(|v| clamp_level(raw[v], policy.lmax(v))).collect();
         let algo2 = Algorithm2::new(&g, policy.clone());
         let levels2: Vec<Level> =
-            g.nodes().map(|v| clamp_level_two_channel(raw[v], policy.lmax(v))).collect();
+            g.nodes().map(|v| LevelSpace::NonNegative.clamp(raw[v], policy.lmax(v))).collect();
 
         let violations1 = independence_violations(&algo1, &g, &levels1, &active);
         if stabilized_active(&algo1, &g, &levels1, &active) {
@@ -213,13 +213,13 @@ proptest! {
         let lmax = policy.lmax_values().to_vec();
         let levels: Vec<Level> = g
             .nodes()
-            .map(|v| clamp_level_two_channel(raw[v], lmax[v]))
+            .map(|v| LevelSpace::NonNegative.clamp(raw[v], lmax[v]))
             .collect();
-        let snap = Snapshot::new_two_channel(&g, &lmax, &levels);
+        let mis = Algorithm2::new(&g, policy.clone()).mis_members(&g, &levels);
         for v in g.nodes() {
             let in_mis_def = levels[v] == 0
                 && g.neighbors(v).iter().all(|&u| levels[u as usize] == lmax[u as usize]);
-            prop_assert_eq!(snap.in_mis(v), in_mis_def);
+            prop_assert_eq!(mis[v], in_mis_def);
         }
     }
 }

@@ -11,7 +11,7 @@ use beeping_mis::prelude::*;
 use graphs::generators::{classic, composite, random};
 use mis::adaptive::{AdaptiveMis, AdaptiveState};
 use mis::levels::Level;
-use mis::runner::{initial_levels, SelfStabilizingMis};
+use mis::runner::initial_levels;
 
 #[test]
 fn adaptive_matches_knowledge_based_outcomes_in_validity() {
@@ -80,12 +80,12 @@ fn sleepy_wrapped_algorithm1_stabilizes_after_staggered_wakeup() {
     let done = sim.run_until(1_000_000, |s| {
         s.states().iter().all(SleepyState::is_awake) && {
             let ls: Vec<Level> = s.states().iter().map(|st| st.inner).collect();
-            algo.stabilized(&g, &ls)
+            algo.is_stabilized(&g, &ls)
         }
     });
     assert!(done.is_some());
     let ls: Vec<Level> = sim.states().iter().map(|st| st.inner).collect();
-    assert!(graphs::mis::is_maximal_independent_set(&g, &algo.mis_of(&g, &ls)));
+    assert!(graphs::mis::is_maximal_independent_set(&g, &algo.mis_members(&g, &ls)));
 }
 
 #[test]
@@ -99,8 +99,7 @@ fn stone_age_embedding_full_pipeline() {
     let config = RunConfig::new(13);
     let init = initial_levels(&algo, &config);
     let mut stone = BeepingInStoneAge::new(algo.clone()).into_simulator(&g, init, 13);
-    let lmax = algo.policy().lmax_values().to_vec();
-    let done = stone.run_until(1_000_000, |levels| mis::observer::is_stabilized(&g, &lmax, levels));
+    let done = stone.run_until(1_000_000, |levels| algo.is_stabilized(&g, levels));
     assert_eq!(done, Some(native.stabilization_round));
     assert_eq!(algo.mis_members(&g, stone.states()), native.mis);
 }
