@@ -90,6 +90,16 @@ pub enum PlanError {
     /// The motion spec is invalid, or the supplied graph is not the spec's
     /// initial deployment (see [`beeping::dynamic::MotionSpec`]).
     Motion(String),
+    /// A per-node input does not have one entry per node: the algorithm's
+    /// `ℓmax` policy or an [`InitialLevels::Custom`] configuration.
+    Size {
+        /// The wrongly sized input.
+        what: &'static str,
+        /// Its number of entries.
+        len: usize,
+        /// The graph's node count.
+        n: usize,
+    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -99,6 +109,9 @@ impl std::fmt::Display for PlanError {
             PlanError::Churn(e) => write!(f, "invalid churn plan: {e}"),
             PlanError::Byzantine(e) => write!(f, "invalid byzantine plan: {e}"),
             PlanError::Motion(msg) => write!(f, "invalid motion spec: {msg}"),
+            PlanError::Size { what, len, n } => {
+                write!(f, "{what} has {len} entries for a {n}-node graph")
+            }
         }
     }
 }
@@ -443,12 +456,18 @@ impl<A: SelfStabilizingMis> RunLoop<'static, A> {
     }
 }
 
-/// Checks every schedule of `config` against an `n`-node network.
+/// Checks every per-node input and schedule of `config` against an
+/// `n`-node network.
 fn validate_plans<A: SelfStabilizingMis>(
     config: &ResumableConfig,
     algo: &A,
     n: usize,
 ) -> Result<(), PlanError> {
+    let sized = |what, len| if len == n { Ok(()) } else { Err(PlanError::Size { what, len, n }) };
+    sized("the ℓmax policy", algo.policy().len())?;
+    if let InitialLevels::Custom(values) = &config.init {
+        sized("the custom initial configuration", values.len())?;
+    }
     config.faults.validate(n)?;
     config.churn.validate(n)?;
     config.byzantine.validate(n, algo.channels())?;
@@ -891,7 +910,7 @@ mod tests {
     use crate::algorithm1::Algorithm1;
     use crate::algorithm2::Algorithm2;
     use crate::policy::LmaxPolicy;
-    use crate::runner::{run, RunConfig};
+    use crate::runner::{run, RunConfig, RunError};
     use beeping::byzantine::ByzantineBehavior;
     use graphs::generators::{classic, random};
 
@@ -1010,6 +1029,33 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(byz_err, PlanError::Byzantine(_)));
+    }
+
+    #[test]
+    fn wrong_sized_inputs_are_plan_errors() {
+        let g = classic::path(3);
+        let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
+        for values in [vec![0, 0], vec![0; 4]] {
+            let len = values.len();
+            let config = ResumableConfig::new(0).with_init(InitialLevels::Custom(values));
+            let expected = PlanError::Size { what: "the custom initial configuration", len, n: 3 };
+            assert_eq!(
+                run(&g, &algo, config.clone()).unwrap_err(),
+                RunError::Plan(expected.clone())
+            );
+            assert_eq!(ResumableRun::new(&g, &algo, config).unwrap_err(), expected);
+        }
+        // A policy built for another graph.
+        let big = classic::path(5);
+        let foreign = Algorithm1::new(&big, LmaxPolicy::global_delta(&big));
+        let expected = PlanError::Size { what: "the ℓmax policy", len: 5, n: 3 };
+        assert_eq!(
+            run(&g, &foreign, RunConfig::new(0)).unwrap_err(),
+            RunError::Plan(expected.clone())
+        );
+        let err = ResumableRun::new(&g, &foreign, RunConfig::new(0)).unwrap_err();
+        assert_eq!(err, expected);
+        assert_eq!(err.to_string(), "the ℓmax policy has 5 entries for a 3-node graph");
     }
 
     #[test]
