@@ -96,11 +96,9 @@ pub fn stabilized_except<A: SelfStabilizingMis>(
     radius: usize,
 ) -> bool {
     assert_eq!(dist.len(), graph.len(), "one distance per vertex");
-    let in_mis = claimed_mis(algo, graph, levels, active);
-    let stabilized = stable_where(graph, &in_mis, |v| active[v])
+    stable_where(graph, &claimed_mis(algo, graph, levels, active), |v| active[v])
         .enumerate()
-        .all(|(v, stable)| stable || !active[v] || dist[v] <= radius);
-    stabilized
+        .all(|(v, stable)| stable || !active[v] || dist[v] <= radius)
 }
 
 /// The disruption radius of a configuration: the smallest `r` such that
@@ -124,14 +122,12 @@ pub fn disruption_radius_with<A: SelfStabilizingMis>(
     dist: &[usize],
 ) -> usize {
     assert_eq!(dist.len(), graph.len(), "one distance per vertex");
-    let in_mis = claimed_mis(algo, graph, levels, active);
-    let radius = stable_where(graph, &in_mis, |v| active[v])
+    stable_where(graph, &claimed_mis(algo, graph, levels, active), |v| active[v])
         .enumerate()
         .filter(|&(v, stable)| !stable && active[v] && dist[v] > 0)
         .map(|(v, _)| dist[v])
         .max()
-        .unwrap_or(0);
-    radius
+        .unwrap_or(0)
 }
 
 /// [`disruption_radius_with`], computing [`byz_distances`] internally.

@@ -135,9 +135,9 @@ pub fn stabilized_active<A: SelfStabilizingMis>(
     levels: &[Level],
     active: &[bool],
 ) -> bool {
-    let in_mis = claimed_mis(algo, graph, levels, active);
-    let stabilized = stable_where(graph, &in_mis, |v| active[v]).zip(active).all(|(s, &a)| s || !a);
-    stabilized
+    stable_where(graph, &claimed_mis(algo, graph, levels, active), |v| active[v])
+        .zip(active)
+        .all(|(stable, &a)| stable || !a)
 }
 
 /// Number of live MIS-validity violations: edges whose two endpoints are
