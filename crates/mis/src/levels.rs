@@ -116,8 +116,9 @@ pub fn beep1_probability(level: Level, lmax: Level) -> f64 {
 }
 
 /// Algorithm 1's claiming level: [`LevelSpace::claiming`] of the signed
-/// space. The three free functions below stay for the `perfbench` crate,
-/// which imports them; crate code calls [`LevelSpace`] directly.
+/// space. This, [`state_space_bounds`] and [`clamp_level`] stay only
+/// because the `perfbench` crate imports them; crate code calls
+/// [`LevelSpace`] directly.
 pub fn claiming_level(lmax: Level) -> Level {
     LevelSpace::Signed.claiming(lmax)
 }
