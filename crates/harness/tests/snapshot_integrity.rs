@@ -14,7 +14,9 @@ use beeping::rng::pcg_state;
 use graphs::generators::geometric::radius_for_expected_degree;
 use graphs::generators::random;
 use graphs::motion::MotionModel;
-use harness::snapshot::{config_fingerprint, decode, encode, read_file, write_file, SnapshotError};
+use harness::snapshot::{
+    config_fingerprint, decode, encode, fnv1a64, read_file, write_file, SnapshotError,
+};
 use mis::resumable::{ResumableConfig, ResumableRun, RunCheckpoint, RunStatus};
 use mis::{Algorithm1, LmaxPolicy};
 use proptest::prelude::*;
@@ -303,6 +305,71 @@ fn inconsistent_payload_is_typed_not_panic() {
     let decoded = decode(reheadered.as_bytes(), fp).expect("shape still decodes");
     let err = ResumableRun::resume(&algo, config, &decoded).unwrap_err();
     assert!(err.to_string().contains("inconsistent"), "{err}");
+}
+
+/// The committed version-1 file written from [`busy_checkpoint`]: churned,
+/// noisy, with a trace and a pending event cursor.
+const BUSY_V1: &[u8] = include_bytes!("fixtures/busy_checkpoint.v1.snap");
+
+fn busy_v1_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/busy_checkpoint.v1.snap")
+}
+
+/// A checkpoint of a G(n,p) run with more than 10,000 nodes, so node ids
+/// need 5 decimal digits, taken mid-recovery, so levels are negative too.
+fn large_checkpoint() -> (RunCheckpoint, u64) {
+    let n = 20_000;
+    let g = random::gnp(n, 6.0 / (n as f64 - 1.0), 17);
+    let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
+    let config = ResumableConfig::new(17)
+        .with_faults(FaultPlan::new().with_fault(2, FaultTarget::RandomFraction(0.1)));
+    let fingerprint = config_fingerprint::<Algorithm1>(&config);
+    let mut run = ResumableRun::new(&g, &algo, config).unwrap();
+    for _ in 0..4 {
+        run.tick();
+    }
+    let cp = run.checkpoint();
+    assert!(cp.sim.states().iter().any(|&l| l < 0), "test fixture: negative levels expected");
+    assert!(cp.sim.graph().edges().any(|(_, v)| v >= 10_000), "test fixture: 5-digit ids");
+    (cp, fingerprint)
+}
+
+#[test]
+fn committed_v1_file_decodes_and_reencodes_byte_for_byte() {
+    let (cp, fp) = busy_checkpoint();
+    assert_eq!(encode(&cp, fp), BUSY_V1, "encode drifted from the committed v1 bytes");
+    let decoded = read_file(&busy_v1_path(), fp).expect("committed v1 file decodes");
+    assert_checkpoints_equal(&cp, &decoded);
+    assert_eq!(encode(&decoded, fp), BUSY_V1);
+}
+
+#[test]
+fn encoded_bytes_are_pinned() {
+    // FNV-1a of the whole file pins every byte of the format: a moving
+    // deployment (motion fields) and a large static graph (5-digit ids,
+    // negative levels, tens of thousands of edges).
+    let (moving, _, fp) = moving_checkpoint(MotionModel::RandomWaypoint { speed: 0.03, pause: 2 });
+    let bytes = encode(&moving, fp);
+    assert_eq!((bytes.len(), fnv1a64(&bytes)), (MOVING_PIN.0, MOVING_PIN.1));
+    let (large, fp) = large_checkpoint();
+    let bytes = encode(&large, fp);
+    assert_eq!((bytes.len(), fnv1a64(&bytes)), (LARGE_PIN.0, LARGE_PIN.1));
+}
+
+/// `(length, FNV-1a)` of the encoded moving checkpoint (random waypoint).
+const MOVING_PIN: (usize, u64) = (3_182, 0x9bcd_e3e8_ddc9_28e6);
+/// `(length, FNV-1a)` of the encoded 20,000-node checkpoint.
+const LARGE_PIN: (usize, u64) = (1_452_417, 0x70d5_1d41_6c3d_88f5);
+
+#[test]
+fn write_file_puts_exactly_the_encoded_bytes_on_disk() {
+    let dir = scratch_dir("bytes");
+    let path = dir.join("cp.snap");
+    for (cp, fp) in [busy_checkpoint(), large_checkpoint()] {
+        write_file(&path, &cp, fp).expect("write");
+        assert_eq!(std::fs::read(&path).expect("read back"), encode(&cp, fp));
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {
