@@ -10,10 +10,19 @@
 //! {"fingerprint":"<hex>","round":R,"states":[...],"rngs":"<hex...>", ...}
 //! ```
 //!
-//! The bulk vectors use compact encodings, because a snapshot is written
-//! every k rounds on the supervisor's critical path: `rngs` is one string
-//! of concatenated fixed-width 32-digit hex states, `active` is one string
-//! of `0`/`1` digits, and `graph_edges` is a flat `[u,v,u,v,...]` array.
+//! The bulk vectors use compact encodings: `rngs` is one string of
+//! concatenated fixed-width 32-digit hex states, `active` is one string of
+//! `0`/`1` digits, and `graph_edges` is a flat `[u,v,u,v,...]` array.
+//!
+//! A snapshot is re-encoded every k rounds, on a background thread that
+//! has one chunk of rounds to finish in (see [`crate::supervisor`]), so the
+//! encoder is built for speed without changing a byte of the format. It
+//! writes one buffer, sized up front from n, m and the trace length:
+//! decimals two digits at a time from a digit-pair table, hex one byte at
+//! a time from a byte-to-two-digits table, and the edge list straight off
+//! the graph's sorted adjacency lists, with each node id rendered once.
+//! [`write_file`] streams the header line and that buffer to the file;
+//! [`encode`] returns the same bytes as one vector.
 //!
 //! The header is self-describing and guards the payload: `payload_bytes` is
 //! the exact byte length of the second line (detecting truncation) and
@@ -47,6 +56,7 @@
 //! missing file, garbage bytes, truncation, bit flips, version skew,
 //! internally inconsistent vectors — surfaces as a typed [`SnapshotError`].
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use beeping::dynamic::MotionState;
@@ -231,14 +241,6 @@ pub fn config_fingerprint<A: SelfStabilizingMis>(config: &ResumableConfig) -> u6
     fnv1a64(canonical.as_bytes())
 }
 
-fn hex_u64(v: u64) -> String {
-    format!("{v:016x}")
-}
-
-fn hex_u128(v: u128) -> String {
-    format!("{v:032x}")
-}
-
 fn parse_hex_u64(s: &str, what: &str) -> Result<u64, SnapshotError> {
     if s.len() != 16 {
         return Err(SnapshotError::MalformedPayload(format!("{what}: expected 16 hex digits")));
@@ -259,23 +261,72 @@ fn signal_bits(s: BeepSignal) -> u8 {
     u8::from(s.on_channel1()) | (u8::from(s.on_channel2()) << 1)
 }
 
-/// Appends `v` in decimal. Snapshots are re-encoded at every checkpoint
-/// cadence, so the per-element paths push raw bytes (no `format!`, no
-/// UTF-8 bookkeeping) to keep supervision overhead low.
-fn push_u64_dec(out: &mut Vec<u8>, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut len = 0usize;
-    for slot in digits.iter_mut() {
-        *slot = b'0' + (v % 10) as u8;
-        len += 1;
-        v /= 10;
-        if v == 0 {
-            break;
+/// ASCII digits of bases up to 16, indexed by value.
+const DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// `DEC_PAIRS[k]` is `k` as two decimal digits, `00` to `99`.
+const DEC_PAIRS: [[u8; 2]; 100] = {
+    let mut table = [[0u8; 2]; 100];
+    let mut k = 0;
+    while k < 100 {
+        table[k] = [DIGITS[k / 10], DIGITS[k % 10]];
+        k += 1;
+    }
+    table
+};
+
+/// `HEX_PAIRS[b]` is the byte `b` as two lowercase hex digits.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    let mut table = [[0u8; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = [DIGITS[b / 16], DIGITS[b % 16]];
+        b += 1;
+    }
+    table
+};
+
+/// An unsigned integer in decimal, left-aligned in a fixed buffer.
+#[derive(Clone, Copy)]
+struct Decimal {
+    digits: [u8; 20],
+    len: u8,
+}
+
+impl Decimal {
+    /// Renders `v` two digits per step from the right.
+    fn new(mut v: u64) -> Decimal {
+        let len = v.checked_ilog10().map_or(1, |d| d + 1);
+        let mut digits = [b'0'; 20];
+        let mut end = len as usize;
+        while end >= 2 {
+            let pair = DEC_PAIRS.get((v % 100) as usize);
+            if let (Some(slot), Some(pair)) = (digits.get_mut(end - 2..end), pair) {
+                slot.copy_from_slice(pair);
+            }
+            v /= 100;
+            end -= 2;
         }
+        if end == 1 {
+            if let (Some(slot), Some(&digit)) = (digits.first_mut(), DIGITS.get(v as usize)) {
+                *slot = digit;
+            }
+        }
+        Decimal { digits, len: u8::try_from(len).unwrap_or(20) }
     }
-    for &d in digits.iter().take(len).rev() {
-        out.push(d);
+
+    /// Appends the digits as one fixed-size copy and a truncation, which
+    /// is cheaper than a copy of variable length.
+    fn push_to(&self, out: &mut Vec<u8>) {
+        let end = out.len() + usize::from(self.len);
+        out.extend_from_slice(&self.digits);
+        out.truncate(end);
     }
+}
+
+/// Appends `v` in decimal.
+fn push_u64_dec(out: &mut Vec<u8>, v: u64) {
+    Decimal::new(v).push_to(out);
 }
 
 /// Appends `v` in decimal, with a sign for negative values.
@@ -286,24 +337,17 @@ fn push_i64_dec(out: &mut Vec<u8>, v: i64) {
     push_u64_dec(out, v.unsigned_abs());
 }
 
-/// Appends `v` as exactly 32 lowercase hex digits (the RNG-state encoding).
-fn push_hex_u128(out: &mut Vec<u8>, v: u128) {
-    for shift in (0..32u32).rev() {
-        let nibble = ((v >> (shift * 4)) & 0xf) as u8;
-        out.push(if nibble < 10 { b'0' + nibble } else { b'a' + nibble - 10 });
+/// Appends big-endian `bytes` as lowercase hex, two digits per byte: a
+/// `u64` or `f64` bit pattern as 16 digits, a `u128` as 32. Types wider
+/// than 16 bytes do not occur.
+fn push_hex<const N: usize>(out: &mut Vec<u8>, bytes: [u8; N]) {
+    let mut text = [0u8; 32];
+    for (slot, byte) in text.chunks_exact_mut(2).zip(bytes) {
+        if let Some(pair) = HEX_PAIRS.get(usize::from(byte)) {
+            slot.copy_from_slice(pair);
+        }
     }
-}
-
-/// Appends `v` as its `to_bits` value in exactly 16 lowercase hex digits —
-/// the motion-geometry encoding. Decimal rendering would round; the bit
-/// pattern restores the exact coordinate, NaN payloads and signed zeros
-/// included.
-fn push_hex_f64(out: &mut Vec<u8>, v: f64) {
-    let bits = v.to_bits();
-    for shift in (0..16u32).rev() {
-        let nibble = ((bits >> (shift * 4)) & 0xf) as u8;
-        out.push(if nibble < 10 { b'0' + nibble } else { b'a' + nibble - 10 });
-    }
+    out.extend_from_slice(text.get(..2 * N).unwrap_or_default());
 }
 
 /// Parses a concatenation of fixed-width 16-digit hex `f64` bit patterns.
@@ -333,21 +377,32 @@ fn parse_point_list(s: &str, what: &str) -> Result<Vec<(f64, f64)>, SnapshotErro
 }
 
 /// Serializes `checkpoint` (stamped with `fingerprint`) into the two-line
-/// snapshot format. The output always round-trips through [`decode`].
+/// snapshot format. The output always round-trips through [`decode`], and
+/// it is exactly the bytes [`write_file`] puts on disk.
 pub fn encode(checkpoint: &RunCheckpoint, fingerprint: u64) -> Vec<u8> {
     let payload = encode_payload(checkpoint, fingerprint);
-    let header = format!(
-        "{{\"format\":\"{FORMAT}\",\"version\":{VERSION},\
-         \"payload_bytes\":{},\"checksum\":\"{}\"}}",
-        payload.len(),
-        hex_u64(checksum64(&payload)),
-    );
-    let mut out = Vec::with_capacity(header.len() + payload.len() + 2);
-    out.extend_from_slice(header.as_bytes());
-    out.push(b'\n');
+    let mut out = header_line(&payload);
+    out.reserve(payload.len() + 1);
     out.extend_from_slice(&payload);
     out.push(b'\n');
     out
+}
+
+/// The first line of a snapshot, newline included: format, version, and
+/// the length and checksum of `payload` (the second line, without its
+/// newline).
+fn header_line(payload: &[u8]) -> Vec<u8> {
+    let mut line = Vec::with_capacity(128);
+    line.extend_from_slice(b"{\"format\":\"");
+    line.extend_from_slice(FORMAT.as_bytes());
+    line.extend_from_slice(b"\",\"version\":");
+    push_u64_dec(&mut line, VERSION);
+    line.extend_from_slice(b",\"payload_bytes\":");
+    push_u64_dec(&mut line, payload.len() as u64);
+    line.extend_from_slice(b",\"checksum\":\"");
+    push_hex(&mut line, checksum64(payload).to_be_bytes());
+    line.extend_from_slice(b"\"}\n");
+    line
 }
 
 fn push_joined<T, F: FnMut(&mut Vec<u8>, &T)>(out: &mut Vec<u8>, items: &[T], mut one: F) {
@@ -361,55 +416,107 @@ fn push_joined<T, F: FnMut(&mut Vec<u8>, &T)>(out: &mut Vec<u8>, items: &[T], mu
     out.push(b']');
 }
 
+/// Appends `,"key":"<32 hex digits>"`, the encoding of one RNG state.
+fn push_rng_field(out: &mut Vec<u8>, key: &[u8], state: u128) {
+    out.extend_from_slice(b",\"");
+    out.extend_from_slice(key);
+    out.extend_from_slice(b"\":\"");
+    push_hex(out, state.to_be_bytes());
+    out.push(b'"');
+}
+
+/// Appends `,"key":"<hex>"` with each `f64` as its 16-digit `to_bits`.
+fn push_f64_field(out: &mut Vec<u8>, key: &[u8], values: impl IntoIterator<Item = f64>) {
+    out.extend_from_slice(b",\"");
+    out.extend_from_slice(key);
+    out.extend_from_slice(b"\":\"");
+    for v in values {
+        push_hex(out, v.to_bits().to_be_bytes());
+    }
+    out.push(b'"');
+}
+
+/// Appends the flat `[u,w,u,w,...]` edge list, each edge once with `u < w`
+/// in [`Graph::edges`] order, read straight off the sorted adjacency
+/// lists. Every id is rendered once up front: each one recurs in about
+/// half its degree's worth of edges.
+fn push_edges(out: &mut Vec<u8>, graph: &Graph) {
+    let ids: Vec<Decimal> = graph.nodes().map(|v| Decimal::new(v as u64)).collect();
+    let start = out.len();
+    for (u, from) in ids.iter().enumerate() {
+        let neighbors = graph.neighbors(u);
+        let later = neighbors.get(neighbors.partition_point(|&w| w as usize <= u)..);
+        for to in later.unwrap_or_default().iter().filter_map(|&w| ids.get(w as usize)) {
+            out.push(b',');
+            from.push_to(out);
+            out.push(b',');
+            to.push_to(out);
+        }
+    }
+    // Every edge wrote a leading comma; the first one becomes the bracket.
+    match out.get_mut(start) {
+        Some(first) => *first = b'[',
+        None => out.push(b'['),
+    }
+    out.push(b']');
+}
+
+/// An upper bound on the payload's length, so the encoder never
+/// reallocates. Per node: a level with its sign and separator, 32 RNG
+/// digits, two signal digits with separators and an activity digit. Per
+/// edge: two ids and two separators. Per trace row: seven numbers, none
+/// larger than the round or the node count, with separators and brackets.
+/// Per moving node: 80 hex digits of geometry and a pause.
+fn payload_capacity(checkpoint: &RunCheckpoint) -> usize {
+    let sim = &checkpoint.sim;
+    let n = sim.graph().len();
+    let digits = |v: u64| usize::from(Decimal::new(v).len);
+    let widest_level = sim.states().iter().map(|l| l.unsigned_abs()).max().unwrap_or(0);
+    let level_len = digits(u64::from(widest_level)) + 2;
+    let id_len = digits(n as u64) + 1;
+    let row_len = 7 * (digits(sim.round().max(n as u64)) + 1) + 2;
+    let motion =
+        checkpoint.motion.as_ref().map_or(0, |m| 80 * m.positions.len() + 21 * m.pauses.len());
+    512 + n * (level_len + 32 + 4 + 1)
+        + sim.graph().num_edges() * 2 * id_len
+        + checkpoint.trace.reports().len() * row_len
+        + motion
+}
+
 fn encode_payload(checkpoint: &RunCheckpoint, fingerprint: u64) -> Vec<u8> {
     let sim = &checkpoint.sim;
-    // States + signals + rngs + edges + trace, each a handful of bytes per
-    // element; sized generously up front so the hot pushes never realloc.
-    let n = sim.states().len();
-    let edges: Vec<(usize, usize)> = sim.graph().edges().collect();
-    let trace_rows = checkpoint.trace.reports().len();
-    let mut s: Vec<u8> = Vec::with_capacity(256 + 48 * n + 14 * edges.len() + 40 * trace_rows);
-    s.push(b'{');
-    s.extend_from_slice(format!("\"fingerprint\":\"{}\"", hex_u64(fingerprint)).as_bytes());
-    s.extend_from_slice(format!(",\"round\":{}", sim.round()).as_bytes());
+    let mut s: Vec<u8> = Vec::with_capacity(payload_capacity(checkpoint));
+    s.extend_from_slice(b"{\"fingerprint\":\"");
+    push_hex(&mut s, fingerprint.to_be_bytes());
+    s.extend_from_slice(b"\",\"round\":");
+    push_u64_dec(&mut s, sim.round());
     s.extend_from_slice(b",\"states\":");
     push_joined(&mut s, sim.states(), |out, &l| push_i64_dec(out, i64::from(l)));
     s.extend_from_slice(b",\"rngs\":\"");
     for r in sim.rngs() {
-        push_hex_u128(&mut s, pcg_state(r));
+        push_hex(&mut s, pcg_state(r).to_be_bytes());
     }
     s.push(b'"');
     s.extend_from_slice(b",\"sent\":");
     push_joined(&mut s, sim.sent(), |out, &b| out.push(b'0' + signal_bits(b)));
     s.extend_from_slice(b",\"heard\":");
     push_joined(&mut s, sim.heard(), |out, &b| out.push(b'0' + signal_bits(b)));
-    s.extend_from_slice(format!(",\"graph_n\":{}", sim.graph().len()).as_bytes());
+    s.extend_from_slice(b",\"graph_n\":");
+    push_u64_dec(&mut s, sim.graph().len() as u64);
     s.extend_from_slice(b",\"graph_edges\":");
-    push_joined(&mut s, &edges, |out, &(u, v)| {
-        push_u64_dec(out, u as u64);
-        out.push(b',');
-        push_u64_dec(out, v as u64);
-    });
+    push_edges(&mut s, sim.graph());
     s.extend_from_slice(b",\"active\":\"");
-    for &a in sim.active() {
-        s.push(if a { b'1' } else { b'0' });
-    }
+    s.extend(sim.active().iter().map(|&a| if a { b'1' } else { b'0' }));
     s.push(b'"');
-    s.extend_from_slice(
-        format!(",\"channel_in_burst\":{}", sim.channel_state().in_burst).as_bytes(),
-    );
-    s.extend_from_slice(
-        format!(",\"channel_rng\":\"{}\"", hex_u128(pcg_state(sim.channel_rng()))).as_bytes(),
-    );
-    s.extend_from_slice(
-        format!(",\"byz_rng\":\"{}\"", hex_u128(pcg_state(sim.byz_rng()))).as_bytes(),
-    );
-    s.extend_from_slice(
-        format!(",\"fault_rng\":\"{}\"", hex_u128(pcg_state(&checkpoint.fault_rng))).as_bytes(),
-    );
+    s.extend_from_slice(b",\"channel_in_burst\":");
+    s.extend_from_slice(if sim.channel_state().in_burst { b"true" } else { b"false" });
+    push_rng_field(&mut s, b"channel_rng", pcg_state(sim.channel_rng()));
+    push_rng_field(&mut s, b"byz_rng", pcg_state(sim.byz_rng()));
+    push_rng_field(&mut s, b"fault_rng", pcg_state(&checkpoint.fault_rng));
+    s.extend_from_slice(b",\"applied_through\":");
     match checkpoint.applied_through {
-        Some(r) => s.extend_from_slice(format!(",\"applied_through\":{r}").as_bytes()),
-        None => s.extend_from_slice(b",\"applied_through\":null"),
+        Some(r) => push_u64_dec(&mut s, r),
+        None => s.extend_from_slice(b"null"),
     }
     s.extend_from_slice(b",\"trace\":");
     push_joined(&mut s, checkpoint.trace.reports(), |out, r| {
@@ -429,28 +536,14 @@ fn encode_payload(checkpoint: &RunCheckpoint, fingerprint: u64) -> Vec<u8> {
         out.push(b']');
     });
     if let Some(motion) = &checkpoint.motion {
-        s.extend_from_slice(b",\"motion_positions\":\"");
-        for &(x, y) in &motion.positions {
-            push_hex_f64(&mut s, x);
-            push_hex_f64(&mut s, y);
-        }
-        s.push(b'"');
-        s.extend_from_slice(b",\"motion_waypoints\":\"");
-        for &(x, y) in &motion.waypoints {
-            push_hex_f64(&mut s, x);
-            push_hex_f64(&mut s, y);
-        }
-        s.push(b'"');
+        let positions = motion.positions.iter().flat_map(|&(x, y)| [x, y]);
+        push_f64_field(&mut s, b"motion_positions", positions);
+        let waypoints = motion.waypoints.iter().flat_map(|&(x, y)| [x, y]);
+        push_f64_field(&mut s, b"motion_waypoints", waypoints);
         s.extend_from_slice(b",\"motion_pauses\":");
         push_joined(&mut s, &motion.pauses, |out, &p| push_u64_dec(out, p));
-        s.extend_from_slice(b",\"motion_headings\":\"");
-        for &h in &motion.headings {
-            push_hex_f64(&mut s, h);
-        }
-        s.push(b'"');
-        s.extend_from_slice(
-            format!(",\"motion_rng\":\"{}\"", hex_u128(motion.rng_state)).as_bytes(),
-        );
+        push_f64_field(&mut s, b"motion_headings", motion.headings.iter().copied());
+        push_rng_field(&mut s, b"motion_rng", motion.rng_state);
     }
     s.push(b'}');
     s
@@ -693,20 +786,28 @@ fn io_err(path: &Path, e: std::io::Error) -> SnapshotError {
     SnapshotError::Io { path: path.to_path_buf(), message: e.to_string() }
 }
 
-/// Atomically writes `checkpoint` to `path`: the bytes go to a `.tmp`
-/// sibling first and are renamed into place, so a crash mid-write leaves
-/// either the previous snapshot or none — never a half-written file
-/// masquerading as a snapshot.
+/// Writes `checkpoint` to `path` by atomic rename, not fsync'd: the bytes
+/// go to a `.tmp` sibling first and are renamed into place, so a crash of
+/// the process mid-write leaves either the previous snapshot or none —
+/// never a half-written file masquerading as a snapshot. (A power loss may
+/// still lose the latest snapshot: nothing forces the data to the disk.)
+///
+/// The file holds exactly [`encode`]'s bytes. The header line and the
+/// payload are streamed to the file as they are, with no concatenated copy.
 pub fn write_file(
     path: &Path,
     checkpoint: &RunCheckpoint,
     fingerprint: u64,
 ) -> Result<(), SnapshotError> {
-    let bytes = encode(checkpoint, fingerprint);
+    let mut payload = encode_payload(checkpoint, fingerprint);
+    let header = header_line(&payload);
+    payload.push(b'\n');
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, &bytes).map_err(|e| io_err(&tmp, e))?;
+    let mut file = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
+    file.write_all(&header).and_then(|()| file.write_all(&payload)).map_err(|e| io_err(&tmp, e))?;
+    drop(file);
     std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
 }
 
@@ -731,11 +832,18 @@ mod tests {
 
     #[test]
     fn hex_round_trips() {
+        let hex = |bytes: &[u8]| {
+            let mut s = Vec::new();
+            for &b in bytes {
+                push_hex(&mut s, [b]);
+            }
+            String::from_utf8(s).unwrap()
+        };
         for v in [0u64, 1, u64::MAX, 0xdead_beef] {
-            assert_eq!(parse_hex_u64(&hex_u64(v), "t").unwrap(), v);
+            assert_eq!(parse_hex_u64(&hex(&v.to_be_bytes()), "t").unwrap(), v);
         }
         for v in [0u128, 1, u128::MAX, 0x0123_4567_89ab_cdef_u128 << 64] {
-            assert_eq!(parse_hex_u128(&hex_u128(v), "t").unwrap(), v);
+            assert_eq!(parse_hex_u128(&hex(&v.to_be_bytes()), "t").unwrap(), v);
         }
         assert!(parse_hex_u64("xyz", "t").is_err());
         assert!(parse_hex_u128(&"f".repeat(31), "t").is_err());
@@ -743,20 +851,28 @@ mod tests {
 
     #[test]
     fn manual_pushers_match_format() {
-        for v in [0u64, 1, 9, 10, 42, 1023, u64::MAX] {
+        // Every digit count, on both sides of each power of ten.
+        let mut values = vec![0u64, 1, 9, 10, 42, 99, 100, 1023, u64::MAX];
+        values.extend((1..20).flat_map(|e| [10u64.pow(e) - 1, 10u64.pow(e), 10u64.pow(e) + 1]));
+        for v in values {
             let mut s = Vec::new();
             push_u64_dec(&mut s, v);
             assert_eq!(String::from_utf8(s).unwrap(), v.to_string());
         }
-        for v in [0i64, -1, 7, -42, i64::MIN, i64::MAX] {
+        for v in [0i64, -1, 7, -42, -100, -12345, i64::MIN, i64::MAX] {
             let mut s = Vec::new();
             push_i64_dec(&mut s, v);
             assert_eq!(String::from_utf8(s).unwrap(), v.to_string());
         }
-        for v in [0u128, 1, u128::MAX, 0xdead_beef] {
+        for v in [0u128, 1, u128::MAX, 0xdead_beef, 0x0123_4567_89ab_cdef_u128 << 60] {
             let mut s = Vec::new();
-            push_hex_u128(&mut s, v);
-            assert_eq!(String::from_utf8(s).unwrap(), hex_u128(v));
+            push_hex(&mut s, v.to_be_bytes());
+            assert_eq!(String::from_utf8(s).unwrap(), format!("{v:032x}"));
+        }
+        for v in [0u64, 0xa, u64::MAX, 0xfedc_ba98_7654_3210] {
+            let mut s = Vec::new();
+            push_hex(&mut s, v.to_be_bytes());
+            assert_eq!(String::from_utf8(s).unwrap(), format!("{v:016x}"));
         }
     }
 
@@ -795,7 +911,7 @@ mod tests {
         ];
         let mut s = Vec::new();
         for &v in &values {
-            push_hex_f64(&mut s, v);
+            push_hex(&mut s, v.to_bits().to_be_bytes());
         }
         let back = parse_f64_list(std::str::from_utf8(&s).unwrap(), "t").unwrap();
         assert_eq!(back.len(), values.len());
@@ -804,7 +920,7 @@ mod tests {
         }
         // NaN payloads survive too.
         let mut s = Vec::new();
-        push_hex_f64(&mut s, f64::from_bits(0x7ff8_0000_dead_beef));
+        push_hex(&mut s, 0x7ff8_0000_dead_beef_u64.to_be_bytes());
         let back = parse_f64_list(std::str::from_utf8(&s).unwrap(), "t").unwrap();
         assert_eq!(back[0].to_bits(), 0x7ff8_0000_dead_beef);
         // Ragged and odd-coordinate inputs are decode errors, not panics.
@@ -817,6 +933,36 @@ mod tests {
         for bits in 0u8..4 {
             let s = BeepSignal::new(bits & 1 != 0, bits & 2 != 0);
             assert_eq!(signal_bits(s), bits);
+        }
+    }
+
+    #[test]
+    fn capacity_bounds_the_payload() {
+        use beeping::dynamic::MotionSpec;
+        use beeping::faults::{FaultPlan, FaultTarget};
+        use graphs::generators::{geometric, random};
+        use graphs::motion::MotionModel;
+        use mis::resumable::ResumableRun;
+        use mis::{Algorithm1, LmaxPolicy};
+
+        let model = MotionModel::RandomWaypoint { speed: 0.03, pause: 2 };
+        let spec = MotionSpec::new(5, geometric::radius_for_expected_degree(40, 5.0), model);
+        let cases = [
+            (random::gnp(1500, 0.004, 9), ResumableConfig::new(9)),
+            (random::gnp(12, 0.3, 2), ResumableConfig::new(2)),
+            (spec.initial_graph(40), ResumableConfig::new(5).with_motion(spec)),
+        ];
+        for (g, config) in cases {
+            let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
+            let faults = FaultPlan::new().with_fault(3, FaultTarget::RandomFraction(0.3));
+            let mut run = ResumableRun::new(&g, &algo, config.with_faults(faults)).unwrap();
+            for _ in 0..30 {
+                run.tick();
+                let cp = run.checkpoint();
+                let payload = encode_payload(&cp, 1);
+                assert!(payload.len() <= payload_capacity(&cp), "round {}", cp.sim.round());
+                assert_eq!(payload.capacity(), payload_capacity(&cp), "the payload reallocated");
+            }
         }
     }
 }
