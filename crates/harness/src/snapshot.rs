@@ -287,7 +287,6 @@ const HEX_PAIRS: [[u8; 2]; 256] = {
 };
 
 /// An unsigned integer in decimal, left-aligned in a fixed buffer.
-#[derive(Clone, Copy)]
 struct Decimal {
     digits: [u8; 20],
     len: u8,
@@ -380,12 +379,18 @@ fn parse_point_list(s: &str, what: &str) -> Result<Vec<(f64, f64)>, SnapshotErro
 /// snapshot format. The output always round-trips through [`decode`], and
 /// it is exactly the bytes [`write_file`] puts on disk.
 pub fn encode(checkpoint: &RunCheckpoint, fingerprint: u64) -> Vec<u8> {
-    let payload = encode_payload(checkpoint, fingerprint);
-    let mut out = header_line(&payload);
-    out.reserve(payload.len() + 1);
-    out.extend_from_slice(&payload);
-    out.push(b'\n');
-    out
+    let [header, mut bytes] = encode_lines(checkpoint, fingerprint);
+    // The payload's buffer has room for the header: no second buffer.
+    bytes.splice(..0, header);
+    bytes
+}
+
+/// The header line and the payload line, each ending in its newline.
+fn encode_lines(checkpoint: &RunCheckpoint, fingerprint: u64) -> [Vec<u8>; 2] {
+    let mut payload = encode_payload(checkpoint, fingerprint);
+    let header = header_line(&payload);
+    payload.push(b'\n');
+    [header, payload]
 }
 
 /// The first line of a snapshot, newline included: format, version, and
@@ -462,7 +467,8 @@ fn push_edges(out: &mut Vec<u8>, graph: &Graph) {
 }
 
 /// An upper bound on the payload's length, so the encoder never
-/// reallocates. Per node: a level with its sign and separator, 32 RNG
+/// reallocates, plus room for the header line that [`encode`] puts in
+/// front (the 512 fixed bytes also cover the scalar fields). Per node: a level with its sign and separator, 32 RNG
 /// digits, two signal digits with separators and an activity digit. Per
 /// edge: two ids and two separators. Per trace row: seven numbers, none
 /// larger than the round or the node count, with separators and brackets.
@@ -799,9 +805,7 @@ pub fn write_file(
     checkpoint: &RunCheckpoint,
     fingerprint: u64,
 ) -> Result<(), SnapshotError> {
-    let mut payload = encode_payload(checkpoint, fingerprint);
-    let header = header_line(&payload);
-    payload.push(b'\n');
+    let [header, payload] = encode_lines(checkpoint, fingerprint);
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
@@ -962,6 +966,11 @@ mod tests {
                 let payload = encode_payload(&cp, 1);
                 assert!(payload.len() <= payload_capacity(&cp), "round {}", cp.sim.round());
                 assert_eq!(payload.capacity(), payload_capacity(&cp), "the payload reallocated");
+                assert_eq!(
+                    encode(&cp, 1).capacity(),
+                    payload_capacity(&cp),
+                    "no room for the header"
+                );
             }
         }
     }
