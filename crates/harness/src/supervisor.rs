@@ -31,14 +31,15 @@
 //! than one chunk of rounds, and otherwise the next boundary waits out the
 //! rest in the join. The supervisor's telemetry times both costs
 //! (`harness.capture` and `harness.write_wait`), so the stream alone shows
-//! whether snapshots block a run. Measured on perfbench's `long-haul`
-//! (n = 2^16, m ≈ 262k, 5.4 MB snapshots, 128-round chunks of about
-//! 10–12 ms with JSONL telemetry, 2-core host): with the earlier encoder,
-//! encode + write took 25–40 ms and the run waited 22–34 ms per boundary;
-//! with the current one they take about 13 ms (encode 6–8 ms, checksum
-//! 1 ms, `write` 1.5 ms, and 4 ms in the rename that replaces the previous
-//! snapshot) and the wait is 5–9 ms per boundary. The capture costs about
-//! 2 ms per boundary either way.
+//! whether snapshots block a run. Measured on a run shaped like
+//! perfbench's `long-haul` (n = 2^16, m ≈ 262k, 5.4 MB snapshots,
+//! 128-round chunks of about 10–12 ms with JSONL telemetry, 2-core host):
+//! with the earlier encoder, encode + write took 25–40 ms and the run
+//! waited 22–34 ms per boundary (median 31); with the current one they
+//! take about 13 ms (encode 6–8 ms, checksum 1 ms, `write` 1.5 ms, and
+//! 4 ms in the rename that replaces the previous snapshot) and the wait
+//! is 4–8 ms per boundary (median 5.6). The capture costs about 2 ms per
+//! boundary either way.
 //!
 //! Wall-clock time is measured with [`telemetry::Stopwatch`], the
 //! workspace's sanctioned clock (direct `std::time::Instant` use is banned

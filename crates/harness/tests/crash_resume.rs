@@ -260,6 +260,37 @@ fn supervisor_self_heals_with_retry_budget() {
 }
 
 #[test]
+fn supervisor_times_capture_and_write_wait() {
+    // Every durable snapshot is captured once and joined once, so the two
+    // critical-path timers count exactly the checkpoints written; without
+    // a directory nothing is written and nothing is waited for.
+    let g = random::gnp(40, 0.1, 21);
+    let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
+    let dir = scratch_dir("timers");
+    for durable in [true, false] {
+        let tele = Telemetry::enabled(TelemetryConfig { level_stride: 0 });
+        let mut sup = SupervisorConfig::new().with_checkpoint_every(4).with_telemetry(tele.clone());
+        if durable {
+            sup = sup.with_checkpoint_dir(&dir);
+        }
+        let outcome = supervise(&g, &algo, ResumableConfig::new(21), &sup).expect("valid plans");
+        assert!(matches!(outcome, RunOutcome::Completed(_)), "{outcome:?}");
+        let metrics = tele.metrics();
+        let written = metrics.counter("harness.checkpoints_written");
+        let count = |name: &str| metrics.timer(name).map_or(0, |t| t.count);
+        assert!(count("harness.capture") >= 2, "initial capture plus at least one boundary");
+        if durable {
+            assert!(written >= 2);
+            assert_eq!(count("harness.capture"), written);
+            assert_eq!(count("harness.write_wait"), written);
+        } else {
+            assert_eq!((written, count("harness.write_wait")), (0, 0));
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn supervisor_reports_panic_when_retries_exhausted() {
     let g = classic::cycle(12);
     let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
