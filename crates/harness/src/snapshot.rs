@@ -795,8 +795,9 @@ fn io_err(path: &Path, e: std::io::Error) -> SnapshotError {
 /// Writes `checkpoint` to `path` by atomic rename, not fsync'd: the bytes
 /// go to a `.tmp` sibling first and are renamed into place, so a crash of
 /// the process mid-write leaves either the previous snapshot or none —
-/// never a half-written file masquerading as a snapshot. (A power loss may
-/// still lose the latest snapshot: nothing forces the data to the disk.)
+/// never a half-written file masquerading as a snapshot. Nothing forces
+/// the data to the disk, so after a power loss the file may be incomplete;
+/// [`read_file`] then reports it as a typed error.
 ///
 /// The file holds exactly [`encode`]'s bytes. The header line and the
 /// payload are streamed to the file as they are, with no concatenated copy.
@@ -964,7 +965,6 @@ mod tests {
                 run.tick();
                 let cp = run.checkpoint();
                 let payload = encode_payload(&cp, 1);
-                assert!(payload.len() <= payload_capacity(&cp), "round {}", cp.sim.round());
                 assert_eq!(payload.capacity(), payload_capacity(&cp), "the payload reallocated");
                 assert_eq!(
                     encode(&cp, 1).capacity(),
