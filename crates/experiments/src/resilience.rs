@@ -12,11 +12,16 @@
 //! supervised executions cover exactly the same rounds) timed bare vs
 //! supervised at several checkpoint cadences; then a kill/resume round trip
 //! through the crash rig with a digest comparison against the straight run.
+//! Each cadence times bare and supervised runs in back-to-back pairs,
+//! alternating which goes first, so host drift between cadences (bare times
+//! alone varied 0.97–1.63 s between invocations on a shared 2-core VM)
+//! lands on both sides of a pair; the overhead is the median of the
+//! per-pair overheads.
 //!
 //! *Artifacts*: the report table, plus `results/BENCH_HARNESS.json` (one
-//! entry per cadence with both times and the overhead fraction) when a
-//! `results/` directory exists — the resilience companion of
-//! `results/BENCH_PERF.json`.
+//! entry per cadence with the median and quartiles of both times and of the
+//! overhead fraction) when a `results/` directory exists — the resilience
+//! companion of `results/BENCH_PERF.json`.
 //!
 //! *Expected shape*: overhead falls as the cadence grows; at k = 1024 it is
 //! within the 5% acceptance bound, and the digests match exactly.
@@ -54,13 +59,12 @@ pub fn workload_rounds(quick: bool) -> u64 {
     }
 }
 
-/// Timing repetitions per measurement (min is kept, the standard guard
-/// against scheduler noise).
+/// Bare/supervised pairs timed per cadence.
 pub fn timing_reps(quick: bool) -> usize {
     if quick {
         2
     } else {
-        3
+        5
     }
 }
 
@@ -113,25 +117,55 @@ pub fn outcome_digest(outcome: &ResumableOutcome) -> u64 {
     fnv1a64(canonical.as_bytes())
 }
 
+/// The first quartile, median and third quartile of a sample
+/// (interpolated, as [`analysis::stats::percentile`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Quartiles {
+    /// 25th percentile.
+    pub q1: f64,
+    /// Median.
+    pub median: f64,
+    /// 75th percentile.
+    pub q3: f64,
+}
+
+impl Quartiles {
+    /// The quartiles of a non-empty, NaN-free `sample`.
+    pub fn of(sample: &[f64]) -> Quartiles {
+        let q = |p| analysis::stats::percentile(sample, p);
+        Quartiles { q1: q(25.0), median: q(50.0), q3: q(75.0) }
+    }
+
+    /// `median [q1, q3]` with `digits` decimals, scaled by `scale`.
+    fn render(&self, scale: f64, digits: usize) -> String {
+        let (q1, m, q3) = (self.q1 * scale, self.median * scale, self.q3 * scale);
+        format!("{m:.digits$} [{q1:.digits$}, {q3:.digits$}]")
+    }
+
+    /// The JSON object `{"q1": …, "median": …, "q3": …}`.
+    fn json(&self) -> String {
+        format!(
+            "{{\"q1\": {:.4}, \"median\": {:.4}, \"q3\": {:.4}}}",
+            self.q1, self.median, self.q3
+        )
+    }
+}
+
 /// One measured cadence point.
 pub struct OverheadPoint {
     /// Checkpoint cadence in rounds.
     pub every: u64,
     /// Bare (unsupervised) wall-clock seconds.
-    pub bare_secs: f64,
+    pub bare_secs: Quartiles,
     /// Supervised wall-clock seconds (durable checkpoints to disk).
-    pub supervised_secs: f64,
+    pub supervised_secs: Quartiles,
+    /// Relative overhead of supervision, `(supervised - bare) / bare`, per
+    /// back-to-back pair.
+    pub overhead_frac: Quartiles,
     /// Durable snapshots written.
     pub checkpoints: u64,
     /// Size of the final snapshot file in bytes.
     pub snapshot_bytes: u64,
-}
-
-impl OverheadPoint {
-    /// Relative overhead of supervision, `(supervised - bare) / bare`.
-    pub fn overhead_frac(&self) -> f64 {
-        (self.supervised_secs - self.bare_secs) / self.bare_secs.max(1e-9)
-    }
 }
 
 fn bare_run(
@@ -153,85 +187,98 @@ fn bare_run(
     }
 }
 
-/// Times the bare workload `reps` times and keeps the fastest (scheduler
-/// noise only ever slows a run down). Errors when the workload
-/// configuration is invalid.
-pub fn measure_bare(
+/// Times one supervised run under `sup`.
+fn supervised_run(
     g: &Graph,
     algo: &Algorithm1,
     config: &ResumableConfig,
-    reps: usize,
+    sup: &SupervisorConfig,
 ) -> Result<(ResumableOutcome, f64), SupervisorError> {
-    let mut best = bare_run(g, algo, config.clone())?;
-    for _ in 1..reps.max(1) {
-        let (outcome, secs) = bare_run(g, algo, config.clone())?;
-        if secs < best.1 {
-            best = (outcome, secs);
-        }
+    let watch = Stopwatch::start();
+    let outcome = supervise(g, algo, config.clone(), sup)?;
+    let secs = watch.elapsed_secs();
+    match outcome {
+        RunOutcome::Completed(o) | RunOutcome::BudgetExhausted(o) => Ok((o, secs)),
+        other => panic!("workload ended unexpectedly: {other:?}"),
     }
-    Ok(best)
 }
 
-/// Measures one cadence (best of `reps` supervised runs) against the
-/// already-timed bare outcome, asserting the observables agree before
-/// trusting the timing. Errors when supervision itself fails (invalid
-/// plans, unwritable snapshots).
+/// Measures one cadence with `reps` back-to-back bare/supervised pairs,
+/// alternating which side runs first, asserting that both sides reproduce
+/// the `reference` (untimed bare) outcome before trusting the timing.
+/// Errors when the workload configuration is invalid or supervision itself
+/// fails (unwritable snapshots).
 pub fn measure_cadence(
     g: &Graph,
     algo: &Algorithm1,
     config: &ResumableConfig,
     every: u64,
     dir: &std::path::Path,
-    bare: &(ResumableOutcome, f64),
+    reference: &ResumableOutcome,
     reps: usize,
 ) -> Result<OverheadPoint, SupervisorError> {
-    let (bare_outcome, bare_secs) = bare;
     let sup = SupervisorConfig::new().with_checkpoint_every(every).with_checkpoint_dir(dir);
-    let mut supervised_secs = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let watch = Stopwatch::start();
-        let outcome = supervise(g, algo, config.clone(), &sup)?;
-        let secs = watch.elapsed_secs();
-        supervised_secs = supervised_secs.min(secs);
-
-        let supervised_outcome = match outcome {
-            RunOutcome::Completed(o) | RunOutcome::BudgetExhausted(o) => o,
-            other => panic!("workload ended unexpectedly: {other:?}"),
+    let digest = outcome_digest(reference);
+    let (mut bare, mut supervised, mut overheads) = (Vec::new(), Vec::new(), Vec::new());
+    for rep in 0..reps.max(1) {
+        let ((bare_outcome, bare_secs), (sup_outcome, sup_secs)) = if rep % 2 == 0 {
+            let b = bare_run(g, algo, config.clone())?;
+            (b, supervised_run(g, algo, config, &sup)?)
+        } else {
+            let s = supervised_run(g, algo, config, &sup)?;
+            (bare_run(g, algo, config.clone())?, s)
         };
+        assert_eq!(outcome_digest(&bare_outcome), digest, "bare runs must repeat exactly");
         assert_eq!(
-            outcome_digest(&supervised_outcome),
-            outcome_digest(bare_outcome),
+            outcome_digest(&sup_outcome),
+            digest,
             "supervision must be observationally free (cadence {every})"
         );
+        bare.push(bare_secs);
+        supervised.push(sup_secs);
+        overheads.push((sup_secs - bare_secs) / bare_secs.max(1e-9));
     }
 
     let snapshot = harness::supervisor::snapshot_path(dir);
     let snapshot_bytes = std::fs::metadata(&snapshot).map(|m| m.len()).unwrap_or(0);
     // +1 for the round-0 snapshot the supervisor always writes.
-    let checkpoints = bare_outcome.rounds_run / every + 1;
-    Ok(OverheadPoint { every, bare_secs: *bare_secs, supervised_secs, checkpoints, snapshot_bytes })
+    let checkpoints = reference.rounds_run / every + 1;
+    Ok(OverheadPoint {
+        every,
+        bare_secs: Quartiles::of(&bare),
+        supervised_secs: Quartiles::of(&supervised),
+        overhead_frac: Quartiles::of(&overheads),
+        checkpoints,
+        snapshot_bytes,
+    })
 }
 
 /// Renders the measured points as the committed JSON artifact (fixed field
 /// order; wall-clock values vary run to run — a baseline record, not a
 /// determinism artifact).
-pub fn bench_json(points: &[OverheadPoint], quick: bool, git: &str) -> String {
+pub fn bench_json(points: &[OverheadPoint], pairs: usize, quick: bool, git: &str) -> String {
     let mut out = String::from("{\n  \"experiment\": \"RESIL\",\n");
     let _ = writeln!(out, "  \"quick\": {quick},");
     let _ = writeln!(out, "  \"git\": \"{}\",", telemetry::jsonl::escape(git));
     let _ = writeln!(out, "  \"unit\": \"seconds\",");
     let _ = writeln!(out, "  \"acceptance\": \"overhead_frac <= 0.05 at every=1024\",");
+    let _ = writeln!(
+        out,
+        "  \"timing\": \"per cadence, back-to-back bare/supervised pairs alternating which \
+         runs first; q1/median/q3 of each side and of the per-pair overhead_frac\","
+    );
     out.push_str("  \"entries\": [\n");
     for (i, p) in points.iter().enumerate() {
         let sep = if i + 1 == points.len() { "" } else { "," };
         let _ = writeln!(
             out,
-            "    {{\"every\": {}, \"bare_secs\": {:.4}, \"supervised_secs\": {:.4}, \
-             \"overhead_frac\": {:.4}, \"checkpoints\": {}, \"snapshot_bytes\": {}}}{sep}",
+            "    {{\"every\": {}, \"pairs\": {}, \"bare_secs\": {}, \"supervised_secs\": {}, \
+             \"overhead_frac\": {}, \"checkpoints\": {}, \"snapshot_bytes\": {}}}{sep}",
             p.every,
-            p.bare_secs,
-            p.supervised_secs,
-            p.overhead_frac(),
+            pairs,
+            p.bare_secs.json(),
+            p.supervised_secs.json(),
+            p.overhead_frac.json(),
             p.checkpoints,
             p.snapshot_bytes
         );
@@ -275,26 +322,33 @@ pub fn run(quick: bool) -> String {
         return out;
     }
 
-    // Overhead sweep: one bare timing (best of N), reused for every cadence.
-    let reps = timing_reps(quick);
-    let bare = match measure_bare(&g, &algo, &config, reps) {
-        Ok(bare) => bare,
+    // Overhead sweep: one untimed bare run (warm-up and reference
+    // outcome), then interleaved bare/supervised pairs per cadence.
+    let bare = match bare_run(&g, &algo, config.clone()) {
+        Ok((outcome, _)) => outcome,
         Err(e) => {
             let _ = writeln!(out, "error: bare workload failed: {e}");
             return out;
         }
     };
+    let reps = timing_reps(quick);
     let mut points = Vec::new();
-    let mut table =
-        analysis::Table::new(["every", "bare s", "supervised s", "overhead", "ckpts", "snap KiB"]);
+    let mut table = analysis::Table::new([
+        "every",
+        "bare s",
+        "supervised s",
+        "overhead %",
+        "ckpts",
+        "snap KiB",
+    ]);
     for every in cadences(quick) {
         match measure_cadence(&g, &algo, &config, every, &dir, &bare, reps) {
             Ok(p) => {
                 table.row([
                     p.every.to_string(),
-                    format!("{:.3}", p.bare_secs),
-                    format!("{:.3}", p.supervised_secs),
-                    format!("{:+.1}%", p.overhead_frac() * 100.0),
+                    p.bare_secs.render(1.0, 3),
+                    p.supervised_secs.render(1.0, 3),
+                    p.overhead_frac.render(100.0, 1),
                     p.checkpoints.to_string(),
                     format!("{:.1}", p.snapshot_bytes as f64 / 1024.0),
                 ]);
@@ -305,12 +359,15 @@ pub fn run(quick: bool) -> String {
             }
         }
     }
-    out.push_str("\n## supervision overhead (lower is better)\n\n");
+    out.push_str(&format!(
+        "\n## supervision overhead (lower is better)\n\nmedian [q1, q3] of {reps} back-to-back \
+         bare/supervised pairs per cadence, alternating which runs first; overhead is per pair\n\n"
+    ));
     out.push_str(&format!("{table}"));
 
     // Crash/resume fidelity: kill mid-run, resume from disk, compare
     // digests against the uninterrupted run.
-    let reference_digest = outcome_digest(&bare.0);
+    let reference_digest = outcome_digest(&bare);
     let kill_at = rounds / 2;
     let report = killed_then_resumed(&g, &algo, config, kill_at, 1024, &dir);
     let resumed_digest = outcome_digest(&report.outcome);
@@ -324,7 +381,7 @@ pub fn run(quick: bool) -> String {
     );
     assert_eq!(resumed_digest, reference_digest, "crash-resume must be bit-identical");
 
-    let json = bench_json(&points, quick, &crate::perf::git_describe());
+    let json = bench_json(&points, reps, quick, &crate::perf::git_describe());
     out.push_str("\nbench record:\n");
     out.push_str(&json);
     // Same convention as PERF: written only when the standard output
@@ -340,7 +397,7 @@ pub fn run(quick: bool) -> String {
     std::fs::remove_dir_all(&dir).ok();
 
     out.push_str(
-        "\nexpected shape: overhead falls with the cadence and is <= 5% at every=1024; \
+        "\nexpected shape: overhead falls with the cadence and its median is <= 5% at every=1024; \
          the kill/resume digest equals the straight-run digest exactly.\n",
     );
     out

@@ -22,10 +22,14 @@
 //! only the 2-hop balls of the nodes that changed, so a sparse round costs
 //! O(n) sequential reads plus the local work instead of an O(n + m) sweep;
 //! after churn or motion edge events, or when the changed set is dense, it
-//! re-judges every node. With telemetry enabled the number of node
-//! judgments accumulates in the `check.rejudged` counter. The full-sweep
-//! functions of [`crate::recovery`] remain the oracles it is tested
-//! against; debug builds cross-check every stopping decision.
+//! re-judges every node. The stopping rule refreshes it only once every
+//! active node sits at its claiming level or its ℓmax (the paper's
+//! necessary condition for `S_t = V`); before that it answers `false` and
+//! leaves the tracker stale. The round events refresh it every round, so
+//! with telemetry enabled the rule always finds it fresh, and the number of
+//! node judgments accumulates in the `check.rejudged` counter. The
+//! full-sweep functions of [`crate::recovery`] remain the oracles it is
+//! tested against; debug builds cross-check every stopping decision.
 //!
 //! The *stopping rule* belongs to the caller. [`RunLoop::tick`] is the
 //! default one — stop when stabilized, or when the total round budget
@@ -70,7 +74,7 @@ use telemetry::{Event, Marker, MarkerKind, RoundEvent, Telemetry};
 use crate::levels::Level;
 use crate::recovery::{apply_churn, stabilized_active, Disturbance};
 use crate::runner::{initial_levels, random_level, InitialLevels, SelfStabilizingMis};
-use crate::stable_set::StableSet;
+use crate::stable_set::{has_off_extreme, StableSet};
 
 /// Purpose tag of the fault-injection RNG stream (see
 /// [`beeping::rng::aux_rng`]), shared by corruptions and churn boot levels.
@@ -675,12 +679,16 @@ impl<'g, A: SelfStabilizingMis> RunLoop<'g, A> {
 
     /// The default stopping predicate: past the last scheduled event and
     /// [`stabilized_active`] on the live configuration, as tracked by the
-    /// stable set (debug builds cross-check the full sweep).
+    /// stable set (debug builds cross-check the full sweep). While some
+    /// active node is off its extreme levels the answer is `false` without
+    /// a refresh, and a stale tracker stays stale for its next reader.
     pub(crate) fn stabilized(&mut self) -> bool {
         if self.sim.round() < self.last_event_round {
             return false;
         }
-        let stabilized = self.observe().stabilized();
+        let gated = self.stable_set.is_stale()
+            && has_off_extreme(&self.algo, self.sim.states(), self.sim.active());
+        let stabilized = !gated && self.observe().stabilized();
         debug_assert_eq!(
             stabilized,
             stabilized_active(&self.algo, self.sim.graph(), self.sim.states(), self.sim.active()),
@@ -1232,6 +1240,43 @@ mod tests {
         // 2n = 8192 for the first refresh, 1169 for the 47 rounds after it
         // (a full sweep per check would judge 2n every round).
         assert_eq!(tele.metrics().counter("check.rejudged"), 9361);
+    }
+
+    #[test]
+    fn off_extreme_decisions_leave_the_tracker_stale() {
+        // The `cold-start` shape at n = 2^12. With telemetry off nothing else
+        // refreshes the tracker, so a stopping decision on a configuration
+        // with an off-extreme active node must answer `false` and leave it
+        // stale. The telemetry-on twin refreshes every round; both runs must
+        // end identically.
+        let n = 1usize << 12;
+        let g = random::gnp(n, 8.0 / (n as f64 - 1.0), 1);
+        let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
+        for engine in [EngineMode::Scatter, EngineMode::Frontier] {
+            let config = RunConfig::new(1).with_engine(engine);
+            let mut quiet = ResumableRun::new(&g, &algo, config.clone()).unwrap();
+            let mut gated = 0;
+            loop {
+                // `tick` re-applies nothing at a boundary whose events fired.
+                quiet.apply_events();
+                if has_off_extreme(&algo, quiet.levels(), quiet.active()) {
+                    assert!(quiet.stable_set.is_stale());
+                    assert!(!quiet.stabilized());
+                    assert!(quiet.stable_set.is_stale(), "refreshed at round {}", quiet.round());
+                    gated += 1;
+                }
+                if quiet.tick() != RunStatus::Running {
+                    break;
+                }
+            }
+            let outcome = quiet.outcome().unwrap();
+            assert!(gated > 0 && gated <= outcome.rounds_run, "{engine:?}: {gated} gated");
+            let tele = Telemetry::enabled(telemetry::Config::default());
+            let observed = run(&g, &algo, config.with_telemetry(tele)).expect("stabilizes");
+            assert_eq!(outcome.stabilization_round, Some(observed.stabilization_round));
+            assert_eq!(outcome.levels, observed.levels);
+            assert_eq!(outcome.mis, observed.mis);
+        }
     }
 
     #[test]

@@ -18,6 +18,17 @@
 //! for the changed claimers. It re-judges every node instead after a
 //! topology change (churn or motion edge events rewire neighbourhoods
 //! without changing any class byte) or when the changed set is dense.
+//!
+//! Refreshes are lazy: one happens only when a reader asks after a change.
+//! The run loop's stopping rule asks only once [`has_off_extreme`] finds
+//! every active node at its claiming level or its ℓmax, the paper's
+//! necessary condition for `S_t = V`; until then it answers `false` and the
+//! tracker stays stale, so the next refresh diffs against the class bytes
+//! it last saw. A telemetry-off random start of the `cold-start` benchmark
+//! shape therefore refreshes once, at the stabilization round. The
+//! other readers refresh whenever they read: the round events (every round
+//! with telemetry on), the outcome, budget errors and
+//! [`crate::recovery::run_noisy`]'s per-round observation.
 
 use graphs::Graph;
 
@@ -34,14 +45,20 @@ const AT_MAX: u8 = 4;
 /// A refresh with more than `n / DENSE_DIVISOR` changed nodes (and more
 /// than [`DENSE_FLOOR`]) re-judges every node: past that density the balls
 /// of the changed nodes cover most of the graph, and one straight sweep is
-/// cheaper than the scattered re-judging. Chosen on the `cold-start`
-/// benchmark workload, whose rounds change 2–6% of the nodes: the tracker's
-/// time per op is flat for divisors 16 to 128 and about 25% higher when
-/// every refresh re-judges everything.
+/// cheaper than the scattered re-judging. The stopping rule's off-extreme
+/// gate leaves a telemetry-off random start about one refresh, so this
+/// serves the runs that refresh every round: telemetry-on runs and
+/// `run_noisy`. Measured on the `cold-start` shape with telemetry on
+/// (G(2^16, 8/(n−1)), seeds 1–4, 5 interleaved repetitions, 2-core VM),
+/// whose rounds change 2–6% of the nodes: the median op is flat at
+/// 0.200–0.209 s for divisors 4 to 128, 0.217 s when no refresh counts as
+/// dense and 0.241 s when every refresh re-judges everything.
 const DENSE_DIVISOR: usize = 16;
 /// Changed sets up to this size are always handled incrementally, so small
 /// graphs exercise the incremental path too.
 const DENSE_FLOOR: usize = 64;
+/// Nodes per chunk of the sequential passes over the class bytes.
+const CHUNK: usize = 64;
 
 /// The class byte of a node with `level`, cap `cap` and participation
 /// `active` (branch-free, so the diff pass vectorizes).
@@ -51,6 +68,27 @@ fn class_of<A: SelfStabilizingMis>(level: Level, cap: Level, active: bool) -> u8
         * (ACTIVE
             | (u8::from(level == A::SPACE.claiming(cap)) * CLAIMING)
             | (u8::from(level == cap) * AT_MAX))
+}
+
+/// `true` if some active node sits at neither its claiming level nor its
+/// ℓmax. `S_t = V` then fails: every member of `I_t` claims and every
+/// neighbour of a member sits at ℓmax, so each node of `S_t` is at one of
+/// its two extreme levels. Reads no adjacency and no tracker state; a
+/// branch-free fold per chunk, stopping at the first chunk with a hit.
+pub(crate) fn has_off_extreme<A: SelfStabilizingMis>(
+    algo: &A,
+    levels: &[Level],
+    active: &[bool],
+) -> bool {
+    let caps = algo.policy().lmax_values();
+    levels.chunks(CHUNK).zip(caps.chunks(CHUNK)).zip(active.chunks(CHUNK)).any(
+        |((levels, caps), active)| {
+            let nodes = levels.iter().zip(caps).zip(active);
+            nodes.fold(0u8, |any, ((&level, &cap), &is_active)| {
+                any | u8::from(class_of::<A>(level, cap, is_active) == ACTIVE)
+            }) != 0
+        },
+    )
 }
 
 /// `v` and its neighbours.
@@ -143,7 +181,6 @@ impl StableSet {
         levels: &[Level],
         active: &[bool],
     ) -> bool {
-        const CHUNK: usize = 64;
         let limit = (levels.len() / DENSE_DIVISOR).max(DENSE_FLOOR);
         let caps = algo.policy().lmax_values();
         self.changed.clear();
@@ -370,6 +407,24 @@ mod tests {
         assert_eq!(set.violations(), independence_violations(algo, graph, levels, active));
     }
 
+    /// Asserts [`has_off_extreme`] against a per-node scan, and that it
+    /// rules out `S_t = V`.
+    fn assert_off_extreme<A: SelfStabilizingMis>(
+        algo: &A,
+        graph: &Graph,
+        levels: &[Level],
+        active: &[bool],
+    ) {
+        let caps = algo.policy().lmax_values();
+        let off = graph
+            .nodes()
+            .any(|v| active[v] && levels[v] != A::SPACE.claiming(caps[v]) && levels[v] != caps[v]);
+        assert_eq!(has_off_extreme(algo, levels, active), off);
+        if off {
+            assert!(!stabilized_active(algo, graph, levels, active), "off-extreme, yet S_t = V");
+        }
+    }
+
     /// Random sparse edits (level moves toward claiming/ℓmax, departures and
     /// returns) exercise the incremental path; every refresh must agree with
     /// the oracles.
@@ -396,8 +451,30 @@ mod tests {
             set.touch_levels();
             set.refresh(algo, graph, &levels, &active);
             assert_matches(&set, algo, graph, &levels, &active);
+            assert_off_extreme(algo, graph, &levels, &active);
             assert_eq!(set.refresh(algo, graph, &levels, &active), 0, "not stale");
         }
+    }
+
+    /// One off-extreme node in the last, partial chunk is found, and a
+    /// departed one is ignored.
+    fn off_extreme_edges<A: SelfStabilizingMis>(algo: &A, graph: &Graph) {
+        let n = graph.len();
+        let mut levels: Vec<Level> = algo.policy().lmax_values().to_vec();
+        let mut active = vec![true; n];
+        assert!(!has_off_extreme(algo, &levels, &active));
+        levels[n - 1] = 1;
+        assert!(has_off_extreme(algo, &levels, &active));
+        active[n - 1] = false;
+        assert!(!has_off_extreme(algo, &levels, &active));
+        assert_off_extreme(algo, graph, &levels, &active);
+    }
+
+    #[test]
+    fn off_extreme_reads_every_chunk_and_only_active_nodes() {
+        let g = random::gnp(130, 0.05, 7);
+        off_extreme_edges(&Algorithm1::new(&g, LmaxPolicy::global_delta(&g)), &g);
+        off_extreme_edges(&Algorithm2::new(&g, LmaxPolicy::two_hop_degree(&g)), &g);
     }
 
     #[test]

@@ -4,9 +4,13 @@
 //! `in_mis`/`stable` sizes and the outcome's MIS from one incremental
 //! tracker that re-judges only the 2-hop balls of the nodes that changed.
 //! This suite holds it to the full-sweep oracles of `mis::recovery` through
-//! the public API alone: a `ResumableRun` with a `MemorySink`, driven tick
-//! by tick across graph families, all four engines, both algorithms, RAM
-//! faults, churn, Byzantine nodes and motion.
+//! the public API alone: a `ResumableRun` driven tick by tick across graph
+//! families, all four engines, both algorithms, RAM faults, churn,
+//! Byzantine nodes and motion. Each case runs twice: with a `MemorySink`,
+//! whose round events refresh the tracker every round, and with telemetry
+//! off, where the stopping rule skips the refresh while some active node is
+//! off its extreme levels. Release builds have no debug cross-check, so the
+//! second arm is what checks that gate in the shipped code.
 
 use beeping::byzantine::{ByzantineBehavior, ByzantinePlan};
 use beeping::churn::{ChurnAction, ChurnPlan};
@@ -143,11 +147,13 @@ fn sweep_counts<A: SelfStabilizingMis>(
 }
 
 /// Ticks the run to completion, checking the tracker-backed observables
-/// against the oracles after every tick.
+/// against the oracles after every tick; with `observed`, through a
+/// `MemorySink` whose round events are checked too.
 fn check_run<A: SelfStabilizingMis>(
     graph: &Graph,
     algo: &A,
     config: ResumableConfig,
+    observed: bool,
 ) -> Result<(), TestCaseError> {
     let last_event = config
         .faults
@@ -155,11 +161,16 @@ fn check_run<A: SelfStabilizingMis>(
         .unwrap_or(0)
         .max(config.churn.last_event_round().unwrap_or(0));
     let moving = config.motion.is_some();
-    let tele = Telemetry::enabled(Config::default());
-    let (sink, handle) = MemorySink::new();
-    tele.add_sink(Box::new(sink));
-    let mut run = ResumableRun::new(graph, algo, config.with_telemetry(tele))
-        .map_err(|e| TestCaseError::fail(e.to_string()))?;
+    let (config, handle) = if observed {
+        let tele = Telemetry::enabled(Config::default());
+        let (sink, handle) = MemorySink::new();
+        tele.add_sink(Box::new(sink));
+        (config.with_telemetry(tele), Some(handle))
+    } else {
+        (config, None)
+    };
+    let mut run =
+        ResumableRun::new(graph, algo, config).map_err(|e| TestCaseError::fail(e.to_string()))?;
     loop {
         let before = run.round();
         // Past the last event and without motion, the tick judges exactly
@@ -183,11 +194,13 @@ fn check_run<A: SelfStabilizingMis>(
                 if quiet {
                     prop_assert!(!oracle_before, "missed stabilization at round {}", before);
                 }
-                let last = handle.rounds().pop().expect("a round event per step");
-                prop_assert_eq!(last.round, run.round());
-                let (in_mis, stable) = sweep_counts(algo, g, levels, active);
-                prop_assert_eq!(last.in_mis, Some(in_mis), "in_mis at round {}", run.round());
-                prop_assert_eq!(last.stable, Some(stable), "stable at round {}", run.round());
+                if let Some(handle) = &handle {
+                    let last = handle.rounds().pop().expect("a round event per step");
+                    prop_assert_eq!(last.round, run.round());
+                    let (in_mis, stable) = sweep_counts(algo, g, levels, active);
+                    prop_assert_eq!(last.in_mis, Some(in_mis), "in_mis at round {}", run.round());
+                    prop_assert_eq!(last.stable, Some(stable), "stable at round {}", run.round());
+                }
             }
         }
         if status != RunStatus::Running {
@@ -205,10 +218,15 @@ proptest! {
     fn tracker_matches_full_sweeps(case in arb_case()) {
         let (graph, motion) = case.graph();
         let config = case.config(graph.len(), motion);
-        if case.two_channel {
-            check_run(&graph, &Algorithm2::new(&graph, LmaxPolicy::two_hop_degree(&graph)), config)?;
-        } else {
-            check_run(&graph, &Algorithm1::new(&graph, LmaxPolicy::global_delta(&graph)), config)?;
+        for observed in [true, false] {
+            let config = config.clone();
+            if case.two_channel {
+                let algo = Algorithm2::new(&graph, LmaxPolicy::two_hop_degree(&graph));
+                check_run(&graph, &algo, config, observed)?;
+            } else {
+                let algo = Algorithm1::new(&graph, LmaxPolicy::global_delta(&graph));
+                check_run(&graph, &algo, config, observed)?;
+            }
         }
     }
 }
