@@ -85,6 +85,6 @@ pub use churn::{ChurnAction, ChurnError, ChurnEvent, ChurnPlan};
 pub use faults::{FaultError, FaultPlan, FaultTarget, TransientFault};
 pub use protocol::{BeepSignal, BeepingProtocol, Channels, SettledRound};
 pub use sim::{
-    frontier_fallback_threshold, Checkpoint, DuplexMode, EngineMode, RestoreError, Simulator,
-    WorkCounters,
+    frontier_fallback_threshold, Checkpoint, DuplexMode, EngineMode, RestoreError, SimGraph,
+    Simulator, WorkCounters,
 };

@@ -1,6 +1,7 @@
 //! Round execution of a [`BeepingProtocol`] over a graph.
 
-use std::borrow::Cow;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use graphs::{Graph, NodeId};
 use rand::Rng;
@@ -174,10 +175,12 @@ pub fn frontier_fallback_threshold(n: usize) -> usize {
 ///   dedicated stream, so a [`ChannelFault::reliable`] configuration
 ///   reproduces noise-free executions bit-for-bit;
 /// - topology churn ([`Simulator::insert_edge`], [`Simulator::remove_edge`],
-///   [`Simulator::node_leave`], [`Simulator::node_join`]): the graph view is
-///   copy-on-write, so the borrowed input graph is cloned on the first
-///   mutation and untouched otherwise. A departed node stays allocated but
-///   *inactive* — silent, deaf, state frozen — until it rejoins;
+///   [`Simulator::node_leave`], [`Simulator::node_join`]): the graph is
+///   copy-on-write ([`SimGraph`]), so a borrowed input graph is cloned on
+///   the first mutation and untouched otherwise, and a shared one is
+///   cloned only while a [`Checkpoint`] still holds it. A departed node
+///   stays allocated but *inactive* — silent, deaf, state frozen — until
+///   it rejoins;
 /// - Byzantine nodes ([`Simulator::with_byzantine`]): per-node permanent
 ///   behavior overrides — stuck/babbling radios, channel-2 liars and
 ///   crash-restart reboots — applied after the jammer overrides in the
@@ -190,7 +193,7 @@ pub fn frontier_fallback_threshold(n: usize) -> usize {
 /// See the crate-level example in [`crate`].
 #[derive(Debug)]
 pub struct Simulator<'g, P: BeepingProtocol> {
-    graph: Cow<'g, Graph>,
+    graph: SimGraph<'g>,
     protocol: P,
     states: Vec<P::State>,
     rngs: Vec<Pcg64Mcg>,
@@ -373,6 +376,52 @@ fn debug_check_settled_contract<P: BeepingProtocol>(
     );
 }
 
+/// The topology a [`Simulator`] runs on, copy-on-write either way: a
+/// borrowed graph is copied into a shared one at the first churn mutation,
+/// and a shared graph is copied before a mutation only while something
+/// else — a [`Checkpoint`], say — holds it too. [`Simulator::checkpoint`]
+/// therefore shares the graph instead of copying it, and a topology that
+/// never changes is never copied again.
+#[derive(Debug, Clone)]
+pub enum SimGraph<'g> {
+    /// The caller's graph, never modified.
+    Borrowed(&'g Graph),
+    /// A graph shared with checkpoints.
+    Shared(Arc<Graph>),
+}
+
+impl SimGraph<'_> {
+    /// The graph for mutation, copied first if anything else can see it.
+    fn to_mut(&mut self) -> &mut Graph {
+        match self {
+            SimGraph::Shared(graph) => Arc::make_mut(graph),
+            SimGraph::Borrowed(graph) => {
+                *self = SimGraph::Shared(Arc::new(Graph::clone(graph)));
+                self.to_mut()
+            }
+        }
+    }
+
+    /// A share of the graph; a borrowed one is copied.
+    fn share(&self) -> Arc<Graph> {
+        match self {
+            SimGraph::Borrowed(graph) => Arc::new(Graph::clone(graph)),
+            SimGraph::Shared(graph) => Arc::clone(graph),
+        }
+    }
+}
+
+impl Deref for SimGraph<'_> {
+    type Target = Graph;
+
+    fn deref(&self) -> &Graph {
+        match self {
+            SimGraph::Borrowed(graph) => graph,
+            SimGraph::Shared(graph) => graph,
+        }
+    }
+}
+
 /// Signature of a per-round observer: graph, 1-based round, states.
 type HookFn<S> = dyn FnMut(&Graph, u64, &[S]);
 
@@ -403,42 +452,13 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         initial_states: Vec<P::State>,
         seed: u64,
     ) -> Simulator<'g, P> {
-        assert_eq!(initial_states.len(), graph.len(), "one initial state per node is required");
-        let n = graph.len();
-        Simulator {
-            graph: Cow::Borrowed(graph),
-            protocol,
-            states: initial_states,
-            rngs: rng::node_rngs(seed, n),
-            round: 0,
-            sent: vec![BeepSignal::silent(); n],
-            heard: vec![BeepSignal::silent(); n],
-            duplex: DuplexMode::Full,
-            channel: ChannelFault::reliable(),
-            channel_state: ChannelState::default(),
-            channel_rng: rng::aux_rng(seed, CHANNEL_RNG_PURPOSE),
-            byzantine: ByzantinePlan::new(),
-            byz: vec![None; n],
-            byz_rng: rng::aux_rng(seed, BYZ_RNG_PURPOSE),
-            active: vec![true; n],
-            active_bits: full_active_bits(n),
-            inactive: 0,
-            engine: EngineMode::default(),
-            scatter: Bitsets::default(),
-            hook: InvariantHook(None),
-            frontier: FrontierState::default(),
-            par: None,
-            work: WorkCounters::default(),
-            telemetry: Telemetry::disabled(),
-        }
+        Simulator::on(SimGraph::Borrowed(graph), protocol, initial_states, seed)
     }
 
     /// Like [`Simulator::new`] but takes ownership of the graph, producing
     /// a `'static` simulator that can be stored, moved across threads or
     /// rebuilt from a durable snapshot without tying it to a borrowed
-    /// topology. Behavior is otherwise identical — the owned graph is the
-    /// initial copy-on-write state, exactly as if churn had already forced
-    /// a private copy.
+    /// topology. Behavior is otherwise identical.
     ///
     /// # Panics
     ///
@@ -449,10 +469,26 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         initial_states: Vec<P::State>,
         seed: u64,
     ) -> Simulator<'static, P> {
+        Simulator::on(SimGraph::Shared(Arc::new(graph)), protocol, initial_states, seed)
+    }
+
+    /// Creates a simulator over a borrowed or shared `graph`; see
+    /// [`SimGraph`] for when a churn mutation copies it. [`Simulator::new`]
+    /// and [`Simulator::new_owned`] are the two common cases.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `initial_states.len() != graph.len()`.
+    pub fn on(
+        graph: SimGraph<'g>,
+        protocol: P,
+        initial_states: Vec<P::State>,
+        seed: u64,
+    ) -> Simulator<'g, P> {
         assert_eq!(initial_states.len(), graph.len(), "one initial state per node is required");
         let n = graph.len();
         Simulator {
-            graph: Cow::Owned(graph),
+            graph,
             protocol,
             states: initial_states,
             rngs: rng::node_rngs(seed, n),
@@ -1743,7 +1779,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             round: self.round,
             sent: self.sent.clone(),
             heard: self.heard.clone(),
-            graph: self.graph.clone().into_owned(),
+            graph: self.graph.share(),
             active: self.active.clone(),
             channel_state: self.channel_state,
             channel_rng: self.channel_rng.clone(),
@@ -1780,7 +1816,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         self.round = checkpoint.round;
         self.sent = checkpoint.sent.clone();
         self.heard = checkpoint.heard.clone();
-        self.graph = Cow::Owned(checkpoint.graph.clone());
+        self.graph = SimGraph::Shared(Arc::clone(&checkpoint.graph));
         self.active = checkpoint.active.clone();
         self.inactive = self.active.iter().filter(|&&a| !a).count();
         self.active_bits = full_active_bits(self.active.len());
@@ -1839,7 +1875,7 @@ pub struct Checkpoint<S> {
     round: u64,
     sent: Vec<BeepSignal>,
     heard: Vec<BeepSignal>,
-    graph: Graph,
+    graph: Arc<Graph>,
     active: Vec<bool>,
     channel_state: ChannelState,
     channel_rng: Pcg64Mcg,
@@ -1877,6 +1913,14 @@ impl<S> Checkpoint<S> {
         &self.graph
     }
 
+    /// The captured topology as the simulator shares it. The simulator
+    /// copies a shared graph before it mutates it, so while this `Arc` is
+    /// alive no other allocation has its address, and two checkpoints
+    /// whose `Arc`s are [`Arc::ptr_eq`] hold the same edge set.
+    pub fn shared_graph(&self) -> &Arc<Graph> {
+        &self.graph
+    }
+
     /// The captured participation bitmap.
     pub fn active(&self) -> &[bool] {
         &self.active
@@ -1909,7 +1953,7 @@ impl<S> Checkpoint<S> {
         round: u64,
         sent: Vec<BeepSignal>,
         heard: Vec<BeepSignal>,
-        graph: Graph,
+        graph: Arc<Graph>,
         active: Vec<bool>,
         channel_state: ChannelState,
         channel_rng: Pcg64Mcg,
@@ -2697,6 +2741,46 @@ mod tests {
         sim.run(20);
         assert_eq!(sim.states(), final_a.as_slice());
         assert_eq!(sim.round(), round_a);
+    }
+
+    #[test]
+    fn checkpoints_share_the_graph_until_churn_copies_it() {
+        let g = classic::cycle(6);
+        for owned in [false, true] {
+            let mut sim = if owned {
+                Simulator::new_owned(g.clone(), Parity, vec![0; 6], 5)
+            } else {
+                Simulator::new(&g, Parity, vec![0; 6], 5)
+            };
+            sim.run(3);
+            let before = sim.checkpoint();
+            sim.run(2);
+            // An unchanged shared topology is shared, not copied, by every
+            // capture; a borrowed one is copied by each.
+            let shared = Arc::ptr_eq(before.shared_graph(), sim.checkpoint().shared_graph());
+            assert_eq!(shared, owned);
+            sim.insert_edge(0, 3).unwrap();
+            sim.remove_edge(1, 2).unwrap();
+            sim.node_leave(4).unwrap();
+            sim.node_join(4, &[0], 0).unwrap();
+            let mut churned = g.clone();
+            churned.insert_edge(0, 3).unwrap();
+            churned.remove_edge(1, 2);
+            churned.isolate_node(4);
+            churned.insert_edge(4, 0).unwrap();
+            assert_eq!(sim.graph(), &churned);
+            // The capture kept the edge set it was taken with, and the
+            // borrowed input is untouched.
+            assert_eq!(before.graph(), &g);
+            assert!(!Arc::ptr_eq(before.shared_graph(), sim.checkpoint().shared_graph()));
+            sim.restore(&before).unwrap();
+            assert_eq!(sim.graph(), &g);
+            assert!(Arc::ptr_eq(before.shared_graph(), sim.checkpoint().shared_graph()));
+            // Churn after the restore copies again: the checkpoint is kept.
+            sim.remove_edge(0, 1).unwrap();
+            assert_eq!(before.graph(), &g);
+            assert!(!sim.graph().has_edge(0, 1));
+        }
     }
 
     /// Claim/retreat probe with absorbing configurations and a

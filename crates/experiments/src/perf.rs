@@ -332,6 +332,49 @@ pub fn untraceable_provenance(git: &str) -> bool {
     git == "unknown" || git.ends_with("-dirty")
 }
 
+/// The file name of a bench record: `BENCH_<X>.json` for a full run, and
+/// `BENCH_<X>.quick.json` for a quick one, so a quick run never replaces
+/// the committed full record.
+fn bench_record_name(experiment: &str, quick: bool) -> String {
+    let suffix = if quick { ".quick" } else { "" };
+    format!("BENCH_{experiment}{suffix}.json")
+}
+
+/// Writes a bench record into `results` when that directory exists: the
+/// CI smoke and full runs pass `--out results`, while plain `cargo test`
+/// runs from the crate directory, which has none. A full run from a dirty
+/// or unknown tree gets a provenance warning, because its numbers cannot
+/// be traced back to a commit. Returns the lines to append to the report.
+pub fn save_bench_record(
+    results: &std::path::Path,
+    experiment: &str,
+    json: &str,
+    quick: bool,
+    git: &str,
+) -> String {
+    let mut notes = String::new();
+    if !results.is_dir() {
+        return notes;
+    }
+    let name = bench_record_name(experiment, quick);
+    match std::fs::write(results.join(&name), json) {
+        Ok(()) => {
+            let _ = writeln!(notes, "\nrecord written to results/{name}");
+        }
+        Err(e) => {
+            let _ = writeln!(notes, "warning: cannot write results/{name}: {e}");
+        }
+    }
+    if !quick && untraceable_provenance(git) {
+        let _ = writeln!(
+            notes,
+            "warning: record provenance is \"{git}\" (dirty or unknown tree); \
+             re-run from a clean commit before committing results/{name}"
+        );
+    }
+    notes
+}
+
 /// Renders the measured points as the committed JSON artifact (fixed field
 /// order; throughput values are wall-clock measurements and vary run to
 /// run, so the file is a baseline record, not a determinism artifact).
@@ -426,28 +469,7 @@ pub fn run(quick: bool) -> String {
     let json = bench_json(&points, quick, &git);
     out.push_str("\nbench baseline:\n");
     out.push_str(&json);
-    // Written whenever the standard output directory exists (the CI smoke
-    // and full runs pass `--out results`); plain `cargo test` runs from the
-    // crate directory, which has no results/, and never rewrites the
-    // committed baseline. Only a *full* run's file is a baseline (a quick
-    // run's truncated budget is marked `"quick": true`), and a full run from
-    // a dirty or unknown tree gets a provenance warning — its numbers cannot
-    // be traced back to a commit.
-    let results = std::path::Path::new("results");
-    if results.is_dir() {
-        if let Err(e) = std::fs::write(results.join("BENCH_PERF.json"), &json) {
-            let _ = writeln!(out, "warning: cannot write results/BENCH_PERF.json: {e}");
-        } else {
-            out.push_str("\nbaseline written to results/BENCH_PERF.json\n");
-        }
-        if !quick && untraceable_provenance(&git) {
-            let _ = writeln!(
-                out,
-                "warning: baseline provenance is \"{git}\" (dirty or unknown tree); \
-                 re-run from a clean commit before committing results/BENCH_PERF.json"
-            );
-        }
-    }
+    out.push_str(&save_bench_record(std::path::Path::new("results"), "PERF", &json, quick, &git));
     out.push_str(
         "\nexpected shape: scatter's speedup over scalar grows with n and is largest on the \
          sparse families (acceptance >= 2x on cycle and regular at the largest size, steady \
@@ -701,6 +723,29 @@ mod tests {
         assert!(untraceable_provenance("v1.2.3-4-gabcdef0-dirty"));
         assert!(!untraceable_provenance("70e2657"));
         assert!(!untraceable_provenance("v1.2.3-4-gabcdef0"));
+    }
+
+    #[test]
+    fn quick_records_never_take_the_committed_name() {
+        assert_eq!(bench_record_name("PERF", false), "BENCH_PERF.json");
+        assert_eq!(bench_record_name("HARNESS", true), "BENCH_HARNESS.quick.json");
+        let dir = std::env::temp_dir().join(format!("bench-record-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let quick_dirty = save_bench_record(&dir, "X", "{}", true, "abc1234-dirty");
+        assert!(dir.join("BENCH_X.quick.json").is_file());
+        assert!(!dir.join("BENCH_X.json").exists(), "a quick run wrote the full record");
+        assert!(!quick_dirty.contains("warning"), "{quick_dirty}");
+        for git in ["abc1234-dirty", "unknown"] {
+            let notes = save_bench_record(&dir, "X", "{}", false, git);
+            assert!(notes.contains("warning: record provenance"), "{notes}");
+            assert!(notes.contains("results/BENCH_X.json"), "{notes}");
+        }
+        let clean = save_bench_record(&dir, "X", "{}", false, "abc1234");
+        assert!(!clean.contains("warning"), "{clean}");
+        std::fs::remove_dir_all(&dir).unwrap();
+        let missing = dir.join("absent");
+        assert_eq!(save_bench_record(&missing, "X", "{}", false, "unknown"), "");
+        assert!(!missing.exists());
     }
 
     #[test]

@@ -381,19 +381,12 @@ pub fn run(quick: bool) -> String {
     );
     assert_eq!(resumed_digest, reference_digest, "crash-resume must be bit-identical");
 
-    let json = bench_json(&points, reps, quick, &crate::perf::git_describe());
+    let git = crate::perf::git_describe();
+    let json = bench_json(&points, reps, quick, &git);
     out.push_str("\nbench record:\n");
     out.push_str(&json);
-    // Same convention as PERF: written only when the standard output
-    // directory exists (CI smoke and full runs pass `--out results`).
     let results = std::path::Path::new("results");
-    if results.is_dir() {
-        if let Err(e) = std::fs::write(results.join("BENCH_HARNESS.json"), &json) {
-            let _ = writeln!(out, "warning: cannot write results/BENCH_HARNESS.json: {e}");
-        } else {
-            out.push_str("\nrecord written to results/BENCH_HARNESS.json\n");
-        }
-    }
+    out.push_str(&crate::perf::save_bench_record(results, "HARNESS", &json, quick, &git));
     std::fs::remove_dir_all(&dir).ok();
 
     out.push_str(

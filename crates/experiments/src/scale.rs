@@ -364,24 +364,8 @@ pub fn run(quick: bool) -> String {
     let json = bench_json(&points, quick, &git, &gate);
     out.push_str("\nbench baseline:\n");
     out.push_str(&json);
-    // Mirrors the PERF artifact policy: written to results/ whenever the
-    // standard output directory exists, with a provenance warning when a
-    // full run comes from a dirty or unknown tree.
     let results = std::path::Path::new("results");
-    if results.is_dir() {
-        if let Err(e) = std::fs::write(results.join("BENCH_SCALE.json"), &json) {
-            let _ = writeln!(out, "warning: cannot write results/BENCH_SCALE.json: {e}");
-        } else {
-            out.push_str("\nbaseline written to results/BENCH_SCALE.json\n");
-        }
-        if !quick && crate::perf::untraceable_provenance(&git) {
-            let _ = writeln!(
-                out,
-                "warning: baseline provenance is \"{git}\" (dirty or unknown tree); \
-                 re-run from a clean commit before committing results/BENCH_SCALE.json"
-            );
-        }
-    }
+    out.push_str(&crate::perf::save_bench_record(results, "SCALE", &json, quick, &git));
     out.push_str(
         "\nexpected shape: scatter node-rounds/sec is flat in n (the full sweep is O(n + m) \
          per round); ParScatter at 1 thread makes the same sequential kernel call as scatter \

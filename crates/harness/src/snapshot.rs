@@ -17,12 +17,16 @@
 //! A snapshot is re-encoded every k rounds, on a background thread that
 //! has one chunk of rounds to finish in (see [`crate::supervisor`]), so the
 //! encoder is built for speed without changing a byte of the format. It
-//! writes one buffer, sized up front from n, m and the trace length:
-//! decimals two digits at a time from a digit-pair table, hex one byte at
-//! a time from a byte-to-two-digits table, and the edge list straight off
-//! the graph's sorted adjacency lists, with each node id rendered once.
-//! [`write_file`] streams the header line and that buffer to the file;
-//! [`encode`] returns the same bytes as one vector.
+//! writes the payload without its graph section into one buffer, sized up
+//! front from n and the trace length: decimals two digits at a time from a
+//! digit-pair table, hex one byte at a time from a byte-to-two-digits
+//! table. The graph section comes from a [`SectionCache`]: rendered
+//! straight off the graph's sorted adjacency lists, with each node id
+//! rendered once, and reused for as long as the checkpoints share the same
+//! graph, which for a run without churn or motion is the whole run. The
+//! checksum runs over the pieces in place. [`write_file`] streams the
+//! header line, the pieces and the final newline to the file; [`encode`]
+//! returns the same bytes as one vector.
 //!
 //! The header is self-describing and guards the payload: `payload_bytes` is
 //! the exact byte length of the second line (detecting truncation) and
@@ -58,6 +62,7 @@
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use beeping::dynamic::MotionState;
 use beeping::protocol::BeepSignal;
@@ -70,6 +75,7 @@ use mis::resumable::{ResumableConfig, RunCheckpoint};
 use mis::runner::SelfStabilizingMis;
 use rand_pcg::Pcg64Mcg;
 use telemetry::jsonl::{parse, Value};
+use telemetry::Stopwatch;
 
 /// The magic format string in every snapshot header.
 pub const FORMAT: &str = "beeping-mis-snapshot";
@@ -193,22 +199,51 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// more than encoding the payload does at megabyte snapshot sizes; this
 /// variant keeps checkpointing cheap enough to leave on for long runs.
 pub fn checksum64(bytes: &[u8]) -> u64 {
+    checksum64_parts(&[bytes])
+}
+
+/// [`checksum64`] of the concatenation of `parts`, without concatenating
+/// them: a word that straddles two parts is assembled in a carry buffer.
+fn checksum64_parts(parts: &[&[u8]]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let mut word = [0u8; 8];
-        word.copy_from_slice(chunk);
-        hash ^= u64::from_le_bytes(word);
-        hash = hash.wrapping_mul(PRIME);
+    // The bytes of a word not yet complete, zero beyond `filled`.
+    let mut carry = [0u8; 8];
+    let mut filled = 0;
+    let mut len = 0u64;
+    for &part in parts {
+        len += part.len() as u64;
+        let mut rest = part;
+        if filled > 0 {
+            let take = rest.len().min(8 - filled);
+            let (head, tail) = rest.split_at_checked(take).unwrap_or((rest, &[]));
+            if let Some(slot) = carry.get_mut(filled..filled + take) {
+                slot.copy_from_slice(head);
+            }
+            filled += take;
+            rest = tail;
+            if filled < 8 {
+                continue;
+            }
+            hash ^= u64::from_le_bytes(carry);
+            hash = hash.wrapping_mul(PRIME);
+        }
+        let mut chunks = rest.chunks_exact(8);
+        for chunk in &mut chunks {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(chunk);
+            hash ^= u64::from_le_bytes(word);
+            hash = hash.wrapping_mul(PRIME);
+        }
+        carry = [0u8; 8];
+        filled = chunks.remainder().len();
+        for (slot, &b) in carry.iter_mut().zip(chunks.remainder()) {
+            *slot = b;
+        }
     }
-    let mut tail = [0u8; 8];
-    for (slot, &b) in tail.iter_mut().zip(chunks.remainder()) {
-        *slot = b;
-    }
-    hash ^= u64::from_le_bytes(tail);
+    hash ^= u64::from_le_bytes(carry);
     hash = hash.wrapping_mul(PRIME);
-    hash ^= bytes.len() as u64;
+    hash ^= len;
     hash.wrapping_mul(PRIME)
 }
 
@@ -379,33 +414,145 @@ fn parse_point_list(s: &str, what: &str) -> Result<Vec<(f64, f64)>, SnapshotErro
 /// snapshot format. The output always round-trips through [`decode`], and
 /// it is exactly the bytes [`write_file`] puts on disk.
 pub fn encode(checkpoint: &RunCheckpoint, fingerprint: u64) -> Vec<u8> {
-    let [header, mut bytes] = encode_lines(checkpoint, fingerprint);
-    // The payload's buffer has room for the header: no second buffer.
-    bytes.splice(..0, header);
-    bytes
+    SectionCache::new().encode(checkpoint, fingerprint)
 }
 
-/// The header line and the payload line, each ending in its newline.
-fn encode_lines(checkpoint: &RunCheckpoint, fingerprint: u64) -> [Vec<u8>; 2] {
-    let mut payload = encode_payload(checkpoint, fingerprint);
-    let header = header_line(&payload);
-    payload.push(b'\n');
-    [header, payload]
+/// The `graph_edges` section of the last topology encoded, kept so that
+/// the next encode of the same topology copies it instead of rendering it
+/// again.
+///
+/// The section is about half a static run's snapshot and half its encode
+/// time. The cache keys it on the identity of the checkpoint's shared
+/// graph ([`Checkpoint::shared_graph`]): the simulator copies a shared
+/// graph before it mutates it, and the cache keeps its own `Arc` alive, so
+/// while the cache holds a graph no other topology can have its address. A
+/// churned or moving run gets a new graph at its first mutation after a
+/// capture, and its next encode renders the section again.
+#[derive(Debug, Default)]
+pub struct SectionCache {
+    graph: Option<Arc<Graph>>,
+    edges: Vec<u8>,
+}
+
+/// How long [`SectionCache::write_file`] spent in each of its two phases.
+#[derive(Debug, Clone, Copy)]
+pub struct WriteTimes {
+    /// Rendering the snapshot and its checksum, in nanoseconds.
+    pub encode_ns: u64,
+    /// Writing the temporary file and renaming it into place, in
+    /// nanoseconds.
+    pub write_ns: u64,
+}
+
+impl SectionCache {
+    /// An empty cache: its first encode renders the graph section.
+    pub fn new() -> SectionCache {
+        SectionCache::default()
+    }
+
+    /// [`encode`], reusing the cached graph section when `checkpoint`
+    /// shares its graph.
+    pub fn encode(&mut self, checkpoint: &RunCheckpoint, fingerprint: u64) -> Vec<u8> {
+        let lines = self.encode_lines(checkpoint, fingerprint);
+        let parts = lines.parts();
+        let mut bytes = Vec::with_capacity(parts.iter().map(|part| part.len()).sum());
+        for part in parts {
+            bytes.extend_from_slice(part);
+        }
+        bytes
+    }
+
+    /// [`write_file`], reusing the cached graph section when `checkpoint`
+    /// shares its graph. Returns how long the encode and the write took.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Io`] if the file cannot be written or renamed.
+    pub fn write_file(
+        &mut self,
+        path: &Path,
+        checkpoint: &RunCheckpoint,
+        fingerprint: u64,
+    ) -> Result<WriteTimes, SnapshotError> {
+        let nanos = |watch: Stopwatch| u64::try_from(watch.elapsed_nanos()).unwrap_or(u64::MAX);
+        let encoding = Stopwatch::start();
+        let lines = self.encode_lines(checkpoint, fingerprint);
+        let encode_ns = nanos(encoding);
+        let writing = Stopwatch::start();
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let mut file = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
+        for part in lines.parts() {
+            file.write_all(part).map_err(|e| io_err(&tmp, e))?;
+        }
+        drop(file);
+        std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))?;
+        Ok(WriteTimes { encode_ns, write_ns: nanos(writing) })
+    }
+
+    /// The `graph_edges` section of `graph`, rendered unless the cache
+    /// already holds it.
+    fn edges(&mut self, graph: &Arc<Graph>) -> &[u8] {
+        if !self.graph.as_ref().is_some_and(|cached| Arc::ptr_eq(cached, graph)) {
+            // Let go of the old topology before rendering the new one.
+            self.graph = None;
+            self.edges.clear();
+            self.edges.reserve(edges_capacity(graph));
+            push_edges(&mut self.edges, graph);
+            self.graph = Some(Arc::clone(graph));
+        }
+        &self.edges
+    }
+
+    /// The snapshot as five pieces to be concatenated: the header line,
+    /// the payload up to the graph section, the section, the rest of the
+    /// payload and its newline.
+    fn encode_lines<'a>(&'a mut self, checkpoint: &RunCheckpoint, fingerprint: u64) -> Lines<'a> {
+        let (payload, split) = encode_payload(checkpoint, fingerprint);
+        let edges = self.edges(checkpoint.sim.shared_graph());
+        Lines::new(payload, split, edges)
+    }
+}
+
+/// An encoded snapshot in pieces; see [`SectionCache::encode_lines`].
+struct Lines<'a> {
+    header: Vec<u8>,
+    payload: Vec<u8>,
+    split: usize,
+    edges: &'a [u8],
+}
+
+impl<'a> Lines<'a> {
+    /// Adds the header to a payload whose graph section, `edges`, belongs
+    /// at byte `split`.
+    fn new(payload: Vec<u8>, split: usize, edges: &'a [u8]) -> Lines<'a> {
+        let (head, tail) = payload.split_at_checked(split).unwrap_or((&payload, &[]));
+        let header = header_line(&[head, edges, tail]);
+        Lines { header, payload, split, edges }
+    }
+
+    /// The five pieces, in file order.
+    fn parts(&self) -> [&[u8]; 5] {
+        let (head, tail) =
+            self.payload.split_at_checked(self.split).unwrap_or((&self.payload, &[]));
+        [&self.header, head, self.edges, tail, b"\n"]
+    }
 }
 
 /// The first line of a snapshot, newline included: format, version, and
-/// the length and checksum of `payload` (the second line, without its
-/// newline).
-fn header_line(payload: &[u8]) -> Vec<u8> {
+/// the length and checksum of the payload (the second line, without its
+/// newline), given as the pieces it is made of.
+fn header_line(payload: &[&[u8]]) -> Vec<u8> {
     let mut line = Vec::with_capacity(128);
     line.extend_from_slice(b"{\"format\":\"");
     line.extend_from_slice(FORMAT.as_bytes());
     line.extend_from_slice(b"\",\"version\":");
     push_u64_dec(&mut line, VERSION);
     line.extend_from_slice(b",\"payload_bytes\":");
-    push_u64_dec(&mut line, payload.len() as u64);
+    push_u64_dec(&mut line, payload.iter().map(|part| part.len() as u64).sum());
     line.extend_from_slice(b",\"checksum\":\"");
-    push_hex(&mut line, checksum64(payload).to_be_bytes());
+    push_hex(&mut line, checksum64_parts(payload).to_be_bytes());
     line.extend_from_slice(b"\"}\n");
     line
 }
@@ -466,30 +613,38 @@ fn push_edges(out: &mut Vec<u8>, graph: &Graph) {
     out.push(b']');
 }
 
-/// An upper bound on the payload's length, so the encoder never
-/// reallocates, plus room for the header line that [`encode`] puts in
-/// front (the 512 fixed bytes also cover the scalar fields). Per node: a level with its sign and separator, 32 RNG
-/// digits, two signal digits with separators and an activity digit. Per
-/// edge: two ids and two separators. Per trace row: seven numbers, none
-/// larger than the round or the node count, with separators and brackets.
-/// Per moving node: 80 hex digits of geometry and a pause.
+/// An upper bound on the length of the payload without its graph section,
+/// so the encoder never reallocates (the 512 fixed bytes cover the scalar
+/// fields). Per node: a level with its sign and separator, 32 RNG digits,
+/// two signal digits with separators and an activity digit. Per trace row:
+/// seven numbers, none larger than the round or the node count, with
+/// separators and brackets. Per moving node: 80 hex digits of geometry and
+/// a pause.
 fn payload_capacity(checkpoint: &RunCheckpoint) -> usize {
     let sim = &checkpoint.sim;
     let n = sim.graph().len();
-    let digits = |v: u64| usize::from(Decimal::new(v).len);
     let widest_level = sim.states().iter().map(|l| l.unsigned_abs()).max().unwrap_or(0);
-    let level_len = digits(u64::from(widest_level)) + 2;
-    let id_len = digits(n as u64) + 1;
-    let row_len = 7 * (digits(sim.round().max(n as u64)) + 1) + 2;
+    let level_len = decimal_len(u64::from(widest_level)) + 2;
+    let row_len = 7 * (decimal_len(sim.round().max(n as u64)) + 1) + 2;
     let motion =
         checkpoint.motion.as_ref().map_or(0, |m| 80 * m.positions.len() + 21 * m.pauses.len());
-    512 + n * (level_len + 32 + 4 + 1)
-        + sim.graph().num_edges() * 2 * id_len
-        + checkpoint.trace.reports().len() * row_len
-        + motion
+    512 + n * (level_len + 32 + 4 + 1) + checkpoint.trace.reports().len() * row_len + motion
 }
 
-fn encode_payload(checkpoint: &RunCheckpoint, fingerprint: u64) -> Vec<u8> {
+/// An upper bound on the length of the graph section: two brackets, and
+/// per edge two ids and two separators.
+fn edges_capacity(graph: &Graph) -> usize {
+    2 + graph.num_edges() * 2 * (decimal_len(graph.len() as u64) + 1)
+}
+
+/// The number of decimal digits of `v`.
+fn decimal_len(v: u64) -> usize {
+    usize::from(Decimal::new(v).len)
+}
+
+/// The payload line without its graph section, and the byte offset where
+/// [`SectionCache::edges`] goes.
+fn encode_payload(checkpoint: &RunCheckpoint, fingerprint: u64) -> (Vec<u8>, usize) {
     let sim = &checkpoint.sim;
     let mut s: Vec<u8> = Vec::with_capacity(payload_capacity(checkpoint));
     s.extend_from_slice(b"{\"fingerprint\":\"");
@@ -510,7 +665,7 @@ fn encode_payload(checkpoint: &RunCheckpoint, fingerprint: u64) -> Vec<u8> {
     s.extend_from_slice(b",\"graph_n\":");
     push_u64_dec(&mut s, sim.graph().len() as u64);
     s.extend_from_slice(b",\"graph_edges\":");
-    push_edges(&mut s, sim.graph());
+    let split = s.len();
     s.extend_from_slice(b",\"active\":\"");
     s.extend(sim.active().iter().map(|&a| if a { b'1' } else { b'0' }));
     s.push(b'"');
@@ -552,7 +707,7 @@ fn encode_payload(checkpoint: &RunCheckpoint, fingerprint: u64) -> Vec<u8> {
         push_rng_field(&mut s, b"motion_rng", motion.rng_state);
     }
     s.push(b'}');
-    s
+    (s, split)
 }
 
 fn bad(what: &str) -> SnapshotError {
@@ -775,7 +930,7 @@ pub fn decode(bytes: &[u8], expected_fingerprint: u64) -> Result<RunCheckpoint, 
             round,
             sent,
             heard,
-            graph,
+            Arc::new(graph),
             active,
             ChannelState { in_burst },
             channel_rng,
@@ -799,21 +954,15 @@ fn io_err(path: &Path, e: std::io::Error) -> SnapshotError {
 /// the data to the disk, so after a power loss the file may be incomplete;
 /// [`read_file`] then reports it as a typed error.
 ///
-/// The file holds exactly [`encode`]'s bytes. The header line and the
-/// payload are streamed to the file as they are, with no concatenated copy.
+/// The file holds exactly [`encode`]'s bytes. The header line, the graph
+/// section and the rest of the payload are streamed to the file as they
+/// are, with no concatenated copy.
 pub fn write_file(
     path: &Path,
     checkpoint: &RunCheckpoint,
     fingerprint: u64,
 ) -> Result<(), SnapshotError> {
-    let [header, payload] = encode_lines(checkpoint, fingerprint);
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let mut file = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-    file.write_all(&header).and_then(|()| file.write_all(&payload)).map_err(|e| io_err(&tmp, e))?;
-    drop(file);
-    std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
+    SectionCache::new().write_file(path, checkpoint, fingerprint).map(|_| ())
 }
 
 /// Reads and verifies a snapshot from `path`; see [`decode`] for the
@@ -903,6 +1052,20 @@ mod tests {
     }
 
     #[test]
+    fn checksum_of_parts_is_the_checksum_of_their_concatenation() {
+        let bytes: Vec<u8> = (0..=40u8).map(|b| b.wrapping_mul(37)).collect();
+        for first in 0..bytes.len() {
+            for second in first..bytes.len() {
+                let (head, rest) = bytes.split_at(first);
+                let (middle, tail) = rest.split_at(second - first);
+                let parts = [head, middle, &[][..], tail];
+                assert_eq!(checksum64_parts(&parts), checksum64(&bytes), "split {first}/{second}");
+            }
+        }
+        assert_eq!(checksum64_parts(&[]), checksum64(b""));
+    }
+
+    #[test]
     fn f64_hex_round_trips_exact_bits() {
         let values = [
             0.0,
@@ -964,13 +1127,14 @@ mod tests {
             for _ in 0..30 {
                 run.tick();
                 let cp = run.checkpoint();
-                let payload = encode_payload(&cp, 1);
+                let (payload, _) = encode_payload(&cp, 1);
                 assert_eq!(payload.capacity(), payload_capacity(&cp), "the payload reallocated");
-                assert_eq!(
-                    encode(&cp, 1).capacity(),
-                    payload_capacity(&cp),
-                    "no room for the header"
-                );
+                let mut cache = SectionCache::new();
+                let edges = cache.edges(cp.sim.shared_graph()).len();
+                assert!(edges <= edges_capacity(cp.sim.graph()), "the graph section overflowed");
+                assert_eq!(cache.edges.capacity(), edges_capacity(cp.sim.graph()));
+                let bytes = encode(&cp, 1);
+                assert_eq!(bytes.capacity(), bytes.len(), "encode sized its buffer exactly");
             }
         }
     }

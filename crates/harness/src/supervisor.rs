@@ -15,10 +15,14 @@
 //! invisibly, with telemetry counters as the audit trail.
 //!
 //! Durable snapshots are *double-buffered*: at a checkpoint boundary the
-//! supervisor captures the run state once (cheap, a few memcpys) as the
-//! shared last good checkpoint and hands the same allocation to a
-//! background thread that encodes and atomically writes it, while the next
-//! chunk of rounds executes concurrently. The writer is joined before the
+//! supervisor captures the run state once (copies of the per-node vectors;
+//! the graph is shared, not copied) as the shared last good checkpoint and
+//! hands the same allocation to a background thread that encodes and
+//! atomically writes it, while the next chunk of rounds executes
+//! concurrently. The writer takes the [`SectionCache`] with it and hands
+//! it back through its join handle, so a topology that has not changed
+//! since the last snapshot is not rendered again. The writer is joined
+//! before the
 //! next checkpoint is captured (so at most two checkpoints and one encode
 //! buffer are ever alive, and renames land in checkpoint order) and before
 //! any outcome is returned (a snapshot the supervisor advertises —
@@ -30,16 +34,20 @@
 //! them: the write is hidden exactly when encode + write take no longer
 //! than one chunk of rounds, and otherwise the next boundary waits out the
 //! rest in the join. The supervisor's telemetry times both costs
-//! (`harness.capture` and `harness.write_wait`), so the stream alone shows
-//! whether snapshots block a run. Measured on a run shaped like
-//! perfbench's `long-haul` (n = 2^16, m ≈ 262k, 5.4 MB snapshots,
-//! 128-round chunks of about 10–12 ms with JSONL telemetry, 2-core host):
-//! with the earlier encoder, encode + write took 25–40 ms and the run
-//! waited 22–34 ms per boundary (median 31); with the current one they
-//! take about 13 ms (encode 6–8 ms, checksum 1 ms, `write` 1.5 ms, and
-//! 4 ms in the rename that replaces the previous snapshot) and the wait
-//! is 4–8 ms per boundary (median 5.6). The capture costs about 2 ms per
-//! boundary either way.
+//! (`harness.capture` and `harness.write_wait`), and the writer's two
+//! phases (`harness.encode` and `harness.write`, measured on the writer
+//! thread and recorded at the join), so the stream alone shows whether
+//! snapshots block a run and which phase does it. Measured on a run shaped
+//! like perfbench's `long-haul` (n = 2^16, m ≈ 262k, 5.4 MB snapshots,
+//! 128-round chunks of about 10–12 ms with JSONL telemetry, shared 2-core
+//! host, 12 ops per side, medians): when every snapshot copied the graph
+//! and rendered its 3 MB edge section, the capture took 2.4 ms and the run
+//! waited 13.7 ms per boundary; with the graph shared and the section
+//! cached, the capture takes 1.45 ms, the encode (payload without the
+//! section, and the checksum) 8.4 ms, the write (temporary file and the
+//! rename over the previous snapshot) 11.9 ms, and the wait 5.8 ms per
+//! boundary. The rename dominates the write: ext4 starts writing the new
+//! file back and frees the old one inside `rename(2)`.
 //!
 //! Wall-clock time is measured with [`telemetry::Stopwatch`], the
 //! workspace's sanctioned clock (direct `std::time::Instant` use is banned
@@ -57,7 +65,7 @@ use mis::resumable::{
 use mis::runner::SelfStabilizingMis;
 use telemetry::{Stopwatch, Telemetry};
 
-use crate::snapshot::{self, config_fingerprint, SnapshotError};
+use crate::snapshot::{self, config_fingerprint, SectionCache, SnapshotError, WriteTimes};
 
 /// File name of the (single, atomically overwritten) snapshot inside a
 /// checkpoint directory.
@@ -91,8 +99,9 @@ pub struct SupervisorConfig {
     pub max_retries: u32,
     /// Supervisor telemetry (counters `harness.checkpoints_written`,
     /// `harness.panics_caught`, `harness.retries`, `harness.resumes`;
-    /// timers `harness.capture` and `harness.write_wait`). Independent of
-    /// the run's own telemetry handle.
+    /// timers `harness.capture`, `harness.write_wait`, and the writer's
+    /// `harness.encode` and `harness.write`). Independent of the run's own
+    /// telemetry handle.
     pub telemetry: Telemetry,
     /// Crash-injection rig hook: kill the run (by panic) immediately
     /// before it executes this round. Armed only on the *initial* attempt,
@@ -297,24 +306,47 @@ pub fn supervise_resume<A: SelfStabilizingMis>(
 /// An in-flight background snapshot write (double-buffered checkpointing:
 /// the supervisor overlaps snapshot encoding and I/O with the next chunk of
 /// rounds, and joins the writer at the following boundary; see the module
-/// docs for when that hides the write).
-type PendingWrite = std::thread::JoinHandle<Result<(), SnapshotError>>;
+/// docs for when that hides the write). The writer hands back the section
+/// cache it borrowed along with its result.
+type PendingWrite = std::thread::JoinHandle<(SectionCache, Result<WriteTimes, SnapshotError>)>;
 
 /// Shares a checkpoint with a background thread for encoding and durable
-/// (atomic tmp-then-rename) writing; the checkpoint is not copied.
-fn spawn_write(path: &Path, checkpoint: &Arc<RunCheckpoint>, fingerprint: u64) -> PendingWrite {
+/// (atomic tmp-then-rename) writing; the checkpoint is not copied, and the
+/// section cache travels with the thread until it is joined.
+fn spawn_write(
+    path: &Path,
+    checkpoint: &Arc<RunCheckpoint>,
+    fingerprint: u64,
+    cache: &mut SectionCache,
+) -> PendingWrite {
     let path = path.to_path_buf();
     let cp = Arc::clone(checkpoint);
-    std::thread::spawn(move || snapshot::write_file(&path, &cp, fingerprint))
+    let mut cache = std::mem::take(cache);
+    std::thread::spawn(move || {
+        let result = cache.write_file(&path, &cp, fingerprint);
+        (cache, result)
+    })
 }
 
-/// Waits for the in-flight background write, if any, surfacing its result.
-/// Writes are strictly serialized: the previous one is always joined before
-/// the next checkpoint is captured, so renames land in checkpoint order and
-/// the writer's share of the old checkpoint is released first. The wait is
-/// timed as `harness.write_wait`: it is the part of the write the chunk did
-/// not hide.
-fn join_write(pending: &mut Option<PendingWrite>, tele: &Telemetry) -> Result<(), SupervisorError> {
+/// Records a write's two phases as `harness.encode` and `harness.write`.
+fn record_write(times: WriteTimes, tele: &Telemetry) {
+    tele.timer_add("harness.encode", times.encode_ns);
+    tele.timer_add("harness.write", times.write_ns);
+}
+
+/// Waits for the in-flight background write, if any, surfacing its result
+/// and taking back the section cache. Writes are strictly serialized: the
+/// previous one is always joined before the next checkpoint is captured,
+/// so renames land in checkpoint order and the writer's share of the old
+/// checkpoint is released first. The wait is timed as
+/// `harness.write_wait`: it is the part of the write the chunk did not
+/// hide. A writer that panicked loses the cache; the next write starts an
+/// empty one.
+fn join_write(
+    pending: &mut Option<PendingWrite>,
+    cache: &mut SectionCache,
+    tele: &Telemetry,
+) -> Result<(), SupervisorError> {
     let Some(handle) = pending.take() else {
         return Ok(());
     };
@@ -323,7 +355,11 @@ fn join_write(pending: &mut Option<PendingWrite>, tele: &Telemetry) -> Result<()
         handle.join()
     };
     match joined {
-        Ok(result) => result.map_err(SupervisorError::from),
+        Ok((returned, result)) => {
+            *cache = returned;
+            record_write(result?, tele);
+            Ok(())
+        }
         Err(_) => Err(SupervisorError::Snapshot(SnapshotError::Io {
             path: PathBuf::new(),
             message: "background snapshot writer panicked".to_string(),
@@ -361,11 +397,12 @@ fn drive<A: SelfStabilizingMis>(
     let cadence = sup.checkpoint_every.unwrap_or(DEFAULT_CHUNK).max(1);
     let mut retries_used = 0u32;
     let mut pending: Option<PendingWrite> = None;
+    let mut cache = SectionCache::new();
 
     let mut last_good = Arc::new(capture(&run, tele));
     if sup.checkpoint_every.is_some() {
         if let Some(path) = &file {
-            pending = Some(spawn_write(path, &last_good, fingerprint));
+            pending = Some(spawn_write(path, &last_good, fingerprint, &mut cache));
             tele.counter_add("harness.checkpoints_written", 1);
         }
     }
@@ -373,12 +410,12 @@ fn drive<A: SelfStabilizingMis>(
     loop {
         if let Some(limit) = sup.wall_clock_limit_secs {
             if watch.elapsed_secs() >= limit {
-                join_write(&mut pending, tele)?;
+                join_write(&mut pending, &mut cache, tele)?;
                 let final_cp = capture(&run, tele);
                 let rounds_run = final_cp.sim.round();
                 let snapshot = match &file {
                     Some(path) => {
-                        snapshot::write_file(path, &final_cp, fingerprint)?;
+                        record_write(cache.write_file(path, &final_cp, fingerprint)?, tele);
                         tele.counter_add("harness.checkpoints_written", 1);
                         Some(path.clone())
                     }
@@ -401,18 +438,18 @@ fn drive<A: SelfStabilizingMis>(
         match result {
             Ok(()) => {
                 if run.status() != RunStatus::Running {
-                    join_write(&mut pending, tele)?;
+                    join_write(&mut pending, &mut cache, tele)?;
                     let outcome = run.outcome().expect("a non-Running run always has an outcome");
                     return Ok(match run.status() {
                         RunStatus::Stabilized => RunOutcome::Completed(outcome),
                         _ => RunOutcome::BudgetExhausted(outcome),
                     });
                 }
-                join_write(&mut pending, tele)?;
+                join_write(&mut pending, &mut cache, tele)?;
                 last_good = Arc::new(capture(&run, tele));
                 if sup.checkpoint_every.is_some() {
                     if let Some(path) = &file {
-                        pending = Some(spawn_write(path, &last_good, fingerprint));
+                        pending = Some(spawn_write(path, &last_good, fingerprint, &mut cache));
                         tele.counter_add("harness.checkpoints_written", 1);
                     }
                 }
@@ -423,7 +460,7 @@ fn drive<A: SelfStabilizingMis>(
                 if retries_used >= sup.max_retries {
                     // The last good snapshot must actually be durable before
                     // we advertise it as the manual resume point.
-                    join_write(&mut pending, tele)?;
+                    join_write(&mut pending, &mut cache, tele)?;
                     return Ok(RunOutcome::Panicked {
                         message,
                         round: last_good.sim.round(),

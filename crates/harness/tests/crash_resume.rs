@@ -262,8 +262,9 @@ fn supervisor_self_heals_with_retry_budget() {
 #[test]
 fn supervisor_times_capture_and_write_wait() {
     // Every durable snapshot is captured once and joined once, so the two
-    // critical-path timers count exactly the checkpoints written; without
-    // a directory nothing is written and nothing is waited for.
+    // critical-path timers count exactly the checkpoints written, and so do
+    // the writer's encode and write timers it hands back through the join;
+    // without a directory nothing is written and nothing is waited for.
     let g = random::gnp(40, 0.1, 21);
     let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
     let dir = scratch_dir("timers");
@@ -283,8 +284,13 @@ fn supervisor_times_capture_and_write_wait() {
             assert!(written >= 2);
             assert_eq!(count("harness.capture"), written);
             assert_eq!(count("harness.write_wait"), written);
+            assert_eq!(count("harness.encode"), written);
+            assert_eq!(count("harness.write"), written);
+            let encode_ns = metrics.timer("harness.encode").map_or(0, |t| t.total_ns);
+            assert!(encode_ns > 0, "the writer's encode time reaches the stream");
         } else {
             assert_eq!((written, count("harness.write_wait")), (0, 0));
+            assert_eq!((count("harness.encode"), count("harness.write")), (0, 0));
         }
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -15,7 +15,7 @@ use graphs::generators::geometric::radius_for_expected_degree;
 use graphs::generators::random;
 use graphs::motion::MotionModel;
 use harness::snapshot::{
-    config_fingerprint, decode, encode, fnv1a64, read_file, write_file, SnapshotError,
+    config_fingerprint, decode, encode, fnv1a64, read_file, write_file, SectionCache, SnapshotError,
 };
 use mis::resumable::{ResumableConfig, ResumableRun, RunCheckpoint, RunStatus};
 use mis::{Algorithm1, LmaxPolicy};
@@ -370,6 +370,84 @@ fn write_file_puts_exactly_the_encoded_bytes_on_disk() {
         assert_eq!(std::fs::read(&path).expect("read back"), encode(&cp, fp));
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Ticks `run` for up to `rounds` rounds and encodes the checkpoint of
+/// every round with one [`SectionCache`], every third one through
+/// [`SectionCache::write_file`]. Each result must equal a fresh [`encode`]
+/// of the same checkpoint. Returns how many times the topology changed
+/// between consecutive checkpoints.
+fn encode_through_one_cache(mut run: ResumableRun<Algorithm1>, rounds: u64, fp: u64) -> usize {
+    let dir = scratch_dir("cache");
+    let path = dir.join("cp.snap");
+    let mut cache = SectionCache::new();
+    let mut previous: Option<RunCheckpoint> = None;
+    let mut changes = 0;
+    for r in 0..rounds {
+        let cp = run.checkpoint();
+        let fresh = encode(&cp, fp);
+        if r % 3 == 0 {
+            cache.write_file(&path, &cp, fp).expect("write");
+            let on_disk = std::fs::read(&path).expect("read back");
+            assert!(on_disk == fresh, "cached write differs at round {r}");
+        } else {
+            assert!(cache.encode(&cp, fp) == fresh, "cached encode differs at round {r}");
+        }
+        if previous.is_some_and(|p| p.sim.graph() != cp.sim.graph()) {
+            changes += 1;
+        }
+        previous = Some(cp);
+        if run.tick() != RunStatus::Running {
+            break;
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    changes
+}
+
+#[test]
+fn section_cache_follows_churn() {
+    let g = random::gnp(24, 0.15, 3);
+    let n = g.len();
+    let edges: Vec<(usize, usize)> = g.edges().collect();
+    let missing: Vec<(usize, usize)> = (0..n)
+        .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+        .filter(|&(u, v)| !g.has_edge(u, v))
+        .collect();
+    // Round 6 swaps one edge for another, so the edge count of rounds 5
+    // and 6 is the same while the edge set is not.
+    let churn = ChurnPlan::new()
+        .with_event(2, ChurnAction::AddEdge(missing[0].0, missing[0].1))
+        .with_event(4, ChurnAction::RemoveEdge(edges[0].0, edges[0].1))
+        .with_event(6, ChurnAction::AddEdge(missing[1].0, missing[1].1))
+        .with_event(6, ChurnAction::RemoveEdge(edges[1].0, edges[1].1))
+        .with_event(8, ChurnAction::NodeLeave(edges[2].1));
+    let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
+    let config = ResumableConfig::new(3).with_churn(churn);
+    let fp = config_fingerprint::<Algorithm1>(&config);
+    let run = ResumableRun::new(&g, &algo, config.clone()).unwrap();
+    let first = run.checkpoint();
+    assert_eq!(encode_through_one_cache(run, 14, fp), 4, "every churn round changed the graph");
+    // The first checkpoint kept the topology it was captured with, and
+    // resuming from it brings that topology back.
+    assert_eq!(first.sim.graph(), &g);
+    let resumed = ResumableRun::resume(&algo, config, &first).unwrap();
+    assert_eq!(resumed.graph(), &g);
+}
+
+#[test]
+fn section_cache_follows_a_moving_deployment() {
+    let model = MotionModel::RandomWaypoint { speed: 0.05, pause: 1 };
+    let spec = MotionSpec::new(0x5EED, radius_for_expected_degree(20, 5.0), model);
+    let g = spec.initial_graph(20);
+    let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
+    let config = ResumableConfig::new(7)
+        .with_motion(spec)
+        .with_churn(ChurnPlan::new().with_event(5, ChurnAction::NodeLeave(3)));
+    let fp = config_fingerprint::<Algorithm1>(&config);
+    let run = ResumableRun::new(&g, &algo, config).unwrap();
+    let changes = encode_through_one_cache(run, 30, fp);
+    assert!(changes >= 5, "the deployment barely moved: {changes} topology changes");
 }
 
 proptest! {

@@ -32,8 +32,7 @@
 //! credit a liar's claim use [`correct_claimed_mis`], which strips the
 //! Byzantine nodes themselves from the membership bitmap.
 
-use std::borrow::Cow;
-
+use beeping::SimGraph;
 use graphs::{Graph, NodeId};
 use telemetry::MarkerKind;
 
@@ -235,7 +234,7 @@ pub fn run_contained<A: SelfStabilizingMis>(
     burn_in: u64,
     record_trajectory: bool,
 ) -> Result<ContainmentOutcome, PlanError> {
-    let mut run = RunLoop::start(Cow::Borrowed(graph), algo, config.clone(), "containment")?;
+    let mut run = RunLoop::start(SimGraph::Borrowed(graph), algo, config.clone(), "containment")?;
     let byz = config.byzantine.nodes();
     let tele = &config.telemetry;
     mark(tele, 0, MarkerKind::Byzantine, "plan", byz.len() as u64);

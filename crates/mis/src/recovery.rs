@@ -36,10 +36,8 @@
 //! membership of both endpoints *and* of all their neighbors. "Stable MIS"
 //! and "violation live" are mutually exclusive by construction.
 
-use std::borrow::Cow;
-
 use beeping::churn::ChurnAction;
-use beeping::Simulator;
+use beeping::{SimGraph, Simulator};
 use graphs::Graph;
 use rand_pcg::Pcg64Mcg;
 
@@ -386,7 +384,7 @@ pub fn run_noisy<A: SelfStabilizingMis>(
     config: &RunConfig,
     segment_budget: u64,
 ) -> Result<NoisyOutcome, PlanError> {
-    let mut run = RunLoop::start(Cow::Borrowed(graph), algo, config.clone(), "noisy")?;
+    let mut run = RunLoop::start(SimGraph::Borrowed(graph), algo, config.clone(), "noisy")?;
     let mut events: Vec<EventRecovery> = Vec::new();
     let mut tracker = SegmentTracker::new(Disturbance::Initial, 0);
     let mut stab = tracker.observe(&mut run);

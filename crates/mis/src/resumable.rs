@@ -55,7 +55,7 @@
 //! here and by the crash-injection proptests in `crates/harness`). The
 //! one-call entry points borrow the caller's graph instead.
 
-use std::borrow::Cow;
+use std::sync::Arc;
 
 use beeping::byzantine::ByzantinePlan;
 use beeping::channel::ChannelFault;
@@ -65,7 +65,8 @@ use beeping::faults::{FaultPlan, FaultTarget};
 use beeping::rng::aux_rng;
 use beeping::trace::{RoundReport, Trace};
 use beeping::{
-    ByzantineError, Checkpoint, ChurnError, EngineMode, FaultError, RestoreError, Simulator,
+    ByzantineError, Checkpoint, ChurnError, EngineMode, FaultError, RestoreError, SimGraph,
+    Simulator,
 };
 use graphs::Graph;
 use rand_pcg::Pcg64Mcg;
@@ -411,7 +412,7 @@ impl<A: SelfStabilizingMis> RunLoop<'static, A> {
         algo: &A,
         config: ResumableConfig,
     ) -> Result<ResumableRun<A>, PlanError> {
-        RunLoop::start(Cow::Owned(graph.clone()), algo, config, "resumable")
+        RunLoop::start(SimGraph::Shared(Arc::new(graph.clone())), algo, config, "resumable")
     }
 
     /// Rebuilds a run at the exact point `checkpoint` was captured. The
@@ -450,7 +451,8 @@ impl<A: SelfStabilizingMis> RunLoop<'static, A> {
                 }
             };
         let levels = checkpoint.sim.states().to_vec();
-        let mut sim = build_sim(Cow::Owned(checkpoint.sim.graph().clone()), algo, &config, levels);
+        let graph = SimGraph::Shared(Arc::clone(checkpoint.sim.shared_graph()));
+        let mut sim = build_sim(graph, algo, &config, levels);
         sim.restore(&checkpoint.sim)?;
         let mut run = RunLoop::assemble(sim, algo, config, motion);
         run.fault_rng = checkpoint.fault_rng.clone();
@@ -483,16 +485,12 @@ fn validate_plans<A: SelfStabilizingMis>(
 /// [`crate::invariant::InvariantChecker`] unless the configuration carries
 /// Byzantine nodes.
 fn build_sim<'g, A: SelfStabilizingMis>(
-    graph: Cow<'g, Graph>,
+    graph: SimGraph<'g>,
     algo: &A,
     config: &ResumableConfig,
     levels: Vec<Level>,
 ) -> Simulator<'g, A> {
-    let sim = match graph {
-        Cow::Borrowed(graph) => Simulator::new(graph, algo.clone(), levels, config.seed),
-        Cow::Owned(graph) => Simulator::new_owned(graph, algo.clone(), levels, config.seed),
-    };
-    let mut sim = sim
+    let mut sim = Simulator::on(graph, algo.clone(), levels, config.seed)
         .with_channel(config.channel.clone())
         .with_engine(config.engine)
         .with_telemetry(config.telemetry.clone());
@@ -558,7 +556,7 @@ impl<'g, A: SelfStabilizingMis> RunLoop<'g, A> {
     /// plan, samples the initial configuration, builds the simulator and
     /// opens the telemetry bracket with a `RunStart` labelled `label`.
     pub(crate) fn start(
-        graph: Cow<'g, Graph>,
+        graph: SimGraph<'g>,
         algo: &A,
         config: ResumableConfig,
         label: &str,

@@ -6,12 +6,10 @@
 //! (`S_t = V`), at which point the configuration is a fixpoint and `I_t` is
 //! an MIS.
 
-use std::borrow::Cow;
-
 use beeping::faults::FaultTarget;
 use beeping::rng::aux_rng;
 use beeping::trace::Trace;
-use beeping::BeepingProtocol;
+use beeping::{BeepingProtocol, SimGraph};
 use graphs::Graph;
 use rand::Rng;
 use rand_pcg::Pcg64Mcg;
@@ -227,7 +225,7 @@ fn run_recorded<A: SelfStabilizingMis>(
     record_levels: bool,
 ) -> Result<Outcome, RunError> {
     let max_rounds = config.max_rounds;
-    let mut run = RunLoop::start(Cow::Borrowed(graph), algo, config, "runner")?;
+    let mut run = RunLoop::start(SimGraph::Borrowed(graph), algo, config, "runner")?;
     let mut history = record_levels.then(|| vec![run.levels().to_vec()]);
     while run.tick() == RunStatus::Running {
         if let Some(h) = &mut history {
@@ -313,7 +311,7 @@ pub fn run_recovery<A: SelfStabilizingMis>(
 ) -> Result<RecoveryOutcome, RunError> {
     target.validate(graph.len()).map_err(PlanError::from)?;
     let config = RunConfig::new(seed).with_max_rounds(max_rounds);
-    let mut run = RunLoop::start(Cow::Borrowed(graph), algo, config, "runner")?;
+    let mut run = RunLoop::start(SimGraph::Borrowed(graph), algo, config, "runner")?;
     if run.run_to_completion() != RunStatus::Stabilized {
         return Err(budget_error(&run, max_rounds).into());
     }

@@ -135,6 +135,14 @@ impl Telemetry {
         }
     }
 
+    /// Records one span of `nanos` under a named timer, for a span timed
+    /// where the handle cannot go, such as on another thread.
+    pub fn timer_add(&self, name: &str, nanos: u64) {
+        if let Some(inner) = &self.0 {
+            inner.borrow_mut().metrics.timer_add(name, nanos);
+        }
+    }
+
     /// Starts timing a named phase; the span ends (and is recorded) when
     /// the returned guard drops. Inert — no clock read — when disabled.
     pub fn time(&self, name: &'static str) -> PhaseTimer {
@@ -284,6 +292,16 @@ mod tests {
         }
         let stat = t.metrics().timer("phase").expect("recorded");
         assert_eq!(stat.count, 2);
+    }
+
+    #[test]
+    fn timer_add_records_a_span_measured_elsewhere() {
+        let t = Telemetry::enabled(Config::default());
+        t.timer_add("writer", 30);
+        t.timer_add("writer", 12);
+        let stat = t.metrics().timer("writer").expect("recorded");
+        assert_eq!((stat.count, stat.total_ns), (2, 42));
+        Telemetry::disabled().timer_add("writer", 1);
     }
 
     #[test]

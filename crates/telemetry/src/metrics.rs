@@ -37,19 +37,37 @@ pub(crate) struct Metrics {
     timers: BTreeMap<String, TimerStat>,
 }
 
+// Each update looks its key up first and allocates the owned key only on
+// the metric's first use: most calls hit a key that already exists.
 impl Metrics {
     pub(crate) fn counter_add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += delta;
+        match self.counters.get_mut(name) {
+            Some(count) => *count += delta,
+            None => {
+                self.counters.insert(name.to_owned(), delta);
+            }
+        }
     }
 
     pub(crate) fn gauge_set(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_owned(), value);
+        match self.gauges.get_mut(name) {
+            Some(gauge) => *gauge = value,
+            None => {
+                self.gauges.insert(name.to_owned(), value);
+            }
+        }
     }
 
     pub(crate) fn timer_add(&mut self, name: &str, nanos: u64) {
-        let stat = self.timers.entry(name.to_owned()).or_default();
-        stat.count += 1;
-        stat.total_ns = stat.total_ns.saturating_add(nanos);
+        match self.timers.get_mut(name) {
+            Some(stat) => {
+                stat.count += 1;
+                stat.total_ns = stat.total_ns.saturating_add(nanos);
+            }
+            None => {
+                self.timers.insert(name.to_owned(), TimerStat { count: 1, total_ns: nanos });
+            }
+        }
     }
 
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
