@@ -254,7 +254,10 @@ impl DynamicTopology {
 mod tests {
     use super::*;
     use crate::protocol::{BeepSignal, Channels};
+    use crate::sim::tests::Claimer;
+    use crate::sim::{EngineMode, WorkCounters};
     use rand::RngCore;
+    use std::collections::BTreeSet;
 
     /// Parity protocol: beep iff the counter is even; increment on hearing.
     struct Parity;
@@ -301,27 +304,77 @@ mod tests {
         }
     }
 
+    /// The edges of `g` between two nodes `active` marks as participating.
+    fn restricted_edges(g: &Graph, active: &[bool]) -> BTreeSet<(NodeId, NodeId)> {
+        g.edges().filter(|&(u, v)| active[u] && active[v]).collect()
+    }
+
     #[test]
     fn advance_reports_the_radius_graph_edge_changes() {
         // Drift moves every node every round; each advance must leave the
-        // simulator on the new radius graph and report exactly the set
-        // differences between consecutive radius graphs.
+        // simulator on the new radius graph restricted to the active nodes
+        // and report exactly the set differences between consecutive
+        // restricted graphs — also while two nodes are away and after one
+        // of them rejoins.
         let model = MotionModel::Drift { speed: 0.05, turn: 0.7 };
         let radius = graphs::generators::geometric::radius_for_expected_degree(50, 6.0);
         let mut dt = DynamicTopology::from_points(random_points(50, 11), radius, model, 4).unwrap();
-        let mut sim = Simulator::new_owned(dt.graph().clone(), Parity, vec![0; 50], 4);
+        let g0 = dt.graph().clone();
+        let mut sim = Simulator::new(&g0, Parity, vec![0; 50], 4);
         let mut changed = 0;
-        for _ in 0..40 {
-            let before: std::collections::BTreeSet<_> = dt.graph().edges().collect();
+        for round in 0..60 {
+            if round == 15 {
+                sim.node_leave(7).unwrap();
+                sim.node_leave(30).unwrap();
+            }
+            if round == 35 {
+                let neighbors = dt.join_neighbors(7, sim.active());
+                sim.node_join(7, &neighbors, 0).unwrap();
+            }
+            let before = restricted_edges(dt.graph(), sim.active());
+            assert_eq!(sim.graph().edges().collect::<BTreeSet<_>>(), before);
             let counts = dt.advance(&mut sim);
-            assert_eq!(sim.graph(), dt.graph());
-            let after: std::collections::BTreeSet<_> = dt.graph().edges().collect();
+            let after = restricted_edges(dt.graph(), sim.active());
+            assert_eq!(sim.graph(), &Graph::from_edges(50, after.iter().copied()).unwrap());
             let diff = (after.difference(&before).count(), before.difference(&after).count());
-            assert_eq!(counts, diff);
+            assert_eq!(counts, diff, "round {round}");
             changed += diff.0 + diff.1;
             sim.step();
         }
         assert!(changed > 0, "drift at speed 0.05 must change some edges");
+        assert_eq!(sim.graph().degree(30), 0, "a departed node stays isolated");
+    }
+
+    #[test]
+    fn frontier_motion_work_and_edge_changes_are_pinned() {
+        // Golden pin over a Drift deployment with a leave and a rejoin. The
+        // frontier engine's work counters depend on exactly which nodes
+        // each topology update unsettles, and the digest of the per-round
+        // `(added, removed)` counts on exactly which edges change.
+        let n = 64;
+        let model = MotionModel::Drift { speed: 0.001, turn: 0.5 };
+        let radius = graphs::generators::geometric::radius_for_expected_degree(n, 6.0);
+        let mut dt = DynamicTopology::from_points(random_points(n, 5), radius, model, 9).unwrap();
+        let g0 = dt.graph().clone();
+        let init: Vec<u64> = (0..n as u64).map(|v| v % 6).collect();
+        let mut sim = Simulator::new(&g0, Claimer, init, 9).with_engine(EngineMode::Frontier);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for round in 0..120 {
+            if round == 30 {
+                sim.node_leave(11).unwrap();
+            }
+            if round == 70 {
+                let neighbors = dt.join_neighbors(11, sim.active());
+                sim.node_join(11, &neighbors, 3).unwrap();
+            }
+            let (added, removed) = dt.advance(&mut sim);
+            for x in [added as u64, removed as u64] {
+                digest = (digest ^ x).wrapping_mul(0x0100_0000_01b3);
+            }
+            sim.step();
+        }
+        assert_eq!(sim.work(), WorkCounters { node_execs: 6131, edge_visits: 8396 });
+        assert_eq!(digest, 0x1b60_546d_1aa6_e50a);
     }
 
     #[test]

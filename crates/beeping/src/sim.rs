@@ -1996,7 +1996,7 @@ impl<S> Checkpoint<S> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::protocol::{Channels, SettledRound};
     use graphs::generators::classic;
@@ -2789,7 +2789,7 @@ mod tests {
     /// (beeps, one confirmation draw per round); hearing a beep pushes the
     /// level up toward 5; silence pulls a non-beeping node down; interior
     /// levels flip a fair coin to beep.
-    struct Claimer;
+    pub(crate) struct Claimer;
     impl BeepingProtocol for Claimer {
         type State = u64;
         fn channels(&self) -> Channels {
