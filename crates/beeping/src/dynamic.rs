@@ -1,24 +1,21 @@
-//! Dynamic-topology driver: applies per-round mobility edge diffs to a
-//! running [`Simulator`] through the batched churn path.
+//! Dynamic-topology driver: hands each round's radius graph to a running
+//! [`Simulator`].
 //!
 //! [`graphs::motion`] animates a geometric deployment and rebuilds the
 //! radius graph each round; this module owns the glue that keeps a
-//! simulator's copy-on-write topology synchronized with the moving
-//! deployment. [`DynamicTopology::advance`] is one round of that glue: it
-//! steps the mobility process, then *reconciles* the simulator's edge set
-//! against the new radius graph with a single
-//! [`Simulator::apply_edge_diff`] batch — no per-edge graph rebuilds.
+//! simulator's topology synchronized with the moving deployment.
+//! [`DynamicTopology::advance`] is one round of that glue: it steps the
+//! mobility process and hands the new radius graph to the simulator, which
+//! adopts it — a shared `Arc`, not a copy — with one merge of its old
+//! adjacency against the new.
 //!
-//! That reconciliation merge is the round's only diff. Diffing against the
-//! simulator's edge set (rather than against the previous radius graph) is
-//! what makes mobility compose with node churn: a departed node keeps
-//! moving but its radio is off, so its radius edges are withheld from the
-//! simulator until it rejoins, at which point the next `advance` restores
-//! exactly the edges its current position warrants. Under a dynamic
-//! topology the motion layer owns the edge set — scheduled
-//! `AddEdge`/`RemoveEdge` churn events are overwritten at the next
-//! reconciliation, so dynamic runs should restrict churn plans to node
-//! leave/join.
+//! The simulator keeps only the edges between active nodes. That is what
+//! makes mobility compose with node churn: a departed node keeps moving
+//! but its radio is off, so its radius edges are withheld until it rejoins,
+//! at which point the next `advance` restores exactly the edges its
+//! current position warrants. Under a dynamic topology the motion layer
+//! owns the edge set, so scheduled `AddEdge`/`RemoveEdge` churn cannot
+//! compose with it (`mis::resumable` rejects such a plan).
 //!
 //! Determinism: mobility randomness comes from a dedicated
 //! [`aux_rng`] purpose stream ([`MOTION_RNG_PURPOSE`]), independent of the
@@ -26,6 +23,8 @@
 //! attaching motion to a run never perturbs the protocol's random choices,
 //! and the same master seed replays the same trajectory bit for bit on
 //! either round engine, with or without telemetry attached.
+
+use std::sync::Arc;
 
 use graphs::generators::geometric::random_points;
 use graphs::motion::{Motion, MotionModel};
@@ -147,59 +146,14 @@ impl DynamicTopology {
         &self.motion
     }
 
-    /// One round of topology dynamics: steps the mobility process, then
-    /// reconciles `sim`'s edge set against the new radius graph — edges
-    /// between two *active* nodes that the radius graph warrants are added,
-    /// simulator edges the radius graph no longer warrants (or that touch a
-    /// departed node) are removed, all in one batched update. Returns
-    /// `(added, removed)` edge counts.
+    /// One round of topology dynamics: steps the mobility process and hands
+    /// the new radius graph to `sim`, which keeps the edges between two
+    /// *active* nodes (a departed node stays isolated until it rejoins).
+    /// Returns the `(added, removed)` edge counts of the simulator's
+    /// topology.
     pub fn advance<P: BeepingProtocol>(&mut self, sim: &mut Simulator<'_, P>) -> (usize, usize) {
         self.motion.step(&mut self.rng);
-        let (added, removed) = {
-            let desired = self.motion.graph();
-            let current = sim.graph();
-            debug_assert_eq!(desired.len(), current.len());
-            let mut added: Vec<(NodeId, NodeId)> = Vec::new();
-            let mut removed: Vec<(NodeId, NodeId)> = Vec::new();
-            for u in 0..current.len() {
-                let want = if sim.is_active(u) { desired.neighbors(u) } else { &[] };
-                let have = current.neighbors(u);
-                let (mut wi, mut hi) = (0usize, 0usize);
-                while wi < want.len() || hi < have.len() {
-                    // Merge the sorted adjacency slices; count each edge
-                    // once via the u < v orientation.
-                    let take_want = match (want.get(wi), have.get(hi)) {
-                        (Some(&w), Some(&h)) => w <= h,
-                        (Some(_), None) => true,
-                        _ => false,
-                    };
-                    if take_want {
-                        let w = want[wi] as usize;
-                        wi += 1;
-                        if hi < have.len() && have[hi] as usize == w {
-                            hi += 1; // present on both sides
-                        } else if sim.is_active(w) && u < w {
-                            added.push((u, w));
-                        }
-                        // An inactive endpoint: the edge is withheld until
-                        // the node rejoins — neither added nor an error.
-                    } else {
-                        let h = have[hi] as usize;
-                        hi += 1;
-                        if u < h {
-                            removed.push((u, h));
-                        }
-                    }
-                }
-            }
-            (added, removed)
-        };
-        // Endpoints are in range by construction (motion and simulator
-        // graphs share n, checked above); a rejected diff leaves the
-        // topology unchanged this round rather than panicking the network.
-        let applied = sim.apply_edge_diff(&added, &removed);
-        debug_assert!(applied.is_ok(), "reconciliation endpoints are in range by construction");
-        applied.unwrap_or((0, 0))
+        sim.adopt_graph(Arc::clone(self.motion.graph()))
     }
 
     /// The radius neighbors of `v` at its current position, restricted to
@@ -296,7 +250,7 @@ mod tests {
         let spec = spec(0.05);
         let mut dt = DynamicTopology::new(24, &spec, 42).unwrap();
         let g0 = dt.graph().clone();
-        let mut sim = Simulator::new_owned(g0, Parity, vec![0; 24], 42);
+        let mut sim = Simulator::new(&g0, Parity, vec![0; 24], 42);
         for _ in 0..30 {
             dt.advance(&mut sim);
             assert_eq!(sim.graph(), dt.graph());
@@ -382,8 +336,9 @@ mod tests {
         let spec = spec(0.04);
         let mut a = DynamicTopology::new(20, &spec, 7).unwrap();
         let mut b = DynamicTopology::new(20, &spec, 7).unwrap();
-        let mut sa = Simulator::new_owned(a.graph().clone(), Parity, vec![0; 20], 7);
-        let mut sb = Simulator::new_owned(b.graph().clone(), Parity, vec![0; 20], 7);
+        let g0 = a.graph().clone();
+        let mut sa = Simulator::new(&g0, Parity, vec![0; 20], 7);
+        let mut sb = Simulator::new(&g0, Parity, vec![0; 20], 7);
         for _ in 0..40 {
             assert_eq!(a.advance(&mut sa), b.advance(&mut sb));
             sa.step();
@@ -392,7 +347,8 @@ mod tests {
         }
         // A different master seed yields a different trajectory.
         let mut c = DynamicTopology::new(20, &spec, 8).unwrap();
-        let mut sc = Simulator::new_owned(c.graph().clone(), Parity, vec![0; 20], 8);
+        let gc = c.graph().clone();
+        let mut sc = Simulator::new(&gc, Parity, vec![0; 20], 8);
         let mut diverged = false;
         for _ in 0..40 {
             c.advance(&mut sc);
@@ -411,7 +367,8 @@ mod tests {
     fn departed_nodes_get_no_edges_until_rejoin() {
         let spec = spec(0.03);
         let mut dt = DynamicTopology::new(16, &spec, 3).unwrap();
-        let mut sim = Simulator::new_owned(dt.graph().clone(), Parity, vec![0; 16], 3);
+        let g0 = dt.graph().clone();
+        let mut sim = Simulator::new(&g0, Parity, vec![0; 16], 3);
         sim.node_leave(5).unwrap();
         for _ in 0..20 {
             dt.advance(&mut sim);
@@ -434,8 +391,9 @@ mod tests {
         let spec = spec(0.05);
         let mut dt = DynamicTopology::new(18, &spec, 11).unwrap();
         let mut twin = DynamicTopology::new(18, &spec, 11).unwrap();
-        let mut sim = Simulator::new_owned(dt.graph().clone(), Parity, vec![0; 18], 11);
-        let mut sim2 = Simulator::new_owned(twin.graph().clone(), Parity, vec![0; 18], 11);
+        let g0 = dt.graph().clone();
+        let mut sim = Simulator::new(&g0, Parity, vec![0; 18], 11);
+        let mut sim2 = Simulator::new(&g0, Parity, vec![0; 18], 11);
         for _ in 0..15 {
             dt.advance(&mut sim);
             twin.advance(&mut sim2);

@@ -30,7 +30,7 @@
 //!   leave/join) applied to a copy-on-write graph mid-execution;
 //! - [`dynamic`]: the mobility driver — keeps a simulator's topology
 //!   synchronized with a moving geometric deployment
-//!   ([`graphs::motion`]) via batched per-round edge diffs;
+//!   ([`graphs::motion`]) by handing it each round's radius graph;
 //! - [`byzantine`]: permanently deviating nodes — stuck beepers, babblers,
 //!   crash-restart reboots and channel-2 liars — overriding the protocol's
 //!   radio behavior inside the round loop;

@@ -128,6 +128,22 @@ pub struct WorkCounters {
     pub edge_visits: u64,
 }
 
+/// `graph` without the edges at nodes `active` does not mark; `None` only
+/// if the rebuilt CSR buffers were malformed, which they are not by
+/// construction.
+fn restrict_to_active(graph: &Graph, active: &[bool]) -> Option<Graph> {
+    let mut offsets = Vec::with_capacity(graph.len() + 1);
+    let mut neighbors = Vec::with_capacity(graph.degree_sum());
+    offsets.push(0);
+    for v in graph.nodes() {
+        if active[v] {
+            neighbors.extend(graph.neighbors(v).iter().filter(|&&w| active[w as usize]));
+        }
+        offsets.push(neighbors.len());
+    }
+    Graph::from_csr(offsets, neighbors).ok()
+}
+
 /// Builds the word-packed all-active participation bitset for `n` nodes:
 /// bits `0..n` set, tail bits of the final word clear.
 fn full_active_bits(n: usize) -> Vec<u64> {
@@ -455,26 +471,11 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         Simulator::on(SimGraph::Borrowed(graph), protocol, initial_states, seed)
     }
 
-    /// Like [`Simulator::new`] but takes ownership of the graph, producing
-    /// a `'static` simulator that can be stored, moved across threads or
-    /// rebuilt from a durable snapshot without tying it to a borrowed
-    /// topology. Behavior is otherwise identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial_states.len() != graph.len()`.
-    pub fn new_owned(
-        graph: Graph,
-        protocol: P,
-        initial_states: Vec<P::State>,
-        seed: u64,
-    ) -> Simulator<'static, P> {
-        Simulator::on(SimGraph::Shared(Arc::new(graph)), protocol, initial_states, seed)
-    }
-
     /// Creates a simulator over a borrowed or shared `graph`; see
     /// [`SimGraph`] for when a churn mutation copies it. [`Simulator::new`]
-    /// and [`Simulator::new_owned`] are the two common cases.
+    /// is the borrowed case. Under motion ([`crate::dynamic`]) the graph is
+    /// not mutated but replaced: each round the simulator adopts the
+    /// motion layer's shared radius graph.
     ///
     /// # Panics
     ///
@@ -786,48 +787,73 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         Ok(removed)
     }
 
-    /// Topology churn, batched: removes `removed` then inserts `added` in a
-    /// single `O(n + m + k log k)` CSR rebuild instead of `k` per-edge
-    /// `O(n + m)` splices — the entry point for motion-driven topology
-    /// diffs ([`crate::dynamic`]), where dozens of edges flip per round.
-    /// Returns `(inserted, removed)` — edges whose membership actually
-    /// changed; already-present insertions and absent removals are skipped,
-    /// matching [`Simulator::insert_edge`] / [`Simulator::remove_edge`].
+    /// Adopts `next` as the topology — the motion hand-over of
+    /// [`crate::dynamic`]. Only edges between two active nodes are kept, so
+    /// a departed node stays isolated until it rejoins; with every node
+    /// active `next` is used as is. One merge of the old adjacency against
+    /// the new counts the changed edges and unsettles exactly the nodes
+    /// whose adjacency changed. An unchanged topology keeps the current
+    /// graph, and with it the `Arc` identity that the snapshot section
+    /// cache keys on. Returns `(inserted, removed)` edge counts.
     ///
-    /// Edge updates never touch participation or signal state: `active`,
-    /// `sent` and `heard` are exactly as before the call, for every node —
-    /// only `node_leave`/`node_join` may change who beeps.
-    ///
-    /// # Errors
-    ///
-    /// [`ChurnError::NodeOutOfRange`] / [`ChurnError::SelfEdge`] if any
-    /// pair in either list is invalid; the topology is unchanged on error.
-    pub fn apply_edge_diff(
-        &mut self,
-        added: &[(NodeId, NodeId)],
-        removed: &[(NodeId, NodeId)],
-    ) -> Result<(usize, usize), ChurnError> {
-        for &(u, v) in added.iter().chain(removed) {
-            self.check_churn_edge(u, v)?;
+    /// Like every edge update, adoption never touches participation or
+    /// signal state. A graph over a different node count is ignored and
+    /// counts as no change.
+    pub(crate) fn adopt_graph(&mut self, next: Arc<Graph>) -> (usize, usize) {
+        let n = self.graph.len();
+        if next.len() != n {
+            return (0, 0);
         }
-        match self.graph.to_mut().apply_edge_diff(added, removed) {
-            Ok(counts) => {
-                // Frontier seeding for motion diffs: every listed endpoint
-                // re-executes next round (conservative for already-present
-                // insertions/absent removals — re-executing a settled node
-                // is a draw-free no-op per the contract).
-                for &(u, v) in added.iter().chain(removed) {
-                    self.frontier_unsettle(u);
-                    self.frontier_unsettle(v);
-                }
-                self.par = None; // degrees changed: replan worker ranges
-                Ok(counts)
+        let next = if self.inactive == 0 {
+            next
+        } else {
+            match restrict_to_active(&next, &self.active) {
+                Some(restricted) => Arc::new(restricted),
+                None => return (0, 0),
             }
-            // Both graph-level failure modes are pre-checked above; map
-            // defensively rather than unwrap so a future GraphError variant
-            // cannot reintroduce a panic path.
-            Err(_) => Err(ChurnError::SelfEdge(added.first().map_or(0, |&(u, _)| u))),
+        };
+        let mut changed: Vec<NodeId> = Vec::new();
+        let (mut inserted, mut removed) = (0usize, 0usize);
+        for v in 0..n {
+            let (old, new) = (self.graph.neighbors(v), next.neighbors(v));
+            if old == new {
+                continue;
+            }
+            changed.push(v);
+            let (mut i, mut j) = (0usize, 0usize);
+            while i < old.len() && j < new.len() {
+                match old[i].cmp(&new[j]) {
+                    std::cmp::Ordering::Less => {
+                        removed += 1;
+                        i += 1;
+                    }
+                    std::cmp::Ordering::Greater => {
+                        inserted += 1;
+                        j += 1;
+                    }
+                    std::cmp::Ordering::Equal => {
+                        i += 1;
+                        j += 1;
+                    }
+                }
+            }
+            removed += old.len() - i;
+            inserted += new.len() - j;
         }
+        if changed.is_empty() {
+            return (0, 0);
+        }
+        self.graph = SimGraph::Shared(next);
+        // Frontier seeding: only the nodes whose adjacency changed can
+        // observe anything new next round.
+        for v in changed {
+            self.frontier_unsettle(v);
+        }
+        // Degrees changed: replan worker ranges.
+        self.par = None;
+        // Both graphs are symmetric, so each changed edge was counted at
+        // both endpoints.
+        (inserted / 2, removed / 2)
     }
 
     fn check_churn_edge(&self, u: NodeId, v: NodeId) -> Result<(), ChurnError> {
@@ -2442,33 +2468,33 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn batch_edge_diff_matches_sequential_churn() {
+    fn adopted_graph_matches_sequential_churn() {
         let g = classic::path(4); // 0 - 1 - 2 - 3
-        let mut batch = Simulator::new(&g, Parity, vec![0; 4], 0);
+        let mut adopting = Simulator::new(&g, Parity, vec![0; 4], 0);
         let mut seq = Simulator::new(&g, Parity, vec![0; 4], 0);
-        batch.step();
+        adopting.step();
         seq.step();
-        let counts = batch.apply_edge_diff(&[(0, 2), (1, 3)], &[(1, 2)]).unwrap();
-        assert_eq!(counts, (2, 1));
+        let next = Graph::from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
+        assert_eq!(adopting.adopt_graph(Arc::new(next)), (2, 1));
         assert_eq!(seq.remove_edge(1, 2), Ok(true));
         assert_eq!(seq.insert_edge(0, 2), Ok(true));
         assert_eq!(seq.insert_edge(1, 3), Ok(true));
-        assert_eq!(batch.graph(), seq.graph());
+        assert_eq!(adopting.graph(), seq.graph());
         for _ in 0..4 {
-            batch.step();
+            adopting.step();
             seq.step();
-            assert_eq!(batch.states(), seq.states());
-            assert_eq!(batch.last_sent(), seq.last_sent());
-            assert_eq!(batch.last_heard(), seq.last_heard());
+            assert_eq!(adopting.states(), seq.states());
+            assert_eq!(adopting.last_sent(), seq.last_sent());
+            assert_eq!(adopting.last_heard(), seq.last_heard());
         }
-        // The borrowed input graph is untouched (copy-on-write).
+        // The borrowed input graph is untouched.
         assert_eq!(g, classic::path(4));
     }
 
     #[test]
-    fn batch_edge_diff_never_touches_signals_or_participation() {
-        // The staleness audit for the batch path: edge updates must leave
-        // `active`, `sent` and `heard` exactly as they were, for every node.
+    fn adopting_a_graph_never_touches_signals_or_participation() {
+        // Edge updates must leave `active`, `sent` and `heard` exactly as
+        // they were, for every node; a departed node keeps no edges.
         let g = classic::path(3);
         let mut sim = Simulator::new(&g, Parity, vec![0, 0, 0], 0);
         sim.step();
@@ -2476,22 +2502,27 @@ pub(crate) mod tests {
         let sent: Vec<BeepSignal> = sim.last_sent().to_vec();
         let heard: Vec<BeepSignal> = sim.last_heard().to_vec();
         let active: Vec<bool> = sim.active().to_vec();
-        sim.apply_edge_diff(&[(0, 2)], &[(0, 1)]).unwrap();
+        let next = Graph::from_edges(3, [(0, 2), (1, 2)]).unwrap();
+        assert_eq!(sim.adopt_graph(Arc::new(next)), (0, 1));
+        assert_eq!(sim.graph(), &Graph::empty(3));
         assert_eq!(sim.last_sent(), &sent[..]);
         assert_eq!(sim.last_heard(), &heard[..]);
         assert_eq!(sim.active(), &active[..]);
     }
 
     #[test]
-    fn batch_edge_diff_rejects_invalid_and_leaves_topology_unchanged() {
+    fn adopting_an_unchanged_or_missized_graph_keeps_the_topology() {
         let g = classic::path(3);
         let mut sim = Simulator::new(&g, Parity, vec![0, 0, 0], 0);
-        assert_eq!(
-            sim.apply_edge_diff(&[(0, 3)], &[]),
-            Err(ChurnError::NodeOutOfRange { node: 3, n: 3 })
-        );
-        assert_eq!(sim.apply_edge_diff(&[(0, 2)], &[(1, 1)]), Err(ChurnError::SelfEdge(1)));
-        assert_eq!(sim.graph(), &classic::path(3));
+        assert_eq!(sim.adopt_graph(Arc::new(classic::path(4))), (0, 0));
+        let shared = Arc::new(classic::cycle(3));
+        assert_eq!(sim.adopt_graph(Arc::clone(&shared)), (1, 0));
+        let before = sim.checkpoint();
+        // An equal graph in another allocation changes nothing, not even
+        // the shared graph's identity (the snapshot cache's key).
+        assert_eq!(sim.adopt_graph(Arc::new(classic::cycle(3))), (0, 0));
+        assert!(Arc::ptr_eq(before.shared_graph(), &shared));
+        assert!(Arc::ptr_eq(sim.checkpoint().shared_graph(), &shared));
     }
 
     #[test]
@@ -2748,7 +2779,7 @@ pub(crate) mod tests {
         let g = classic::cycle(6);
         for owned in [false, true] {
             let mut sim = if owned {
-                Simulator::new_owned(g.clone(), Parity, vec![0; 6], 5)
+                Simulator::on(SimGraph::Shared(Arc::new(g.clone())), Parity, vec![0; 6], 5)
             } else {
                 Simulator::new(&g, Parity, vec![0; 6], 5)
             };
@@ -2868,7 +2899,7 @@ pub(crate) mod tests {
     fn frontier_reseeds_dirty_from_events() {
         // Every disturbance source must push the affected nodes back onto
         // the frontier: point corruption, channel noise install/remove,
-        // Byzantine plan swaps, churn, and batched edge diffs. The scalar
+        // Byzantine plan swaps, churn, and a motion hand-over. The scalar
         // twin receives the identical script, so any missed re-seeding
         // shows up as a state divergence within a round.
         use crate::byzantine::{ByzantineBehavior, ByzantinePlan, Resurrect};
@@ -2921,11 +2952,13 @@ pub(crate) mod tests {
         scalar.node_join(5, &[4, 6], 2).unwrap(); // …and back in
         frontier.node_join(5, &[4, 6], 2).unwrap();
         lockstep(&mut scalar, &mut frontier, 8);
-        // Motion-style batched diff: rewire a chord, drop a cycle edge.
-        let added = [(0usize, 5usize)];
-        let removed = [(8usize, 9usize)];
-        assert_eq!(scalar.apply_edge_diff(&added, &removed).unwrap(), (1, 1));
-        assert_eq!(frontier.apply_edge_diff(&added, &removed).unwrap(), (1, 1));
+        // Motion-style hand-over: rewire a chord, drop a cycle edge.
+        let mut next = frontier.graph().clone();
+        assert_eq!(next.insert_edge(0, 5), Ok(true));
+        assert!(next.remove_edge(8, 9));
+        let next = Arc::new(next);
+        assert_eq!(scalar.adopt_graph(Arc::clone(&next)), (1, 1));
+        assert_eq!(frontier.adopt_graph(next), (1, 1));
         lockstep(&mut scalar, &mut frontier, 12);
     }
 

@@ -359,9 +359,9 @@ fn arb_motion() -> impl Strategy<Value = (usize, MotionSpec)> {
 }
 
 /// Steps both engines over the same moving deployment — each with its own
-/// [`DynamicTopology`] applying the per-round edge diffs through the batch
-/// churn path — and asserts bit-identity of reports, states, signals, the
-/// reconcile deltas, the evolving graphs and the motion states. With
+/// [`DynamicTopology`] handing the simulator each round's radius graph —
+/// and asserts bit-identity of reports, states, signals, the per-round edge
+/// counts, the evolving graphs and the motion states. With
 /// `churn`, a motion-driven leave/rejoin pair is injected mid-run (rejoin
 /// edges computed from current positions via `join_neighbors`).
 fn assert_engines_identical_moving(
@@ -609,7 +609,7 @@ proptest! {
         )?;
     }
 
-    /// Moving deployments: motion-driven edge diffs (optionally composed
+    /// Moving deployments: motion-driven topology changes (optionally composed
     /// with channel noise, a Byzantine radio and a leave/rejoin pair) must
     /// keep the two engines bit-identical — reports, states, signals,
     /// graphs and motion state alike.

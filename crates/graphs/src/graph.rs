@@ -369,90 +369,6 @@ impl Graph {
         }
     }
 
-    /// Applies a batch of edge removals and insertions in one pass, keeping
-    /// the CSR invariants (sorted, deduplicated, symmetric). Removals are
-    /// applied first, then insertions, so an edge listed in both ends up
-    /// present.
-    ///
-    /// Returns `(inserted, removed)` — the number of edges whose membership
-    /// actually changed. Already-present insertions and absent removals are
-    /// skipped silently, matching [`Graph::insert_edge`] /
-    /// [`Graph::remove_edge`]. Duplicates within a list are collapsed.
-    ///
-    /// Unlike the per-edge churn entry points, which cost `O(n + m)` *each*
-    /// (sorted-slice splice plus a full offset shift), the whole batch is
-    /// one sort of its `2k` half-edge deltas (`k` = batch size) and a
-    /// single `O(n + m)` merge into a fresh adjacency buffer — the entry
-    /// point for motion-driven topology diffs (see [`crate::motion`])
-    /// where dozens of edges flip per round.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::GraphError::NodeOutOfRange`] /
-    /// [`crate::GraphError::SelfLoop`] if any pair in either list is
-    /// invalid; the graph is unchanged on error.
-    pub fn apply_edge_diff(
-        &mut self,
-        added: &[(NodeId, NodeId)],
-        removed: &[(NodeId, NodeId)],
-    ) -> Result<(usize, usize), crate::GraphError> {
-        let n = self.len();
-        for &(u, v) in added.iter().chain(removed) {
-            if u >= n {
-                return Err(crate::GraphError::NodeOutOfRange { node: u, n });
-            }
-            if v >= n {
-                return Err(crate::GraphError::NodeOutOfRange { node: v, n });
-            }
-            if u == v {
-                return Err(crate::GraphError::SelfLoop(u));
-            }
-        }
-        // Half-edge deltas `(src, dst, remove)`, sorted so each node's deltas
-        // form one ascending run. An insertion sorts before a removal of the
-        // same half-edge and is the one kept, so insertions win.
-        let mut deltas = Vec::with_capacity(2 * (added.len() + removed.len()));
-        for (list, remove) in [(added, false), (removed, true)] {
-            for &(u, v) in list {
-                let (u, v) = (node_id32(u), node_id32(v));
-                deltas.push((u, v, remove));
-                deltas.push((v, u, remove));
-            }
-        }
-        if deltas.is_empty() {
-            return Ok((0, 0));
-        }
-        deltas.sort_unstable();
-        deltas.dedup_by_key(|&mut (src, dst, _)| (src, dst));
-        let mut neighbors = Vec::with_capacity(self.neighbors.len() + 2 * added.len());
-        let (mut inserted_half, mut removed_half) = (0usize, 0usize);
-        let mut pending = deltas.iter().peekable();
-        let mut old_start = 0usize;
-        for v in 0..n {
-            // `offsets[v + 1]` is rewritten below, so carry the old value.
-            let old_end = self.offsets[v + 1];
-            let old = &self.neighbors[old_start..old_end];
-            old_start = old_end;
-            let mut oi = 0usize;
-            while let Some(&(_, dst, remove)) = pending.next_if(|d| d.0 as usize == v) {
-                let below = old[oi..].partition_point(|&w| w < dst);
-                neighbors.extend_from_slice(&old[oi..oi + below]);
-                oi += below;
-                let present = old.get(oi) == Some(&dst);
-                oi += usize::from(present);
-                if !remove {
-                    neighbors.push(dst);
-                }
-                inserted_half += usize::from(!remove && !present);
-                removed_half += usize::from(remove && present);
-            }
-            neighbors.extend_from_slice(&old[oi..]);
-            self.offsets[v + 1] = neighbors.len();
-        }
-        self.neighbors = neighbors;
-        Ok((inserted_half / 2, removed_half / 2))
-    }
-
     /// Disjoint union of two graphs: nodes of `other` are shifted by
     /// `self.len()`.
     pub fn disjoint_union(&self, other: &Graph) -> Graph {
@@ -780,83 +696,5 @@ mod tests {
         let g2 = g.clone();
         assert_eq!(g, g2);
         assert!(!format!("{g:?}").is_empty());
-    }
-
-    #[test]
-    fn edge_diff_matches_sequential_churn() {
-        let mut batch = Graph::from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]).unwrap();
-        let mut seq = batch.clone();
-        let added = [(0, 5), (2, 5), (1, 3)];
-        let removed = [(1, 2), (3, 4)];
-        let (ins, del) = batch.apply_edge_diff(&added, &removed).unwrap();
-        assert_eq!((ins, del), (3, 2));
-        for &(u, v) in &removed {
-            assert!(seq.remove_edge(u, v));
-        }
-        for &(u, v) in &added {
-            assert_eq!(seq.insert_edge(u, v), Ok(true));
-        }
-        assert_eq!(batch, seq);
-    }
-
-    #[test]
-    fn edge_diff_skips_present_and_absent() {
-        let mut g = triangle();
-        // (0, 1) already present; (0, 2) not absent — both skipped in the
-        // counts, duplicates collapsed.
-        let (ins, del) = g.apply_edge_diff(&[(0, 1), (1, 0)], &[]).unwrap();
-        assert_eq!((ins, del), (0, 0));
-        let (ins, del) = g.apply_edge_diff(&[], &[(0, 1), (0, 1)]).unwrap();
-        assert_eq!((ins, del), (0, 1));
-        assert!(!g.has_edge(0, 1));
-        // Removing the now-absent edge again is a no-op.
-        let (ins, del) = g.apply_edge_diff(&[], &[(0, 1)]).unwrap();
-        assert_eq!((ins, del), (0, 0));
-    }
-
-    #[test]
-    fn edge_diff_removal_then_insertion_keeps_edge() {
-        // Removals apply first, so an edge in both lists ends up present
-        // and counts as unchanged.
-        let mut g = triangle();
-        let (ins, del) = g.apply_edge_diff(&[(0, 1)], &[(0, 1)]).unwrap();
-        assert_eq!((ins, del), (0, 0));
-        assert!(g.has_edge(0, 1));
-        assert_eq!(g, triangle());
-    }
-
-    #[test]
-    fn edge_diff_empty_is_identity() {
-        let mut g = triangle();
-        assert_eq!(g.apply_edge_diff(&[], &[]), Ok((0, 0)));
-        assert_eq!(g, triangle());
-    }
-
-    #[test]
-    fn edge_diff_rejects_invalid_and_leaves_graph_unchanged() {
-        let mut g = triangle();
-        assert_eq!(
-            g.apply_edge_diff(&[(0, 3)], &[]),
-            Err(crate::GraphError::NodeOutOfRange { node: 3, n: 3 })
-        );
-        assert_eq!(g.apply_edge_diff(&[], &[(1, 1)]), Err(crate::GraphError::SelfLoop(1)));
-        assert_eq!(g, triangle());
-    }
-
-    #[test]
-    fn edge_diff_keeps_csr_invariants() {
-        let mut g = Graph::empty(8);
-        let added: Vec<(usize, usize)> =
-            (0..8).flat_map(|u| ((u + 1)..8).map(move |v| (u, v))).collect();
-        let (ins, del) = g.apply_edge_diff(&added, &[]).unwrap();
-        assert_eq!((ins, del), (28, 0));
-        for v in g.nodes() {
-            let adj = g.neighbors(v);
-            assert!(adj.windows(2).all(|w| w[0] < w[1]), "sorted, deduplicated");
-            assert_eq!(adj.len(), 7);
-        }
-        let (ins, del) = g.apply_edge_diff(&[], &added).unwrap();
-        assert_eq!((ins, del), (0, 28));
-        assert_eq!(g, Graph::empty(8));
     }
 }

@@ -7,9 +7,9 @@
 //! cloud behind [`crate::generators::geometric`]: a [`Motion`] holds the
 //! node positions plus per-node mobility state, and each [`Motion::step`]
 //! moves every node one round and rebuilds the radius graph with
-//! [`geometric_from_points`]. Consumers diff that graph against their own
-//! topology (`beeping::dynamic` reconciles a simulator's edge set and
-//! applies the result with [`Graph::apply_edge_diff`]).
+//! [`geometric_from_points`]. The graph is held in an [`Arc`], so a
+//! consumer can adopt it without a copy (`beeping::dynamic` hands it to a
+//! simulator every round); a step replaces it and never mutates it.
 //!
 //! Two classic models are provided:
 //!
@@ -26,6 +26,8 @@
 //! arithmetic is plain IEEE-754 evaluated in a fixed order — the same
 //! seed replays the same trajectory bit for bit, which is what lets
 //! supervised runs snapshot and resume a moving graph mid-flight.
+
+use std::sync::Arc;
 
 use rand::Rng;
 use rand_pcg::Pcg64Mcg;
@@ -103,7 +105,7 @@ pub struct Motion {
     pauses: Vec<u64>,
     /// Headings in radians (empty under [`MotionModel::RandomWaypoint`]).
     headings: Vec<f64>,
-    graph: Graph,
+    graph: Arc<Graph>,
 }
 
 impl Motion {
@@ -149,7 +151,7 @@ impl Motion {
                 headings = (0..n).map(|_| rng.gen::<f64>() * 2.0 * std::f64::consts::PI).collect();
             }
         }
-        let graph = geometric_from_points(&points, radius);
+        let graph = Arc::new(geometric_from_points(&points, radius));
         Ok(Motion { model, radius, positions: points, waypoints, pauses, headings, graph })
     }
 
@@ -199,7 +201,7 @@ impl Motion {
                 expect("headings", headings.len(), n)?;
             }
         }
-        let graph = geometric_from_points(&positions, radius);
+        let graph = Arc::new(geometric_from_points(&positions, radius));
         Ok(Motion { model, radius, positions, waypoints, pauses, headings, graph })
     }
 
@@ -243,8 +245,9 @@ impl Motion {
         &self.headings
     }
 
-    /// The radius graph over the current positions.
-    pub fn graph(&self) -> &Graph {
+    /// The radius graph over the current positions, shared: clone the
+    /// `Arc` to keep it past the next [`Motion::step`], which replaces it.
+    pub fn graph(&self) -> &Arc<Graph> {
         &self.graph
     }
 
@@ -303,7 +306,7 @@ impl Motion {
                 }
             }
         }
-        self.graph = geometric_from_points(&self.positions, self.radius);
+        self.graph = Arc::new(geometric_from_points(&self.positions, self.radius));
     }
 }
 
@@ -350,10 +353,10 @@ mod tests {
         let points = random_points(40, 3);
         let r = radius_for_expected_degree(40, 5.0);
         let mut m = Motion::new(points.clone(), r, rwp(0.0), &mut rng(2)).unwrap();
-        let g0 = m.graph().clone();
+        let g0 = Graph::clone(m.graph());
         for _ in 0..20 {
             m.step(&mut rng(0));
-            assert_eq!(*m.graph(), g0);
+            assert_eq!(**m.graph(), g0);
             assert_eq!(m.positions(), &points[..]);
         }
     }

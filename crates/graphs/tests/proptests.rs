@@ -1,9 +1,8 @@
 //! Property-based tests for the graph substrate.
 
 use graphs::generators::{classic, geometric, random, scale_free, small_world, trees};
-use graphs::{edgelist, mis, properties, Graph, GraphBuilder, GraphError};
+use graphs::{edgelist, mis, properties, Graph, GraphBuilder};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
 
 /// Strategy: an arbitrary simple graph as (n, edge list).
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -70,31 +69,6 @@ fn brute_force_geometric(points: &[(f64, f64)], radius: f64) -> Graph {
     b.build()
 }
 
-/// A graph with an insertion list and a removal list for it.
-type Batch = (Graph, Vec<(usize, usize)>, Vec<(usize, usize)>);
-
-/// Strategy: a graph plus an edge batch for it: insertion and removal
-/// lists with duplicates, both orientations, and edges listed in both.
-fn arb_graph_and_batch() -> impl Strategy<Value = Batch> {
-    arb_graph().prop_flat_map(|g| {
-        let n = g.len();
-        let pairs = || {
-            proptest::collection::vec((0..n, 0..n), 0..30)
-                .prop_map(|pairs| pairs.into_iter().filter(|&(u, v)| u != v).collect::<Vec<_>>())
-        };
-        (pairs(), pairs(), pairs()).prop_map(move |(mut added, mut removed, both)| {
-            // Existing edges in the removal list, flipped duplicates, and
-            // pairs listed for both insertion and removal.
-            removed.extend(g.edges().step_by(3));
-            removed.extend(g.edges().step_by(5).map(|(u, v)| (v, u)));
-            added.extend(added.clone().into_iter().map(|(u, v)| (v, u)).take(4));
-            added.extend(&both);
-            removed.extend(both.iter().map(|&(u, v)| (v, u)));
-            (g.clone(), added, removed)
-        })
-    })
-}
-
 proptest! {
     #[test]
     fn geometric_builder_matches_brute_force(points in arb_points(), radius in arb_radius()) {
@@ -108,45 +82,6 @@ proptest! {
                 prop_assert!(g.neighbors(u as usize).contains(&(v as u32)));
             }
         }
-    }
-
-    #[test]
-    fn apply_edge_diff_matches_set_model((g, added, removed) in arb_graph_and_batch()) {
-        let norm = |(u, v): (usize, usize)| (u.min(v), u.max(v));
-        let before: BTreeSet<(usize, usize)> = g.edges().collect();
-        let mut after = before.clone();
-        for &e in &removed {
-            after.remove(&norm(e));
-        }
-        after.extend(added.iter().map(|&e| norm(e)));
-        let mut batched = g.clone();
-        let counts = batched.apply_edge_diff(&added, &removed).unwrap();
-        prop_assert_eq!(
-            counts,
-            (after.difference(&before).count(), before.difference(&after).count())
-        );
-        prop_assert_eq!(batched, Graph::from_edges(g.len(), after).unwrap());
-    }
-
-    #[test]
-    fn apply_edge_diff_errors_leave_the_graph_unchanged(
-        (g, added, removed) in arb_graph_and_batch(),
-        bad in 0usize..3,
-        at in 0usize..64,
-        into_added in any::<bool>(),
-    ) {
-        let n = g.len();
-        let (pair, expected) = match bad {
-            0 => ((n, 0), GraphError::NodeOutOfRange { node: n, n }),
-            1 => ((0, n + 7), GraphError::NodeOutOfRange { node: n + 7, n }),
-            _ => ((1, 1), GraphError::SelfLoop(1)),
-        };
-        let (mut added, mut removed) = (added, removed);
-        let list = if into_added { &mut added } else { &mut removed };
-        list.insert(at % (list.len() + 1), pair);
-        let mut batched = g.clone();
-        prop_assert_eq!(batched.apply_edge_diff(&added, &removed), Err(expected));
-        prop_assert_eq!(batched, g);
     }
 
     #[test]

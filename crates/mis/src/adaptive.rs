@@ -43,12 +43,9 @@ pub const MIN_CAP: Level = 2;
 /// Collisions (beep-while-hearing rounds) before the cap doubles.
 pub const COLLISION_THRESHOLD: u8 = 4;
 
-/// Aux-RNG purpose tag for adversarial random-state initialization.
-///
-/// Shared by [`AdaptiveMis::run_random_init`] and
-/// [`AdaptiveMis::run_states`] *on purpose*: both must draw the same
-/// initial states for a given seed so state-trace runs reproduce the exact
-/// executions the bitmap runs measured.
+/// Aux-RNG purpose tag for the adversarial random-state initialization of
+/// [`AdaptiveMis::run_random_init`]; disjoint from the per-node streams, so
+/// the initial states never perturb the run's own draws.
 const ADAPTIVE_INIT_RNG_PURPOSE: u64 = 0xADA;
 
 /// Per-vertex state of the adaptive algorithm — all RAM, all corruptible.
@@ -152,27 +149,6 @@ impl AdaptiveMis {
         let mut sim = beeping::Simulator::new(graph, *self, initial, seed);
         let done = sim.run_until(max_rounds, |s| self.is_stabilized(graph, s.states()))?;
         Some((self.mis_members(graph, sim.states()), done))
-    }
-
-    /// Runs and returns the final states (for cap-learning analyses).
-    pub fn run_states(
-        &self,
-        graph: &Graph,
-        seed: u64,
-        max_rounds: u64,
-    ) -> Option<(Vec<AdaptiveState>, u64)> {
-        let mut rng = beeping::rng::aux_rng(seed, ADAPTIVE_INIT_RNG_PURPOSE);
-        let init: Vec<AdaptiveState> = (0..graph.len())
-            .map(|_| {
-                AdaptiveState::sanitized(
-                    rng.gen_range(-(HARD_CAP as i64)..=HARD_CAP as i64),
-                    rng.gen_range(0..=2 * HARD_CAP as i64),
-                )
-            })
-            .collect();
-        let mut sim = beeping::Simulator::new(graph, *self, init, seed);
-        let done = sim.run_until(max_rounds, |s| self.is_stabilized(graph, s.states()))?;
-        Some((sim.states().to_vec(), done))
     }
 }
 

@@ -96,7 +96,7 @@ impl Algorithm1 {
     /// `graph`, [`RunError::Budget`] if the round budget is exhausted before
     /// `S_t = V`.
     pub fn run(&self, graph: &Graph, config: RunConfig) -> Result<Outcome, RunError> {
-        runner::run_algorithm1(graph, self, config)
+        runner::run(graph, self, config)
     }
 }
 

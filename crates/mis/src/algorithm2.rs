@@ -91,7 +91,7 @@ impl Algorithm2 {
     /// `graph`, [`RunError::Budget`] if the round budget is exhausted before
     /// `S_t = V`.
     pub fn run(&self, graph: &Graph, config: RunConfig) -> Result<Outcome, RunError> {
-        runner::run_algorithm2(graph, self, config)
+        runner::run(graph, self, config)
     }
 }
 

@@ -4,8 +4,8 @@
 //! A [`RunLoop`] owns the only simulator a run builds. At every round
 //! boundary `r` it applies the scheduled faults (in schedule order), then
 //! the scheduled churn, then — for a moving deployment
-//! ([`ResumableConfig::with_motion`]) — one mobility step reconciled into
-//! the simulator as a batched edge diff, each with its telemetry marker and
+//! ([`ResumableConfig::with_motion`]) — one mobility step whose radius
+//! graph the simulator adopts, each with its telemetry marker and
 //! exactly once per boundary, even across a checkpoint/resume. It then
 //! steps the simulator one round and emits that round's
 //! [`telemetry::RoundEvent`]; it brackets the run with `RunStart` and
@@ -92,8 +92,9 @@ pub enum PlanError {
     /// The Byzantine plan is invalid (see
     /// [`beeping::byzantine::ByzantineError`]).
     Byzantine(ByzantineError),
-    /// The motion spec is invalid, or the supplied graph is not the spec's
-    /// initial deployment (see [`beeping::dynamic::MotionSpec`]).
+    /// The motion spec is invalid, the supplied graph is not the spec's
+    /// initial deployment (see [`beeping::dynamic::MotionSpec`]), or the
+    /// churn plan edits an edge of the moving deployment.
     Motion(String),
     /// A per-node input does not have one entry per node: the algorithm's
     /// `ℓmax` policy or an [`InitialLevels::Custom`] configuration.
@@ -219,13 +220,14 @@ pub struct ResumableConfig {
     /// legitimately violates the protocol invariants.
     pub byzantine: ByzantinePlan<Level>,
     /// Optional moving deployment: when set, the topology is the spec's
-    /// radius graph, reconciled against the simulator at every round
-    /// boundary (after scheduled faults and churn) through the batched
-    /// edge-diff path. The motion layer then *owns* the edge set — restrict
-    /// churn plans to node leave/join (scheduled edge events are overwritten
-    /// at the next reconciliation). Mid-flight positions and the motion-RNG
-    /// position live in the [`RunCheckpoint`]; this field is configuration
-    /// and is covered by the harness snapshot fingerprint.
+    /// radius graph restricted to the active nodes, handed to the simulator
+    /// at every round boundary (after scheduled faults and churn). The
+    /// motion layer then *owns* the edge set, so the churn plan may only
+    /// schedule node leave/join: the constructors reject an
+    /// `AddEdge`/`RemoveEdge` event with [`PlanError::Motion`]. Mid-flight
+    /// positions and the motion-RNG position live in the [`RunCheckpoint`];
+    /// this field is configuration and is covered by the harness snapshot
+    /// fingerprint.
     pub motion: Option<MotionSpec>,
     /// Delivery engine (bit-identical choices; see [`EngineMode`]).
     pub engine: EngineMode,
@@ -450,6 +452,14 @@ impl<A: SelfStabilizingMis> RunLoop<'static, A> {
                     )))
                 }
             };
+        if let Some(dt) = &motion {
+            if dt.graph().len() != n {
+                return Err(ResumeError::Plan(PlanError::Motion(format!(
+                    "checkpoint motion state covers {} nodes but its graph has {n}",
+                    dt.graph().len()
+                ))));
+            }
+        }
         let levels = checkpoint.sim.states().to_vec();
         let graph = SimGraph::Shared(Arc::clone(checkpoint.sim.shared_graph()));
         let mut sim = build_sim(graph, algo, &config, levels);
@@ -477,6 +487,21 @@ fn validate_plans<A: SelfStabilizingMis>(
     config.faults.validate(n)?;
     config.churn.validate(n)?;
     config.byzantine.validate(n, algo.channels())?;
+    if config.motion.is_some() {
+        // The motion layer replaces the edge set at every boundary, right
+        // after churn: a scheduled edge event would be overwritten at once.
+        let edge_event = config.churn.events().iter().find(|event| {
+            matches!(event.action, ChurnAction::AddEdge(..) | ChurnAction::RemoveEdge(..))
+        });
+        if let Some(event) = edge_event {
+            return Err(PlanError::Motion(format!(
+                "churn event {} after round {} edits an edge, but a moving deployment owns \
+                 the edge set (schedule node leave/join only)",
+                churn_detail(&event.action),
+                event.after_round
+            )));
+        }
+    }
     Ok(())
 }
 
@@ -1179,6 +1204,41 @@ mod tests {
     }
 
     #[test]
+    fn motion_rejects_scheduled_edge_churn() {
+        use beeping::dynamic::MotionSpec;
+        use graphs::motion::MotionModel;
+        let spec = MotionSpec::new(
+            0x600D,
+            graphs::generators::geometric::radius_for_expected_degree(16, 4.0),
+            MotionModel::RandomWaypoint { speed: 0.02, pause: 0 },
+        );
+        let g = spec.initial_graph(16);
+        let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
+        let leave_join = ChurnPlan::new()
+            .with_event(3, ChurnAction::NodeLeave(4))
+            .with_event(6, ChurnAction::NodeJoin(4, vec![]));
+        let moving = ResumableConfig::new(2).with_motion(spec).with_churn(leave_join.clone());
+        let mut run = ResumableRun::new(&g, &algo, moving.clone()).unwrap();
+        run.tick();
+        let cp = run.checkpoint();
+        assert!(ResumableRun::resume(&algo, moving, &cp).is_ok());
+        for action in [ChurnAction::AddEdge(0, 1), ChurnAction::RemoveEdge(0, 1)] {
+            let config = ResumableConfig::new(2)
+                .with_motion(spec)
+                .with_churn(leave_join.clone().with_event(5, action));
+            let err = ResumableRun::new(&g, &algo, config.clone()).unwrap_err();
+            assert!(matches!(err, PlanError::Motion(_)));
+            assert!(err.to_string().contains("after round 5"), "{err}");
+            let err = ResumableRun::resume(&algo, config, &cp).unwrap_err();
+            assert!(matches!(err, ResumeError::Plan(PlanError::Motion(_))));
+        }
+        // The same edge events stay valid on a static topology.
+        let static_config = ResumableConfig::new(2)
+            .with_churn(ChurnPlan::new().with_event(5, ChurnAction::AddEdge(0, 1)));
+        assert!(ResumableRun::new(&g, &algo, static_config).is_ok());
+    }
+
+    #[test]
     fn motion_resume_rejects_presence_mismatch() {
         use beeping::dynamic::MotionSpec;
         use graphs::motion::MotionModel;
@@ -1196,6 +1256,16 @@ mod tests {
         let cp = run.checkpoint();
         let err = ResumableRun::resume(&algo, ResumableConfig::new(2), &cp).unwrap_err();
         assert!(matches!(err, ResumeError::Plan(PlanError::Motion(_))));
+        // A motion state over another node count is refused, not adopted.
+        let mut short = cp.clone();
+        if let Some(state) = &mut short.motion {
+            state.positions.pop();
+            state.waypoints.pop();
+            state.pauses.pop();
+        }
+        let err = ResumableRun::resume(&algo, ResumableConfig::new(2).with_motion(spec), &short)
+            .unwrap_err();
+        assert!(err.to_string().contains("covers 15 nodes"), "{err}");
         // Motionless run, resumed under a motion config.
         let mut run = ResumableRun::new(&g, &algo, ResumableConfig::new(2)).unwrap();
         run.tick();

@@ -261,25 +261,6 @@ pub(crate) fn random_level<A: SelfStabilizingMis>(algo: &A, v: usize, rng: &mut 
     A::SPACE.clamp(rng.gen_range(low..=high), lmax)
 }
 
-/// [`run`] specialized to [`Algorithm1`] (kept as a named entry point for
-/// discoverability; `Algorithm1::run` calls this).
-pub fn run_algorithm1(
-    graph: &Graph,
-    algo: &Algorithm1,
-    config: RunConfig,
-) -> Result<Outcome, RunError> {
-    run(graph, algo, config)
-}
-
-/// [`run`] specialized to [`Algorithm2`].
-pub fn run_algorithm2(
-    graph: &Graph,
-    algo: &Algorithm2,
-    config: RunConfig,
-) -> Result<Outcome, RunError> {
-    run(graph, algo, config)
-}
-
 /// Outcome of a fault-recovery measurement ([`run_recovery`]).
 #[derive(Debug, Clone)]
 pub struct RecoveryOutcome {

@@ -111,7 +111,8 @@ pub enum MarkerKind {
     Churn,
     /// A permanently deviating (Byzantine) node.
     Byzantine,
-    /// Mobility-driven topology change (batched radius-edge diff).
+    /// Mobility-driven topology change (the moving radius graph's edge
+    /// changes at one round boundary).
     Motion,
 }
 
