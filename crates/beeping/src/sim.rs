@@ -2870,6 +2870,71 @@ pub(crate) mod tests {
         (scalar, frontier)
     }
 
+    /// FNV-1a over final states and RNG positions.
+    fn fnv_digest(states: &[u64], rngs: &[Pcg64Mcg]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let words = states.iter().map(|&s| u128::from(s)).chain(rngs.iter().map(rng::pcg_state));
+        for word in words {
+            for b in word.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn engines_pin_work_and_digest_through_a_disturbance_script() {
+        // One script per engine: settle, a point corruption, a leave and a
+        // rejoin, a window on a zero-burst channel (not `is_reliable`, so
+        // every engine takes the phased path) and back. The work counters
+        // and round counters are each engine's own; the final states and
+        // the captured RNG positions are the same for all four.
+        let g = graphs::generators::random::gnp(200, 0.03, 5);
+        let zero_burst = ChannelFault::reliable().with_burst(crate::channel::BurstNoise {
+            p_enter: 0.0,
+            p_exit: 0.0,
+            drop_p: 0.0,
+        });
+        let counters = ["scalar", "scatter", "fused", "par", "frontier", "frontier.fallback"];
+        let run = |engine: EngineMode| {
+            let tele = Telemetry::enabled(telemetry::Config::default());
+            let init: Vec<u64> = g.nodes().map(|v| (v as u64) % 6).collect();
+            let mut sim = Simulator::new(&g, Claimer, init, 41)
+                .with_engine(engine)
+                .with_telemetry(tele.clone());
+            sim.run(30);
+            sim.corrupt_state(17, 0);
+            sim.run(10);
+            sim.node_leave(40).unwrap();
+            sim.run(8);
+            sim.node_join(40, &[41, 42], 3).unwrap();
+            sim.run(8);
+            let mut sim = sim.with_channel(zero_burst.clone());
+            sim.run(6);
+            let mut sim = sim.with_channel(ChannelFault::reliable());
+            sim.run(20);
+            let rounds = counters.map(|c| tele.metrics().counter(&format!("sim.rounds.{c}")));
+            let work = sim.work();
+            (
+                work.node_execs,
+                work.edge_visits,
+                rounds,
+                fnv_digest(sim.states(), sim.checkpoint().rngs()),
+            )
+        };
+        let pinned = [
+            (EngineMode::Scalar, 16_392, 99_100, [82, 0, 0, 0, 0, 0]),
+            (EngineMode::Scatter, 16_392, 26_144, [0, 6, 76, 0, 0, 0]),
+            (EngineMode::Frontier, 10_121, 15_723, [0, 6, 0, 0, 76, 42]),
+            (EngineMode::ParScatter { threads: 2 }, 16_392, 26_144, [0, 6, 0, 76, 0, 0]),
+        ];
+        for (engine, node_execs, edge_visits, rounds) in pinned {
+            let got = run(engine);
+            assert_eq!((got.0, got.1, got.2), (node_execs, edge_visits, rounds), "{engine:?}");
+            assert_eq!(got.3, 0xa454_7a29_7272_b14e, "{engine:?}");
+        }
+    }
+
     #[test]
     fn frontier_fallback_threshold_values() {
         // Small networks never fall back (the floor keeps the whole graph
