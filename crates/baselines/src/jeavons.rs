@@ -127,7 +127,7 @@ impl JsxMis {
         if cfg!(debug_assertions) {
             // Runtime invariant: the probability exponent stays inside
             // [1, MAX_PROB_EXP] from any starting configuration.
-            sim.set_invariant_hook(|_, round, states: &[JsxState]| {
+            sim = sim.with_invariant_hook(|_, round, states: &[JsxState]| {
                 for (v, s) in states.iter().enumerate() {
                     assert!(
                         (1..=MAX_PROB_EXP).contains(&s.prob_exp),

@@ -166,6 +166,30 @@ impl ChannelFault {
         &self.jammers
     }
 
+    /// Checks the channel against an `n`-node network: every probability
+    /// in `[0, 1]` (the public fields can be set directly, bypassing the
+    /// builders' checks) and every jammer node in range.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violation found, as a message.
+    pub fn validate(&self, n: usize) -> Result<(), String> {
+        let burst = self.burst.iter().flat_map(|b| {
+            [("burst p_enter", b.p_enter), ("burst p_exit", b.p_exit), ("burst drop_p", b.drop_p)]
+        });
+        let probabilities =
+            [("drop probability", self.drop_p), ("spurious probability", self.spurious_p)];
+        if let Some((name, p)) =
+            probabilities.into_iter().chain(burst).find(|(_, p)| !(0.0..=1.0).contains(p))
+        {
+            return Err(format!("{name} must be in [0,1], got {p}"));
+        }
+        match self.jammers.iter().find(|&&(v, _)| v >= n) {
+            Some(&(node, _)) => Err(format!("jammer node {node} out of range for n={n}")),
+            None => Ok(()),
+        }
+    }
+
     /// `true` if this is the perfect channel: the simulator then skips every
     /// channel-RNG draw and reproduces noise-free executions exactly.
     pub fn is_reliable(&self) -> bool {
@@ -271,6 +295,23 @@ mod tests {
         assert!(!state.in_burst);
         // No draw happened: the stream is untouched.
         assert_eq!(rng.gen::<u64>(), before.gen::<u64>());
+    }
+
+    #[test]
+    fn validate_checks_jammers_and_probabilities() {
+        let c = ChannelFault::reliable().with_drop(0.2).with_jammer(3, JammerKind::AlwaysBeep);
+        assert_eq!(c.validate(4), Ok(()));
+        assert_eq!(c.validate(3), Err("jammer node 3 out of range for n=3".to_string()));
+        let mut c = ChannelFault::reliable().with_burst(BurstNoise {
+            p_enter: 0.1,
+            p_exit: 0.5,
+            drop_p: 0.9,
+        });
+        assert_eq!(c.validate(1), Ok(()));
+        c.burst = Some(BurstNoise { p_enter: 0.1, p_exit: 1.5, drop_p: 0.9 });
+        assert_eq!(c.validate(1), Err("burst p_exit must be in [0,1], got 1.5".to_string()));
+        c.spurious_p = f64::NAN;
+        assert!(c.validate(1).unwrap_err().starts_with("spurious probability"));
     }
 
     #[test]

@@ -222,7 +222,7 @@ pub struct Simulator<'g, P: BeepingProtocol> {
     channel_rng: Pcg64Mcg,
     byzantine: ByzantinePlan<P::State>,
     /// Dense per-node lookup derived from `byzantine` (last assignment per
-    /// node wins), rebuilt by [`Simulator::set_byzantine`].
+    /// node wins), rebuilt by [`Simulator::with_byzantine`].
     byz: Vec<Option<ByzantineBehavior<P::State>>>,
     byz_rng: Pcg64Mcg,
     active: Vec<bool>,
@@ -331,16 +331,19 @@ impl FrontierState {
         }
     }
 
-    /// Materializes `v`'s generator through `target`: ticks the skipped
-    /// rounds' draws in bulk via jump-ahead.
-    fn materialize(&mut self, rng: &mut Pcg64Mcg, v: NodeId, target: u64) {
-        let from = self.last_exec[v];
-        if from < target {
-            if self.rate[v] > 0 {
-                rng::advance_steps(rng, u128::from(target - from) * u128::from(self.rate[v]));
-            }
-            self.last_exec[v] = target;
+    /// Ticks `rng` — `v`'s generator or a copy of it — through the draws
+    /// of `v`'s skipped rounds up to `target`, in bulk via jump-ahead.
+    fn tick_skipped(&self, rng: &mut Pcg64Mcg, v: NodeId, target: u64) {
+        let rounds = target.saturating_sub(self.last_exec[v]);
+        if rounds > 0 && self.rate[v] > 0 {
+            rng::advance_steps(rng, u128::from(rounds) * u128::from(self.rate[v]));
         }
+    }
+
+    /// Materializes `v`'s generator through `target`.
+    fn materialize(&mut self, rng: &mut Pcg64Mcg, v: NodeId, target: u64) {
+        self.tick_skipped(rng, v, target);
+        self.last_exec[v] = self.last_exec[v].max(target);
     }
 
     /// The running totals as a report for round `round`.
@@ -516,112 +519,73 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         }
     }
 
-    /// Attaches a telemetry handle (builder style); see
-    /// [`Simulator::set_telemetry`].
+    /// Attaches a telemetry handle, replacing any previous one (builder
+    /// style; safe at any round). The simulator records per-phase
+    /// wall-clock timers (transmit / delivery / receive on the phased path,
+    /// one fused span on the no-fault fast path) and per-engine round
+    /// counters into it. Like the invariant hook, telemetry observes only:
+    /// it draws no randomness and never alters a round's result, so
+    /// attaching a handle never changes an execution. Round *events* are
+    /// emitted by the runner layer (`mis::runner`), which knows the
+    /// protocol-level observables.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Simulator<'g, P> {
         self.telemetry = telemetry;
         self
     }
 
-    /// Attaches a telemetry handle, replacing any previous one. The
-    /// simulator records per-phase wall-clock timers (transmit / delivery /
-    /// receive on the phased path, one fused span on the no-fault fast
-    /// path) and per-engine round counters into it. Like the invariant
-    /// hook, telemetry observes only: it draws no randomness and never
-    /// alters a round's result, so attaching a handle never changes an
-    /// execution. Round *events* are emitted by the runner layer
-    /// (`mis::runner`), which knows the protocol-level observables.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-    }
-
-    /// The attached telemetry handle (disabled by default).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
     /// Selects the delivery kernel (builder style); the default is
-    /// [`EngineMode::Scatter`]. Both kernels are bit-identical per seed —
-    /// [`EngineMode::Scalar`] is kept as the executable reference.
+    /// [`EngineMode::Scatter`]. All kernels are bit-identical per seed —
+    /// [`EngineMode::Scalar`] is kept as the executable reference. Safe at
+    /// any round: leaving (or re-entering) the frontier kernel materializes
+    /// any lazily accounted RNG positions and discards the frontier
+    /// bookkeeping — the next frontier round rebuilds it with one full
+    /// sweep.
     pub fn with_engine(mut self, engine: EngineMode) -> Simulator<'g, P> {
+        self.frontier_desync();
         self.engine = engine;
         self
     }
 
-    /// Switches the delivery kernel mid-run. Safe at any round boundary:
-    /// the kernels share all RNG streams and state layouts. Leaving (or
-    /// re-entering) the frontier kernel materializes any lazily-accounted
-    /// RNG positions and discards the frontier bookkeeping — the next
-    /// frontier round rebuilds it with one full sweep.
-    pub fn set_engine(&mut self, engine: EngineMode) {
-        self.frontier_desync();
-        self.engine = engine;
-    }
-
-    /// The active delivery kernel.
-    pub fn engine(&self) -> EngineMode {
-        self.engine
-    }
-
-    /// Installs a per-round invariant hook (builder style); see
-    /// [`Simulator::set_invariant_hook`].
+    /// Installs a per-round invariant hook, replacing any previous one
+    /// (builder style; safe at any round). The hook runs at the end of
+    /// every [`Simulator::step`] with the current (possibly churned)
+    /// topology, the 1-based round just executed and the post-update
+    /// states; it is expected to panic on a violated invariant. Runners
+    /// install a checker here in debug builds (e.g.
+    /// `mis::invariant::InvariantChecker`); the hook draws no randomness
+    /// and observes state only, so installing one never changes an
+    /// execution.
     pub fn with_invariant_hook<F>(mut self, hook: F) -> Simulator<'g, P>
     where
         F: FnMut(&Graph, u64, &[P::State]) + 'static,
     {
-        self.set_invariant_hook(hook);
+        self.hook = InvariantHook(Some(Box::new(hook)));
         self
     }
 
-    /// Installs a per-round invariant hook, replacing any previous one. The
-    /// hook runs at the end of every [`Simulator::step`] with the current
-    /// (possibly churned) topology, the 1-based round just executed and the
-    /// post-update states; it is expected to panic on a violated invariant.
-    /// Runners install a checker here in debug builds (e.g.
-    /// `mis::invariant::InvariantChecker`); the hook draws no randomness
-    /// and observes state only, so installing one never changes an
-    /// execution.
-    pub fn set_invariant_hook<F>(&mut self, hook: F)
-    where
-        F: FnMut(&Graph, u64, &[P::State]) + 'static,
-    {
-        self.hook = InvariantHook(Some(Box::new(hook)));
-    }
-
-    /// Removes the invariant hook, if any.
-    pub fn clear_invariant_hook(&mut self) {
-        self.hook = InvariantHook(None);
-    }
-
     /// Switches to the given duplex mode (builder style); the default is
-    /// [`DuplexMode::Full`], the paper's model.
+    /// [`DuplexMode::Full`], the paper's model. Safe at any round: the
+    /// frontier kernel's settled set depends on the mode, so it is
+    /// discarded and rebuilt.
     pub fn with_duplex(mut self, duplex: DuplexMode) -> Simulator<'g, P> {
+        self.frontier_desync();
         self.duplex = duplex;
         self
     }
 
-    /// Installs an unreliable-channel model (builder style); the default is
-    /// [`ChannelFault::reliable`], the paper's perfect channel.
+    /// Installs an unreliable-channel model, replacing any previous one
+    /// (builder style); the default is [`ChannelFault::reliable`], the
+    /// paper's perfect channel. Safe at any round — e.g. to start or stop a
+    /// noise regime at an adversary-chosen round; the burst-window position
+    /// is reset to the good state.
     ///
     /// # Panics
     ///
-    /// Panics if a declared jammer node is out of range.
+    /// Panics if [`ChannelFault::validate`] rejects the channel for this
+    /// network.
     pub fn with_channel(mut self, channel: ChannelFault) -> Simulator<'g, P> {
-        self.set_channel(channel);
-        self
-    }
-
-    /// Replaces the channel model mid-run (e.g. to start or stop a noise
-    /// regime at an adversary-chosen round). The burst-window position is
-    /// reset to the good state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a declared jammer node is out of range.
-    pub fn set_channel(&mut self, channel: ChannelFault) {
-        let n = self.graph.len();
-        for &(v, _) in channel.jammers() {
-            assert!(v < n, "jammer node {v} out of range for n={n}");
+        if let Err(e) = channel.validate(self.graph.len()) {
+            panic!("invalid channel: {e}");
         }
         // Noise regimes (and their jammer windows) are global events for
         // the frontier kernel: every listener's observation may change, so
@@ -629,29 +593,20 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         self.frontier_desync();
         self.channel = channel;
         self.channel_state = ChannelState::default();
+        self
     }
 
-    /// Installs a Byzantine plan (builder style); the default is the empty
-    /// plan, the honest network.
+    /// Installs a Byzantine plan, replacing any previous one (builder
+    /// style); the default is the empty plan, the honest network. Safe at
+    /// any round — e.g. to break a node at an adversary-chosen round; the
+    /// Byzantine RNG stream keeps its position, so swapping plans never
+    /// rewinds randomness.
     ///
     /// # Panics
     ///
     /// Panics if [`ByzantinePlan::validate`] rejects the plan for this
     /// network and protocol.
     pub fn with_byzantine(mut self, plan: ByzantinePlan<P::State>) -> Simulator<'g, P> {
-        self.set_byzantine(plan);
-        self
-    }
-
-    /// Replaces the Byzantine plan mid-run (e.g. to break a node at an
-    /// adversary-chosen round). The Byzantine RNG stream keeps its position:
-    /// swapping plans never rewinds randomness.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`ByzantinePlan::validate`] rejects the plan for this
-    /// network and protocol.
-    pub fn set_byzantine(&mut self, plan: ByzantinePlan<P::State>) {
         let n = self.graph.len();
         if let Err(e) = plan.validate(n, self.protocol.channels()) {
             panic!("invalid byzantine plan: {e}");
@@ -666,36 +621,12 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         }
         self.byz = byz;
         self.byzantine = plan;
-    }
-
-    /// The installed Byzantine plan.
-    pub fn byzantine(&self) -> &ByzantinePlan<P::State> {
-        &self.byzantine
-    }
-
-    /// The active duplex mode.
-    pub fn duplex(&self) -> DuplexMode {
-        self.duplex
-    }
-
-    /// The installed channel model.
-    pub fn channel(&self) -> &ChannelFault {
-        &self.channel
-    }
-
-    /// The channel model's per-execution state (the burst-window position).
-    pub fn channel_state(&self) -> &ChannelState {
-        &self.channel_state
+        self
     }
 
     /// The graph being simulated (the current, possibly churned, topology).
     pub fn graph(&self) -> &Graph {
         &self.graph
-    }
-
-    /// The protocol (the ROM).
-    pub fn protocol(&self) -> &P {
-        &self.protocol
     }
 
     /// Rounds executed so far.
@@ -729,15 +660,6 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         // if and when its signal actually changes.
         self.frontier_unsettle(node);
         self.states[node] = state;
-    }
-
-    /// Applies `f` to every node state — bulk fault injection or
-    /// adversarial re-initialization mid-run.
-    pub fn corrupt_all<F: FnMut(NodeId, &mut P::State)>(&mut self, mut f: F) {
-        self.frontier_desync();
-        for (v, s) in self.states.iter_mut().enumerate() {
-            f(v, s);
-        }
     }
 
     /// Topology churn: inserts the undirected edge `{u, v}` (copy-on-write;
@@ -903,11 +825,12 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             self.active_bits[v >> 6] &= !(1u64 << (v & 63));
             self.inactive += 1;
         }
-        self.par = None; // worker ranges are degree-balanced: replan
-                         // A departed node must not keep advertising its last round: clear
-                         // its transmission and observation so `last_sent()`/`last_heard()`
-                         // and observer hooks never read a beep from a node that no longer
-                         // exists.
+        // Worker ranges are degree-balanced: replan.
+        self.par = None;
+        // A departed node must not keep advertising its last round: clear
+        // its transmission and observation so `last_sent()`/`last_heard()`
+        // and observer hooks never read a beep from a node that no longer
+        // exists.
         self.sent[v] = BeepSignal::silent();
         self.heard[v] = BeepSignal::silent();
         Ok(removed)
@@ -974,17 +897,8 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         Ok(())
     }
 
-    /// `true` if `v` currently participates (has not departed via
-    /// [`Simulator::node_leave`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn is_active(&self, v: NodeId) -> bool {
-        self.active[v]
-    }
-
-    /// The participation bitmap, indexed by node id.
+    /// The participation bitmap, indexed by node id: `false` for a node
+    /// that departed via [`Simulator::node_leave`].
     pub fn active(&self) -> &[bool] {
         &self.active
     }
@@ -996,15 +910,9 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
     }
 
     /// The deterministic work counters accumulated so far; see
-    /// [`WorkCounters`]. Reset with [`Simulator::reset_work`].
+    /// [`WorkCounters`].
     pub fn work(&self) -> WorkCounters {
         self.work
-    }
-
-    /// Zeroes the work counters (e.g. after a warm-up phase, so a
-    /// measurement window can be accounted in isolation).
-    pub fn reset_work(&mut self) {
-        self.work = WorkCounters::default();
     }
 
     /// The transmissions of the most recent round (all silent before the
@@ -1043,28 +951,42 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         // rounds certified draw-equivalent — are bit-identical to the
         // phased path below.
         let fault_free = self.channel.is_reliable() && self.byzantine.is_empty();
-        if self.engine == EngineMode::Scatter && fault_free {
-            return self.fast_round(n, channels);
-        }
-        if let EngineMode::ParScatter { threads } = self.engine {
-            if fault_free {
-                return self.par_round(n, channels, threads);
+        let report = match self.engine {
+            EngineMode::Scatter if fault_free => self.fast_round(n, channels),
+            EngineMode::ParScatter { threads } if fault_free => {
+                self.par_round(n, channels, threads)
             }
+            EngineMode::Frontier if fault_free => self.frontier_round(n, channels),
             // Channel noise and Byzantine behavior draw from shared streams
-            // in strict node order — parallel execution cannot preserve
-            // that, so faulted rounds run the phased path below (exactly
-            // the scatter engine's behavior, including its own drop_p
-            // fallback to the scalar gather).
-        }
-        if self.engine == EngineMode::Frontier {
-            if fault_free {
-                return self.frontier_round(n, channels);
+            // in strict node order, which neither parallel execution nor
+            // the frontier's skipping can reproduce: faulted rounds run the
+            // phased path on every engine (the scatter engine's behavior,
+            // including its drop_p fallback to the scalar gather). Every
+            // channel, Byzantine or engine swap desynchronizes the frontier
+            // bookkeeping and a restore resets it, so it is never live here.
+            _ => {
+                debug_assert!(
+                    !self.frontier.synced,
+                    "frontier bookkeeping live on the phased path"
+                );
+                self.phased_round(n, channels)
             }
-            // Channel noise draws per-listener coins the frontier kernel
-            // cannot skip: materialize the lazy RNG accounting and run the
-            // phased scatter path until the network is fault-free again.
-            self.frontier_desync();
+        };
+        // Every kernel has closed its span and bumped its round counter;
+        // the round is counted before the hook runs, so telemetry totals
+        // and hook observations agree across kernels even when a hook
+        // panics mid-round (pinned by `tests/fast_path_accounting.rs`).
+        self.round += 1;
+        if let Some(hook) = self.hook.0.as_mut() {
+            hook(&self.graph, self.round, &self.states);
         }
+        report
+    }
+
+    /// The phased round: transmit, deliver (with the channel model between
+    /// the OR-aggregation and `receive`), receive — the only kernel that
+    /// runs faulted rounds, and the scalar engine's only kernel.
+    fn phased_round(&mut self, n: usize, channels: SimulatorChannels) -> RoundReport {
         // Phase 0: advance the burst-noise window (no-op without bursts).
         let transmit_span = self.telemetry.time("sim.phase.transmit");
         self.channel.advance_window(&mut self.channel_state, &mut self.channel_rng);
@@ -1166,11 +1088,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         }
         drop(receive_span);
         self.telemetry.counter_add(rounds_counter, 1);
-        self.round += 1;
-        if let Some(hook) = self.hook.0.as_mut() {
-            hook(&self.graph, self.round, &self.states);
-        }
-        RoundReport::from_signals(self.round, &self.sent, &self.heard)
+        RoundReport::from_signals(self.round + 1, &self.sent, &self.heard)
     }
 
     /// Reference delivery: every hearing-capable listener gathers the OR
@@ -1294,17 +1212,8 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         report.round = self.round + 1;
         self.work.node_execs += work.node_execs;
         self.work.edge_visits += work.edge_visits;
-        // Bookkeeping tail in the exact order of the phased path — span
-        // closed, counter bumped, round advanced, hook run — so telemetry
-        // totals and hook observations line up between the two paths even
-        // when a hook panics mid-round (the round is counted on both paths
-        // before the hook fires); pinned by `tests/fast_path_accounting.rs`.
         drop(fused_span);
         self.telemetry.counter_add("sim.rounds.fused", 1);
-        self.round += 1;
-        if let Some(hook) = self.hook.0.as_mut() {
-            hook(&self.graph, self.round, &self.states);
-        }
         report
     }
 
@@ -1339,15 +1248,8 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         report.round = self.round + 1;
         self.work.node_execs += work.node_execs;
         self.work.edge_visits += work.edge_visits;
-        // Bookkeeping tail in the exact order of the other engines — span
-        // closed, counter bumped, round advanced, hook run (on the calling
-        // thread: worker threads never see the hook or telemetry).
         drop(par_span);
         self.telemetry.counter_add("sim.rounds.par", 1);
-        self.round += 1;
-        if let Some(hook) = self.hook.0.as_mut() {
-            hook(&self.graph, self.round, &self.states);
-        }
         report
     }
 
@@ -1374,8 +1276,8 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
 
     /// Materializes every lazily accounted RNG position and discards the
     /// frontier bookkeeping — the exit into any regime the kernel cannot
-    /// track per node (noise/Byzantine plans, engine switches, bulk
-    /// corruption). The next frontier round rebuilds with a full sweep.
+    /// track per node: the engine, duplex, channel and Byzantine builders
+    /// call it. The next frontier round rebuilds with a full sweep.
     fn frontier_desync(&mut self) {
         if !self.frontier.synced {
             return;
@@ -1489,7 +1391,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         if !self.frontier.synced || self.frontier.dirty.len() > frontier_fallback_threshold(n) {
             self.frontier_full_sweep(n, channels)
         } else {
-            self.frontier_sparse_round(n, channels)
+            self.frontier_sparse_round(channels)
         }
     }
 
@@ -1557,14 +1459,9 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         fr.synced = true;
         self.work.node_execs += work.node_execs;
         self.work.edge_visits += work.edge_visits;
-        // Bookkeeping tail in phased-path order: span, counters, round, hook.
         drop(span);
         self.telemetry.counter_add("sim.rounds.frontier", 1);
         self.telemetry.counter_add("sim.rounds.frontier.fallback", 1);
-        self.round = executing;
-        if let Some(hook) = self.hook.0.as_mut() {
-            hook(&self.graph, self.round, &self.states);
-        }
         report
     }
 
@@ -1580,8 +1477,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
     ///    live `receive` on the new observation;
     /// 4. everything that executed is re-evaluated for settling and feeds
     ///    the next round's dirty set.
-    fn frontier_sparse_round(&mut self, n: usize, channels: SimulatorChannels) -> RoundReport {
-        let _ = n;
+    fn frontier_sparse_round(&mut self, channels: SimulatorChannels) -> RoundReport {
         let span = self.telemetry.time("sim.phase.frontier");
         let executing = self.round + 1;
         let two = channels == SimulatorChannels::Two;
@@ -1695,15 +1591,9 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         self.frontier.changed = changed;
         self.frontier.listeners = listeners;
         self.frontier.wake = wake;
-        let report = self.frontier.report(executing);
-        // Bookkeeping tail in phased-path order: span, counter, round, hook.
         drop(span);
         self.telemetry.counter_add("sim.rounds.frontier", 1);
-        self.round = executing;
-        if let Some(hook) = self.hook.0.as_mut() {
-            hook(&self.graph, self.round, &self.states);
-        }
-        report
+        self.frontier.report(executing)
     }
 
     /// Receive + settle re-evaluation for one live node of a sparse round.
@@ -1789,13 +1679,9 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
     pub fn checkpoint(&self) -> Checkpoint<P::State> {
         let mut rngs = self.rngs.clone();
         if self.frontier_live() {
-            let fr = &self.frontier;
             for (v, rng) in rngs.iter_mut().enumerate() {
-                if fr.settled[v] && fr.last_exec[v] < self.round && fr.rate[v] > 0 {
-                    rng::advance_steps(
-                        rng,
-                        u128::from(self.round - fr.last_exec[v]) * u128::from(fr.rate[v]),
-                    );
+                if self.frontier.settled[v] {
+                    self.frontier.tick_skipped(rng, v, self.round);
                 }
             }
         }
@@ -2076,7 +1962,6 @@ pub(crate) mod tests {
         // hears the other, so neither counter advances.
         let g = classic::path(2);
         let mut sim = Simulator::new(&g, Parity, vec![0, 0], 0).with_duplex(DuplexMode::Half);
-        assert_eq!(sim.duplex(), DuplexMode::Half);
         sim.step();
         assert_eq!(sim.states(), &[0, 0]);
         // A silent node still hears: make node 1 silent (odd counter).
@@ -2211,14 +2096,6 @@ pub(crate) mod tests {
         sim.corrupt_state(1, 1);
         sim.step();
         assert_eq!(sim.states(), &[1, 1]); // nobody beeped, nothing heard
-    }
-
-    #[test]
-    fn corrupt_all_applies_everywhere() {
-        let g = classic::cycle(4);
-        let mut sim = Simulator::new(&g, Parity, vec![0; 4], 0);
-        sim.corrupt_all(|v, s| *s = v as u64);
-        assert_eq!(sim.states(), &[0, 1, 2, 3]);
     }
 
     #[test]
@@ -2405,7 +2282,7 @@ pub(crate) mod tests {
         let mut sim = Simulator::new(&g, Parity, vec![0, 0, 0], 0);
         assert_eq!(sim.active_count(), 3);
         assert_eq!(sim.node_leave(1), Ok(2));
-        assert!(!sim.is_active(1));
+        assert!(!sim.active()[1]);
         assert_eq!(sim.active_count(), 2);
         assert_eq!(sim.node_leave(1), Ok(0)); // idempotent
         sim.step();
@@ -2414,7 +2291,7 @@ pub(crate) mod tests {
         assert!(sim.last_sent()[1].is_silent());
         // Rejoin with fresh (adversarial) state and both edges back.
         sim.node_join(1, &[0, 2], 0).unwrap();
-        assert!(sim.is_active(1));
+        assert!(sim.active()[1]);
         assert_eq!(sim.graph().degree(1), 2);
         sim.step();
         assert_eq!(sim.states(), &[1, 1, 1]);
@@ -2454,7 +2331,7 @@ pub(crate) mod tests {
         // Simulate signal state lingering from before the leave by joining
         // straight back: the join itself must leave the radio silent.
         sim.node_join(1, &[0], 1).unwrap();
-        assert!(sim.is_active(1));
+        assert!(sim.active()[1]);
         assert!(sim.last_sent()[1].is_silent());
         assert!(sim.last_heard()[1].is_silent());
         // A join on a node that never left also resets its signals: the
@@ -2767,7 +2644,7 @@ pub(crate) mod tests {
         sim.restore(&cp).unwrap();
         assert_eq!(sim.round(), 15);
         assert_eq!(sim.graph().degree(3), 0);
-        assert!(!sim.is_active(3));
+        assert!(!sim.active()[3]);
         sim.insert_edge(0, 1).unwrap();
         sim.run(20);
         assert_eq!(sim.states(), final_a.as_slice());
@@ -2990,11 +2867,11 @@ pub(crate) mod tests {
         frontier.corrupt_state(3, 0);
         lockstep(&mut scalar, &mut frontier, 10);
         let noisy = ChannelFault::reliable().with_drop(0.25);
-        scalar.set_channel(noisy.clone()); // noise burst begins
-        frontier.set_channel(noisy);
+        scalar = scalar.with_channel(noisy.clone()); // noise burst begins
+        frontier = frontier.with_channel(noisy);
         lockstep(&mut scalar, &mut frontier, 8);
-        scalar.set_channel(ChannelFault::reliable()); // burst ends: resync
-        frontier.set_channel(ChannelFault::reliable());
+        scalar = scalar.with_channel(ChannelFault::reliable()); // burst ends: resync
+        frontier = frontier.with_channel(ChannelFault::reliable());
         lockstep(&mut scalar, &mut frontier, 10);
         let reboot = || {
             ByzantinePlan::new().with_behavior(
@@ -3005,11 +2882,11 @@ pub(crate) mod tests {
                 },
             )
         };
-        scalar.set_byzantine(reboot()); // crash-restart radio appears
-        frontier.set_byzantine(reboot());
+        scalar = scalar.with_byzantine(reboot()); // crash-restart radio appears
+        frontier = frontier.with_byzantine(reboot());
         lockstep(&mut scalar, &mut frontier, 8);
-        scalar.set_byzantine(ByzantinePlan::new()); // and is repaired
-        frontier.set_byzantine(ByzantinePlan::new());
+        scalar = scalar.with_byzantine(ByzantinePlan::new()); // and is repaired
+        frontier = frontier.with_byzantine(ByzantinePlan::new());
         lockstep(&mut scalar, &mut frontier, 10);
         scalar.node_leave(5).unwrap(); // churn out…
         frontier.node_leave(5).unwrap();
@@ -3025,6 +2902,29 @@ pub(crate) mod tests {
         assert_eq!(scalar.adopt_graph(Arc::clone(&next)), (1, 1));
         assert_eq!(frontier.adopt_graph(next), (1, 1));
         lockstep(&mut scalar, &mut frontier, 12);
+    }
+
+    #[test]
+    fn engine_switch_off_a_settled_frontier_keeps_rng_positions() {
+        // A settled frontier ticks its claimers' streams lazily; leaving
+        // the frontier engine mid-run must materialize them, or every
+        // later draw and capture runs behind the scalar reference.
+        let g = classic::cycle(12);
+        let (mut scalar, mut frontier) = claimer_pair(&g, 31);
+        scalar.run(40);
+        frontier.run(40);
+        assert!(frontier.frontier_live());
+        assert!(frontier
+            .frontier
+            .settled
+            .iter()
+            .zip(&frontier.frontier.rate)
+            .any(|(&s, &r)| s && r > 0));
+        let mut scatter = frontier.with_engine(EngineMode::Scatter);
+        scalar.run(20);
+        scatter.run(20);
+        assert_eq!(scalar.states(), scatter.states());
+        assert_eq!(scalar.checkpoint().rngs(), scatter.checkpoint().rngs());
     }
 
     #[test]

@@ -283,8 +283,10 @@ fn assert_frontier_settling_identical(
         // …and a global corruption that forces every settled node's pending
         // jump-ahead to materialize at once.
         if round == 40 {
-            scalar.corrupt_all(|v, s| *s = (v as u64) % 3);
-            frontier.corrupt_all(|v, s| *s = (v as u64) % 3);
+            for v in 0..n {
+                scalar.corrupt_state(v, (v as u64) % 3);
+                frontier.corrupt_state(v, (v as u64) % 3);
+            }
         }
     }
     Ok(())

@@ -89,9 +89,13 @@ fn checkpoint_preserves_sleep_counters() {
 
 #[test]
 fn duplex_mode_default_is_full() {
-    let g = classic::path(2);
-    let sim = Simulator::new(&g, Echo, vec![EchoState::default(); 2], 0);
-    assert_eq!(sim.duplex(), DuplexMode::Full);
+    // On a triangle, beepers 0 and 2 are neighbors: by default (the
+    // paper's full duplex) each hears the other while transmitting.
+    let g = classic::complete(3);
+    let mut sim = Simulator::new(&g, Echo, vec![EchoState::default(); 3], 0);
+    sim.step();
+    let (beeper, listener) = (EchoState { beeps: 1, hears: 1 }, EchoState { beeps: 0, hears: 1 });
+    assert_eq!(sim.states(), &[beeper, listener, beeper]);
 }
 
 #[test]

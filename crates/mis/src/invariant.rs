@@ -41,7 +41,7 @@ pub fn debug_assert_level_in_range(level: Level, lmax: Level, space: LevelSpace)
 }
 
 /// Per-round checker of the paper's invariants; installed by the runner via
-/// [`beeping::Simulator::set_invariant_hook`] in debug builds.
+/// [`beeping::Simulator::with_invariant_hook`] in debug builds.
 #[derive(Debug, Clone)]
 pub struct InvariantChecker {
     lmax: Vec<Level>,

@@ -92,6 +92,9 @@ pub enum PlanError {
     /// The Byzantine plan is invalid (see
     /// [`beeping::byzantine::ByzantineError`]).
     Byzantine(ByzantineError),
+    /// The channel model is invalid (see
+    /// [`beeping::channel::ChannelFault::validate`]).
+    Channel(String),
     /// The motion spec is invalid, the supplied graph is not the spec's
     /// initial deployment (see [`beeping::dynamic::MotionSpec`]), or the
     /// churn plan edits an edge of the moving deployment.
@@ -114,6 +117,7 @@ impl std::fmt::Display for PlanError {
             PlanError::Fault(e) => write!(f, "invalid fault plan: {e}"),
             PlanError::Churn(e) => write!(f, "invalid churn plan: {e}"),
             PlanError::Byzantine(e) => write!(f, "invalid byzantine plan: {e}"),
+            PlanError::Channel(msg) => write!(f, "invalid channel: {msg}"),
             PlanError::Motion(msg) => write!(f, "invalid motion spec: {msg}"),
             PlanError::Size { what, len, n } => {
                 write!(f, "{what} has {len} entries for a {n}-node graph")
@@ -487,6 +491,7 @@ fn validate_plans<A: SelfStabilizingMis>(
     config.faults.validate(n)?;
     config.churn.validate(n)?;
     config.byzantine.validate(n, algo.channels())?;
+    config.channel.validate(n).map_err(PlanError::Channel)?;
     if config.motion.is_some() {
         // The motion layer replaces the edge set at every boundary, right
         // after churn: a scheduled edge event would be overwritten at once.
@@ -522,7 +527,8 @@ fn build_sim<'g, A: SelfStabilizingMis>(
     if config.byzantine.is_empty() {
         if cfg!(debug_assertions) {
             let checker = crate::invariant::InvariantChecker::for_algorithm(algo);
-            sim.set_invariant_hook(move |g, round, states| checker.check_round(g, round, states));
+            sim = sim
+                .with_invariant_hook(move |g, round, states| checker.check_round(g, round, states));
         }
     } else {
         sim = sim.with_byzantine(config.byzantine.clone());
@@ -1060,6 +1066,23 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(byz_err, PlanError::Byzantine(_)));
+    }
+
+    #[test]
+    fn out_of_range_jammer_is_a_plan_error_at_every_entry_point() {
+        use beeping::channel::JammerKind;
+        let g = random::gnp(10, 0.3, 4);
+        let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
+        let jammed = ResumableConfig::new(3)
+            .with_channel(ChannelFault::reliable().with_jammer(999, JammerKind::AlwaysBeep));
+        let expected = PlanError::Channel("jammer node 999 out of range for n=10".into());
+        assert_eq!(run(&g, &algo, jammed.clone()).unwrap_err(), RunError::Plan(expected.clone()));
+        assert_eq!(ResumableRun::new(&g, &algo, jammed.clone()).unwrap_err(), expected);
+        let mut clean = ResumableRun::new(&g, &algo, ResumableConfig::new(3)).unwrap();
+        clean.tick();
+        let err = ResumableRun::resume(&algo, jammed, &clean.checkpoint()).unwrap_err();
+        assert_eq!(err, ResumeError::Plan(expected));
+        assert!(err.to_string().contains("invalid channel: jammer node 999"), "{err}");
     }
 
     #[test]

@@ -36,12 +36,13 @@ fn adaptive_survives_fault_bursts() {
     sim.run_until(2_000_000, |s| adaptive.is_stabilized(&g, s.states()))
         .expect("first stabilization");
     let mut rng = beeping::rng::aux_rng(5, 0xFE);
-    sim.corrupt_all(|_, s| {
-        *s = AdaptiveState::sanitized(
+    for v in g.nodes() {
+        let state = AdaptiveState::sanitized(
             rand::Rng::gen_range(&mut rng, -100i64..100),
             rand::Rng::gen_range(&mut rng, -10i64..100),
         );
-    });
+        sim.corrupt_state(v, state);
+    }
     sim.run_until(4_000_000, |s| adaptive.is_stabilized(&g, s.states()))
         .expect("re-stabilization after full corruption");
     let mis_set = adaptive.mis_members(&g, sim.states());

@@ -121,11 +121,15 @@ fn corrupt_all_is_equivalent_to_arbitrary_restart() {
 
     let mut sim_a = beeping::Simulator::new(&g, algo.clone(), vec![1; 40], 42);
     sim_a.run(10);
-    sim_a.corrupt_all(|_, s| *s = 3);
+    for v in 0..40 {
+        sim_a.corrupt_state(v, 3);
+    }
     // RNG streams of sim_a have consumed 10 rounds; replicate in sim_b.
     let mut sim_b = beeping::Simulator::new(&g, algo.clone(), vec![1; 40], 42);
     sim_b.run(10);
-    sim_b.corrupt_all(|_, s| *s = 3);
+    for v in 0..40 {
+        sim_b.corrupt_state(v, 3);
+    }
     assert_eq!(sim_a.states(), target.as_slice());
     for _ in 0..50 {
         sim_a.step();
