@@ -28,7 +28,8 @@
 
 use beeping::protocol::{BeepSignal, BeepingProtocol, Channels};
 use graphs::{Graph, NodeId};
-use rand::{Rng, RngCore};
+use rand::Rng;
+use rand_pcg::Pcg64Mcg;
 
 /// Competition status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,7 +139,7 @@ impl BeepingProtocol for AfekStyleMis {
         Channels::One
     }
 
-    fn transmit(&self, _node: NodeId, state: &AfekState, rng: &mut dyn RngCore) -> BeepSignal {
+    fn transmit(&self, _node: NodeId, state: &AfekState, rng: &mut Pcg64Mcg) -> BeepSignal {
         // Epoch-start bookkeeping happens in `receive`; slot drawing must
         // happen here for clock 0 of each epoch, which is why the draw is
         // deterministic given the state: a fresh slot was stored at the end
@@ -173,7 +174,7 @@ impl BeepingProtocol for AfekStyleMis {
         state: &mut AfekState,
         sent: BeepSignal,
         heard: BeepSignal,
-        rng: &mut dyn RngCore,
+        rng: &mut Pcg64Mcg,
     ) {
         let beeped = sent.on_channel1();
         let heard_beep = heard.on_channel1();

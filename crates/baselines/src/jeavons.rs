@@ -19,7 +19,8 @@
 
 use beeping::protocol::{BeepSignal, BeepingProtocol, Channels};
 use graphs::{Graph, NodeId};
-use rand::{Rng, RngCore};
+use rand::Rng;
+use rand_pcg::Pcg64Mcg;
 
 /// Largest probability exponent a vertex can reach: `p` never falls below
 /// `2^{-62}`, keeping `2^{-prob_exp}` comfortably inside `f64` range.
@@ -149,7 +150,7 @@ impl BeepingProtocol for JsxMis {
         Channels::One
     }
 
-    fn transmit(&self, _node: NodeId, state: &JsxState, rng: &mut dyn RngCore) -> BeepSignal {
+    fn transmit(&self, _node: NodeId, state: &JsxState, rng: &mut Pcg64Mcg) -> BeepSignal {
         match (state.parity, state.status) {
             // Competition round: active vertices beep with probability p.
             (0, JsxStatus::Active) => {
@@ -173,7 +174,7 @@ impl BeepingProtocol for JsxMis {
         state: &mut JsxState,
         sent: BeepSignal,
         heard: BeepSignal,
-        _rng: &mut dyn RngCore,
+        _rng: &mut Pcg64Mcg,
     ) {
         let beeped = sent.on_channel1();
         let heard_beep = heard.on_channel1();

@@ -24,7 +24,6 @@
 
 use beeping::protocol::{BeepSignal, BeepingProtocol, Channels};
 use graphs::{Graph, NodeId};
-use rand::RngCore;
 use rand_pcg::Pcg64Mcg;
 
 /// A protocol in the (synchronous) Stone Age model.
@@ -49,7 +48,7 @@ pub trait StoneAgeProtocol {
         state: &mut Self::State,
         displayed: u8,
         counts: &[usize],
-        rng: &mut dyn RngCore,
+        rng: &mut Pcg64Mcg,
     ) -> u8;
 }
 
@@ -295,7 +294,7 @@ impl<P: BeepingProtocol> StoneAgeProtocol for BeepingInStoneAge<P> {
         state: &mut Self::State,
         displayed: u8,
         counts: &[usize],
-        rng: &mut dyn RngCore,
+        rng: &mut Pcg64Mcg,
     ) -> u8 {
         let sent =
             if displayed == LETTER_BEEP { BeepSignal::channel1() } else { BeepSignal::silent() };
@@ -337,7 +336,7 @@ mod tests {
             state: &mut usize,
             displayed: u8,
             counts: &[usize],
-            _rng: &mut dyn RngCore,
+            _rng: &mut Pcg64Mcg,
         ) -> u8 {
             *state += counts[1];
             displayed // keep displaying the same letter
@@ -374,7 +373,7 @@ mod tests {
                 _: &mut (),
                 displayed: u8,
                 _: &[usize],
-                _: &mut dyn RngCore,
+                _: &mut Pcg64Mcg,
             ) -> u8 {
                 1 - displayed
             }
@@ -398,7 +397,7 @@ mod tests {
             fn bound(&self) -> usize {
                 1
             }
-            fn step(&self, _: NodeId, s: &mut u32, d: u8, _: &[usize], _: &mut dyn RngCore) -> u8 {
+            fn step(&self, _: NodeId, s: &mut u32, d: u8, _: &[usize], _: &mut Pcg64Mcg) -> u8 {
                 *s += 1;
                 d
             }
@@ -467,14 +466,7 @@ mod tests {
             fn bound(&self) -> usize {
                 1
             }
-            fn step(
-                &self,
-                _: NodeId,
-                s: &mut u32,
-                _: u8,
-                _: &[usize],
-                rng: &mut dyn RngCore,
-            ) -> u8 {
+            fn step(&self, _: NodeId, s: &mut u32, _: u8, _: &[usize], rng: &mut Pcg64Mcg) -> u8 {
                 let bit = rng.gen_range(0..2u8);
                 *s = s.wrapping_mul(31).wrapping_add(bit as u32);
                 bit

@@ -23,7 +23,8 @@
 
 use beeping::protocol::{BeepSignal, BeepingProtocol, Channels};
 use graphs::{Graph, NodeId};
-use rand::{Rng, RngCore};
+use rand::Rng;
+use rand_pcg::Pcg64Mcg;
 
 /// The one-bit state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,7 +104,7 @@ impl BeepingProtocol for TwoStateMis {
         Channels::One
     }
 
-    fn transmit(&self, _node: NodeId, state: &TwoState, _rng: &mut dyn RngCore) -> BeepSignal {
+    fn transmit(&self, _node: NodeId, state: &TwoState, _rng: &mut Pcg64Mcg) -> BeepSignal {
         match state {
             TwoState::In => BeepSignal::channel1(),
             TwoState::Out => BeepSignal::silent(),
@@ -116,7 +117,7 @@ impl BeepingProtocol for TwoStateMis {
         state: &mut TwoState,
         _sent: BeepSignal,
         heard: BeepSignal,
-        rng: &mut dyn RngCore,
+        rng: &mut Pcg64Mcg,
     ) {
         let heard_beep = heard.on_channel1();
         *state = match (*state, heard_beep) {

@@ -210,7 +210,6 @@ mod tests {
     use crate::protocol::{BeepSignal, Channels};
     use crate::sim::tests::Claimer;
     use crate::sim::{EngineMode, WorkCounters};
-    use rand::RngCore;
     use std::collections::BTreeSet;
 
     /// Parity protocol: beep iff the counter is even; increment on hearing.
@@ -220,7 +219,7 @@ mod tests {
         fn channels(&self) -> Channels {
             Channels::One
         }
-        fn transmit(&self, _: NodeId, state: &u64, _: &mut dyn RngCore) -> BeepSignal {
+        fn transmit(&self, _: NodeId, state: &u64, _: &mut Pcg64Mcg) -> BeepSignal {
             if state.is_multiple_of(2) {
                 BeepSignal::channel1()
             } else {
@@ -233,7 +232,7 @@ mod tests {
             state: &mut u64,
             _: BeepSignal,
             heard: BeepSignal,
-            _: &mut dyn RngCore,
+            _: &mut Pcg64Mcg,
         ) {
             if heard.on_channel1() {
                 *state += 1;

@@ -52,10 +52,10 @@
 //! impl BeepingProtocol for AlwaysBeep {
 //!     type State = ();
 //!     fn channels(&self) -> Channels { Channels::One }
-//!     fn transmit(&self, _: usize, _: &(), _: &mut dyn rand::RngCore) -> BeepSignal {
+//!     fn transmit(&self, _: usize, _: &(), _: &mut rand_pcg::Pcg64Mcg) -> BeepSignal {
 //!         BeepSignal::channel1()
 //!     }
-//!     fn receive(&self, _: usize, _: &mut (), _: BeepSignal, heard: BeepSignal, _: &mut dyn rand::RngCore) {
+//!     fn receive(&self, _: usize, _: &mut (), _: BeepSignal, heard: BeepSignal, _: &mut rand_pcg::Pcg64Mcg) {
 //!         assert!(heard.on_channel1()); // in a connected graph everyone hears
 //!     }
 //! }

@@ -1,7 +1,7 @@
 //! The node-automaton interface of the beeping model.
 
 use graphs::NodeId;
-use rand::RngCore;
+use rand_pcg::Pcg64Mcg;
 
 /// Number of distinguishable beeping channels a protocol uses.
 ///
@@ -168,9 +168,13 @@ pub trait BeepingProtocol: Send + Sync {
 
     /// First half of a round: decide what to transmit.
     ///
-    /// Must be a pure function of `(knowledge, state, randomness)` — the
-    /// simulator calls it exactly once per node per round.
-    fn transmit(&self, node: NodeId, state: &Self::State, rng: &mut dyn RngCore) -> BeepSignal;
+    /// Must be a pure function of `(knowledge, state, randomness)`, drawing
+    /// only from the node's own stream `rng`. Every engine executes each
+    /// active node's round once, but not always through a call: the
+    /// frontier engine skips a node that [`BeepingProtocol::settled_round`]
+    /// certified and advances its stream by the certified draw count
+    /// instead.
+    fn transmit(&self, node: NodeId, state: &Self::State, rng: &mut Pcg64Mcg) -> BeepSignal;
 
     /// Second half of a round: update state given what this node itself sent
     /// (`sent`) and what it heard from neighbors (`heard`). Protocols that
@@ -182,7 +186,7 @@ pub trait BeepingProtocol: Send + Sync {
         state: &mut Self::State,
         sent: BeepSignal,
         heard: BeepSignal,
-        rng: &mut dyn RngCore,
+        rng: &mut Pcg64Mcg,
     );
 
     /// Declares `(state, heard)` a fixpoint the frontier engine may skip —

@@ -1922,7 +1922,7 @@ pub(crate) mod tests {
         fn channels(&self) -> Channels {
             Channels::One
         }
-        fn transmit(&self, _: NodeId, state: &u64, _: &mut dyn RngCore) -> BeepSignal {
+        fn transmit(&self, _: NodeId, state: &u64, _: &mut Pcg64Mcg) -> BeepSignal {
             if state.is_multiple_of(2) {
                 BeepSignal::channel1()
             } else {
@@ -1935,7 +1935,7 @@ pub(crate) mod tests {
             state: &mut u64,
             _: BeepSignal,
             heard: BeepSignal,
-            _: &mut dyn RngCore,
+            _: &mut Pcg64Mcg,
         ) {
             if heard.on_channel1() {
                 *state += 1;
@@ -1989,7 +1989,7 @@ pub(crate) mod tests {
             fn channels(&self) -> Channels {
                 Channels::One
             }
-            fn transmit(&self, _: NodeId, _: &u32, rng: &mut dyn RngCore) -> BeepSignal {
+            fn transmit(&self, _: NodeId, _: &u32, rng: &mut Pcg64Mcg) -> BeepSignal {
                 if rng.next_u32().is_multiple_of(2) {
                     BeepSignal::channel1()
                 } else {
@@ -2002,7 +2002,7 @@ pub(crate) mod tests {
                 s: &mut u32,
                 sent: BeepSignal,
                 _: BeepSignal,
-                _: &mut dyn RngCore,
+                _: &mut Pcg64Mcg,
             ) {
                 *s = s.wrapping_mul(31).wrapping_add(sent.on_channel1() as u32);
             }
@@ -2052,7 +2052,7 @@ pub(crate) mod tests {
             fn channels(&self) -> Channels {
                 Channels::One
             }
-            fn transmit(&self, _: NodeId, _: &u32, rng: &mut dyn RngCore) -> BeepSignal {
+            fn transmit(&self, _: NodeId, _: &u32, rng: &mut Pcg64Mcg) -> BeepSignal {
                 if rng.next_u32().is_multiple_of(3) {
                     BeepSignal::channel1()
                 } else {
@@ -2065,7 +2065,7 @@ pub(crate) mod tests {
                 s: &mut u32,
                 sent: BeepSignal,
                 heard: BeepSignal,
-                _: &mut dyn RngCore,
+                _: &mut Pcg64Mcg,
             ) {
                 *s = s
                     .wrapping_mul(17)
@@ -2107,7 +2107,7 @@ pub(crate) mod tests {
             fn channels(&self) -> Channels {
                 Channels::One
             }
-            fn transmit(&self, _: NodeId, _: &(), _: &mut dyn RngCore) -> BeepSignal {
+            fn transmit(&self, _: NodeId, _: &(), _: &mut Pcg64Mcg) -> BeepSignal {
                 BeepSignal::channel2()
             }
             fn receive(
@@ -2116,7 +2116,7 @@ pub(crate) mod tests {
                 _: &mut (),
                 _: BeepSignal,
                 _: BeepSignal,
-                _: &mut dyn RngCore,
+                _: &mut Pcg64Mcg,
             ) {
             }
         }
@@ -2226,7 +2226,7 @@ pub(crate) mod tests {
             fn channels(&self) -> Channels {
                 Channels::One
             }
-            fn transmit(&self, _: NodeId, _: &u32, rng: &mut dyn RngCore) -> BeepSignal {
+            fn transmit(&self, _: NodeId, _: &u32, rng: &mut Pcg64Mcg) -> BeepSignal {
                 if rng.next_u32().is_multiple_of(2) {
                     BeepSignal::channel1()
                 } else {
@@ -2239,7 +2239,7 @@ pub(crate) mod tests {
                 s: &mut u32,
                 sent: BeepSignal,
                 _: BeepSignal,
-                _: &mut dyn RngCore,
+                _: &mut Pcg64Mcg,
             ) {
                 *s = s.wrapping_mul(31).wrapping_add(sent.on_channel1() as u32);
             }
@@ -2546,7 +2546,7 @@ pub(crate) mod tests {
             fn channels(&self) -> Channels {
                 Channels::One
             }
-            fn transmit(&self, _: NodeId, _: &u32, rng: &mut dyn RngCore) -> BeepSignal {
+            fn transmit(&self, _: NodeId, _: &u32, rng: &mut Pcg64Mcg) -> BeepSignal {
                 if rng.next_u32().is_multiple_of(2) {
                     BeepSignal::channel1()
                 } else {
@@ -2559,7 +2559,7 @@ pub(crate) mod tests {
                 s: &mut u32,
                 sent: BeepSignal,
                 heard: BeepSignal,
-                _: &mut dyn RngCore,
+                _: &mut Pcg64Mcg,
             ) {
                 *s = s
                     .wrapping_mul(31)
@@ -2703,7 +2703,7 @@ pub(crate) mod tests {
         fn channels(&self) -> Channels {
             Channels::One
         }
-        fn transmit(&self, _: NodeId, s: &u64, rng: &mut dyn RngCore) -> BeepSignal {
+        fn transmit(&self, _: NodeId, s: &u64, rng: &mut Pcg64Mcg) -> BeepSignal {
             if *s == 0 {
                 let _ = rng.next_u64();
                 BeepSignal::channel1()
@@ -2721,7 +2721,7 @@ pub(crate) mod tests {
             s: &mut u64,
             sent: BeepSignal,
             heard: BeepSignal,
-            _: &mut dyn RngCore,
+            _: &mut Pcg64Mcg,
         ) {
             if heard.on_channel1() {
                 *s = (*s + 1).min(5);

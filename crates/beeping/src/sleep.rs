@@ -18,7 +18,7 @@
 //! changes are needed and fault injection composes.
 
 use graphs::NodeId;
-use rand::RngCore;
+use rand_pcg::Pcg64Mcg;
 
 use crate::protocol::{BeepSignal, BeepingProtocol, Channels};
 
@@ -59,15 +59,15 @@ impl<S> SleepyState<S> {
 /// use mis_like_doc_stub::*;
 /// # mod mis_like_doc_stub {
 /// #     use beeping::protocol::*;
-/// #     use rand::RngCore;
+/// #     use rand_pcg::Pcg64Mcg;
 /// #     pub struct Noop;
 /// #     impl BeepingProtocol for Noop {
 /// #         type State = ();
 /// #         fn channels(&self) -> Channels { Channels::One }
-/// #         fn transmit(&self, _: usize, _: &(), _: &mut dyn RngCore) -> BeepSignal {
+/// #         fn transmit(&self, _: usize, _: &(), _: &mut Pcg64Mcg) -> BeepSignal {
 /// #             BeepSignal::channel1()
 /// #         }
-/// #         fn receive(&self, _: usize, _: &mut (), _: BeepSignal, _: BeepSignal, _: &mut dyn RngCore) {}
+/// #         fn receive(&self, _: usize, _: &mut (), _: BeepSignal, _: BeepSignal, _: &mut Pcg64Mcg) {}
 /// #     }
 /// # }
 ///
@@ -101,7 +101,7 @@ impl<P: BeepingProtocol> BeepingProtocol for Sleepy<P> {
         self.inner.channels()
     }
 
-    fn transmit(&self, node: NodeId, state: &Self::State, rng: &mut dyn RngCore) -> BeepSignal {
+    fn transmit(&self, node: NodeId, state: &Self::State, rng: &mut Pcg64Mcg) -> BeepSignal {
         if state.is_awake() {
             self.inner.transmit(node, &state.inner, rng)
         } else {
@@ -115,7 +115,7 @@ impl<P: BeepingProtocol> BeepingProtocol for Sleepy<P> {
         state: &mut Self::State,
         sent: BeepSignal,
         heard: BeepSignal,
-        rng: &mut dyn RngCore,
+        rng: &mut Pcg64Mcg,
     ) {
         if state.is_awake() {
             self.inner.receive(node, &mut state.inner, sent, heard, rng);
@@ -138,7 +138,7 @@ mod tests {
         fn channels(&self) -> Channels {
             Channels::One
         }
-        fn transmit(&self, _: NodeId, _: &u64, _: &mut dyn RngCore) -> BeepSignal {
+        fn transmit(&self, _: NodeId, _: &u64, _: &mut Pcg64Mcg) -> BeepSignal {
             BeepSignal::channel1()
         }
         fn receive(
@@ -147,7 +147,7 @@ mod tests {
             s: &mut u64,
             _: BeepSignal,
             heard: BeepSignal,
-            _: &mut dyn RngCore,
+            _: &mut Pcg64Mcg,
         ) {
             if heard.on_channel1() {
                 *s += 1;

@@ -11,7 +11,8 @@ use beeping::sleep::{Sleepy, SleepyState};
 use beeping::Simulator;
 use graphs::generators::classic;
 use graphs::NodeId;
-use rand::{Rng, RngCore};
+use rand::Rng;
+use rand_pcg::Pcg64Mcg;
 
 /// Coin-flip transmitter that counts what it hears — exercises the node RNG
 /// streams (transmit) and the delivered signal (receive) at once.
@@ -29,7 +30,7 @@ impl BeepingProtocol for Chatty {
     fn channels(&self) -> Channels {
         Channels::One
     }
-    fn transmit(&self, _: NodeId, _: &ChatState, rng: &mut dyn RngCore) -> BeepSignal {
+    fn transmit(&self, _: NodeId, _: &ChatState, rng: &mut Pcg64Mcg) -> BeepSignal {
         if rng.gen_bool(0.5) {
             BeepSignal::channel1()
         } else {
@@ -42,7 +43,7 @@ impl BeepingProtocol for Chatty {
         s: &mut ChatState,
         sent: BeepSignal,
         heard: BeepSignal,
-        _: &mut dyn RngCore,
+        _: &mut Pcg64Mcg,
     ) {
         s.beeps += sent.on_channel1() as u32;
         s.hears += heard.on_channel1() as u32;

@@ -15,6 +15,7 @@ use graphs::{Graph, GraphBuilder, NodeId};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::RngCore;
+use rand_pcg::Pcg64Mcg;
 use telemetry::{Config as TelemetryConfig, MemorySink, Telemetry};
 
 /// Random graphs of 2..200 nodes: past 64 nodes `par(2)` splits the node
@@ -46,7 +47,7 @@ impl BeepingProtocol for RandomProbe {
     fn channels(&self) -> Channels {
         self.channels
     }
-    fn transmit(&self, _: NodeId, s: &u64, rng: &mut dyn RngCore) -> BeepSignal {
+    fn transmit(&self, _: NodeId, s: &u64, rng: &mut Pcg64Mcg) -> BeepSignal {
         let r = rng.next_u64();
         let c1 = r & 1 == 0 && s.is_multiple_of(2);
         let c2 = self.channels == Channels::Two && r & 2 == 0 && s.is_multiple_of(3);
@@ -58,7 +59,7 @@ impl BeepingProtocol for RandomProbe {
         s: &mut u64,
         _: BeepSignal,
         heard: BeepSignal,
-        rng: &mut dyn RngCore,
+        rng: &mut Pcg64Mcg,
     ) {
         let bits = heard.on_channel1() as u64 | (heard.on_channel2() as u64) << 1;
         *s = s.wrapping_mul(6364136223846793005).wrapping_add(bits ^ (rng.next_u64() & 0xF));
@@ -87,7 +88,7 @@ impl BeepingProtocol for SettleProbe {
     fn channels(&self) -> Channels {
         Channels::One
     }
-    fn transmit(&self, _: NodeId, s: &u64, rng: &mut dyn RngCore) -> BeepSignal {
+    fn transmit(&self, _: NodeId, s: &u64, rng: &mut Pcg64Mcg) -> BeepSignal {
         if *s == 0 {
             let _ = rng.next_u64();
             BeepSignal::channel1()
@@ -103,7 +104,7 @@ impl BeepingProtocol for SettleProbe {
         s: &mut u64,
         sent: BeepSignal,
         heard: BeepSignal,
-        _: &mut dyn RngCore,
+        _: &mut Pcg64Mcg,
     ) {
         if heard.on_channel1() {
             *s = (*s + 1).min(SETTLE_MAX);

@@ -15,6 +15,7 @@ use beeping::{ChannelFault, EngineMode, Simulator};
 use graphs::generators::classic;
 use graphs::{Graph, NodeId};
 use rand::RngCore;
+use rand_pcg::Pcg64Mcg;
 use telemetry::{Config as TelemetryConfig, MemorySink, Telemetry};
 
 /// A channel configuration that is semantically reliable but *not*
@@ -36,7 +37,7 @@ impl BeepingProtocol for Probe {
     fn channels(&self) -> Channels {
         Channels::One
     }
-    fn transmit(&self, _: NodeId, s: &u64, rng: &mut dyn RngCore) -> BeepSignal {
+    fn transmit(&self, _: NodeId, s: &u64, rng: &mut Pcg64Mcg) -> BeepSignal {
         BeepSignal::new(rng.next_u64() & 1 == 0 && s.is_multiple_of(2), false)
     }
     fn receive(
@@ -45,7 +46,7 @@ impl BeepingProtocol for Probe {
         s: &mut u64,
         sent: BeepSignal,
         heard: BeepSignal,
-        rng: &mut dyn RngCore,
+        rng: &mut Pcg64Mcg,
     ) {
         let bits = sent.on_channel1() as u64 | (heard.on_channel1() as u64) << 1;
         *s = s.wrapping_mul(6364136223846793005).wrapping_add(bits ^ (rng.next_u64() & 0xFF));

@@ -7,6 +7,7 @@ use beeping::protocol::{BeepSignal, BeepingProtocol, Channels, SettledRound};
 use beeping::{frontier_fallback_threshold, EngineMode, Simulator};
 use graphs::{Graph, NodeId};
 use rand::RngCore;
+use rand_pcg::Pcg64Mcg;
 use telemetry::{Config as TelemetryConfig, MemorySink, Telemetry};
 
 /// Nodes below `restless` never certify a settled round; everyone else is a
@@ -21,13 +22,13 @@ impl BeepingProtocol for SplitProbe {
     fn channels(&self) -> Channels {
         Channels::One
     }
-    fn transmit(&self, node: NodeId, _: &(), rng: &mut dyn RngCore) -> BeepSignal {
+    fn transmit(&self, node: NodeId, _: &(), rng: &mut Pcg64Mcg) -> BeepSignal {
         if node < self.restless {
             let _ = rng.next_u64();
         }
         BeepSignal::silent()
     }
-    fn receive(&self, _: NodeId, _: &mut (), _: BeepSignal, _: BeepSignal, _: &mut dyn RngCore) {}
+    fn receive(&self, _: NodeId, _: &mut (), _: BeepSignal, _: BeepSignal, _: &mut Pcg64Mcg) {}
     fn settled_round(&self, node: NodeId, _: &(), _: BeepSignal) -> Option<SettledRound> {
         (node >= self.restless).then_some(SettledRound { signal: BeepSignal::silent(), draws: 0 })
     }

@@ -6,6 +6,7 @@ use beeping::Simulator;
 use graphs::{Graph, GraphBuilder, NodeId};
 use proptest::prelude::*;
 use rand::RngCore;
+use rand_pcg::Pcg64Mcg;
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (1usize..24).prop_flat_map(|n| {
@@ -36,7 +37,7 @@ impl BeepingProtocol for Probe {
     fn channels(&self) -> Channels {
         Channels::One
     }
-    fn transmit(&self, _: NodeId, s: &ProbeState, _: &mut dyn RngCore) -> BeepSignal {
+    fn transmit(&self, _: NodeId, s: &ProbeState, _: &mut Pcg64Mcg) -> BeepSignal {
         if s.beep {
             BeepSignal::channel1()
         } else {
@@ -49,7 +50,7 @@ impl BeepingProtocol for Probe {
         s: &mut ProbeState,
         _: BeepSignal,
         heard: BeepSignal,
-        _: &mut dyn RngCore,
+        _: &mut Pcg64Mcg,
     ) {
         s.heard = Some(heard.on_channel1());
     }
@@ -72,7 +73,7 @@ impl BeepingProtocol for Probe2 {
     fn channels(&self) -> Channels {
         Channels::Two
     }
-    fn transmit(&self, _: NodeId, s: &Probe2State, _: &mut dyn RngCore) -> BeepSignal {
+    fn transmit(&self, _: NodeId, s: &Probe2State, _: &mut Pcg64Mcg) -> BeepSignal {
         BeepSignal::new(s.beep1, s.beep2)
     }
     fn receive(
@@ -81,7 +82,7 @@ impl BeepingProtocol for Probe2 {
         s: &mut Probe2State,
         _: BeepSignal,
         heard: BeepSignal,
-        _: &mut dyn RngCore,
+        _: &mut Pcg64Mcg,
     ) {
         s.heard = heard;
     }

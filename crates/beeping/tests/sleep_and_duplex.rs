@@ -7,7 +7,7 @@ use beeping::sleep::{Sleepy, SleepyState};
 use beeping::Simulator;
 use graphs::generators::classic;
 use graphs::NodeId;
-use rand::RngCore;
+use rand_pcg::Pcg64Mcg;
 
 /// Echo protocol: state counts (beeped, heard) events.
 #[derive(Clone)]
@@ -24,7 +24,7 @@ impl BeepingProtocol for Echo {
     fn channels(&self) -> Channels {
         Channels::One
     }
-    fn transmit(&self, node: NodeId, _: &EchoState, _: &mut dyn RngCore) -> BeepSignal {
+    fn transmit(&self, node: NodeId, _: &EchoState, _: &mut Pcg64Mcg) -> BeepSignal {
         // Even nodes beep every round.
         if node.is_multiple_of(2) {
             BeepSignal::channel1()
@@ -38,7 +38,7 @@ impl BeepingProtocol for Echo {
         s: &mut EchoState,
         sent: BeepSignal,
         heard: BeepSignal,
-        _: &mut dyn RngCore,
+        _: &mut Pcg64Mcg,
     ) {
         s.beeps += sent.on_channel1() as u32;
         s.hears += heard.on_channel1() as u32;
@@ -108,7 +108,7 @@ fn half_duplex_on_two_channels() {
         fn channels(&self) -> Channels {
             Channels::Two
         }
-        fn transmit(&self, node: NodeId, _: &Self::State, _: &mut dyn RngCore) -> BeepSignal {
+        fn transmit(&self, node: NodeId, _: &Self::State, _: &mut Pcg64Mcg) -> BeepSignal {
             match node {
                 0 => BeepSignal::channel1(),
                 1 => BeepSignal::channel2(),
@@ -121,7 +121,7 @@ fn half_duplex_on_two_channels() {
             s: &mut Self::State,
             _: BeepSignal,
             heard: BeepSignal,
-            _: &mut dyn RngCore,
+            _: &mut Pcg64Mcg,
         ) {
             *s = (heard.on_channel1(), heard.on_channel2());
         }

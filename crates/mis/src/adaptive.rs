@@ -27,9 +27,10 @@
 use beeping::protocol::{BeepSignal, BeepingProtocol, Channels};
 use graphs::{Graph, NodeId};
 use rand::{Rng, RngCore};
+use rand_pcg::Pcg64Mcg;
 
 use crate::invariant::{debug_assert_level_in_range, LevelSpace};
-use crate::levels::{beep_probability, update_level, Level};
+use crate::levels::{beep_threshold, update_level, Level};
 use crate::recovery::stable_where;
 
 /// Universal upper limit on learned caps (≈ `2 log₂(2^15) + 30`; supports
@@ -159,14 +160,11 @@ impl BeepingProtocol for AdaptiveMis {
         Channels::One
     }
 
-    fn transmit(&self, _node: NodeId, state: &AdaptiveState, rng: &mut dyn RngCore) -> BeepSignal {
+    fn transmit(&self, _node: NodeId, state: &AdaptiveState, rng: &mut Pcg64Mcg) -> BeepSignal {
         debug_assert_level_in_range(state.level, state.cap, LevelSpace::Signed);
-        let p = beep_probability(state.level, state.cap);
-        if p > 0.0 && rng.gen_bool(p) {
-            BeepSignal::channel1()
-        } else {
-            BeepSignal::silent()
-        }
+        let beep = beep_threshold(LevelSpace::Signed, state.level, state.cap)
+            .is_some_and(|t| rng.next_u64() >> 11 < t);
+        BeepSignal::new(beep, false)
     }
 
     fn receive(
@@ -175,7 +173,7 @@ impl BeepingProtocol for AdaptiveMis {
         state: &mut AdaptiveState,
         sent: BeepSignal,
         heard: BeepSignal,
-        _rng: &mut dyn RngCore,
+        _rng: &mut Pcg64Mcg,
     ) {
         // Collision = contention evidence; a stable vertex never collides
         // (MIS members beep into silence; silenced vertices never beep), so

@@ -23,10 +23,11 @@
 
 use beeping::protocol::{BeepSignal, BeepingProtocol, Channels, SettledRound};
 use graphs::{Graph, NodeId};
-use rand::{Rng, RngCore};
+use rand::RngCore;
+use rand_pcg::Pcg64Mcg;
 
 use crate::invariant::debug_assert_level_in_range;
-use crate::levels::{beep_probability, update_level, Level};
+use crate::levels::{beep_threshold, update_level, Level};
 use crate::policy::LmaxPolicy;
 use crate::recovery::{claimed_mis_where, stable_where};
 use crate::runner::{self, Outcome, RunConfig, RunError, SelfStabilizingMis};
@@ -107,18 +108,15 @@ impl BeepingProtocol for Algorithm1 {
         Channels::One
     }
 
-    fn transmit(&self, node: NodeId, state: &Level, rng: &mut dyn RngCore) -> BeepSignal {
+    fn transmit(&self, node: NodeId, state: &Level, rng: &mut Pcg64Mcg) -> BeepSignal {
         let lmax = self.policy.lmax(node);
         debug_assert_level_in_range(*state, lmax, Self::SPACE);
-        let p = beep_probability(*state, lmax);
-        // Draw even when p is 0 or 1 would be avoidable, but gen_bool(0.0)
-        // and gen_bool(1.0) are exact, and drawing unconditionally keeps the
-        // per-node stream consumption identical across configurations.
-        if p > 0.0 && rng.gen_bool(p) {
-            BeepSignal::channel1()
-        } else {
-            BeepSignal::silent()
-        }
+        // One draw per round unless p = 0 (ℓ = ℓmax > 0): every ℓ ≤ 0 draws
+        // although it always beeps, and `settled_round` certifies exactly
+        // that (one draw for a claiming node, none for a silenced one).
+        let beep =
+            beep_threshold(Self::SPACE, *state, lmax).is_some_and(|t| rng.next_u64() >> 11 < t);
+        BeepSignal::new(beep, false)
     }
 
     fn receive(
@@ -127,7 +125,7 @@ impl BeepingProtocol for Algorithm1 {
         state: &mut Level,
         sent: BeepSignal,
         heard: BeepSignal,
-        _rng: &mut dyn RngCore,
+        _rng: &mut Pcg64Mcg,
     ) {
         let lmax = self.policy.lmax(node);
         *state = update_level(*state, lmax, sent.on_channel1(), heard.on_channel1());
@@ -191,6 +189,29 @@ mod tests {
         // ℓ = 3 → about 1/8.
         let eighth = count_beeps(&algo, 0, 3, 10_000);
         assert!((1_000..1_600).contains(&eighth), "got {eighth}");
+    }
+
+    /// `transmit` against the old decision `p > 0 && gen_bool(p)`, kept
+    /// here as the oracle: the same signal on the same stream, and the
+    /// stream advanced by exactly one output, or none when `p = 0`.
+    #[test]
+    fn transmit_draws_and_decides_as_the_float_formula() {
+        let g = classic::path(2);
+        for lmax in 2..=64 {
+            let algo = Algorithm1::new(&g, LmaxPolicy::fixed(2, lmax));
+            for level in -lmax..=lmax {
+                let p = crate::levels::beep_probability(level, lmax);
+                for trial in 0..8 {
+                    let mut rng = node_rng(u64::from(lmax.unsigned_abs()), trial);
+                    let (mut oracle, mut stepped) = (rng.clone(), rng.clone());
+                    let signal = algo.transmit(0, &level, &mut rng);
+                    let expected = p > 0.0 && rand::Rng::gen_bool(&mut oracle, p);
+                    assert_eq!(signal, BeepSignal::new(expected, false), "ℓ={level} ℓmax={lmax}");
+                    beeping::rng::advance_steps(&mut stepped, u128::from(p > 0.0));
+                    assert_eq!(rng, stepped, "ℓ={level} ℓmax={lmax}: one draw iff p > 0");
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,10 +23,11 @@
 
 use beeping::protocol::{BeepSignal, BeepingProtocol, Channels};
 use graphs::{Graph, NodeId};
-use rand::{Rng, RngCore};
+use rand::RngCore;
+use rand_pcg::Pcg64Mcg;
 
 use crate::invariant::debug_assert_level_in_range;
-use crate::levels::{beep1_probability, update_level_two_channel, Level};
+use crate::levels::{beep_threshold, update_level_two_channel, Level};
 use crate::policy::LmaxPolicy;
 use crate::recovery::{claimed_mis_where, stable_where};
 use crate::runner::{self, Outcome, RunConfig, RunError, SelfStabilizingMis};
@@ -102,14 +103,13 @@ impl BeepingProtocol for Algorithm2 {
         Channels::Two
     }
 
-    fn transmit(&self, node: NodeId, state: &Level, rng: &mut dyn RngCore) -> BeepSignal {
+    fn transmit(&self, node: NodeId, state: &Level, rng: &mut Pcg64Mcg) -> BeepSignal {
         let lmax = self.policy.lmax(node);
         let l = *state;
         debug_assert_level_in_range(l, lmax, Self::SPACE);
-        // `beep1_probability` asserts ℓ ∈ [0, ℓmax]; the draw is gated on
-        // p > 0 so the RNG stream is untouched in the deterministic regions.
-        let p1 = beep1_probability(l, lmax);
-        let beep1 = p1 > 0.0 && rng.gen_bool(p1);
+        // Channel 1 draws only for 0 < ℓ < ℓmax, so the stream is untouched
+        // in the deterministic regions.
+        let beep1 = beep_threshold(Self::SPACE, l, lmax).is_some_and(|t| rng.next_u64() >> 11 < t);
         let beep2 = l == 0;
         BeepSignal::new(beep1, beep2)
     }
@@ -120,7 +120,7 @@ impl BeepingProtocol for Algorithm2 {
         state: &mut Level,
         sent: BeepSignal,
         heard: BeepSignal,
-        _rng: &mut dyn RngCore,
+        _rng: &mut Pcg64Mcg,
     ) {
         let lmax = self.policy.lmax(node);
         *state = update_level_two_channel(
@@ -150,6 +150,33 @@ mod tests {
             let s = algo.transmit(1, &0, &mut rng);
             assert!(s.on_channel2());
             assert!(!s.on_channel1());
+        }
+    }
+
+    /// Channel 1 against the old decision `p1 > 0 && gen_bool(p1)`, kept
+    /// here as the oracle: the same signal on the same stream, and the
+    /// stream advanced by exactly one output, or none when `p1 = 0`.
+    #[test]
+    fn transmit_draws_and_decides_as_the_float_formula() {
+        let g = classic::path(2);
+        for lmax in 2..=64 {
+            let algo = Algorithm2::new(&g, LmaxPolicy::fixed(2, lmax));
+            for level in 0..=lmax {
+                let p1 = crate::levels::beep1_probability(level, lmax);
+                for trial in 0..8 {
+                    let mut rng = node_rng(u64::from(lmax.unsigned_abs()), trial);
+                    let (mut oracle, mut stepped) = (rng.clone(), rng.clone());
+                    let signal = algo.transmit(0, &level, &mut rng);
+                    let expected = p1 > 0.0 && rand::Rng::gen_bool(&mut oracle, p1);
+                    assert_eq!(
+                        signal,
+                        BeepSignal::new(expected, level == 0),
+                        "ℓ={level} ℓmax={lmax}"
+                    );
+                    beeping::rng::advance_steps(&mut stepped, u128::from(p1 > 0.0));
+                    assert_eq!(rng, stepped, "ℓ={level} ℓmax={lmax}: one draw iff p1 > 0");
+                }
+            }
         }
     }
 

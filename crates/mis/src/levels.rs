@@ -115,6 +115,61 @@ pub fn beep1_probability(level: Level, lmax: Level) -> f64 {
     }
 }
 
+/// Levels from which `2f64.powi(-ℓ)` is `0.0` on the supported targets:
+/// `powi` forms `2^ℓ`, which overflows to infinity at `ℓ = 1024`, and
+/// returns its reciprocal. [`beep_threshold`] keeps those levels silent
+/// and draw-free, exactly as `p > 0 && gen_bool(p)` does.
+const POWI_SILENT_FROM: Level = 1024;
+
+/// The channel-1 beep decision of either algorithm as an integer test on
+/// one raw generator output: `None` means the node is silent and draws
+/// nothing; `Some(t)` means it draws once and beeps iff
+/// `rng.next_u64() >> 11 < t`, where `t = 2^(53 − clamp(ℓ, 0, 53))`.
+///
+/// `space` selects the algorithm. [`LevelSpace::Signed`] is Algorithm 1's
+/// [`beep_probability`]: every `ℓ ≤ 0` draws (and always beeps), including
+/// `ℓ = ℓmax = 0`, while `0 < ℓ = ℓmax` does not. [`LevelSpace::NonNegative`]
+/// is Algorithm 2's [`beep1_probability`]: only `0 < ℓ < ℓmax` draws.
+///
+/// # Equivalence with `p > 0 && gen_bool(p)`
+///
+/// Let `p` be the space's probability above and `x` the drawn output.
+/// `gen_bool(p)` computes `u · 2^-53 < p` with `u = x >> 11 < 2^53`, where
+/// `u` converts to `f64` exactly and the scaling by a power of two is exact
+/// too. So `gen_bool(p)` is the real inequality `u < p · 2^53`.
+///
+/// - `p = 0` (`ℓ = ℓmax`, either boundary of Algorithm 2's channel 1, or
+///   `ℓ ≥ 1024` where `powi` underflows): the old code skips the draw; so
+///   does this one.
+/// - `p = 1` (`ℓ ≤ 0` in the signed space): `u < 2^53 = t` always holds,
+///   after one draw.
+/// - `p = 2^-ℓ` with `1 ≤ ℓ ≤ 53`: `powi` is exact, so the test is
+///   `u < 2^(53-ℓ) = t`.
+/// - `p = 2^-ℓ` with `53 < ℓ < 1024`: `p · 2^53 = 2^(53-ℓ)` lies in
+///   `(0, 1)`, so `u < p · 2^53` holds iff `u = 0`, i.e. `u < 1 = t`.
+///
+/// Every case draws exactly when the old code draws and returns the same
+/// bit, so a run's stream positions and decisions are unchanged.
+///
+/// # Panics
+///
+/// Panics if `ℓ` lies outside `space` for `ℓmax`, in every build, as
+/// [`beep_probability`] and [`beep1_probability`] do.
+#[inline]
+pub fn beep_threshold(space: LevelSpace, level: Level, lmax: Level) -> Option<u64> {
+    assert!(
+        space.contains(level, lmax),
+        "level {level} outside state space [{}, {lmax}]",
+        space.claiming(lmax)
+    );
+    let geometric = level > 0 && level < lmax.min(POWI_SILENT_FROM);
+    let draws = match space {
+        LevelSpace::Signed => level <= 0 || geometric,
+        LevelSpace::NonNegative => geometric,
+    };
+    draws.then(|| 1 << (53 - level.clamp(0, 53)).unsigned_abs())
+}
+
 /// Algorithm 1's claiming level: [`LevelSpace::claiming`] of the signed
 /// space. This, [`state_space_bounds`] and [`clamp_level`] stay only
 /// because the `perfbench` crate imports them; crate code calls
@@ -135,13 +190,19 @@ pub fn state_space_bounds(lmax: Level, signed: bool) -> (i64, i64) {
 /// else if beeped:          ℓ ← -ℓmax
 /// else:                    ℓ ← max(ℓ - 1, 1)
 /// ```
+///
+/// Every candidate is computed and the flags only select among them, so
+/// the update compiles to conditional moves: the flags are random bits in
+/// a run's early rounds, where branches on them mispredict.
+#[inline]
 pub fn update_level(level: Level, lmax: Level, beeped: bool, heard: bool) -> Level {
+    let up = level.saturating_add(1).min(lmax);
+    let down = level.saturating_sub(1).max(1);
+    let quiet = if beeped { -lmax } else { down };
     if heard {
-        (level + 1).min(lmax)
-    } else if beeped {
-        -lmax
+        up
     } else {
-        (level - 1).max(1)
+        quiet
     }
 }
 
@@ -155,6 +216,9 @@ pub fn update_level(level: Level, lmax: Level, beeped: bool, heard: bool) -> Lev
 /// ```
 ///
 /// (A node beeping on channel 2 that hears nothing keeps `ℓ = 0`.)
+///
+/// Written as selects over precomputed candidates, like [`update_level`].
+#[inline]
 pub fn update_level_two_channel(
     level: Level,
     lmax: Level,
@@ -163,16 +227,15 @@ pub fn update_level_two_channel(
     heard_beep1: bool,
     heard_beep2: bool,
 ) -> Level {
+    let up = level.saturating_add(1).min(lmax);
+    let down = level.saturating_sub(1).max(1);
+    let idle = if sent_beep2 { level } else { down };
+    let quiet = if sent_beep1 { 0 } else { idle };
+    let heard = if heard_beep1 { up } else { quiet };
     if heard_beep2 {
         lmax
-    } else if heard_beep1 {
-        (level + 1).min(lmax)
-    } else if sent_beep1 {
-        0
-    } else if !sent_beep2 {
-        (level - 1).max(1)
     } else {
-        level
+        heard
     }
 }
 
@@ -184,6 +247,8 @@ pub fn clamp_level(raw: i64, lmax: Level) -> Level {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
+    use rand_pcg::Pcg64Mcg;
 
     #[test]
     fn log2_ceil_powers() {
@@ -305,6 +370,81 @@ mod tests {
     #[should_panic(expected = "outside state space")]
     fn beep1_probability_rejects_negative() {
         beep1_probability(-1, 8);
+    }
+
+    /// The old decision `p > 0 && gen_bool(p)` for one raw output `x`, with
+    /// `gen_bool`'s `(x >> 11) · 2^-53 < p` mapping written out.
+    fn float_oracle(p: f64, x: u64) -> bool {
+        p > 0.0 && ((x >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < p
+    }
+
+    /// Checks `beep_threshold` against the float formula `p` at one level:
+    /// it draws iff `p > 0`, and on every probe draw it decides as the
+    /// oracle does.
+    fn assert_threshold_matches(
+        space: LevelSpace,
+        level: Level,
+        lmax: Level,
+        p: f64,
+        rng: &mut Pcg64Mcg,
+    ) {
+        let threshold = beep_threshold(space, level, lmax);
+        assert_eq!(threshold.is_some(), p > 0.0, "{space:?} ℓ={level} ℓmax={lmax}: draw iff p > 0");
+        let t = threshold.unwrap_or(0);
+        let mut draws = vec![0, 1, u64::MAX, u64::MAX - 1];
+        if let Some(edge) = t.checked_mul(1 << 11) {
+            draws.extend([edge.wrapping_sub(1), edge]);
+        }
+        draws.extend((0..64).map(|_| rng.next_u64()));
+        for x in draws {
+            let beeps = threshold.is_some_and(|t| x >> 11 < t);
+            assert_eq!(beeps, float_oracle(p, x), "{space:?} ℓ={level} ℓmax={lmax} x={x:#x}");
+        }
+    }
+
+    #[test]
+    fn beep_threshold_matches_the_float_formula_exhaustively() {
+        let mut rng = beeping::rng::node_rng(25, 0);
+        for lmax in 0..=64 {
+            for level in -lmax..=lmax {
+                let p = beep_probability(level, lmax);
+                assert_threshold_matches(LevelSpace::Signed, level, lmax, p, &mut rng);
+            }
+            for level in 0..=lmax {
+                let p = beep1_probability(level, lmax);
+                assert_threshold_matches(LevelSpace::NonNegative, level, lmax, p, &mut rng);
+            }
+        }
+        // ℓ = ℓmax = 0 is claiming and capped at once: it draws and beeps.
+        assert_eq!(beep_threshold(LevelSpace::Signed, 0, 0), Some(1 << 53));
+        assert_eq!(beep_threshold(LevelSpace::NonNegative, 0, 0), None);
+    }
+
+    #[test]
+    fn beep_threshold_matches_where_powi_underflows() {
+        // `2f64.powi(-ℓ)` is 0 from ℓ = 1024 on; `black_box` keeps the
+        // level a run-time value, as it is in a run.
+        let mut rng = beeping::rng::node_rng(25, 1);
+        let lmax = 1100;
+        for level in 1020..=1030 {
+            let level = std::hint::black_box(level);
+            let p = beep_probability(level, lmax);
+            assert_threshold_matches(LevelSpace::Signed, level, lmax, p, &mut rng);
+            let p = beep1_probability(level, lmax);
+            assert_threshold_matches(LevelSpace::NonNegative, level, lmax, p, &mut rng);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside state space")]
+    fn beep_threshold_rejects_out_of_range() {
+        beep_threshold(LevelSpace::Signed, 11, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside state space")]
+    fn beep_threshold_rejects_negative_channel1_levels() {
+        beep_threshold(LevelSpace::NonNegative, -1, 8);
     }
 
     #[test]
