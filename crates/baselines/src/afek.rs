@@ -28,6 +28,7 @@
 
 use beeping::protocol::{BeepSignal, BeepingProtocol, Channels};
 use graphs::{Graph, NodeId};
+use mis::{Judge, RunLoop, RunResult};
 use rand::Rng;
 use rand_pcg::Pcg64Mcg;
 
@@ -73,8 +74,8 @@ impl AfekState {
 ///
 /// let g = random::gnp(100, 0.08, 3);
 /// let algo = AfekStyleMis::new(100); // knows N = n here
-/// let (mis, rounds) = algo.run(&g, 5, 100_000).expect("terminates");
-/// assert!(graphs::mis::is_maximal_independent_set(&g, &mis));
+/// let outcome = algo.run(&g, 5, 100_000).expect("terminates");
+/// assert!(graphs::mis::is_maximal_independent_set(&g, &outcome.mis));
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct AfekStyleMis {
@@ -105,30 +106,33 @@ impl AfekStyleMis {
         self.slots + 1
     }
 
-    /// `true` when no node is still competing.
-    pub fn is_terminated(&self, states: &[AfekState]) -> bool {
-        states.iter().all(|s| s.status != Status::Competing)
+    /// Runs from the synchronized start until no node competes, or
+    /// [`mis::RunError::Budget`] if the round budget runs out first.
+    pub fn run(&self, graph: &Graph, seed: u64, max_rounds: u64) -> RunResult<AfekState> {
+        let initial = vec![AfekState::initial(); graph.len()];
+        mis::runner::run_from(graph, self, initial, seed, max_rounds)
     }
+}
 
-    /// Extracts the MIS bitmap.
-    pub fn mis_members(&self, states: &[AfekState]) -> Vec<bool> {
-        states.iter().map(|s| s.status == Status::InMis).collect()
-    }
-
-    /// Runs from the synchronized start; returns the membership bitmap and
-    /// round count, or `None` on budget exhaustion.
-    pub fn run(&self, graph: &Graph, seed: u64, max_rounds: u64) -> Option<(Vec<bool>, u64)> {
-        let mut sim =
-            beeping::Simulator::new(graph, *self, vec![AfekState::initial(); graph.len()], seed);
-        let done = sim.run_until(max_rounds, |s| self.is_terminated(s.states()))?;
-        let mis = self.mis_members(sim.states());
-        // Runtime invariant: from the synchronized start, termination always
-        // yields a maximal independent set.
+impl Judge for AfekStyleMis {
+    /// `true` when no node is still competing. Every run starts
+    /// synchronized ([`AfekState::initial`] is the only state), and from
+    /// there termination always yields a maximal independent set: debug
+    /// builds check it.
+    fn stopped(run: &mut RunLoop<'_, AfekStyleMis>) -> bool {
+        let terminated = run.levels().iter().all(|s| s.status != Status::Competing);
         debug_assert!(
-            graphs::mis::is_maximal_independent_set(graph, &mis),
-            "terminated at round {done} with an invalid MIS"
+            !terminated
+                || graphs::mis::is_maximal_independent_set(run.graph(), &Self::members(run)),
+            "terminated at round {} with an invalid MIS",
+            run.round()
         );
-        Some((mis, done))
+        terminated
+    }
+
+    /// The MIS bitmap: the nodes that won their neighbourhood.
+    fn members(run: &RunLoop<'_, AfekStyleMis>) -> Vec<bool> {
+        run.levels().iter().map(|s| s.status == Status::InMis).collect()
     }
 }
 
@@ -212,6 +216,7 @@ impl BeepingProtocol for AfekStyleMis {
 mod tests {
     use super::*;
     use graphs::generators::{classic, random};
+    use mis::Outcome;
 
     #[test]
     fn produces_mis_on_families() {
@@ -226,7 +231,8 @@ mod tests {
         .enumerate()
         {
             let algo = AfekStyleMis::new(g.len());
-            let (mis, rounds) = algo.run(g, i as u64, 1_000_000).expect("terminates");
+            let Outcome { mis, rounds_run: rounds, .. } =
+                algo.run(g, i as u64, 1_000_000).expect("terminates");
             assert!(graphs::mis::is_maximal_independent_set(g, &mis), "graph {i}");
             assert!(rounds > 0);
         }
@@ -247,8 +253,8 @@ mod tests {
         let g = random::gnp(60, 0.1, 2);
         let tight = AfekStyleMis::new(60);
         let loose = AfekStyleMis::new(60 * 1024);
-        let (_, r_tight) = tight.run(&g, 4, 1_000_000).unwrap();
-        let (_, r_loose) = loose.run(&g, 4, 1_000_000).unwrap();
+        let r_tight = tight.run(&g, 4, 1_000_000).unwrap().rounds_run;
+        let r_loose = loose.run(&g, 4, 1_000_000).unwrap().rounds_run;
         assert!(
             r_loose as f64 > r_tight as f64 * 1.3,
             "loose bound should cost materially more: tight={r_tight} loose={r_loose}"

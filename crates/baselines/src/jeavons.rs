@@ -15,10 +15,13 @@
 //! why the algorithm cannot detect faults, and the two-round phase structure
 //! plus the fixed initial `p = ½` are why it is not self-stabilizing. The
 //! [`JsxState`] exposes every field so the adversarial experiment can start
-//! the network desynchronized and show the failures.
+//! the network desynchronized and show the failures. Runs go through the
+//! workspace's one run loop ([`mis::runner::run_from`]), judged by JSX's own
+//! termination predicate.
 
 use beeping::protocol::{BeepSignal, BeepingProtocol, Channels};
 use graphs::{Graph, NodeId};
+use mis::{Judge, RunLoop, RunResult};
 use rand::Rng;
 use rand_pcg::Pcg64Mcg;
 
@@ -81,9 +84,9 @@ impl Default for JsxState {
 ///
 /// let g = random::gnp(100, 0.1, 3);
 /// let jsx = JsxMis::new();
-/// let (mis, rounds) = jsx.run_clean(&g, 5, 10_000).expect("terminates");
-/// assert!(graphs::mis::is_maximal_independent_set(&g, &mis));
-/// assert!(rounds % 2 == 0); // phases of two rounds
+/// let outcome = jsx.run_clean(&g, 5, 10_000).expect("terminates");
+/// assert!(graphs::mis::is_maximal_independent_set(&g, &outcome.mis));
+/// assert!(outcome.rounds_run % 2 == 0); // phases of two rounds
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JsxMis;
@@ -94,52 +97,49 @@ impl JsxMis {
         JsxMis
     }
 
-    /// `true` when no vertex is active or joining — the algorithm has
-    /// terminated and the `InMis` vertices are its answer.
-    pub fn is_terminated(&self, states: &[JsxState]) -> bool {
-        states.iter().all(|s| matches!(s.status, JsxStatus::InMis | JsxStatus::OutOfMis))
-    }
-
-    /// Extracts the MIS bitmap.
-    pub fn mis_members(&self, states: &[JsxState]) -> Vec<bool> {
-        states.iter().map(|s| s.status == JsxStatus::InMis).collect()
-    }
-
-    /// Runs from the clean synchronized start until termination; returns
-    /// the membership bitmap and the number of rounds, or `None` if the
-    /// round budget is exhausted.
-    pub fn run_clean(&self, graph: &Graph, seed: u64, max_rounds: u64) -> Option<(Vec<bool>, u64)> {
+    /// Runs from the clean synchronized start until termination, or
+    /// [`mis::RunError::Budget`] if the round budget runs out first.
+    pub fn run_clean(&self, graph: &Graph, seed: u64, max_rounds: u64) -> RunResult<JsxState> {
         self.run_from(graph, vec![JsxState::clean(); graph.len()], seed, max_rounds)
     }
 
     /// Runs from an arbitrary initial configuration until termination —
-    /// used by the adversarial experiment. Returns `None` on budget
-    /// exhaustion (which, from desynchronized states, is a real outcome:
-    /// the algorithm can deadlock with active vertices that never succeed,
-    /// or terminate with a non-MIS).
+    /// used by the adversarial experiment. From desynchronized states
+    /// [`mis::RunError::Budget`] is a real outcome: the algorithm can stall with
+    /// active vertices that keep failing, or terminate with a non-MIS.
     pub fn run_from(
         &self,
         graph: &Graph,
         initial: Vec<JsxState>,
         seed: u64,
         max_rounds: u64,
-    ) -> Option<(Vec<bool>, u64)> {
-        let mut sim = beeping::Simulator::new(graph, *self, initial, seed);
-        if cfg!(debug_assertions) {
-            // Runtime invariant: the probability exponent stays inside
-            // [1, MAX_PROB_EXP] from any starting configuration.
-            sim = sim.with_invariant_hook(|_, round, states: &[JsxState]| {
-                for (v, s) in states.iter().enumerate() {
-                    assert!(
-                        (1..=MAX_PROB_EXP).contains(&s.prob_exp),
-                        "round {round}: node {v} has prob_exp={} outside [1, {MAX_PROB_EXP}]",
-                        s.prob_exp
-                    );
-                }
-            });
+    ) -> RunResult<JsxState> {
+        mis::runner::run_from(graph, self, initial, seed, max_rounds)
+    }
+}
+
+impl Judge for JsxMis {
+    /// `true` when no vertex is active or joining — the algorithm has
+    /// terminated and the `InMis` vertices are its answer.
+    fn stopped(run: &mut RunLoop<'_, JsxMis>) -> bool {
+        run.levels().iter().all(|s| matches!(s.status, JsxStatus::InMis | JsxStatus::OutOfMis))
+    }
+
+    /// The MIS bitmap: the `InMis` vertices.
+    fn members(run: &RunLoop<'_, JsxMis>) -> Vec<bool> {
+        run.levels().iter().map(|s| s.status == JsxStatus::InMis).collect()
+    }
+
+    /// The probability exponent stays inside `[1, MAX_PROB_EXP]` from any
+    /// starting configuration.
+    fn check_round(&self, _graph: &Graph, round: u64, states: &[JsxState]) {
+        for (v, s) in states.iter().enumerate() {
+            assert!(
+                (1..=MAX_PROB_EXP).contains(&s.prob_exp),
+                "round {round}: node {v} has prob_exp={} outside [1, {MAX_PROB_EXP}]",
+                s.prob_exp
+            );
         }
-        let done = sim.run_until(max_rounds, |s| self.is_terminated(s.states()))?;
-        Some((self.mis_members(sim.states()), done))
     }
 }
 
@@ -211,6 +211,7 @@ impl BeepingProtocol for JsxMis {
 mod tests {
     use super::*;
     use graphs::generators::{classic, random};
+    use mis::{Outcome, RunError};
 
     #[test]
     fn clean_run_produces_mis() {
@@ -224,7 +225,8 @@ mod tests {
         .iter()
         .enumerate()
         {
-            let (mis, rounds) = JsxMis::new().run_clean(g, i as u64, 100_000).expect("terminates");
+            let Outcome { mis, rounds_run: rounds, .. } =
+                JsxMis::new().run_clean(g, i as u64, 100_000).expect("terminates");
             assert!(graphs::mis::is_maximal_independent_set(g, &mis), "graph {i}");
             assert!(rounds > 0);
         }
@@ -233,17 +235,16 @@ mod tests {
     #[test]
     fn clean_run_is_deterministic() {
         let g = random::gnp(60, 0.1, 7);
-        let a = JsxMis::new().run_clean(&g, 9, 100_000).unwrap();
-        let b = JsxMis::new().run_clean(&g, 9, 100_000).unwrap();
-        assert_eq!(a, b);
+        let run = || JsxMis::new().run_clean(&g, 9, 100_000).map(|o| (o.mis, o.rounds_run));
+        assert_eq!(run(), run());
     }
 
     #[test]
     fn terminated_vertices_stay_silent() {
         let g = classic::complete(8);
         let jsx = JsxMis::new();
-        let mut sim = beeping::Simulator::new(&g, jsx, vec![JsxState::clean(); 8], 3);
-        sim.run_until(100_000, |s| jsx.is_terminated(s.states())).expect("terminates");
+        let terminated = jsx.run_clean(&g, 3, 100_000).expect("terminates").levels;
+        let mut sim = beeping::Simulator::new(&g, jsx, terminated, 3);
         let before: Vec<JsxStatus> = sim.states().iter().map(|s| s.status).collect();
         for _ in 0..10 {
             let quiet = sim.step();
@@ -261,7 +262,7 @@ mod tests {
         let g = classic::path(2);
         let mut bad = JsxState::clean();
         bad.status = JsxStatus::InMis;
-        let (mis, rounds) =
+        let Outcome { mis, rounds_run: rounds, .. } =
             JsxMis::new().run_from(&g, vec![bad, bad], 0, 1_000).expect("already terminated");
         assert_eq!(rounds, 0);
         assert_eq!(mis, vec![true, true]);
@@ -275,10 +276,57 @@ mod tests {
         let g = classic::cycle(6);
         let mut bad = JsxState::clean();
         bad.status = JsxStatus::OutOfMis;
-        let (mis, _) =
+        let Outcome { mis, .. } =
             JsxMis::new().run_from(&g, vec![bad; 6], 0, 1_000).expect("already terminated");
         assert!(mis.iter().all(|&m| !m));
         assert!(!graphs::mis::is_maximal_independent_set(&g, &mis));
+    }
+
+    #[test]
+    fn desynchronized_start_can_exhaust_the_budget() {
+        // Alternating phase parity and p = 2^-8 on an 8-cycle, 16 rounds of
+        // budget: on 9 of 24 seeds JSX is still competing when the budget
+        // runs out. That is an outcome of the run, not an invalid plan.
+        let g = classic::cycle(8);
+        let desynced: Vec<JsxState> = (0..8)
+            .map(|v| JsxState { prob_exp: 8, parity: (v % 2) as u8, ..JsxState::clean() })
+            .collect();
+        let terminated_at = [
+            Some(13),
+            Some(13),
+            None,
+            Some(15),
+            None,
+            None,
+            Some(15),
+            Some(16),
+            Some(15),
+            None,
+            None,
+            Some(13),
+            Some(14),
+            Some(13),
+            Some(14),
+            Some(16),
+            Some(15),
+            Some(15),
+            None,
+            None,
+            Some(16),
+            None,
+            Some(14),
+            None,
+        ];
+        for (seed, expected) in terminated_at.into_iter().enumerate() {
+            match JsxMis::new().run_from(&g, desynced.clone(), seed as u64, 16) {
+                Ok(outcome) => assert_eq!(Some(outcome.rounds_run), expected, "seed {seed}"),
+                Err(RunError::Budget(err)) => {
+                    assert_eq!(expected, None, "seed {seed}: {err}");
+                    assert_eq!((err.max_rounds, err.n), (16, 8));
+                }
+                Err(err) => panic!("seed {seed}: {err}"),
+            }
+        }
     }
 
     #[test]
@@ -297,7 +345,7 @@ mod tests {
     #[test]
     fn rounds_even_at_termination_from_clean_start() {
         let g = random::gnp(40, 0.15, 2);
-        let (_, rounds) = JsxMis::new().run_clean(&g, 11, 100_000).unwrap();
+        let rounds = JsxMis::new().run_clean(&g, 11, 100_000).unwrap().rounds_run;
         assert_eq!(rounds % 2, 0, "clean runs terminate on phase boundaries");
     }
 }

@@ -23,6 +23,9 @@
 //!   O(log n)-round distributed MIS with full message passing, marking the
 //!   "how much does the weak beeping model cost" reference line.
 //!
+//! The beeping baselines run on [`mis::RunLoop`], judged by their own
+//! [`mis::Judge`]; the LOCAL and Stone Age substrates keep their own loops.
+//!
 //! Sequential ground truth (greedy) lives in [`graphs::mis`].
 
 pub mod afek;

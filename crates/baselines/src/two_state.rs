@@ -23,6 +23,7 @@
 
 use beeping::protocol::{BeepSignal, BeepingProtocol, Channels};
 use graphs::{Graph, NodeId};
+use mis::{Judge, RunLoop, RunResult};
 use rand::Rng;
 use rand_pcg::Pcg64Mcg;
 
@@ -45,9 +46,9 @@ pub enum TwoState {
 ///
 /// let g = classic::cycle(20);
 /// let algo = TwoStateMis::new();
-/// let (mis, rounds) = algo.run_random_init(&g, 3, 1_000_000).expect("stabilizes");
-/// assert!(graphs::mis::is_maximal_independent_set(&g, &mis));
-/// assert!(rounds > 0);
+/// let outcome = algo.run_random_init(&g, 3, 1_000_000).expect("stabilizes");
+/// assert!(graphs::mis::is_maximal_independent_set(&g, &outcome.mis));
+/// assert!(outcome.rounds_run > 0);
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TwoStateMis;
@@ -58,24 +59,14 @@ impl TwoStateMis {
         TwoStateMis
     }
 
-    /// The `In`-set as a bitmap.
-    pub fn in_set(&self, states: &[TwoState]) -> Vec<bool> {
-        states.iter().map(|&s| s == TwoState::In).collect()
-    }
-
-    /// `true` if the `In`-set is an MIS — the legal (and then frozen)
-    /// configurations.
-    pub fn is_stabilized(&self, graph: &Graph, states: &[TwoState]) -> bool {
-        graphs::mis::is_maximal_independent_set(graph, &self.in_set(states))
-    }
-
-    /// Runs from uniformly random states until the `In`-set is an MIS.
+    /// Runs from uniformly random states until the `In`-set is an MIS, or
+    /// [`mis::RunError::Budget`] if the round budget runs out first.
     pub fn run_random_init(
         &self,
         graph: &Graph,
         seed: u64,
         max_rounds: u64,
-    ) -> Option<(Vec<bool>, u64)> {
+    ) -> RunResult<TwoState> {
         let mut rng = beeping::rng::aux_rng(seed, 0x25);
         let init: Vec<TwoState> = (0..graph.len())
             .map(|_| if rng.gen_bool(0.5) { TwoState::In } else { TwoState::Out })
@@ -83,17 +74,28 @@ impl TwoStateMis {
         self.run_from(graph, init, seed, max_rounds)
     }
 
-    /// Runs from explicit states.
+    /// Runs from explicit states (see [`mis::runner::run_from`]).
     pub fn run_from(
         &self,
         graph: &Graph,
         initial: Vec<TwoState>,
         seed: u64,
         max_rounds: u64,
-    ) -> Option<(Vec<bool>, u64)> {
-        let mut sim = beeping::Simulator::new(graph, *self, initial, seed);
-        let done = sim.run_until(max_rounds, |s| self.is_stabilized(graph, s.states()))?;
-        Some((self.in_set(sim.states()), done))
+    ) -> RunResult<TwoState> {
+        mis::runner::run_from(graph, self, initial, seed, max_rounds)
+    }
+}
+
+impl Judge for TwoStateMis {
+    /// `true` if the `In`-set is an MIS — the legal (and then frozen)
+    /// configurations.
+    fn stopped(run: &mut RunLoop<'_, TwoStateMis>) -> bool {
+        graphs::mis::is_maximal_independent_set(run.graph(), &Self::members(run))
+    }
+
+    /// The `In`-set as a bitmap.
+    fn members(run: &RunLoop<'_, TwoStateMis>) -> Vec<bool> {
+        run.levels().iter().map(|&s| s == TwoState::In).collect()
     }
 }
 
@@ -154,7 +156,9 @@ mod tests {
         let g = classic::path(3);
         let algo = TwoStateMis::new();
         let states = vec![TwoState::Out, TwoState::In, TwoState::Out];
-        assert!(algo.is_stabilized(&g, &states));
+        // The judge accepts the configuration before any round runs.
+        let outcome = algo.run_from(&g, states.clone(), 1, 50).expect("already stabilized");
+        assert_eq!((outcome.mis, outcome.rounds_run), (vec![false, true, false], 0));
         let mut sim = beeping::Simulator::new(&g, algo, states.clone(), 1);
         sim.run(50);
         assert_eq!(sim.states(), states.as_slice());
@@ -172,10 +176,10 @@ mod tests {
         .enumerate()
         {
             let algo = TwoStateMis::new();
-            let (mis, _) = algo
+            let outcome = algo
                 .run_random_init(g, i as u64, 5_000_000)
-                .unwrap_or_else(|| panic!("graph {i} did not stabilize"));
-            assert!(graphs::mis::is_maximal_independent_set(g, &mis), "graph {i}");
+                .unwrap_or_else(|e| panic!("graph {i} did not stabilize: {e}"));
+            assert!(graphs::mis::is_maximal_independent_set(g, &outcome.mis), "graph {i}");
         }
     }
 
@@ -183,25 +187,25 @@ mod tests {
     fn adjacent_in_pair_resolves() {
         let g = classic::path(2);
         let algo = TwoStateMis::new();
-        let (mis, _) =
+        let outcome =
             algo.run_from(&g, vec![TwoState::In, TwoState::In], 1, 1_000_000).expect("resolves");
-        assert!(graphs::mis::is_maximal_independent_set(&g, &mis));
+        assert!(graphs::mis::is_maximal_independent_set(&g, &outcome.mis));
     }
 
     #[test]
     fn all_out_recovers() {
         let g = classic::cycle(8);
         let algo = TwoStateMis::new();
-        let (mis, rounds) =
-            algo.run_from(&g, vec![TwoState::Out; 8], 1, 1_000_000).expect("recovers");
-        assert!(graphs::mis::is_maximal_independent_set(&g, &mis));
-        assert!(rounds > 0);
+        let outcome = algo.run_from(&g, vec![TwoState::Out; 8], 1, 1_000_000).expect("recovers");
+        assert!(graphs::mis::is_maximal_independent_set(&g, &outcome.mis));
+        assert!(outcome.rounds_run > 0);
     }
 
     #[test]
     fn deterministic() {
         let g = random::gnp(40, 0.1, 3);
         let algo = TwoStateMis::new();
-        assert_eq!(algo.run_random_init(&g, 7, 5_000_000), algo.run_random_init(&g, 7, 5_000_000));
+        let run = || algo.run_random_init(&g, 7, 5_000_000).map(|o| (o.mis, o.rounds_run));
+        assert_eq!(run(), run());
     }
 }

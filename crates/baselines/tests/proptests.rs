@@ -27,7 +27,7 @@ proptest! {
     /// JSX from its clean start always terminates with a valid MIS.
     #[test]
     fn jsx_clean_valid(g in arb_graph(), seed in 0u64..200) {
-        let (mis, _) = JsxMis::new().run_clean(&g, seed, 5_000_000).expect("terminates");
+        let mis = JsxMis::new().run_clean(&g, seed, 5_000_000).expect("terminates").mis;
         prop_assert!(graphs::mis::is_maximal_independent_set(&g, &mis));
     }
 
@@ -35,7 +35,7 @@ proptest! {
     #[test]
     fn afek_valid(g in arb_graph(), seed in 0u64..200) {
         let algo = AfekStyleMis::new(g.len().max(2));
-        let (mis, _) = algo.run(&g, seed, 10_000_000).expect("terminates");
+        let mis = algo.run(&g, seed, 10_000_000).expect("terminates").mis;
         prop_assert!(graphs::mis::is_maximal_independent_set(&g, &mis));
     }
 
@@ -54,7 +54,7 @@ proptest! {
     #[test]
     fn two_state_valid(g in arb_graph(), seed in 0u64..100) {
         let algo = TwoStateMis::new();
-        let (mis, _) = algo.run_random_init(&g, seed, 10_000_000).expect("stabilizes");
+        let mis = algo.run_random_init(&g, seed, 10_000_000).expect("stabilizes").mis;
         prop_assert!(graphs::mis::is_maximal_independent_set(&g, &mis));
     }
 
@@ -89,7 +89,7 @@ proptest! {
         };
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
         check(&mis::runner::run(&g, &algo, RunConfig::new(seed)).unwrap().mis, "alg1")?;
-        check(&JsxMis::new().run_clean(&g, seed, 5_000_000).unwrap().0, "jsx")?;
+        check(&JsxMis::new().run_clean(&g, seed, 5_000_000).unwrap().mis, "jsx")?;
         check(&luby_mis(&g, seed, 1_000_000).unwrap().0, "luby")?;
         check(&graphs::mis::greedy_mis(&g), "greedy")?;
     }

@@ -552,7 +552,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
     /// topology, the 1-based round just executed and the post-update
     /// states; it is expected to panic on a violated invariant. Runners
     /// install a checker here in debug builds (e.g.
-    /// `mis::invariant::InvariantChecker`); the hook draws no randomness
+    /// `mis::invariant::check_round`); the hook draws no randomness
     /// and observes state only, so installing one never changes an
     /// execution.
     pub fn with_invariant_hook<F>(mut self, hook: F) -> Simulator<'g, P>
@@ -1627,28 +1627,6 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         }
     }
 
-    /// Runs until `stop(states) == true` or `max_rounds` total rounds have
-    /// executed; returns the first round count (1-based) at which `stop`
-    /// held, or `None` on budget exhaustion.
-    ///
-    /// `stop` is evaluated *before* the first step (round count 0) and after
-    /// every step.
-    pub fn run_until<F>(&mut self, max_rounds: u64, mut stop: F) -> Option<u64>
-    where
-        F: FnMut(&Simulator<'g, P>) -> bool,
-    {
-        if stop(self) {
-            return Some(self.round);
-        }
-        while self.round < max_rounds {
-            self.step();
-            if stop(self) {
-                return Some(self.round);
-            }
-        }
-        None
-    }
-
     /// Runs exactly `rounds` rounds, discarding the per-round reports.
     pub fn run(&mut self, rounds: u64) {
         for _ in 0..rounds {
@@ -2015,33 +1993,6 @@ pub(crate) mod tests {
         };
         assert_eq!(run(9), run(9));
         assert_ne!(run(9), run(10));
-    }
-
-    #[test]
-    fn run_until_stops_at_predicate() {
-        let g = classic::path(2);
-        let mut sim = Simulator::new(&g, Parity, vec![0, 0], 0);
-        // Both nodes beep in round 1 (counter 0 is even), hear each other,
-        // and increment to 1 — then both go silent forever.
-        let stopped = sim.run_until(100, |s| s.states().iter().all(|&c| c >= 1));
-        assert_eq!(stopped, Some(1));
-        assert_eq!(sim.states(), &[1, 1]);
-    }
-
-    #[test]
-    fn run_until_checks_initial_state() {
-        let g = classic::path(2);
-        let mut sim = Simulator::new(&g, Parity, vec![5, 5], 0);
-        assert_eq!(sim.run_until(100, |s| s.states().iter().all(|&c| c == 5)), Some(0));
-        assert_eq!(sim.round(), 0);
-    }
-
-    #[test]
-    fn run_until_budget_exhaustion() {
-        let g = classic::path(2);
-        let mut sim = Simulator::new(&g, Parity, vec![0, 0], 0);
-        assert_eq!(sim.run_until(5, |_| false), None);
-        assert_eq!(sim.round(), 5);
     }
 
     #[test]

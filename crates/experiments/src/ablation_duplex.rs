@@ -38,7 +38,10 @@ pub fn run_once(g: &graphs::Graph, mode: DuplexMode, seed: u64, budget: u64) -> 
     let config = RunConfig::new(seed);
     let init = initial_levels(&algo, &config);
     let mut sim = Simulator::new(g, algo.clone(), init, seed).with_duplex(mode);
-    let stabilized = sim.run_until(budget, |s| algo.is_stabilized(g, s.states())).is_some();
+    while !algo.is_stabilized(g, sim.states()) && sim.round() < budget {
+        sim.step();
+    }
+    let stabilized = algo.is_stabilized(g, sim.states());
     let lmax = algo.policy().lmax_values().to_vec();
     let snap = Snapshot::new(g, &lmax, sim.states());
     let deadlocked =

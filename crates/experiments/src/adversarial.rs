@@ -110,9 +110,9 @@ pub fn measure_jsx(g: &Graph, init: JsxInit, seeds: u64, max_rounds: u64) -> Cel
     let mut cell = Cell::default();
     for seed in 0..seeds {
         cell.runs += 1;
-        if let Some((mis, _)) = jsx.run_from(g, init.states(g, seed), seed, max_rounds) {
+        if let Ok(outcome) = jsx.run_from(g, init.states(g, seed), seed, max_rounds) {
             cell.completed += 1;
-            if graphs::mis::is_maximal_independent_set(g, &mis) {
+            if graphs::mis::is_maximal_independent_set(g, &outcome.mis) {
                 cell.valid += 1;
             }
         }

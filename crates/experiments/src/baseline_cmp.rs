@@ -101,17 +101,22 @@ pub fn compare_at(n: usize, seeds: u64, graph_seed: u64) -> Result<ComparisonRow
     let mut rounds_afek = Vec::new();
     let mut rounds_afek_loose = Vec::new();
     let mut rounds_luby = Vec::new();
-    let exhausted =
-        |algorithm: &'static str, seed| BaselineError::BudgetExhausted { algorithm, seed };
+    // A baseline run fails only by exhausting its budget.
+    let exhausted = |algorithm: &'static str, seed| {
+        move |_: RunError| BaselineError::BudgetExhausted { algorithm, seed }
+    };
     for seed in 0..seeds {
         let config = RunConfig::new(seed).with_init(InitialLevels::Random).with_max_rounds(budget);
         rounds1.push(alg1.run(&g, config.clone())?.stabilization_round);
         rounds2.push(alg2.run(&g, config)?.stabilization_round);
-        rounds_jsx.push(jsx.run_clean(&g, seed, budget).ok_or(exhausted("jsx", seed))?.1);
-        rounds_afek.push(afek.run(&g, seed, budget).ok_or(exhausted("afek", seed))?.1);
-        rounds_afek_loose
-            .push(afek_loose.run(&g, seed, budget).ok_or(exhausted("afek (loose)", seed))?.1);
-        let (_, iters) = luby_mis(&g, seed, budget).ok_or(exhausted("luby", seed))?;
+        rounds_jsx
+            .push(jsx.run_clean(&g, seed, budget).map_err(exhausted("jsx", seed))?.rounds_run);
+        rounds_afek.push(afek.run(&g, seed, budget).map_err(exhausted("afek", seed))?.rounds_run);
+        rounds_afek_loose.push(
+            afek_loose.run(&g, seed, budget).map_err(exhausted("afek (loose)", seed))?.rounds_run,
+        );
+        let (_, iters) = luby_mis(&g, seed, budget)
+            .ok_or(BaselineError::BudgetExhausted { algorithm: "luby", seed })?;
         rounds_luby.push(2 * iters);
     }
     Ok(ComparisonRow {

@@ -5,6 +5,7 @@
 //! cargo run -p experiments --release -- T2.1 C2.3      # selected ids
 //! cargo run -p experiments --release -- all --quick    # reduced sizes/seeds
 //! cargo run -p experiments --release -- --list         # show the registry
+//! cargo run -p experiments --release -- --help         # usage (an unknown --flag fails)
 //! cargo run -p experiments --release -- all --out results  # also write results/<id>.txt
 //! cargo run -p experiments --release -- DYN --telemetry run.jsonl  # stream run telemetry
 //! ```
@@ -23,7 +24,7 @@ use telemetry::{Config as TelemetryConfig, JsonlSink, Telemetry};
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let list = args.iter().any(|a| a == "--list");
+    let list = args.iter().any(|a| a == "--list" || a == "--help");
     let value_of = |flag: &str| -> Option<&String> {
         args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1))
     };
@@ -38,22 +39,28 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let flags_with_value = ["--out", "--telemetry", "--level-stride"];
-    let mut skip_next = false;
-    let ids: Vec<&String> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if flags_with_value.contains(&a.as_str()) {
-                skip_next = true;
-                return false;
-            }
-            !a.starts_with("--")
-        })
-        .collect();
+    let (mut ids, mut unknown, mut skip_next) = (Vec::new(), None, false);
+    for arg in &args {
+        match arg.as_str() {
+            _ if std::mem::take(&mut skip_next) => {}
+            "--quick" | "--list" | "--help" => {}
+            "--out" | "--telemetry" | "--level-stride" => skip_next = true,
+            flag if flag.starts_with("--") => unknown = unknown.or(Some(flag)),
+            _ => ids.push(arg),
+        }
+    }
+    if let Some(flag) = unknown {
+        eprintln!("unknown flag: {flag}\n");
+    }
+    if list || args.is_empty() || unknown.is_some() {
+        eprintln!("usage: experiments <id>... | all [--quick] [--list] [--out <dir>]");
+        eprintln!("                   [--telemetry <path.jsonl>] [--level-stride <k>] [--help]\n");
+        eprintln!("available experiments:");
+        for e in experiments::all_experiments() {
+            eprintln!("  {:<9} {}", e.id, e.title);
+        }
+        return if list && unknown.is_none() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+    }
     if let Some(dir) = &out_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create output directory {}: {e}", dir.display());
@@ -72,16 +79,6 @@ fn main() -> ExitCode {
         },
         None => Telemetry::disabled(),
     };
-
-    if list || (ids.is_empty() && !quick) && args.is_empty() {
-        eprintln!("usage: experiments <id>... | all [--quick] [--list] [--out <dir>]");
-        eprintln!("                   [--telemetry <path.jsonl>] [--level-stride <k>]\n");
-        eprintln!("available experiments:");
-        for e in experiments::all_experiments() {
-            eprintln!("  {:<9} {}", e.id, e.title);
-        }
-        return if list { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-    }
 
     let run_all = ids.iter().any(|id| id.eq_ignore_ascii_case("all")) || ids.is_empty();
     let selected: Vec<experiments::Experiment> = if run_all {

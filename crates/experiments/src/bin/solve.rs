@@ -132,7 +132,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let (mis, rounds) = match opts.algorithm.as_str() {
+    let outcome = match opts.algorithm.as_str() {
         "alg1" | "alg2" => {
             let policy = match pick_policy(&g, &opts.policy) {
                 Ok(p) => p,
@@ -144,28 +144,25 @@ fn main() -> ExitCode {
             let config = RunConfig::new(opts.seed)
                 .with_init(InitialLevels::Random)
                 .with_max_rounds(opts.max_rounds);
-            let outcome = if opts.algorithm == "alg1" {
+            if opts.algorithm == "alg1" {
                 Algorithm1::new(&g, policy).run(&g, config)
             } else {
                 Algorithm2::new(&g, policy).run(&g, config)
-            };
-            match outcome {
-                Ok(o) => (o.mis, o.stabilization_round),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
             }
+            .map(|o| (o.mis, o.stabilization_round))
         }
-        "adaptive" => match AdaptiveMis::new().run_random_init(&g, opts.seed, opts.max_rounds) {
-            Some(result) => result,
-            None => {
-                eprintln!("error: not stabilized within {} rounds", opts.max_rounds);
-                return ExitCode::FAILURE;
-            }
-        },
+        "adaptive" => AdaptiveMis::new()
+            .run_random_init(&g, opts.seed, opts.max_rounds)
+            .map(|o| (o.mis, o.stabilization_round)),
         other => {
             eprintln!("error: unknown algorithm {other}; try alg1|alg2|adaptive");
+            return ExitCode::FAILURE;
+        }
+    };
+    let (mis, rounds) = match outcome {
+        Ok(result) => result,
+        Err(e) => {
+            eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };

@@ -1,7 +1,7 @@
 //! Shared plumbing for the experiment drivers: workload sweeps, repeated
 //! stabilization measurements, and report assembly.
 
-use analysis::{FitReport, GrowthModel, Summary};
+use analysis::{FitReport, Summary};
 use graphs::generators::GraphFamily;
 use graphs::Graph;
 use mis::runner::{self, InitialLevels, RunConfig, SelfStabilizingMis};
@@ -153,13 +153,6 @@ pub fn render_sweep(out: &mut String, family: &GraphFamily, points: &[SweepPoint
             out.push_str(&format!("  {report}\n"));
         }
     }
-}
-
-/// The best-fitting growth model for a sweep's means.
-pub fn best_model(points: &[SweepPoint]) -> GrowthModel {
-    let sizes: Vec<usize> = points.iter().map(|p| p.n).collect();
-    let means: Vec<f64> = points.iter().map(|p| p.summary.mean).collect();
-    FitReport::compare_all(&sizes, &means)[0].model
 }
 
 /// Standard report header.

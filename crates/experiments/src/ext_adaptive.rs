@@ -49,11 +49,11 @@ pub fn run(quick: bool) -> String {
             let mut failures = 0usize;
             for seed in 0..seeds {
                 match adaptive.run_random_init(&g, seed, 2_000_000) {
-                    Some((mis, r)) => {
-                        assert!(graphs::mis::is_maximal_independent_set(&g, &mis));
-                        rounds.push(r);
+                    Ok(outcome) => {
+                        assert!(graphs::mis::is_maximal_independent_set(&g, &outcome.mis));
+                        rounds.push(outcome.rounds_run);
                     }
-                    None => failures += 1,
+                    Err(_) => failures += 1,
                 }
             }
             let sa = Summary::of_counts(rounds);
@@ -80,15 +80,14 @@ pub fn run(quick: bool) -> String {
     let g = GraphFamily::BarabasiAlbert { m: 3 }.generate(if quick { 128 } else { 1024 }, 0xEA);
     let adaptive = AdaptiveMis::new();
     let fresh = vec![mis::adaptive::AdaptiveState::fresh(); g.len()];
-    let mut sim = beeping::Simulator::new(&g, adaptive, fresh, 1);
-    if sim.run_until(2_000_000, |s| adaptive.is_stabilized(&g, s.states())).is_none() {
+    let Ok(learned) = adaptive.run_from(&g, fresh, 1, 2_000_000) else {
         out.push_str(
             "\nwarning: skipping cap-learning section: the fresh-cap run did not \
              stabilize within its 2000000-round budget\n",
         );
         return out;
-    }
-    let caps: Vec<f64> = sim.states().iter().map(|s| s.cap as f64).collect();
+    };
+    let caps: Vec<f64> = learned.levels.iter().map(|s| s.cap as f64).collect();
     let prescribed: Vec<f64> =
         g.nodes().map(|v| 2.0 * (mis::levels::log2_ceil(g.degree(v)) as f64) + 30.0).collect();
     out.push_str(&format!(
@@ -125,8 +124,8 @@ mod tests {
         let g = GraphFamily::Gnp { avg_degree: 8.0 }.generate(96, 1);
         let adaptive = AdaptiveMis::new();
         for seed in 0..5 {
-            let (mis, _) = adaptive.run_random_init(&g, seed, 2_000_000).expect("stabilizes");
-            assert!(graphs::mis::is_maximal_independent_set(&g, &mis));
+            let outcome = adaptive.run_random_init(&g, seed, 2_000_000).expect("stabilizes");
+            assert!(graphs::mis::is_maximal_independent_set(&g, &outcome.mis));
         }
     }
 }

@@ -62,11 +62,11 @@ pub fn run(quick: bool) -> String {
         let mut failures = 0usize;
         for seed in 0..seeds {
             match two_state.run_random_init(&g, seed, budget) {
-                Some((mis, r)) => {
-                    assert!(graphs::mis::is_maximal_independent_set(&g, &mis));
-                    rounds.push(r);
+                Ok(outcome) => {
+                    assert!(graphs::mis::is_maximal_independent_set(&g, &outcome.mis));
+                    rounds.push(outcome.rounds_run);
                 }
-                None => failures += 1,
+                Err(_) => failures += 1,
             }
         }
         let reference = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
@@ -118,8 +118,9 @@ mod tests {
         let g = GraphFamily::Cycle.generate(96, 0);
         let two_state = TwoStateMis::new();
         for seed in 0..3 {
-            let (mis, rounds) = two_state.run_random_init(&g, seed, 1_000_000).expect("stabilizes");
-            assert!(graphs::mis::is_maximal_independent_set(&g, &mis));
+            let outcome = two_state.run_random_init(&g, seed, 1_000_000).expect("stabilizes");
+            assert!(graphs::mis::is_maximal_independent_set(&g, &outcome.mis));
+            let rounds = outcome.rounds_run;
             assert!(rounds < 10_000, "cycles should be easy, took {rounds}");
         }
     }

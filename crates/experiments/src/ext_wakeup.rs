@@ -86,15 +86,18 @@ pub fn measure_wakeup(
         sleeps.iter().zip(&inner_levels).map(|(&s, &l)| SleepyState::new(s, l)).collect();
     let wrapped = Sleepy::new(algo.clone());
     let mut sim = Simulator::new(g, wrapped, init, seed);
-    let stabilized = sim.run_until(max_rounds, |s| {
-        s.states().iter().all(SleepyState::is_awake) && {
-            let levels: Vec<Level> = s.states().iter().map(|st| st.inner).collect();
-            algo.is_stabilized(g, &levels)
+    let levels = |s: &[SleepyState<Level>]| -> Vec<Level> { s.iter().map(|st| st.inner).collect() };
+    while !(sim.states().iter().all(SleepyState::is_awake)
+        && algo.is_stabilized(g, &levels(sim.states())))
+    {
+        if sim.round() >= max_rounds {
+            return None;
         }
-    })?;
-    let levels: Vec<Level> = sim.states().iter().map(|st| st.inner).collect();
-    assert!(graphs::mis::is_maximal_independent_set(g, &algo.mis_members(g, &levels)));
-    Some((stabilized.saturating_sub(last_wake), stabilized))
+        sim.step();
+    }
+    let last = levels(sim.states());
+    assert!(graphs::mis::is_maximal_independent_set(g, &algo.mis_members(g, &last)));
+    Some((sim.round().saturating_sub(last_wake), sim.round()))
 }
 
 /// Runs the experiment and returns the printed report.

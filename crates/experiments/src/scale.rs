@@ -6,7 +6,7 @@
 //! random geometric graphs (the wireless-sensor abstraction the paper's
 //! intro motivates) up to 10⁵ nodes.
 //!
-//! **Part 2 — parallel sharded scatter throughput (ROADMAP item 1).** The
+//! **Part 2 — parallel sharded scatter throughput (DESIGN.md §8).** The
 //! paper's O(log n · log ℓmax) stabilization bound only separates this
 //! algorithm from its rivals at node counts far beyond the PERF ceiling of
 //! 2^16, so this part pushes the round engines to n = 1M/4M/16M cycles and
@@ -323,7 +323,7 @@ pub fn run(quick: bool) -> String {
          stay O(rounds); wall time scales ~ n·rounds.\n",
     );
 
-    // Part 2: parallel sharded scatter at 1M-16M (ROADMAP item 1).
+    // Part 2: parallel sharded scatter at 1M-16M (DESIGN.md §8).
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let _ = writeln!(
         out,

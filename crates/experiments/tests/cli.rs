@@ -121,6 +121,50 @@ fn experiments_list_shows_registry() {
     }
 }
 
+/// Runs the experiments binary, killing it if it has not exited within 30
+/// seconds: a flag the parser drops silently would start the hours-long
+/// full sweep.
+fn experiments_bounded(args: &[&str]) -> std::process::Output {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    let mut child = experiments_bin()
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("runs");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while child.try_wait().expect("waits").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("experiments {args:?} still running after 30 s");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    child.wait_with_output().expect("collects output")
+}
+
+#[test]
+fn experiments_help_prints_usage_and_succeeds() {
+    let out = experiments_bounded(&["--help"]);
+    assert!(out.status.success(), "--help should succeed");
+    let text = String::from_utf8_lossy(&out.stderr);
+    assert!(text.starts_with("usage: experiments"), "{text}");
+    assert!(text.contains("T2.1"), "--help lists the registry: {text}");
+}
+
+#[test]
+fn experiments_rejects_unknown_flags_with_usage() {
+    for args in [vec!["--quik"], vec!["F1", "--bogus-flag"]] {
+        let out = experiments_bounded(&args);
+        assert!(!out.status.success(), "{args:?} should fail");
+        let text = String::from_utf8_lossy(&out.stderr);
+        assert!(text.contains(&format!("unknown flag: {}", args[args.len() - 1])), "{text}");
+        assert!(text.contains("usage: experiments"), "{args:?}: {text}");
+    }
+}
+
 #[test]
 fn experiments_rejects_unknown_id() {
     let out = experiments_bin().arg("NOPE-42").output().expect("runs");

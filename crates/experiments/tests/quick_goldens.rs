@@ -40,11 +40,11 @@ fn assert_matches_golden(id: &str) {
     let want: Vec<&str> = golden.lines().collect();
     match (0..got.len().max(want.len())).find(|&i| got.get(i) != want.get(i)) {
         Some(i) => panic!(
-            "{id}: quick report differs from {} at line {}\n   got: {:?}\n  want: {:?}",
+            "{id}: quick report differs from {} at line {}\n   got: {}\n  want: {}",
             path.display(),
             i + 1,
-            got.get(i),
-            want.get(i)
+            got.get(i).unwrap_or(&"<end of report>"),
+            want.get(i).unwrap_or(&"<end of file>")
         ),
         None => panic!("{id}: quick report differs from {} in line endings", path.display()),
     }

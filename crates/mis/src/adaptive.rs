@@ -32,6 +32,7 @@ use rand_pcg::Pcg64Mcg;
 use crate::invariant::{debug_assert_level_in_range, LevelSpace};
 use crate::levels::{beep_threshold, update_level, Level};
 use crate::recovery::stable_where;
+use crate::{Judge, RunLoop, RunResult};
 
 /// Universal upper limit on learned caps (≈ `2 log₂(2^15) + 30`; supports
 /// any realistic network size).
@@ -85,9 +86,9 @@ impl AdaptiveState {
 ///
 /// let g = random::gnp(100, 0.08, 3);
 /// let algo = AdaptiveMis::new();
-/// let (mis, rounds) = algo.run_random_init(&g, 7, 1_000_000).expect("stabilizes");
-/// assert!(graphs::mis::is_maximal_independent_set(&g, &mis));
-/// assert!(rounds > 0);
+/// let outcome = algo.run_random_init(&g, 7, 1_000_000).expect("stabilizes");
+/// assert!(graphs::mis::is_maximal_independent_set(&g, &outcome.mis));
+/// assert!(outcome.rounds_run > 0);
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AdaptiveMis;
@@ -98,35 +99,14 @@ impl AdaptiveMis {
         AdaptiveMis
     }
 
-    /// Stable MIS members: prominent vertices all of whose neighbors sit at
-    /// their own caps (the adaptive analogue of `I_t`).
-    pub fn mis_members(&self, graph: &Graph, states: &[AdaptiveState]) -> Vec<bool> {
-        graph
-            .nodes()
-            .map(|v| {
-                states[v].level <= 0
-                    && graph
-                        .neighbors(v)
-                        .iter()
-                        .all(|&u| states[u as usize].level == states[u as usize].cap)
-            })
-            .collect()
-    }
-
-    /// `true` when the stable set covers the graph; the resulting
-    /// configuration is a fixpoint absent faults.
-    pub fn is_stabilized(&self, graph: &Graph, states: &[AdaptiveState]) -> bool {
-        stable_where(graph, &self.mis_members(graph, states), |_| true).all(|s| s)
-    }
-
-    /// Runs from uniformly random (adversarial) states; returns the MIS
-    /// bitmap and stabilization round, or `None` on budget exhaustion.
+    /// Runs from uniformly random (adversarial) states until the stable set
+    /// covers the graph, or [`crate::RunError::Budget`] if the budget runs out.
     pub fn run_random_init(
         &self,
         graph: &Graph,
         seed: u64,
         max_rounds: u64,
-    ) -> Option<(Vec<bool>, u64)> {
+    ) -> RunResult<AdaptiveState> {
         let mut rng = beeping::rng::aux_rng(seed, ADAPTIVE_INIT_RNG_PURPOSE);
         let init: Vec<AdaptiveState> = (0..graph.len())
             .map(|_| {
@@ -139,17 +119,39 @@ impl AdaptiveMis {
         self.run_from(graph, init, seed, max_rounds)
     }
 
-    /// Runs from explicit initial states.
+    /// Runs from explicit initial states (see [`crate::runner::run_from`]).
     pub fn run_from(
         &self,
         graph: &Graph,
         initial: Vec<AdaptiveState>,
         seed: u64,
         max_rounds: u64,
-    ) -> Option<(Vec<bool>, u64)> {
-        let mut sim = beeping::Simulator::new(graph, *self, initial, seed);
-        let done = sim.run_until(max_rounds, |s| self.is_stabilized(graph, s.states()))?;
-        Some((self.mis_members(graph, sim.states()), done))
+    ) -> RunResult<AdaptiveState> {
+        crate::runner::run_from(graph, self, initial, seed, max_rounds)
+    }
+}
+
+impl Judge for AdaptiveMis {
+    /// `true` when the stable set covers the graph; the resulting
+    /// configuration is a fixpoint absent faults.
+    fn stopped(run: &mut RunLoop<'_, AdaptiveMis>) -> bool {
+        stable_where(run.graph(), &AdaptiveMis::members(run), |_| true).all(|s| s)
+    }
+
+    /// Stable MIS members: prominent vertices all of whose neighbors sit at
+    /// their own caps (the adaptive analogue of `I_t`).
+    fn members(run: &RunLoop<'_, AdaptiveMis>) -> Vec<bool> {
+        let (graph, states) = (run.graph(), run.levels());
+        graph
+            .nodes()
+            .map(|v| {
+                states[v].level <= 0
+                    && graph
+                        .neighbors(v)
+                        .iter()
+                        .all(|&u| states[u as usize].level == states[u as usize].cap)
+            })
+            .collect()
     }
 }
 
@@ -217,11 +219,11 @@ mod tests {
         .enumerate()
         {
             let algo = AdaptiveMis::new();
-            let (mis, rounds) = algo
+            let outcome = algo
                 .run_random_init(g, i as u64, 2_000_000)
-                .unwrap_or_else(|| panic!("graph {i} did not stabilize"));
-            assert!(graphs::mis::is_maximal_independent_set(g, &mis), "graph {i}");
-            assert!(rounds > 0);
+                .unwrap_or_else(|e| panic!("graph {i} did not stabilize: {e}"));
+            assert!(graphs::mis::is_maximal_independent_set(g, &outcome.mis), "graph {i}");
+            assert!(outcome.rounds_run > 0);
         }
     }
 
@@ -232,9 +234,8 @@ mod tests {
         let g = classic::complete(24);
         let algo = AdaptiveMis::new();
         let init = vec![AdaptiveState::fresh(); 24];
-        let mut sim = beeping::Simulator::new(&g, algo, init, 5);
-        sim.run_until(1_000_000, |s| algo.is_stabilized(&g, s.states())).expect("stabilizes");
-        let max_cap = sim.states().iter().map(|s| s.cap).max().unwrap();
+        let outcome = algo.run_from(&g, init, 5, 1_000_000).expect("stabilizes");
+        let max_cap = outcome.levels.iter().map(|s| s.cap).max().unwrap();
         assert!(max_cap > MIN_CAP, "caps never grew: {max_cap}");
         assert!(max_cap <= HARD_CAP);
     }
@@ -248,7 +249,10 @@ mod tests {
             AdaptiveState { level: -6, cap: 6, collisions: 0 },
             AdaptiveState { level: 8, cap: 8, collisions: 0 },
         ];
-        assert!(algo.is_stabilized(&g, &states));
+        // The judge accepts the configuration before any round runs.
+        let outcome = algo.run_from(&g, states.clone(), 1, 40).expect("already stabilized");
+        assert_eq!(outcome.rounds_run, 0);
+        assert_eq!(outcome.mis, vec![false, true, false]);
         let mut sim = beeping::Simulator::new(&g, algo, states.clone(), 1);
         sim.run(40);
         assert_eq!(sim.states(), states.as_slice());
@@ -282,6 +286,8 @@ mod tests {
     fn deterministic() {
         let g = random::gnp(50, 0.1, 4);
         let algo = AdaptiveMis::new();
-        assert_eq!(algo.run_random_init(&g, 9, 1_000_000), algo.run_random_init(&g, 9, 1_000_000));
+        let run =
+            || algo.run_random_init(&g, 9, 1_000_000).map(|o| (o.mis, o.levels, o.rounds_run));
+        assert_eq!(run(), run());
     }
 }

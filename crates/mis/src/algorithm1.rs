@@ -165,6 +165,7 @@ impl BeepingProtocol for Algorithm1 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::InitialLevels;
     use beeping::rng::node_rng;
     use beeping::Simulator;
     use graphs::generators::{classic, random};
@@ -248,10 +249,9 @@ mod tests {
         let g = graphs::Graph::empty(1);
         let algo = Algorithm1::new(&g, LmaxPolicy::fixed(1, 4));
         // Start at ℓmax (silent); decay then lone-beep must occur.
-        let mut sim = Simulator::new(&g, algo.clone(), vec![4], 9);
-        let r = sim.run_until(200, |s| algo.is_stabilized(s.graph(), s.states()));
-        assert!(r.is_some());
-        assert_eq!(algo.mis_members(&g, sim.states()), vec![true]);
+        let config = RunConfig::new(9).with_init(InitialLevels::Custom(vec![4]));
+        let outcome = algo.run(&g, config.with_max_rounds(200)).expect("stabilizes");
+        assert_eq!(outcome.mis, vec![true]);
     }
 
     #[test]
@@ -262,11 +262,12 @@ mod tests {
         for (name, init) in
             [("all zero", vec![0; 60]), ("all max", vec![lmax; 60]), ("all -max", vec![-lmax; 60])]
         {
-            let mut sim = Simulator::new(&g, algo.clone(), init, 11);
-            let r = sim.run_until(20_000, |s| algo.is_stabilized(s.graph(), s.states()));
-            assert!(r.is_some(), "did not stabilize from {name}");
-            let mis = algo.mis_members(&g, sim.states());
-            assert!(graphs::mis::is_maximal_independent_set(&g, &mis), "from {name}");
+            let init = InitialLevels::Custom(init.into_iter().map(i64::from).collect());
+            let config = RunConfig::new(11).with_init(init);
+            let outcome = algo
+                .run(&g, config.with_max_rounds(20_000))
+                .unwrap_or_else(|e| panic!("did not stabilize from {name}: {e}"));
+            assert!(graphs::mis::is_maximal_independent_set(&g, &outcome.mis), "from {name}");
         }
     }
 

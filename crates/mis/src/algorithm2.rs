@@ -137,6 +137,7 @@ impl BeepingProtocol for Algorithm2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::InitialLevels;
     use beeping::rng::node_rng;
     use beeping::Simulator;
     use graphs::generators::{classic, random};
@@ -223,11 +224,12 @@ mod tests {
             ("all at ℓmax", lmax.clone()),
             ("all at 1", vec![1; 60]),
         ] {
-            let mut sim = Simulator::new(&g, algo.clone(), init, 11);
-            let r = sim.run_until(20_000, |s| algo.is_stabilized(s.graph(), s.states()));
-            assert!(r.is_some(), "did not stabilize from {name}");
-            let mis = algo.mis_members(&g, sim.states());
-            assert!(graphs::mis::is_maximal_independent_set(&g, &mis), "from {name}");
+            let init = InitialLevels::Custom(init.into_iter().map(i64::from).collect());
+            let config = RunConfig::new(11).with_init(init);
+            let outcome = algo
+                .run(&g, config.with_max_rounds(20_000))
+                .unwrap_or_else(|e| panic!("did not stabilize from {name}: {e}"));
+            assert!(graphs::mis::is_maximal_independent_set(&g, &outcome.mis), "from {name}");
         }
     }
 

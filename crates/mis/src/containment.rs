@@ -218,7 +218,7 @@ impl ContainmentOutcome {
 ///
 /// A Byzantine node's RAM is adversary-controlled and legitimately
 /// violates protocol invariants, so a debug build does not install the
-/// [`crate::invariant::InvariantChecker`] for a non-empty plan.
+/// [`crate::invariant::check_round`] for a non-empty plan.
 /// (Crash-restart resurrection closures must still return levels inside the
 /// state space — the protocol's own `transmit` executes on them.)
 ///

@@ -1,9 +1,10 @@
 //! Runtime invariant checking: the paper's state-space and activation-
 //! function invariants, enforced on every round in debug builds.
 //!
-//! [`crate::runner::run`] installs an [`InvariantChecker`] into
-//! [`beeping::Simulator`]'s per-round hook when `debug_assertions` are on,
-//! so every debug-mode test and experiment continuously validates:
+//! The run loop installs [`check_round`] into [`beeping::Simulator`]'s
+//! per-round hook when `debug_assertions` are on (it is the paper's
+//! algorithms' [`crate::resumable::Judge::check_round`]), so every
+//! debug-mode test and experiment continuously validates:
 //!
 //! 1. **ℓ-range** — every level stays inside the algorithm's
 //!    [`LevelSpace`] (`{-ℓmax, …, ℓmax}` for Algorithm 1, `{0, …, ℓmax}`
@@ -24,13 +25,11 @@ use graphs::Graph;
 
 pub use crate::levels::LevelSpace;
 use crate::levels::{beep1_probability, beep_probability, Level};
-use crate::policy::LmaxPolicy;
 use crate::recovery::{claimed_mis_where, stable_where};
 use crate::runner::SelfStabilizingMis;
 
-/// The consolidated ℓ-range assertion used by protocol hot paths and
-/// the [`InvariantChecker`] — one definition instead of per-protocol
-/// ad-hoc `debug_assert!`s.
+/// The consolidated ℓ-range assertion used by protocol hot paths — one
+/// definition instead of per-protocol ad-hoc `debug_assert!`s.
 #[inline]
 #[track_caller]
 pub fn debug_assert_level_in_range(level: Level, lmax: Level, space: LevelSpace) {
@@ -40,64 +39,37 @@ pub fn debug_assert_level_in_range(level: Level, lmax: Level, space: LevelSpace)
     );
 }
 
-/// Per-round checker of the paper's invariants; installed by the runner via
-/// [`beeping::Simulator::with_invariant_hook`] in debug builds.
-#[derive(Debug, Clone)]
-pub struct InvariantChecker {
-    lmax: Vec<Level>,
-    space: LevelSpace,
-}
-
-impl InvariantChecker {
-    /// A checker for the given knowledge policy and state space.
-    pub fn new(policy: &LmaxPolicy, space: LevelSpace) -> InvariantChecker {
-        InvariantChecker { lmax: policy.lmax_values().to_vec(), space }
-    }
-
-    /// A checker matching `algo`'s state space.
-    pub fn for_algorithm<A: SelfStabilizingMis>(algo: &A) -> InvariantChecker {
-        InvariantChecker::new(algo.policy(), A::SPACE)
-    }
-
-    /// Validates one post-round configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics with round and node context on any violated invariant.
-    pub fn check_round(&self, graph: &Graph, round: u64, levels: &[Level]) {
-        assert_eq!(
-            levels.len(),
-            self.lmax.len(),
-            "round {round}: configuration size does not match the policy"
+/// Validates one post-round configuration of `algo`.
+///
+/// # Panics
+///
+/// Panics with round and node context on any violated invariant.
+pub fn check_round<A: SelfStabilizingMis>(algo: &A, graph: &Graph, round: u64, levels: &[Level]) {
+    let (lmax, space) = (algo.policy().lmax_values(), A::SPACE);
+    assert_eq!(
+        levels.len(),
+        lmax.len(),
+        "round {round}: configuration size does not match the policy"
+    );
+    for (v, (&level, &lmax)) in levels.iter().zip(lmax).enumerate() {
+        assert!(
+            space.contains(level, lmax),
+            "round {round}: node {v} has ℓ={level} outside the {space:?} state space for ℓmax={lmax}"
         );
-        for (v, (&level, &lmax)) in levels.iter().zip(&self.lmax).enumerate() {
-            assert!(
-                self.space.contains(level, lmax),
-                "round {round}: node {v} has ℓ={level} outside the {:?} state space for ℓmax={lmax}",
-                self.space
-            );
-            let (actual, expected) = match self.space {
-                LevelSpace::Signed => (beep_probability(level, lmax), table_signed(level, lmax)),
-                LevelSpace::NonNegative => {
-                    (beep1_probability(level, lmax), table_beep1(level, lmax))
-                }
-            };
-            assert!(
-                actual.to_bits() == expected.to_bits(),
-                "round {round}: node {v} at ℓ={level} beeps with p={actual}, \
-                 Figure 1's table says {expected}"
-            );
-        }
-        self.check_stability(graph, round, levels);
+        let (actual, expected) = match space {
+            LevelSpace::Signed => (beep_probability(level, lmax), table_signed(level, lmax)),
+            LevelSpace::NonNegative => (beep1_probability(level, lmax), table_beep1(level, lmax)),
+        };
+        assert!(
+            actual.to_bits() == expected.to_bits(),
+            "round {round}: node {v} at ℓ={level} beeps with p={actual}, \
+             Figure 1's table says {expected}"
+        );
     }
-
-    /// If the configuration satisfies the stabilization criterion
-    /// `S_t = V`, the claimed set `I_t` must be a maximal independent set.
-    fn check_stability(&self, graph: &Graph, round: u64, levels: &[Level]) {
-        let mis = claimed_mis_where(self.space, graph, &self.lmax, levels, |_| true);
-        if !stable_where(graph, &mis, |_| true).all(|s| s) {
-            return;
-        }
+    // If the configuration satisfies the stabilization criterion `S_t = V`,
+    // the claimed set `I_t` must be a maximal independent set.
+    let mis = claimed_mis_where(space, graph, lmax, levels, |_| true);
+    if stable_where(graph, &mis, |_| true).all(|s| s) {
         assert!(
             graphs::mis::is_maximal_independent_set(graph, &mis),
             "round {round}: S_t = V but I_t is not a maximal independent set"
@@ -132,6 +104,7 @@ mod tests {
     use super::*;
     use crate::algorithm1::Algorithm1;
     use crate::algorithm2::Algorithm2;
+    use crate::policy::LmaxPolicy;
     use graphs::generators::classic;
 
     #[test]
@@ -147,45 +120,38 @@ mod tests {
     #[test]
     fn accepts_valid_configurations() {
         let g = classic::cycle(6);
-        let checker = InvariantChecker::new(&LmaxPolicy::global_delta(&g), LevelSpace::Signed);
-        checker.check_round(&g, 1, &[1; 6]);
+        check_round(&Algorithm1::new(&g, LmaxPolicy::global_delta(&g)), &g, 1, &[1; 6]);
     }
 
     #[test]
     #[should_panic(expected = "outside the Signed state space")]
     fn rejects_out_of_range_level() {
         let g = classic::cycle(4);
-        let policy = LmaxPolicy::fixed(4, 3);
-        let checker = InvariantChecker::new(&policy, LevelSpace::Signed);
-        checker.check_round(&g, 7, &[1, 1, 4, 1]);
+        check_round(&Algorithm1::new(&g, LmaxPolicy::fixed(4, 3)), &g, 7, &[1, 1, 4, 1]);
     }
 
     #[test]
     #[should_panic(expected = "outside the NonNegative state space")]
     fn rejects_negative_level_in_two_channel_space() {
         let g = classic::cycle(4);
-        let policy = LmaxPolicy::fixed(4, 3);
-        let checker = InvariantChecker::new(&policy, LevelSpace::NonNegative);
-        checker.check_round(&g, 7, &[1, -1, 1, 1]);
+        check_round(&Algorithm2::new(&g, LmaxPolicy::fixed(4, 3)), &g, 7, &[1, -1, 1, 1]);
     }
 
     #[test]
     fn accepts_stabilized_configuration() {
         // Path 0-1-2: the middle node claims, the endpoints sit at ℓmax.
         let g = classic::path(3);
-        let policy = LmaxPolicy::fixed(3, 4);
-        let checker = InvariantChecker::new(&policy, LevelSpace::Signed);
-        checker.check_round(&g, 9, &[4, LevelSpace::Signed.claiming(4), 4]);
+        let algo = Algorithm1::new(&g, LmaxPolicy::fixed(3, 4));
+        check_round(&algo, &g, 9, &[4, LevelSpace::Signed.claiming(4), 4]);
     }
 
     #[test]
     fn for_algorithm_picks_the_right_space() {
+        // ℓ = -1 lies in Algorithm 1's signed space, not in Algorithm 2's.
         let g = classic::cycle(5);
-        let a1 =
-            InvariantChecker::for_algorithm(&Algorithm1::new(&g, LmaxPolicy::global_delta(&g)));
-        assert_eq!(a1.space, LevelSpace::Signed);
-        let a2 =
-            InvariantChecker::for_algorithm(&Algorithm2::new(&g, LmaxPolicy::global_delta(&g)));
-        assert_eq!(a2.space, LevelSpace::NonNegative);
+        let policy = LmaxPolicy::fixed(5, 3);
+        check_round(&Algorithm1::new(&g, policy.clone()), &g, 1, &[-1; 5]);
+        let two_channel = Algorithm2::new(&g, policy);
+        assert!(std::panic::catch_unwind(|| check_round(&two_channel, &g, 1, &[-1; 5])).is_err());
     }
 }

@@ -77,12 +77,12 @@ pub use adversary::{AdversaryConfig, SearchBehavior, WorstCase};
 pub use algorithm1::Algorithm1;
 pub use algorithm2::Algorithm2;
 pub use containment::{ContainmentOutcome, ContainmentSample};
-pub use invariant::{InvariantChecker, LevelSpace};
+pub use invariant::LevelSpace;
 pub use policy::LmaxPolicy;
 pub use recovery::NoisyOutcome;
 pub use resumable::{
-    PlanError, ResumableConfig, ResumableOutcome, ResumableRun, ResumeError, RunCheckpoint,
+    Judge, PlanError, ResumableConfig, ResumableOutcome, ResumableRun, ResumeError, RunCheckpoint,
     RunLoop, RunStatus,
 };
-pub use runner::{InitialLevels, Outcome, RunConfig, RunError, StabilizationError};
+pub use runner::{InitialLevels, Outcome, RunConfig, RunError, RunResult, StabilizationError};
 pub use scenario::{Scenario, ScenarioConfig, ScenarioScore, WorstScenario};

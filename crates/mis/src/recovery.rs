@@ -18,7 +18,7 @@
 //! participation predicate, and `stable_where` derives `S_t = I_t ∪ N(I_t)`
 //! from it. Every other stability predicate — the algorithms'
 //! `mis_members`/`is_stabilized`, [`crate::observer::Snapshot`], the
-//! [`crate::invariant::InvariantChecker`] and [`crate::containment`] — is
+//! [`crate::invariant::check_round`] and [`crate::containment`] — is
 //! a call into these two, with every node participating when the network
 //! is fully active.
 //!
@@ -42,7 +42,7 @@ use graphs::Graph;
 use rand_pcg::Pcg64Mcg;
 
 use crate::levels::{Level, LevelSpace};
-use crate::resumable::{PlanError, RunLoop, RunStatus};
+use crate::resumable::{Judge, PlanError, RunLoop, RunStatus};
 use crate::runner::{random_level, RunConfig, SelfStabilizingMis};
 
 /// `I_t` restricted to the active subgraph: node `v` is a stable MIS member
@@ -252,16 +252,6 @@ impl NoisyOutcome {
     pub fn all_recovered(&self) -> bool {
         self.events.iter().all(|e| e.outcome.is_recovered())
     }
-
-    /// The worst re-stabilization time over all recovered segments.
-    pub fn max_recovery_rounds(&self) -> Option<u64> {
-        self.events.iter().filter_map(|e| e.outcome.recovered_rounds()).max()
-    }
-
-    /// Total violation rounds over the whole run.
-    pub fn total_violation_rounds(&self) -> u64 {
-        self.events.iter().map(|e| e.violation_rounds).sum()
-    }
 }
 
 /// Live per-segment counters, folded into an [`EventRecovery`] at the next
@@ -417,7 +407,7 @@ pub fn run_noisy<A: SelfStabilizingMis>(
         events,
         total_rounds,
         stabilized,
-        mis: run.mis(),
+        mis: A::members(&run),
         active: run.active().to_vec(),
     })
 }

@@ -1,7 +1,8 @@
-//! The one run loop of this crate: a steppable, checkpointable state
-//! machine that every run entry point drives.
+//! The one run loop of the workspace: a steppable, checkpointable state
+//! machine that every run entry point of every beeping protocol drives.
 //!
-//! A [`RunLoop`] owns the only simulator a run builds. At every round
+//! A [`RunLoop`] owns the only simulator a run builds. For the paper's
+//! algorithms (what follows; see [`Judge`] for the others), at every round
 //! boundary `r` it applies the scheduled faults (in schedule order), then
 //! the scheduled churn, then — for a moving deployment
 //! ([`ResumableConfig::with_motion`]) — one mobility step whose radius
@@ -65,8 +66,8 @@ use beeping::faults::{FaultPlan, FaultTarget};
 use beeping::rng::aux_rng;
 use beeping::trace::{RoundReport, Trace};
 use beeping::{
-    ByzantineError, Checkpoint, ChurnError, EngineMode, FaultError, RestoreError, SimGraph,
-    Simulator,
+    BeepingProtocol, ByzantineError, Checkpoint, ChurnError, EngineMode, FaultError, RestoreError,
+    SimGraph, Simulator,
 };
 use graphs::Graph;
 use rand_pcg::Pcg64Mcg;
@@ -219,7 +220,7 @@ pub struct ResumableConfig {
     /// Permanently deviating nodes. Configuration only — it is *not* part
     /// of a [`RunCheckpoint`]; resuming under a different plan is guarded by
     /// the harness snapshot's config fingerprint, not here. Without one, a
-    /// debug build installs [`crate::invariant::InvariantChecker`] on every
+    /// debug build runs [`crate::invariant::check_round`] after every
     /// round; a Byzantine node's RAM is adversary-controlled and
     /// legitimately violates the protocol invariants.
     pub byzantine: ByzantinePlan<Level>,
@@ -378,11 +379,76 @@ pub struct RunCheckpoint {
     pub motion: Option<MotionState>,
 }
 
+/// How a [`RunLoop`] judges the protocol it runs. The paper's algorithms
+/// judge through the stable-set tracker; the baselines and
+/// [`crate::adaptive::AdaptiveMis`] judge their own predicate and run through
+/// [`crate::runner::run_from`], without events.
+pub trait Judge: BeepingProtocol + Clone + 'static {
+    /// Whether `run` stops, asked at every round boundary (round 0 too)
+    /// before the budget.
+    fn stopped(run: &mut RunLoop<'_, Self>) -> bool;
+
+    /// The answer set of a finished `run`.
+    fn members(run: &RunLoop<'_, Self>) -> Vec<bool>;
+
+    /// Brings what the judge keeps up to date — at each round event and at
+    /// the end of the run — and fills in the protocol's fields of a round
+    /// event. The default keeps and fills nothing.
+    fn refresh(_run: &mut RunLoop<'_, Self>, _event: Option<&mut RoundEvent>) {}
+
+    /// The check, panicking on a violation, that debug builds run after
+    /// every round without Byzantine nodes. The default checks nothing.
+    fn check_round(&self, _graph: &Graph, _round: u64, _states: &[Self::State]) {}
+}
+
+impl<A: SelfStabilizingMis> Judge for A {
+    /// Past the last scheduled event and [`stabilized_active`] on the live
+    /// configuration, as tracked by the stable set (debug builds cross-check
+    /// the full sweep). While some active node is off its extreme levels the
+    /// answer is `false` without a refresh, and a stale tracker stays stale
+    /// for its next reader.
+    fn stopped(run: &mut RunLoop<'_, A>) -> bool {
+        if run.sim.round() < run.last_event_round {
+            return false;
+        }
+        let gated = run.stable_set.is_stale()
+            && has_off_extreme(&run.algo, run.sim.states(), run.sim.active());
+        let stabilized = !gated && run.observe().stabilized();
+        debug_assert_eq!(
+            stabilized,
+            stabilized_active(&run.algo, run.sim.graph(), run.sim.states(), run.sim.active()),
+            "stable-set tracker disagrees with the full sweep at round {}",
+            run.sim.round()
+        );
+        stabilized
+    }
+
+    fn members(run: &RunLoop<'_, A>) -> Vec<bool> {
+        debug_assert!(!run.stable_set.is_stale(), "members read before finish()");
+        run.stable_set.in_mis().to_vec()
+    }
+
+    fn refresh(run: &mut RunLoop<'_, A>, event: Option<&mut RoundEvent>) {
+        let set = run.observe();
+        let sizes = (Some(set.in_mis_count() as u64), Some(set.stable_count() as u64));
+        if let Some(event) = event {
+            (event.in_mis, event.stable) = sizes;
+            let sample = run.config.telemetry.sample_levels(event.round);
+            event.levels = sample.then(|| level_histogram(run.levels()));
+        }
+    }
+
+    /// The level-range and Figure-1 invariants of [`crate::invariant`].
+    fn check_round(&self, graph: &Graph, round: u64, levels: &[Level]) {
+        crate::invariant::check_round(self, graph, round, levels);
+    }
+}
+
 /// A run inverted into a state machine over a graph borrowed for `'g`; see
 /// the module docs.
-pub struct RunLoop<'g, A: SelfStabilizingMis> {
-    sim: Simulator<'g, A>,
-    algo: A,
+pub struct RunLoop<'g, P: Judge> {
+    sim: Simulator<'g, P>,
+    algo: P,
     config: ResumableConfig,
     fault_rng: Pcg64Mcg,
     motion: Option<DynamicTopology>,
@@ -466,7 +532,7 @@ impl<A: SelfStabilizingMis> RunLoop<'static, A> {
         }
         let levels = checkpoint.sim.states().to_vec();
         let graph = SimGraph::Shared(Arc::clone(checkpoint.sim.shared_graph()));
-        let mut sim = build_sim(graph, algo, &config, levels);
+        let mut sim = build_sim(graph, algo, &config, levels, config.byzantine.clone());
         sim.restore(&checkpoint.sim)?;
         let mut run = RunLoop::assemble(sim, algo, config, motion);
         run.fault_rng = checkpoint.fault_rng.clone();
@@ -510,30 +576,28 @@ fn validate_plans<A: SelfStabilizingMis>(
     Ok(())
 }
 
-/// Builds the simulator of a run — the only simulator construction in this
-/// crate's drivers. Debug builds install the per-round
-/// [`crate::invariant::InvariantChecker`] unless the configuration carries
-/// Byzantine nodes.
-fn build_sim<'g, A: SelfStabilizingMis>(
+/// Builds the simulator of a run — the only simulator construction in the
+/// workspace's drivers — with the `byzantine` plan. Without Byzantine nodes,
+/// debug builds install the judge's [`Judge::check_round`].
+pub(crate) fn build_sim<'g, P: Judge>(
     graph: SimGraph<'g>,
-    algo: &A,
+    algo: &P,
     config: &ResumableConfig,
-    levels: Vec<Level>,
-) -> Simulator<'g, A> {
-    let mut sim = Simulator::on(graph, algo.clone(), levels, config.seed)
+    states: Vec<P::State>,
+    byzantine: ByzantinePlan<P::State>,
+) -> Simulator<'g, P> {
+    let sim = Simulator::on(graph, algo.clone(), states, config.seed)
         .with_channel(config.channel.clone())
         .with_engine(config.engine)
         .with_telemetry(config.telemetry.clone());
-    if config.byzantine.is_empty() {
-        if cfg!(debug_assertions) {
-            let checker = crate::invariant::InvariantChecker::for_algorithm(algo);
-            sim = sim
-                .with_invariant_hook(move |g, round, states| checker.check_round(g, round, states));
-        }
+    if !byzantine.is_empty() {
+        sim.with_byzantine(byzantine)
+    } else if cfg!(debug_assertions) {
+        let judge = algo.clone();
+        sim.with_invariant_hook(move |g, round, states| judge.check_round(g, round, states))
     } else {
-        sim = sim.with_byzantine(config.byzantine.clone());
+        sim
     }
-    sim
 }
 
 /// Records a disturbance marker at round boundary `round`.
@@ -610,39 +674,11 @@ impl<'g, A: SelfStabilizingMis> RunLoop<'g, A> {
         };
         let n = graph.len() as u64;
         let levels = initial_levels(algo, &config);
-        let sim = build_sim(graph, algo, &config, levels);
+        let sim = build_sim(graph, algo, &config, levels, config.byzantine.clone());
         if config.telemetry.is_enabled() {
             config.telemetry.record(Event::RunStart { label: label.into(), n, seed: config.seed });
         }
         Ok(RunLoop::assemble(sim, algo, config, motion))
-    }
-
-    fn assemble(
-        sim: Simulator<'g, A>,
-        algo: &A,
-        config: ResumableConfig,
-        motion: Option<DynamicTopology>,
-    ) -> RunLoop<'g, A> {
-        let last_event_round = config
-            .faults
-            .last_fault_round()
-            .unwrap_or(0)
-            .max(config.churn.last_event_round().unwrap_or(0));
-        let stable_set = StableSet::new(sim.graph().len());
-        RunLoop {
-            sim,
-            algo: algo.clone(),
-            fault_rng: aux_rng(config.seed, FAULT_RNG_PURPOSE),
-            motion,
-            trace: Trace::new(),
-            last_event_round,
-            applied_through: None,
-            applied: Vec::new(),
-            stable_set,
-            status: RunStatus::Running,
-            crash_before_round: None,
-            config,
-        }
     }
 
     /// Applies the events scheduled at the current round boundary — faults
@@ -685,11 +721,6 @@ impl<'g, A: SelfStabilizingMis> RunLoop<'g, A> {
         &self.applied
     }
 
-    /// The round boundary of the last scheduled fault or churn event.
-    pub(crate) fn last_event_round(&self) -> u64 {
-        self.last_event_round
-    }
-
     /// The stable-set tracker, brought up to date with the live
     /// configuration (adding its node judgments to the `check.rejudged`
     /// counter).
@@ -704,98 +735,6 @@ impl<'g, A: SelfStabilizingMis> RunLoop<'g, A> {
             self.config.telemetry.counter_add("check.rejudged", judged);
         }
         &self.stable_set
-    }
-
-    /// The default stopping predicate: past the last scheduled event and
-    /// [`stabilized_active`] on the live configuration, as tracked by the
-    /// stable set (debug builds cross-check the full sweep). While some
-    /// active node is off its extreme levels the answer is `false` without
-    /// a refresh, and a stale tracker stays stale for its next reader.
-    pub(crate) fn stabilized(&mut self) -> bool {
-        if self.sim.round() < self.last_event_round {
-            return false;
-        }
-        let gated = self.stable_set.is_stale()
-            && has_off_extreme(&self.algo, self.sim.states(), self.sim.active());
-        let stabilized = !gated && self.observe().stabilized();
-        debug_assert_eq!(
-            stabilized,
-            stabilized_active(&self.algo, self.sim.graph(), self.sim.states(), self.sim.active()),
-            "stable-set tracker disagrees with the full sweep at round {}",
-            self.sim.round()
-        );
-        stabilized
-    }
-
-    /// Executes one round — the only place a run steps its simulator — and
-    /// emits the round's [`telemetry::RoundEvent`] with active-aware
-    /// claimed-MIS and stable-set sizes.
-    pub(crate) fn step(&mut self) -> RoundReport {
-        let r = self.sim.round();
-        if self.crash_before_round == Some(r + 1) {
-            panic!("crash injection: killed before round {}", r + 1);
-        }
-        let report = self.sim.step();
-        self.stable_set.touch_levels();
-        if self.config.telemetry.is_enabled() {
-            self.emit_round(&report);
-        }
-        report
-    }
-
-    /// Records `report` as a [`RoundEvent`] — plus the claimed-MIS and
-    /// stable-set sizes from the tracker and, at the handle's sampling
-    /// stride, a level histogram — and accumulates the `trace.*` counters
-    /// mirroring [`Trace`]'s aggregates. Costs one tracker refresh; only
-    /// called with telemetry enabled.
-    fn emit_round(&mut self, report: &RoundReport) {
-        let set = self.observe();
-        let (in_mis, stable) = (set.in_mis_count(), set.stable_count());
-        let tele = &self.config.telemetry;
-        let (graph, levels) = (self.sim.graph(), self.sim.states());
-        tele.record(Event::Round(RoundEvent {
-            round: report.round,
-            beeps_channel1: report.beeps_channel1 as u64,
-            beeps_channel2: report.beeps_channel2 as u64,
-            hearers_channel1: report.hearers_channel1 as u64,
-            hearers_channel2: report.hearers_channel2 as u64,
-            lone_beepers: report.lone_beepers as u64,
-            lone_beepers_channel2: report.lone_beepers_channel2 as u64,
-            active: self.sim.active_count() as u64,
-            n: graph.len() as u64,
-            in_mis: Some(in_mis as u64),
-            stable: Some(stable as u64),
-            levels: tele.sample_levels(report.round).then(|| level_histogram(levels)),
-        }));
-        tele.counter_add("trace.rounds", 1);
-        tele.counter_add("trace.beeps_c1", report.beeps_channel1 as u64);
-        tele.counter_add("trace.beeps_c2", report.beeps_channel2 as u64);
-        tele.counter_add("trace.hearers_c1", report.hearers_channel1 as u64);
-        tele.counter_add("trace.hearers_c2", report.hearers_channel2 as u64);
-        tele.counter_add("trace.lone_c1", report.lone_beepers as u64);
-        tele.counter_add("trace.lone_c2", report.lone_beepers_channel2 as u64);
-    }
-
-    /// Ends the run with `status`, refreshes the stable-set tracker the
-    /// outcome reads, and closes the telemetry bracket: a `RunEnd` carrying
-    /// the caller's `stabilization_round`, then the metrics snapshot.
-    pub(crate) fn finish(
-        &mut self,
-        status: RunStatus,
-        stabilization_round: Option<u64>,
-    ) -> RunStatus {
-        self.status = status;
-        self.observe();
-        let tele = &self.config.telemetry;
-        if tele.is_enabled() {
-            tele.record(Event::RunEnd {
-                rounds: self.sim.round(),
-                stabilized: status == RunStatus::Stabilized,
-                stabilization_round,
-            });
-            tele.finish();
-        }
-        status
     }
 
     /// Corrupts `target` at the current boundary (from the fault stream,
@@ -823,17 +762,7 @@ impl<'g, A: SelfStabilizingMis> RunLoop<'g, A> {
             return self.status;
         }
         self.apply_events();
-        let r = self.sim.round();
-        if self.stabilized() {
-            let fault_free = r.saturating_sub(self.last_event_round);
-            return self.finish(RunStatus::Stabilized, Some(fault_free));
-        }
-        if r >= self.config.max_rounds {
-            return self.finish(RunStatus::BudgetExhausted, None);
-        }
-        let report = self.step();
-        self.trace.push(report);
-        self.status
+        self.advance()
     }
 
     /// Ticks until the run leaves [`RunStatus::Running`].
@@ -865,24 +794,128 @@ impl<'g, A: SelfStabilizingMis> RunLoop<'g, A> {
             stabilization_round: stabilized
                 .then(|| self.sim.round().saturating_sub(self.last_event_round)),
             levels: self.sim.states().to_vec(),
-            mis: self.mis(),
+            mis: A::members(self),
             active: self.sim.active().to_vec(),
             trace: self.trace.clone(),
         })
     }
+}
 
-    /// [`crate::recovery::claimed_mis`] of the configuration at the last
-    /// [`RunLoop::finish`], read from the tracker.
-    pub(crate) fn mis(&self) -> Vec<bool> {
-        debug_assert!(!self.stable_set.is_stale(), "mis() read before finish()");
-        self.stable_set.in_mis().to_vec()
+impl<'g, P: Judge> RunLoop<'g, P> {
+    pub(crate) fn assemble(
+        sim: Simulator<'g, P>,
+        algo: &P,
+        config: ResumableConfig,
+        motion: Option<DynamicTopology>,
+    ) -> RunLoop<'g, P> {
+        let last_event_round = config
+            .faults
+            .last_fault_round()
+            .unwrap_or(0)
+            .max(config.churn.last_event_round().unwrap_or(0));
+        let stable_set = StableSet::new(sim.graph().len());
+        RunLoop {
+            sim,
+            algo: algo.clone(),
+            fault_rng: aux_rng(config.seed, FAULT_RNG_PURPOSE),
+            motion,
+            trace: Trace::new(),
+            last_event_round,
+            applied_through: None,
+            applied: Vec::new(),
+            stable_set,
+            status: RunStatus::Running,
+            crash_before_round: None,
+            config,
+        }
     }
 
-    /// Active nodes in `S_t` at the last [`RunLoop::finish`] — the round
-    /// event's `stable` field.
-    pub(crate) fn stable_count(&self) -> usize {
-        debug_assert!(!self.stable_set.is_stale(), "stable_count() read before finish()");
-        self.stable_set.stable_count()
+    /// The round boundary of the last scheduled fault or churn event.
+    pub(crate) fn last_event_round(&self) -> u64 {
+        self.last_event_round
+    }
+
+    /// A round boundary after its events: stops if the judge says so or the
+    /// total budget is spent, and otherwise steps the simulator one round.
+    pub(crate) fn advance(&mut self) -> RunStatus {
+        let r = self.sim.round();
+        if P::stopped(self) {
+            let fault_free = r.saturating_sub(self.last_event_round);
+            return self.finish(RunStatus::Stabilized, Some(fault_free));
+        }
+        if r >= self.config.max_rounds {
+            return self.finish(RunStatus::BudgetExhausted, None);
+        }
+        let report = self.step();
+        self.trace.push(report);
+        self.status
+    }
+
+    /// Executes one round — the only place a run steps its simulator — and
+    /// emits the round's [`telemetry::RoundEvent`].
+    pub(crate) fn step(&mut self) -> RoundReport {
+        let r = self.sim.round();
+        if self.crash_before_round == Some(r + 1) {
+            panic!("crash injection: killed before round {}", r + 1);
+        }
+        let report = self.sim.step();
+        self.stable_set.touch_levels();
+        if self.config.telemetry.is_enabled() {
+            self.emit_round(&report);
+        }
+        report
+    }
+
+    /// Records `report` as a [`RoundEvent`], completed by the judge's
+    /// [`Judge::refresh`] (for the paper's algorithms, one tracker refresh),
+    /// and accumulates the `trace.*` counters mirroring [`Trace`]'s
+    /// aggregates. Only called with telemetry enabled.
+    fn emit_round(&mut self, report: &RoundReport) {
+        let mut event = RoundEvent {
+            round: report.round,
+            beeps_channel1: report.beeps_channel1 as u64,
+            beeps_channel2: report.beeps_channel2 as u64,
+            hearers_channel1: report.hearers_channel1 as u64,
+            hearers_channel2: report.hearers_channel2 as u64,
+            lone_beepers: report.lone_beepers as u64,
+            lone_beepers_channel2: report.lone_beepers_channel2 as u64,
+            active: self.sim.active_count() as u64,
+            n: self.sim.graph().len() as u64,
+            ..RoundEvent::default()
+        };
+        P::refresh(self, Some(&mut event));
+        let tele = &self.config.telemetry;
+        tele.record(Event::Round(event));
+        tele.counter_add("trace.rounds", 1);
+        tele.counter_add("trace.beeps_c1", report.beeps_channel1 as u64);
+        tele.counter_add("trace.beeps_c2", report.beeps_channel2 as u64);
+        tele.counter_add("trace.hearers_c1", report.hearers_channel1 as u64);
+        tele.counter_add("trace.hearers_c2", report.hearers_channel2 as u64);
+        tele.counter_add("trace.lone_c1", report.lone_beepers as u64);
+        tele.counter_add("trace.lone_c2", report.lone_beepers_channel2 as u64);
+    }
+
+    /// Ends the run with `status`, brings the judgment the outcome reads up
+    /// to date ([`Judge::refresh`]), and closes the telemetry bracket: a
+    /// `RunEnd` carrying the caller's `stabilization_round`, then the
+    /// metrics snapshot.
+    pub(crate) fn finish(
+        &mut self,
+        status: RunStatus,
+        stabilization_round: Option<u64>,
+    ) -> RunStatus {
+        self.status = status;
+        P::refresh(self, None);
+        let tele = &self.config.telemetry;
+        if tele.is_enabled() {
+            tele.record(Event::RunEnd {
+                rounds: self.sim.round(),
+                stabilized: status == RunStatus::Stabilized,
+                stabilization_round,
+            });
+            tele.finish();
+        }
+        status
     }
 
     /// Current status without ticking.
@@ -900,9 +933,9 @@ impl<'g, A: SelfStabilizingMis> RunLoop<'g, A> {
         &self.trace
     }
 
-    /// Current per-node levels (including crashed/departed nodes' last
-    /// state). Cheap borrow for per-round predicates — no checkpoint clone.
-    pub fn levels(&self) -> &[Level] {
+    /// Current per-node states (levels, for the paper's algorithms),
+    /// including departed nodes'. Cheap borrow — no checkpoint clone.
+    pub fn levels(&self) -> &[P::State] {
         self.sim.states()
     }
 
@@ -916,11 +949,6 @@ impl<'g, A: SelfStabilizingMis> RunLoop<'g, A> {
         self.sim.active()
     }
 
-    /// The configuration this run executes under.
-    pub fn config(&self) -> &ResumableConfig {
-        &self.config
-    }
-
     /// Arms (or disarms) the crash-injection trigger: the tick that would
     /// execute `round` panics instead, simulating a process kill at an
     /// exact, reproducible point. Test instrumentation for the harness
@@ -930,7 +958,7 @@ impl<'g, A: SelfStabilizingMis> RunLoop<'g, A> {
     }
 }
 
-impl<A: SelfStabilizingMis> std::fmt::Debug for RunLoop<'_, A> {
+impl<P: Judge> std::fmt::Debug for RunLoop<'_, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResumableRun")
             .field("round", &self.sim.round())
@@ -1352,7 +1380,7 @@ mod tests {
                 quiet.apply_events();
                 if has_off_extreme(&algo, quiet.levels(), quiet.active()) {
                     assert!(quiet.stable_set.is_stale());
-                    assert!(!quiet.stabilized());
+                    assert!(!Algorithm1::stopped(&mut quiet));
                     assert!(quiet.stable_set.is_stale(), "refreshed at round {}", quiet.round());
                     gated += 1;
                 }

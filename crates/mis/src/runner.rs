@@ -6,6 +6,7 @@
 //! (`S_t = V`), at which point the configuration is a fixpoint and `I_t` is
 //! an MIS.
 
+use beeping::byzantine::ByzantinePlan;
 use beeping::faults::FaultTarget;
 use beeping::rng::aux_rng;
 use beeping::trace::Trace;
@@ -18,7 +19,8 @@ use crate::algorithm1::Algorithm1;
 use crate::algorithm2::Algorithm2;
 use crate::levels::{Level, LevelSpace};
 use crate::policy::LmaxPolicy;
-use crate::resumable::{PlanError, ResumableConfig, RunLoop, RunStatus};
+use crate::recovery::stable_where;
+use crate::resumable::{build_sim, Judge, PlanError, ResumableConfig, RunLoop, RunStatus};
 
 /// Purpose tag of the initial-configuration RNG stream.
 pub(crate) const INIT_RNG_PURPOSE: u64 = 0xC0FF_EE00;
@@ -70,13 +72,13 @@ impl InitialLevels {
 /// [`ResumableConfig`]).
 pub type RunConfig = ResumableConfig;
 
-/// The result of a successful stabilization run.
+/// The result of a run that its [`Judge`] stopped within budget.
 #[derive(Debug, Clone)]
-pub struct Outcome {
-    /// The computed maximal independent set.
+pub struct Outcome<S = Level> {
+    /// The computed maximal independent set (the judge's answer set).
     pub mis: Vec<bool>,
-    /// Final levels.
-    pub levels: Vec<Level>,
+    /// Final per-node states: levels, for the paper's algorithms.
+    pub levels: Vec<S>,
     /// First round at which `S_t = V` held **after the last scheduled
     /// fault** (the paper's stabilization time: fault-free rounds from the
     /// last corruption; equals total rounds when no faults are scheduled).
@@ -89,7 +91,7 @@ pub struct Outcome {
     /// Level snapshots per round (entry `t` = levels *after* round `t+1`,
     /// before that boundary's faults), present for [`run_with_history`]. The
     /// initial configuration is prepended as entry 0.
-    pub level_history: Option<Vec<Vec<Level>>>,
+    pub level_history: Option<Vec<Vec<S>>>,
 }
 
 /// The round budget ran out before stabilization.
@@ -97,9 +99,9 @@ pub struct Outcome {
 pub struct StabilizationError {
     /// The exhausted budget.
     pub max_rounds: u64,
-    /// How many active vertices were in `S_t` when the budget ran out,
-    /// under the algorithm's own claiming level (the same number as the
-    /// final round event's `stable` field).
+    /// How many active vertices were in the answer set or adjacent to a
+    /// member when the budget ran out: for the paper's algorithms `S_t`,
+    /// the final round event's `stable` field.
     pub stable_count: usize,
     /// Graph size, for context.
     pub n: usize,
@@ -117,7 +119,7 @@ impl std::fmt::Display for StabilizationError {
 
 impl std::error::Error for StabilizationError {}
 
-/// Why [`run`] or [`run_recovery`] produced no outcome.
+/// Why [`run`], [`run_recovery`] or [`run_from`] produced no outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunError {
     /// A schedule in the configuration is invalid for the graph.
@@ -149,6 +151,9 @@ impl From<StabilizationError> for RunError {
     }
 }
 
+/// The result of a run: its [`Outcome`], or why it has none.
+pub type RunResult<S = Level> = Result<Outcome<S>, RunError>;
+
 /// Shared behavior of the paper's two self-stabilizing protocols, enabling
 /// experiment code generic over the algorithm variant. The two differ only
 /// in their [`LevelSpace`]; stability is judged for both by the one
@@ -156,7 +161,7 @@ impl From<StabilizationError> for RunError {
 ///
 /// This trait is sealed in spirit: it is implemented by [`Algorithm1`] and
 /// [`Algorithm2`] and not intended for downstream implementations.
-pub trait SelfStabilizingMis: BeepingProtocol<State = Level> + Clone {
+pub trait SelfStabilizingMis: BeepingProtocol<State = Level> + Clone + 'static {
     /// The protocol's level state space. A constant, so the claiming level
     /// folds into the stable-set tracker's per-node class computation.
     const SPACE: LevelSpace;
@@ -195,11 +200,7 @@ pub fn initial_levels<A: SelfStabilizingMis>(algo: &A, config: &RunConfig) -> Ve
 /// (explicit node id out of range, `RandomCount` above `n`, fraction
 /// outside `[0, 1]`, …); [`RunError::Budget`] if `config.max_rounds`
 /// rounds elapse without reaching `S_t = V` after the last fault.
-pub fn run<A: SelfStabilizingMis>(
-    graph: &Graph,
-    algo: &A,
-    config: RunConfig,
-) -> Result<Outcome, RunError> {
+pub fn run<A: SelfStabilizingMis>(graph: &Graph, algo: &A, config: RunConfig) -> RunResult {
     run_recorded(graph, algo, config, false)
 }
 
@@ -214,7 +215,7 @@ pub fn run_with_history<A: SelfStabilizingMis>(
     graph: &Graph,
     algo: &A,
     config: RunConfig,
-) -> Result<Outcome, RunError> {
+) -> RunResult {
     run_recorded(graph, algo, config, true)
 }
 
@@ -223,7 +224,7 @@ fn run_recorded<A: SelfStabilizingMis>(
     algo: &A,
     config: RunConfig,
     record_levels: bool,
-) -> Result<Outcome, RunError> {
+) -> RunResult {
     let max_rounds = config.max_rounds;
     let mut run = RunLoop::start(SimGraph::Borrowed(graph), algo, config, "runner")?;
     let mut history = record_levels.then(|| vec![run.levels().to_vec()]);
@@ -232,25 +233,54 @@ fn run_recorded<A: SelfStabilizingMis>(
             h.push(run.levels().to_vec());
         }
     }
+    finished(&run, max_rounds, history)
+}
+
+/// Runs `algo` — a baseline or [`crate::adaptive::AdaptiveMis`] — on
+/// `graph` from the explicit initial `states` (one per node) until its
+/// [`Judge`] stops it: the loop of [`run`], without events or telemetry.
+///
+/// # Errors
+///
+/// [`RunError::Budget`] if `max_rounds` rounds elapse first.
+pub fn run_from<P: Judge>(
+    graph: &Graph,
+    algo: &P,
+    states: Vec<P::State>,
+    seed: u64,
+    max_rounds: u64,
+) -> RunResult<P::State> {
+    let config = RunConfig::new(seed).with_max_rounds(max_rounds);
+    let sim = build_sim(SimGraph::Borrowed(graph), algo, &config, states, ByzantinePlan::new());
+    let mut run = RunLoop::assemble(sim, algo, config, None);
+    while run.advance() == RunStatus::Running {}
+    finished(&run, max_rounds, None)
+}
+
+/// The typed result of a finished run.
+fn finished<P: Judge>(
+    run: &RunLoop<'_, P>,
+    max_rounds: u64,
+    level_history: Option<Vec<Vec<P::State>>>,
+) -> RunResult<P::State> {
     if run.status() != RunStatus::Stabilized {
-        return Err(budget_error(&run, max_rounds).into());
+        return Err(budget_error(run, max_rounds).into());
     }
     Ok(Outcome {
-        mis: run.mis(),
+        mis: P::members(run),
         levels: run.levels().to_vec(),
         stabilization_round: run.round().saturating_sub(run.last_event_round()),
         rounds_run: run.round(),
         trace: run.trace().clone(),
-        level_history: history,
+        level_history,
     })
 }
 
 /// The error of a finished run whose `max_rounds` budget ran out.
-fn budget_error<A: SelfStabilizingMis>(
-    run: &RunLoop<'_, A>,
-    max_rounds: u64,
-) -> StabilizationError {
-    StabilizationError { max_rounds, stable_count: run.stable_count(), n: run.graph().len() }
+fn budget_error<P: Judge>(run: &RunLoop<'_, P>, max_rounds: u64) -> StabilizationError {
+    let (graph, active, members) = (run.graph(), run.active(), P::members(run));
+    let stable_count = stable_where(graph, &members, |v| active[v]).filter(|&s| s).count();
+    StabilizationError { max_rounds, stable_count, n: graph.len() }
 }
 
 /// A uniform draw over node `v`'s full state space — "arbitrary RAM
@@ -305,7 +335,7 @@ pub fn run_recovery<A: SelfStabilizingMis>(
         initial_stabilization,
         recovery_rounds: run.round() - initial_stabilization,
         corrupted_nodes,
-        mis: run.mis(),
+        mis: A::members(&run),
     })
 }
 

@@ -136,12 +136,6 @@ impl ScenarioConfig {
         self
     }
 
-    /// Sets the containment radius.
-    pub fn with_containment_radius(mut self, containment_radius: usize) -> ScenarioConfig {
-        self.containment_radius = containment_radius;
-        self
-    }
-
     /// Sets the motion-speed grid.
     pub fn with_speeds(mut self, speeds: Vec<f64>) -> ScenarioConfig {
         self.speeds = speeds;

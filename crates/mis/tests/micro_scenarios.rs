@@ -7,6 +7,7 @@ use beeping::{BeepingProtocol, Simulator};
 use graphs::generators::classic;
 use graphs::Graph;
 use mis::levels::Level;
+use mis::runner::{InitialLevels, RunConfig};
 use mis::{Algorithm1, Algorithm2, LmaxPolicy};
 
 /// Exhaustive single-step check of Algorithm 1's `receive` against the
@@ -92,8 +93,11 @@ fn isolated_vertex_lifecycle() {
     // Decay phase: ℓmax → 1 takes ℓmax - 1 silent rounds, deterministically
     // (beep probability en route is < 1 but a beep just accelerates the
     // join; check levels stay in the corridor).
-    let joined = sim.run_until(1_000, |s| s.states()[0] == -lmax).expect("joins");
-    assert!(joined >= 1);
+    while *sim.state(0) != -lmax {
+        assert!(sim.round() < 1_000, "never joined");
+        sim.step();
+    }
+    assert!(sim.round() >= 1);
     // Fixpoint: beeps forever, stays at -ℓmax.
     for _ in 0..20 {
         let report = sim.step();
@@ -108,9 +112,9 @@ fn isolated_vertex_lifecycle() {
 fn disconnected_components_stabilize_independently() {
     let g = Graph::empty(2);
     let algo = Algorithm1::new(&g, LmaxPolicy::fixed(2, 4));
-    let mut sim = Simulator::new(&g, algo.clone(), vec![4, -4], 3);
-    sim.run_until(10_000, |s| algo.is_stabilized(s.graph(), s.states())).expect("stabilizes");
-    assert_eq!(algo.mis_members(&g, sim.states()), vec![true, true]);
+    let config = RunConfig::new(3).with_init(InitialLevels::Custom(vec![4, -4]));
+    let outcome = algo.run(&g, config.with_max_rounds(10_000)).expect("stabilizes");
+    assert_eq!(outcome.mis, vec![true, true]);
 }
 
 /// A star's stable states: either the hub alone, or all leaves.

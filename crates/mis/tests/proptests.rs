@@ -293,7 +293,7 @@ fn check_active_aware<A: mis::runner::SelfStabilizingMis>(
         mis::containment::disruption_radius_with(algo, g, levels, active, &dist),
         if stabilized { 0 } else { usize::MAX }
     );
-    mis::InvariantChecker::for_algorithm(algo).check_round(g, 1, levels);
+    mis::invariant::check_round(algo, g, 1, levels);
     Ok(())
 }
 

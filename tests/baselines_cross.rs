@@ -19,10 +19,10 @@ fn all_algorithms_produce_independent_dominating_sets() {
     let o2 = alg2.run(&g, RunConfig::new(1)).unwrap();
     sizes.push(("alg2", graphs::mis::size(&o2.mis)));
 
-    let (jsx, _) = JsxMis::new().run_clean(&g, 1, 1_000_000).unwrap();
+    let jsx = JsxMis::new().run_clean(&g, 1, 1_000_000).unwrap().mis;
     sizes.push(("jsx", graphs::mis::size(&jsx)));
 
-    let (afek, _) = AfekStyleMis::new(150).run(&g, 1, 1_000_000).unwrap();
+    let afek = AfekStyleMis::new(150).run(&g, 1, 1_000_000).unwrap().mis;
     sizes.push(("afek", graphs::mis::size(&afek)));
 
     let (luby, _) = luby_mis(&g, 1, 1_000_000).unwrap();
@@ -53,7 +53,7 @@ fn jsx_matches_alg1_speed_from_clean_start() {
     let mut jsx_total = 0u64;
     let mut alg1_total = 0u64;
     for seed in 0..5 {
-        jsx_total += JsxMis::new().run_clean(&g, seed, 1_000_000).unwrap().1;
+        jsx_total += JsxMis::new().run_clean(&g, seed, 1_000_000).unwrap().rounds_run;
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
         alg1_total += algo
             .run(&g, RunConfig::new(seed).with_init(InitialLevels::AllOne))
@@ -81,8 +81,8 @@ fn afek_pays_for_loose_n_bounds_while_alg1_does_not() {
     let mut loose_total = 0u64;
     let mut alg1_total = 0u64;
     for seed in 0..5 {
-        tight_total += afek_tight.run(&g, seed, 10_000_000).unwrap().1;
-        loose_total += afek_loose.run(&g, seed, 10_000_000).unwrap().1;
+        tight_total += afek_tight.run(&g, seed, 10_000_000).unwrap().rounds_run;
+        loose_total += afek_loose.run(&g, seed, 10_000_000).unwrap().rounds_run;
         alg1_total += algo.run(&g, RunConfig::new(seed)).unwrap().stabilization_round;
     }
     assert!(
@@ -105,9 +105,9 @@ fn jsx_fails_exactly_where_the_paper_says() {
     for s in &mut all_out {
         s.status = JsxStatus::OutOfMis;
     }
-    let (mis, rounds) = JsxMis::new().run_from(&g, all_out, 0, 1_000).unwrap();
-    assert_eq!(rounds, 0);
-    assert!(!graphs::mis::is_maximal_independent_set(&g, &mis));
+    let jsx = JsxMis::new().run_from(&g, all_out, 0, 1_000).unwrap();
+    assert_eq!(jsx.rounds_run, 0);
+    assert!(!graphs::mis::is_maximal_independent_set(&g, &jsx.mis));
 
     let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
     let outcome = algo.run(&g, RunConfig::new(0).with_init(InitialLevels::AllMax)).unwrap();

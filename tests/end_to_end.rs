@@ -78,15 +78,15 @@ fn algorithm2_all_workloads() {
 #[test]
 fn baselines_all_workloads() {
     for (name, g) in workload_zoo() {
-        let (jsx_mis, _) = baselines::JsxMis::new()
+        let jsx = baselines::JsxMis::new()
             .run_clean(&g, 17, 2_000_000)
-            .unwrap_or_else(|| panic!("jsx did not terminate on {name}"));
-        assert!(graphs::mis::is_maximal_independent_set(&g, &jsx_mis), "jsx on {name}");
+            .unwrap_or_else(|e| panic!("jsx did not terminate on {name}: {e}"));
+        assert!(graphs::mis::is_maximal_independent_set(&g, &jsx.mis), "jsx on {name}");
 
-        let (afek_mis, _) = baselines::AfekStyleMis::new(g.len().max(2))
+        let afek = baselines::AfekStyleMis::new(g.len().max(2))
             .run(&g, 17, 5_000_000)
-            .unwrap_or_else(|| panic!("afek did not terminate on {name}"));
-        assert!(graphs::mis::is_maximal_independent_set(&g, &afek_mis), "afek on {name}");
+            .unwrap_or_else(|e| panic!("afek did not terminate on {name}: {e}"));
+        assert!(graphs::mis::is_maximal_independent_set(&g, &afek.mis), "afek on {name}");
 
         let (luby, _) = baselines::luby_mis(&g, 17, 1_000_000)
             .unwrap_or_else(|| panic!("luby did not terminate on {name}"));

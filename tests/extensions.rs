@@ -19,7 +19,7 @@ fn adaptive_matches_knowledge_based_outcomes_in_validity() {
     let adaptive = AdaptiveMis::new();
     let knowledge = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
     for seed in 0..5 {
-        let (a_mis, _) = adaptive.run_random_init(&g, seed, 2_000_000).expect("adaptive");
+        let a_mis = adaptive.run_random_init(&g, seed, 2_000_000).expect("adaptive").mis;
         let outcome = knowledge.run(&g, RunConfig::new(seed)).expect("knowledge");
         assert!(graphs::mis::is_maximal_independent_set(&g, &a_mis));
         assert!(graphs::mis::is_maximal_independent_set(&g, &outcome.mis));
@@ -32,21 +32,22 @@ fn adaptive_survives_fault_bursts() {
     let g = random::gnp(80, 0.1, 2);
     let adaptive = AdaptiveMis::new();
     let init: Vec<AdaptiveState> = (0..80).map(|_| AdaptiveState::fresh()).collect();
-    let mut sim = beeping::Simulator::new(&g, adaptive, init, 5);
-    sim.run_until(2_000_000, |s| adaptive.is_stabilized(&g, s.states()))
-        .expect("first stabilization");
+    let stable = adaptive.run_from(&g, init, 5, 2_000_000).expect("first stabilization");
     let mut rng = beeping::rng::aux_rng(5, 0xFE);
-    for v in g.nodes() {
-        let state = AdaptiveState::sanitized(
-            rand::Rng::gen_range(&mut rng, -100i64..100),
-            rand::Rng::gen_range(&mut rng, -10i64..100),
-        );
-        sim.corrupt_state(v, state);
-    }
-    sim.run_until(4_000_000, |s| adaptive.is_stabilized(&g, s.states()))
+    let corrupted: Vec<AdaptiveState> = stable
+        .levels
+        .iter()
+        .map(|_| {
+            AdaptiveState::sanitized(
+                rand::Rng::gen_range(&mut rng, -100i64..100),
+                rand::Rng::gen_range(&mut rng, -10i64..100),
+            )
+        })
+        .collect();
+    let recovered = adaptive
+        .run_from(&g, corrupted, 6, 4_000_000)
         .expect("re-stabilization after full corruption");
-    let mis_set = adaptive.mis_members(&g, sim.states());
-    assert!(graphs::mis::is_maximal_independent_set(&g, &mis_set));
+    assert!(graphs::mis::is_maximal_independent_set(&g, &recovered.mis));
 }
 
 #[test]
@@ -58,7 +59,7 @@ fn two_state_and_alg1_agree_on_small_worst_cases() {
         classic::star(25),
     ] {
         let two_state = TwoStateMis::new();
-        let (mis2, _) = two_state.run_random_init(&g, 7, 10_000_000).expect("2-state");
+        let mis2 = two_state.run_random_init(&g, 7, 10_000_000).expect("2-state").mis;
         assert!(graphs::mis::is_maximal_independent_set(&g, &mis2));
         let alg1 = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
         let o = alg1.run(&g, RunConfig::new(7)).expect("alg1");
@@ -78,14 +79,16 @@ fn sleepy_wrapped_algorithm1_stabilizes_after_staggered_wakeup() {
         .map(|(v, &l)| SleepyState::new((v as u64 * 7) % 500, l))
         .collect();
     let mut sim = beeping::Simulator::new(&g, Sleepy::new(algo.clone()), init, 9);
-    let done = sim.run_until(1_000_000, |s| {
-        s.states().iter().all(SleepyState::is_awake) && {
-            let ls: Vec<Level> = s.states().iter().map(|st| st.inner).collect();
-            algo.is_stabilized(&g, &ls)
-        }
-    });
-    assert!(done.is_some());
-    let ls: Vec<Level> = sim.states().iter().map(|st| st.inner).collect();
+    let inner = |states: &[SleepyState<Level>]| -> Vec<Level> {
+        states.iter().map(|st| st.inner).collect()
+    };
+    while !(sim.states().iter().all(SleepyState::is_awake)
+        && algo.is_stabilized(&g, &inner(sim.states())))
+    {
+        assert!(sim.round() < 1_000_000, "not stabilized");
+        sim.step();
+    }
+    let ls = inner(sim.states());
     assert!(graphs::mis::is_maximal_independent_set(&g, &algo.mis_members(&g, &ls)));
 }
 
@@ -112,9 +115,9 @@ fn half_duplex_breaks_exactly_the_join_rule() {
     let g = classic::path(2);
     let algo = Algorithm1::new(&g, LmaxPolicy::fixed(2, 5));
 
-    let mut full = beeping::Simulator::new(&g, algo.clone(), vec![-5, -5], 3);
-    let resolved = full.run_until(100_000, |s| algo.is_stabilized(&g, s.states()));
-    assert!(resolved.is_some(), "full duplex resolves the double claim");
+    let full = RunConfig::new(3).with_init(InitialLevels::Custom(vec![-5, -5]));
+    let resolved = algo.run(&g, full.with_max_rounds(100_000));
+    assert!(resolved.is_ok(), "full duplex resolves the double claim");
 
     let mut half =
         beeping::Simulator::new(&g, algo.clone(), vec![-5, -5], 3).with_duplex(DuplexMode::Half);

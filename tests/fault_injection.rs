@@ -51,13 +51,10 @@ fn single_node_fault_on_stable_path_recovers_locally() {
     // re-elect someone.
     let g = classic::path(3);
     let algo = Algorithm1::new(&g, LmaxPolicy::fixed(3, 6));
-    let mut sim = beeping::Simulator::new(&g, algo.clone(), vec![6, -6, 6], 1);
-    assert!(algo.is_stabilized(&g, sim.states()));
-    sim.corrupt_state(1, 6);
-    let recovered = sim.run_until(100_000, |s| algo.is_stabilized(s.graph(), s.states()));
-    assert!(recovered.is_some());
-    let mis = algo.mis_members(&g, sim.states());
-    assert!(graphs::mis::is_maximal_independent_set(&g, &mis));
+    assert!(algo.is_stabilized(&g, &[6, -6, 6]));
+    let corrupted = RunConfig::new(1).with_init(InitialLevels::Custom(vec![6, 6, 6]));
+    let outcome = algo.run(&g, corrupted.with_max_rounds(100_000)).expect("recovers");
+    assert!(graphs::mis::is_maximal_independent_set(&g, &outcome.mis));
 }
 
 #[test]
@@ -66,12 +63,9 @@ fn corrupting_a_non_mis_node_to_claiming_state_is_detected() {
     // next to the true MIS node; the conflict must resolve to a valid MIS.
     let g = classic::path(3);
     let algo = Algorithm1::new(&g, LmaxPolicy::fixed(3, 6));
-    let mut sim = beeping::Simulator::new(&g, algo.clone(), vec![6, -6, 6], 2);
-    sim.corrupt_state(0, -6);
-    let recovered = sim.run_until(100_000, |s| algo.is_stabilized(s.graph(), s.states()));
-    assert!(recovered.is_some());
-    let mis = algo.mis_members(&g, sim.states());
-    assert!(graphs::mis::is_maximal_independent_set(&g, &mis));
+    let corrupted = RunConfig::new(2).with_init(InitialLevels::Custom(vec![-6, -6, 6]));
+    let outcome = algo.run(&g, corrupted.with_max_rounds(100_000)).expect("recovers");
+    assert!(graphs::mis::is_maximal_independent_set(&g, &outcome.mis));
 }
 
 #[test]
