@@ -23,43 +23,50 @@ use telemetry::{Config as TelemetryConfig, JsonlSink, Telemetry};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let list = args.iter().any(|a| a == "--list" || a == "--help");
-    let value_of = |flag: &str| -> Option<&String> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1))
-    };
-    let out_dir: Option<std::path::PathBuf> = value_of("--out").map(std::path::PathBuf::from);
-    let telemetry_path: Option<std::path::PathBuf> =
-        value_of("--telemetry").map(std::path::PathBuf::from);
-    let level_stride: u64 = match value_of("--level-stride").map(|s| s.parse()) {
-        None => 8,
-        Some(Ok(k)) => k,
-        Some(Err(_)) => {
-            eprintln!("--level-stride expects a non-negative integer");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (mut ids, mut unknown, mut skip_next) = (Vec::new(), None, false);
-    for arg in &args {
+    let (mut quick, mut list, mut ids, mut error) = (false, false, Vec::new(), None);
+    let (mut out_dir, mut telemetry_path, mut level_stride) = (None, None, 8);
+    // One pass: a valued flag takes the next argument, which must exist
+    // and must not itself be a flag.
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
         match arg.as_str() {
-            _ if std::mem::take(&mut skip_next) => {}
-            "--quick" | "--list" | "--help" => {}
-            "--out" | "--telemetry" | "--level-stride" => skip_next = true,
-            flag if flag.starts_with("--") => unknown = unknown.or(Some(flag)),
+            "--quick" => quick = true,
+            "--list" | "--help" => list = true,
+            flag @ ("--out" | "--telemetry" | "--level-stride") => {
+                let Some(value) = rest.next().filter(|v| !v.starts_with("--")) else {
+                    error = Some(format!("{flag} expects a value"));
+                    break;
+                };
+                match flag {
+                    "--out" => out_dir = Some(std::path::PathBuf::from(value)),
+                    "--telemetry" => telemetry_path = Some(std::path::PathBuf::from(value)),
+                    _ => match value.parse() {
+                        Ok(k) => level_stride = k,
+                        Err(_) => {
+                            error = Some("--level-stride expects a non-negative integer".into());
+                            break;
+                        }
+                    },
+                }
+            }
+            flag if flag.starts_with("--") => {
+                error = Some(format!("unknown flag: {flag}"));
+                break;
+            }
             _ => ids.push(arg),
         }
     }
-    if let Some(flag) = unknown {
-        eprintln!("unknown flag: {flag}\n");
+    if let Some(e) = &error {
+        eprintln!("{e}\n");
     }
-    if list || args.is_empty() || unknown.is_some() {
+    if list || args.is_empty() || error.is_some() {
         eprintln!("usage: experiments <id>... | all [--quick] [--list] [--out <dir>]");
         eprintln!("                   [--telemetry <path.jsonl>] [--level-stride <k>] [--help]\n");
         eprintln!("available experiments:");
         for e in experiments::all_experiments() {
             eprintln!("  {:<9} {}", e.id, e.title);
         }
-        return if list && unknown.is_none() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+        return if list && error.is_none() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
     if let Some(dir) = &out_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {

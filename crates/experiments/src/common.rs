@@ -160,6 +160,50 @@ pub fn header(id: &str, title: &str) -> String {
     format!("# [{id}] {title}\n")
 }
 
+/// The vertex of maximum degree (the first on ties; `0` on an empty
+/// graph): the Byzantine site a containment radius must survive.
+pub(crate) fn max_degree_node(g: &Graph) -> usize {
+    g.nodes().max_by_key(|&v| g.neighbors(v).len()).unwrap_or(0)
+}
+
+/// Containment statistics of one table cell over seeds.
+#[derive(Debug, Default)]
+pub(crate) struct Cell {
+    /// Certified rounds of the seeds that got there within budget.
+    pub(crate) rounds: Vec<u64>,
+    /// Largest disruption radius at any seed's stopping point.
+    pub(crate) worst_radius: usize,
+}
+
+impl Cell {
+    /// Adds one seed's certified round (`None` if its budget ran out) and
+    /// its disruption radius at the stopping point.
+    pub(crate) fn record(&mut self, round: Option<u64>, radius: usize) {
+        self.rounds.extend(round);
+        self.worst_radius = self.worst_radius.max(radius);
+    }
+}
+
+/// The `certified / mean round / worst radius` columns of a cell; a
+/// rejected cell fills the row with its error instead.
+pub(crate) fn cell_row<E: std::fmt::Display>(cell: &Result<Cell, E>, seeds: u64) -> [String; 3] {
+    let cell = match cell {
+        Ok(cell) => cell,
+        Err(e) => return [format!("error: {e}"), "-".into(), "-".into()],
+    };
+    let mean = if cell.rounds.is_empty() {
+        "-".to_string()
+    } else {
+        format!("{:.1}", Summary::of_counts(cell.rounds.iter().copied()).mean)
+    };
+    let radius = if cell.worst_radius == usize::MAX {
+        "∞".to_string()
+    } else {
+        cell.worst_radius.to_string()
+    };
+    [format!("{}/{seeds}", cell.rounds.len()), mean, radius]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -47,12 +47,13 @@ use beeping::EngineMode;
 use graphs::generators::geometric::radius_for_expected_degree;
 use graphs::motion::MotionModel;
 use graphs::Graph;
-use mis::containment::{byz_distances, disruption_radius, stabilized_except};
-use mis::resumable::{PlanError, ResumableConfig, ResumableRun, RunStatus};
+use mis::containment::run_moving_contained;
+use mis::resumable::{PlanError, ResumableConfig, ResumableRun};
 use mis::runner::SelfStabilizingMis;
 use mis::{Algorithm1, LmaxPolicy};
 use telemetry::Telemetry;
 
+use crate::common::{cell_row, max_degree_node, Cell};
 use crate::resilience::outcome_digest;
 
 /// The certified containment radius of the motion table (matches the
@@ -107,46 +108,6 @@ pub fn speeds() -> Vec<f64> {
     vec![0.0, 0.0005, 0.002, 0.01]
 }
 
-fn max_degree_node(g: &Graph) -> usize {
-    g.nodes().max_by_key(|&v| g.neighbors(v).len()).unwrap_or(0)
-}
-
-/// First round at which the run's configuration is a valid MIS on the
-/// *current* graph outside `radius` hops of `placement` (empty placement
-/// degenerates to plain instantaneous validity), or `None` on budget
-/// exhaustion; paired with the disruption radius at the stopping point.
-fn first_valid_round<A: SelfStabilizingMis>(
-    g: &Graph,
-    algo: &A,
-    config: ResumableConfig,
-    placement: &[usize],
-    radius: usize,
-) -> Result<(Option<u64>, usize), MobError> {
-    let mut run = ResumableRun::new(g, algo, config)?;
-    loop {
-        let status = run.tick();
-        let current = run.graph();
-        let dist = byz_distances(current, placement);
-        if stabilized_except(algo, current, run.levels(), run.active(), &dist, radius) {
-            let final_radius =
-                disruption_radius(algo, current, run.levels(), run.active(), placement);
-            return Ok((Some(run.round()), final_radius));
-        }
-        if status != RunStatus::Running {
-            let final_radius =
-                disruption_radius(algo, run.graph(), run.levels(), run.active(), placement);
-            return Ok((None, final_radius));
-        }
-    }
-}
-
-#[derive(Debug)]
-struct Cell {
-    ok: usize,
-    rounds: Vec<u64>,
-    worst_radius: usize,
-}
-
 fn measure_cell<A: SelfStabilizingMis>(
     g: &Graph,
     algo: &A,
@@ -156,7 +117,7 @@ fn measure_cell<A: SelfStabilizingMis>(
     budget: u64,
     radius: usize,
 ) -> Result<Cell, MobError> {
-    let mut cell = Cell { ok: 0, rounds: Vec::new(), worst_radius: 0 };
+    let mut cell = Cell::default();
     for seed in 0..seeds {
         let mut config = ResumableConfig::new(seed).with_max_rounds(budget).with_motion(spec);
         if !placement.is_empty() {
@@ -166,28 +127,10 @@ fn measure_cell<A: SelfStabilizingMis>(
             }
             config = config.with_byzantine(plan);
         }
-        let (round, final_radius) = first_valid_round(g, algo, config, placement, radius)?;
-        if let Some(r) = round {
-            cell.ok += 1;
-            cell.rounds.push(r);
-        }
-        cell.worst_radius = cell.worst_radius.max(final_radius);
+        let (round, final_radius) = run_moving_contained(g, algo, config, radius)?;
+        cell.record(round, final_radius);
     }
     Ok(cell)
-}
-
-fn cell_row(cell: &Cell, seeds: u64) -> [String; 3] {
-    let mean = if cell.rounds.is_empty() {
-        "-".to_string()
-    } else {
-        format!("{:.1}", analysis::Summary::of_counts(cell.rounds.iter().copied()).mean)
-    };
-    let radius = if cell.worst_radius == usize::MAX {
-        "∞".to_string()
-    } else {
-        cell.worst_radius.to_string()
-    };
-    [format!("{}/{seeds}", cell.ok), mean, radius]
 }
 
 /// One full moving run for the digest section, optionally streamed into
@@ -245,16 +188,14 @@ pub fn run_with(quick: bool, tele: &Telemetry) -> String {
             let spec = MotionSpec::new(points_seed, comm_radius, model);
             let g = spec.initial_graph(n);
             let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
-            match measure_cell(&g, &algo, spec, &[], seeds, budget, RADIUS) {
-                Ok(cell) => {
-                    let [ok, mean, radius] = cell_row(&cell, seeds);
-                    table.row([model.label().to_string(), format!("{speed}"), ok, mean, radius]);
-                }
-                Err(e) => {
-                    let label = model.label();
-                    let _ = writeln!(warnings, "warning: skipping ({label}, speed {speed}): {e}");
-                }
+            let cell = measure_cell(&g, &algo, spec, &[], seeds, budget, RADIUS);
+            if let Err(e) = &cell {
+                let label = model.label();
+                let _ = writeln!(warnings, "warning: skipping ({label}, speed {speed}): {e}");
+                continue;
             }
+            let [ok, mean, radius] = cell_row(&cell, seeds);
+            table.row([model.label().to_string(), format!("{speed}"), ok, mean, radius]);
         }
     }
     out.push_str(&format!("{table}"));
@@ -274,15 +215,13 @@ pub fn run_with(quick: bool, tele: &Telemetry) -> String {
         let g = spec.initial_graph(n);
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
         let site = max_degree_node(&g);
-        match measure_cell(&g, &algo, spec, &[site], seeds, budget, RADIUS) {
-            Ok(cell) => {
-                let [ok, mean, radius] = cell_row(&cell, seeds);
-                table.row([format!("{speed}"), ok, mean, radius]);
-            }
-            Err(e) => {
-                let _ = writeln!(warnings, "warning: skipping (containment, speed {speed}): {e}");
-            }
+        let cell = measure_cell(&g, &algo, spec, &[site], seeds, budget, RADIUS);
+        if let Err(e) = &cell {
+            let _ = writeln!(warnings, "warning: skipping (containment, speed {speed}): {e}");
+            continue;
         }
+        let [ok, mean, radius] = cell_row(&cell, seeds);
+        table.row([format!("{speed}"), ok, mean, radius]);
     }
     out.push_str(&format!("{table}"));
     out.push_str(&warnings);
@@ -373,7 +312,7 @@ mod tests {
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
         let cell =
             measure_cell(&g, &algo, spec, &[], 3, 100_000, RADIUS).expect("static plans are valid");
-        assert_eq!(cell.ok, 3);
+        assert_eq!(cell.rounds.len(), 3);
         assert_eq!(cell.worst_radius, 0);
     }
 

@@ -129,7 +129,19 @@ pub fn run(quick: bool) -> String {
 
     let g = config.initial_graph();
     let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
-    let worst = worst_scenario_search(&g, &algo, &config);
+    // The search, then an independent replay of the certified scenario
+    // from scratch (its score is checked below).
+    let searched = worst_scenario_search(&g, &algo, &config).and_then(|worst| {
+        let replay = evaluate_scenario(&g, &algo, &config, &worst.scenario)?;
+        Ok((worst, replay))
+    });
+    let (worst, replay) = match searched {
+        Ok(found) => found,
+        Err(e) => {
+            let _ = writeln!(out, "warning: skipping the scenario search: {e}");
+            return out;
+        }
+    };
 
     out.push_str("\n## worst scenario found\n\n");
     let _ = writeln!(
@@ -156,11 +168,9 @@ pub fn run(quick: bool) -> String {
         let _ = writeln!(out, "  after round {:>5}: {action}", event.after_round);
     }
 
-    // Independent replay: re-evaluate the certified scenario from scratch
-    // and require the identical score. This is the acceptance criterion
-    // "the worst scenario replays to the certified score", asserted on
-    // every run.
-    let replay = evaluate_scenario(&g, &algo, &config, &worst.scenario);
+    // The replay must reproduce the identical score. This is the
+    // acceptance criterion "the worst scenario replays to the certified
+    // score", asserted on every run.
     assert_eq!(
         replay.score, worst.score,
         "certified scenario did not replay to the certified score"
@@ -211,10 +221,10 @@ mod tests {
         let config = config(true);
         let g = config.initial_graph();
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
-        let a = worst_scenario_search(&g, &algo, &config);
-        let b = worst_scenario_search(&g, &algo, &config);
-        let replay_a = evaluate_scenario(&g, &algo, &config, &a.scenario);
-        let replay_b = evaluate_scenario(&g, &algo, &config, &b.scenario);
+        let a = worst_scenario_search(&g, &algo, &config).unwrap();
+        let b = worst_scenario_search(&g, &algo, &config).unwrap();
+        let replay_a = evaluate_scenario(&g, &algo, &config, &a.scenario).unwrap();
+        let replay_b = evaluate_scenario(&g, &algo, &config, &b.scenario).unwrap();
         assert_eq!(replay_a.score, a.score);
         let ja = certificate_json(&config, &a, replay_a.score);
         let jb = certificate_json(&config, &b, replay_b.score);

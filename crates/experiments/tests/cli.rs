@@ -125,9 +125,15 @@ fn experiments_list_shows_registry() {
 /// seconds: a flag the parser drops silently would start the hours-long
 /// full sweep.
 fn experiments_bounded(args: &[&str]) -> std::process::Output {
+    experiments_bounded_in(std::path::Path::new("."), args)
+}
+
+/// [`experiments_bounded`] with `dir` as the working directory.
+fn experiments_bounded_in(dir: &std::path::Path, args: &[&str]) -> std::process::Output {
     use std::process::Stdio;
     use std::time::{Duration, Instant};
     let mut child = experiments_bin()
+        .current_dir(dir)
         .args(args)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -163,6 +169,34 @@ fn experiments_rejects_unknown_flags_with_usage() {
         assert!(text.contains(&format!("unknown flag: {}", args[args.len() - 1])), "{text}");
         assert!(text.contains("usage: experiments"), "{args:?}: {text}");
     }
+}
+
+/// Runs `args` in a fresh empty working directory and asserts that the
+/// binary names the missing `--out` value, prints the usage, exits 1 and
+/// leaves the directory empty.
+fn assert_missing_out_value_rejected(name: &str, args: &[&str]) {
+    let dir = std::env::temp_dir().join(format!("beeping_mis_{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = experiments_bounded_in(&dir, args);
+    let text = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {text}");
+    assert!(text.contains("--out expects a value"), "{args:?}: {text}");
+    assert!(text.contains("usage: experiments"), "{args:?}: {text}");
+    let written: Vec<_> =
+        std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert!(written.is_empty(), "{args:?} wrote {written:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn experiments_rejects_a_trailing_out_without_value() {
+    assert_missing_out_value_rejected("cli_trailing_out", &["F1", "--quick", "--out"]);
+}
+
+#[test]
+fn experiments_rejects_a_flag_as_the_out_value() {
+    assert_missing_out_value_rejected("cli_flag_as_out", &["F1", "--out", "--quick"]);
 }
 
 #[test]

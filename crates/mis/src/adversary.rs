@@ -16,15 +16,22 @@
 //! strict-improvement acceptance, so the same seed and budget always yield
 //! the same [`WorstCase`] — the basis for the certificate JSON emitted by the
 //! `BYZ` experiment.
+//!
+//! The climb, the placement draw and the relocate move live here once and
+//! are shared with the dynamic-topology search of [`crate::scenario`]; each
+//! search brings only its own RNG stream, its other moves and its
+//! evaluation.
 
 use beeping::byzantine::{ByzantineBehavior, ByzantinePlan};
 use beeping::rng::aux_rng;
 use graphs::{Graph, NodeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
+use rand_pcg::Pcg64Mcg;
 
 use crate::containment::run_contained;
 use crate::levels::Level;
+use crate::resumable::PlanError;
 use crate::runner::{InitialLevels, RunConfig, SelfStabilizingMis};
 
 /// Purpose tag separating the adversary-search RNG stream from node,
@@ -160,17 +167,85 @@ pub struct WorstCase {
     pub improvements: usize,
 }
 
+/// The result of a [`climb`]: the best candidate, its score and payload,
+/// and what the climb spent finding it.
+pub(crate) struct Climbed<C, S> {
+    pub(crate) best: C,
+    pub(crate) score: u64,
+    pub(crate) payload: S,
+    /// Candidate evaluations actually made (the start included).
+    pub(crate) evaluations: usize,
+    /// Accepted strict improvements.
+    pub(crate) improvements: usize,
+}
+
+/// The fixed-budget local search both worst-case searches run: evaluates
+/// `start`, then up to `iterations` times asks `mutate` for a mutant of the
+/// incumbent and keeps it only on a *strict* score improvement. `mutate`
+/// returning `None` (nothing can move) ends the climb early; `evaluate`
+/// returns a candidate's score (higher is worse for the protocol) with a
+/// payload, and its first error ends the climb with that error.
+pub(crate) fn climb<C, S, E>(
+    start: C,
+    iterations: usize,
+    mut mutate: impl FnMut(&C) -> Option<C>,
+    mut evaluate: impl FnMut(&C) -> Result<(u64, S), E>,
+) -> Result<Climbed<C, S>, E> {
+    let (score, payload) = evaluate(&start)?;
+    let mut climbed = Climbed { best: start, score, payload, evaluations: 1, improvements: 0 };
+    for _ in 0..iterations {
+        let Some(candidate) = mutate(&climbed.best) else { break };
+        let (score, payload) = evaluate(&candidate)?;
+        climbed.evaluations += 1;
+        if score > climbed.score {
+            climbed.best = candidate;
+            climbed.score = score;
+            climbed.payload = payload;
+            climbed.improvements += 1;
+        }
+    }
+    Ok(climbed)
+}
+
+/// A uniformly random sorted placement of `count` distinct nodes out of
+/// `0..n`: shuffles the whole pool and takes its first `count` entries.
+pub(crate) fn draw_placement(rng: &mut Pcg64Mcg, n: usize, count: usize) -> Vec<NodeId> {
+    let mut pool: Vec<NodeId> = (0..n).collect();
+    pool.shuffle(rng);
+    let mut placement = pool[..count].to_vec();
+    placement.sort_unstable();
+    placement
+}
+
+/// Moves one node of a non-empty `placement` to a random site in `0..n`
+/// outside it, keeping the placement sorted. Needs `placement.len() < n`.
+pub(crate) fn relocate(rng: &mut Pcg64Mcg, placement: &mut [NodeId], n: usize) {
+    let slot = rng.gen_range(0..placement.len());
+    loop {
+        let target = rng.gen_range(0..n);
+        if !placement.contains(&target) {
+            placement[slot] = target;
+            break;
+        }
+    }
+    placement.sort_unstable();
+}
+
+/// One candidate of the static search.
+#[derive(Clone)]
 struct Candidate {
     placement: Vec<NodeId>,
     init_levels: Vec<i64>,
 }
 
+/// Scores `candidate` by its first contained round (`max_rounds + 1` if
+/// never), with `(contained, final radius)` as the payload.
 fn evaluate<A: SelfStabilizingMis>(
     graph: &Graph,
     algo: &A,
     candidate: &Candidate,
     config: &AdversaryConfig,
-) -> (u64, bool, usize) {
+) -> Result<(u64, (bool, usize)), PlanError> {
     let mut plan = ByzantinePlan::new();
     for &v in &candidate.placement {
         plan.set_behavior(v, config.behavior.to_behavior());
@@ -179,13 +254,9 @@ fn evaluate<A: SelfStabilizingMis>(
         .with_init(InitialLevels::Custom(candidate.init_levels.clone()))
         .with_max_rounds(config.max_rounds)
         .with_byzantine(plan);
-    let outcome =
-        match run_contained(graph, algo, &containment, config.radius, config.burn_in, false) {
-            Ok(outcome) => outcome,
-            Err(e) => panic!("{e}"),
-        };
+    let outcome = run_contained(graph, algo, &containment, config.radius, config.burn_in, false)?;
     let score = outcome.contained_round.unwrap_or(config.max_rounds + 1);
-    (score, outcome.is_contained(), outcome.final_radius)
+    Ok((score, (outcome.is_contained(), outcome.final_radius)))
 }
 
 /// Deterministic hill-climbing search for the Byzantine placement and
@@ -197,16 +268,19 @@ fn evaluate<A: SelfStabilizingMis>(
 /// the mutant only on a *strict* score improvement. Same graph, algorithm
 /// and config always produce the same result.
 ///
+/// # Errors
+///
+/// Returns the [`PlanError`] of the first candidate the run loop rejects,
+/// e.g. [`SearchBehavior::Channel2Liar`] on a single-channel algorithm.
+///
 /// # Panics
 ///
-/// Panics if `byz_count` is zero or exceeds `graph.len()`, or if the
-/// behavior is invalid for the protocol (e.g.
-/// [`SearchBehavior::Channel2Liar`] on a single-channel algorithm).
+/// Panics if `byz_count` is zero or exceeds `graph.len()`.
 pub fn worst_case_search<A: SelfStabilizingMis>(
     graph: &Graph,
     algo: &A,
     config: &AdversaryConfig,
-) -> WorstCase {
+) -> Result<WorstCase, PlanError> {
     let n = graph.len();
     assert!(config.byz_count >= 1, "worst-case search needs at least one byzantine node");
     assert!(
@@ -216,11 +290,7 @@ pub fn worst_case_search<A: SelfStabilizingMis>(
     );
     let mut rng = aux_rng(config.seed, ADV_RNG_PURPOSE);
     let lmax = algo.policy().lmax_values();
-
-    let mut pool: Vec<NodeId> = (0..n).collect();
-    pool.shuffle(&mut rng);
-    let mut placement: Vec<NodeId> = pool[..config.byz_count].to_vec();
-    placement.sort_unstable();
+    let placement = draw_placement(&mut rng, n, config.byz_count);
     let init_levels: Vec<i64> = (0..n)
         .map(|v| {
             let (low, high) = A::SPACE.bounds(lmax[v]);
@@ -228,53 +298,33 @@ pub fn worst_case_search<A: SelfStabilizingMis>(
         })
         .collect();
 
-    let mut best = Candidate { placement, init_levels };
-    let (mut best_score, mut best_contained, mut best_radius) =
-        evaluate(graph, algo, &best, config);
-    let mut improvements = 0;
-
-    for _ in 0..config.iterations {
-        let mut candidate =
-            Candidate { placement: best.placement.clone(), init_levels: best.init_levels.clone() };
+    let mutate = |best: &Candidate| {
+        let mut candidate = best.clone();
         if rng.gen_bool(0.5) && config.byz_count < n {
-            // Relocate one byzantine node to a random non-byzantine site.
-            let slot = rng.gen_range(0..candidate.placement.len());
-            loop {
-                let target = rng.gen_range(0..n);
-                if !candidate.placement.contains(&target) {
-                    candidate.placement[slot] = target;
-                    break;
-                }
-            }
-            candidate.placement.sort_unstable();
+            relocate(&mut rng, &mut candidate.placement, n);
         } else {
             // Re-randomize a batch of initial levels.
-            let batch = (n / 10).max(1);
-            for _ in 0..batch {
+            for _ in 0..(n / 10).max(1) {
                 let v = rng.gen_range(0..n);
                 let (low, high) = A::SPACE.bounds(lmax[v]);
                 candidate.init_levels[v] = rng.gen_range(low..=high);
             }
         }
-        let (score, contained, radius) = evaluate(graph, algo, &candidate, config);
-        if score > best_score {
-            best = candidate;
-            best_score = score;
-            best_contained = contained;
-            best_radius = radius;
-            improvements += 1;
-        }
-    }
-
-    WorstCase {
-        placement: best.placement,
-        init_levels: best.init_levels,
-        score: best_score,
-        contained: best_contained,
-        final_radius: best_radius,
-        evaluations: config.iterations + 1,
-        improvements,
-    }
+        Some(candidate)
+    };
+    let climbed = climb(Candidate { placement, init_levels }, config.iterations, mutate, |c| {
+        evaluate(graph, algo, c, config)
+    })?;
+    let (contained, final_radius) = climbed.payload;
+    Ok(WorstCase {
+        placement: climbed.best.placement,
+        init_levels: climbed.best.init_levels,
+        score: climbed.score,
+        contained,
+        final_radius,
+        evaluations: climbed.evaluations,
+        improvements: climbed.improvements,
+    })
 }
 
 #[cfg(test)]
@@ -294,8 +344,8 @@ mod tests {
             .with_iterations(6)
             .with_max_rounds(600)
             .with_burn_in(burn_in_horizon(algo.policy()));
-        let a = worst_case_search(&g, &algo, &config);
-        let b = worst_case_search(&g, &algo, &config);
+        let a = worst_case_search(&g, &algo, &config).unwrap();
+        let b = worst_case_search(&g, &algo, &config).unwrap();
         assert_eq!(a.placement, b.placement);
         assert_eq!(a.init_levels, b.init_levels);
         assert_eq!(a.score, b.score);
@@ -308,7 +358,7 @@ mod tests {
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
         let config =
             AdversaryConfig::new(3).with_byz_count(3).with_iterations(5).with_max_rounds(400);
-        let worst = worst_case_search(&g, &algo, &config);
+        let worst = worst_case_search(&g, &algo, &config).unwrap();
         assert_eq!(worst.placement.len(), 3);
         assert!(worst.placement.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
         assert!(worst.placement.iter().all(|&v| v < 20));
@@ -327,8 +377,45 @@ mod tests {
             .with_max_rounds(400)
             .with_radius(1)
             .with_burn_in(burn_in_horizon(algo.policy()));
-        let worst = worst_case_search(&g, &algo, &config);
+        let worst = worst_case_search(&g, &algo, &config).unwrap();
         assert!(worst.contained, "a single liar on a cycle stays contained");
+    }
+
+    #[test]
+    fn liar_on_a_single_channel_algorithm_is_a_plan_error() {
+        let g = classic::cycle(12);
+        let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
+        let config = AdversaryConfig::new(2)
+            .with_behavior(SearchBehavior::Channel2Liar)
+            .with_iterations(3)
+            .with_max_rounds(200);
+        let err = worst_case_search(&g, &algo, &config).unwrap_err();
+        assert!(matches!(err, PlanError::Byzantine(_)), "{err}");
+    }
+
+    #[test]
+    fn climb_keeps_only_strict_improvements_and_counts_what_it_evaluates() {
+        // Candidates are indices into `scores`, proposed in order until
+        // they run out: only the first 5 beats its incumbent.
+        let scores = [3u64, 1, 3, 5, 5];
+        let mut next = 0;
+        let proposals = |_: &usize| {
+            next += 1;
+            (next < scores.len()).then_some(next)
+        };
+        let climbed = climb(0, 10, proposals, |&i| Ok::<_, ()>((scores[i], i))).unwrap();
+        assert_eq!((climbed.best, climbed.score, climbed.payload), (3, 5, 3));
+        assert_eq!(climbed.improvements, 1);
+        // Five evaluations, not 1 + 10: the sixth proposal is `None`.
+        assert_eq!(climbed.evaluations, 5);
+        // The first failing evaluation ends the climb with its error.
+        let mut next = 0;
+        let proposals = |_: &usize| {
+            next += 1;
+            Some(next)
+        };
+        let failed = climb(0, 4, proposals, |&i| if i < 2 { Ok((0, ())) } else { Err(i) });
+        assert_eq!(failed.err(), Some(2));
     }
 
     #[test]
@@ -336,7 +423,7 @@ mod tests {
     fn zero_byz_count_rejected() {
         let g = classic::cycle(8);
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
-        worst_case_search(&g, &algo, &AdversaryConfig::new(1).with_byz_count(0));
+        let _ = worst_case_search(&g, &algo, &AdversaryConfig::new(1).with_byz_count(0));
     }
 
     #[test]
@@ -348,7 +435,7 @@ mod tests {
             .with_iterations(8)
             .with_max_rounds(500)
             .with_burn_in(burn_in_horizon(algo.policy()));
-        let worst = worst_case_search(&g, &algo, &config);
+        let worst = worst_case_search(&g, &algo, &config).unwrap();
         assert!(worst.improvements <= 8);
         assert!(worst.score <= 501);
     }

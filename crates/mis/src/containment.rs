@@ -18,8 +18,11 @@
 //!   correct network is stable, [`usize::MAX`] means an unstable node is
 //!   unreachable from every Byzantine site (disruption the adversary cannot
 //!   explain — never caused by a contained Byzantine fault);
-//! - [`run_contained`]: a full containment measurement with per-round
-//!   trajectories reusing [`crate::dynamics::RoundStats`].
+//! - [`run_contained`]: a full containment measurement, checked before each
+//!   step after a burn-in, with per-round trajectories reusing
+//!   [`crate::dynamics::RoundStats`];
+//! - [`run_moving_contained`]: the moving-graph rule of MOB and SCEN,
+//!   checked after each tick on the current graph.
 //!
 //! The quantifier-restriction semantics matter: which nodes *must be
 //! stable* shrinks with `r`, but what counts as a claimed MIS membership is
@@ -39,7 +42,7 @@ use telemetry::MarkerKind;
 use crate::dynamics::{round_stats, RoundStats};
 use crate::levels::Level;
 use crate::recovery::{claimed_mis, stable_where};
-use crate::resumable::{mark, PlanError, RunLoop, RunStatus};
+use crate::resumable::{mark, PlanError, ResumableConfig, ResumableRun, RunLoop, RunStatus};
 use crate::runner::{RunConfig, SelfStabilizingMis};
 
 /// BFS distance from every node to its nearest node in `byz` (multi-source
@@ -281,6 +284,44 @@ pub fn run_contained<A: SelfStabilizingMis>(
     })
 }
 
+/// Runs `algo` under `config` (typically a moving deployment) and returns
+/// the first round at which the configuration is valid *on the current
+/// graph* outside `radius` hops of `config.byzantine`'s nodes, or `None` if
+/// the budget ran out first, paired with the disruption radius there. It
+/// checks after each [`RunLoop::tick`] once the round has reached the last
+/// scheduled event, recomputing hop distances on the current graph.
+///
+/// # Errors
+///
+/// Returns a [`PlanError`] if a schedule in `config` is invalid for this
+/// graph and protocol.
+pub fn run_moving_contained<A: SelfStabilizingMis>(
+    graph: &Graph,
+    algo: &A,
+    config: ResumableConfig,
+    radius: usize,
+) -> Result<(Option<u64>, usize), PlanError> {
+    let byz = config.byzantine.nodes();
+    let mut run = ResumableRun::new(graph, algo, config)?;
+    loop {
+        let status = run.tick();
+        let round = run.round();
+        if round >= run.last_event_round() {
+            let dist = byz_distances(run.graph(), &byz);
+            if stabilized_except(algo, run.graph(), run.levels(), run.active(), &dist, radius) {
+                let final_radius =
+                    disruption_radius_with(algo, run.graph(), run.levels(), run.active(), &dist);
+                return Ok((Some(round), final_radius));
+            }
+        }
+        if status != RunStatus::Running {
+            let final_radius =
+                disruption_radius(algo, run.graph(), run.levels(), run.active(), &byz);
+            return Ok((None, final_radius));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,7 +331,10 @@ mod tests {
     use crate::recovery::stabilized_active;
     use crate::theory::burn_in_horizon;
     use beeping::byzantine::{ByzantineBehavior, ByzantinePlan};
+    use beeping::dynamic::MotionSpec;
+    use graphs::generators::geometric::radius_for_expected_degree;
     use graphs::generators::{classic, random};
+    use graphs::motion::MotionModel;
 
     #[test]
     fn distances_multi_source() {
@@ -404,6 +448,30 @@ mod tests {
         assert_eq!(a.levels, b.levels);
         assert_eq!(a.correct_mis, b.correct_mis);
         assert_eq!(a.final_radius, b.final_radius);
+    }
+
+    #[test]
+    fn moving_rule_without_adversary_stops_where_the_run_loop_does() {
+        // No Byzantine node, no churn, speed 0: the moving rule and the run
+        // loop's own stopping rule judge the same configurations, so both
+        // stop at the same round.
+        let spec = MotionSpec::new(
+            0xF00D,
+            radius_for_expected_degree(40, 5.0),
+            MotionModel::RandomWaypoint { speed: 0.0, pause: 2 },
+        );
+        let g = spec.initial_graph(40);
+        let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
+        for seed in 0..6 {
+            let config = ResumableConfig::new(seed).with_max_rounds(20_000).with_motion(spec);
+            let (round, radius) = run_moving_contained(&g, &algo, config.clone(), 2).unwrap();
+            let mut run = ResumableRun::new(&g, &algo, config).unwrap();
+            run.run_to_completion();
+            let outcome = run.outcome().expect("finished");
+            assert!(outcome.stabilized, "seed {seed}");
+            assert_eq!(round, Some(outcome.rounds_run), "seed {seed}");
+            assert_eq!(radius, 0, "seed {seed}");
+        }
     }
 
     #[test]

@@ -13,13 +13,15 @@
 //!
 //! scored by the first round at which the configuration is a valid MIS *on
 //! the current graph* outside a fixed containment radius around the
-//! adversary ([`crate::containment::stabilized_except`], recomputed against
-//! the moved topology), after the last scheduled churn event. Higher is
-//! worse for the protocol; budget exhaustion scores `max_rounds + 1`.
+//! adversary, after the last scheduled churn event
+//! ([`crate::containment::run_moving_contained`], the moving rule MOB uses
+//! too). Higher is worse for the protocol; budget exhaustion scores
+//! `max_rounds + 1`.
 //!
-//! The search is the same fixed-budget, strict-improvement local search as
-//! the static one, under a dedicated [`SCEN_RNG_PURPOSE`] stream: the same
-//! seed, grids and budget always select the same [`WorstScenario`]. The
+//! The search runs the static search's climb, placement draw and relocate
+//! move ([`crate::adversary`]) under a dedicated [`SCEN_RNG_PURPOSE`]
+//! stream, adding its own grid moves: the same seed, grids and budget
+//! always select the same [`WorstScenario`]. The
 //! `SCEN` experiment serializes the result as `results/SCEN-certificate.json`
 //! and anyone can replay the certified scenario with [`evaluate_scenario`]
 //! to reproduce the certified score exactly.
@@ -30,12 +32,12 @@ use beeping::dynamic::MotionSpec;
 use beeping::rng::aux_rng;
 use graphs::motion::MotionModel;
 use graphs::{Graph, NodeId};
-use rand::seq::SliceRandom;
 use rand::Rng;
+use rand_pcg::Pcg64Mcg;
 
-use crate::adversary::SearchBehavior;
-use crate::containment::{byz_distances, stabilized_except};
-use crate::resumable::{ResumableConfig, ResumableRun, RunStatus};
+use crate::adversary::{climb, draw_placement, relocate, SearchBehavior};
+use crate::containment::run_moving_contained;
+use crate::resumable::{PlanError, ResumableConfig};
 use crate::runner::SelfStabilizingMis;
 
 /// Purpose tag separating the scenario-search RNG stream from the node,
@@ -222,7 +224,8 @@ pub struct WorstScenario {
     pub score: u64,
     /// `true` if even the worst scenario found eventually stabilized.
     pub stabilized: bool,
-    /// Candidate evaluations performed (initial + iterations).
+    /// Candidate evaluations performed: the initial one plus one per
+    /// iteration, or just the initial one when no dimension can move.
     pub evaluations: usize,
     /// Accepted strict improvements during the climb.
     pub improvements: usize,
@@ -249,57 +252,37 @@ pub fn churn_plan_for(config: &ScenarioConfig, scenario: &Scenario) -> ChurnPlan
 }
 
 /// Scores one scenario: runs the moving deployment with its churn schedule
-/// and Byzantine plan under `config.seed`, checking after every round —
-/// once the last churn event has applied — whether every active node
-/// outside `containment_radius` hops of the adversary (distances on the
-/// *current* graph) is stable. Deterministic: same inputs, same score.
+/// and Byzantine plan under `config.seed`, and scores the first round
+/// [`crate::containment::run_moving_contained`] finds at
+/// `containment_radius` (`max_rounds + 1` if none). Deterministic: same
+/// inputs, same score.
+///
+/// # Errors
+///
+/// Returns the [`PlanError`] of a placement or behavior the run loop
+/// rejects for this protocol, or of a `graph` that is not the deployment
+/// of [`ScenarioConfig::initial_graph`].
 ///
 /// # Panics
 ///
-/// Panics if `graph` is not the deployment of
-/// [`ScenarioConfig::initial_graph`], if a grid index is out of range, or
-/// if the placement/behavior is invalid for the protocol.
+/// Panics if a grid index is out of range.
 pub fn evaluate_scenario<A: SelfStabilizingMis>(
     graph: &Graph,
     algo: &A,
     config: &ScenarioConfig,
     scenario: &Scenario,
-) -> ScenarioScore {
-    let speed = config.speeds[scenario.speed_idx];
-    let period = config.churn_periods[scenario.period_idx];
+) -> Result<ScenarioScore, PlanError> {
     let mut byz = ByzantinePlan::new();
     for &v in &scenario.placement {
         byz.set_behavior(v, config.behavior.to_behavior());
     }
     let run_config = ResumableConfig::new(config.seed)
         .with_max_rounds(config.max_rounds)
-        .with_motion(config.motion_spec(speed))
+        .with_motion(config.motion_spec(config.speeds[scenario.speed_idx]))
         .with_churn(churn_plan_for(config, scenario))
         .with_byzantine(byz);
-    let last_event = 2 * config.churn_events as u64 * period;
-    let mut run = ResumableRun::new(graph, algo, run_config)
-        .expect("scenario plans are valid by construction");
-    loop {
-        let status = run.tick();
-        let r = run.round();
-        if r >= last_event {
-            let current = run.graph();
-            let dist = byz_distances(current, &scenario.placement);
-            if stabilized_except(
-                algo,
-                current,
-                run.levels(),
-                run.active(),
-                &dist,
-                config.containment_radius,
-            ) {
-                return ScenarioScore { score: r, stabilized: true };
-            }
-        }
-        if status != RunStatus::Running {
-            return ScenarioScore { score: config.max_rounds + 1, stabilized: false };
-        }
-    }
+    let (round, _) = run_moving_contained(graph, algo, run_config, config.containment_radius)?;
+    Ok(ScenarioScore { score: round.unwrap_or(config.max_rounds + 1), stabilized: round.is_some() })
 }
 
 /// Deterministic hill-climbing search for the motion speed, churn period
@@ -309,32 +292,33 @@ pub fn evaluate_scenario<A: SelfStabilizingMis>(
 /// Each iteration mutates one dimension of the incumbent uniformly at
 /// random — the speed index, the period index, or (when there are
 /// Byzantine nodes) one placement site — and keeps the mutant only on a
-/// *strict* score improvement. Same graph, algorithm and config always
-/// produce the same result.
+/// *strict* score improvement. When no dimension can move (one speed, one
+/// period and no Byzantine node) the climb stops after the initial
+/// evaluation. Same graph, algorithm and config always produce the same
+/// result.
+///
+/// # Errors
+///
+/// Returns the [`PlanError`] of the first scenario the run loop rejects
+/// (see [`evaluate_scenario`]).
 ///
 /// # Panics
 ///
-/// Panics if a grid is empty, the churn schedule overflows the budget,
-/// `byz_count >= n`, or `graph` is not the config's initial deployment.
+/// Panics if a grid is empty, the churn schedule overflows the budget or
+/// `byz_count >= n`.
 pub fn worst_scenario_search<A: SelfStabilizingMis>(
     graph: &Graph,
     algo: &A,
     config: &ScenarioConfig,
-) -> WorstScenario {
+) -> Result<WorstScenario, PlanError> {
     config.validate();
     let mut rng = aux_rng(config.seed, SCEN_RNG_PURPOSE);
-
-    let mut pool: Vec<NodeId> = (0..config.n).collect();
-    pool.shuffle(&mut rng);
-    let mut placement: Vec<NodeId> = pool[..config.byz_count].to_vec();
-    placement.sort_unstable();
-    let mut best = Scenario {
+    let placement = draw_placement(&mut rng, config.n, config.byz_count);
+    let start = Scenario {
         speed_idx: rng.gen_range(0..config.speeds.len()),
         period_idx: rng.gen_range(0..config.churn_periods.len()),
         placement,
     };
-    let mut best_score = evaluate_scenario(graph, algo, config, &best);
-    let mut improvements = 0;
 
     // Which dimensions can move at all: a one-point grid or an empty
     // placement is frozen, and mutating it would burn an iteration on a
@@ -346,64 +330,44 @@ pub fn worst_scenario_search<A: SelfStabilizingMis>(
     if config.churn_periods.len() > 1 {
         dims.push(1);
     }
-    if config.byz_count >= 1 && config.byz_count < config.n {
+    if config.byz_count >= 1 {
         dims.push(2);
     }
-
-    for _ in 0..config.iterations {
+    // A grid index resampled away from the incumbent's.
+    let reindex = |rng: &mut Pcg64Mcg, len: usize, current: usize| loop {
+        let idx = rng.gen_range(0..len);
+        if idx != current {
+            break idx;
+        }
+    };
+    let mutate = |best: &Scenario| {
         if dims.is_empty() {
-            break;
+            return None;
         }
         let mut candidate = best.clone();
         match dims[rng.gen_range(0..dims.len())] {
-            0 => {
-                // Resample the speed index away from the incumbent.
-                loop {
-                    let idx = rng.gen_range(0..config.speeds.len());
-                    if idx != candidate.speed_idx {
-                        candidate.speed_idx = idx;
-                        break;
-                    }
-                }
+            0 => candidate.speed_idx = reindex(&mut rng, config.speeds.len(), best.speed_idx),
+            1 => {
+                candidate.period_idx =
+                    reindex(&mut rng, config.churn_periods.len(), best.period_idx)
             }
-            1 => loop {
-                let idx = rng.gen_range(0..config.churn_periods.len());
-                if idx != candidate.period_idx {
-                    candidate.period_idx = idx;
-                    break;
-                }
-            },
-            _ => {
-                // Relocate one Byzantine node to a random non-Byzantine
-                // site (exactly the static search's placement move).
-                let slot = rng.gen_range(0..candidate.placement.len());
-                loop {
-                    let target = rng.gen_range(0..config.n);
-                    if !candidate.placement.contains(&target) {
-                        candidate.placement[slot] = target;
-                        break;
-                    }
-                }
-                candidate.placement.sort_unstable();
-            }
+            _ => relocate(&mut rng, &mut candidate.placement, config.n),
         }
-        let score = evaluate_scenario(graph, algo, config, &candidate);
-        if score.score > best_score.score {
-            best = candidate;
-            best_score = score;
-            improvements += 1;
-        }
-    }
+        Some(candidate)
+    };
+    let climbed = climb(start, config.iterations, mutate, |scenario| {
+        evaluate_scenario(graph, algo, config, scenario).map(|s| (s.score, s))
+    })?;
 
-    WorstScenario {
-        speed: config.speeds[best.speed_idx],
-        churn_period: config.churn_periods[best.period_idx],
-        scenario: best,
-        score: best_score.score,
-        stabilized: best_score.stabilized,
-        evaluations: config.iterations + 1,
-        improvements,
-    }
+    Ok(WorstScenario {
+        speed: config.speeds[climbed.best.speed_idx],
+        churn_period: config.churn_periods[climbed.best.period_idx],
+        scenario: climbed.best,
+        score: climbed.score,
+        stabilized: climbed.payload.stabilized,
+        evaluations: climbed.evaluations,
+        improvements: climbed.improvements,
+    })
 }
 
 #[cfg(test)]
@@ -427,14 +391,14 @@ mod tests {
         let config = small_config(11);
         let g = config.initial_graph();
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
-        let a = worst_scenario_search(&g, &algo, &config);
-        let b = worst_scenario_search(&g, &algo, &config);
+        let a = worst_scenario_search(&g, &algo, &config).unwrap();
+        let b = worst_scenario_search(&g, &algo, &config).unwrap();
         assert_eq!(a.scenario, b.scenario);
         assert_eq!(a.score, b.score);
         assert_eq!(a.improvements, b.improvements);
         // The certificate contract: replaying the worst scenario
         // reproduces the certified score exactly.
-        let replay = evaluate_scenario(&g, &algo, &config, &a.scenario);
+        let replay = evaluate_scenario(&g, &algo, &config, &a.scenario).unwrap();
         assert_eq!(replay.score, a.score);
         assert_eq!(replay.stabilized, a.stabilized);
     }
@@ -446,12 +410,40 @@ mod tests {
         let config = small_config(3).with_byz_count(0).with_max_rounds(4_000);
         let g = config.initial_graph();
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
-        let worst = worst_scenario_search(&g, &algo, &config);
+        let worst = worst_scenario_search(&g, &algo, &config).unwrap();
         assert!(worst.scenario.placement.is_empty());
         // With no adversary the radius exemption is vacuous, so the score
         // is a plain time-to-valid-MIS on the moving graph.
         assert!(worst.stabilized, "score {}", worst.score);
         assert!(worst.score <= 4_000);
+    }
+
+    #[test]
+    fn frozen_space_reports_the_one_evaluation_it_makes() {
+        // One speed, one period, no Byzantine node: nothing can move, so
+        // the climb stops after scoring its start.
+        let config = small_config(4)
+            .with_byz_count(0)
+            .with_speeds(vec![0.01])
+            .with_churn_periods(vec![15])
+            .with_iterations(5);
+        let g = config.initial_graph();
+        let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
+        let worst = worst_scenario_search(&g, &algo, &config).unwrap();
+        assert_eq!(worst.evaluations, 1);
+        assert_eq!(worst.improvements, 0);
+    }
+
+    #[test]
+    fn liar_on_a_single_channel_algorithm_is_a_plan_error() {
+        let config = small_config(6).with_behavior(SearchBehavior::Channel2Liar);
+        let g = config.initial_graph();
+        let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
+        let err = worst_scenario_search(&g, &algo, &config).unwrap_err();
+        assert!(matches!(err, PlanError::Byzantine(_)), "{err}");
+        let scenario = Scenario { speed_idx: 0, period_idx: 0, placement: vec![3] };
+        let err = evaluate_scenario(&g, &algo, &config, &scenario).unwrap_err();
+        assert!(matches!(err, PlanError::Byzantine(_)), "{err}");
     }
 
     #[test]
@@ -473,7 +465,7 @@ mod tests {
         let config = small_config(1).with_churn_periods(vec![500]);
         let g = config.initial_graph();
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
-        worst_scenario_search(&g, &algo, &config);
+        let _ = worst_scenario_search(&g, &algo, &config);
     }
 
     #[test]
@@ -482,7 +474,7 @@ mod tests {
         let config = small_config(1).with_speeds(vec![]);
         let g = config.initial_graph();
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
-        worst_scenario_search(&g, &algo, &config);
+        let _ = worst_scenario_search(&g, &algo, &config);
     }
 
     #[test]
@@ -497,8 +489,8 @@ mod tests {
         let fast = small_config(7).with_speeds(vec![0.08]).with_iterations(0);
         let g = base.initial_graph();
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
-        let a = worst_scenario_search(&g, &algo, &base);
-        let b = worst_scenario_search(&g, &algo, &fast);
+        let a = worst_scenario_search(&g, &algo, &base).unwrap();
+        let b = worst_scenario_search(&g, &algo, &fast).unwrap();
         assert!(a.score <= 401 && b.score <= 401);
         assert_eq!(a.speed, 0.0);
         assert_eq!(b.speed, 0.08);

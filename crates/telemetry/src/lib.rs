@@ -31,7 +31,7 @@ mod sink;
 
 pub use event::{Event, Marker, MarkerKind, RoundEvent};
 pub use metrics::{MetricsSnapshot, TimerStat};
-pub use sink::{CsvSink, JsonlSink, MemoryHandle, MemorySink, Sink};
+pub use sink::{JsonlSink, MemoryHandle, MemorySink, Sink};
 
 pub mod jsonl {
     //! Re-exports of the JSON reader/writer for stream consumers.

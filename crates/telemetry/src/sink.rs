@@ -1,5 +1,5 @@
-//! Pluggable event sinks: JSONL and CSV exporters plus an in-memory sink
-//! for tests.
+//! Pluggable event sinks: the JSONL exporter plus an in-memory sink for
+//! tests.
 
 use std::cell::RefCell;
 use std::fs::File;
@@ -47,66 +47,6 @@ impl<W: Write> Sink for JsonlSink<W> {
     fn record(&mut self, event: &Event) {
         // Telemetry is observational: a full disk must not abort a run.
         let _ = writeln!(self.out, "{}", event_to_json(event));
-    }
-
-    fn flush(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
-/// Writes [`Event::Round`] events as CSV rows (lifecycle events and markers
-/// are skipped; level histograms are variable-width and omitted).
-pub struct CsvSink<W: Write> {
-    out: W,
-    wrote_header: bool,
-}
-
-impl CsvSink<BufWriter<File>> {
-    /// Creates (truncating) `path` and returns a buffered CSV sink on it.
-    pub fn create<P: AsRef<Path>>(path: P) -> io::Result<CsvSink<BufWriter<File>>> {
-        Ok(CsvSink::new(BufWriter::new(File::create(path)?)))
-    }
-}
-
-impl<W: Write> CsvSink<W> {
-    /// Wraps any writer.
-    pub fn new(out: W) -> CsvSink<W> {
-        CsvSink { out, wrote_header: false }
-    }
-
-    fn write_row(&mut self, r: &RoundEvent) -> io::Result<()> {
-        if !self.wrote_header {
-            writeln!(
-                self.out,
-                "round,beeps_c1,beeps_c2,hearers_c1,hearers_c2,lone_c1,lone_c2,active,n,in_mis,stable,stable_fraction"
-            )?;
-            self.wrote_header = true;
-        }
-        let opt = |v: Option<u64>| v.map_or(String::new(), |v| v.to_string());
-        writeln!(
-            self.out,
-            "{},{},{},{},{},{},{},{},{},{},{},{}",
-            r.round,
-            r.beeps_channel1,
-            r.beeps_channel2,
-            r.hearers_channel1,
-            r.hearers_channel2,
-            r.lone_beepers,
-            r.lone_beepers_channel2,
-            r.active,
-            r.n,
-            opt(r.in_mis),
-            opt(r.stable),
-            r.stable_fraction().map_or(String::new(), |f| format!("{f}")),
-        )
-    }
-}
-
-impl<W: Write> Sink for CsvSink<W> {
-    fn record(&mut self, event: &Event) {
-        if let Event::Round(r) = event {
-            let _ = self.write_row(r);
-        }
     }
 
     fn flush(&mut self) {
@@ -210,23 +150,6 @@ mod tests {
         assert_eq!(docs.len(), 4);
         assert_eq!(docs[0].get("type").unwrap().as_str(), Some("run_start"));
         assert_eq!(docs[1].get("beeps_c1").unwrap().as_u64(), Some(2));
-    }
-
-    #[test]
-    fn csv_sink_writes_header_and_round_rows_only() {
-        let mut buf = Vec::new();
-        {
-            let mut sink = CsvSink::new(&mut buf);
-            for e in sample_events() {
-                sink.record(&e);
-            }
-            sink.flush();
-        }
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "header + one round row: {text}");
-        assert!(lines[0].starts_with("round,beeps_c1"));
-        assert!(lines[1].starts_with("1,2,0,"));
     }
 
     #[test]
