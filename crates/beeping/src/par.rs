@@ -1,20 +1,20 @@
-//! Parallel sharded scatter — the engine behind
+//! Parallel scatter — the engine behind
 //! [`EngineMode::ParScatter`](crate::sim::EngineMode::ParScatter): the
 //! full-sweep kernel of [`crate::sweep`], run over one node range per
 //! worker.
 //!
 //! # Layout
 //!
-//! The node range is partitioned by [`graphs::ShardPlan`] into cache-sized,
-//! degree-balanced shards whose boundaries sit on multiples of 64, then
-//! grouped into one contiguous run of shards per worker. Word alignment is
-//! what makes the data decomposition safe: every per-node array (`states`,
-//! `rngs`, `sent`, `heard`) *and* every word-packed per-channel bitset can
-//! be split at worker boundaries into disjoint `&mut` slices, so the whole
-//! engine is expressible with `std::thread::scope` and `split_at_mut` —
-//! no locks, no atomics, no unsafe. A plan with a single range (one
-//! thread, or a graph of at most 64 nodes) makes the sequential
-//! whole-network call instead and never enters a thread scope.
+//! [`ParPlan::build`] splits the node range `0..n` into one contiguous,
+//! degree-balanced range per worker, closing each range at a 64-node word
+//! edge. Word alignment is what makes the data decomposition safe: every
+//! per-node array (`states`, `rngs`, `sent`, `heard`) *and* every
+//! word-packed per-channel bitset can be split at worker boundaries into
+//! disjoint `&mut` slices, so the whole engine is expressible with
+//! `std::thread::scope` and `split_at_mut` — no locks, no atomics, no
+//! unsafe. A plan with a single range (one thread, or a graph of at most
+//! 64 nodes) makes the sequential whole-network call instead and never
+//! enters a thread scope.
 //!
 //! # Two-phase round
 //!
@@ -52,7 +52,7 @@
 
 use std::ops::Range;
 
-use graphs::{Graph, ShardPlan};
+use graphs::Graph;
 use rand_pcg::Pcg64Mcg;
 
 use crate::protocol::{BeepSignal, BeepingProtocol, Channels};
@@ -61,15 +61,18 @@ use crate::sweep::{self, Bitsets, Shard, Sweep};
 use crate::trace::RoundReport;
 
 /// Persistent bookkeeping of the parallel kernel: the worker ranges and the
-/// reusable thread-local accumulators. Rebuilt when the topology or the
-/// configured thread count changes; never part of a checkpoint.
+/// reusable thread-local accumulators. Rebuilt when its key — node count,
+/// degree sum, thread count — changes; never part of a checkpoint. A plan
+/// kept across a degree-preserving edit is stale only in balance: any
+/// word-aligned split gives the same bits.
 #[derive(Debug)]
 pub(crate) struct ParPlan {
     /// Cache key: the plan is valid for this (n, degree_sum, threads).
     n: usize,
     degree_sum: usize,
     threads: usize,
-    /// One contiguous, word-aligned, work-balanced node range per worker.
+    /// One contiguous, word-aligned, work-balanced node range per worker
+    /// (see [`worker_ranges`]).
     ranges: Vec<Range<usize>>,
     /// Thread-local per-channel word accumulators, `[worker][word]`,
     /// full-length so any worker can scatter to any neighbor.
@@ -82,7 +85,7 @@ impl ParPlan {
     /// (clamped to at least 1; tiny graphs may yield fewer ranges).
     pub(crate) fn build(graph: &Graph, threads: usize) -> ParPlan {
         let threads = threads.max(1);
-        let ranges = ShardPlan::cache_sized(graph, threads).worker_ranges(threads);
+        let ranges = worker_ranges(graph, threads);
         let workers = ranges.len();
         ParPlan {
             n: graph.len(),
@@ -102,10 +105,38 @@ impl ParPlan {
     }
 }
 
+/// Splits `0..n` into at most `min(workers, ⌈n / 64⌉)` contiguous,
+/// non-empty ranges (one range, empty when `n = 0`, if `workers <= 1`),
+/// balanced by the work of one delivery sweep, `degree(v) + 1` per node.
+/// Range `k` closes at the first 64-node word edge where the running work
+/// reaches `(k + 1) / workers` of the total, so interior boundaries are
+/// multiples of 64 and no range exceeds `total / workers` by more than its
+/// heaviest word.
+fn worker_ranges(graph: &Graph, workers: usize) -> Vec<Range<usize>> {
+    let n = graph.len();
+    let total = (n + graph.degree_sum()) as u64;
+    let mut ranges = Vec::new();
+    let (mut start, mut work) = (0, 0u64);
+    for v in 0..n {
+        work += graph.degree(v) as u64 + 1;
+        let (end, closing) = (v + 1, ranges.len() + 1);
+        if end % 64 == 0
+            && end < n
+            && closing < workers
+            && work.saturating_mul(workers as u64) >= closing as u64 * total
+        {
+            ranges.push(start..end);
+            start = end;
+        }
+    }
+    ranges.push(start..n);
+    ranges
+}
+
 /// Splits `slice` into one disjoint `&mut` piece per worker range.
 ///
-/// The ranges are contiguous and cover `0..slice.len()` (a [`ShardPlan`]
-/// invariant), so this is a chain of `split_at_mut` calls.
+/// The ranges are contiguous and cover `0..slice.len()` (a
+/// [`worker_ranges`] invariant), so this is a chain of `split_at_mut` calls.
 fn split_by_ranges<'a, T>(mut slice: &'a mut [T], ranges: &[Range<usize>]) -> Vec<&'a mut [T]> {
     let mut parts = Vec::with_capacity(ranges.len());
     for r in ranges {
@@ -233,4 +264,107 @@ pub(crate) fn run_round<P: BeepingProtocol>(
         work.edge_visits += w.edge_visits;
     }
     (report, work)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use graphs::generators::{classic, composite, random};
+
+    /// Every split under test: a cycle, a star of cliques and a G(n,p), each
+    /// over worker counts from 1 to past the number of words.
+    fn splits() -> Vec<(Graph, usize, Vec<Range<usize>>)> {
+        let graphs = [
+            classic::cycle(1000),
+            classic::cycle(64 * 40),
+            composite::star_of_cliques(40, 12),
+            random::gnp(3000, 8.0 / 2999.0, 5),
+        ];
+        let mut out = Vec::new();
+        for g in graphs {
+            for workers in [1, 2, 3, 4, 7, 16, 64, 1000] {
+                let ranges = worker_ranges(&g, workers);
+                out.push((g.clone(), workers, ranges));
+            }
+        }
+        out
+    }
+
+    /// The sweep work of `range`: `Σ degree(v) + 1`.
+    fn work(g: &Graph, range: Range<usize>) -> u64 {
+        range.map(|v| g.degree(v) as u64 + 1).sum()
+    }
+
+    #[test]
+    fn ranges_are_contiguous_non_empty_and_cover_the_node_range() {
+        for (g, workers, ranges) in splits() {
+            let mut expected = 0;
+            for r in &ranges {
+                assert_eq!(r.start, expected, "{workers} workers: {ranges:?}");
+                assert!(r.end > r.start, "{workers} workers: {ranges:?}");
+                expected = r.end;
+            }
+            assert_eq!(expected, g.len(), "{workers} workers: {ranges:?}");
+        }
+    }
+
+    #[test]
+    fn interior_boundaries_are_word_aligned() {
+        for (_, workers, ranges) in splits() {
+            for r in &ranges[..ranges.len() - 1] {
+                assert_eq!(r.end % 64, 0, "{workers} workers: {ranges:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn range_count_is_at_most_workers_and_words() {
+        for (g, workers, ranges) in splits() {
+            assert!(ranges.len() <= workers.min(g.len().div_ceil(64)), "{workers}: {ranges:?}");
+        }
+    }
+
+    #[test]
+    fn no_range_exceeds_its_share_by_more_than_the_heaviest_word() {
+        for (g, workers, ranges) in splits() {
+            let n = g.len();
+            let total = work(&g, 0..n);
+            let heaviest =
+                (0..n.div_ceil(64)).map(|w| work(&g, w * 64..(w * 64 + 64).min(n))).max().unwrap();
+            for r in &ranges {
+                let w = work(&g, r.clone());
+                assert!(
+                    w * workers as u64 <= total + heaviest * workers as u64,
+                    "{workers} workers: {r:?} carries {w} of {total} (heaviest word {heaviest})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_word_or_no_nodes_gives_one_range() {
+        for n in [1, 2, 63, 64] {
+            for workers in [1, 2, 8] {
+                assert_eq!(worker_ranges(&classic::cycle(n), workers), vec![0..n], "n = {n}");
+            }
+        }
+        assert_eq!(worker_ranges(&Graph::empty(0), 4), vec![0..0]);
+    }
+
+    #[test]
+    fn enough_words_give_every_worker_a_range() {
+        let g = classic::cycle(64 * 40);
+        for workers in [1, 2, 4, 40] {
+            assert_eq!(worker_ranges(&g, workers).len(), workers);
+        }
+    }
+
+    #[test]
+    fn skewed_degrees_shift_the_boundaries() {
+        // The hub's word carries about 40% of a star's work, so the first of
+        // two ranges ends well left of the node-count midpoint (256).
+        let ranges = worker_ranges(&classic::star(64 * 8), 2);
+        assert_eq!(ranges.len(), 2);
+        assert!(ranges[0].end <= 192, "{ranges:?}");
+    }
 }

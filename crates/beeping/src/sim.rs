@@ -87,12 +87,13 @@ pub enum EngineMode {
     /// scatter path (channel noise draws per-listener coins that skipping
     /// cannot reproduce). Bit-identical to the other engines per seed.
     Frontier,
-    /// Parallel scatter kernel: the node range is partitioned into
-    /// word-aligned, work-balanced worker ranges (`graphs::ShardPlan`) and
-    /// `threads` scoped worker threads run the full-sweep kernel in two
-    /// phases — transmit + scatter into *thread-local* per-channel word
-    /// accumulators, then a fixed-shard-order OR-merge into the shared
-    /// bitsets fused with mask + gather + receive. A single worker range
+    /// Parallel scatter kernel: the node range is split into one
+    /// contiguous, degree-balanced range per worker, each closed at a
+    /// 64-node word edge, and scoped worker threads run the full-sweep
+    /// kernel over them in two phases — transmit + scatter into
+    /// *thread-local* per-channel word accumulators, then a
+    /// fixed-worker-order OR-merge into the shared bitsets fused with
+    /// mask + gather + receive. A single worker range
     /// (`threads: 1`, or a graph of at most 64 nodes) makes the same
     /// sequential call as [`EngineMode::Scatter`] with no thread scope.
     /// Per-node RNG streams are independent and the per-channel OR is
@@ -103,7 +104,8 @@ pub enum EngineMode {
     /// strict node order, which parallel execution cannot preserve.
     ParScatter {
         /// Worker-thread count; clamped to at least 1, and to the number
-        /// of word-aligned shards the graph actually yields.
+        /// of 64-node words the graph has (one range per worker, at least
+        /// one word per range).
         threads: usize,
     },
 }
@@ -247,8 +249,8 @@ pub struct Simulator<'g, P: BeepingProtocol> {
     frontier: FrontierState,
     /// Parallel-kernel bookkeeping (worker ranges and thread-local word
     /// accumulators), lazily built on the first [`EngineMode::ParScatter`]
-    /// fast round and rebuilt when the topology or thread count changes.
-    /// Purely derived scratch: never part of a checkpoint.
+    /// fast round and rebuilt when its (n, degree sum, threads) key
+    /// changes. Purely derived scratch: never part of a checkpoint.
     par: Option<crate::par::ParPlan>,
     /// Deterministic work counters (protocol executions and adjacency
     /// visits); see [`Simulator::work`]. Pure accounting — never consulted
@@ -680,7 +682,6 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
                     // can change — their next round runs live.
                     self.frontier_unsettle(u);
                     self.frontier_unsettle(v);
-                    self.par = None; // degrees changed: replan worker ranges
                 }
                 Ok(inserted)
             }
@@ -704,7 +705,6 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         if removed {
             self.frontier_unsettle(u);
             self.frontier_unsettle(v);
-            self.par = None; // degrees changed: replan worker ranges
         }
         Ok(removed)
     }
@@ -771,8 +771,6 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         for v in changed {
             self.frontier_unsettle(v);
         }
-        // Degrees changed: replan worker ranges.
-        self.par = None;
         // Both graphs are symmetric, so each changed edge was counted at
         // both endpoints.
         (inserted / 2, removed / 2)
@@ -825,8 +823,6 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             self.active_bits[v >> 6] &= !(1u64 << (v & 63));
             self.inactive += 1;
         }
-        // Worker ranges are degree-balanced: replan.
-        self.par = None;
         // A departed node must not keep advertising its last round: clear
         // its transmission and observation so `last_sent()`/`last_heard()`
         // and observer hooks never read a beep from a node that no longer
@@ -886,7 +882,6 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             self.active_bits[v >> 6] |= 1u64 << (v & 63);
             self.inactive -= 1;
         }
-        self.par = None; // worker ranges are degree-balanced: replan
         self.states[v] = state;
         // Mirror of `node_leave`'s signal clearing: a joining node boots
         // fresh and has neither transmitted nor heard anything yet, so the
@@ -1715,7 +1710,6 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
                 self.active_bits[v >> 6] &= !(1u64 << (v & 63));
             }
         }
-        self.par = None; // topology may differ: replan worker ranges
         self.channel_state = checkpoint.channel_state;
         self.channel_rng = checkpoint.channel_rng.clone();
         self.byz_rng = checkpoint.byz_rng.clone();

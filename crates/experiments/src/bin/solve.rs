@@ -39,20 +39,23 @@ fn parse_args() -> Result<Options, String> {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("missing value for {name}"));
+        // A valued flag takes the next argument, which must exist and must
+        // not itself be a flag.
+        let mut value = || {
+            args.next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{arg} expects a value"))
+        };
         match arg.as_str() {
-            "--graph" => opts.graph_file = Some(value("--graph")?),
-            "--generate" => opts.generate = Some(value("--generate")?),
-            "--algorithm" => opts.algorithm = value("--algorithm")?,
-            "--policy" => opts.policy = value("--policy")?,
-            "--seed" => {
-                opts.seed = value("--seed")?.parse().map_err(|e| format!("bad seed: {e}"))?
-            }
+            "--graph" => opts.graph_file = Some(value()?),
+            "--generate" => opts.generate = Some(value()?),
+            "--algorithm" => opts.algorithm = value()?,
+            "--policy" => opts.policy = value()?,
+            "--seed" => opts.seed = value()?.parse().map_err(|e| format!("bad seed: {e}"))?,
             "--max-rounds" => {
-                opts.max_rounds =
-                    value("--max-rounds")?.parse().map_err(|e| format!("bad max-rounds: {e}"))?
+                opts.max_rounds = value()?.parse().map_err(|e| format!("bad max-rounds: {e}"))?
             }
-            "--dot" => opts.dot = Some(value("--dot")?),
+            "--dot" => opts.dot = Some(value()?),
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument: {other}")),
         }
@@ -121,7 +124,8 @@ fn main() -> ExitCode {
                 "usage: solve (--graph FILE | --generate SPEC) [--algorithm alg1|alg2|adaptive]\n\
                  \x20            [--policy global|own|deg2] [--seed N] [--max-rounds N] [--dot FILE]"
             );
-            return ExitCode::FAILURE;
+            // `--help` is the one request that ends here without a message.
+            return if msg.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
         }
     };
     let g = match load_graph(&opts) {

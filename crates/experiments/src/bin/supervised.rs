@@ -83,7 +83,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     };
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
-        let mut value = || it.next().ok_or_else(|| format!("{flag} expects a value"));
+        // A valued flag takes the next argument, which must exist and must
+        // not itself be a flag.
+        let mut value = || {
+            it.next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{flag} expects a value"))
+        };
         match flag.as_str() {
             "--family" => args.family = value()?.clone(),
             "--n" => args.n = value()?.parse().map_err(|_| "--n expects an integer")?,
@@ -125,25 +131,28 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 }
 
 /// Parses `--engine`: `scalar`, `scatter`, `frontier`, or `par[:N]` where
-/// `N` is the worker-thread count (defaults to the machine's available
-/// parallelism). All engines are bit-identical per seed, so the choice
-/// never changes the printed digest — only the wall-clock.
+/// `N` is the worker-thread count, from 1 up to the machine's available
+/// parallelism (the default). All engines are bit-identical per seed, so
+/// the choice never changes the printed digest — only the wall-clock.
 fn parse_engine(name: &str) -> Result<EngineMode, String> {
+    let available = std::thread::available_parallelism().map_or(1, |p| p.get());
     match name {
         "scalar" => return Ok(EngineMode::Scalar),
         "scatter" => return Ok(EngineMode::Scatter),
         "frontier" => return Ok(EngineMode::Frontier),
-        "par" => {
-            let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-            return Ok(EngineMode::ParScatter { threads });
-        }
+        "par" => return Ok(EngineMode::ParScatter { threads: available }),
         _ => {}
     }
     if let Some(spec) = name.strip_prefix("par:") {
         let threads: usize =
             spec.parse().map_err(|_| format!("par:{spec}: thread count must be an integer"))?;
-        if threads == 0 {
-            return Err("par:0: thread count must be at least 1".to_string());
+        // Each round spawns one thread per worker range in each of its two
+        // phases, so the count is bounded by the cores that can run them.
+        if !(1..=available).contains(&threads) {
+            return Err(format!(
+                "par:{threads}: thread count must be between 1 and the available parallelism \
+                 ({available})"
+            ));
         }
         return Ok(EngineMode::ParScatter { threads });
     }
@@ -213,7 +222,8 @@ fn main() -> ExitCode {
                 eprintln!("error: {message}\n");
             }
             eprintln!("{}", usage());
-            return ExitCode::FAILURE;
+            // `--help` is the one request that ends here without a message.
+            return if message.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
         }
     };
 

@@ -171,22 +171,39 @@ fn experiments_rejects_unknown_flags_with_usage() {
     }
 }
 
-/// Runs `args` in a fresh empty working directory and asserts that the
-/// binary names the missing `--out` value, prints the usage, exits 1 and
-/// leaves the directory empty.
-fn assert_missing_out_value_rejected(name: &str, args: &[&str]) {
+/// A fresh empty working directory for one test, so that any file a
+/// misparsed flag creates shows up.
+fn empty_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("beeping_mis_{name}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let out = experiments_bounded_in(&dir, args);
+    dir
+}
+
+/// Asserts that `out` is the usage error naming `flag`'s missing value
+/// (message, `usage` line, exit 1), that the run left `dir` empty, and then
+/// removes `dir`.
+fn assert_missing_value_rejected(
+    out: &std::process::Output,
+    dir: &std::path::Path,
+    flag: &str,
+    usage: &str,
+) {
     let text = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{args:?}: {text}");
-    assert!(text.contains("--out expects a value"), "{args:?}: {text}");
-    assert!(text.contains("usage: experiments"), "{args:?}: {text}");
-    let written: Vec<_> =
-        std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
-    assert!(written.is_empty(), "{args:?} wrote {written:?}");
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(1), "{text}");
+    assert!(text.contains(&format!("{flag} expects a value")), "{text}");
+    assert!(text.contains(usage), "{text}");
+    let written: Vec<_> = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert!(written.is_empty(), "wrote {written:?}");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Runs the experiments binary on `args` in a fresh empty working directory
+/// and asserts that it rejects the missing `--out` value.
+fn assert_missing_out_value_rejected(name: &str, args: &[&str]) {
+    let dir = empty_dir(name);
+    let out = experiments_bounded_in(&dir, args);
+    assert_missing_value_rejected(&out, &dir, "--out", "usage: experiments");
 }
 
 #[test]
@@ -241,6 +258,59 @@ fn supervised_kill_then_resume_matches_uninterrupted() {
     let actual = parse_digest(&String::from_utf8(resumed.stdout).unwrap());
     assert_eq!(actual, expected, "resumed run must be bit-identical to uninterrupted");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn supervised_rejects_a_missing_or_flag_valued_checkpoint_dir() {
+    for (name, args) in [
+        ("sup_trailing_dir", &["--n", "64", "--checkpoint-dir"][..]),
+        ("sup_flag_as_dir", &["--n", "64", "--checkpoint-dir", "--resume"][..]),
+    ] {
+        let dir = empty_dir(name);
+        let out = supervised().current_dir(&dir).args(args).output().expect("runs");
+        assert_missing_value_rejected(&out, &dir, "--checkpoint-dir", "usage: supervised");
+    }
+}
+
+#[test]
+fn solve_rejects_a_missing_or_flag_valued_dot_path() {
+    for (name, args) in [
+        ("solve_trailing_dot", &["--generate", "cycle:12", "--dot"][..]),
+        ("solve_flag_as_dot", &["--generate", "cycle:12", "--dot", "--help"][..]),
+    ] {
+        let dir = empty_dir(name);
+        let out = solve().current_dir(&dir).args(args).output().expect("runs");
+        assert_missing_value_rejected(&out, &dir, "--dot", "usage: solve");
+    }
+}
+
+#[test]
+fn supervised_and_solve_help_print_usage_and_succeed() {
+    for (mut cmd, usage) in [(supervised(), "usage: supervised"), (solve(), "usage: solve")] {
+        let out = cmd.arg("--help").output().expect("runs");
+        let text = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{usage} --help should succeed: {text}");
+        assert!(text.starts_with(usage), "{text}");
+    }
+}
+
+/// `par:N` above the machine's available parallelism is a usage error. The
+/// 64-node graph has a single word, so even a missed check would start no
+/// worker thread.
+#[test]
+fn supervised_bounds_par_threads_by_available_parallelism() {
+    let available = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let run = |threads: usize| {
+        let engine = format!("par:{threads}");
+        supervised().args(["--n", "64", "--engine", &engine]).output().expect("runs")
+    };
+    let over = run(usize::MAX);
+    let text = String::from_utf8_lossy(&over.stderr);
+    assert_eq!(over.status.code(), Some(1), "{text}");
+    assert!(text.contains("available parallelism"), "{text}");
+    assert!(text.contains("usage: supervised"), "{text}");
+    let at = run(available);
+    assert!(at.status.success(), "par:{available}: {}", String::from_utf8_lossy(&at.stderr));
 }
 
 #[test]

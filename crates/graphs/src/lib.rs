@@ -37,11 +37,9 @@ pub mod graph;
 pub mod mis;
 pub mod motion;
 pub mod properties;
-pub mod shard;
 
 pub use builder::GraphBuilder;
 pub use graph::{CsrError, Graph, NodeId};
-pub use shard::ShardPlan;
 
 /// Errors produced while constructing or parsing graphs.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -167,7 +167,7 @@ fn l4_sanctioned(path: &str) -> bool {
 /// Modules sanctioned to own sync primitives (threads, locks, atomics):
 ///
 /// - `harness::supervisor` — the watchdog thread around a supervised run;
-/// - `beeping::par` — the sharded-scatter kernel (DESIGN.md §8). Its
+/// - `beeping::par` — the parallel scatter kernel (DESIGN.md §8). Its
 ///   parallelism is pure data decomposition over `std::thread::scope` with
 ///   word-aligned disjoint `&mut` splits — no locks, no atomics — and its
 ///   bit-identity to the sequential engines is pinned by the
