@@ -106,7 +106,7 @@ impl ParPlan {
 }
 
 /// Splits `0..n` into at most `min(workers, ⌈n / 64⌉)` contiguous,
-/// non-empty ranges (one range, empty when `n = 0`, if `workers <= 1`),
+/// non-empty ranges — always at least one, which is `0..0` when `n = 0` —
 /// balanced by the work of one delivery sweep, `degree(v) + 1` per node.
 /// Range `k` closes at the first 64-node word edge where the running work
 /// reaches `(k + 1) / workers` of the total, so interior boundaries are
