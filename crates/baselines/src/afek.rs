@@ -100,12 +100,6 @@ impl AfekStyleMis {
         self.slots
     }
 
-    /// Epoch length in rounds: competition slots plus the announcement
-    /// slot.
-    pub fn epoch_len(&self) -> u32 {
-        self.slots + 1
-    }
-
     /// Runs from the synchronized start until no node competes, or
     /// [`mis::RunError::Budget`] if the round budget runs out first.
     pub fn run(&self, graph: &Graph, seed: u64, max_rounds: u64) -> RunResult<AfekState> {
@@ -236,14 +230,6 @@ mod tests {
             assert!(graphs::mis::is_maximal_independent_set(g, &mis), "graph {i}");
             assert!(rounds > 0);
         }
-    }
-
-    #[test]
-    fn epoch_len_is_log_n_plus_one() {
-        assert_eq!(AfekStyleMis::new(1024).epoch_len(), 11);
-        assert_eq!(AfekStyleMis::new(1000).epoch_len(), 11);
-        assert_eq!(AfekStyleMis::new(2).epoch_len(), 3);
-        assert_eq!(AfekStyleMis::new(1).epoch_len(), 3);
     }
 
     #[test]

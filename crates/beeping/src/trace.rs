@@ -112,15 +112,6 @@ impl Trace {
     pub fn total_lone_beepers_channel2(&self) -> usize {
         self.reports.iter().map(|r| r.lone_beepers_channel2).sum()
     }
-
-    /// Average channel-1 beeps per round (0.0 for an empty trace).
-    pub fn mean_beeps_channel1(&self) -> f64 {
-        if self.reports.is_empty() {
-            0.0
-        } else {
-            self.total_beeps_channel1() as f64 / self.reports.len() as f64
-        }
-    }
 }
 
 impl Extend<RoundReport> for Trace {
@@ -179,7 +170,6 @@ mod tests {
     fn trace_aggregates() {
         let mut t = Trace::new();
         assert!(t.is_empty());
-        assert_eq!(t.mean_beeps_channel1(), 0.0);
         t.push(RoundReport {
             round: 1,
             beeps_channel1: 4,
@@ -192,7 +182,6 @@ mod tests {
         assert_eq!(t.total_beeps_channel1(), 6);
         assert_eq!(t.total_lone_beepers(), 1);
         assert_eq!(t.total_lone_beepers_channel2(), 2);
-        assert!((t.mean_beeps_channel1() - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -72,17 +72,9 @@ impl Regime {
     }
 }
 
-/// Collects prominence episodes from executions on a BA graph. Errors
-/// (instead of panicking) when the BA parameters are invalid for this `n`.
-pub fn collect_episodes(
-    n: usize,
-    seeds: u64,
-    horizon: u64,
-) -> Result<Vec<Episode>, graphs::GraphError> {
-    collect_episodes_in(n, seeds, horizon, Regime::OwnDegree)
-}
-
-/// Collects prominence episodes under an explicit ℓmax regime.
+/// Collects prominence episodes from executions on a BA graph under an
+/// explicit ℓmax regime. Errors (instead of panicking) when the BA
+/// parameters are invalid for this `n`.
 pub fn collect_episodes_in(
     n: usize,
     seeds: u64,
@@ -222,7 +214,7 @@ mod tests {
 
     #[test]
     fn episodes_are_recorded_and_consistent() {
-        let eps = collect_episodes(48, 2, 5_000).expect("valid BA");
+        let eps = collect_episodes_in(48, 2, 5_000, Regime::OwnDegree).expect("valid BA");
         assert!(!eps.is_empty());
         for e in &eps {
             assert!(e.duration >= 1);

@@ -50,11 +50,6 @@ impl GraphBuilder {
         self.n == 0
     }
 
-    /// Number of edge insertions so far (before deduplication).
-    pub fn num_edge_insertions(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds the undirected edge `{u, v}`.
     ///
     /// # Errors
@@ -91,48 +86,49 @@ impl GraphBuilder {
         Ok(self)
     }
 
-    /// `true` if the edge was already inserted (linear scan; intended for
-    /// tests and small generators that need rejection sampling).
-    pub fn contains_edge(&self, u: NodeId, v: NodeId) -> bool {
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        let (a, b) = (crate::graph::node_id32(a), crate::graph::node_id32(b));
-        self.edges.contains(&(a, b))
-    }
-
     /// Finalizes the builder into an immutable [`Graph`].
     ///
-    /// Duplicate edges are merged; adjacency lists come out sorted.
+    /// Duplicate edges are merged; adjacency lists come out sorted. Takes
+    /// O(n + m) when the insertions are strictly ordered by their
+    /// `(low, high)` or their `(high, low)` endpoints, and one comparison
+    /// sort of the edge list otherwise.
     pub fn build(mut self) -> Graph {
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        let mut degrees = vec![0usize; self.n];
+        // A strict order also rules out duplicates.
+        let ordered = self.edges.windows(2).all(|w| w[0] < w[1])
+            || self.edges.windows(2).all(|w| (w[0].1, w[0].0) < (w[1].1, w[1].0));
+        if !ordered {
+            self.edges.sort_unstable();
+            self.edges.dedup();
+        }
+        // Count each node's degree into `offsets[v]` and take inclusive
+        // prefix sums, so `offsets[v]` is the end of v's slice. Placing the
+        // edges from the back with a decrement then leaves it at v's start.
+        let n = self.n;
+        let mut offsets = vec![0usize; n + 1];
         for &(a, b) in &self.edges {
-            degrees[a as usize] += 1;
-            degrees[b as usize] += 1;
+            offsets[a as usize] += 1;
+            offsets[b as usize] += 1;
         }
-        let mut offsets = Vec::with_capacity(self.n + 1);
-        offsets.push(0usize);
-        let mut acc = 0usize;
-        for &d in &degrees {
-            acc += d;
-            offsets.push(acc);
+        for v in 1..=n {
+            offsets[v] += offsets[v - 1];
         }
-        let mut cursor = offsets[..self.n].to_vec();
-        let mut neighbors = vec![0u32; acc];
-        for &(a, b) in &self.edges {
-            neighbors[cursor[a as usize]] = b;
-            cursor[a as usize] += 1;
-            neighbors[cursor[b as usize]] = a;
-            cursor[b as usize] += 1;
+        let mut neighbors = vec![0u32; offsets[n]];
+        for &(a, b) in self.edges.iter().rev() {
+            offsets[a as usize] -= 1;
+            neighbors[offsets[a as usize]] = b;
+            offsets[b as usize] -= 1;
+            neighbors[offsets[b as usize]] = a;
         }
-        // Each node's slice is already sorted: edges were sorted by (a, b),
-        // so node a receives its b's in increasing order; node b receives its
-        // a's in increasing order of a, but interleaved with larger-neighbor
-        // writes only after all smaller ones... that interleaving is not
-        // guaranteed sorted, so sort each slice to uphold the CSR invariant.
-        for v in 0..self.n {
-            neighbors[offsets[v]..offsets[v + 1]].sort_unstable();
-        }
+        // Every slice comes out sorted, with no per-node sort. The fill keeps
+        // list order within a slice, and under either key node x receives
+        // its lower neighbours y in ascending order before its higher
+        // neighbours z, also ascending: under `(low, high)` every `(y, x)`
+        // precedes `(x, z)` because y < x, and under `(high, low)` because
+        // x < z.
+        debug_assert!(
+            (0..n).all(|v| neighbors[offsets[v]..offsets[v + 1]].windows(2).all(|w| w[0] < w[1])),
+            "CSR fill of an ordered edge list must yield sorted neighbour lists"
+        );
         Graph::from_csr_trusted(offsets, neighbors)
     }
 }
@@ -162,18 +158,8 @@ mod tests {
     fn dedups_edges() {
         let mut b = GraphBuilder::new(3);
         b.add_edges([(0, 1), (1, 0), (0, 1), (1, 2)]).unwrap();
-        assert_eq!(b.num_edge_insertions(), 4);
         let g = b.build();
         assert_eq!(g.num_edges(), 2);
-    }
-
-    #[test]
-    fn contains_edge_checks_both_orientations() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(2, 1).unwrap();
-        assert!(b.contains_edge(1, 2));
-        assert!(b.contains_edge(2, 1));
-        assert!(!b.contains_edge(0, 1));
     }
 
     #[test]

@@ -26,10 +26,13 @@ pub fn cycle(n: usize) -> Graph {
         return path(n);
     }
     let mut b = GraphBuilder::with_capacity(n, n);
-    for i in 1..n {
+    // The closing edge `(0, n - 1)` goes in its `(low, high)` place, so the
+    // builder need not sort the list.
+    b.add_edge(0, 1).expect("cycle edges are valid");
+    b.add_edge(0, n - 1).expect("closing edge is valid");
+    for i in 2..n {
         b.add_edge(i - 1, i).expect("cycle edges are valid");
     }
-    b.add_edge(n - 1, 0).expect("closing edge is valid");
     b.build()
 }
 
@@ -65,10 +68,12 @@ pub fn wheel(n: usize) -> Graph {
     for v in 1..n {
         b.add_edge(0, v).expect("spokes are valid");
     }
-    for v in 2..n {
+    // The closing rim edge `(1, n - 1)` goes in its `(low, high)` place.
+    b.add_edge(1, 2).expect("rim edges are valid");
+    b.add_edge(1, n - 1).expect("closing rim edge is valid");
+    for v in 3..n {
         b.add_edge(v - 1, v).expect("rim edges are valid");
     }
-    b.add_edge(n - 1, 1).expect("closing rim edge is valid");
     b.build()
 }
 

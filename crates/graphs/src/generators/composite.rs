@@ -15,15 +15,18 @@ use crate::{Graph, GraphBuilder};
 pub fn star_of_cliques(hubs: usize, clique: usize) -> Graph {
     let n = 1 + hubs * clique;
     let mut b = GraphBuilder::new(n);
+    // Ports first: the hub's edges lead the `(low, high)` order.
+    if clique > 0 {
+        for h in 0..hubs {
+            b.add_edge(0, 1 + h * clique).expect("port edges are valid");
+        }
+    }
     for h in 0..hubs {
         let base = 1 + h * clique;
         for i in 0..clique {
             for j in (i + 1)..clique {
                 b.add_edge(base + i, base + j).expect("clique edges are valid");
             }
-        }
-        if clique > 0 {
-            b.add_edge(0, base).expect("port edges are valid");
         }
     }
     b.build()
@@ -36,15 +39,16 @@ pub fn clique_chain(count: usize, clique: usize) -> Graph {
     let mut b = GraphBuilder::new(n);
     for c in 0..count {
         let base = c * clique;
+        if c > 0 && clique > 0 {
+            // Bridge from the last node of the previous clique to the first
+            // node of this one, ahead of this clique's edges in `(low, high)`
+            // order.
+            b.add_edge(base - 1, base).expect("bridge edges are valid");
+        }
         for i in 0..clique {
             for j in (i + 1)..clique {
                 b.add_edge(base + i, base + j).expect("clique edges are valid");
             }
-        }
-        if c > 0 && clique > 0 {
-            // Bridge from the last node of the previous clique to the first
-            // node of this one.
-            b.add_edge(base - 1, base).expect("bridge edges are valid");
         }
     }
     b.build()

@@ -88,12 +88,14 @@ pub fn king_grid(rows: usize, cols: usize) -> Graph {
                 b.add_edge(v, v + 1).expect("king edges are valid");
             }
             if r + 1 < rows {
+                // Ascending neighbour order keeps the list `(low, high)`
+                // ordered, so the builder need not sort it.
+                if c > 0 {
+                    b.add_edge(v, v + cols - 1).expect("king edges are valid");
+                }
                 b.add_edge(v, v + cols).expect("king edges are valid");
                 if c + 1 < cols {
                     b.add_edge(v, v + cols + 1).expect("king edges are valid");
-                }
-                if c > 0 {
-                    b.add_edge(v, v + cols - 1).expect("king edges are valid");
                 }
             }
         }

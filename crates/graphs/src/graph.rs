@@ -51,7 +51,10 @@ impl Graph {
     /// Creates a graph with `n` nodes from an iterator of undirected edges.
     ///
     /// Edges may appear in any order and in either orientation; duplicates
-    /// are merged.
+    /// are merged. Takes O(n + m) when the edges are strictly ordered by
+    /// their `(low, high)` or their `(high, low)` endpoints, and one
+    /// comparison sort of the edge list otherwise (see
+    /// [`GraphBuilder::build`](crate::GraphBuilder::build)).
     ///
     /// # Errors
     ///

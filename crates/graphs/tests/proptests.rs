@@ -69,6 +69,77 @@ fn brute_force_geometric(points: &[(f64, f64)], radius: f64) -> Graph {
     b.build()
 }
 
+/// The sort-based reference build: sort and dedup the whole list, fill the
+/// CSR, then sort every neighbour list. The differential tests hold
+/// `GraphBuilder::build`, which skips both sorts on ordered input, to it.
+fn sort_based_build(n: usize, pairs: &[(usize, usize)]) -> Graph {
+    let mut edges: Vec<(u32, u32)> =
+        pairs.iter().map(|&(u, v)| (u.min(v) as u32, u.max(v) as u32)).collect();
+    edges.sort_unstable();
+    edges.dedup();
+    let mut offsets = vec![0usize; n + 1];
+    for &(a, b) in &edges {
+        offsets[a as usize + 1] += 1;
+        offsets[b as usize + 1] += 1;
+    }
+    for v in 1..=n {
+        offsets[v] += offsets[v - 1];
+    }
+    let mut cursor = offsets[..n].to_vec();
+    let mut neighbors = vec![0u32; offsets[n]];
+    for &(a, b) in &edges {
+        neighbors[cursor[a as usize]] = b;
+        cursor[a as usize] += 1;
+        neighbors[cursor[b as usize]] = a;
+        cursor[b as usize] += 1;
+    }
+    for v in 0..n {
+        neighbors[offsets[v]..offsets[v + 1]].sort_unstable();
+    }
+    Graph::from_csr(offsets, neighbors).unwrap()
+}
+
+/// Builds from `pairs` in the given order through the public builder.
+fn build_in_order(n: usize, pairs: &[(usize, usize)]) -> Graph {
+    let mut b = GraphBuilder::new(n);
+    b.add_edges(pairs.iter().copied()).unwrap();
+    b.build()
+}
+
+/// `true` if the normalized pairs are strictly ordered by `(low, high)` or
+/// by `(high, low)`: the inputs `build` takes without a sort.
+fn ordered_either_way(pairs: &[(usize, usize)]) -> bool {
+    let norm: Vec<(usize, usize)> = pairs.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
+    norm.windows(2).all(|w| w[0] < w[1])
+        || norm.windows(2).all(|w| (w[0].1, w[0].0) < (w[1].1, w[1].0))
+}
+
+/// Flips the orientation of pair `i` when bit `i % 64` of `flips` is set.
+fn orient(pairs: &[(usize, usize)], flips: u64) -> Vec<(usize, usize)> {
+    pairs
+        .iter()
+        .enumerate()
+        .map(|(i, &(u, v))| if flips >> (i % 64) & 1 == 1 { (v, u) } else { (u, v) })
+        .collect()
+}
+
+/// Strategy: `n` and a set of distinct edges `(low, high)` on `0..n`,
+/// sorted by `(low, high)`; large `n` leaves nodes isolated.
+fn arb_edge_set() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
+    (2usize..60).prop_flat_map(|n| {
+        proptest::collection::vec((0..n, 0..n), 0..100).prop_map(move |pairs| {
+            let mut edges: Vec<(usize, usize)> = pairs
+                .into_iter()
+                .filter(|&(u, v)| u != v)
+                .map(|(u, v)| (u.min(v), u.max(v)))
+                .collect();
+            edges.sort_unstable();
+            edges.dedup();
+            (n, edges)
+        })
+    })
+}
+
 proptest! {
     #[test]
     fn geometric_builder_matches_brute_force(points in arb_points(), radius in arb_radius()) {
@@ -237,6 +308,76 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn builder_matches_sort_based_build_on_any_list(
+        (n, edges) in arb_edge_set(),
+        extra in proptest::collection::vec((0usize..60, 0usize..60), 0..60),
+        repeats in 0usize..100,
+        flips in any::<u64>(),
+    ) {
+        // The set, random extra pairs (repeats likely at small n), then the
+        // first `repeats` pairs again in the opposite orientation.
+        let mut pairs = orient(&edges, flips);
+        pairs.extend(extra.into_iter().map(|(u, v)| (u % n, v % n)).filter(|&(u, v)| u != v));
+        let tail: Vec<(usize, usize)> = pairs.iter().take(repeats).map(|&(u, v)| (v, u)).collect();
+        pairs.extend(tail);
+        prop_assert_eq!(build_in_order(n, &pairs), sort_based_build(n, &pairs));
+    }
+
+    #[test]
+    fn builder_matches_sort_based_build_on_ordered_lists(
+        (n, edges) in arb_edge_set(),
+        flips in any::<u64>(),
+    ) {
+        let reference = sort_based_build(n, &edges);
+        let by_low = orient(&edges, flips);
+        prop_assert!(ordered_either_way(&by_low));
+        prop_assert_eq!(&build_in_order(n, &by_low), &reference);
+        let mut by_high = edges.clone();
+        by_high.sort_unstable_by_key(|&(low, high)| (high, low));
+        let by_high = orient(&by_high, flips.rotate_left(7));
+        prop_assert!(ordered_either_way(&by_high));
+        prop_assert_eq!(&build_in_order(n, &by_high), &reference);
+    }
+
+    #[test]
+    fn builder_falls_back_on_a_duplicate_or_a_misplaced_edge(
+        (n, edges) in arb_edge_set(),
+        by_high in any::<bool>(),
+        i in 0usize..100,
+        j in 0usize..100,
+        flips in any::<u64>(),
+    ) {
+        prop_assume!(edges.len() >= 2);
+        let mut ordered = edges.clone();
+        if by_high {
+            ordered.sort_unstable_by_key(|&(low, high)| (high, low));
+        }
+        let (i, j) = (i % ordered.len(), j % ordered.len());
+        // One adjacent duplicate. Neither strict order holds, so `build`
+        // must sort.
+        let mut duplicated = ordered.clone();
+        duplicated.insert(i + 1, (ordered[i].1, ordered[i].0));
+        let duplicated = orient(&duplicated, flips);
+        prop_assert!(!ordered_either_way(&duplicated));
+        let g = build_in_order(n, &duplicated);
+        prop_assert_eq!(g.num_edges(), edges.len());
+        prop_assert_eq!(&g, &sort_based_build(n, &duplicated));
+        // One edge moved out of place, unless that happens to leave the
+        // list ordered by the other key.
+        prop_assume!(i != j);
+        let mut misplaced = ordered.clone();
+        let moved = misplaced.remove(i);
+        misplaced.insert(j, moved);
+        let misplaced = orient(&misplaced, flips);
+        prop_assume!(!ordered_either_way(&misplaced));
+        let g = build_in_order(n, &misplaced);
+        for v in g.nodes() {
+            prop_assert!(g.neighbors(v).windows(2).all(|w| w[0] < w[1]), "node {} not sorted", v);
+        }
+        prop_assert_eq!(&g, &sort_based_build(n, &misplaced));
     }
 
     #[test]

@@ -156,12 +156,6 @@ impl<'a> Snapshot<'a> {
             .sum()
     }
 
-    /// Golden round for `v` (Def 6.2):
-    /// `(ℓ_t(v) ≤ 1 ∧ d_t(v) ≤ 0.02) ∨ d_t^L(v) > 0.001`.
-    pub fn is_golden_for(&self, v: NodeId) -> bool {
-        (self.levels[v] <= 1 && self.d(v) <= 0.02) || self.d_light(v) > 0.001
-    }
-
     /// `η_t(v) = Σ_{u ∈ N(v) \ S_t} 2^{-ℓmax(u)}` (paper §3).
     pub fn eta(&self, v: NodeId) -> f64 {
         self.graph
@@ -280,19 +274,20 @@ mod tests {
         let lmax = vec![6; 3];
         let levels = vec![6, 6, 6];
         let snap = Snapshot::new(&g, &lmax, &levels);
-        // All silent: μ = 1 > 0 and d = 0 ≤ 10 → light; golden needs ℓ ≤ 1,
-        // so nobody is golden via clause (a) and d_L = 0 kills clause (b).
+        // All silent: μ = 1 > 0 and d = 0 ≤ 10 → light; d_L = 0 kills
+        // golden clause (b) of Def 6.2 (the clauses lemma67 classifies by).
         for v in 0..3 {
             assert!(snap.is_light(v));
-            assert!(!snap.is_golden_for(v));
+            assert_eq!(snap.d_light(v), 0.0);
         }
-        // ℓ(1) = 1 with silent neighbors: golden via clause (a).
+        // ℓ(1) = 1 with silent neighbors: golden via clause (a),
+        // `ℓ ≤ 1 ∧ d ≤ 0.02`.
         let levels = vec![6, 1, 6];
         let snap = Snapshot::new(&g, &lmax, &levels);
-        assert!(snap.is_golden_for(1));
+        assert!(snap.level(1) <= 1 && snap.d(1) <= 0.02);
         // Its neighbors see a light beeping neighbor: d_L = 0.5 > 0.001 →
         // golden via clause (b).
-        assert!(snap.is_golden_for(0));
+        assert!((snap.d_light(0) - 0.5).abs() < 1e-12);
     }
 
     #[test]

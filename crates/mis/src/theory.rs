@@ -15,11 +15,6 @@ pub fn gamma() -> f64 {
     (-30.0f64).exp()
 }
 
-/// The Lemma 6.7 constant `γ ≥ e⁻²⁷` (golden → platinum conversion).
-pub fn gamma_golden() -> f64 {
-    (-27.0f64).exp()
-}
-
 /// The η threshold `0.0001` used by Lemmas 3.5 / 6.3.
 pub const ETA_THRESHOLD: f64 = 0.0001;
 
@@ -63,13 +58,6 @@ pub fn burn_in_horizon(policy: &LmaxPolicy) -> u64 {
     policy.max_lmax() as u64
 }
 
-/// Lemma 3.5's applicability threshold for the tail bound:
-/// `k ≥ 2·γ⁻¹·ℓmax(v)` — astronomically large because `γ = e⁻³⁰`;
-/// provided so the experiment reports can state it.
-pub fn lemma35_min_k(lmax: Level) -> f64 {
-    2.0 * lmax as f64 / gamma()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,7 +66,6 @@ mod tests {
     #[test]
     fn constants() {
         assert!(gamma() < 1e-12);
-        assert!(gamma_golden() > gamma());
         assert!(eta_bound_thm21(15) <= ETA_THRESHOLD);
         assert!(eta_bound_thm21(13) > ETA_THRESHOLD);
     }
@@ -117,10 +104,5 @@ mod tests {
         let g = random::gnp(50, 0.1, 3);
         let p = LmaxPolicy::own_degree(&g);
         assert_eq!(burn_in_horizon(&p), p.max_lmax() as u64);
-    }
-
-    #[test]
-    fn lemma35_min_k_is_astronomical() {
-        assert!(lemma35_min_k(20) > 1e13);
     }
 }

@@ -19,13 +19,6 @@ pub struct TimerStat {
     pub total_ns: u64,
 }
 
-impl TimerStat {
-    /// Mean span duration in nanoseconds (0 when nothing was recorded).
-    pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
-    }
-}
-
 /// The mutable metric store behind an enabled [`crate::Telemetry`].
 ///
 /// `BTreeMap` keeps snapshot ordering deterministic (the simulation crates
@@ -125,7 +118,7 @@ mod tests {
         assert_eq!(s.counters, vec![("a".into(), 1), ("z".into(), 5)]);
         assert_eq!(s.gauge("g"), Some(2.5));
         let t = s.timer("t").unwrap();
-        assert_eq!((t.count, t.total_ns, t.mean_ns()), (2, 40, 20));
+        assert_eq!((t.count, t.total_ns), (2, 40));
         assert_eq!(s.counter("missing"), 0);
         assert_eq!(s.timer("missing"), None);
     }
