@@ -71,12 +71,16 @@ pub fn random_geometric_expected_degree(n: usize, avg_degree: f64, seed: u64) ->
 /// coordinates) with connection `radius`. Exposed so deployments with known
 /// sensor positions can be simulated.
 ///
-/// `O(n + m)` in expectation, with no edge list and no sort: the nodes are
-/// counting-sorted into a grid of cells at least `radius` wide, each
-/// node's neighbors are collected from the three cell rows around it, and
-/// one transpose of those lists writes every CSR slice already sorted. The
-/// grid has at most about `⌈√n⌉` cells per side, so a tiny radius cannot
-/// blow up its size.
+/// `O(n + m)` in expectation, with no sort: the nodes are counting-sorted
+/// into a grid of cells at least `radius` wide (at most about `⌈√n⌉` per
+/// side, so a tiny radius cannot blow up its size). Walking the grid in
+/// cell order, each node is tested against the rest of its cell and the
+/// cell to its right, then the three cells of the row above: a half
+/// stencil that tests each pair once, from one endpoint, which decides it
+/// as the other would (`(a - b)²` and `(b - a)²` are equal bit for bit).
+/// The hits are written both ways into per-node runs, and one transpose of
+/// those writes every CSR slice sorted. The cell order is dropped after
+/// the scan and the pair list before the CSR array is allocated.
 ///
 /// # Panics
 ///
@@ -93,58 +97,80 @@ pub fn geometric_from_points(points: &[(f64, f64)], radius: f64) -> Graph {
     // its 3×3 block of cells.
     let cell = radius.max(1.0 / (n as f64).sqrt().ceil());
     let side = (1.0 / cell).ceil().max(1.0) as usize;
-    let cell_of = |(x, y): (f64, f64)| -> (usize, usize) {
+    let cell_of = |(x, y): (f64, f64)| -> usize {
         let cx = ((x / cell) as usize).min(side - 1);
         let cy = ((y / cell) as usize).min(side - 1);
-        (cx, cy)
+        cy * side + cx
     };
     // Counting sort by cell: cell `c` holds `order[start[c]..start[c + 1]]`,
     // in increasing id order, with the coordinates copied alongside.
-    let mut start = vec![0usize; side * side + 1];
+    let cells = side * side;
+    let mut start = vec![0usize; cells + 1];
     for &p in points {
-        let (cx, cy) = cell_of(p);
-        start[cy * side + cx] += 1;
+        start[cell_of(p)] += 1;
     }
     for c in 1..start.len() {
         start[c] += start[c - 1];
     }
     let mut order = vec![(0u32, (0.0, 0.0)); n];
     for (i, &p) in points.iter().enumerate().rev() {
-        let (cx, cy) = cell_of(p);
-        start[cy * side + cx] -= 1;
-        order[start[cy * side + cx]] = (node_id32(i), p);
+        let c = cell_of(p);
+        start[c] -= 1;
+        order[start[c]] = (node_id32(i), p);
     }
     let r2 = radius * radius;
-    // Pass 1: each node's neighbors, in cell order. Every candidate is
-    // written and the cursor only advances on a hit, so the buffer keeps
-    // room for one cell row of candidates past the cursor. It starts with
-    // room for an average degree of 8 and grows only past that.
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0usize);
-    let mut unsorted: Vec<u32> = Vec::with_capacity(8 * n);
+    // Pass 1: both runs a node is tested against are contiguous in `order`
+    // (a cell's tail runs on into the next cell of its row; the top row has
+    // no row above). Every candidate is written and the cursor only
+    // advances on a hit, so the buffer keeps room for one node's
+    // candidates past the cursor. It starts with room for an average
+    // degree of 8 and doubles past that, so it is rarely resized.
+    let mut pairs = vec![(0u32, 0u32); 4 * n];
     let mut len = 0usize;
-    for (i, &(x, y)) in points.iter().enumerate() {
-        let (cx, cy) = cell_of((x, y));
-        let (x0, x1) = (cx.saturating_sub(1), (cx + 1).min(side - 1));
-        let me = node_id32(i);
-        for row in cy.saturating_sub(1)..=(cy + 1).min(side - 1) {
-            let candidates = &order[start[row * side + x0]..start[row * side + x1 + 1]];
-            if unsorted.len() < len + candidates.len() {
-                unsorted.resize(len + candidates.len(), 0);
+    for c in 0..cells {
+        let (left, right) = (usize::from(c % side > 0), usize::from(c % side + 1 < side));
+        let rest_end = start[c + 1 + right];
+        let above = start[(c + side - left).min(cells)]..start[(c + side + 1 + right).min(cells)];
+        for k in start[c]..start[c + 1] {
+            let (me, (x, y)) = order[k];
+            let need = len + (rest_end - k - 1) + above.len();
+            if pairs.len() < need {
+                pairs.resize(need.max(2 * pairs.len()), (0, 0));
             }
-            for &(j, (px, py)) in candidates {
-                let d2 = (x - px) * (x - px) + (y - py) * (y - py);
-                unsorted[len] = j;
-                len += usize::from((d2 < r2) & (j != me));
+            for run in [&order[k + 1..rest_end], &order[above.clone()]] {
+                for &(j, (px, py)) in run {
+                    let d2 = (x - px) * (x - px) + (y - py) * (y - py);
+                    pairs[len] = (me, j);
+                    len += usize::from(d2 < r2);
+                }
             }
         }
-        offsets.push(len);
     }
-    // Pass 2: the relation is symmetric, so writing `j` into the slice of
+    drop((start, order));
+    pairs.truncate(len);
+    // Pass 2: degrees into `offsets`, then each pair both ways into its
+    // endpoints' runs, unsorted.
+    let mut offsets = vec![0usize; n + 1];
+    for &(a, b) in &pairs {
+        offsets[a as usize + 1] += 1;
+        offsets[b as usize + 1] += 1;
+    }
+    for v in 1..=n {
+        offsets[v] += offsets[v - 1];
+    }
+    let mut fill = offsets[..n].to_vec();
+    let mut unsorted = vec![0u32; 2 * len];
+    for (a, b) in pairs {
+        for (from, to) in [(a, b), (b, a)] {
+            unsorted[fill[from as usize]] = to;
+            fill[from as usize] += 1;
+        }
+    }
+    // Pass 3: the relation is symmetric, so writing `j` into the slice of
     // each of its neighbors, for `j` in increasing order, fills every slice
     // sorted.
-    let mut neighbors = vec![0u32; len];
-    let mut fill = offsets[..n].to_vec();
+    let mut neighbors = vec![0u32; 2 * len];
+    fill.copy_from_slice(&offsets[..n]);
     for j in 0..n {
         for &i in &unsorted[offsets[j]..offsets[j + 1]] {
             neighbors[fill[i as usize]] = node_id32(j);

@@ -113,7 +113,8 @@ impl Motion {
     /// e.g. from [`crate::generators::geometric::random_points`]) with
     /// connection `radius`. Initial waypoints/headings are drawn from
     /// `rng` in node order (two `f64` per node for random waypoint, one
-    /// for drift).
+    /// for drift), then the parts go through [`Motion::from_parts`], so
+    /// both accept the same states.
     ///
     /// # Errors
     ///
@@ -126,19 +127,6 @@ impl Motion {
         model: MotionModel,
         rng: &mut Pcg64Mcg,
     ) -> Result<Motion, GraphError> {
-        model.validate()?;
-        if !radius.is_finite() || radius < 0.0 {
-            return Err(GraphError::InvalidParameter(format!(
-                "motion radius must be finite and non-negative, got {radius}"
-            )));
-        }
-        for (v, &(x, y)) in points.iter().enumerate() {
-            if !(0.0..=1.0).contains(&x) || !(0.0..=1.0).contains(&y) {
-                return Err(GraphError::InvalidParameter(format!(
-                    "node {v} position ({x}, {y}) is outside the unit square"
-                )));
-            }
-        }
         let n = points.len();
         let (mut waypoints, mut headings) = (Vec::new(), Vec::new());
         let mut pauses = Vec::new();
@@ -151,8 +139,7 @@ impl Motion {
                 headings = (0..n).map(|_| rng.gen::<f64>() * 2.0 * std::f64::consts::PI).collect();
             }
         }
-        let graph = Arc::new(geometric_from_points(&points, radius));
-        Ok(Motion { model, radius, positions: points, waypoints, pauses, headings, graph })
+        Motion::from_parts(model, radius, points, waypoints, pauses, headings)
     }
 
     /// Reassembles a mobility process from externally held parts — the
@@ -162,10 +149,11 @@ impl Motion {
     ///
     /// # Errors
     ///
-    /// [`GraphError::InvalidParameter`] if the parameters are out of range
-    /// or the per-node vectors do not match the model: random waypoint
-    /// needs `waypoints` and `pauses` covering every node (and no
-    /// `headings`); drift needs `headings` only.
+    /// [`GraphError::InvalidParameter`] if the parameters are out of range,
+    /// the per-node vectors do not match the model (random waypoint needs
+    /// `waypoints` and `pauses` covering every node and no `headings`;
+    /// drift needs `headings` only), a position or waypoint lies outside
+    /// the unit square, or a heading is not finite.
     pub fn from_parts(
         model: MotionModel,
         radius: f64,
@@ -200,6 +188,20 @@ impl Motion {
                 expect("pauses", pauses.len(), 0)?;
                 expect("headings", headings.len(), n)?;
             }
+        }
+        for (what, points) in [("position", &positions), ("waypoint", &waypoints)] {
+            for (v, &(x, y)) in points.iter().enumerate() {
+                if !(0.0..=1.0).contains(&x) || !(0.0..=1.0).contains(&y) {
+                    return Err(GraphError::InvalidParameter(format!(
+                        "node {v} {what} ({x}, {y}) is outside the unit square"
+                    )));
+                }
+            }
+        }
+        if let Some((v, h)) = headings.iter().enumerate().find(|(_, h)| !h.is_finite()) {
+            return Err(GraphError::InvalidParameter(format!(
+                "node {v} heading {h} is not finite"
+            )));
         }
         let graph = Arc::new(geometric_from_points(&positions, radius));
         Ok(Motion { model, radius, positions, waypoints, pauses, headings, graph })
@@ -433,6 +435,31 @@ mod tests {
             vec![0.0; 3],
         );
         assert!(matches!(err, Err(GraphError::InvalidParameter(_))));
+    }
+
+    #[test]
+    fn from_parts_rejects_what_new_rejects() {
+        let drift = MotionModel::Drift { speed: 0.1, turn: 0.1 };
+        let at = |p: (f64, f64)| vec![(0.5, 0.5), p];
+        for bad in [(2.0, 0.5), (0.5, -0.1), (f64::NAN, 0.5), (0.5, f64::INFINITY)] {
+            let err = Motion::from_parts(drift, 0.1, at(bad), vec![], vec![], vec![0.0; 2]);
+            assert!(matches!(err, Err(GraphError::InvalidParameter(_))), "position {bad:?}");
+            assert!(Motion::new(at(bad), 0.1, drift, &mut rng(1)).is_err(), "position {bad:?}");
+            let err =
+                Motion::from_parts(rwp(0.1), 0.1, at((0.5, 0.5)), at(bad), vec![0; 2], vec![]);
+            assert!(matches!(err, Err(GraphError::InvalidParameter(_))), "waypoint {bad:?}");
+        }
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err =
+                Motion::from_parts(drift, 0.1, at((0.5, 0.5)), vec![], vec![], vec![0.0, bad]);
+            assert!(matches!(err, Err(GraphError::InvalidParameter(_))), "heading {bad}");
+        }
+        // The closed square's corners and any finite heading are accepted.
+        let corners = vec![(0.0, 0.0), (1.0, 1.0)];
+        let ok = Motion::from_parts(drift, 0.1, corners.clone(), vec![], vec![], vec![-40.0, 7.5]);
+        assert!(ok.is_ok());
+        let ok = Motion::from_parts(rwp(0.1), 0.1, corners.clone(), corners, vec![0; 2], vec![]);
+        assert!(ok.is_ok());
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Property-based tests for the graph substrate.
 
 use graphs::generators::{classic, geometric, random, scale_free, small_world, trees};
+use graphs::motion::{Motion, MotionModel};
 use graphs::{edgelist, mis, properties, Graph, GraphBuilder};
 use proptest::prelude::*;
+use rand_pcg::Pcg64Mcg;
 
 /// Strategy: an arbitrary simple graph as (n, edge list).
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -53,6 +55,87 @@ fn arb_radius() -> impl Strategy<Value = f64> {
         4 => 2.0 + u,
         _ => 0.02 + 0.4 * u,
     })
+}
+
+/// The builder's grid width cap for `n` points: cells are never narrower
+/// than `1 / ⌈√n⌉`.
+fn cell_cap(n: usize) -> f64 {
+    1.0 / (n as f64).sqrt().ceil()
+}
+
+/// Strategy: a crowded deployment of up to 400 points with a radius around
+/// `1/√n`, so most cells hold several nodes. The radius is below the grid
+/// cap (the cap sets the cell width), exactly at it, or above it (the
+/// radius does). Some coordinates sit on multiples of 1/16, which are exact
+/// cell edges whenever the cell width is dyadic, and one point duplicates
+/// another.
+fn arb_crowded() -> impl Strategy<Value = (Vec<(f64, f64)>, f64)> {
+    let coord = || {
+        (0u8..8, 0.0f64..1.0).prop_map(|(kind, u)| match kind {
+            0 => (u * 16.0).floor() / 16.0,
+            1 => 1.0,
+            _ => u,
+        })
+    };
+    (2usize..=400).prop_flat_map(move |n| {
+        let radius = (0u8..3, 0.4f64..2.5).prop_map(move |(kind, f)| match kind {
+            0 => cell_cap(n) * f.min(1.0),
+            1 => cell_cap(n),
+            _ => cell_cap(n) * f.max(1.0),
+        });
+        (proptest::collection::vec((coord(), coord()), n), radius, 0..n, 0..n).prop_map(
+            |(mut points, radius, from, to)| {
+                points[to] = points[from];
+                (points, radius)
+            },
+        )
+    })
+}
+
+/// Strategy: points on the lattice of step `1/2^k` (`k` in 2..=4), with a
+/// radius of exactly one step: every coordinate is a cell edge when the
+/// step sets the cell width, and lattice neighbours lie at exactly the
+/// radius, where `d² = r²` and there is no edge.
+fn arb_lattice_at_radius() -> impl Strategy<Value = (Vec<(f64, f64)>, f64)> {
+    (2u32..=4).prop_flat_map(|k| {
+        let sites = 1u32 << k;
+        let site = move || (0..=sites).prop_map(move |i| f64::from(i) / f64::from(sites));
+        proptest::collection::vec((site(), site()), 2..=(sites * sites) as usize)
+            .prop_map(move |points| (points, 1.0 / f64::from(sites)))
+    })
+}
+
+/// Strategy: a random-waypoint model fast enough that nodes arrive within
+/// a few rounds, with pauses of 0–3 rounds.
+fn arb_waypoint() -> impl Strategy<Value = MotionModel> {
+    (0.02f64..0.5, 0u64..=3).prop_map(|(speed, pause)| MotionModel::RandomWaypoint { speed, pause })
+}
+
+/// Strategy: a drift model with large turns, fast enough to hit the walls
+/// and corners often.
+fn arb_drift() -> impl Strategy<Value = MotionModel> {
+    (0.05f64..=1.0, 0.0f64..6.3).prop_map(|(speed, turn)| MotionModel::Drift { speed, turn })
+}
+
+/// Steps a `Motion` over `n` seeded points for 24 rounds and checks its
+/// graph against the brute force after every round.
+fn check_moving_graphs(
+    n: usize,
+    degree: f64,
+    model: MotionModel,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let radius = geometric::radius_for_expected_degree(n, degree);
+    let mut rng = Pcg64Mcg::new(u128::from(seed));
+    let mut motion =
+        Motion::new(geometric::random_points(n, seed), radius, model, &mut rng).unwrap();
+    prop_assert_eq!(&**motion.graph(), &brute_force_geometric(motion.positions(), radius));
+    for round in 0..24 {
+        motion.step(&mut rng);
+        let want = brute_force_geometric(motion.positions(), radius);
+        prop_assert!(**motion.graph() == want, "round {} differs from the brute force", round);
+    }
+    Ok(())
 }
 
 /// The O(n²) definition of the geometric graph, with the builder's exact
@@ -153,6 +236,41 @@ proptest! {
                 prop_assert!(g.neighbors(u as usize).contains(&(v as u32)));
             }
         }
+    }
+
+    #[test]
+    fn geometric_builder_matches_brute_force_on_crowded_cells((points, radius) in arb_crowded()) {
+        prop_assert_eq!(
+            &geometric::geometric_from_points(&points, radius),
+            &brute_force_geometric(&points, radius)
+        );
+    }
+
+    #[test]
+    fn geometric_builder_drops_pairs_at_exactly_the_radius(
+        (points, radius) in arb_lattice_at_radius()
+    ) {
+        let g = geometric::geometric_from_points(&points, radius);
+        prop_assert_eq!(&g, &brute_force_geometric(&points, radius));
+        for v in g.nodes() {
+            for &u in g.neighbors(v) {
+                prop_assert_eq!(points[v], points[u as usize], "edge {}-{} at a lattice step", v, u);
+            }
+        }
+    }
+
+    #[test]
+    fn waypoint_graphs_match_brute_force_every_round(
+        n in 2usize..200, degree in 2.0f64..12.0, model in arb_waypoint(), seed in any::<u64>()
+    ) {
+        check_moving_graphs(n, degree, model, seed)?;
+    }
+
+    #[test]
+    fn drift_graphs_match_brute_force_every_round(
+        n in 2usize..200, degree in 2.0f64..12.0, model in arb_drift(), seed in any::<u64>()
+    ) {
+        check_moving_graphs(n, degree, model, seed)?;
     }
 
     #[test]

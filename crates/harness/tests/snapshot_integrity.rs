@@ -294,17 +294,51 @@ fn inconsistent_payload_is_typed_not_panic() {
     // Drop one digit from `active` so it covers 9 nodes instead of 10.
     let damaged = text.replacen("\"active\":\"1", "\"active\":\"", 1);
     assert_ne!(damaged, text, "test fixture: expected an all-active prefix");
-    // Re-stamp length and checksum so only the *semantic* damage remains.
-    let payload = damaged.lines().nth(1).unwrap();
-    let reheadered = format!(
+    let decoded = decode(restamped(&damaged).as_bytes(), fp).expect("shape still decodes");
+    let err = ResumableRun::resume(&algo, config, &decoded).unwrap_err();
+    assert!(err.to_string().contains("inconsistent"), "{err}");
+}
+
+/// Re-stamps the header's length and checksum over the payload line of
+/// `text`, so only the payload's *semantic* damage remains.
+fn restamped(text: &str) -> String {
+    let payload = text.lines().nth(1).unwrap();
+    format!(
         "{{\"format\":\"beeping-mis-snapshot\",\"version\":1,\
          \"payload_bytes\":{},\"checksum\":\"{:016x}\"}}\n{payload}\n",
         payload.len(),
         harness::snapshot::checksum64(payload.as_bytes()),
-    );
-    let decoded = decode(reheadered.as_bytes(), fp).expect("shape still decodes");
-    let err = ResumableRun::resume(&algo, config, &decoded).unwrap_err();
-    assert!(err.to_string().contains("inconsistent"), "{err}");
+    )
+}
+
+#[test]
+fn out_of_square_motion_state_is_refused_on_resume() {
+    // A well-formed snapshot whose motion state no `Motion::new` would
+    // accept (a position or waypoint off the unit square, a NaN
+    // coordinate or heading) must not resume silently.
+    let rwp = MotionModel::RandomWaypoint { speed: 0.03, pause: 2 };
+    let drift = MotionModel::Drift { speed: 0.02, turn: 0.5 };
+    for (model, field, bad, why) in [
+        (rwp, "motion_positions", 2.0, "outside the unit square"),
+        (rwp, "motion_positions", f64::NAN, "outside the unit square"),
+        (rwp, "motion_waypoints", -0.5, "outside the unit square"),
+        (drift, "motion_positions", 1.5, "outside the unit square"),
+        (drift, "motion_headings", f64::NAN, "not finite"),
+        (drift, "motion_headings", f64::INFINITY, "not finite"),
+    ] {
+        let (cp, config, fp) = moving_checkpoint(model);
+        let text = String::from_utf8(encode(&cp, fp)).unwrap();
+        // Overwrite the field's first value (16 hex digits of `f64` bits).
+        let at = text.find(&format!("\"{field}\":\"")).unwrap() + field.len() + 4;
+        let damaged = format!("{}{:016x}{}", &text[..at], bad.to_bits(), &text[at + 16..]);
+        let decoded = decode(restamped(&damaged).as_bytes(), fp).expect("shape still decodes");
+        let g = config.motion.unwrap().initial_graph(20);
+        let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
+        match ResumableRun::resume(&algo, config, &decoded) {
+            Err(err) => assert!(err.to_string().contains(why), "{field} = {bad}: {err}"),
+            Ok(_) => panic!("{field} = {bad} resumed"),
+        }
+    }
 }
 
 /// The committed version-1 file written from [`busy_checkpoint`]: churned,
