@@ -224,7 +224,9 @@ pub struct Simulator<'g, P: BeepingProtocol> {
     channel_rng: Pcg64Mcg,
     byzantine: ByzantinePlan<P::State>,
     /// Dense per-node lookup derived from `byzantine` (last assignment per
-    /// node wins), rebuilt by [`Simulator::with_byzantine`].
+    /// node wins), rebuilt by [`Simulator::with_byzantine`]. Empty for an
+    /// empty plan, so an honest network allocates no table (2 MB at
+    /// n = 2^16); read it with `get`, which finds no entry then.
     byz: Vec<Option<ByzantineBehavior<P::State>>>,
     byz_rng: Pcg64Mcg,
     active: Vec<bool>,
@@ -506,7 +508,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             channel_state: ChannelState::default(),
             channel_rng: rng::aux_rng(seed, CHANNEL_RNG_PURPOSE),
             byzantine: ByzantinePlan::new(),
-            byz: vec![None; n],
+            byz: Vec::new(),
             byz_rng: rng::aux_rng(seed, BYZ_RNG_PURPOSE),
             active: vec![true; n],
             active_bits: full_active_bits(n),
@@ -617,7 +619,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         // installed or cleared) reroutes the shared Byzantine stream, which
         // the frontier kernel cannot account per node — discard and rebuild.
         self.frontier_desync();
-        let mut byz: Vec<Option<ByzantineBehavior<P::State>>> = vec![None; n];
+        let mut byz = if plan.is_empty() { Vec::new() } else { vec![None; n] };
         for (v, behavior) in plan.overrides() {
             byz[*v] = Some(behavior.clone());
         }
@@ -997,7 +999,9 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
                 if !self.active[v] {
                     continue;
                 }
-                if let Some(ByzantineBehavior::CrashRestart { period, resurrect }) = &self.byz[v] {
+                if let Some(Some(ByzantineBehavior::CrashRestart { period, resurrect })) =
+                    self.byz.get(v)
+                {
                     if executing_round.is_multiple_of(*period) {
                         self.states[v] = resurrect.call(v, executing_round, &mut self.byz_rng);
                     }
@@ -1024,7 +1028,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
                     Some(JammerKind::AlwaysSilent) => signal = BeepSignal::silent(),
                     None => {}
                 }
-                match &self.byz[v] {
+                match self.byz.get(v).and_then(Option::as_ref) {
                     Some(ByzantineBehavior::StuckBeep) => signal = channels.full_signal(),
                     Some(ByzantineBehavior::StuckSilent) => signal = BeepSignal::silent(),
                     Some(ByzantineBehavior::Babbler(p)) => {
@@ -2536,6 +2540,40 @@ pub(crate) mod tests {
         sim.restore(&cp).unwrap();
         sim.run(25);
         assert_eq!(sim.states(), final_a.as_slice());
+    }
+
+    #[test]
+    fn byzantine_table_follows_plan_swaps() {
+        // The plan goes empty → babbler and crash-restart → empty under a
+        // jammer, so every round runs the phased path and reads the table.
+        // At each swap a twin is built fresh with only the new plan and
+        // restored to the same point: the two must agree round for round.
+        use crate::byzantine::{ByzantineBehavior, ByzantinePlan, Resurrect};
+        let g = classic::cycle(12);
+        let jammed = ChannelFault::reliable().with_jammer(4, JammerKind::AlwaysBeep);
+        let faulty =
+            ByzantinePlan::new().with_behavior(2, ByzantineBehavior::Babbler(0.5)).with_behavior(
+                9,
+                ByzantineBehavior::CrashRestart {
+                    period: 3,
+                    resurrect: Resurrect::new(|_, _, rng| rng.gen_range(0..4)),
+                },
+            );
+        let honest = || Simulator::new(&g, Parity, vec![0; 12], 5).with_channel(jammed.clone());
+        let mut sim = honest();
+        for plan in [ByzantinePlan::new(), faulty, ByzantinePlan::new()] {
+            sim = sim.with_byzantine(plan.clone());
+            assert_eq!(sim.byz.len(), if plan.is_empty() { 0 } else { 12 });
+            let mut twin = if plan.is_empty() { honest() } else { honest().with_byzantine(plan) };
+            twin.restore(&sim.checkpoint()).unwrap();
+            for _ in 0..12 {
+                assert_eq!(sim.step(), twin.step(), "report at round {}", sim.round());
+                assert_eq!(sim.states(), twin.states());
+                assert_eq!(sim.last_sent(), twin.last_sent());
+                assert_eq!(sim.last_heard(), twin.last_heard());
+                assert_eq!(sim.byz_rng, twin.byz_rng);
+            }
+        }
     }
 
     #[test]

@@ -412,7 +412,12 @@ impl<A: SelfStabilizingMis> Judge for A {
             return false;
         }
         let gated = run.stable_set.is_stale()
-            && has_off_extreme(&run.algo, run.sim.states(), run.sim.active());
+            && has_off_extreme(
+                &run.algo,
+                run.sim.states(),
+                run.sim.active(),
+                &mut run.off_extreme_hint,
+            );
         let stabilized = !gated && run.observe().stabilized();
         debug_assert_eq!(
             stabilized,
@@ -460,6 +465,9 @@ pub struct RunLoop<'g, P: Judge> {
     applied: Vec<Disturbance>,
     /// The incremental `I_t`/`S_t` tracker of the live configuration.
     stable_set: StableSet,
+    /// The chunk where the stopping rule's off-extreme gate last found a
+    /// witness, where its next scan starts ([`has_off_extreme`]).
+    off_extreme_hint: usize,
     status: RunStatus,
     /// Crash instrumentation for the harness test rig: panic immediately
     /// before executing this round. `None` in production use.
@@ -824,6 +832,7 @@ impl<'g, P: Judge> RunLoop<'g, P> {
             applied_through: None,
             applied: Vec::new(),
             stable_set,
+            off_extreme_hint: 0,
             status: RunStatus::Running,
             crash_before_round: None,
             config,
@@ -1378,7 +1387,7 @@ mod tests {
             loop {
                 // `tick` re-applies nothing at a boundary whose events fired.
                 quiet.apply_events();
-                if has_off_extreme(&algo, quiet.levels(), quiet.active()) {
+                if has_off_extreme(&algo, quiet.levels(), quiet.active(), &mut 0) {
                     assert!(quiet.stable_set.is_stale());
                     assert!(!Algorithm1::stopped(&mut quiet));
                     assert!(quiet.stable_set.is_stale(), "refreshed at round {}", quiet.round());

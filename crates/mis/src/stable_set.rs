@@ -74,21 +74,33 @@ fn class_of<A: SelfStabilizingMis>(level: Level, cap: Level, active: bool) -> u8
 /// ℓmax. `S_t = V` then fails: every member of `I_t` claims and every
 /// neighbour of a member sits at ℓmax, so each node of `S_t` is at one of
 /// its two extreme levels. Reads no adjacency and no tracker state; a
-/// branch-free fold per chunk, stopping at the first chunk with a hit.
+/// branch-free fold per chunk. The scan starts at chunk `*hint`, wraps
+/// around, and stops at the first chunk with a hit, which it stores in
+/// `*hint`: a run's few off-extreme nodes tend to stay off-extreme for
+/// several rounds, so the next call often finds its witness in the first
+/// chunk it reads. Any witness will do, so the answer does not depend on
+/// the hint (one past the last chunk or more starts at chunk 0).
 pub(crate) fn has_off_extreme<A: SelfStabilizingMis>(
     algo: &A,
     levels: &[Level],
     active: &[bool],
+    hint: &mut usize,
 ) -> bool {
     let caps = algo.policy().lmax_values();
-    levels.chunks(CHUNK).zip(caps.chunks(CHUNK)).zip(active.chunks(CHUNK)).any(
-        |((levels, caps), active)| {
-            let nodes = levels.iter().zip(caps).zip(active);
-            nodes.fold(0u8, |any, ((&level, &cap), &is_active)| {
-                any | u8::from(class_of::<A>(level, cap, is_active) == ACTIVE)
-            }) != 0
-        },
-    )
+    let n = levels.len();
+    let chunks = n.div_ceil(CHUNK);
+    let start = (*hint).min(chunks);
+    let hit = (start..chunks).chain(0..start).find(|&k| {
+        let span = k * CHUNK..n.min((k + 1) * CHUNK);
+        let nodes = levels[span.clone()].iter().zip(&caps[span.clone()]).zip(&active[span]);
+        nodes.fold(0u8, |any, ((&level, &cap), &is_active)| {
+            any | u8::from(class_of::<A>(level, cap, is_active) == ACTIVE)
+        }) != 0
+    });
+    if let Some(k) = hit {
+        *hint = k;
+    }
+    hit.is_some()
 }
 
 /// `v` and its neighbours.
@@ -273,27 +285,28 @@ impl StableSet {
             *class = class_of::<A>(level, cap, is_active);
         }
         self.active_count = self.class.iter().filter(|&&c| c & ACTIVE != 0).count();
-        // Only claimers read their neighbourhood: one scan settles both their
-        // `I_t` flag and their violation edges.
+        // Only claimers read their neighbourhood, and each reads it once: the
+        // scan settles both its `I_t` flag and its violation edges, and a
+        // member then scatters `S_t` over the same list while it is still in
+        // L1. Scattering from the members rather than gathering at every
+        // node makes far fewer neighbourhood reads while few nodes claim.
         self.in_mis.fill(false);
+        self.stable.fill(false);
         let mut ends = 0;
         for v in graph.nodes().filter(|&v| self.class[v] & CLAIMING != 0) {
             let (member, claiming) = self.scan_claimer(graph, v);
-            self.in_mis[v] = member;
             ends += claiming;
+            if member {
+                self.in_mis[v] = true;
+                self.stable[v] = true;
+                for &u in graph.neighbors(v) {
+                    let u = u as usize;
+                    self.stable[u] |= self.class[u] & ACTIVE != 0;
+                }
+            }
         }
         self.violations = ends / 2;
         self.in_mis_count = self.in_mis.iter().filter(|&&m| m).count();
-        // `S_t` scattered from the members rather than gathered by every
-        // node: far fewer neighbourhood reads while few nodes claim.
-        self.stable.fill(false);
-        for v in graph.nodes().filter(|&v| self.in_mis[v]) {
-            self.stable[v] = true;
-            for &u in graph.neighbors(v) {
-                let u = u as usize;
-                self.stable[u] |= self.class[u] & ACTIVE != 0;
-            }
-        }
         self.stable_count = self.stable.iter().filter(|&&s| s).count();
         2 * graph.len() as u64
     }
@@ -407,21 +420,36 @@ mod tests {
         assert_eq!(set.violations(), independence_violations(algo, graph, levels, active));
     }
 
-    /// Asserts [`has_off_extreme`] against a per-node scan, and that it
-    /// rules out `S_t = V`.
+    /// Whether active node `v` sits at neither extreme level.
+    fn off_at<A: SelfStabilizingMis>(
+        algo: &A,
+        levels: &[Level],
+        active: &[bool],
+        v: usize,
+    ) -> bool {
+        let cap = algo.policy().lmax_values()[v];
+        active[v] && levels[v] != A::SPACE.claiming(cap) && levels[v] != cap
+    }
+
+    /// Asserts [`has_off_extreme`] from `hint` against a per-node scan, that
+    /// a hit leaves `hint` on a chunk holding a witness and a miss leaves it
+    /// alone, and that a hit rules out `S_t = V`.
     fn assert_off_extreme<A: SelfStabilizingMis>(
         algo: &A,
         graph: &Graph,
         levels: &[Level],
         active: &[bool],
+        hint: &mut usize,
     ) {
-        let caps = algo.policy().lmax_values();
-        let off = graph
-            .nodes()
-            .any(|v| active[v] && levels[v] != A::SPACE.claiming(caps[v]) && levels[v] != caps[v]);
-        assert_eq!(has_off_extreme(algo, levels, active), off);
+        let off = graph.nodes().any(|v| off_at(algo, levels, active, v));
+        let start = *hint;
+        assert_eq!(has_off_extreme(algo, levels, active, hint), off, "from chunk {start}");
         if off {
+            let mut chunk = *hint * CHUNK..graph.len().min((*hint + 1) * CHUNK);
+            assert!(chunk.any(|v| off_at(algo, levels, active, v)), "no witness in chunk {hint}");
             assert!(!stabilized_active(algo, graph, levels, active), "off-extreme, yet S_t = V");
+        } else {
+            assert_eq!(*hint, start);
         }
     }
 
@@ -435,6 +463,7 @@ mod tests {
         let mut levels: Vec<Level> = caps.clone();
         let mut active = vec![true; n];
         let mut set = StableSet::new(n);
+        let mut hint = 0;
         assert_eq!(set.refresh(algo, graph, &levels, &active), 2 * n as u64);
         assert_matches(&set, algo, graph, &levels, &active);
         for step in 0..400 {
@@ -451,7 +480,7 @@ mod tests {
             set.touch_levels();
             set.refresh(algo, graph, &levels, &active);
             assert_matches(&set, algo, graph, &levels, &active);
-            assert_off_extreme(algo, graph, &levels, &active);
+            assert_off_extreme(algo, graph, &levels, &active, &mut hint);
             assert_eq!(set.refresh(algo, graph, &levels, &active), 0, "not stale");
         }
     }
@@ -462,12 +491,49 @@ mod tests {
         let n = graph.len();
         let mut levels: Vec<Level> = algo.policy().lmax_values().to_vec();
         let mut active = vec![true; n];
-        assert!(!has_off_extreme(algo, &levels, &active));
+        assert!(!has_off_extreme(algo, &levels, &active, &mut 0));
         levels[n - 1] = 1;
-        assert!(has_off_extreme(algo, &levels, &active));
+        assert!(has_off_extreme(algo, &levels, &active, &mut 0));
         active[n - 1] = false;
-        assert!(!has_off_extreme(algo, &levels, &active));
-        assert_off_extreme(algo, graph, &levels, &active);
+        assert!(!has_off_extreme(algo, &levels, &active, &mut 0));
+        assert_off_extreme(algo, graph, &levels, &active, &mut 0);
+    }
+
+    /// Random configurations with no, one or many active nodes off their
+    /// extreme levels, scanned from hints at the first, a middle and the
+    /// last chunk and past the end.
+    fn gate_resumes<A: SelfStabilizingMis>(algo: &A, graph: &Graph, seed: u64) {
+        let n = graph.len();
+        let caps = algo.policy().lmax_values();
+        let chunks = n.div_ceil(CHUNK);
+        let mut rng = beeping::rng::aux_rng(seed, 0x6A7E);
+        for case in 0..60 {
+            let mut levels: Vec<Level> = caps
+                .iter()
+                .map(|&cap| if rng.gen_bool(0.5) { cap } else { A::SPACE.claiming(cap) })
+                .collect();
+            let active: Vec<bool> = (0..n).map(|_| rng.gen_range(0..8) != 0).collect();
+            for _ in 0..[0, 1, n / 8][case % 3] {
+                let v = rng.gen_range(0..n);
+                levels[v] = rng.gen_range(A::SPACE.claiming(caps[v]) + 1..caps[v]);
+            }
+            let unhinted = has_off_extreme(algo, &levels, &active, &mut 0);
+            for start in [0, chunks / 2, chunks - 1, chunks, chunks + 3, usize::MAX] {
+                let mut hint = start;
+                assert_off_extreme(algo, graph, &levels, &active, &mut hint);
+                assert_eq!(has_off_extreme(algo, &levels, &active, &mut hint), unhinted);
+            }
+        }
+    }
+
+    #[test]
+    fn off_extreme_gate_answers_alike_from_any_hint() {
+        for (n, seed) in [(63, 1), (128, 2), (130, 3), (1000, 4)] {
+            let g = random::gnp(n, 4.0 / n as f64, seed);
+            gate_resumes(&Algorithm1::new(&g, LmaxPolicy::global_delta(&g)), &g, seed);
+            gate_resumes(&Algorithm2::new(&g, LmaxPolicy::two_hop_degree(&g)), &g, seed);
+            gate_resumes(&Algorithm2::new(&g, LmaxPolicy::fixed(n, 2)), &g, seed);
+        }
     }
 
     #[test]

@@ -6,11 +6,16 @@
 //! This suite holds it to the full-sweep oracles of `mis::recovery` through
 //! the public API alone: a `ResumableRun` driven tick by tick across graph
 //! families, all four engines, both algorithms, RAM faults, churn,
-//! Byzantine nodes and motion. Each case runs twice: with a `MemorySink`,
-//! whose round events refresh the tracker every round, and with telemetry
-//! off, where the stopping rule skips the refresh while some active node is
-//! off its extreme levels. Release builds have no debug cross-check, so the
-//! second arm is what checks that gate in the shipped code.
+//! Byzantine nodes and motion. Cases start from random levels under the
+//! theorem's ℓmax policy, from the `point-fault` shape (a greedy-MIS fixpoint
+//! with a claiming burst, so the round-0 build meets members, their
+//! neighbourhoods and live violations at once), or from random levels at the
+//! smallest legal ℓmax, where the claiming level and ℓmax lie two or three
+//! steps apart. Each case runs twice: with a `MemorySink`, whose round
+//! events refresh the tracker every round, and with telemetry off, where the
+//! stopping rule skips the refresh while some active node is off its extreme
+//! levels. Release builds have no debug cross-check, so the second arm is
+//! what checks that gate in the shipped code.
 
 use beeping::byzantine::{ByzantineBehavior, ByzantinePlan};
 use beeping::churn::{ChurnAction, ChurnPlan};
@@ -19,12 +24,13 @@ use beeping::faults::{FaultPlan, FaultTarget};
 use beeping::EngineMode;
 use graphs::generators::geometric::radius_for_expected_degree;
 use graphs::generators::GraphFamily;
+use graphs::mis::greedy_mis;
 use graphs::motion::MotionModel;
 use graphs::Graph;
 use mis::levels::Level;
 use mis::recovery::{claimed_mis, stabilized_active};
 use mis::resumable::{ResumableConfig, ResumableRun, RunStatus};
-use mis::runner::SelfStabilizingMis;
+use mis::runner::{InitialLevels, SelfStabilizingMis};
 use mis::{Algorithm1, Algorithm2, LmaxPolicy};
 use proptest::prelude::*;
 use telemetry::{Config, MemorySink, Telemetry};
@@ -46,8 +52,20 @@ const ENGINES: [EngineMode; 4] = [
     EngineMode::ParScatter { threads: 2 },
 ];
 
-/// One generated execution: topology, engine, algorithm and every
-/// disturbance axis.
+/// How a case's levels start.
+#[derive(Debug, Clone)]
+enum Start {
+    /// Uniform random levels under the theorem's policy (ℓmax ≥ 15).
+    Random,
+    /// The greedy-MIS fixpoint with these nodes (reduced mod n) knocked to
+    /// the claiming level.
+    PointFault(Vec<usize>),
+    /// Uniform random levels under `LmaxPolicy::fixed(n, ℓmax)`.
+    SmallLmax(Level),
+}
+
+/// One generated execution: topology, engine, algorithm, starting levels and
+/// every disturbance axis.
 #[derive(Debug, Clone)]
 struct Case {
     family: usize,
@@ -63,6 +81,7 @@ struct Case {
     byzantine: Option<usize>,
     /// A moving deployment's speed (the family is then ignored).
     motion: Option<f64>,
+    start: Start,
 }
 
 fn arb_case() -> impl Strategy<Value = Case> {
@@ -72,13 +91,33 @@ fn arb_case() -> impl Strategy<Value = Case> {
         proptest::collection::vec((0u64..60, 0u8..4, any::<usize>(), any::<usize>()), 0..4),
         (0u8..4, any::<usize>()),
         (0u8..4, 0.005f64..0.05),
+        (0u8..4, proptest::collection::vec(any::<usize>(), 1..8), 2..=3),
     )
-        .prop_map(|((family, n, seed, engine, two_channel), faults, churn, byz, motion)| {
-            // Each of the two rarer axes is on in a quarter of the cases.
-            let byzantine = (byz.0 == 0).then_some(byz.1);
-            let motion = (motion.0 == 0).then_some(motion.1);
-            Case { family, n, seed, engine, two_channel, faults, churn, byzantine, motion }
-        })
+        .prop_map(
+            |((family, n, seed, engine, two_channel), faults, churn, byz, motion, start)| {
+                // Each of the two rarer axes is on in a quarter of the cases, and
+                // each of the two special starts too.
+                let byzantine = (byz.0 == 0).then_some(byz.1);
+                let motion = (motion.0 == 0).then_some(motion.1);
+                let start = match start {
+                    (0, burst, _) => Start::PointFault(burst),
+                    (1, _, lmax) => Start::SmallLmax(lmax),
+                    _ => Start::Random,
+                };
+                Case {
+                    family,
+                    n,
+                    seed,
+                    engine,
+                    two_channel,
+                    faults,
+                    churn,
+                    byzantine,
+                    motion,
+                    start,
+                }
+            },
+        )
 }
 
 impl Case {
@@ -126,6 +165,43 @@ impl Case {
             config = config.with_motion(spec);
         }
         config
+    }
+
+    /// `default` unless the case fixes a small ℓmax.
+    fn policy(&self, n: usize, default: LmaxPolicy) -> LmaxPolicy {
+        match self.start {
+            Start::SmallLmax(lmax) => LmaxPolicy::fixed(n, lmax),
+            _ => default,
+        }
+    }
+
+    fn init<A: SelfStabilizingMis>(&self, algo: &A, graph: &Graph) -> InitialLevels {
+        let Start::PointFault(burst) = &self.start else {
+            return InitialLevels::Random;
+        };
+        let caps = algo.policy().lmax_values();
+        let claiming = |v: usize| A::SPACE.claiming(caps[v]);
+        let member = greedy_mis(graph);
+        let mut levels: Vec<Level> =
+            graph.nodes().map(|v| if member[v] { claiming(v) } else { caps[v] }).collect();
+        for &v in burst {
+            levels[v % graph.len()] = claiming(v % graph.len());
+        }
+        InitialLevels::Custom(levels.into_iter().map(i64::from).collect())
+    }
+
+    /// Both arms of the case under `algo`.
+    fn check<A: SelfStabilizingMis>(
+        &self,
+        graph: &Graph,
+        algo: &A,
+        config: ResumableConfig,
+    ) -> Result<(), TestCaseError> {
+        let config = config.with_init(self.init(algo, graph));
+        for observed in [true, false] {
+            check_run(graph, algo, config.clone(), observed)?;
+        }
+        Ok(())
     }
 }
 
@@ -217,16 +293,13 @@ proptest! {
     #[test]
     fn tracker_matches_full_sweeps(case in arb_case()) {
         let (graph, motion) = case.graph();
-        let config = case.config(graph.len(), motion);
-        for observed in [true, false] {
-            let config = config.clone();
-            if case.two_channel {
-                let algo = Algorithm2::new(&graph, LmaxPolicy::two_hop_degree(&graph));
-                check_run(&graph, &algo, config, observed)?;
-            } else {
-                let algo = Algorithm1::new(&graph, LmaxPolicy::global_delta(&graph));
-                check_run(&graph, &algo, config, observed)?;
-            }
+        let (n, config) = (graph.len(), case.config(graph.len(), motion));
+        if case.two_channel {
+            let algo = Algorithm2::new(&graph, case.policy(n, LmaxPolicy::two_hop_degree(&graph)));
+            case.check(&graph, &algo, config)?;
+        } else {
+            let algo = Algorithm1::new(&graph, case.policy(n, LmaxPolicy::global_delta(&graph)));
+            case.check(&graph, &algo, config)?;
         }
     }
 }
