@@ -6,8 +6,10 @@
 //! simulator's topology synchronized with the moving deployment.
 //! [`DynamicTopology::advance`] is one round of that glue: it steps the
 //! mobility process and hands the new radius graph to the simulator, which
-//! adopts it — a shared `Arc`, not a copy — with one merge of its old
-//! adjacency against the new.
+//! adopts it — a shared `Arc`, not a copy. Only `advance`'s edge counts, a
+//! live Frontier engine or departed nodes need a merge of the old adjacency
+//! against the new; otherwise [`DynamicTopology::advance_uncounted`]'s
+//! hand-over is one graph equality test.
 //!
 //! The simulator keeps only the edges between active nodes. That is what
 //! makes mobility compose with node churn: a departed node keeps moving
@@ -153,7 +155,14 @@ impl DynamicTopology {
     /// topology.
     pub fn advance<P: BeepingProtocol>(&mut self, sim: &mut Simulator<'_, P>) -> (usize, usize) {
         self.motion.step(&mut self.rng);
-        sim.adopt_graph(Arc::clone(self.motion.graph()))
+        sim.adopt_graph(Arc::clone(self.motion.graph()), true).unwrap_or_default()
+    }
+
+    /// [`DynamicTopology::advance`] without the counts: the same execution,
+    /// returning whether the topology changed (when `advance` counts edges).
+    pub fn advance_uncounted<P: BeepingProtocol>(&mut self, sim: &mut Simulator<'_, P>) -> bool {
+        self.motion.step(&mut self.rng);
+        sim.adopt_graph(Arc::clone(self.motion.graph()), false).is_some()
     }
 
     /// The radius neighbors of `v` at its current position, restricted to

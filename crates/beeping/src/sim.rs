@@ -714,27 +714,33 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
     /// Adopts `next` as the topology — the motion hand-over of
     /// [`crate::dynamic`]. Only edges between two active nodes are kept, so
     /// a departed node stays isolated until it rejoins; with every node
-    /// active `next` is used as is. One merge of the old adjacency against
-    /// the new counts the changed edges and unsettles exactly the nodes
-    /// whose adjacency changed. An unchanged topology keeps the current
-    /// graph, and with it the `Arc` identity that the snapshot section
-    /// cache keys on. Returns `(inserted, removed)` edge counts.
-    ///
-    /// Like every edge update, adoption never touches participation or
-    /// signal state. A graph over a different node count is ignored and
-    /// counts as no change.
-    pub(crate) fn adopt_graph(&mut self, next: Arc<Graph>) -> (usize, usize) {
+    /// active `next` is used as is. An unchanged topology (or a graph over
+    /// another node count) returns `None` and keeps the current graph, and
+    /// with it the `Arc` identity that the snapshot section cache keys on.
+    /// A change returns the `(inserted, removed)` edge counts from one merge
+    /// of the old adjacency against the new, which also unsettles exactly
+    /// the nodes whose adjacency changed. The merge runs only when something
+    /// reads it: `count`, a live frontier or departed nodes (the restricted
+    /// copy); otherwise one equality test decides and a change counts
+    /// `(0, 0)`. Like every edge update, adoption never touches
+    /// participation or signal state.
+    pub(crate) fn adopt_graph(&mut self, next: Arc<Graph>, count: bool) -> Option<(usize, usize)> {
         let n = self.graph.len();
-        if next.len() != n {
-            return (0, 0);
+        let same = matches!(&self.graph, SimGraph::Shared(graph) if Arc::ptr_eq(graph, &next));
+        if next.len() != n || same {
+            return None;
+        }
+        if !count && self.inactive == 0 && !self.frontier_live() {
+            if *next == *self.graph {
+                return None;
+            }
+            self.graph = SimGraph::Shared(next);
+            return Some((0, 0));
         }
         let next = if self.inactive == 0 {
             next
         } else {
-            match restrict_to_active(&next, &self.active) {
-                Some(restricted) => Arc::new(restricted),
-                None => return (0, 0),
-            }
+            Arc::new(restrict_to_active(&next, &self.active)?)
         };
         let mut changed: Vec<NodeId> = Vec::new();
         let (mut inserted, mut removed) = (0usize, 0usize);
@@ -765,7 +771,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             inserted += new.len() - j;
         }
         if changed.is_empty() {
-            return (0, 0);
+            return None;
         }
         self.graph = SimGraph::Shared(next);
         // Frontier seeding: only the nodes whose adjacency changed can
@@ -775,7 +781,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         }
         // Both graphs are symmetric, so each changed edge was counted at
         // both endpoints.
-        (inserted / 2, removed / 2)
+        Some((inserted / 2, removed / 2))
     }
 
     fn check_churn_edge(&self, u: NodeId, v: NodeId) -> Result<(), ChurnError> {
@@ -2301,7 +2307,7 @@ pub(crate) mod tests {
         adopting.step();
         seq.step();
         let next = Graph::from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
-        assert_eq!(adopting.adopt_graph(Arc::new(next)), (2, 1));
+        assert_eq!(adopting.adopt_graph(Arc::new(next), true), Some((2, 1)));
         assert_eq!(seq.remove_edge(1, 2), Ok(true));
         assert_eq!(seq.insert_edge(0, 2), Ok(true));
         assert_eq!(seq.insert_edge(1, 3), Ok(true));
@@ -2329,7 +2335,7 @@ pub(crate) mod tests {
         let heard: Vec<BeepSignal> = sim.last_heard().to_vec();
         let active: Vec<bool> = sim.active().to_vec();
         let next = Graph::from_edges(3, [(0, 2), (1, 2)]).unwrap();
-        assert_eq!(sim.adopt_graph(Arc::new(next)), (0, 1));
+        assert_eq!(sim.adopt_graph(Arc::new(next), true), Some((0, 1)));
         assert_eq!(sim.graph(), &Graph::empty(3));
         assert_eq!(sim.last_sent(), &sent[..]);
         assert_eq!(sim.last_heard(), &heard[..]);
@@ -2340,15 +2346,88 @@ pub(crate) mod tests {
     fn adopting_an_unchanged_or_missized_graph_keeps_the_topology() {
         let g = classic::path(3);
         let mut sim = Simulator::new(&g, Parity, vec![0, 0, 0], 0);
-        assert_eq!(sim.adopt_graph(Arc::new(classic::path(4))), (0, 0));
+        assert_eq!(sim.adopt_graph(Arc::new(classic::path(4)), true), None);
         let shared = Arc::new(classic::cycle(3));
-        assert_eq!(sim.adopt_graph(Arc::clone(&shared)), (1, 0));
+        assert_eq!(sim.adopt_graph(Arc::clone(&shared), true), Some((1, 0)));
         let before = sim.checkpoint();
         // An equal graph in another allocation changes nothing, not even
         // the shared graph's identity (the snapshot cache's key).
-        assert_eq!(sim.adopt_graph(Arc::new(classic::cycle(3))), (0, 0));
+        assert_eq!(sim.adopt_graph(Arc::new(classic::cycle(3)), true), None);
         assert!(Arc::ptr_eq(before.shared_graph(), &shared));
         assert!(Arc::ptr_eq(sim.checkpoint().shared_graph(), &shared));
+    }
+
+    #[test]
+    fn uncounted_adoption_keeps_an_equal_graph_and_shares_a_new_one() {
+        let g = classic::path(3);
+        let mut sim = Simulator::new(&g, Parity, vec![0, 0, 0], 0);
+        assert!(sim.adopt_graph(Arc::new(classic::path(4)), false).is_none());
+        assert!(sim.adopt_graph(Arc::new(classic::path(3)), false).is_none());
+        assert_eq!(sim.graph(), &g);
+        let shared = Arc::new(classic::cycle(3));
+        assert!(sim.adopt_graph(Arc::clone(&shared), false).is_some());
+        assert!(Arc::ptr_eq(sim.checkpoint().shared_graph(), &shared));
+        // An equal graph in another allocation, or the same one again,
+        // changes nothing: the old `Arc` stays.
+        assert!(sim.adopt_graph(Arc::new(classic::cycle(3)), false).is_none());
+        assert!(Arc::ptr_eq(sim.checkpoint().shared_graph(), &shared));
+        assert!(sim.adopt_graph(Arc::clone(&shared), false).is_none());
+    }
+
+    #[test]
+    fn uncounted_adoption_restricts_to_the_active_nodes() {
+        let g = classic::path(3);
+        let mut counted = Simulator::new(&g, Parity, vec![0, 0, 0], 0);
+        let mut uncounted = Simulator::new(&g, Parity, vec![0, 0, 0], 0);
+        for sim in [&mut counted, &mut uncounted] {
+            sim.step();
+            sim.node_leave(2).unwrap();
+        }
+        let next = Arc::new(Graph::from_edges(3, [(0, 2), (1, 2)]).unwrap());
+        assert_eq!(counted.adopt_graph(Arc::clone(&next), true), Some((0, 1)));
+        assert!(uncounted.adopt_graph(Arc::clone(&next), false).is_some());
+        assert_eq!(uncounted.graph(), &Graph::empty(3));
+        assert_eq!(uncounted.graph(), counted.graph());
+        // The equal restricted copy of the same graph is no change.
+        assert!(uncounted.adopt_graph(next, false).is_none());
+    }
+
+    #[test]
+    fn uncounted_adoption_wakes_a_live_frontier_like_the_counted_one() {
+        // Joining two settled claimers must wake both: a hand-over that
+        // skipped the merge on a live frontier would leave them settled.
+        let g = classic::cycle(12);
+        let (mut scalar, mut counted) = claimer_pair(&g, 31);
+        let (_, mut uncounted) = claimer_pair(&g, 31);
+        for _ in 0..40 {
+            scalar.step();
+            counted.step();
+            uncounted.step();
+        }
+        assert!(counted.frontier_live() && uncounted.frontier_live());
+        let claimers: Vec<NodeId> = g.nodes().filter(|&v| scalar.states()[v] == 0).collect();
+        let (u, v) = claimers
+            .iter()
+            .flat_map(|&u| claimers.iter().map(move |&v| (u, v)))
+            .find(|&(u, v)| u < v && !g.has_edge(u, v))
+            .expect("two non-adjacent claimers");
+        let mut next = g.clone();
+        assert_eq!(next.insert_edge(u, v), Ok(true));
+        let next = Arc::new(next);
+        assert_eq!(scalar.adopt_graph(Arc::clone(&next), true), Some((1, 0)));
+        assert_eq!(counted.adopt_graph(Arc::clone(&next), true), Some((1, 0)));
+        assert!(uncounted.adopt_graph(next, false).is_some());
+        for _ in 0..12 {
+            let a = scalar.step();
+            assert_eq!(counted.step(), a);
+            assert_eq!(uncounted.step(), a);
+            assert_eq!(uncounted.states(), scalar.states());
+            assert_eq!(uncounted.states(), counted.states());
+            assert_eq!(uncounted.last_sent(), counted.last_sent());
+            assert_eq!(uncounted.last_heard(), counted.last_heard());
+        }
+        assert_eq!(uncounted.work(), counted.work());
+        assert_eq!(uncounted.checkpoint().rngs(), counted.checkpoint().rngs());
     }
 
     #[test]
@@ -2882,8 +2961,8 @@ pub(crate) mod tests {
         assert_eq!(next.insert_edge(0, 5), Ok(true));
         assert!(next.remove_edge(8, 9));
         let next = Arc::new(next);
-        assert_eq!(scalar.adopt_graph(Arc::clone(&next)), (1, 1));
-        assert_eq!(frontier.adopt_graph(next), (1, 1));
+        assert_eq!(scalar.adopt_graph(Arc::clone(&next), true), Some((1, 1)));
+        assert_eq!(frontier.adopt_graph(next, true), Some((1, 1)));
         lockstep(&mut scalar, &mut frontier, 12);
     }
 

@@ -361,12 +361,16 @@ fn arb_motion() -> impl Strategy<Value = (usize, MotionSpec)> {
     )
 }
 
-/// Steps both engines over the same moving deployment — each with its own
+/// Steps every engine over the same moving deployment — each with its own
 /// [`DynamicTopology`] handing the simulator each round's radius graph —
 /// and asserts bit-identity of reports, states, signals, the per-round edge
-/// counts, the evolving graphs and the motion states. With
-/// `churn`, a motion-driven leave/rejoin pair is injected mid-run (rejoin
-/// edges computed from current positions via `join_neighbors`).
+/// counts, the evolving graphs and the motion states against the scalar
+/// reference. Every engine, the reference included, also has a twin that
+/// hands over through [`DynamicTopology::advance_uncounted`]: it must follow
+/// the same execution, and report a change exactly when the counted
+/// hand-over counts one. With `churn`, a motion-driven leave/rejoin pair is
+/// injected mid-run (rejoin edges computed from current positions via
+/// `join_neighbors`).
 fn assert_engines_identical_moving(
     n: usize,
     spec: &MotionSpec,
@@ -386,59 +390,83 @@ fn assert_engines_identical_moving(
     };
     let mut scalar = mk(EngineMode::Scalar);
     let mut topo_a = DynamicTopology::new(n, spec, seed).unwrap();
-    // Each candidate engine drives its own DynamicTopology over the same
-    // motion spec; graphs, deltas and motion states must all stay equal.
-    let mut others: Vec<(&str, Simulator<'_, RandomProbe>, DynamicTopology)> = candidate_engines()
-        .into_iter()
-        .map(|(name, engine)| (name, mk(engine), DynamicTopology::new(n, spec, seed).unwrap()))
-        .collect();
+    // Each candidate engine and each uncounted twin drives its own
+    // DynamicTopology over the same motion spec; graphs, deltas and motion
+    // states must all stay equal.
+    let topo = || DynamicTopology::new(n, spec, seed).unwrap();
+    let mut others = vec![("scalar", false, mk(EngineMode::Scalar), topo())];
+    for (name, engine) in candidate_engines() {
+        for counted in [true, false] {
+            others.push((name, counted, mk(engine), topo()));
+        }
+    }
     let victim = n / 2;
     for round in 1..=rounds {
         let a = scalar.step();
-        for (name, sim, _) in &mut others {
+        for (name, counted, sim, _) in &mut others {
             let b = sim.step();
-            prop_assert_eq!(a, b, "{} report diverged at round {}", *name, round);
+            prop_assert_eq!(a, b, "{} ({}) report diverged at round {}", *name, *counted, round);
             prop_assert_eq!(
                 scalar.states(),
                 sim.states(),
-                "{} states diverged at round {}",
+                "{} ({}) states diverged at round {}",
                 *name,
+                *counted,
                 round
             );
-            prop_assert_eq!(scalar.last_sent(), sim.last_sent(), "{} sent", *name);
-            prop_assert_eq!(scalar.last_heard(), sim.last_heard(), "{} heard", *name);
+            prop_assert_eq!(scalar.last_sent(), sim.last_sent(), "{} ({}) sent", *name, *counted);
+            prop_assert_eq!(
+                scalar.last_heard(),
+                sim.last_heard(),
+                "{} ({}) heard",
+                *name,
+                *counted
+            );
         }
         if churn && round == 3 {
             scalar.node_leave(victim).unwrap();
-            for (_, sim, _) in &mut others {
+            for (_, _, sim, _) in &mut others {
                 sim.node_leave(victim).unwrap();
             }
         }
         if churn && round == 7 {
             let mates_a = topo_a.join_neighbors(victim, scalar.active());
             scalar.node_join(victim, &mates_a, 7).unwrap();
-            for (name, sim, topo) in &mut others {
+            for (name, _, sim, topo) in &mut others {
                 let mates_b = topo.join_neighbors(victim, sim.active());
                 prop_assert_eq!(&mates_a, &mates_b, "{} join neighborhoods diverged", *name);
                 sim.node_join(victim, &mates_b, 7).unwrap();
             }
         }
         let da = topo_a.advance(&mut scalar);
-        for (name, sim, topo) in &mut others {
-            let db = topo.advance(sim);
-            prop_assert_eq!(&da, &db, "{} reconcile deltas diverged at round {}", *name, round);
+        for (name, counted, sim, topo) in &mut others {
+            if *counted {
+                let db = topo.advance(sim);
+                prop_assert_eq!(&da, &db, "{} reconcile deltas diverged at round {}", *name, round);
+            } else {
+                let changed = topo.advance_uncounted(sim);
+                prop_assert_eq!(
+                    changed,
+                    da.0 + da.1 > 0,
+                    "{} uncounted change flag diverged at round {}",
+                    *name,
+                    round
+                );
+            }
             prop_assert_eq!(
                 scalar.graph(),
                 sim.graph(),
-                "{} graphs diverged at round {}",
+                "{} ({}) graphs diverged at round {}",
                 *name,
+                *counted,
                 round
             );
             prop_assert_eq!(
                 topo_a.state(),
                 topo.state(),
-                "{} motion states diverged at round {}",
+                "{} ({}) motion states diverged at round {}",
                 *name,
+                *counted,
                 round
             );
         }

@@ -103,40 +103,45 @@ pub fn geometric_from_points(points: &[(f64, f64)], radius: f64) -> Graph {
         cy * side + cx
     };
     // Counting sort by cell: cell `c` holds `order[start[c]..start[c + 1]]`,
-    // in increasing id order, with the coordinates copied alongside.
+    // in increasing id order, with the coordinates copied alongside. There
+    // are about n cells, so a cell id fits in a `u32`.
     let cells = side * side;
+    let cell_ids: Vec<u32> = points.iter().map(|&p| node_id32(cell_of(p))).collect();
     let mut start = vec![0usize; cells + 1];
-    for &p in points {
-        start[cell_of(p)] += 1;
+    for &c in &cell_ids {
+        start[c as usize] += 1;
     }
     for c in 1..start.len() {
         start[c] += start[c - 1];
     }
     let mut order = vec![(0u32, (0.0, 0.0)); n];
     for (i, &p) in points.iter().enumerate().rev() {
-        let c = cell_of(p);
+        let c = cell_ids[i] as usize;
         start[c] -= 1;
         order[start[c]] = (node_id32(i), p);
     }
+    drop(cell_ids);
     let r2 = radius * radius;
     // Pass 1: both runs a node is tested against are contiguous in `order`
     // (a cell's tail runs on into the next cell of its row; the top row has
     // no row above). Every candidate is written and the cursor only
-    // advances on a hit, so the buffer keeps room for one node's
-    // candidates past the cursor. It starts with room for an average
-    // degree of 8 and doubles past that, so it is rarely resized.
+    // advances on a hit, so the buffer keeps room for one cell's
+    // candidates past the cursor: node `k` has `rest_end - k - 1` plus
+    // `above`, summed over the cell's `m` nodes. It starts with room for an
+    // average degree of 8 and doubles past that, so it is rarely resized.
     let mut pairs = vec![(0u32, 0u32); 4 * n];
     let mut len = 0usize;
     for c in 0..cells {
         let (left, right) = (usize::from(c % side > 0), usize::from(c % side + 1 < side));
         let rest_end = start[c + 1 + right];
         let above = start[(c + side - left).min(cells)]..start[(c + side + 1 + right).min(cells)];
+        let m = start[c + 1] - start[c];
+        let need = len + m * (rest_end - start[c] + above.len()) - m * (m + 1) / 2;
+        if pairs.len() < need {
+            pairs.resize(need.max(2 * pairs.len()), (0, 0));
+        }
         for k in start[c]..start[c + 1] {
             let (me, (x, y)) = order[k];
-            let need = len + (rest_end - k - 1) + above.len();
-            if pairs.len() < need {
-                pairs.resize(need.max(2 * pairs.len()), (0, 0));
-            }
             for run in [&order[k + 1..rest_end], &order[above.clone()]] {
                 for &(j, (px, py)) in run {
                     let d2 = (x - px) * (x - px) + (y - py) * (y - py);

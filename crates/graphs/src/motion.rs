@@ -9,7 +9,8 @@
 //! moves every node one round and rebuilds the radius graph with
 //! [`geometric_from_points`]. The graph is held in an [`Arc`], so a
 //! consumer can adopt it without a copy (`beeping::dynamic` hands it to a
-//! simulator every round); a step replaces it and never mutates it.
+//! simulator every round); a step that moves no node keeps it, and none
+//! mutates it.
 //!
 //! Two classic models are provided:
 //!
@@ -248,15 +249,16 @@ impl Motion {
     }
 
     /// The radius graph over the current positions, shared: clone the
-    /// `Arc` to keep it past the next [`Motion::step`], which replaces it.
+    /// `Arc` to keep it past the next [`Motion::step`], which may replace it.
     pub fn graph(&self) -> &Arc<Graph> {
         &self.graph
     }
 
     /// Advances every node one round and rebuilds the radius graph over
-    /// the new positions. Randomness (new waypoints on arrival, heading
-    /// perturbations) is drawn from `rng` in node order.
+    /// the new positions if any moved. Randomness (new waypoints on
+    /// arrival, heading perturbations) is drawn from `rng` in node order.
     pub fn step(&mut self, rng: &mut Pcg64Mcg) {
+        let mut moved = false;
         match self.model {
             MotionModel::RandomWaypoint { speed, pause } => {
                 for v in 0..self.positions.len() {
@@ -268,14 +270,16 @@ impl Motion {
                     let (wx, wy) = self.waypoints[v];
                     let (dx, dy) = (wx - x, wy - y);
                     let dist = (dx * dx + dy * dy).sqrt();
-                    if dist <= speed {
+                    let next = if dist <= speed {
                         // Arrived: snap to the waypoint, draw the next one.
-                        self.positions[v] = (wx, wy);
                         self.waypoints[v] = (rng.gen::<f64>(), rng.gen::<f64>());
                         self.pauses[v] = pause;
+                        (wx, wy)
                     } else {
-                        self.positions[v] = (x + dx / dist * speed, y + dy / dist * speed);
-                    }
+                        (x + dx / dist * speed, y + dy / dist * speed)
+                    };
+                    moved |= next != (x, y);
+                    self.positions[v] = next;
                 }
             }
             MotionModel::Drift { speed, turn } => {
@@ -303,12 +307,16 @@ impl Motion {
                     }
                     // A single reflection covers speed ≤ 1; clamp guards the
                     // corner where both reflections land marginally outside.
-                    self.positions[v] = (x.clamp(0.0, 1.0), y.clamp(0.0, 1.0));
+                    let next = (x.clamp(0.0, 1.0), y.clamp(0.0, 1.0));
+                    moved |= next != self.positions[v];
+                    self.positions[v] = next;
                     self.headings[v] = heading;
                 }
             }
         }
-        self.graph = Arc::new(geometric_from_points(&self.positions, self.radius));
+        if moved {
+            self.graph = Arc::new(geometric_from_points(&self.positions, self.radius));
+        }
     }
 }
 
@@ -360,6 +368,33 @@ mod tests {
             m.step(&mut rng(0));
             assert_eq!(**m.graph(), g0);
             assert_eq!(m.positions(), &points[..]);
+        }
+    }
+
+    #[test]
+    fn a_step_that_moves_no_node_keeps_the_graph() {
+        let points = random_points(40, 3);
+        let r = radius_for_expected_degree(40, 5.0);
+        let drift = |speed| MotionModel::Drift { speed, turn: 0.4 };
+        for model in [rwp(0.0), drift(0.0)] {
+            let mut stream = rng(4);
+            let mut m = Motion::new(points.clone(), r, model, &mut stream).unwrap();
+            let first = Arc::clone(m.graph());
+            for _ in 0..20 {
+                m.step(&mut stream);
+                assert!(Arc::ptr_eq(m.graph(), &first), "{model:?}");
+                assert_eq!(**m.graph(), geometric_from_points(m.positions(), r));
+            }
+        }
+        for model in [rwp(0.03), drift(0.03)] {
+            let mut stream = rng(4);
+            let mut m = Motion::new(points.clone(), r, model, &mut stream).unwrap();
+            for _ in 0..20 {
+                let before = Arc::clone(m.graph());
+                m.step(&mut stream);
+                assert!(!Arc::ptr_eq(m.graph(), &before), "{model:?}");
+                assert_eq!(**m.graph(), geometric_from_points(m.positions(), r));
+            }
         }
     }
 

@@ -279,6 +279,15 @@ mod tests {
     }
 
     #[test]
+    fn clones_share_the_lmax_table() {
+        let g = random::gnp(64, 0.1, 5);
+        let algo = Algorithm1::new(&g, LmaxPolicy::own_degree(&g));
+        let twin = algo.clone();
+        assert_eq!(algo.policy().lmax_values().as_ptr(), twin.policy().lmax_values().as_ptr());
+        assert_eq!(algo.policy(), twin.policy());
+    }
+
+    #[test]
     fn settled_round_certifies_exactly_the_stable_configurations() {
         let g = classic::path(3);
         let algo = Algorithm1::new(&g, LmaxPolicy::fixed(3, 6));

@@ -6,6 +6,9 @@
 //! "ROM" alongside the code, so transient faults never corrupt it (matching
 //! §1.1's fault model where only RAM state is corruptible).
 
+use std::iter::repeat_n;
+use std::sync::Arc;
+
 use graphs::Graph;
 
 use crate::levels::{log2_ceil, Level};
@@ -23,11 +26,12 @@ pub const C1_TWO_HOP: u32 = 15;
 /// Use the constructors matching the paper's results:
 /// [`LmaxPolicy::global_delta`] (Thm 2.1), [`LmaxPolicy::own_degree`]
 /// (Thm 2.2), [`LmaxPolicy::two_hop_degree`] (Cor 2.3); or the ablation
-/// constructors [`LmaxPolicy::fixed`] / [`LmaxPolicy::custom`].
+/// constructors [`LmaxPolicy::fixed`] / [`LmaxPolicy::custom`]. Clones
+/// share the table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LmaxPolicy {
     name: String,
-    lmax: Vec<Level>,
+    lmax: Arc<[Level]>,
 }
 
 impl LmaxPolicy {
@@ -49,7 +53,7 @@ impl LmaxPolicy {
     /// not need to be tight.
     pub fn global_delta_from_bound(n: usize, delta_bound: usize, c1: u32) -> LmaxPolicy {
         let lmax = (log2_ceil(delta_bound) + c1).max(2) as Level;
-        LmaxPolicy { name: format!("global-Δ(c1={c1})"), lmax: vec![lmax; n] }
+        LmaxPolicy { name: format!("global-Δ(c1={c1})"), lmax: repeat_n(lmax, n).collect() }
     }
 
     /// Theorem 2.2 regime with the default constant: each vertex knows an
@@ -91,7 +95,7 @@ impl LmaxPolicy {
     /// vertex there, and the whole network deadlocks in silence.
     pub fn fixed(n: usize, lmax: Level) -> LmaxPolicy {
         assert!(lmax >= 2, "ℓmax must be at least 2 (ℓmax = 1 deadlocks), got {lmax}");
-        LmaxPolicy { name: format!("fixed({lmax})"), lmax: vec![lmax; n] }
+        LmaxPolicy { name: format!("fixed({lmax})"), lmax: repeat_n(lmax, n).collect() }
     }
 
     /// Fully custom per-vertex values (used by lemma-level experiments that
@@ -102,7 +106,7 @@ impl LmaxPolicy {
     /// Panics if any value is `< 2` (see [`LmaxPolicy::fixed`]).
     pub fn custom(name: impl Into<String>, lmax: Vec<Level>) -> LmaxPolicy {
         assert!(lmax.iter().all(|&l| l >= 2), "every ℓmax must be at least 2 (ℓmax = 1 deadlocks)");
-        LmaxPolicy { name: name.into(), lmax }
+        LmaxPolicy { name: name.into(), lmax: lmax.into() }
     }
 
     /// Human-readable policy name (used in experiment tables).

@@ -714,10 +714,14 @@ impl<'g, A: SelfStabilizingMis> RunLoop<'g, A> {
             self.applied.push(Disturbance::Churn(event.action.clone()));
         }
         if let Some(dt) = &mut self.motion {
-            let (added, removed) = dt.advance(&mut self.sim);
-            if added + removed > 0 {
+            if tele.is_enabled() {
+                let (added, removed) = dt.advance(&mut self.sim);
+                if added + removed > 0 {
+                    self.stable_set.touch_topology();
+                    mark(tele, r, MarkerKind::Motion, "reconcile", (added + removed) as u64);
+                }
+            } else if dt.advance_uncounted(&mut self.sim) {
                 self.stable_set.touch_topology();
-                mark(tele, r, MarkerKind::Motion, "reconcile", (added + removed) as u64);
             }
         }
         self.applied_through = Some(r);
