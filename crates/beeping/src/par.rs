@@ -7,12 +7,12 @@
 //!
 //! [`ParPlan::build`] splits the node range `0..n` into one contiguous,
 //! degree-balanced range per worker, closing each range at a 64-node word
-//! edge. Word alignment is what makes the data decomposition safe: every
-//! per-node array (`states`, `rngs`, `sent`, `heard`) *and* every
-//! word-packed per-channel bitset can be split at worker boundaries into
-//! disjoint `&mut` slices, so the whole engine is expressible with
-//! `std::thread::scope` and `split_at_mut` — no locks, no atomics, no
-//! unsafe. A plan with a single range (one thread, or a graph of at most
+//! edge. Word alignment is what makes the data decomposition safe: both
+//! per-node arrays (`states`, `rngs`) *and* the word-packed per-channel
+//! signal bitsets — the simulator's only signal state — can be split at
+//! worker boundaries into disjoint `&mut` slices, so the whole engine is
+//! expressible with `std::thread::scope` and `split_at_mut` — no locks,
+//! no atomics, no unsafe. A plan with a single range (one thread, or a graph of at most
 //! 64 nodes) makes the sequential whole-network call instead and never
 //! enters a thread scope.
 //!
@@ -55,7 +55,7 @@ use std::ops::Range;
 use graphs::Graph;
 use rand_pcg::Pcg64Mcg;
 
-use crate::protocol::{BeepSignal, BeepingProtocol, Channels};
+use crate::protocol::{BeepingProtocol, Channels};
 use crate::sim::WorkCounters;
 use crate::sweep::{self, Bitsets, Shard, Sweep};
 use crate::trace::RoundReport;
@@ -152,7 +152,7 @@ fn split_by_ranges<'a, T>(mut slice: &'a mut [T], ranges: &[Range<usize>]) -> Ve
 ///
 /// A plan with a single range makes the sequential [`Sweep::whole`] call
 /// directly, without entering a thread scope. `bits` are the simulator's
-/// shared bitsets (resized and overwritten here). The returned report's
+/// signal bitsets (resized and overwritten here). The returned report's
 /// `round` is left 0.
 ///
 /// # Panics
@@ -165,12 +165,10 @@ pub(crate) fn run_round<P: BeepingProtocol>(
     kernel: &Sweep<'_, P>,
     states: &mut [P::State],
     rngs: &mut [Pcg64Mcg],
-    sent: &mut [BeepSignal],
-    heard: &mut [BeepSignal],
     bits: &mut Bitsets,
 ) -> (RoundReport, WorkCounters) {
     if plan.ranges.len() == 1 {
-        return kernel.whole(states, rngs, sent, heard, bits, |_, _, _, _, _| {});
+        return kernel.whole(states, rngs, bits, |_, _, _, _, _| {});
     }
     let words = states.len().div_ceil(64);
     let two = kernel.channels == Channels::Two;
@@ -182,17 +180,13 @@ pub(crate) fn run_round<P: BeepingProtocol>(
     let mut shards: Vec<Shard<'_, P::State>> = split_by_ranges(states, ranges)
         .into_iter()
         .zip(split_by_ranges(rngs, ranges))
-        .zip(split_by_ranges(sent, ranges))
-        .zip(split_by_ranges(heard, ranges))
         .zip(split_by_ranges(sent1, &word_ranges))
         .zip(split_by_ranges(sent2, &word_ranges))
         .zip(ranges)
-        .map(|((((((states, rngs), sent), heard), sent1), sent2), r)| Shard {
+        .map(|((((states, rngs), sent1), sent2), r)| Shard {
             start: r.start,
             states,
             rngs,
-            sent,
-            heard,
             sent1,
             sent2,
         })

@@ -92,6 +92,11 @@ impl BeepSignal {
         self.0 & 0b10 != 0
     }
 
+    /// The signal as two bits: channel 1 in bit 0, channel 2 in bit 1.
+    pub fn bits(self) -> u8 {
+        self.0
+    }
+
     /// Merges another signal into this one (the network's OR semantics).
     pub fn merge(&mut self, other: BeepSignal) {
         self.0 |= other.0;

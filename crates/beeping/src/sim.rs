@@ -15,7 +15,7 @@ use crate::protocol::SettledRound;
 use crate::protocol::{BeepSignal, BeepingProtocol};
 use crate::rng;
 use crate::sweep::{self, Bitsets, Sweep};
-use crate::trace::RoundReport;
+use crate::trace::{RoundReport, Signals};
 use telemetry::Telemetry;
 
 pub use crate::protocol::Channels as SimulatorChannels;
@@ -52,8 +52,9 @@ pub enum DuplexMode {
 ///
 /// Both engines execute the *same model* and are bit-identical per seed:
 /// they call `transmit`/`receive` in the same order, draw from the same RNG
-/// streams in the same order, and produce identical `sent`/`heard` vectors
-/// and [`RoundReport`]s. The differential test suite
+/// streams in the same order, and produce identical signal bitsets
+/// ([`Simulator::last_sent`], [`Simulator::last_heard`]) and
+/// [`RoundReport`]s. The differential test suite
 /// (`tests/engine_differential.rs`) pins this equivalence across graph
 /// families, channel counts, duplex modes and composed fault plans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,13 +77,13 @@ pub enum EngineMode {
     /// incident signals changed — executes each round; the settled
     /// complement is skipped under the draws-when-settled contract
     /// ([`crate::protocol::SettledRound`]), with its pinned signals reused
-    /// from persistent word-packed bitsets and its RNG streams ticked
+    /// from the simulator's signal bitsets and its RNG streams ticked
     /// lazily by jump-ahead. Post-stabilization and localized fault/churn
     /// rounds cost O(Σ deg(frontier)) instead of O(n + m); a frontier
     /// denser than [`frontier_fallback_threshold`] falls back to one
     /// sequential call of the full-sweep kernel (the same as
     /// [`EngineMode::Scatter`]'s) that also rebuilds the settled set and
-    /// the persistent sent bitsets. On an unreliable
+    /// the signal bitsets. On an unreliable
     /// channel or under a Byzantine plan the engine runs the phased
     /// scatter path (channel noise draws per-listener coins that skipping
     /// cannot reproduce). Bit-identical to the other engines per seed.
@@ -216,8 +217,6 @@ pub struct Simulator<'g, P: BeepingProtocol> {
     states: Vec<P::State>,
     rngs: Vec<Pcg64Mcg>,
     round: u64,
-    sent: Vec<BeepSignal>,
-    heard: Vec<BeepSignal>,
     duplex: DuplexMode,
     channel: ChannelFault,
     channel_state: ChannelState,
@@ -237,14 +236,13 @@ pub struct Simulator<'g, P: BeepingProtocol> {
     active_bits: Vec<u64>,
     inactive: usize,
     engine: EngineMode,
-    /// Word-packed per-channel sent/heard bitsets of the full-sweep kernel
-    /// ([`crate::sweep`]), rebuilt every full-sweep round; the frontier
-    /// engine patches the sent bitsets between its sweeps. Never part of a
-    /// checkpoint.
-    scatter: Bitsets,
+    /// The last round's signals, word-packed per channel — the only signal
+    /// state. Every kernel writes them, the frontier engine patches them
+    /// between its sweeps, and a checkpoint holds a copy.
+    signals: Bitsets,
     hook: InvariantHook<P::State>,
     /// Frontier-kernel bookkeeping (dirty set, settled flags, lazy RNG
-    /// accounting, persistent signal bitsets and running report totals).
+    /// accounting and running report totals).
     /// Purely derived from the execution: never part of a checkpoint —
     /// [`Simulator::restore`] resets it and the next frontier round
     /// rebuilds it with a full sweep.
@@ -273,15 +271,16 @@ pub struct Simulator<'g, P: BeepingProtocol> {
 /// harmless because its round is a draw-free fixpoint per the
 /// draws-when-settled contract):
 ///
-/// - every node is either *settled* (skipped; `sent[v]` pinned, RNG ticked
-///   `rate[v]` outputs per round when materialized) or queued in `dirty`
-///   for live execution next round;
+/// - every node is either *settled* (skipped; its sent bits pinned, RNG
+///   ticked `rate[v]` outputs per round when materialized) or queued in
+///   `dirty` for live execution next round;
 /// - `rngs[v]` reflects all draws through round `last_exec[v]`; for
 ///   non-settled nodes `last_exec[v]` is the current round;
-/// - the simulator's sent bitsets are word-packed per-channel views of the
-///   `sent` vector, and the six `total_*` fields equal the
-///   [`RoundReport::from_signals`] counters over the current
-///   `sent`/`heard` vectors.
+/// - the simulator's signal bitsets hold every node's current sent and
+///   heard bits, sparse rounds included;
+/// - `totals` holds the report counters ([`RoundReport::count_word`]) over
+///   those bitsets, kept by [`Simulator::set_signals`] so a sparse round
+///   never recounts them.
 #[derive(Debug, Default)]
 struct FrontierState {
     /// Bookkeeping valid? `false` forces a full rebuild sweep.
@@ -297,13 +296,8 @@ struct FrontierState {
     rate: Vec<u64>,
     /// Round through which `rngs[v]` is materialized.
     last_exec: Vec<u64>,
-    /// Running `RoundReport` counters over the persistent signal vectors.
-    total_beeps1: usize,
-    total_beeps2: usize,
-    total_hearers1: usize,
-    total_hearers2: usize,
-    total_lone1: usize,
-    total_lone2: usize,
+    /// Running report counters over the signal bitsets.
+    totals: RoundReport,
     /// Scratch lists reused across sparse rounds.
     exec: Vec<NodeId>,
     changed: Vec<NodeId>,
@@ -348,19 +342,6 @@ impl FrontierState {
     fn materialize(&mut self, rng: &mut Pcg64Mcg, v: NodeId, target: u64) {
         self.tick_skipped(rng, v, target);
         self.last_exec[v] = self.last_exec[v].max(target);
-    }
-
-    /// The running totals as a report for round `round`.
-    fn report(&self, round: u64) -> RoundReport {
-        RoundReport {
-            round,
-            beeps_channel1: self.total_beeps1,
-            beeps_channel2: self.total_beeps2,
-            hearers_channel1: self.total_hearers1,
-            hearers_channel2: self.total_hearers2,
-            lone_beepers: self.total_lone1,
-            lone_beepers_channel2: self.total_lone2,
-        }
     }
 }
 
@@ -495,14 +476,14 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
     ) -> Simulator<'g, P> {
         assert_eq!(initial_states.len(), graph.len(), "one initial state per node is required");
         let n = graph.len();
+        let mut signals = Bitsets::default();
+        signals.reset(n.div_ceil(64));
         Simulator {
             graph,
             protocol,
             states: initial_states,
             rngs: rng::node_rngs(seed, n),
             round: 0,
-            sent: vec![BeepSignal::silent(); n],
-            heard: vec![BeepSignal::silent(); n],
             duplex: DuplexMode::Full,
             channel: ChannelFault::reliable(),
             channel_state: ChannelState::default(),
@@ -514,7 +495,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             active_bits: full_active_bits(n),
             inactive: 0,
             engine: EngineMode::default(),
-            scatter: Bitsets::default(),
+            signals,
             hook: InvariantHook(None),
             frontier: FrontierState::default(),
             par: None,
@@ -812,9 +793,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             return Err(ChurnError::NodeOutOfRange { node: v, n });
         }
         // Frontier seeding: the departing node's signal goes silent, so its
-        // (pre-isolation) neighbors' observations may change next round;
-        // the signal clearing below is routed through the accounting
-        // helpers to keep the persistent bitsets and report totals exact.
+        // (pre-isolation) neighbors' observations may change next round.
         if self.frontier_live() {
             let neighbors: Vec<NodeId> =
                 self.graph.neighbors(v).iter().map(|&u| u as NodeId).collect();
@@ -822,8 +801,6 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
                 self.frontier_unsettle(u);
             }
             self.frontier_unsettle(v);
-            self.frontier_set_sent(v, BeepSignal::silent());
-            self.frontier_set_heard(v, BeepSignal::silent());
         }
         let removed = self.graph.to_mut().isolate_node(v);
         if self.active[v] {
@@ -835,8 +812,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         // its transmission and observation so `last_sent()`/`last_heard()`
         // and observer hooks never read a beep from a node that no longer
         // exists.
-        self.sent[v] = BeepSignal::silent();
-        self.heard[v] = BeepSignal::silent();
+        self.set_signals(v, BeepSignal::silent(), BeepSignal::silent());
         Ok(removed)
     }
 
@@ -869,15 +845,10 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             }
         }
         // Frontier seeding: the joiner and every attachment point
-        // re-execute next round (their observations may change); signal
-        // clearing goes through the accounting helpers as in `node_leave`.
-        if self.frontier_live() {
-            self.frontier_unsettle(v);
-            for &u in neighbors {
-                self.frontier_unsettle(u);
-            }
-            self.frontier_set_sent(v, BeepSignal::silent());
-            self.frontier_set_heard(v, BeepSignal::silent());
+        // re-execute next round (their observations may change).
+        self.frontier_unsettle(v);
+        for &u in neighbors {
+            self.frontier_unsettle(u);
         }
         let graph = self.graph.to_mut();
         for &u in neighbors {
@@ -895,8 +866,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         // fresh and has neither transmitted nor heard anything yet, so the
         // signals left over from before its departure must not leak into
         // `last_sent()`/`last_heard()` or observer hooks.
-        self.sent[v] = BeepSignal::silent();
-        self.heard[v] = BeepSignal::silent();
+        self.set_signals(v, BeepSignal::silent(), BeepSignal::silent());
         Ok(())
     }
 
@@ -920,13 +890,13 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
 
     /// The transmissions of the most recent round (all silent before the
     /// first [`Simulator::step`]).
-    pub fn last_sent(&self) -> &[BeepSignal] {
-        &self.sent
+    pub fn last_sent(&self) -> Signals<'_> {
+        Signals { c1: &self.signals.sent1, c2: &self.signals.sent2, len: self.graph.len() }
     }
 
     /// The observations of the most recent round.
-    pub fn last_heard(&self) -> &[BeepSignal] {
-        &self.heard
+    pub fn last_heard(&self) -> Signals<'_> {
+        Signals { c1: &self.signals.heard1, c2: &self.signals.heard2, len: self.graph.len() }
     }
 
     /// Executes one synchronous round and reports aggregate beep activity.
@@ -1017,6 +987,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         // Phase 1: transmissions. Jammers override the protocol's decision —
         // the radio is Byzantine, the RAM is not — and Byzantine behavior
         // overrides override jammers in turn.
+        self.signals.reset(n.div_ceil(64));
         for v in 0..n {
             let mut signal = if self.active[v] {
                 let s = self.protocol.transmit(v, &self.states[v], &mut self.rngs[v]);
@@ -1050,7 +1021,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
                     Some(ByzantineBehavior::CrashRestart { .. }) | None => {}
                 }
             }
-            self.sent[v] = signal;
+            self.signals.set_sent(v, signal);
         }
         self.work.node_execs += (n - self.inactive) as u64;
         drop(transmit_span);
@@ -1071,128 +1042,84 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             }
         };
         let deliver_span = self.telemetry.time(deliver_name);
-        match self.engine {
-            EngineMode::Scalar => self.deliver_scalar(n, channels, drop_p, spurious_p),
-            EngineMode::Scatter | EngineMode::Frontier | EngineMode::ParScatter { .. } => {
-                self.deliver_scatter(n, channels, drop_p, spurious_p)
-            }
-        }
+        let gather = self.engine == EngineMode::Scalar || drop_p > 0.0;
+        self.deliver(n, channels, drop_p, spurious_p, gather);
         drop(deliver_span);
         // Phase 3: state updates (departed nodes are frozen).
         let receive_span = self.telemetry.time("sim.phase.receive");
         for v in 0..n {
             if self.active[v] {
-                self.protocol.receive(
-                    v,
-                    &mut self.states[v],
-                    self.sent[v],
-                    self.heard[v],
-                    &mut self.rngs[v],
-                );
+                let (s, h) = (self.signals.sent(v), self.signals.heard(v));
+                self.protocol.receive(v, &mut self.states[v], s, h, &mut self.rngs[v]);
             }
         }
         drop(receive_span);
         self.telemetry.counter_add(rounds_counter, 1);
-        RoundReport::from_signals(self.round + 1, &self.sent, &self.heard)
+        let mut report = RoundReport { round: self.round + 1, ..Default::default() };
+        let b = &self.signals;
+        for w in 0..n.div_ceil(64) {
+            report.count_word(b.sent1[w], b.sent2[w], b.heard1[w], b.heard2[w]);
+        }
+        report
     }
 
-    /// Reference delivery: every hearing-capable listener gathers the OR
-    /// over its neighbors' transmissions, drawing one loss coin per active
-    /// beeping neighbor when `drop_p > 0` and spurious coins afterwards.
-    /// The RNG draw order of this loop is the contract both engines honor.
-    fn deliver_scalar(
+    /// Delivery into the heard bitsets (zeroed by phase 1). Under `gather`
+    /// (the scalar reference, and any round with beep loss, whose
+    /// per-(listener, beeping neighbor) coin order no scatter can keep) each
+    /// hearing-capable listener scans its neighbors; otherwise the beepers
+    /// scatter — O(Σ deg(beeper)) instead of O(m) — and each listener reads
+    /// its bits. Spurious coins follow per listener in ascending order.
+    fn deliver(
         &mut self,
         n: usize,
         channels: SimulatorChannels,
         drop_p: f64,
         spurious_p: f64,
+        gather: bool,
     ) {
-        for v in 0..n {
-            let mut heard = BeepSignal::silent();
-            if self.active[v] && (self.duplex == DuplexMode::Full || self.sent[v].is_silent()) {
-                self.work.edge_visits += self.graph.degree(v) as u64;
-                for &u in self.graph.neighbors(v) {
-                    let u = u as usize;
-                    if !self.active[u] {
-                        continue;
-                    }
-                    let sig = self.sent[u];
-                    if sig.is_silent() {
-                        continue;
-                    }
-                    if drop_p > 0.0 && self.channel_rng.gen_bool(drop_p) {
-                        continue; // the beep is lost on this directed edge
-                    }
-                    heard.merge(sig);
+        // Inactive nodes are silent, so they never scatter or are heard.
+        if !gather {
+            let bits = &mut self.signals;
+            for u in 0..n {
+                if bits.sent(u).on_channel1() {
+                    self.work.edge_visits += sweep::scatter(&self.graph, u, &mut bits.heard1);
                 }
-                if spurious_p > 0.0 {
-                    let c1 = self.channel_rng.gen_bool(spurious_p);
-                    let c2 =
-                        channels == SimulatorChannels::Two && self.channel_rng.gen_bool(spurious_p);
-                    heard.merge(BeepSignal::new(c1, c2));
+                if bits.sent(u).on_channel2() {
+                    self.work.edge_visits += sweep::scatter(&self.graph, u, &mut bits.heard2);
                 }
-            }
-            self.heard[v] = heard;
-        }
-    }
-
-    /// Scatter delivery: the round's beepers push their signals into
-    /// per-channel word-packed bitsets — O(Σ deg(beeper)) instead of the
-    /// scalar gather's O(m) — then each listener reads its own bit.
-    ///
-    /// Bit-identity with [`Simulator::deliver_scalar`]: with `drop_p == 0`
-    /// the gather loop draws no randomness, so reordering the OR is
-    /// invisible; the spurious coins are drawn in the same per-listener
-    /// ascending order. With `drop_p > 0` the scalar loop's draw order
-    /// (one coin per (listener, beeping neighbor) pair) cannot be preserved
-    /// by a scatter, so this round falls back to the scalar gather.
-    fn deliver_scatter(
-        &mut self,
-        n: usize,
-        channels: SimulatorChannels,
-        drop_p: f64,
-        spurious_p: f64,
-    ) {
-        if drop_p > 0.0 {
-            return self.deliver_scalar(n, channels, drop_p, spurious_p);
-        }
-        // Inactive nodes are already silent in `sent`, so they never
-        // scatter; inactive/deaf listeners are masked below.
-        let words = n.div_ceil(64);
-        sweep::reset(&mut self.scatter.heard1, words);
-        sweep::reset(&mut self.scatter.heard2, words);
-        for u in 0..n {
-            let sig = self.sent[u];
-            if sig.on_channel1() {
-                self.work.edge_visits += sweep::scatter(&self.graph, u, &mut self.scatter.heard1);
-            }
-            if sig.on_channel2() {
-                self.work.edge_visits += sweep::scatter(&self.graph, u, &mut self.scatter.heard2);
             }
         }
         let two = channels == SimulatorChannels::Two;
         for v in 0..n {
             let mut heard = BeepSignal::silent();
-            if self.active[v] && (self.duplex == DuplexMode::Full || self.sent[v].is_silent()) {
-                let (word, bit) = (v >> 6, 1u64 << (v & 63));
-                heard = BeepSignal::new(
-                    self.scatter.heard1[word] & bit != 0,
-                    two && self.scatter.heard2[word] & bit != 0,
-                );
+            if self.active[v]
+                && (self.duplex == DuplexMode::Full || self.signals.sent(v).is_silent())
+            {
+                if gather {
+                    self.work.edge_visits += self.graph.degree(v) as u64;
+                    for &u in self.graph.neighbors(v) {
+                        let sig = self.signals.sent(u as usize);
+                        if sig.is_silent() || (drop_p > 0.0 && self.channel_rng.gen_bool(drop_p)) {
+                            continue; // silent, or the beep is lost on this directed edge
+                        }
+                        heard.merge(sig);
+                    }
+                } else {
+                    heard = self.signals.heard(v);
+                }
                 if spurious_p > 0.0 {
                     let c1 = self.channel_rng.gen_bool(spurious_p);
                     let c2 = two && self.channel_rng.gen_bool(spurious_p);
                     heard.merge(BeepSignal::new(c1, c2));
                 }
             }
-            self.heard[v] = heard;
+            self.signals.set_heard(v, heard);
         }
     }
 
     /// Fused no-fault round: one call of the full-sweep kernel
     /// ([`crate::sweep`]) over the whole network, with the
-    /// [`RoundReport`] counted from the kernel's bitsets instead of a
-    /// separate [`RoundReport::from_signals`] sweep. Only reachable when
+    /// [`RoundReport`] counted word by word inside the kernel. Only reachable when
     /// the channel is reliable and the Byzantine plan is empty, so every
     /// skipped branch (burst windows, reboots, jammers, loss, spurious) is
     /// provably dead and no channel/Byzantine randomness is ever drawn —
@@ -1209,9 +1136,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         let (mut report, work) = kernel.whole(
             &mut self.states[..n],
             &mut self.rngs[..n],
-            &mut self.sent[..n],
-            &mut self.heard[..n],
-            &mut self.scatter,
+            &mut self.signals,
             |_, _, _, _, _| {},
         );
         report.round = self.round + 1;
@@ -1246,9 +1171,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             &kernel,
             &mut self.states[..n],
             &mut self.rngs[..n],
-            &mut self.sent[..n],
-            &mut self.heard[..n],
-            &mut self.scatter,
+            &mut self.signals,
         );
         report.round = self.round + 1;
         self.work.node_execs += work.node_execs;
@@ -1311,81 +1234,45 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         }
     }
 
-    /// Rewrites `sent[v]` keeping the persistent bitsets and running report
-    /// totals exact. Call only while the bookkeeping is live.
-    fn frontier_set_sent(&mut self, v: NodeId, s: BeepSignal) {
-        let old = self.sent[v];
-        if old == s {
-            return;
-        }
-        let h = self.heard[v];
-        let fr = &mut self.frontier;
-        let bits = &mut self.scatter;
-        let word = v >> 6;
-        let bit = 1u64 << (v & 63);
-        if s.on_channel1() != old.on_channel1() {
-            if s.on_channel1() {
-                bits.sent1[word] |= bit;
-                fr.total_beeps1 += 1;
-            } else {
-                bits.sent1[word] &= !bit;
-                fr.total_beeps1 -= 1;
+    /// Overwrites `v`'s sent and heard bits. While the frontier bookkeeping
+    /// is live, its running report totals move with them.
+    fn set_signals(&mut self, v: NodeId, s: BeepSignal, h: BeepSignal) {
+        if self.frontier_live() {
+            let counts = |s: BeepSignal, h: BeepSignal| {
+                let (s, h) = (s.bits(), h.bits());
+                [s, s >> 1, h, h >> 1, s & !h, (s & !h) >> 1].map(|b| usize::from(b & 1))
+            };
+            let (was, is) = (counts(self.signals.sent(v), self.signals.heard(v)), counts(s, h));
+            let t = &mut self.frontier.totals;
+            let totals = [
+                &mut t.beeps_channel1,
+                &mut t.beeps_channel2,
+                &mut t.hearers_channel1,
+                &mut t.hearers_channel2,
+                &mut t.lone_beepers,
+                &mut t.lone_beepers_channel2,
+            ];
+            for ((total, was), is) in totals.into_iter().zip(was).zip(is) {
+                *total = *total + is - was;
             }
         }
-        if s.on_channel2() != old.on_channel2() {
-            if s.on_channel2() {
-                bits.sent2[word] |= bit;
-                fr.total_beeps2 += 1;
-            } else {
-                bits.sent2[word] &= !bit;
-                fr.total_beeps2 -= 1;
-            }
-        }
-        fr.total_lone1 -= (old.on_channel1() && !h.on_channel1()) as usize;
-        fr.total_lone1 += (s.on_channel1() && !h.on_channel1()) as usize;
-        fr.total_lone2 -= (old.on_channel2() && !h.on_channel2()) as usize;
-        fr.total_lone2 += (s.on_channel2() && !h.on_channel2()) as usize;
-        self.sent[v] = s;
+        self.signals.set_sent(v, s);
+        self.signals.set_heard(v, h);
     }
 
-    /// Rewrites `heard[v]` keeping the running report totals exact. Call
-    /// only while the bookkeeping is live.
-    fn frontier_set_heard(&mut self, v: NodeId, h: BeepSignal) {
-        let old = self.heard[v];
-        if old == h {
-            return;
-        }
-        let s = self.sent[v];
-        let fr = &mut self.frontier;
-        fr.total_hearers1 -= old.on_channel1() as usize;
-        fr.total_hearers1 += h.on_channel1() as usize;
-        fr.total_hearers2 -= old.on_channel2() as usize;
-        fr.total_hearers2 += h.on_channel2() as usize;
-        fr.total_lone1 -= (s.on_channel1() && !old.on_channel1()) as usize;
-        fr.total_lone1 += (s.on_channel1() && !h.on_channel1()) as usize;
-        fr.total_lone2 -= (s.on_channel2() && !old.on_channel2()) as usize;
-        fr.total_lone2 += (s.on_channel2() && !h.on_channel2()) as usize;
-        self.heard[v] = h;
-    }
-
-    /// Reads listener `u`'s observation from the persistent sent bitsets —
-    /// the word-packed signal reuse over the settled complement. Inactive
-    /// neighbors never have a bit set (their `sent` is silent), so no
-    /// activity mask is needed here.
-    fn frontier_gather(&self, u: NodeId, two: bool) -> BeepSignal {
-        let bits = &self.scatter;
-        let mut c1 = false;
-        let mut c2 = false;
+    /// Reads listener `u`'s observation from the sent bitsets — the
+    /// word-packed signal reuse over the settled complement — stopping once
+    /// it holds `all`, every declared channel. Inactive neighbors never have
+    /// a bit set, so no activity mask is needed here.
+    fn frontier_gather(&self, u: NodeId, all: BeepSignal) -> BeepSignal {
+        let mut heard = BeepSignal::silent();
         for &w in self.graph.neighbors(u) {
-            let word = (w >> 6) as usize;
-            let bit = 1u64 << (w & 63);
-            c1 |= bits.sent1[word] & bit != 0;
-            c2 |= two && bits.sent2[word] & bit != 0;
-            if c1 && (c2 || !two) {
+            heard.merge(self.signals.sent(w as NodeId));
+            if heard == all {
                 break;
             }
         }
-        BeepSignal::new(c1, c2)
+        heard
     }
 
     /// One fault-free frontier round: sparse while the dirty set stays at
@@ -1401,8 +1288,8 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
     }
 
     /// Full frontier sweep: executes every node through the full-sweep
-    /// kernel, re-deriving the settled set, the persistent sent bitsets and
-    /// the running report totals. Entered while unsynced and whenever the
+    /// kernel, re-deriving the settled set, the signal bitsets and the
+    /// running report totals. Entered while unsynced and whenever the
     /// frontier outgrows the density threshold.
     fn frontier_full_sweep(&mut self, n: usize, channels: SimulatorChannels) -> RoundReport {
         let span = self.telemetry.time("sim.phase.frontier");
@@ -1428,8 +1315,8 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         for q in &mut fr.queued {
             *q = false;
         }
-        // The kernel rebuilds the persistent sent bitsets; each executed
-        // node is judged for settling right after its `receive`.
+        // The kernel rebuilds the signal bitsets; each executed node is
+        // judged for settling right after its `receive`.
         let protocol = &self.protocol;
         let kernel = Sweep {
             graph: &self.graph,
@@ -1441,9 +1328,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         let (mut report, work) = kernel.whole(
             &mut self.states[..n],
             &mut self.rngs[..n],
-            &mut self.sent[..n],
-            &mut self.heard[..n],
-            &mut self.scatter,
+            &mut self.signals,
             |v, state, s, h, _rng| match protocol.settled_round(v, state, h) {
                 Some(sr) if sr.signal == s => {
                     #[cfg(debug_assertions)]
@@ -1455,12 +1340,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             },
         );
         report.round = executing;
-        fr.total_beeps1 = report.beeps_channel1;
-        fr.total_beeps2 = report.beeps_channel2;
-        fr.total_hearers1 = report.hearers_channel1;
-        fr.total_hearers2 = report.hearers_channel2;
-        fr.total_lone1 = report.lone_beepers;
-        fr.total_lone2 = report.lone_beepers_channel2;
+        fr.totals = report;
         fr.synced = true;
         self.work.node_execs += work.node_execs;
         self.work.edge_visits += work.edge_visits;
@@ -1473,7 +1353,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
     /// Sparse frontier round — O(Σ deg(dirty ∪ N(changed))) work:
     ///
     /// 1. the dirty set transmits live (changed signals are patched into
-    ///    the persistent bitsets);
+    ///    the sent bitsets);
     /// 2. observations are recomputed only across the changed signals'
     ///    neighborhoods plus the dirty set itself (whose duplex masking or
     ///    adjacency may have changed);
@@ -1485,7 +1365,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
     fn frontier_sparse_round(&mut self, channels: SimulatorChannels) -> RoundReport {
         let span = self.telemetry.time("sim.phase.frontier");
         let executing = self.round + 1;
-        let two = channels == SimulatorChannels::Two;
+        let all = channels.full_signal();
         let full = self.duplex == DuplexMode::Full;
         // Swap the dirty list into the exec scratch so `push_dirty` below
         // refills a retained buffer (no per-round allocation).
@@ -1518,8 +1398,8 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
                 s.allowed_by(channels),
                 "protocol beeped on an undeclared channel (node {v}, signal {s})"
             );
-            if s != self.sent[v] {
-                self.frontier_set_sent(v, s);
+            if s != self.signals.sent(v) {
+                self.set_signals(v, s, self.signals.heard(v));
                 changed.push(v);
             }
         }
@@ -1548,14 +1428,14 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         wake.clear();
         for &u in &listeners {
             self.frontier.listener_mark[u] = false;
-            let h = if full || self.sent[u].is_silent() {
-                self.frontier_gather(u, two)
+            let h = if full || self.signals.sent(u).is_silent() {
+                self.frontier_gather(u, all)
             } else {
                 BeepSignal::silent()
             };
-            if h != self.heard[u] {
+            if h != self.signals.heard(u) {
                 let was_settled = self.frontier.settled[u];
-                self.frontier_set_heard(u, h);
+                self.set_signals(u, self.signals.sent(u), h);
                 if was_settled {
                     wake.push(u);
                 }
@@ -1598,21 +1478,16 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         self.frontier.wake = wake;
         drop(span);
         self.telemetry.counter_add("sim.rounds.frontier", 1);
-        self.frontier.report(executing)
+        RoundReport { round: executing, ..self.frontier.totals }
     }
 
     /// Receive + settle re-evaluation for one live node of a sparse round.
     fn frontier_finish_node(&mut self, v: NodeId, executing: u64) {
-        self.protocol.receive(
-            v,
-            &mut self.states[v],
-            self.sent[v],
-            self.heard[v],
-            &mut self.rngs[v],
-        );
+        let (s, h) = (self.signals.sent(v), self.signals.heard(v));
+        self.protocol.receive(v, &mut self.states[v], s, h, &mut self.rngs[v]);
         self.frontier.last_exec[v] = executing;
-        match self.protocol.settled_round(v, &self.states[v], self.heard[v]) {
-            Some(sr) if sr.signal == self.sent[v] => {
+        match self.protocol.settled_round(v, &self.states[v], h) {
+            Some(sr) if sr.signal == s => {
                 #[cfg(debug_assertions)]
                 debug_check_settled_contract(
                     &self.protocol,
@@ -1620,7 +1495,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
                     &self.states[v],
                     &self.rngs[v],
                     sr,
-                    self.heard[v],
+                    h,
                 );
                 self.frontier.settled[v] = true;
                 self.frontier.rate[v] = sr.draws;
@@ -1645,10 +1520,11 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
     }
 
     /// Captures the complete execution state — node states, per-node RNG
-    /// positions, the round counter, the (possibly churned) topology, the
-    /// participation bitmap and the channel-noise and Byzantine stream
-    /// positions — so the run can later be branched or replayed from this
-    /// exact point via [`Simulator::restore`]. The channel and Byzantine
+    /// positions, the round counter, the last round's signal bitsets, the
+    /// (possibly churned) topology, the participation bitmap and the
+    /// channel-noise and Byzantine stream positions — so the run can later
+    /// be branched or replayed from this exact point via
+    /// [`Simulator::restore`]. The channel and Byzantine
     /// *configurations* are not captured: a restore keeps whatever models
     /// are installed.
     ///
@@ -1672,8 +1548,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             states: self.states.clone(),
             rngs,
             round: self.round,
-            sent: self.sent.clone(),
-            heard: self.heard.clone(),
+            signals: self.signals.clone(),
             graph: self.graph.share(),
             active: self.active.clone(),
             channel_state: self.channel_state,
@@ -1709,8 +1584,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         self.states = checkpoint.states.clone();
         self.rngs = checkpoint.rngs.clone();
         self.round = checkpoint.round;
-        self.sent = checkpoint.sent.clone();
-        self.heard = checkpoint.heard.clone();
+        self.signals = checkpoint.signals.clone();
         self.graph = SimGraph::Shared(Arc::clone(&checkpoint.graph));
         self.active = checkpoint.active.clone();
         self.inactive = self.active.iter().filter(|&&a| !a).count();
@@ -1737,9 +1611,11 @@ pub enum RestoreError {
         /// Node count of the simulator being restored.
         simulator_nodes: usize,
     },
-    /// The checkpoint's own vectors disagree with each other — possible
-    /// only for a checkpoint assembled via [`Checkpoint::from_parts`]
-    /// (e.g. deserialized from a corrupted snapshot).
+    /// The checkpoint's own parts disagree with each other — a vector or a
+    /// signal bitset sized for another node count, or a signal bit set past
+    /// the last node. Possible only for a checkpoint assembled via
+    /// [`Checkpoint::from_parts`] (e.g. deserialized from a corrupted
+    /// snapshot).
     Inconsistent(String),
 }
 
@@ -1767,8 +1643,7 @@ pub struct Checkpoint<S> {
     states: Vec<S>,
     rngs: Vec<Pcg64Mcg>,
     round: u64,
-    sent: Vec<BeepSignal>,
-    heard: Vec<BeepSignal>,
+    signals: Bitsets,
     graph: Arc<Graph>,
     active: Vec<bool>,
     channel_state: ChannelState,
@@ -1793,13 +1668,13 @@ impl<S> Checkpoint<S> {
     }
 
     /// The captured last-round transmissions.
-    pub fn sent(&self) -> &[BeepSignal] {
-        &self.sent
+    pub fn sent(&self) -> Signals<'_> {
+        Signals { c1: &self.signals.sent1, c2: &self.signals.sent2, len: self.states.len() }
     }
 
     /// The captured last-round observations.
-    pub fn heard(&self) -> &[BeepSignal] {
-        &self.heard
+    pub fn heard(&self) -> Signals<'_> {
+        Signals { c1: &self.signals.heard1, c2: &self.signals.heard2, len: self.states.len() }
     }
 
     /// The captured (possibly churned) topology.
@@ -1837,28 +1712,30 @@ impl<S> Checkpoint<S> {
 
     /// Assembles a checkpoint from externally held parts — the inverse of
     /// the accessor set, used by durable-snapshot codecs to rebuild a
-    /// checkpoint after deserialization. The parts are validated against
-    /// each other on [`Simulator::restore`], not here, so a codec can
-    /// surface a typed [`RestoreError`] instead of a panic.
+    /// checkpoint after deserialization. `sent` and `heard` are the
+    /// `[channel 1, channel 2]` signal bitsets: bit `v % 64` of word
+    /// `v / 64` is node `v`'s bit, `⌈n/64⌉` words each. The parts are
+    /// validated against each other on [`Simulator::restore`], not here, so
+    /// a codec can surface a typed [`RestoreError`] instead of a panic.
     #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         states: Vec<S>,
         rngs: Vec<Pcg64Mcg>,
         round: u64,
-        sent: Vec<BeepSignal>,
-        heard: Vec<BeepSignal>,
+        sent: [Vec<u64>; 2],
+        heard: [Vec<u64>; 2],
         graph: Arc<Graph>,
         active: Vec<bool>,
         channel_state: ChannelState,
         channel_rng: Pcg64Mcg,
         byz_rng: Pcg64Mcg,
     ) -> Checkpoint<S> {
+        let ([sent1, sent2], [heard1, heard2]) = (sent, heard);
         Checkpoint {
             states,
             rngs,
             round,
-            sent,
-            heard,
+            signals: Bitsets { sent1, sent2, heard1, heard2 },
             graph,
             active,
             channel_state,
@@ -1867,23 +1744,39 @@ impl<S> Checkpoint<S> {
         }
     }
 
-    /// Cross-checks the checkpoint's vectors against each other; every
-    /// simulator-captured checkpoint passes by construction.
+    /// Cross-checks the checkpoint's parts against each other; every
+    /// simulator-captured checkpoint passes by construction. A signal bit
+    /// past the last node would be counted by a report's popcount, so it is
+    /// refused like a wrong length.
     fn check_consistent(&self) -> Result<(), RestoreError> {
         let n = self.states.len();
-        let fields = [
-            ("rngs", self.rngs.len()),
-            ("sent", self.sent.len()),
-            ("heard", self.heard.len()),
-            ("graph", self.graph.len()),
-            ("active", self.active.len()),
-        ];
+        let fields =
+            [("rngs", self.rngs.len()), ("graph", self.graph.len()), ("active", self.active.len())];
         for (name, len) in fields {
             if len != n {
                 return Err(RestoreError::Inconsistent(format!(
                     "{name} covers {len} nodes but states covers {n}"
                 )));
             }
+        }
+        let b = &self.signals;
+        let bitsets = [
+            ("sent channel 1", &b.sent1),
+            ("sent channel 2", &b.sent2),
+            ("heard channel 1", &b.heard1),
+            ("heard channel 2", &b.heard2),
+        ];
+        let words = n.div_ceil(64);
+        let tail = if n.is_multiple_of(64) { 0 } else { u64::MAX << (n % 64) };
+        for (name, bits) in bitsets {
+            let detail = if bits.len() != words {
+                format!("{name} holds {} words but {n} nodes need {words}", bits.len())
+            } else if bits.last().is_some_and(|&w| w & tail != 0) {
+                format!("{name} has a bit set past node {}", n - 1)
+            } else {
+                continue;
+            };
+            return Err(RestoreError::Inconsistent(detail));
         }
         Ok(())
     }
@@ -2133,7 +2026,7 @@ pub(crate) mod tests {
         let mut sim = Simulator::new(&g, Parity, vec![1, 1], 0)
             .with_channel(ChannelFault::reliable().with_jammer(0, JammerKind::AlwaysBeep));
         sim.step();
-        assert!(sim.last_sent()[0].on_channel1());
+        assert!(sim.last_sent().get(0).on_channel1());
         assert_eq!(sim.states(), &[1, 2]); // only node 1 heard a beep
     }
 
@@ -2145,7 +2038,7 @@ pub(crate) mod tests {
         let mut sim = Simulator::new(&g, Parity, vec![0, 1], 0)
             .with_channel(ChannelFault::reliable().with_jammer(0, JammerKind::AlwaysSilent));
         sim.step();
-        assert!(sim.last_sent()[0].is_silent());
+        assert!(sim.last_sent().get(0).is_silent());
         assert_eq!(sim.states(), &[0, 1]);
     }
 
@@ -2243,7 +2136,7 @@ pub(crate) mod tests {
         sim.step();
         // The departed middle node is frozen; the endpoints are isolated.
         assert_eq!(sim.states(), &[0, 0, 0]);
-        assert!(sim.last_sent()[1].is_silent());
+        assert!(sim.last_sent().get(1).is_silent());
         // Rejoin with fresh (adversarial) state and both edges back.
         sim.node_join(1, &[0, 2], 0).unwrap();
         assert!(sim.active()[1]);
@@ -2260,17 +2153,17 @@ pub(crate) mod tests {
         let g = classic::path(2);
         let mut sim = Simulator::new(&g, Parity, vec![0, 0], 0);
         sim.step(); // both beep and hear each other
-        assert!(sim.last_sent()[1].on_channel1());
-        assert!(sim.last_heard()[1].on_channel1());
+        assert!(sim.last_sent().get(1).on_channel1());
+        assert!(sim.last_heard().get(1).on_channel1());
         sim.node_leave(1).unwrap();
-        assert!(sim.last_sent()[1].is_silent());
-        assert!(sim.last_heard()[1].is_silent());
+        assert!(sim.last_sent().get(1).is_silent());
+        assert!(sim.last_heard().get(1).is_silent());
         // The survivor's signals are untouched.
-        assert!(sim.last_sent()[0].on_channel1());
+        assert!(sim.last_sent().get(0).on_channel1());
         // And the next round still treats the departed node as silent.
         sim.step();
-        assert!(sim.last_sent()[1].is_silent());
-        assert!(sim.last_heard()[0].is_silent());
+        assert!(sim.last_sent().get(1).is_silent());
+        assert!(sim.last_heard().get(0).is_silent());
     }
 
     #[test]
@@ -2287,16 +2180,16 @@ pub(crate) mod tests {
         // straight back: the join itself must leave the radio silent.
         sim.node_join(1, &[0], 1).unwrap();
         assert!(sim.active()[1]);
-        assert!(sim.last_sent()[1].is_silent());
-        assert!(sim.last_heard()[1].is_silent());
+        assert!(sim.last_sent().get(1).is_silent());
+        assert!(sim.last_heard().get(1).is_silent());
         // A join on a node that never left also resets its signals: the
         // adversary hands it arbitrary RAM, not a radio mid-transmission.
         let mut sim = Simulator::new(&g, Parity, vec![0, 0], 0);
         sim.step();
-        assert!(sim.last_sent()[0].on_channel1());
+        assert!(sim.last_sent().get(0).on_channel1());
         sim.node_join(0, &[1], 1).unwrap();
-        assert!(sim.last_sent()[0].is_silent());
-        assert!(sim.last_heard()[0].is_silent());
+        assert!(sim.last_sent().get(0).is_silent());
+        assert!(sim.last_heard().get(0).is_silent());
     }
 
     #[test]
@@ -2325,20 +2218,20 @@ pub(crate) mod tests {
 
     #[test]
     fn adopting_a_graph_never_touches_signals_or_participation() {
-        // Edge updates must leave `active`, `sent` and `heard` exactly as
+        // Edge updates must leave `active` and the signals exactly as
         // they were, for every node; a departed node keeps no edges.
         let g = classic::path(3);
         let mut sim = Simulator::new(&g, Parity, vec![0, 0, 0], 0);
         sim.step();
         sim.node_leave(2).unwrap();
-        let sent: Vec<BeepSignal> = sim.last_sent().to_vec();
-        let heard: Vec<BeepSignal> = sim.last_heard().to_vec();
+        let sent: Vec<BeepSignal> = sim.last_sent().iter().collect();
+        let heard: Vec<BeepSignal> = sim.last_heard().iter().collect();
         let active: Vec<bool> = sim.active().to_vec();
         let next = Graph::from_edges(3, [(0, 2), (1, 2)]).unwrap();
         assert_eq!(sim.adopt_graph(Arc::new(next), true), Some((0, 1)));
         assert_eq!(sim.graph(), &Graph::empty(3));
-        assert_eq!(sim.last_sent(), &sent[..]);
-        assert_eq!(sim.last_heard(), &heard[..]);
+        assert!(sim.last_sent().iter().eq(sent));
+        assert!(sim.last_heard().iter().eq(heard));
         assert_eq!(sim.active(), &active[..]);
     }
 
@@ -2474,7 +2367,7 @@ pub(crate) mod tests {
         let mut sim = Simulator::new(&g, Parity, vec![1, 1], 0)
             .with_byzantine(ByzantinePlan::new().with_behavior(0, ByzantineBehavior::StuckBeep));
         sim.step();
-        assert!(sim.last_sent()[0].on_channel1());
+        assert!(sim.last_sent().get(0).on_channel1());
         assert_eq!(sim.states(), &[1, 2]); // only node 1 heard a beep
     }
 
@@ -2485,7 +2378,7 @@ pub(crate) mod tests {
         let mut sim = Simulator::new(&g, Parity, vec![0, 1], 0)
             .with_byzantine(ByzantinePlan::new().with_behavior(0, ByzantineBehavior::StuckSilent));
         sim.step();
-        assert!(sim.last_sent()[0].is_silent());
+        assert!(sim.last_sent().get(0).is_silent());
         assert_eq!(sim.states(), &[0, 1]);
     }
 
@@ -2499,7 +2392,7 @@ pub(crate) mod tests {
             .with_channel(ChannelFault::reliable().with_jammer(0, JammerKind::AlwaysBeep))
             .with_byzantine(ByzantinePlan::new().with_behavior(0, ByzantineBehavior::StuckSilent));
         sim.step();
-        assert!(sim.last_sent()[0].is_silent());
+        assert!(sim.last_sent().get(0).is_silent());
     }
 
     #[test]
@@ -2513,7 +2406,7 @@ pub(crate) mod tests {
             let mut beeps = 0;
             for _ in 0..30 {
                 sim.step();
-                beeps += sim.last_sent()[0].on_channel1() as u32;
+                beeps += sim.last_sent().get(0).on_channel1() as u32;
             }
             beeps
         };
@@ -2664,7 +2557,7 @@ pub(crate) mod tests {
             .with_byzantine(ByzantinePlan::new().with_behavior(0, ByzantineBehavior::StuckBeep));
         sim.node_leave(0).unwrap();
         sim.step();
-        assert!(sim.last_sent()[0].is_silent());
+        assert!(sim.last_sent().get(0).is_silent());
         assert_eq!(*sim.state(1), 0); // heard nothing: its neighbor departed
     }
 
@@ -2711,6 +2604,55 @@ pub(crate) mod tests {
         sim.run(20);
         assert_eq!(sim.states(), final_a.as_slice());
         assert_eq!(sim.round(), round_a);
+    }
+
+    /// Restores a 70-node network (two words per signal bitset), one round
+    /// past its checkpoint, from that checkpoint reassembled through
+    /// [`Checkpoint::from_parts`] after `edit` damages its signal words.
+    fn restore_damaged(edit: impl FnOnce(&mut Bitsets)) -> Result<(), RestoreError> {
+        let g = classic::cycle(70);
+        let mut sim = Simulator::new(&g, Parity, vec![0; 70], 3);
+        sim.step();
+        let cp = sim.checkpoint();
+        sim.step();
+        let mut b = cp.signals.clone();
+        edit(&mut b);
+        let damaged = Checkpoint::from_parts(
+            cp.states().to_vec(),
+            cp.rngs().to_vec(),
+            cp.round(),
+            [b.sent1, b.sent2],
+            [b.heard1, b.heard2],
+            Arc::clone(cp.shared_graph()),
+            cp.active().to_vec(),
+            cp.channel_state(),
+            cp.channel_rng().clone(),
+            cp.byz_rng().clone(),
+        );
+        let result = sim.restore(&damaged);
+        let expected_round = if result.is_ok() { 1 } else { 2 };
+        assert_eq!(sim.round(), expected_round, "a refused restore changes nothing");
+        result
+    }
+
+    #[test]
+    fn restore_refuses_a_signal_bitset_of_the_wrong_word_count() {
+        assert_eq!(restore_damaged(|_| {}), Ok(()));
+        let err = restore_damaged(|b| b.heard2.push(0)).unwrap_err();
+        assert_eq!(
+            err,
+            RestoreError::Inconsistent("heard channel 2 holds 3 words but 70 nodes need 2".into())
+        );
+    }
+
+    #[test]
+    fn restore_refuses_a_signal_bit_past_the_last_node() {
+        // Word 1 holds nodes 64..69 in bits 0..5; bit 6 would be node 70.
+        let err = restore_damaged(|b| b.sent1[1] |= 1 << 6).unwrap_err();
+        assert_eq!(
+            err,
+            RestoreError::Inconsistent("sent channel 1 has a bit set past node 69".into())
+        );
     }
 
     #[test]

@@ -6,16 +6,20 @@
 //! 64-node bitset word at a time, in three steps:
 //!
 //! 1. **Transmit and scatter** ([`Sweep::transmit_scatter`]): every active
-//!    node transmits; `sent` and the per-channel sent bitset words are
-//!    written, and each beeper's signal is scattered into per-channel word
-//!    accumulators.
+//!    node transmits; the per-channel sent bitset words are written, and
+//!    each beeper's signal is scattered into per-channel word accumulators.
 //! 2. **Mask and count** ([`Sweep::mask_receive`]): each merged heard word
 //!    is masked with the participation bitset and, under half duplex, with
-//!    `!(sent1 | sent2)`. The masked bitsets are then exactly the `heard`
-//!    vector, so every [`RoundReport`] counter is a word popcount.
+//!    `!(sent1 | sent2)`. The masked words are then exactly the round's
+//!    observations, and every [`RoundReport`] counter is a word popcount
+//!    ([`RoundReport::count_word`]).
 //! 3. **Gather and receive** ([`Sweep::mask_receive`], right after its
-//!    word's mask): each node reads its bits and the active nodes run
-//!    `receive`.
+//!    word's mask): each active node runs `receive` with its sent and
+//!    heard bits.
+//!
+//! The four bitsets ([`Bitsets`]) are the simulator's only record of a
+//! round's signals: every engine and the phased path write them, they are
+//! kept between rounds, and a checkpoint holds a copy.
 //!
 //! [`Sweep::whole`] is the sequential whole-network call, with the shared
 //! heard bitsets as the accumulators. The parallel engine ([`crate::par`])
@@ -53,12 +57,26 @@ pub(crate) fn reset(bits: &mut Vec<u64>, words: usize) {
     bits.resize(words, 0);
 }
 
-/// Word-packed per-channel views of one round: bit `v` of `sent_c` is set
+/// Node `v`'s signal in the per-channel words `c1`/`c2`; a missing word
+/// reads as silence.
+pub(crate) fn signal_at(c1: &[u64], c2: &[u64], v: NodeId) -> BeepSignal {
+    let bit = |words: &[u64]| words.get(v >> 6).is_some_and(|w| w >> (v & 63) & 1 != 0);
+    BeepSignal::new(bit(c1), bit(c2))
+}
+
+/// Writes node `v`'s signal `s` into the per-channel words `c1`/`c2`.
+fn set_signal(c1: &mut [u64], c2: &mut [u64], v: NodeId, s: BeepSignal) {
+    let (word, j) = (v >> 6, v & 63);
+    c1[word] = c1[word] & !(1 << j) | u64::from(s.on_channel1()) << j;
+    c2[word] = c2[word] & !(1 << j) | u64::from(s.on_channel2()) << j;
+}
+
+/// One round's signals, word-packed per channel: bit `v` of `sent_c` is set
 /// iff node `v` beeped on channel `c`, bit `v` of `heard_c` iff it heard
-/// channel `c`. Scratch of the full-sweep kernel, never part of a
-/// checkpoint; the frontier engine keeps the sent bitsets live between its
-/// sparse rounds.
-#[derive(Debug, Default)]
+/// channel `c`. Tail bits past the last node are never set. The
+/// simulator's only signal state: every kernel writes it, it is kept
+/// between rounds, and a checkpoint holds a copy.
+#[derive(Debug, Default, Clone)]
 pub(crate) struct Bitsets {
     pub(crate) sent1: Vec<u64>,
     pub(crate) sent2: Vec<u64>,
@@ -74,6 +92,26 @@ impl Bitsets {
         reset(&mut self.heard1, words);
         reset(&mut self.heard2, words);
     }
+
+    /// Node `v`'s transmission.
+    pub(crate) fn sent(&self, v: NodeId) -> BeepSignal {
+        signal_at(&self.sent1, &self.sent2, v)
+    }
+
+    /// Node `v`'s observation.
+    pub(crate) fn heard(&self, v: NodeId) -> BeepSignal {
+        signal_at(&self.heard1, &self.heard2, v)
+    }
+
+    /// Overwrites node `v`'s transmission.
+    pub(crate) fn set_sent(&mut self, v: NodeId, s: BeepSignal) {
+        set_signal(&mut self.sent1, &mut self.sent2, v, s);
+    }
+
+    /// Overwrites node `v`'s observation.
+    pub(crate) fn set_heard(&mut self, v: NodeId, h: BeepSignal) {
+        set_signal(&mut self.heard1, &mut self.heard2, v, h);
+    }
 }
 
 /// One word-aligned node range's exclusive slices: the per-node arrays
@@ -83,8 +121,6 @@ pub(crate) struct Shard<'a, S> {
     pub(crate) start: usize,
     pub(crate) states: &'a mut [S],
     pub(crate) rngs: &'a mut [Pcg64Mcg],
-    pub(crate) sent: &'a mut [BeepSignal],
-    pub(crate) heard: &'a mut [BeepSignal],
     pub(crate) sent1: &'a mut [u64],
     pub(crate) sent2: &'a mut [u64],
 }
@@ -107,8 +143,6 @@ impl<P: BeepingProtocol> Sweep<'_, P> {
         &self,
         states: &mut [P::State],
         rngs: &mut [Pcg64Mcg],
-        sent: &mut [BeepSignal],
-        heard: &mut [BeepSignal],
         bits: &mut Bitsets,
         settle: F,
     ) -> (RoundReport, WorkCounters)
@@ -117,16 +151,15 @@ impl<P: BeepingProtocol> Sweep<'_, P> {
     {
         bits.reset(states.len().div_ceil(64));
         let Bitsets { sent1, sent2, heard1, heard2 } = bits;
-        let mut shard = Shard { start: 0, states, rngs, sent, heard, sent1, sent2 };
+        let mut shard = Shard { start: 0, states, rngs, sent1, sent2 };
         let work = self.transmit_scatter(&mut shard, heard1, heard2);
         let report = self.mask_receive(&mut shard, heard1, heard2, settle);
         (report, work)
     }
 
     /// Step 1 over `shard`, one 64-node word at a time: transmit for each
-    /// active node, write `sent` and the shard's sent bitset words, and
-    /// scatter each beeper into the full-length, pre-zeroed accumulators
-    /// `acc1`/`acc2`.
+    /// active node, write the shard's sent bitset words, and scatter each
+    /// beeper into the full-length, pre-zeroed accumulators `acc1`/`acc2`.
     ///
     /// # Panics
     ///
@@ -142,17 +175,14 @@ impl<P: BeepingProtocol> Sweep<'_, P> {
         acc1: &mut [u64],
         acc2: &mut [u64],
     ) -> WorkCounters {
-        let Shard { start, states, rngs, sent, sent1, sent2, .. } = shard;
+        let Shard { start, states, rngs, sent1, sent2 } = shard;
         let first_word = *start >> 6;
         let mut work = WorkCounters::default();
-        let words = states.chunks(64).zip(rngs.chunks_mut(64)).zip(sent.chunks_mut(64));
-        for (w, ((states, rngs), sent)) in words.enumerate() {
+        for (w, (states, rngs)) in states.chunks(64).zip(rngs.chunks_mut(64)).enumerate() {
             let live = self.active_bits[first_word + w];
             work.node_execs += u64::from(live.count_ones());
             let (mut s1, mut s2) = (0u64, 0u64);
-            for (j, ((state, rng), slot)) in
-                states.iter().zip(rngs.iter_mut()).zip(sent.iter_mut()).enumerate()
-            {
+            for (j, (state, rng)) in states.iter().zip(rngs.iter_mut()).enumerate() {
                 let v = *start + 64 * w + j;
                 let signal = if live >> j & 1 != 0 {
                     let s = self.protocol.transmit(v, state, rng);
@@ -164,7 +194,6 @@ impl<P: BeepingProtocol> Sweep<'_, P> {
                 } else {
                     BeepSignal::silent()
                 };
-                *slot = signal;
                 if signal.on_channel1() {
                     s1 |= 1 << j;
                     work.edge_visits += scatter(self.graph, v, acc1);
@@ -182,8 +211,8 @@ impl<P: BeepingProtocol> Sweep<'_, P> {
 
     /// Steps 2 and 3 over `shard`, one 64-node word at a time: mask the
     /// shard's merged heard words `heard1`/`heard2` and count the report by
-    /// popcount, then gather each node's bits and `receive` on the active
-    /// nodes (followed by `settle`). The returned report's `round` is 0.
+    /// popcount, then `receive` on each active node with its sent and heard
+    /// bits (followed by `settle`). The returned report's `round` is 0.
     #[inline(never)]
     pub(crate) fn mask_receive<F>(
         &self,
@@ -195,15 +224,10 @@ impl<P: BeepingProtocol> Sweep<'_, P> {
     where
         F: FnMut(NodeId, &P::State, BeepSignal, BeepSignal, &Pcg64Mcg),
     {
-        let Shard { start, states, rngs, sent, heard, sent1, sent2 } = shard;
+        let Shard { start, states, rngs, sent1, sent2 } = shard;
         let first_word = *start >> 6;
         let mut report = RoundReport::default();
-        let words = states
-            .chunks_mut(64)
-            .zip(rngs.chunks_mut(64))
-            .zip(sent.chunks(64))
-            .zip(heard.chunks_mut(64));
-        for (w, (((states, rngs), sent), heard)) in words.enumerate() {
+        for (w, (states, rngs)) in states.chunks_mut(64).zip(rngs.chunks_mut(64)).enumerate() {
             // Departed listeners hear nothing; under half duplex neither
             // does a transmitter. A one-channel round never sets a
             // channel-2 bit, and tail bits past n are never set.
@@ -213,23 +237,12 @@ impl<P: BeepingProtocol> Sweep<'_, P> {
             let (h1, h2) = (heard1[w] & hearing, heard2[w] & hearing);
             heard1[w] = h1;
             heard2[w] = h2;
-            report.beeps_channel1 += s1.count_ones() as usize;
-            report.beeps_channel2 += s2.count_ones() as usize;
-            report.hearers_channel1 += h1.count_ones() as usize;
-            report.hearers_channel2 += h2.count_ones() as usize;
-            report.lone_beepers += (s1 & !h1).count_ones() as usize;
-            report.lone_beepers_channel2 += (s2 & !h2).count_ones() as usize;
-            for (j, (((state, rng), &s), slot)) in states
-                .iter_mut()
-                .zip(rngs.iter_mut())
-                .zip(sent.iter())
-                .zip(heard.iter_mut())
-                .enumerate()
-            {
-                let h = BeepSignal::new(h1 >> j & 1 != 0, h2 >> j & 1 != 0);
-                *slot = h;
+            report.count_word(s1, s2, h1, h2);
+            for (j, (state, rng)) in states.iter_mut().zip(rngs.iter_mut()).enumerate() {
                 if live >> j & 1 != 0 {
                     let v = *start + 64 * w + j;
+                    let s = BeepSignal::new(s1 >> j & 1 != 0, s2 >> j & 1 != 0);
+                    let h = BeepSignal::new(h1 >> j & 1 != 0, h2 >> j & 1 != 0);
                     self.protocol.receive(v, state, s, h, rng);
                     settle(v, state, s, h, rng);
                 }

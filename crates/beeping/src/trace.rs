@@ -1,6 +1,63 @@
 //! Per-round observations for analysis experiments.
 
+use graphs::NodeId;
+
 use crate::protocol::BeepSignal;
+
+/// A view of one round's per-node transmissions or observations, read from
+/// the simulator's word-packed per-channel signal bitsets. Two views are
+/// equal iff they agree on every node `0..n`; `Debug` prints one digit per
+/// node (0 silent, 1 channel 1, 2 channel 2, 3 both).
+#[derive(Clone, Copy)]
+pub struct Signals<'a> {
+    /// Channel-1 and channel-2 words; bit `v % 64` of word `v / 64` is node `v`.
+    pub(crate) c1: &'a [u64],
+    pub(crate) c2: &'a [u64],
+    pub(crate) len: usize,
+}
+
+impl<'a> Signals<'a> {
+    /// The signal of node `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn get(&self, v: NodeId) -> BeepSignal {
+        assert!(v < self.len, "node {v} out of range for {} signals", self.len);
+        crate::sweep::signal_at(self.c1, self.c2, v)
+    }
+
+    /// Number of nodes covered.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` for a network of no nodes.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The signals in node order.
+    pub fn iter(&self) -> impl Iterator<Item = BeepSignal> + 'a {
+        let (c1, c2) = (self.c1, self.c2);
+        (0..self.len).map(move |v| crate::sweep::signal_at(c1, c2, v))
+    }
+}
+
+impl PartialEq for Signals<'_> {
+    fn eq(&self, other: &Signals<'_>) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Signals<'_> {}
+
+impl std::fmt::Debug for Signals<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let digits: String = self.iter().map(|s| char::from(b'0' + s.bits())).collect();
+        write!(f, "Signals({digits})")
+    }
+}
 
 /// Aggregate activity of one simulated round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -25,35 +82,18 @@ pub struct RoundReport {
 }
 
 impl RoundReport {
-    /// Computes the report from the transmission and observation vectors of
-    /// a round.
-    pub fn from_signals(round: u64, sent: &[BeepSignal], heard: &[BeepSignal]) -> RoundReport {
-        let mut r = RoundReport { round, ..RoundReport::default() };
-        for (&s, &h) in sent.iter().zip(heard) {
-            if s.on_channel1() {
-                r.beeps_channel1 += 1;
-            }
-            if s.on_channel2() {
-                r.beeps_channel2 += 1;
-            }
-            if h.on_channel1() {
-                r.hearers_channel1 += 1;
-            }
-            if h.on_channel2() {
-                r.hearers_channel2 += 1;
-            }
-            // Lone beeps are per-channel events: a channel-2 beeper that
-            // hears only channel 2 is *not* a channel-1 lone beeper (the
-            // old `!s.is_silent()` test conflated the channels and
-            // miscounted two-channel runs).
-            if s.on_channel1() && !h.on_channel1() {
-                r.lone_beepers += 1;
-            }
-            if s.on_channel2() && !h.on_channel2() {
-                r.lone_beepers_channel2 += 1;
-            }
-        }
-        r
+    /// Adds one 64-node word of a round's signal bitsets to the counters:
+    /// `s1`/`s2` are the word's per-channel sent bits, `h1`/`h2` its heard
+    /// bits. The one counting rule of every kernel; a lone beep is a
+    /// per-channel event (beeped on channel `c`, heard nothing on `c`).
+    #[inline]
+    pub(crate) fn count_word(&mut self, s1: u64, s2: u64, h1: u64, h2: u64) {
+        self.beeps_channel1 += s1.count_ones() as usize;
+        self.beeps_channel2 += s2.count_ones() as usize;
+        self.hearers_channel1 += h1.count_ones() as usize;
+        self.hearers_channel2 += h2.count_ones() as usize;
+        self.lone_beepers += (s1 & !h1).count_ones() as usize;
+        self.lone_beepers_channel2 += (s2 & !h2).count_ones() as usize;
     }
 
     /// Total beeps across both channels.
@@ -124,25 +164,30 @@ impl Extend<RoundReport> for Trace {
 mod tests {
     use super::*;
 
+    /// The report of one word whose node `v` sent `sent[v]` and heard
+    /// `heard[v]`, each a `(channel 1, channel 2)` pair.
+    fn report_of(sent: &[(bool, bool)], heard: &[(bool, bool)]) -> RoundReport {
+        let word = |signals: &[(bool, bool)], channel2: bool| {
+            signals
+                .iter()
+                .enumerate()
+                .fold(0u64, |w, (v, &(c1, c2))| w | u64::from(if channel2 { c2 } else { c1 }) << v)
+        };
+        let mut r = RoundReport::default();
+        r.count_word(word(sent, false), word(sent, true), word(heard, false), word(heard, true));
+        r
+    }
+
+    const SILENT: (bool, bool) = (false, false);
+    const C1: (bool, bool) = (true, false);
+    const C2: (bool, bool) = (false, true);
+    const BOTH: (bool, bool) = (true, true);
+
     #[test]
     fn report_from_signals() {
         // Node 3 beeps only on channel 2 and hears nothing: it is a
-        // channel-2 lone beeper, NOT a channel-1 one (the pre-fix counter
-        // wrongly counted it in `lone_beepers`).
-        let sent = vec![
-            BeepSignal::channel1(),
-            BeepSignal::silent(),
-            BeepSignal::both(),
-            BeepSignal::channel2(),
-        ];
-        let heard = vec![
-            BeepSignal::silent(),
-            BeepSignal::channel1(),
-            BeepSignal::channel2(),
-            BeepSignal::silent(),
-        ];
-        let r = RoundReport::from_signals(3, &sent, &heard);
-        assert_eq!(r.round, 3);
+        // channel-2 lone beeper, NOT a channel-1 one.
+        let r = report_of(&[C1, SILENT, BOTH, C2], &[SILENT, C1, C2, SILENT]);
         assert_eq!(r.beeps_channel1, 2);
         assert_eq!(r.beeps_channel2, 2);
         assert_eq!(r.hearers_channel1, 1);
@@ -159,9 +204,7 @@ mod tests {
     fn lone_beeps_are_counted_per_channel() {
         // A node beeping c2-only that hears only c2 is lone on neither
         // channel; one that hears only c1 is lone on channel 2 exactly.
-        let sent = vec![BeepSignal::channel2(), BeepSignal::channel2()];
-        let heard = vec![BeepSignal::channel2(), BeepSignal::channel1()];
-        let r = RoundReport::from_signals(1, &sent, &heard);
+        let r = report_of(&[C2, C2], &[C2, C1]);
         assert_eq!(r.lone_beepers, 0);
         assert_eq!(r.lone_beepers_channel2, 1);
     }

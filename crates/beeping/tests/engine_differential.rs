@@ -369,9 +369,13 @@ fn arb_motion() -> impl Strategy<Value = (usize, MotionSpec)> {
 /// hands over through [`DynamicTopology::advance_uncounted`]: it must follow
 /// the same execution, and report a change exactly when the counted
 /// hand-over counts one. With `churn`, a motion-driven leave/rejoin pair is
-/// injected mid-run (rejoin edges computed from current positions via
-/// `join_neighbors`).
-fn assert_engines_identical_moving(
+/// injected mid-run, at 3/16 and 7/16 of the rounds (rejoin edges computed
+/// from current positions via `join_neighbors`). Node `v` starts in
+/// `init(v)`.
+#[allow(clippy::too_many_arguments)]
+fn assert_engines_identical_moving<P: BeepingProtocol<State = u64> + Clone>(
+    protocol: P,
+    init: impl Fn(NodeId) -> u64,
     n: usize,
     spec: &MotionSpec,
     seed: u64,
@@ -381,9 +385,9 @@ fn assert_engines_identical_moving(
     churn: bool,
 ) -> Result<(), TestCaseError> {
     let g = spec.initial_graph(n);
-    let init: Vec<u64> = g.nodes().map(|v| v as u64).collect();
+    let init: Vec<u64> = g.nodes().map(init).collect();
     let mk = |engine: EngineMode| {
-        Simulator::new(&g, RandomProbe { channels: Channels::One }, init.clone(), seed)
+        Simulator::new(&g, protocol.clone(), init.clone(), seed)
             .with_channel(channel.clone())
             .with_byzantine(byzantine.clone())
             .with_engine(engine)
@@ -401,6 +405,7 @@ fn assert_engines_identical_moving(
         }
     }
     let victim = n / 2;
+    let (leave_round, join_round) = (rounds * 3 / 16, rounds * 7 / 16);
     for round in 1..=rounds {
         let a = scalar.step();
         for (name, counted, sim, _) in &mut others {
@@ -423,13 +428,13 @@ fn assert_engines_identical_moving(
                 *counted
             );
         }
-        if churn && round == 3 {
+        if churn && round == leave_round {
             scalar.node_leave(victim).unwrap();
             for (_, _, sim, _) in &mut others {
                 sim.node_leave(victim).unwrap();
             }
         }
-        if churn && round == 7 {
+        if churn && round == join_round {
             let mates_a = topo_a.join_neighbors(victim, scalar.active());
             scalar.node_join(victim, &mates_a, 7).unwrap();
             for (name, _, sim, topo) in &mut others {
@@ -663,7 +668,33 @@ proptest! {
         } else {
             ByzantinePlan::new()
         };
-        assert_engines_identical_moving(n, &spec, seed, 16, channel, plan, churn)?;
+        let probe = RandomProbe { channels: Channels::One };
+        let init = |v| v as u64;
+        assert_engines_identical_moving(probe, init, n, &spec, seed, 16, channel, plan, churn)?;
+    }
+
+    /// Moving deployments under a protocol that settles: the frontier
+    /// engine skips settled nodes between hand-overs, so a hand-over (counted
+    /// or not) that leaves a node with changed adjacency settled diverges
+    /// from the scalar reference. Fault-free, so the frontier stays live;
+    /// the churn arm adds a departed node mid-run.
+    #[test]
+    fn frontier_settles_identically_on_moving_deployments(
+        (n, spec) in arb_motion(),
+        seed in any::<u64>(),
+        churn in any::<bool>(),
+    ) {
+        assert_engines_identical_moving(
+            SettleProbe,
+            |v| v as u64 % (SETTLE_MAX + 1),
+            n,
+            &spec,
+            seed,
+            48,
+            ChannelFault::reliable(),
+            ByzantinePlan::new(),
+            churn,
+        )?;
     }
 
     /// Attaching telemetry to a moving run must not perturb it on either

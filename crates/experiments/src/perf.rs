@@ -267,9 +267,14 @@ pub fn assert_engines_identical(
                 "{engine:?} states diverged at round {round}"
             );
             assert_eq!(
+                scalar.last_sent(),
+                other.last_sent(),
+                "{engine:?} transmissions diverged at round {round}"
+            );
+            assert_eq!(
                 scalar.last_heard(),
                 other.last_heard(),
-                "{engine:?} signals diverged at round {round}"
+                "{engine:?} observations diverged at round {round}"
             );
         }
     }

@@ -369,8 +369,11 @@ pub fn run(quick: bool) -> String {
     out.push_str(
         "\nexpected shape: scatter node-rounds/sec is flat in n (the full sweep is O(n + m) \
          per round); ParScatter at 1 thread makes the same sequential kernel call as scatter \
-         (no thread scope), so it matches scatter within noise, and it scales with cores \
-         when they exist, with identical digests at every thread count.\n",
+         (no thread scope), so it matches scatter within noise. More threads pay two thread \
+         scopes per round and lose at small n: on a 2-core x86-64 VM par(2) ran at 0.29x \
+         scatter at n=4096 and 0.57-0.63x at n=16384 (--quick), and results/BENCH_SCALE.json shows \
+         a gain only from n=2^20 up (1.08x at 2^20, 1.73x at 2^24). Digests are identical at \
+         every thread count.\n",
     );
     out
 }

@@ -13,6 +13,9 @@
 //! The bulk vectors use compact encodings: `rngs` is one string of
 //! concatenated fixed-width 32-digit hex states, `active` is one string of
 //! `0`/`1` digits, and `graph_edges` is a flat `[u,v,u,v,...]` array.
+//! `sent` and `heard` hold one digit per node (channel 1 in bit 0, channel
+//! 2 in bit 1), rendered from the checkpoint's signal bitsets and packed
+//! back into them on decode.
 //!
 //! A snapshot is re-encoded every k rounds, on a background thread that
 //! has one chunk of rounds to finish in (see [`crate::supervisor`]), so the
@@ -65,7 +68,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use beeping::dynamic::MotionState;
-use beeping::protocol::BeepSignal;
 use beeping::rng::{pcg_from_state, pcg_state};
 use beeping::trace::{RoundReport, Trace};
 use beeping::{ChannelState, Checkpoint};
@@ -290,10 +292,6 @@ fn parse_hex_u128(s: &str, what: &str) -> Result<u128, SnapshotError> {
     }
     u128::from_str_radix(s, 16)
         .map_err(|_| SnapshotError::MalformedPayload(format!("{what}: invalid hex")))
-}
-
-fn signal_bits(s: BeepSignal) -> u8 {
-    u8::from(s.on_channel1()) | (u8::from(s.on_channel2()) << 1)
 }
 
 /// ASCII digits of bases up to 16, indexed by value.
@@ -557,9 +555,13 @@ fn header_line(payload: &[&[u8]]) -> Vec<u8> {
     line
 }
 
-fn push_joined<T, F: FnMut(&mut Vec<u8>, &T)>(out: &mut Vec<u8>, items: &[T], mut one: F) {
+fn push_joined<I: IntoIterator, F: FnMut(&mut Vec<u8>, I::Item)>(
+    out: &mut Vec<u8>,
+    items: I,
+    mut one: F,
+) {
     out.push(b'[');
-    for (i, item) in items.iter().enumerate() {
+    for (i, item) in items.into_iter().enumerate() {
         if i > 0 {
             out.push(b',');
         }
@@ -659,9 +661,9 @@ fn encode_payload(checkpoint: &RunCheckpoint, fingerprint: u64) -> (Vec<u8>, usi
     }
     s.push(b'"');
     s.extend_from_slice(b",\"sent\":");
-    push_joined(&mut s, sim.sent(), |out, &b| out.push(b'0' + signal_bits(b)));
+    push_joined(&mut s, sim.sent().iter(), |out, b| out.push(b'0' + b.bits()));
     s.extend_from_slice(b",\"heard\":");
-    push_joined(&mut s, sim.heard(), |out, &b| out.push(b'0' + signal_bits(b)));
+    push_joined(&mut s, sim.heard().iter(), |out, b| out.push(b'0' + b.bits()));
     s.extend_from_slice(b",\"graph_n\":");
     push_u64_dec(&mut s, sim.graph().len() as u64);
     s.extend_from_slice(b",\"graph_edges\":");
@@ -734,11 +736,25 @@ fn rng_field(obj: &Value, key: &'static str) -> Result<Pcg64Mcg, SnapshotError> 
     Ok(pcg_from_state(parse_hex_u128(str_field(obj, key)?, key)?))
 }
 
-fn decode_signal(v: &Value, key: &str) -> Result<BeepSignal, SnapshotError> {
-    match v.as_u64() {
-        Some(bits @ 0..=3) => Ok(BeepSignal::new(bits & 1 != 0, bits & 2 != 0)),
-        _ => Err(bad(&format!("`{key}` entries must be integers in 0..=3"))),
+/// Packs the per-node signal digits of `key` into `[channel 1, channel 2]`
+/// words, the form a checkpoint holds. Words cannot carry a node count, so
+/// a digit count other than `n` is refused here.
+fn signal_words(digits: &[Value], key: &str, n: usize) -> Result<[Vec<u64>; 2], SnapshotError> {
+    if digits.len() != n {
+        return Err(bad(&format!("`{key}` covers {} nodes but `states` covers {n}", digits.len())));
     }
+    let (mut c1, mut c2) = (vec![0u64; n.div_ceil(64)], vec![0u64; n.div_ceil(64)]);
+    for ((chunk, w1), w2) in digits.chunks(64).zip(&mut c1).zip(&mut c2) {
+        for (j, digit) in chunk.iter().enumerate() {
+            let bits = digit
+                .as_u64()
+                .filter(|&bits| bits <= 3)
+                .ok_or_else(|| bad(&format!("`{key}` entries must be integers in 0..=3")))?;
+            *w1 |= (bits & 1) << j;
+            *w2 |= (bits >> 1) << j;
+        }
+    }
+    Ok([c1, c2])
 }
 
 fn usize_in(v: &Value, key: &str) -> Result<usize, SnapshotError> {
@@ -839,14 +855,8 @@ pub fn decode(bytes: &[u8], expected_fingerprint: u64) -> Result<RunCheckpoint, 
             Ok(pcg_from_state(parse_hex_u128(s, "rngs")?))
         })
         .collect::<Result<_, SnapshotError>>()?;
-    let sent: Vec<BeepSignal> = array_field(&obj, "sent")?
-        .iter()
-        .map(|v| decode_signal(v, "sent"))
-        .collect::<Result<_, _>>()?;
-    let heard: Vec<BeepSignal> = array_field(&obj, "heard")?
-        .iter()
-        .map(|v| decode_signal(v, "heard"))
-        .collect::<Result<_, _>>()?;
+    let sent = signal_words(array_field(&obj, "sent")?, "sent", states.len())?;
+    let heard = signal_words(array_field(&obj, "heard")?, "heard", states.len())?;
 
     let graph_n = u64_field(&obj, "graph_n")
         .ok()
@@ -1099,9 +1109,21 @@ mod tests {
     #[test]
     fn signal_bits_cover_all_four() {
         for bits in 0u8..4 {
-            let s = BeepSignal::new(bits & 1 != 0, bits & 2 != 0);
-            assert_eq!(signal_bits(s), bits);
+            let s = beeping::BeepSignal::new(bits & 1 != 0, bits & 2 != 0);
+            assert_eq!(s.bits(), bits);
         }
+    }
+
+    #[test]
+    fn signal_digits_pack_into_words_and_must_cover_every_node() {
+        let digits = parse("[0,1,2,3]").unwrap();
+        let digits = digits.as_array().unwrap();
+        // Node 1 beeps on channel 1, node 2 on channel 2, node 3 on both.
+        assert_eq!(signal_words(digits, "sent", 4).unwrap(), [vec![0b1010], vec![0b1100]]);
+        assert!(signal_words(digits, "sent", 5).is_err());
+        assert!(signal_words(&digits[..3], "heard", 4).is_err());
+        let out_of_range = parse("[0,4]").unwrap();
+        assert!(signal_words(out_of_range.as_array().unwrap(), "sent", 2).is_err());
     }
 
     #[test]

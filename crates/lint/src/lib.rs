@@ -32,6 +32,7 @@ pub mod parse;
 pub mod report;
 pub mod rules;
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 pub use report::{parse_allowlist, AllowEntry, Report};
@@ -46,6 +47,24 @@ pub fn lint_source(path: &str, source: &str, rules: &[RuleId]) -> Vec<Finding> {
         source: source.to_string(),
         rules: rules.to_vec(),
     }])
+}
+
+/// The lines of `source` outside `#[cfg(test)]` / `#[test]` items: every
+/// line, blank and comment lines included, except those from a test item's
+/// attribute through its closing brace or semicolon.
+fn non_test_lines(source: &str) -> usize {
+    let tokens = lexer::tokenize(source);
+    let in_test = parse::index_file(&tokens).in_test;
+    // A test token covers the lines back to the previous token, if that
+    // one is in the same test region.
+    let (mut test_lines, mut prev) = (BTreeSet::new(), None);
+    for (token, test) in tokens.iter().zip(in_test) {
+        if test {
+            test_lines.extend(prev.unwrap_or(token.line)..=token.line);
+        }
+        prev = test.then_some(token.line);
+    }
+    source.lines().count().saturating_sub(test_lines.len())
 }
 
 /// Recursively collects `.rs` files under `dir`, sorted for deterministic
@@ -94,8 +113,9 @@ pub fn relative_slash_path(root: &Path, path: &Path) -> String {
 }
 
 /// Lints the whole workspace rooted at `root` (every `.rs` file under
-/// `crates/`, scoped per [`rules::rules_for`]), applying the allowlist.
-/// Under `strict`, stale allowlist entries fail the run.
+/// `crates/`, scoped per [`rules::rules_for`]), applying the allowlist, and
+/// counts the non-test lines of `crates/*/src`. Under `strict`, stale
+/// allowlist entries fail the run.
 ///
 /// # Errors
 ///
@@ -121,13 +141,17 @@ pub fn lint_workspace(
         files.push(SourceFile { path: rel, source, rules });
     }
     let files_checked = files.len();
-    Ok(Report::from_findings(check_workspace(&files), allowlist, files_checked, strict))
+    // Every scoped file is under `crates/*/src`.
+    let non_test_lines = files.iter().map(|f| non_test_lines(&f.source)).sum();
+    let report = Report::from_findings(check_workspace(&files), allowlist, files_checked, strict);
+    Ok(Report { non_test_lines, ..report })
 }
 
 /// Lints explicit files with **all** rules (used by the fixture self-tests
-/// and for ad-hoc checks of files outside the standard scope). The files
-/// form their own little workspace: transitive L3 and purpose-collision
-/// analysis run across exactly this set.
+/// and for ad-hoc checks of files outside the standard scope), counting
+/// their non-test lines. The files form their own little workspace:
+/// transitive L3 and purpose-collision analysis run across exactly this
+/// set.
 ///
 /// # Errors
 ///
@@ -140,7 +164,9 @@ pub fn lint_files_all_rules(root: &Path, files: &[PathBuf]) -> Result<Report, St
             std::fs::read_to_string(file).map_err(|e| format!("cannot read {rel}: {e}"))?;
         sources.push(SourceFile { path: rel, source, rules: RuleId::all().to_vec() });
     }
-    Ok(Report::from_findings(check_workspace(&sources), &[], files.len(), false))
+    let non_test_lines = sources.iter().map(|f| non_test_lines(&f.source)).sum();
+    let report = Report::from_findings(check_workspace(&sources), &[], files.len(), false);
+    Ok(Report { non_test_lines, ..report })
 }
 
 #[cfg(test)]
@@ -152,6 +178,15 @@ mod tests {
         let src = "fn f() { let m = std::collections::HashMap::new(); }";
         assert_eq!(lint_source("x.rs", src, &[RuleId::L1]).len(), 1);
         assert!(lint_source("x.rs", src, &[RuleId::L2]).is_empty());
+    }
+
+    #[test]
+    fn non_test_lines_skip_test_items_only() {
+        let src =
+            "fn a() {}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n// tail\n";
+        assert_eq!(non_test_lines(src), 3);
+        assert_eq!(non_test_lines("#[cfg(not(test))]\nfn a() {}\n"), 2);
+        assert_eq!(non_test_lines(""), 0);
     }
 
     #[test]

@@ -91,6 +91,9 @@ pub struct Report {
     pub allowed: usize,
     /// Files checked.
     pub files_checked: usize,
+    /// Lines outside `#[cfg(test)]` items (blank and comment lines
+    /// included) of `crates/*/src`, or of the named files in fixture mode.
+    pub non_test_lines: usize,
     /// Allowlist entries that suppressed nothing (stale; reported so the
     /// list can only shrink, never silently rot).
     pub unused_allows: Vec<AllowEntry>,
@@ -126,7 +129,7 @@ impl Report {
         }
         let unused_allows =
             allowlist.iter().zip(&used).filter(|(_, &u)| !u).map(|(e, _)| e.clone()).collect();
-        Report { findings: kept, allowed, files_checked, unused_allows, strict }
+        Report { findings: kept, allowed, files_checked, unused_allows, strict, non_test_lines: 0 }
     }
 
     /// Human-readable output, one finding per block.
@@ -157,10 +160,12 @@ impl Report {
             ));
         }
         out.push_str(&format!(
-            "{} finding(s), {} allowlisted, {} file(s) checked\n",
+            "{} finding(s), {} allowlisted, {} file(s) checked\n\
+             {} non-test line(s) outside #[cfg(test)] items\n",
             self.findings.len(),
             self.allowed,
-            self.files_checked
+            self.files_checked,
+            self.non_test_lines
         ));
         out
     }
@@ -198,8 +203,8 @@ impl Report {
             ));
         }
         out.push_str(&format!(
-            "],\"allowed\":{},\"files_checked\":{},\"strict\":{}}}",
-            self.allowed, self.files_checked, self.strict
+            "],\"allowed\":{},\"files_checked\":{},\"non_test_lines\":{},\"strict\":{}}}",
+            self.allowed, self.files_checked, self.non_test_lines, self.strict
         ));
         out.push('\n');
         out
@@ -298,12 +303,15 @@ mod tests {
             findings: vec![finding(RuleId::L1, "a\"b.rs", "x\t")],
             allowed: 0,
             files_checked: 1,
+            non_test_lines: 12,
             unused_allows: vec![],
             strict: false,
         };
         let json = report.render_json();
         assert!(json.contains("a\\\"b.rs"));
         assert!(json.contains("x\\t"));
+        assert!(json.contains("\"non_test_lines\":12,"));
+        assert!(report.render_text().ends_with("12 non-test line(s) outside #[cfg(test)] items\n"));
         assert_eq!(report.exit_code(), 1);
     }
 }

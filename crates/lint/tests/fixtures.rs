@@ -151,6 +151,19 @@ fn all_fixtures_together_exit_nonzero() {
     }
 }
 
+/// The line counter skips exactly the `#[cfg(test)]` item: lines 10–21
+/// of the 21-line fixture.
+#[test]
+fn non_test_lines_are_pinned_on_fixtures() {
+    let count = |names: &[&str]| {
+        let files: Vec<PathBuf> = names.iter().map(|n| fixture(n)).collect();
+        lint_files_all_rules(&root(), &files).expect("fixtures readable").non_test_lines
+    };
+    assert_eq!(count(&["l3_transitive_test_only.rs"]), 9);
+    assert_eq!(count(&["clean.rs"]), 16);
+    assert_eq!(count(&["clean.rs", "l3_transitive_test_only.rs"]), 25);
+}
+
 /// The linter holds itself to its own bar: `crates/lint/src` must pass every
 /// rule with no allowlist at all.
 #[test]

@@ -147,9 +147,9 @@ fn silenced_neighbor_is_pinned_by_health_beeps() {
         sim.step();
         assert_eq!(sim.states(), &[-6, 6], "round {round}");
         // The MIS member beeped; the neighbor heard.
-        assert!(sim.last_sent()[0].on_channel1());
-        assert!(sim.last_heard()[1].on_channel1());
-        assert!(!sim.last_heard()[0].on_channel1());
+        assert!(sim.last_sent().get(0).on_channel1());
+        assert!(sim.last_heard().get(1).on_channel1());
+        assert!(!sim.last_heard().get(0).on_channel1());
     }
 }
 
