@@ -86,5 +86,5 @@ pub use faults::{FaultError, FaultPlan, FaultTarget, TransientFault};
 pub use protocol::{BeepSignal, BeepingProtocol, Channels, SettledRound};
 pub use sim::{
     frontier_fallback_threshold, Checkpoint, DuplexMode, EngineMode, RestoreError, SimGraph,
-    Simulator, WorkCounters,
+    Simulator, Touched, WorkCounters,
 };

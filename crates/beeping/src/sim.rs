@@ -169,6 +169,40 @@ pub fn frontier_fallback_threshold(n: usize) -> usize {
     (n / 8).max(16)
 }
 
+/// The nodes a [`Simulator`] may have changed since its touched set was
+/// last cleared ([`Simulator::touched`]): every node whose state or
+/// participation changed is in it, and possibly others.
+///
+/// The sparse frontier round marks each node it runs `receive` on;
+/// [`Simulator::corrupt_state`], [`Simulator::node_leave`] and
+/// [`Simulator::node_join`] mark their node. Every full sweep, phased round
+/// and restore touches every node. Edge updates touch no node: they change
+/// no state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Touched<'a> {
+    /// Every node.
+    Every,
+    /// The nodes whose bits are set: bit `v % 64` of word `v / 64` is
+    /// node `v`.
+    Words(&'a [u64]),
+}
+
+impl Touched<'_> {
+    /// Word `k` of the set: the touched nodes among `64k..64k + 64`, all of
+    /// them for [`Touched::Every`].
+    pub fn word(&self, k: usize) -> u64 {
+        match self {
+            Touched::Every => u64::MAX,
+            Touched::Words(words) => words.get(k).copied().unwrap_or(0),
+        }
+    }
+
+    /// Whether node `v` is in the set.
+    pub fn contains(&self, v: NodeId) -> bool {
+        self.word(v >> 6) & (1u64 << (v & 63)) != 0
+    }
+}
+
 /// A synchronous-round simulator of the full-duplex beeping model.
 ///
 /// Each call to [`Simulator::step`] executes one round:
@@ -240,6 +274,12 @@ pub struct Simulator<'g, P: BeepingProtocol> {
     /// state. Every kernel writes them, the frontier engine patches them
     /// between its sweeps, and a checkpoint holds a copy.
     signals: Bitsets,
+    /// The nodes whose state or participation may have changed since the
+    /// last [`Simulator::clear_touched`], word-packed and sticky; see
+    /// [`Touched`]. `touched_all` stands for every node: a full sweep sets
+    /// it with one store instead of marking n bits.
+    touched: Vec<u64>,
+    touched_all: bool,
     hook: InvariantHook<P::State>,
     /// Frontier-kernel bookkeeping (dirty set, settled flags, lazy RNG
     /// accounting and running report totals).
@@ -329,12 +369,17 @@ impl FrontierState {
         }
     }
 
+    /// The generator outputs of `v`'s skipped rounds up to `target`.
+    fn skipped_draws(&self, v: NodeId, target: u64) -> u128 {
+        u128::from(target.saturating_sub(self.last_exec[v])) * u128::from(self.rate[v])
+    }
+
     /// Ticks `rng` — `v`'s generator or a copy of it — through the draws
     /// of `v`'s skipped rounds up to `target`, in bulk via jump-ahead.
     fn tick_skipped(&self, rng: &mut Pcg64Mcg, v: NodeId, target: u64) {
-        let rounds = target.saturating_sub(self.last_exec[v]);
-        if rounds > 0 && self.rate[v] > 0 {
-            rng::advance_steps(rng, u128::from(rounds) * u128::from(self.rate[v]));
+        let draws = self.skipped_draws(v, target);
+        if draws > 0 {
+            rng::advance_steps(rng, draws);
         }
     }
 
@@ -496,6 +541,8 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             inactive: 0,
             engine: EngineMode::default(),
             signals,
+            touched: vec![0; n.div_ceil(64)],
+            touched_all: true,
             hook: InvariantHook(None),
             frontier: FrontierState::default(),
             par: None,
@@ -645,6 +692,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         // if and when its signal actually changes.
         self.frontier_unsettle(node);
         self.states[node] = state;
+        self.touch(node);
     }
 
     /// Topology churn: inserts the undirected edge `{u, v}` (copy-on-write;
@@ -803,6 +851,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             self.frontier_unsettle(v);
         }
         let removed = self.graph.to_mut().isolate_node(v);
+        self.touch(v);
         if self.active[v] {
             self.active[v] = false;
             self.active_bits[v >> 6] &= !(1u64 << (v & 63));
@@ -862,6 +911,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
             self.inactive -= 1;
         }
         self.states[v] = state;
+        self.touch(v);
         // Mirror of `node_leave`'s signal clearing: a joining node boots
         // fresh and has neither transmitted nor heard anything yet, so the
         // signals left over from before its departure must not leak into
@@ -897,6 +947,29 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
     /// The observations of the most recent round.
     pub fn last_heard(&self) -> Signals<'_> {
         Signals { c1: &self.signals.heard1, c2: &self.signals.heard2, len: self.graph.len() }
+    }
+
+    /// The nodes whose state or participation may have changed since the
+    /// last [`Simulator::clear_touched`] (since construction, at first): a
+    /// superset of the changed nodes, which a reader that diffs against its
+    /// own copy may use to skip untouched 64-node words.
+    pub fn touched(&self) -> Touched<'_> {
+        if self.touched_all {
+            Touched::Every
+        } else {
+            Touched::Words(&self.touched)
+        }
+    }
+
+    /// Empties the set [`Simulator::touched`] reports.
+    pub fn clear_touched(&mut self) {
+        self.touched_all = false;
+        self.touched.fill(0);
+    }
+
+    /// Adds `v` to the touched set.
+    fn touch(&mut self, v: NodeId) {
+        self.touched[v >> 6] |= 1u64 << (v & 63);
     }
 
     /// Executes one synchronous round and reports aggregate beep activity.
@@ -960,6 +1033,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
     /// the OR-aggregation and `receive`), receive — the only kernel that
     /// runs faulted rounds, and the scalar engine's only kernel.
     fn phased_round(&mut self, n: usize, channels: SimulatorChannels) -> RoundReport {
+        self.touched_all = true;
         // Phase 0: advance the burst-noise window (no-op without bursts).
         let transmit_span = self.telemetry.time("sim.phase.transmit");
         self.channel.advance_window(&mut self.channel_state, &mut self.channel_rng);
@@ -1126,6 +1200,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
     /// making this bit-identical to the phased path under either engine.
     fn fast_round(&mut self, n: usize, channels: SimulatorChannels) -> RoundReport {
         let fused_span = self.telemetry.time("sim.phase.fused");
+        self.touched_all = true;
         let kernel = Sweep {
             graph: &self.graph,
             protocol: &self.protocol,
@@ -1155,6 +1230,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
     /// bit-identical to every sequential engine at any thread count.
     fn par_round(&mut self, n: usize, channels: SimulatorChannels, threads: usize) -> RoundReport {
         let par_span = self.telemetry.time("sim.phase.par");
+        self.touched_all = true;
         let plan = match &mut self.par {
             Some(plan) if plan.matches(&self.graph, threads) => plan,
             slot => slot.insert(crate::par::ParPlan::build(&self.graph, threads)),
@@ -1294,6 +1370,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
     fn frontier_full_sweep(&mut self, n: usize, channels: SimulatorChannels) -> RoundReport {
         let span = self.telemetry.time("sim.phase.frontier");
         let executing = self.round + 1;
+        self.touched_all = true;
         // Materialize every lazily accounted stream through the previous
         // round so the live transmissions below start at the right
         // positions, then forget the old settled set. A departed node is
@@ -1485,6 +1562,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
     fn frontier_finish_node(&mut self, v: NodeId, executing: u64) {
         let (s, h) = (self.signals.sent(v), self.signals.heard(v));
         self.protocol.receive(v, &mut self.states[v], s, h, &mut self.rngs[v]);
+        self.touch(v);
         self.frontier.last_exec[v] = executing;
         match self.protocol.settled_round(v, &self.states[v], h) {
             Some(sr) if sr.signal == s => {
@@ -1535,13 +1613,22 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
     /// frontier round re-derives the settled set with one full sweep,
     /// which is bit-identical because re-executing a settled node is a
     /// draw-equivalent fixpoint under the draws-when-settled contract.
+    ///
+    /// The settled nodes of a quiet run mostly owe the same number of
+    /// draws, so consecutive ones that do share one jump multiplier.
     pub fn checkpoint(&self) -> Checkpoint<P::State> {
         let mut rngs = self.rngs.clone();
         if self.frontier_live() {
+            let mut jump = (0u128, 1u128);
             for (v, rng) in rngs.iter_mut().enumerate() {
-                if self.frontier.settled[v] {
-                    self.frontier.tick_skipped(rng, v, self.round);
+                let draws = self.frontier.skipped_draws(v, self.round);
+                if !self.frontier.settled[v] || draws == 0 {
+                    continue;
                 }
+                if draws != jump.0 {
+                    jump = (draws, rng::jump_multiplier(draws));
+                }
+                rng::apply_jump(rng, jump.1);
             }
         }
         Checkpoint {
@@ -1597,6 +1684,7 @@ impl<'g, P: BeepingProtocol> Simulator<'g, P> {
         self.channel_state = checkpoint.channel_state;
         self.channel_rng = checkpoint.channel_rng.clone();
         self.byz_rng = checkpoint.byz_rng.clone();
+        self.touched_all = true;
         Ok(())
     }
 }
@@ -2813,6 +2901,88 @@ pub(crate) mod tests {
             let got = run(engine);
             assert_eq!((got.0, got.1, got.2), (node_execs, edge_visits, rounds), "{engine:?}");
             assert_eq!(got.3, 0xa454_7a29_7272_b14e, "{engine:?}");
+        }
+    }
+
+    /// Asserts that every node whose state or participation in `twin`
+    /// differs from `seen` is in `sim`'s touched set, then clears the set
+    /// and records the twin's configuration in `seen`.
+    fn assert_touched_covers_changes(
+        sim: &mut Simulator<'_, Claimer>,
+        twin: &Simulator<'_, Claimer>,
+        seen: &mut (Vec<u64>, Vec<bool>),
+    ) {
+        assert_eq!(sim.states(), twin.states(), "diverged at round {}", sim.round());
+        let touched = sim.touched();
+        for v in 0..twin.states().len() {
+            if twin.states()[v] != seen.0[v] || twin.active()[v] != seen.1[v] {
+                assert!(touched.contains(v), "node {v} changed untouched by round {}", sim.round());
+            }
+        }
+        sim.clear_touched();
+        assert_eq!(sim.touched(), Touched::Words(&vec![0; twin.states().len().div_ceil(64)]));
+        *seen = (twin.states().to_vec(), twin.active().to_vec());
+    }
+
+    #[test]
+    fn touched_set_covers_every_change_on_every_engine() {
+        // Each engine runs a disturbance script beside a Scalar twin: a
+        // settle, a corruption, a leave and a rejoin, a restore and an
+        // engine swap. The touched set is read and cleared at scattered
+        // points, so it also accumulates across rounds.
+        let g = graphs::generators::random::gnp(200, 0.03, 5);
+        for engine in [
+            EngineMode::Scalar,
+            EngineMode::Scatter,
+            EngineMode::Frontier,
+            EngineMode::ParScatter { threads: 2 },
+        ] {
+            let init: Vec<u64> = g.nodes().map(|v| (v as u64) % 6).collect();
+            let mut twin = Simulator::new(&g, Claimer, init.clone(), 41);
+            let mut sim = Simulator::new(&g, Claimer, init, 41).with_engine(engine);
+            assert_eq!(sim.touched(), Touched::Every, "a new simulator touched every node");
+            let mut seen = (twin.states().to_vec(), twin.active().to_vec());
+            let lockstep = |sim: &mut Simulator<'_, Claimer>,
+                            twin: &mut Simulator<'_, Claimer>,
+                            seen: &mut (Vec<u64>, Vec<bool>),
+                            rounds: u64| {
+                for r in 0..rounds {
+                    sim.step();
+                    twin.step();
+                    if r % 3 == 1 {
+                        assert_touched_covers_changes(sim, twin, seen);
+                    }
+                }
+                assert_touched_covers_changes(sim, twin, seen);
+            };
+            lockstep(&mut sim, &mut twin, &mut seen, 40);
+            sim.step();
+            twin.step();
+            let sparse = matches!(sim.touched(), Touched::Words(_));
+            assert_eq!(sparse, engine == EngineMode::Frontier, "{engine:?}: a settled round");
+            let corrupted = (sim.states()[17] + 3) % 6;
+            sim.corrupt_state(17, corrupted);
+            twin.corrupt_state(17, corrupted);
+            assert_touched_covers_changes(&mut sim, &twin, &mut seen);
+            lockstep(&mut sim, &mut twin, &mut seen, 10);
+            sim.node_leave(40).unwrap();
+            twin.node_leave(40).unwrap();
+            assert_touched_covers_changes(&mut sim, &twin, &mut seen);
+            lockstep(&mut sim, &mut twin, &mut seen, 8);
+            sim.node_join(40, &[41, 42], 3).unwrap();
+            twin.node_join(40, &[41, 42], 3).unwrap();
+            assert_touched_covers_changes(&mut sim, &twin, &mut seen);
+            lockstep(&mut sim, &mut twin, &mut seen, 8);
+            let (cp, twin_cp) = (sim.checkpoint(), twin.checkpoint());
+            lockstep(&mut sim, &mut twin, &mut seen, 5);
+            sim.restore(&cp).unwrap();
+            twin.restore(&twin_cp).unwrap();
+            assert_eq!(sim.touched(), Touched::Every, "{engine:?}: a restore touched every node");
+            assert_touched_covers_changes(&mut sim, &twin, &mut seen);
+            let mut sim = sim.with_engine(EngineMode::Scatter);
+            lockstep(&mut sim, &mut twin, &mut seen, 5);
+            let mut sim = sim.with_engine(engine);
+            lockstep(&mut sim, &mut twin, &mut seen, 20);
         }
     }
 

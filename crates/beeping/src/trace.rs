@@ -37,6 +37,12 @@ impl<'a> Signals<'a> {
         self.len == 0
     }
 
+    /// The `[channel 1, channel 2]` words: bit `v % 64` of word `v / 64` is
+    /// node `v`, and the bits past the last node are clear.
+    pub fn words(&self) -> [&'a [u64]; 2] {
+        [self.c1, self.c2]
+    }
+
     /// The signals in node order.
     pub fn iter(&self) -> impl Iterator<Item = BeepSignal> + 'a {
         let (c1, c2) = (self.c1, self.c2);

@@ -239,8 +239,9 @@ pub fn measure_cadence(
         overheads.push((sup_secs - bare_secs) / bare_secs.max(1e-9));
     }
 
+    // The snapshot with the topology file it names: the bytes on disk.
     let snapshot = harness::supervisor::snapshot_path(dir);
-    let snapshot_bytes = std::fs::metadata(&snapshot).map(|m| m.len()).unwrap_or(0);
+    let snapshot_bytes = harness::snapshot::bytes_on_disk(&snapshot).unwrap_or(0);
     // +1 for the round-0 snapshot the supervisor always writes.
     let checkpoints = reference.rounds_run / every + 1;
     Ok(OverheadPoint {

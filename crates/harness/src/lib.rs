@@ -5,10 +5,11 @@
 //! scans) can run for hours; before this crate, a crash at round ten
 //! million lost everything. The harness closes that gap in three layers:
 //!
-//! - [`snapshot`] — a versioned, checksummed, two-line JSON file format
-//!   for [`mis::resumable::RunCheckpoint`]: every RNG stream position,
-//!   the churned topology, the participation bitmap, the channel window,
-//!   the event cursor and the accumulated trace. Loading never panics;
+//! - [`snapshot`] — a versioned, checksummed binary file format for
+//!   [`mis::resumable::RunCheckpoint`]: every RNG stream position, the
+//!   participation bitmap, the channel window, the event cursor and the
+//!   accumulated trace, with the (possibly churned) topology in a
+//!   content-addressed file of its own that is written once per graph. Loading never panics;
 //!   every defect is a typed [`snapshot::SnapshotError`]. A configuration
 //!   fingerprint refuses to resume a snapshot under different plans.
 //! - [`supervisor`] — drives a [`mis::resumable::ResumableRun`] in

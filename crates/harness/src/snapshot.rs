@@ -1,67 +1,82 @@
 //! Durable, versioned, checksummed snapshot files for
 //! [`mis::resumable::RunCheckpoint`].
 //!
-//! # File format (version 1)
+//! # File format (version 2)
 //!
-//! A snapshot is two newline-terminated JSON lines:
+//! A snapshot is a pair of files in one directory: the snapshot itself
+//! (`checkpoint.snap` under the supervisor) and the topology file it names,
+//! `topology-<digest>.snap` ([`topology_path`]). Each is one JSON header
+//! line followed by a binary payload:
 //!
 //! ```text
-//! {"format":"beeping-mis-snapshot","version":1,"payload_bytes":N,"checksum":"<hex>"}
-//! {"fingerprint":"<hex>","round":R,"states":[...],"rngs":"<hex...>", ...}
+//! {"format":"beeping-mis-snapshot","version":2,"payload_bytes":N,"checksum":"<hex>"}
+//! <N payload bytes>
 //! ```
 //!
-//! The bulk vectors use compact encodings: `rngs` is one string of
-//! concatenated fixed-width 32-digit hex states, `active` is one string of
-//! `0`/`1` digits, and `graph_edges` is a flat `[u,v,u,v,...]` array.
-//! `sent` and `heard` hold one digit per node (channel 1 in bit 0, channel
-//! 2 in bit 1), rendered from the checkpoint's signal bitsets and packed
-//! back into them on decode.
+//! `payload_bytes` is the exact length of the payload (detecting
+//! truncation) and `checksum` is [`checksum64`] — a word-wise FNV-1a
+//! variant — over it (detecting corruption). A topology file's header
+//! names the format `beeping-mis-topology`.
 //!
-//! A snapshot is re-encoded every k rounds, on a background thread that
-//! has one chunk of rounds to finish in (see [`crate::supervisor`]), so the
-//! encoder is built for speed without changing a byte of the format. It
-//! writes the payload without its graph section into one buffer, sized up
-//! front from n and the trace length: decimals two digits at a time from a
-//! digit-pair table, hex one byte at a time from a byte-to-two-digits
-//! table. The graph section comes from a [`SectionCache`]: rendered
-//! straight off the graph's sorted adjacency lists, with each node id
-//! rendered once, and reused for as long as the checkpoints share the same
-//! graph, which for a run without churn or motion is the whole run. The
-//! checksum runs over the pieces in place. [`write_file`] streams the
-//! header line, the pieces and the final newline to the file; [`encode`]
-//! returns the same bytes as one vector.
+//! The snapshot payload is little-endian and fixed-width:
 //!
-//! The header is self-describing and guards the payload: `payload_bytes` is
-//! the exact byte length of the second line (detecting truncation) and
-//! `checksum` is [`checksum64`] — a word-wise FNV-1a variant — over those
-//! bytes (detecting corruption). The
-//! payload captures *everything mutable* about a run — node states, every
-//! RNG stream position (per-node, channel, Byzantine, fault), the round
-//! counter, last-round signals, the (possibly churned) topology, the
-//! participation bitmap, the channel burst window, the event-application
-//! cursor and the accumulated trace — so a resumed run is bit-identical to
-//! one that never stopped. A moving deployment
-//! ([`mis::resumable::ResumableConfig::with_motion`]) additionally writes
-//! the `motion_*` fields: node positions, per-model waypoint/pause/heading
-//! state and the motion-RNG stream position. Every `f64` travels as its
-//! exact `to_bits` value in fixed-width 16-digit hex, so geometry survives
-//! the round trip bit-for-bit; the fields are simply absent for motionless
-//! runs, which keeps their snapshots byte-identical to earlier builds.
+//! - the configuration fingerprint, the round, the node count n and the
+//!   topology digest, one `u64` each;
+//! - the n levels (`i32`) and the n node RNG states (`u128`);
+//! - the four signal bitsets (sent channel 1, sent channel 2, heard
+//!   channel 1, heard channel 2) and the participation bitset, ⌈n/64⌉
+//!   `u64` words each;
+//! - the channel's burst flag (one byte), then the channel, Byzantine and
+//!   fault RNG states (`u128`);
+//! - the event cursor `applied_through`: a presence byte and a `u64`;
+//! - the trace: a row count, then seven `u64` per row;
+//! - the motion block: a presence byte, then for a moving deployment the
+//!   positions, waypoints, pauses and headings (each a count followed by
+//!   its values: `f64` bit patterns, `u64` pauses) and the motion RNG
+//!   state. Every `f64` travels as its exact bit pattern, so geometry
+//!   survives the round trip bit for bit.
+//!
+//! The topology payload is n and the edge count m (`u64`), then the m
+//! edges as `u32` pairs `(u, w)` with `u < w`, in [`Graph::edges`] order.
+//! The digest is [`checksum64`] of that payload, so equal digests name
+//! equal edge sets, and a run whose graph never changes writes its
+//! topology once: at n = 2^16 with about 262k edges, each later snapshot
+//! is 1.4 MB of per-node state while the 2.1 MB edge list stays on disk.
+//! A [`SectionCache`] writes a topology file (temporary file, then rename)
+//! before the first snapshot that names it, and removes the previous one
+//! once a snapshot naming a new digest is in place (churn, motion). A
+//! topology file that a cache did not write itself, such as one of an
+//! earlier run in the same directory, is reused if it is the one needed
+//! and left alone otherwise.
+//!
+//! The payloads capture *everything mutable* about a run — node states,
+//! every RNG stream position (per-node, channel, Byzantine, fault), the
+//! round counter, last-round signals, the (possibly churned or moved)
+//! topology, the participation bitmap, the channel burst window, the
+//! event-application cursor, the accumulated trace and, for a moving
+//! deployment ([`mis::resumable::ResumableConfig::with_motion`]), the
+//! motion state — so a resumed run is bit-identical to one that never
+//! stopped.
 //!
 //! Run *configuration* (plans, channel model, engine, algorithm) is
 //! deliberately not stored; the caller re-supplies it on resume, and the
-//! payload's `fingerprint` field ([`config_fingerprint`]) rejects a resume
-//! under a different configuration with [`SnapshotError::ConfigMismatch`].
+//! payload's fingerprint ([`config_fingerprint`]) rejects a resume under a
+//! different configuration with [`SnapshotError::ConfigMismatch`].
 //!
-//! Every integer wider than 53 bits (RNG stream positions are `u128`, the
-//! checksum and fingerprint are `u64`) is encoded as a fixed-width
-//! lowercase hex *string*, because the JSON layer
-//! ([`telemetry::jsonl`]) parses numbers as `f64` and would silently lose
-//! low bits past 2⁵³.
+//! # Version 1 is read only
+//!
+//! A version-1 snapshot is one file of two JSON lines, its graph inline as
+//! a flat `graph_edges` array, its RNG states and `f64` bit patterns as
+//! fixed-width hex strings (the JSON layer, [`telemetry::jsonl`], parses
+//! numbers as `f64`). [`decode`] and [`read_file`] still read it, with the
+//! graph it carries; this build writes version 2 only.
 //!
 //! The load path ([`decode`], [`read_file`]) never panics: every defect —
-//! missing file, garbage bytes, truncation, bit flips, version skew,
-//! internally inconsistent vectors — surfaces as a typed [`SnapshotError`].
+//! a missing snapshot or topology file, garbage bytes, truncation, bit
+//! flips, version skew, a topology file of another graph, a count the
+//! payload cannot hold, internally inconsistent vectors — surfaces as a
+//! typed [`SnapshotError`]. No count read from a file sizes an allocation
+//! before it is checked against the bytes actually there.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -82,8 +97,12 @@ use telemetry::Stopwatch;
 /// The magic format string in every snapshot header.
 pub const FORMAT: &str = "beeping-mis-snapshot";
 
-/// The snapshot format version this build writes and accepts.
-pub const VERSION: u64 = 1;
+/// The magic format string in every topology file header.
+pub const TOPOLOGY_FORMAT: &str = "beeping-mis-topology";
+
+/// The file format version this build writes. Snapshots of version 1 are
+/// read too.
+pub const VERSION: u64 = 2;
 
 /// Why a snapshot could not be written or read back. The decode path
 /// distinguishes *where* a file went wrong so supervisors and tests can
@@ -109,7 +128,7 @@ pub enum SnapshotError {
     UnsupportedVersion {
         /// The version found in the header.
         found: u64,
-        /// The version this build supports.
+        /// The version this build writes.
         supported: u64,
     },
     /// The payload is shorter or longer than the header promised — the
@@ -128,10 +147,19 @@ pub enum SnapshotError {
         /// Checksum of the bytes actually present.
         actual: u64,
     },
-    /// The payload passed the checksum but is not the JSON shape this
-    /// version writes (only reachable for a file *assembled* by something
-    /// other than [`encode`], since the checksum pins the exact bytes).
+    /// The payload passed the checksum but is not the shape its version
+    /// writes (only reachable for a file *assembled* by something other
+    /// than this codec, since the checksum pins the exact bytes): a count
+    /// the payload cannot hold, bytes left over, a malformed field.
     MalformedPayload(String),
+    /// The topology file a version-2 snapshot names holds another graph:
+    /// its payload does not hash to the snapshot's digest.
+    TopologyMismatch {
+        /// The digest the snapshot names.
+        expected: u64,
+        /// The digest of the topology file found.
+        found: u64,
+    },
     /// The snapshot was captured under a different run configuration
     /// (different seed, plans, channel model, engine or algorithm);
     /// resuming it would silently diverge, so it is refused.
@@ -156,7 +184,7 @@ impl std::fmt::Display for SnapshotError {
                 write!(f, "not a {FORMAT} file (format says {found:?})")
             }
             SnapshotError::UnsupportedVersion { found, supported } => {
-                write!(f, "snapshot version {found} not supported (this build reads {supported})")
+                write!(f, "snapshot version {found} not supported (this build writes {supported})")
             }
             SnapshotError::Truncated { expected_bytes, found_bytes } => write!(
                 f,
@@ -170,6 +198,10 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::MalformedPayload(detail) => {
                 write!(f, "malformed snapshot payload: {detail}")
             }
+            SnapshotError::TopologyMismatch { expected, found } => write!(
+                f,
+                "snapshot names topology {expected:016x}, but the topology file holds {found:016x}"
+            ),
             SnapshotError::ConfigMismatch { expected, found } => write!(
                 f,
                 "snapshot belongs to a different run configuration: \
@@ -201,51 +233,20 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// more than encoding the payload does at megabyte snapshot sizes; this
 /// variant keeps checkpointing cheap enough to leave on for long runs.
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    checksum64_parts(&[bytes])
-}
-
-/// [`checksum64`] of the concatenation of `parts`, without concatenating
-/// them: a word that straddles two parts is assembled in a carry buffer.
-fn checksum64_parts(parts: &[&[u8]]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    // The bytes of a word not yet complete, zero beyond `filled`.
-    let mut carry = [0u8; 8];
-    let mut filled = 0;
-    let mut len = 0u64;
-    for &part in parts {
-        len += part.len() as u64;
-        let mut rest = part;
-        if filled > 0 {
-            let take = rest.len().min(8 - filled);
-            let (head, tail) = rest.split_at_checked(take).unwrap_or((rest, &[]));
-            if let Some(slot) = carry.get_mut(filled..filled + take) {
-                slot.copy_from_slice(head);
-            }
-            filled += take;
-            rest = tail;
-            if filled < 8 {
-                continue;
-            }
-            hash ^= u64::from_le_bytes(carry);
-            hash = hash.wrapping_mul(PRIME);
-        }
-        let mut chunks = rest.chunks_exact(8);
-        for chunk in &mut chunks {
-            let mut word = [0u8; 8];
-            word.copy_from_slice(chunk);
-            hash ^= u64::from_le_bytes(word);
-            hash = hash.wrapping_mul(PRIME);
-        }
-        carry = [0u8; 8];
-        filled = chunks.remainder().len();
-        for (slot, &b) in carry.iter_mut().zip(chunks.remainder()) {
-            *slot = b;
-        }
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        hash ^= u64::from_le_bytes(le(word));
+        hash = hash.wrapping_mul(PRIME);
     }
-    hash ^= u64::from_le_bytes(carry);
+    let mut tail = [0u8; 8];
+    for (slot, &b) in tail.iter_mut().zip(words.remainder()) {
+        *slot = b;
+    }
+    hash ^= u64::from_le_bytes(tail);
     hash = hash.wrapping_mul(PRIME);
-    hash ^= len;
+    hash ^= bytes.len() as u64;
     hash.wrapping_mul(PRIME)
 }
 
@@ -294,94 +295,6 @@ fn parse_hex_u128(s: &str, what: &str) -> Result<u128, SnapshotError> {
         .map_err(|_| SnapshotError::MalformedPayload(format!("{what}: invalid hex")))
 }
 
-/// ASCII digits of bases up to 16, indexed by value.
-const DIGITS: &[u8; 16] = b"0123456789abcdef";
-
-/// `DEC_PAIRS[k]` is `k` as two decimal digits, `00` to `99`.
-const DEC_PAIRS: [[u8; 2]; 100] = {
-    let mut table = [[0u8; 2]; 100];
-    let mut k = 0;
-    while k < 100 {
-        table[k] = [DIGITS[k / 10], DIGITS[k % 10]];
-        k += 1;
-    }
-    table
-};
-
-/// `HEX_PAIRS[b]` is the byte `b` as two lowercase hex digits.
-const HEX_PAIRS: [[u8; 2]; 256] = {
-    let mut table = [[0u8; 2]; 256];
-    let mut b = 0;
-    while b < 256 {
-        table[b] = [DIGITS[b / 16], DIGITS[b % 16]];
-        b += 1;
-    }
-    table
-};
-
-/// An unsigned integer in decimal, left-aligned in a fixed buffer.
-struct Decimal {
-    digits: [u8; 20],
-    len: u8,
-}
-
-impl Decimal {
-    /// Renders `v` two digits per step from the right.
-    fn new(mut v: u64) -> Decimal {
-        let len = v.checked_ilog10().map_or(1, |d| d + 1);
-        let mut digits = [b'0'; 20];
-        let mut end = len as usize;
-        while end >= 2 {
-            let pair = DEC_PAIRS.get((v % 100) as usize);
-            if let (Some(slot), Some(pair)) = (digits.get_mut(end - 2..end), pair) {
-                slot.copy_from_slice(pair);
-            }
-            v /= 100;
-            end -= 2;
-        }
-        if end == 1 {
-            if let (Some(slot), Some(&digit)) = (digits.first_mut(), DIGITS.get(v as usize)) {
-                *slot = digit;
-            }
-        }
-        Decimal { digits, len: u8::try_from(len).unwrap_or(20) }
-    }
-
-    /// Appends the digits as one fixed-size copy and a truncation, which
-    /// is cheaper than a copy of variable length.
-    fn push_to(&self, out: &mut Vec<u8>) {
-        let end = out.len() + usize::from(self.len);
-        out.extend_from_slice(&self.digits);
-        out.truncate(end);
-    }
-}
-
-/// Appends `v` in decimal.
-fn push_u64_dec(out: &mut Vec<u8>, v: u64) {
-    Decimal::new(v).push_to(out);
-}
-
-/// Appends `v` in decimal, with a sign for negative values.
-fn push_i64_dec(out: &mut Vec<u8>, v: i64) {
-    if v < 0 {
-        out.push(b'-');
-    }
-    push_u64_dec(out, v.unsigned_abs());
-}
-
-/// Appends big-endian `bytes` as lowercase hex, two digits per byte: a
-/// `u64` or `f64` bit pattern as 16 digits, a `u128` as 32. Types wider
-/// than 16 bytes do not occur.
-fn push_hex<const N: usize>(out: &mut Vec<u8>, bytes: [u8; N]) {
-    let mut text = [0u8; 32];
-    for (slot, byte) in text.chunks_exact_mut(2).zip(bytes) {
-        if let Some(pair) = HEX_PAIRS.get(usize::from(byte)) {
-            slot.copy_from_slice(pair);
-        }
-    }
-    out.extend_from_slice(text.get(..2 * N).unwrap_or_default());
-}
-
 /// Parses a concatenation of fixed-width 16-digit hex `f64` bit patterns.
 fn parse_f64_list(s: &str, what: &str) -> Result<Vec<f64>, SnapshotError> {
     if !s.len().is_multiple_of(16) {
@@ -408,283 +321,121 @@ fn parse_point_list(s: &str, what: &str) -> Result<Vec<(f64, f64)>, SnapshotErro
     Ok(xs.zip(ys).collect())
 }
 
-/// Serializes `checkpoint` (stamped with `fingerprint`) into the two-line
-/// snapshot format. The output always round-trips through [`decode`], and
-/// it is exactly the bytes [`write_file`] puts on disk.
-pub fn encode(checkpoint: &RunCheckpoint, fingerprint: u64) -> Vec<u8> {
-    SectionCache::new().encode(checkpoint, fingerprint)
+/// `bytes` as an `N`-byte array, or zeros if it has another length. The
+/// callers pass `N`-byte chunks.
+fn le<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    bytes.try_into().unwrap_or([0; N])
 }
 
-/// The `graph_edges` section of the last topology encoded, kept so that
-/// the next encode of the same topology copies it instead of rendering it
-/// again.
-///
-/// The section is about half a static run's snapshot and half its encode
-/// time. The cache keys it on the identity of the checkpoint's shared
-/// graph ([`Checkpoint::shared_graph`]): the simulator copies a shared
-/// graph before it mutates it, and the cache keeps its own `Arc` alive, so
-/// while the cache holds a graph no other topology can have its address. A
-/// churned or moving run gets a new graph at its first mutation after a
-/// capture, and its next encode renders the section again.
-#[derive(Debug, Default)]
-pub struct SectionCache {
-    graph: Option<Arc<Graph>>,
-    edges: Vec<u8>,
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// How long [`SectionCache::write_file`] spent in each of its two phases.
-#[derive(Debug, Clone, Copy)]
-pub struct WriteTimes {
-    /// Rendering the snapshot and its checksum, in nanoseconds.
-    pub encode_ns: u64,
-    /// Writing the temporary file and renaming it into place, in
-    /// nanoseconds.
-    pub write_ns: u64,
+fn put_u128(out: &mut Vec<u8>, v: u128) {
+    out.extend_from_slice(&v.to_le_bytes());
 }
 
-impl SectionCache {
-    /// An empty cache: its first encode renders the graph section.
-    pub fn new() -> SectionCache {
-        SectionCache::default()
-    }
-
-    /// [`encode`], reusing the cached graph section when `checkpoint`
-    /// shares its graph.
-    pub fn encode(&mut self, checkpoint: &RunCheckpoint, fingerprint: u64) -> Vec<u8> {
-        let lines = self.encode_lines(checkpoint, fingerprint);
-        let parts = lines.parts();
-        let mut bytes = Vec::with_capacity(parts.iter().map(|part| part.len()).sum());
-        for part in parts {
-            bytes.extend_from_slice(part);
-        }
-        bytes
-    }
-
-    /// [`write_file`], reusing the cached graph section when `checkpoint`
-    /// shares its graph. Returns how long the encode and the write took.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Io`] if the file cannot be written or renamed.
-    pub fn write_file(
-        &mut self,
-        path: &Path,
-        checkpoint: &RunCheckpoint,
-        fingerprint: u64,
-    ) -> Result<WriteTimes, SnapshotError> {
-        let nanos = |watch: Stopwatch| u64::try_from(watch.elapsed_nanos()).unwrap_or(u64::MAX);
-        let encoding = Stopwatch::start();
-        let lines = self.encode_lines(checkpoint, fingerprint);
-        let encode_ns = nanos(encoding);
-        let writing = Stopwatch::start();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        let mut file = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-        for part in lines.parts() {
-            file.write_all(part).map_err(|e| io_err(&tmp, e))?;
-        }
-        drop(file);
-        std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))?;
-        Ok(WriteTimes { encode_ns, write_ns: nanos(writing) })
-    }
-
-    /// The `graph_edges` section of `graph`, rendered unless the cache
-    /// already holds it.
-    fn edges(&mut self, graph: &Arc<Graph>) -> &[u8] {
-        if !self.graph.as_ref().is_some_and(|cached| Arc::ptr_eq(cached, graph)) {
-            // Let go of the old topology before rendering the new one.
-            self.graph = None;
-            self.edges.clear();
-            self.edges.reserve(edges_capacity(graph));
-            push_edges(&mut self.edges, graph);
-            self.graph = Some(Arc::clone(graph));
-        }
-        &self.edges
-    }
-
-    /// The snapshot as five pieces to be concatenated: the header line,
-    /// the payload up to the graph section, the section, the rest of the
-    /// payload and its newline.
-    fn encode_lines<'a>(&'a mut self, checkpoint: &RunCheckpoint, fingerprint: u64) -> Lines<'a> {
-        let (payload, split) = encode_payload(checkpoint, fingerprint);
-        let edges = self.edges(checkpoint.sim.shared_graph());
-        Lines::new(payload, split, edges)
-    }
+/// The path of the topology file with `digest` in the directory of the
+/// snapshot at `snapshot`.
+pub fn topology_path(snapshot: &Path, digest: u64) -> PathBuf {
+    snapshot.with_file_name(format!("topology-{digest:016x}.snap"))
 }
 
-/// An encoded snapshot in pieces; see [`SectionCache::encode_lines`].
-struct Lines<'a> {
-    header: Vec<u8>,
-    payload: Vec<u8>,
-    split: usize,
-    edges: &'a [u8],
+/// The header line of a `format` file whose payload has `len` bytes and
+/// `checksum`, newline included.
+fn header_line(format: &str, len: usize, checksum: u64) -> Vec<u8> {
+    format!(
+        "{{\"format\":\"{format}\",\"version\":{VERSION},\"payload_bytes\":{len},\
+         \"checksum\":\"{checksum:016x}\"}}\n"
+    )
+    .into_bytes()
 }
 
-impl<'a> Lines<'a> {
-    /// Adds the header to a payload whose graph section, `edges`, belongs
-    /// at byte `split`.
-    fn new(payload: Vec<u8>, split: usize, edges: &'a [u8]) -> Lines<'a> {
-        let (head, tail) = payload.split_at_checked(split).unwrap_or((&payload, &[]));
-        let header = header_line(&[head, edges, tail]);
-        Lines { header, payload, split, edges }
-    }
-
-    /// The five pieces, in file order.
-    fn parts(&self) -> [&[u8]; 5] {
-        let (head, tail) =
-            self.payload.split_at_checked(self.split).unwrap_or((&self.payload, &[]));
-        [&self.header, head, self.edges, tail, b"\n"]
-    }
+/// `header` followed by `payload`, in a buffer of exactly their length.
+fn concat(header: &[u8], payload: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(header.len() + payload.len());
+    bytes.extend_from_slice(header);
+    bytes.extend_from_slice(payload);
+    bytes
 }
 
-/// The first line of a snapshot, newline included: format, version, and
-/// the length and checksum of the payload (the second line, without its
-/// newline), given as the pieces it is made of.
-fn header_line(payload: &[&[u8]]) -> Vec<u8> {
-    let mut line = Vec::with_capacity(128);
-    line.extend_from_slice(b"{\"format\":\"");
-    line.extend_from_slice(FORMAT.as_bytes());
-    line.extend_from_slice(b"\",\"version\":");
-    push_u64_dec(&mut line, VERSION);
-    line.extend_from_slice(b",\"payload_bytes\":");
-    push_u64_dec(&mut line, payload.iter().map(|part| part.len() as u64).sum());
-    line.extend_from_slice(b",\"checksum\":\"");
-    push_hex(&mut line, checksum64_parts(payload).to_be_bytes());
-    line.extend_from_slice(b"\"}\n");
-    line
-}
-
-fn push_joined<I: IntoIterator, F: FnMut(&mut Vec<u8>, I::Item)>(
-    out: &mut Vec<u8>,
-    items: I,
-    mut one: F,
-) {
-    out.push(b'[');
-    for (i, item) in items.into_iter().enumerate() {
-        if i > 0 {
-            out.push(b',');
-        }
-        one(out, item);
-    }
-    out.push(b']');
-}
-
-/// Appends `,"key":"<32 hex digits>"`, the encoding of one RNG state.
-fn push_rng_field(out: &mut Vec<u8>, key: &[u8], state: u128) {
-    out.extend_from_slice(b",\"");
-    out.extend_from_slice(key);
-    out.extend_from_slice(b"\":\"");
-    push_hex(out, state.to_be_bytes());
-    out.push(b'"');
-}
-
-/// Appends `,"key":"<hex>"` with each `f64` as its 16-digit `to_bits`.
-fn push_f64_field(out: &mut Vec<u8>, key: &[u8], values: impl IntoIterator<Item = f64>) {
-    out.extend_from_slice(b",\"");
-    out.extend_from_slice(key);
-    out.extend_from_slice(b"\":\"");
-    for v in values {
-        push_hex(out, v.to_bits().to_be_bytes());
-    }
-    out.push(b'"');
-}
-
-/// Appends the flat `[u,w,u,w,...]` edge list, each edge once with `u < w`
-/// in [`Graph::edges`] order, read straight off the sorted adjacency
-/// lists. Every id is rendered once up front: each one recurs in about
-/// half its degree's worth of edges.
-fn push_edges(out: &mut Vec<u8>, graph: &Graph) {
-    let ids: Vec<Decimal> = graph.nodes().map(|v| Decimal::new(v as u64)).collect();
-    let start = out.len();
-    for (u, from) in ids.iter().enumerate() {
-        let neighbors = graph.neighbors(u);
-        let later = neighbors.get(neighbors.partition_point(|&w| w as usize <= u)..);
-        for to in later.unwrap_or_default().iter().filter_map(|&w| ids.get(w as usize)) {
-            out.push(b',');
-            from.push_to(out);
-            out.push(b',');
-            to.push_to(out);
+/// The topology file of `graph` and its digest: n, the edge count and each
+/// edge `(u, w)`, `u < w`, read off the sorted adjacency lists.
+pub fn encode_topology(graph: &Graph) -> (u64, Vec<u8>) {
+    let mut payload = Vec::with_capacity(16 + 8 * graph.num_edges());
+    put_u64(&mut payload, graph.len() as u64);
+    put_u64(&mut payload, graph.num_edges() as u64);
+    for (u, v) in (0u32..).zip(graph.nodes()) {
+        let neighbors = graph.neighbors(v);
+        let later = neighbors.get(neighbors.partition_point(|&w| w <= u)..).unwrap_or_default();
+        for &w in later {
+            payload.extend_from_slice(&u.to_le_bytes());
+            payload.extend_from_slice(&w.to_le_bytes());
         }
     }
-    // Every edge wrote a leading comma; the first one becomes the bracket.
-    match out.get_mut(start) {
-        Some(first) => *first = b'[',
-        None => out.push(b'['),
-    }
-    out.push(b']');
+    let digest = checksum64(&payload);
+    (digest, concat(&header_line(TOPOLOGY_FORMAT, payload.len(), digest), &payload))
 }
 
-/// An upper bound on the length of the payload without its graph section,
-/// so the encoder never reallocates (the 512 fixed bytes cover the scalar
-/// fields). Per node: a level with its sign and separator, 32 RNG digits,
-/// two signal digits with separators and an activity digit. Per trace row:
-/// seven numbers, none larger than the round or the node count, with
-/// separators and brackets. Per moving node: 80 hex digits of geometry and
-/// a pause.
-fn payload_capacity(checkpoint: &RunCheckpoint) -> usize {
+/// The exact byte length of `checkpoint`'s snapshot payload; see the
+/// module docs for the layout.
+fn payload_len(checkpoint: &RunCheckpoint) -> usize {
+    let n = checkpoint.sim.states().len();
+    let motion = checkpoint.motion.as_ref().map_or(0, |m| {
+        4 * 8
+            + 16 * (m.positions.len() + m.waypoints.len())
+            + 8 * (m.pauses.len() + m.headings.len())
+            + 16
+    });
+    4 * 8
+        + n * (4 + 16)
+        + 5 * 8 * n.div_ceil(64)
+        + 1
+        + 3 * 16
+        + 1
+        + 8
+        + 8
+        + 7 * 8 * checkpoint.trace.reports().len()
+        + 1
+        + motion
+}
+
+/// The snapshot payload of `checkpoint`, stamped with `fingerprint` and
+/// naming the topology `digest`, in a buffer of exactly its length.
+fn encode_payload(checkpoint: &RunCheckpoint, fingerprint: u64, digest: u64) -> Vec<u8> {
     let sim = &checkpoint.sim;
-    let n = sim.graph().len();
-    let widest_level = sim.states().iter().map(|l| l.unsigned_abs()).max().unwrap_or(0);
-    let level_len = decimal_len(u64::from(widest_level)) + 2;
-    let row_len = 7 * (decimal_len(sim.round().max(n as u64)) + 1) + 2;
-    let motion =
-        checkpoint.motion.as_ref().map_or(0, |m| 80 * m.positions.len() + 21 * m.pauses.len());
-    512 + n * (level_len + 32 + 4 + 1) + checkpoint.trace.reports().len() * row_len + motion
-}
-
-/// An upper bound on the length of the graph section: two brackets, and
-/// per edge two ids and two separators.
-fn edges_capacity(graph: &Graph) -> usize {
-    2 + graph.num_edges() * 2 * (decimal_len(graph.len() as u64) + 1)
-}
-
-/// The number of decimal digits of `v`.
-fn decimal_len(v: u64) -> usize {
-    usize::from(Decimal::new(v).len)
-}
-
-/// The payload line without its graph section, and the byte offset where
-/// [`SectionCache::edges`] goes.
-fn encode_payload(checkpoint: &RunCheckpoint, fingerprint: u64) -> (Vec<u8>, usize) {
-    let sim = &checkpoint.sim;
-    let mut s: Vec<u8> = Vec::with_capacity(payload_capacity(checkpoint));
-    s.extend_from_slice(b"{\"fingerprint\":\"");
-    push_hex(&mut s, fingerprint.to_be_bytes());
-    s.extend_from_slice(b"\",\"round\":");
-    push_u64_dec(&mut s, sim.round());
-    s.extend_from_slice(b",\"states\":");
-    push_joined(&mut s, sim.states(), |out, &l| push_i64_dec(out, i64::from(l)));
-    s.extend_from_slice(b",\"rngs\":\"");
-    for r in sim.rngs() {
-        push_hex(&mut s, pcg_state(r).to_be_bytes());
+    let n = sim.states().len();
+    let mut out = Vec::with_capacity(payload_len(checkpoint));
+    for v in [fingerprint, sim.round(), n as u64, digest] {
+        put_u64(&mut out, v);
     }
-    s.push(b'"');
-    s.extend_from_slice(b",\"sent\":");
-    push_joined(&mut s, sim.sent().iter(), |out, b| out.push(b'0' + b.bits()));
-    s.extend_from_slice(b",\"heard\":");
-    push_joined(&mut s, sim.heard().iter(), |out, b| out.push(b'0' + b.bits()));
-    s.extend_from_slice(b",\"graph_n\":");
-    push_u64_dec(&mut s, sim.graph().len() as u64);
-    s.extend_from_slice(b",\"graph_edges\":");
-    let split = s.len();
-    s.extend_from_slice(b",\"active\":\"");
-    s.extend(sim.active().iter().map(|&a| if a { b'1' } else { b'0' }));
-    s.push(b'"');
-    s.extend_from_slice(b",\"channel_in_burst\":");
-    s.extend_from_slice(if sim.channel_state().in_burst { b"true" } else { b"false" });
-    push_rng_field(&mut s, b"channel_rng", pcg_state(sim.channel_rng()));
-    push_rng_field(&mut s, b"byz_rng", pcg_state(sim.byz_rng()));
-    push_rng_field(&mut s, b"fault_rng", pcg_state(&checkpoint.fault_rng));
-    s.extend_from_slice(b",\"applied_through\":");
-    match checkpoint.applied_through {
-        Some(r) => push_u64_dec(&mut s, r),
-        None => s.extend_from_slice(b"null"),
+    for &level in sim.states() {
+        out.extend_from_slice(&level.to_le_bytes());
     }
-    s.extend_from_slice(b",\"trace\":");
-    push_joined(&mut s, checkpoint.trace.reports(), |out, r| {
-        out.push(b'[');
-        push_u64_dec(out, r.round);
+    for rng in sim.rngs() {
+        put_u128(&mut out, pcg_state(rng));
+    }
+    let active: Vec<u64> = sim
+        .active()
+        .chunks(64)
+        .map(|chunk| chunk.iter().rev().fold(0, |word, &a| word << 1 | u64::from(a)))
+        .collect();
+    let ([sent1, sent2], [heard1, heard2]) = (sim.sent().words(), sim.heard().words());
+    for bits in [sent1, sent2, heard1, heard2, &active] {
+        for k in 0..n.div_ceil(64) {
+            put_u64(&mut out, bits.get(k).copied().unwrap_or(0));
+        }
+    }
+    out.push(u8::from(sim.channel_state().in_burst));
+    for rng in [sim.channel_rng(), sim.byz_rng(), &checkpoint.fault_rng] {
+        put_u128(&mut out, pcg_state(rng));
+    }
+    out.push(u8::from(checkpoint.applied_through.is_some()));
+    put_u64(&mut out, checkpoint.applied_through.unwrap_or(0));
+    let reports = checkpoint.trace.reports();
+    put_u64(&mut out, reports.len() as u64);
+    for r in reports {
+        put_u64(&mut out, r.round);
         for count in [
             r.beeps_channel1,
             r.beeps_channel2,
@@ -693,23 +444,411 @@ fn encode_payload(checkpoint: &RunCheckpoint, fingerprint: u64) -> (Vec<u8>, usi
             r.lone_beepers,
             r.lone_beepers_channel2,
         ] {
-            out.push(b',');
-            push_u64_dec(out, count as u64);
+            put_u64(&mut out, count as u64);
         }
-        out.push(b']');
-    });
-    if let Some(motion) = &checkpoint.motion {
-        let positions = motion.positions.iter().flat_map(|&(x, y)| [x, y]);
-        push_f64_field(&mut s, b"motion_positions", positions);
-        let waypoints = motion.waypoints.iter().flat_map(|&(x, y)| [x, y]);
-        push_f64_field(&mut s, b"motion_waypoints", waypoints);
-        s.extend_from_slice(b",\"motion_pauses\":");
-        push_joined(&mut s, &motion.pauses, |out, &p| push_u64_dec(out, p));
-        push_f64_field(&mut s, b"motion_headings", motion.headings.iter().copied());
-        push_rng_field(&mut s, b"motion_rng", motion.rng_state);
     }
-    s.push(b'}');
-    (s, split)
+    match &checkpoint.motion {
+        None => out.push(0),
+        Some(motion) => {
+            out.push(1);
+            for points in [&motion.positions, &motion.waypoints] {
+                put_u64(&mut out, points.len() as u64);
+                for &(x, y) in points {
+                    put_u64(&mut out, x.to_bits());
+                    put_u64(&mut out, y.to_bits());
+                }
+            }
+            put_u64(&mut out, motion.pauses.len() as u64);
+            for &pause in &motion.pauses {
+                put_u64(&mut out, pause);
+            }
+            put_u64(&mut out, motion.headings.len() as u64);
+            for &heading in &motion.headings {
+                put_u64(&mut out, heading.to_bits());
+            }
+            put_u128(&mut out, motion.rng_state);
+        }
+    }
+    out
+}
+
+/// Serializes `checkpoint` (stamped with `fingerprint`) into a version-2
+/// snapshot: exactly the bytes [`write_file`] puts in the snapshot file.
+/// The topology file it names is [`encode_topology`] of the checkpoint's
+/// graph; the two round-trip through [`decode`].
+pub fn encode(checkpoint: &RunCheckpoint, fingerprint: u64) -> Vec<u8> {
+    SectionCache::new().encode(checkpoint, fingerprint)
+}
+
+/// What a run's snapshots share: the graph of the last checkpoint encoded
+/// with its digest, and the digest that the last snapshot written through
+/// the cache names. One cache serves one snapshot path.
+///
+/// Digesting a graph renders its edge list, about half a static run's
+/// snapshot bytes. The cache keys the digest on the identity of the
+/// checkpoint's shared graph ([`Checkpoint::shared_graph`]): the simulator
+/// copies a shared graph before it mutates it, and the cache keeps its own
+/// `Arc` alive, so while the cache holds a graph no other topology can
+/// have its address. A churned or moving run gets a new graph at its first
+/// mutation after a capture, and its next encode digests that one. The
+/// rendered bytes are dropped once the topology file is on disk.
+#[derive(Debug, Default)]
+pub struct SectionCache {
+    graph: Option<(Arc<Graph>, u64)>,
+    named: Option<u64>,
+}
+
+/// How long [`SectionCache::write_file`] spent in each of its two phases.
+#[derive(Debug, Clone, Copy)]
+pub struct WriteTimes {
+    /// Rendering the snapshot (and a new topology) and its checksum, in
+    /// nanoseconds.
+    pub encode_ns: u64,
+    /// Writing the temporary files and renaming them into place, in
+    /// nanoseconds.
+    pub write_ns: u64,
+}
+
+impl SectionCache {
+    /// An empty cache: its first encode digests the graph.
+    pub fn new() -> SectionCache {
+        SectionCache::default()
+    }
+
+    /// The digest of `graph`, with its topology file if the cache had to
+    /// render it to find the digest.
+    fn digest(&mut self, graph: &Arc<Graph>) -> (u64, Option<Vec<u8>>) {
+        if let Some((cached, digest)) = &self.graph {
+            if Arc::ptr_eq(cached, graph) {
+                return (*digest, None);
+            }
+        }
+        // Let go of the old topology before rendering the new one.
+        self.graph = None;
+        let (digest, file) = encode_topology(graph);
+        self.graph = Some((Arc::clone(graph), digest));
+        (digest, Some(file))
+    }
+
+    /// [`encode`], digesting the graph only if `checkpoint` does not share
+    /// the cached one.
+    pub fn encode(&mut self, checkpoint: &RunCheckpoint, fingerprint: u64) -> Vec<u8> {
+        let (digest, _) = self.digest(checkpoint.sim.shared_graph());
+        let payload = encode_payload(checkpoint, fingerprint, digest);
+        concat(&header_line(FORMAT, payload.len(), checksum64(&payload)), &payload)
+    }
+
+    /// [`write_file`], digesting the graph only if `checkpoint` does not
+    /// share the cached one. The topology file goes first, unless the last
+    /// snapshot written through this cache names it too or a complete copy
+    /// is already on disk (a resumed run's, or one that [`write_file`]
+    /// wrote). Once the snapshot is in place, the topology file that the
+    /// cache's previous snapshot named is removed if it is another one; a
+    /// file that cannot be removed is left behind, which costs disk space
+    /// only. Returns how long the encode and the write took.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Io`] if a file cannot be written or renamed.
+    pub fn write_file(
+        &mut self,
+        path: &Path,
+        checkpoint: &RunCheckpoint,
+        fingerprint: u64,
+    ) -> Result<WriteTimes, SnapshotError> {
+        let nanos = |watch: Stopwatch| u64::try_from(watch.elapsed_nanos()).unwrap_or(u64::MAX);
+        let encoding = Stopwatch::start();
+        let graph = checkpoint.sim.shared_graph();
+        let (digest, rendered) = self.digest(graph);
+        let payload = encode_payload(checkpoint, fingerprint, digest);
+        let header = header_line(FORMAT, payload.len(), checksum64(&payload));
+        let encode_ns = nanos(encoding);
+        let writing = Stopwatch::start();
+        if self.named != Some(digest) {
+            let topology = topology_path(path, digest);
+            let file = rendered.unwrap_or_else(|| encode_topology(graph).1);
+            let on_disk =
+                std::fs::metadata(&topology).is_ok_and(|meta| meta.len() == file.len() as u64);
+            if !on_disk {
+                write_atomic(&topology, &[&file])?;
+            }
+        }
+        write_atomic(path, &[&header, &payload])?;
+        if let Some(previous) = self.named.replace(digest).filter(|&previous| previous != digest) {
+            let _ = std::fs::remove_file(topology_path(path, previous));
+        }
+        Ok(WriteTimes { encode_ns, write_ns: nanos(writing) })
+    }
+}
+
+/// Writes the concatenated `parts` to `path` by atomic rename, not
+/// fsync'd: the bytes go to a `.tmp` sibling first and are renamed into
+/// place.
+fn write_atomic(path: &Path, parts: &[&[u8]]) -> Result<(), SnapshotError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut file = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
+    for part in parts {
+        file.write_all(part).map_err(|e| io_err(&tmp, e))?;
+    }
+    drop(file);
+    std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
+}
+
+/// Splits a file at its header line and verifies the header: the `format`
+/// magic, a version in `versions`, then the payload's length and checksum
+/// — in that order, so the error names the first layer that is wrong.
+/// Returns the version, the payload and its checksum.
+fn open_file<'a>(
+    bytes: &'a [u8],
+    format: &str,
+    versions: &[u64],
+) -> Result<(u64, &'a [u8], u64), SnapshotError> {
+    let mut halves = bytes.splitn(2, |&b| b == b'\n');
+    let header_bytes = halves.next().unwrap_or_default();
+    let rest = halves
+        .next()
+        .ok_or_else(|| SnapshotError::MalformedHeader("no header line".to_string()))?;
+    let header_text = std::str::from_utf8(header_bytes)
+        .map_err(|_| SnapshotError::MalformedHeader("header is not UTF-8".to_string()))?;
+    let header =
+        parse(header_text).map_err(|e| SnapshotError::MalformedHeader(format!("not JSON: {e}")))?;
+
+    let found = header
+        .get("format")
+        .and_then(Value::as_str)
+        .ok_or_else(|| SnapshotError::MalformedHeader("missing `format`".to_string()))?;
+    if found != format {
+        return Err(SnapshotError::WrongFormat { found: found.to_string() });
+    }
+    let version = header
+        .get("version")
+        .and_then(Value::as_u64)
+        .ok_or_else(|| SnapshotError::MalformedHeader("missing `version`".to_string()))?;
+    if !versions.contains(&version) {
+        return Err(SnapshotError::UnsupportedVersion { found: version, supported: VERSION });
+    }
+    let payload_bytes = header
+        .get("payload_bytes")
+        .and_then(Value::as_u64)
+        .and_then(|x| usize::try_from(x).ok())
+        .ok_or_else(|| SnapshotError::MalformedHeader("missing `payload_bytes`".to_string()))?;
+    let checksum = header
+        .get("checksum")
+        .and_then(Value::as_str)
+        .ok_or_else(|| SnapshotError::MalformedHeader("missing `checksum`".to_string()))
+        .and_then(|s| {
+            parse_hex_u64(s, "checksum")
+                .map_err(|_| SnapshotError::MalformedHeader("bad `checksum` hex".to_string()))
+        })?;
+
+    // Version 1's payload is a text line with an optional newline after
+    // it; version 2's binary payload runs to the end of the file.
+    let payload = if version == 1 { rest.strip_suffix(b"\n").unwrap_or(rest) } else { rest };
+    if payload.len() != payload_bytes {
+        return Err(SnapshotError::Truncated {
+            expected_bytes: payload_bytes,
+            found_bytes: payload.len(),
+        });
+    }
+    let actual = checksum64(payload);
+    if actual != checksum {
+        return Err(SnapshotError::ChecksumMismatch { expected: checksum, actual });
+    }
+    Ok((version, payload, checksum))
+}
+
+/// Reads a binary payload front to back. Every read is checked against the
+/// bytes left, so a count read from the file sizes nothing it cannot fill.
+struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// The next `len` bytes.
+    fn take(&mut self, len: usize, what: &str) -> Result<&'a [u8], SnapshotError> {
+        let (head, tail) = self
+            .rest
+            .split_at_checked(len)
+            .ok_or_else(|| bad(&format!("`{what}` runs past the end of the payload")))?;
+        self.rest = tail;
+        Ok(head)
+    }
+
+    fn u8(&mut self, what: &str) -> Result<u8, SnapshotError> {
+        Ok(u8::from_le_bytes(le(self.take(1, what)?)))
+    }
+
+    fn u64(&mut self, what: &str) -> Result<u64, SnapshotError> {
+        Ok(u64::from_le_bytes(le(self.take(8, what)?)))
+    }
+
+    fn u128(&mut self, what: &str) -> Result<u128, SnapshotError> {
+        Ok(u128::from_le_bytes(le(self.take(16, what)?)))
+    }
+
+    /// `count` items of `N` bytes each, taken before anything is sized for
+    /// them.
+    fn items<const N: usize>(
+        &mut self,
+        count: u64,
+        what: &str,
+    ) -> Result<impl ExactSizeIterator<Item = [u8; N]> + 'a, SnapshotError> {
+        let len = usize::try_from(count)
+            .ok()
+            .and_then(|count| count.checked_mul(N))
+            .ok_or_else(|| bad(&format!("`{what}` count {count} does not fit in memory")))?;
+        Ok(self.take(len, what)?.chunks_exact(N).map(le::<N>))
+    }
+
+    /// A `u64` count, then that many items of `N` bytes.
+    fn counted<const N: usize>(
+        &mut self,
+        what: &str,
+    ) -> Result<impl ExactSizeIterator<Item = [u8; N]> + 'a, SnapshotError> {
+        let count = self.u64(what)?;
+        self.items(count, what)
+    }
+
+    /// `count` little-endian words.
+    fn words(&mut self, count: u64, what: &str) -> Result<Vec<u64>, SnapshotError> {
+        Ok(self.items::<8>(count, what)?.map(u64::from_le_bytes).collect())
+    }
+
+    /// Fails unless every byte was read.
+    fn finish(&self, what: &str) -> Result<(), SnapshotError> {
+        match self.rest.len() {
+            0 => Ok(()),
+            extra => Err(bad(&format!("{extra} bytes past the end of the {what}"))),
+        }
+    }
+}
+
+/// A byte that must be 0 (`false`) or 1 (`true`).
+fn flag(byte: u8, what: &str) -> Result<bool, SnapshotError> {
+    match byte {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(bad(&format!("`{what}` must be 0 or 1"))),
+    }
+}
+
+/// An `(x, y)` point from its two little-endian `f64` bit patterns.
+fn point(bytes: [u8; 16]) -> (f64, f64) {
+    let (x, y) = bytes.split_at(8);
+    (f64::from_bits(u64::from_le_bytes(le(x))), f64::from_bits(u64::from_le_bytes(le(y))))
+}
+
+/// A trace count that must fit a `usize`.
+fn trace_count(v: u64) -> Result<usize, SnapshotError> {
+    usize::try_from(v).map_err(|_| bad("`trace` counts must fit in usize"))
+}
+
+/// The graph of a topology file, which must be the one with `digest` and
+/// `n` nodes.
+fn decode_topology(bytes: &[u8], digest: u64, n: usize) -> Result<Graph, SnapshotError> {
+    let (_, payload, found) = open_file(bytes, TOPOLOGY_FORMAT, &[VERSION])?;
+    if found != digest {
+        return Err(SnapshotError::TopologyMismatch { expected: digest, found });
+    }
+    let mut r = Reader { rest: payload };
+    let nodes = r.u64("topology n")?;
+    if nodes != n as u64 {
+        return Err(bad(&format!("the topology has {nodes} nodes but the snapshot {n}")));
+    }
+    let edges = r.counted::<8>("edges")?;
+    r.finish("topology payload")?;
+    let edges = edges.map(|pair| {
+        let (u, w) = pair.split_at(4);
+        (u32::from_le_bytes(le(u)) as usize, u32::from_le_bytes(le(w)) as usize)
+    });
+    Graph::from_edges(n, edges).map_err(|e| bad(&format!("graph: {e}")))
+}
+
+/// The version-2 snapshot `payload`, whose graph `topology` loads from the
+/// digest and node count the payload names.
+fn decode_v2(
+    payload: &[u8],
+    expected_fingerprint: u64,
+    topology: impl FnOnce(u64, usize) -> Result<Graph, SnapshotError>,
+) -> Result<RunCheckpoint, SnapshotError> {
+    let mut r = Reader { rest: payload };
+    let fingerprint = r.u64("fingerprint")?;
+    if fingerprint != expected_fingerprint {
+        return Err(SnapshotError::ConfigMismatch {
+            expected: expected_fingerprint,
+            found: fingerprint,
+        });
+    }
+    let round = r.u64("round")?;
+    let count = r.u64("n")?;
+    let digest = r.u64("topology digest")?;
+    let states: Vec<Level> = r.items::<4>(count, "states")?.map(Level::from_le_bytes).collect();
+    let rngs: Vec<Pcg64Mcg> =
+        r.items::<16>(count, "rngs")?.map(|b| pcg_from_state(u128::from_le_bytes(b))).collect();
+    let n = states.len();
+    let words = n.div_ceil(64) as u64;
+    let sent = [r.words(words, "sent")?, r.words(words, "sent")?];
+    let heard = [r.words(words, "heard")?, r.words(words, "heard")?];
+    let active_words = r.words(words, "active")?;
+    let active = (0..n)
+        .map(|v| active_words.get(v / 64).is_some_and(|word| word >> (v % 64) & 1 != 0))
+        .collect();
+    let in_burst = flag(r.u8("channel_in_burst")?, "channel_in_burst")?;
+    let channel_rng = pcg_from_state(r.u128("channel_rng")?);
+    let byz_rng = pcg_from_state(r.u128("byz_rng")?);
+    let fault_rng = pcg_from_state(r.u128("fault_rng")?);
+    let applied = flag(r.u8("applied_through")?, "applied_through")?;
+    let applied_through = Some(r.u64("applied_through")?).filter(|_| applied);
+    let mut trace = Trace::new();
+    for row in r.counted::<56>("trace")? {
+        let mut cells = row.chunks_exact(8).map(|cell| u64::from_le_bytes(le(cell)));
+        let [round, b1, b2, h1, h2, lone, lone2] = std::array::from_fn(|_| cells.next());
+        let count = |cell: Option<u64>| trace_count(cell.unwrap_or(0));
+        trace.push(RoundReport {
+            round: round.unwrap_or(0),
+            beeps_channel1: count(b1)?,
+            beeps_channel2: count(b2)?,
+            hearers_channel1: count(h1)?,
+            hearers_channel2: count(h2)?,
+            lone_beepers: count(lone)?,
+            lone_beepers_channel2: count(lone2)?,
+        });
+    }
+    let motion = if flag(r.u8("motion")?, "motion")? {
+        let positions = r.counted::<16>("motion_positions")?.map(point).collect();
+        let waypoints = r.counted::<16>("motion_waypoints")?.map(point).collect();
+        let pauses = r.counted::<8>("motion_pauses")?.map(u64::from_le_bytes).collect();
+        let headings = r
+            .counted::<8>("motion_headings")?
+            .map(|b| f64::from_bits(u64::from_le_bytes(b)))
+            .collect();
+        let rng_state = r.u128("motion_rng")?;
+        Some(MotionState { positions, waypoints, pauses, headings, rng_state })
+    } else {
+        None
+    };
+    r.finish("snapshot payload")?;
+    let graph = topology(digest, n)?;
+    Ok(RunCheckpoint {
+        sim: Checkpoint::from_parts(
+            states,
+            rngs,
+            round,
+            sent,
+            heard,
+            Arc::new(graph),
+            active,
+            ChannelState { in_burst },
+            channel_rng,
+            byz_rng,
+        ),
+        fault_rng,
+        applied_through,
+        trace,
+        motion,
+    })
 }
 
 fn bad(what: &str) -> SnapshotError {
@@ -763,62 +902,8 @@ fn usize_in(v: &Value, key: &str) -> Result<usize, SnapshotError> {
         .ok_or_else(|| bad(&format!("`{key}` entries must be non-negative integers")))
 }
 
-/// Deserializes snapshot `bytes`, verifying the header, the payload length
-/// and checksum, and the configuration fingerprint — in that order, so the
-/// reported error names the *first* layer that is wrong. Never panics.
-pub fn decode(bytes: &[u8], expected_fingerprint: u64) -> Result<RunCheckpoint, SnapshotError> {
-    let mut halves = bytes.splitn(2, |&b| b == b'\n');
-    let header_bytes = halves.next().unwrap_or_default();
-    let rest = halves
-        .next()
-        .ok_or_else(|| SnapshotError::MalformedHeader("no header line".to_string()))?;
-    let header_text = std::str::from_utf8(header_bytes)
-        .map_err(|_| SnapshotError::MalformedHeader("header is not UTF-8".to_string()))?;
-    let header =
-        parse(header_text).map_err(|e| SnapshotError::MalformedHeader(format!("not JSON: {e}")))?;
-
-    let format = header
-        .get("format")
-        .and_then(Value::as_str)
-        .ok_or_else(|| SnapshotError::MalformedHeader("missing `format`".to_string()))?;
-    if format != FORMAT {
-        return Err(SnapshotError::WrongFormat { found: format.to_string() });
-    }
-    let version = header
-        .get("version")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| SnapshotError::MalformedHeader("missing `version`".to_string()))?;
-    if version != VERSION {
-        return Err(SnapshotError::UnsupportedVersion { found: version, supported: VERSION });
-    }
-    let payload_bytes = header
-        .get("payload_bytes")
-        .and_then(Value::as_u64)
-        .and_then(|x| usize::try_from(x).ok())
-        .ok_or_else(|| SnapshotError::MalformedHeader("missing `payload_bytes`".to_string()))?;
-    let checksum = header
-        .get("checksum")
-        .and_then(Value::as_str)
-        .ok_or_else(|| SnapshotError::MalformedHeader("missing `checksum`".to_string()))
-        .and_then(|s| {
-            parse_hex_u64(s, "checksum")
-                .map_err(|_| SnapshotError::MalformedHeader("bad `checksum` hex".to_string()))
-        })?;
-
-    // The payload is everything after the header's newline, minus one
-    // optional trailing newline.
-    let payload = rest.strip_suffix(b"\n").unwrap_or(rest);
-    if payload.len() != payload_bytes {
-        return Err(SnapshotError::Truncated {
-            expected_bytes: payload_bytes,
-            found_bytes: payload.len(),
-        });
-    }
-    let actual = checksum64(payload);
-    if actual != checksum {
-        return Err(SnapshotError::ChecksumMismatch { expected: checksum, actual });
-    }
-
+/// The version-1 snapshot `payload`: one JSON object, the graph inline.
+fn decode_v1(payload: &[u8], expected_fingerprint: u64) -> Result<RunCheckpoint, SnapshotError> {
     let payload_text = std::str::from_utf8(payload)
         .map_err(|_| SnapshotError::MalformedPayload("payload is not UTF-8".to_string()))?;
     let obj = parse(payload_text).map_err(|e| bad(&format!("not JSON: {e}")))?;
@@ -953,6 +1038,36 @@ pub fn decode(bytes: &[u8], expected_fingerprint: u64) -> Result<RunCheckpoint, 
     })
 }
 
+/// Deserializes snapshot `bytes`, verifying the header, the payload length
+/// and checksum, and the configuration fingerprint — in that order, so the
+/// reported error names the *first* layer that is wrong — and then the
+/// rest of the payload. A version-2 snapshot takes its graph from
+/// `topology`, the bytes of the topology file it names, which must carry
+/// the snapshot's digest and node count. A version-1 snapshot carries its
+/// graph and ignores `topology`. Never panics.
+pub fn decode(
+    bytes: &[u8],
+    topology: &[u8],
+    expected_fingerprint: u64,
+) -> Result<RunCheckpoint, SnapshotError> {
+    decode_with(bytes, expected_fingerprint, |digest, n| decode_topology(topology, digest, n))
+}
+
+/// [`decode`], with the version-2 graph loaded by `topology` from the
+/// digest and node count the payload names.
+fn decode_with(
+    bytes: &[u8],
+    expected_fingerprint: u64,
+    topology: impl FnOnce(u64, usize) -> Result<Graph, SnapshotError>,
+) -> Result<RunCheckpoint, SnapshotError> {
+    let (version, payload, _) = open_file(bytes, FORMAT, &[1, VERSION])?;
+    if version == 1 {
+        decode_v1(payload, expected_fingerprint)
+    } else {
+        decode_v2(payload, expected_fingerprint, topology)
+    }
+}
+
 fn io_err(path: &Path, e: std::io::Error) -> SnapshotError {
     SnapshotError::Io { path: path.to_path_buf(), message: e.to_string() }
 }
@@ -964,9 +1079,9 @@ fn io_err(path: &Path, e: std::io::Error) -> SnapshotError {
 /// the data to the disk, so after a power loss the file may be incomplete;
 /// [`read_file`] then reports it as a typed error.
 ///
-/// The file holds exactly [`encode`]'s bytes. The header line, the graph
-/// section and the rest of the payload are streamed to the file as they
-/// are, with no concatenated copy.
+/// The snapshot file holds exactly [`encode`]'s bytes. The topology file
+/// it names ([`topology_path`]) is written the same way first, unless a
+/// complete one is already there.
 pub fn write_file(
     path: &Path,
     checkpoint: &RunCheckpoint,
@@ -975,11 +1090,36 @@ pub fn write_file(
     SectionCache::new().write_file(path, checkpoint, fingerprint).map(|_| ())
 }
 
-/// Reads and verifies a snapshot from `path`; see [`decode`] for the
+/// Reads and verifies a snapshot from `path`, and for version 2 the
+/// topology file it names in the same directory; see [`decode`] for the
 /// verification order. Never panics.
 pub fn read_file(path: &Path, expected_fingerprint: u64) -> Result<RunCheckpoint, SnapshotError> {
     let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
-    decode(&bytes, expected_fingerprint)
+    decode_with(&bytes, expected_fingerprint, |digest, n| {
+        let topology = topology_path(path, digest);
+        let bytes = std::fs::read(&topology).map_err(|e| io_err(&topology, e))?;
+        decode_topology(&bytes, digest, n)
+    })
+}
+
+/// The bytes a snapshot occupies on disk: the snapshot file at `path`
+/// and, for version 2, the topology file it names.
+///
+/// # Errors
+///
+/// [`SnapshotError::Io`] if either file is missing, and the header errors
+/// of [`decode`] for a damaged snapshot.
+pub fn bytes_on_disk(path: &Path) -> Result<u64, SnapshotError> {
+    let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
+    let (version, payload, _) = open_file(&bytes, FORMAT, &[1, VERSION])?;
+    let mut total = bytes.len() as u64;
+    if version == VERSION {
+        let mut r = Reader { rest: payload };
+        let digest = r.take(24, "fingerprint, round and n").and_then(|_| r.u64("digest"))?;
+        let topology = topology_path(path, digest);
+        total += std::fs::metadata(&topology).map_err(|e| io_err(&topology, e))?.len();
+    }
+    Ok(total)
 }
 
 #[cfg(test)]
@@ -996,48 +1136,14 @@ mod tests {
 
     #[test]
     fn hex_round_trips() {
-        let hex = |bytes: &[u8]| {
-            let mut s = Vec::new();
-            for &b in bytes {
-                push_hex(&mut s, [b]);
-            }
-            String::from_utf8(s).unwrap()
-        };
         for v in [0u64, 1, u64::MAX, 0xdead_beef] {
-            assert_eq!(parse_hex_u64(&hex(&v.to_be_bytes()), "t").unwrap(), v);
+            assert_eq!(parse_hex_u64(&format!("{v:016x}"), "t").unwrap(), v);
         }
         for v in [0u128, 1, u128::MAX, 0x0123_4567_89ab_cdef_u128 << 64] {
-            assert_eq!(parse_hex_u128(&hex(&v.to_be_bytes()), "t").unwrap(), v);
+            assert_eq!(parse_hex_u128(&format!("{v:032x}"), "t").unwrap(), v);
         }
         assert!(parse_hex_u64("xyz", "t").is_err());
         assert!(parse_hex_u128(&"f".repeat(31), "t").is_err());
-    }
-
-    #[test]
-    fn manual_pushers_match_format() {
-        // Every digit count, on both sides of each power of ten.
-        let mut values = vec![0u64, 1, 9, 10, 42, 99, 100, 1023, u64::MAX];
-        values.extend((1..20).flat_map(|e| [10u64.pow(e) - 1, 10u64.pow(e), 10u64.pow(e) + 1]));
-        for v in values {
-            let mut s = Vec::new();
-            push_u64_dec(&mut s, v);
-            assert_eq!(String::from_utf8(s).unwrap(), v.to_string());
-        }
-        for v in [0i64, -1, 7, -42, -100, -12345, i64::MIN, i64::MAX] {
-            let mut s = Vec::new();
-            push_i64_dec(&mut s, v);
-            assert_eq!(String::from_utf8(s).unwrap(), v.to_string());
-        }
-        for v in [0u128, 1, u128::MAX, 0xdead_beef, 0x0123_4567_89ab_cdef_u128 << 60] {
-            let mut s = Vec::new();
-            push_hex(&mut s, v.to_be_bytes());
-            assert_eq!(String::from_utf8(s).unwrap(), format!("{v:032x}"));
-        }
-        for v in [0u64, 0xa, u64::MAX, 0xfedc_ba98_7654_3210] {
-            let mut s = Vec::new();
-            push_hex(&mut s, v.to_be_bytes());
-            assert_eq!(String::from_utf8(s).unwrap(), format!("{v:016x}"));
-        }
     }
 
     #[test]
@@ -1062,20 +1168,6 @@ mod tests {
     }
 
     #[test]
-    fn checksum_of_parts_is_the_checksum_of_their_concatenation() {
-        let bytes: Vec<u8> = (0..=40u8).map(|b| b.wrapping_mul(37)).collect();
-        for first in 0..bytes.len() {
-            for second in first..bytes.len() {
-                let (head, rest) = bytes.split_at(first);
-                let (middle, tail) = rest.split_at(second - first);
-                let parts = [head, middle, &[][..], tail];
-                assert_eq!(checksum64_parts(&parts), checksum64(&bytes), "split {first}/{second}");
-            }
-        }
-        assert_eq!(checksum64_parts(&[]), checksum64(b""));
-    }
-
-    #[test]
     fn f64_hex_round_trips_exact_bits() {
         let values = [
             0.0,
@@ -1087,19 +1179,14 @@ mod tests {
             f64::MAX,
             f64::NEG_INFINITY,
         ];
-        let mut s = Vec::new();
-        for &v in &values {
-            push_hex(&mut s, v.to_bits().to_be_bytes());
-        }
-        let back = parse_f64_list(std::str::from_utf8(&s).unwrap(), "t").unwrap();
+        let hex: String = values.iter().map(|v| format!("{:016x}", v.to_bits())).collect();
+        let back = parse_f64_list(&hex, "t").unwrap();
         assert_eq!(back.len(), values.len());
         for (&v, &b) in values.iter().zip(&back) {
             assert_eq!(v.to_bits(), b.to_bits());
         }
         // NaN payloads survive too.
-        let mut s = Vec::new();
-        push_hex(&mut s, 0x7ff8_0000_dead_beef_u64.to_be_bytes());
-        let back = parse_f64_list(std::str::from_utf8(&s).unwrap(), "t").unwrap();
+        let back = parse_f64_list("7ff80000deadbeef", "t").unwrap();
         assert_eq!(back[0].to_bits(), 0x7ff8_0000_dead_beef);
         // Ragged and odd-coordinate inputs are decode errors, not panics.
         assert!(parse_f64_list("abc", "t").is_err());
@@ -1127,6 +1214,19 @@ mod tests {
     }
 
     #[test]
+    fn reader_checks_every_count_against_the_bytes_left() {
+        let bytes = [7u8; 40];
+        let mut r = Reader { rest: &bytes };
+        assert!(r.items::<16>(u64::MAX, "t").is_err(), "a count past usize");
+        assert!(r.items::<4>(1 << 62, "t").is_err(), "a count whose bytes overflow usize");
+        assert!(r.items::<8>(6, "t").is_err(), "one item past the end");
+        assert_eq!(r.rest.len(), 40, "a refused read consumes nothing");
+        assert_eq!(r.words(5, "t").unwrap(), vec![0x0707_0707_0707_0707; 5]);
+        assert!(r.finish("t").is_ok());
+        assert!(r.u8("t").is_err());
+    }
+
+    #[test]
     fn capacity_bounds_the_payload() {
         use beeping::dynamic::MotionSpec;
         use beeping::faults::{FaultPlan, FaultTarget};
@@ -1149,12 +1249,11 @@ mod tests {
             for _ in 0..30 {
                 run.tick();
                 let cp = run.checkpoint();
-                let (payload, _) = encode_payload(&cp, 1);
-                assert_eq!(payload.capacity(), payload_capacity(&cp), "the payload reallocated");
-                let mut cache = SectionCache::new();
-                let edges = cache.edges(cp.sim.shared_graph()).len();
-                assert!(edges <= edges_capacity(cp.sim.graph()), "the graph section overflowed");
-                assert_eq!(cache.edges.capacity(), edges_capacity(cp.sim.graph()));
+                let payload = encode_payload(&cp, 1, 2);
+                assert_eq!(payload.len(), payload_len(&cp), "the layout's length is exact");
+                assert_eq!(payload.capacity(), payload.len(), "the payload reallocated");
+                let (_, topology) = encode_topology(cp.sim.graph());
+                assert_eq!(topology.capacity(), topology.len(), "the topology reallocated");
                 let bytes = encode(&cp, 1);
                 assert_eq!(bytes.capacity(), bytes.len(), "encode sized its buffer exactly");
             }

@@ -21,7 +21,7 @@
 //! atomically writes it, while the next chunk of rounds executes
 //! concurrently. The writer takes the [`SectionCache`] with it and hands
 //! it back through its join handle, so a topology that has not changed
-//! since the last snapshot is not rendered again. The writer is joined
+//! since the last snapshot is neither digested nor written again. The writer is joined
 //! before the
 //! next checkpoint is captured (so at most two checkpoints and one encode
 //! buffer are ever alive, and renames land in checkpoint order) and before
@@ -37,17 +37,16 @@
 //! (`harness.capture` and `harness.write_wait`), and the writer's two
 //! phases (`harness.encode` and `harness.write`, measured on the writer
 //! thread and recorded at the join), so the stream alone shows whether
-//! snapshots block a run and which phase does it. Measured on a run shaped
-//! like perfbench's `long-haul` (n = 2^16, m ≈ 262k, 5.4 MB snapshots,
-//! 128-round chunks of about 10–12 ms with JSONL telemetry, shared 2-core
-//! host, 12 ops per side, medians): when every snapshot copied the graph
-//! and rendered its 3 MB edge section, the capture took 2.4 ms and the run
-//! waited 13.7 ms per boundary; with the graph shared and the section
-//! cached, the capture takes 1.45 ms, the encode (payload without the
-//! section, and the checksum) 8.4 ms, the write (temporary file and the
-//! rename over the previous snapshot) 11.9 ms, and the wait 5.8 ms per
-//! boundary. The rename dominates the write: ext4 starts writing the new
-//! file back and frees the old one inside `rename(2)`.
+//! snapshots block a run and which phase does it. Measured on perfbench's
+//! `long-haul` instances (n = 2^16, m ≈ 262k, 128-round chunks with JSONL
+//! telemetry, shared 2-core host, 20 ops per side): the version-1 writer
+//! rewrote a 5.7 MB snapshot, graph included, at every boundary, and took
+//! a 1.26 ms capture, a 5.5–6.9 ms encode and a 6.5–7.0 ms write. Version 2
+//! writes the 2.1 MB topology file once and a 1.4 MB snapshot per
+//! boundary: the capture takes 0.55–0.58 ms, the encode 1.0–1.35 ms, the
+//! write (temporary file and the rename over the previous snapshot)
+//! 1.4–1.7 ms, and the run waits 0.74–1.06 ms per boundary, because a
+//! chunk of ticks now takes only about 2.6 ms.
 //!
 //! Wall-clock time is measured with [`telemetry::Stopwatch`], the
 //! workspace's sanctioned clock (direct `std::time::Instant` use is banned

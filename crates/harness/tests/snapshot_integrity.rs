@@ -1,7 +1,9 @@
 //! Snapshot file-format integrity: round-trips are exact, and every class
 //! of file damage — truncation, bit flips, version skew, wrong magic,
-//! configuration mismatch, plain garbage — is rejected with the right
-//! typed error, never a panic.
+//! configuration mismatch, a missing or foreign topology file, impossible
+//! counts, plain garbage — is rejected with the right typed error, never a
+//! panic. Version-2 snapshots are checked together with their topology
+//! file; the committed version-1 file is read only.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,7 +17,8 @@ use graphs::generators::geometric::radius_for_expected_degree;
 use graphs::generators::random;
 use graphs::motion::MotionModel;
 use harness::snapshot::{
-    config_fingerprint, decode, encode, fnv1a64, read_file, write_file, SectionCache, SnapshotError,
+    bytes_on_disk, checksum64, config_fingerprint, decode, encode, encode_topology, fnv1a64,
+    read_file, topology_path, write_file, SectionCache, SnapshotError,
 };
 use mis::resumable::{ResumableConfig, ResumableRun, RunCheckpoint, RunStatus};
 use mis::{Algorithm1, LmaxPolicy};
@@ -30,6 +33,41 @@ fn scratch_dir(tag: &str) -> PathBuf {
         .join(format!("harness-{}-{tag}-{id}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
+}
+
+/// The topology file that `checkpoint`'s snapshot names.
+fn topology_of(checkpoint: &RunCheckpoint) -> Vec<u8> {
+    encode_topology(checkpoint.sim.graph()).1
+}
+
+/// Encodes `checkpoint` and decodes it back with its topology file.
+fn round_trip(checkpoint: &RunCheckpoint, fp: u64) -> RunCheckpoint {
+    decode(&encode(checkpoint, fp), &topology_of(checkpoint), fp).expect("round trip")
+}
+
+/// The length of a file's header line, newline included.
+fn header_len(bytes: &[u8]) -> usize {
+    bytes.iter().position(|&b| b == b'\n').unwrap() + 1
+}
+
+/// A version-2 `format` file over `payload`, with a header that matches
+/// it: only the payload's *semantic* damage remains.
+fn restamped(format: &str, payload: &[u8]) -> Vec<u8> {
+    let mut bytes = format!(
+        "{{\"format\":\"{format}\",\"version\":2,\"payload_bytes\":{},\"checksum\":\"{:016x}\"}}\n",
+        payload.len(),
+        checksum64(payload),
+    )
+    .into_bytes();
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+/// `bytes` with `patch` written at byte `at`.
+fn patched(bytes: &[u8], at: usize, patch: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[at..at + patch.len()].copy_from_slice(patch);
+    out
 }
 
 /// A mid-run checkpoint with every axis populated: noise, faults, churn,
@@ -118,8 +156,7 @@ fn assert_checkpoints_equal(a: &RunCheckpoint, b: &RunCheckpoint) {
 #[test]
 fn round_trip_is_field_exact() {
     let (cp, fp) = busy_checkpoint();
-    let decoded = decode(&encode(&cp, fp), fp).expect("round trip");
-    assert_checkpoints_equal(&cp, &decoded);
+    assert_checkpoints_equal(&cp, &round_trip(&cp, fp));
 }
 
 #[test]
@@ -128,11 +165,88 @@ fn file_round_trip_via_atomic_write() {
     let path = dir.join("cp.snap");
     let (cp, fp) = busy_checkpoint();
     write_file(&path, &cp, fp).expect("write");
-    // The temp sibling must not survive a successful write.
-    assert!(!dir.join("cp.snap.tmp").exists());
+    // The snapshot and its topology file are in place, and no temporary
+    // sibling survives a successful write.
+    let (digest, topology) = encode_topology(cp.sim.graph());
+    let topology_file = topology_path(&path, digest);
+    assert_eq!(topology_file, dir.join(format!("topology-{digest:016x}.snap")));
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(names, ["cp.snap".to_string(), format!("topology-{digest:016x}.snap")]);
     let decoded = read_file(&path, fp).expect("read");
     assert_checkpoints_equal(&cp, &decoded);
+    let on_disk = encode(&cp, fp).len() + topology.len();
+    assert_eq!(bytes_on_disk(&path), Ok(on_disk as u64), "the snapshot and its topology");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn missing_or_foreign_topology_file_is_typed() {
+    let dir = scratch_dir("topology");
+    let path = dir.join("cp.snap");
+    let (cp, fp) = busy_checkpoint();
+    write_file(&path, &cp, fp).expect("write");
+    let (digest, _) = encode_topology(cp.sim.graph());
+    let topology_file = topology_path(&path, digest);
+    // Another graph's topology under the name the snapshot looks for.
+    let (other, foreign) = encode_topology(&random::gnp(24, 0.3, 4));
+    std::fs::write(&topology_file, &foreign).unwrap();
+    let err = read_file(&path, fp).unwrap_err();
+    assert_eq!(err, SnapshotError::TopologyMismatch { expected: digest, found: other });
+    // A snapshot handed as its own topology file has the wrong magic.
+    let snapshot = encode(&cp, fp);
+    assert!(matches!(decode(&snapshot, &snapshot, fp), Err(SnapshotError::WrongFormat { .. })));
+    std::fs::remove_file(&topology_file).unwrap();
+    match read_file(&path, fp) {
+        Err(SnapshotError::Io { path, .. }) => assert_eq!(path, topology_file),
+        other => panic!("expected an I/O error on the topology file, got {other:?}"),
+    }
+    assert!(matches!(bytes_on_disk(&path), Err(SnapshotError::Io { .. })));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn oversized_counts_are_typed_errors() {
+    // Counts no payload can hold, restamped so that only the count is
+    // wrong: each must be refused before anything is sized for it.
+    let (cp, fp) = busy_checkpoint();
+    let snapshot = encode(&cp, fp);
+    let payload = &snapshot[header_len(&snapshot)..];
+    let (_, topology) = encode_topology(cp.sim.graph());
+    for n in [25, 1 << 40, u64::MAX] {
+        let damaged = restamped("beeping-mis-snapshot", &patched(payload, 16, &n.to_le_bytes()));
+        match decode(&damaged, &topology, fp) {
+            Err(SnapshotError::MalformedPayload(_)) => {}
+            other => panic!("n = {n}: expected MalformedPayload, got {other:?}"),
+        }
+    }
+    // The trace row count sits after the fixed-size part of a static
+    // payload with no motion block: 7 u64 per row, then the motion flag.
+    let rows = cp.trace.reports().len();
+    let trace_at = payload.len() - 1 - 56 * rows - 8;
+    assert_eq!(payload[trace_at..trace_at + 8], (rows as u64).to_le_bytes());
+    for count in [rows as u64 + 1, 1 << 60, u64::MAX] {
+        let damaged =
+            restamped("beeping-mis-snapshot", &patched(payload, trace_at, &count.to_le_bytes()));
+        assert!(matches!(decode(&damaged, &topology, fp), Err(SnapshotError::MalformedPayload(_))));
+    }
+    // An edge count past the topology's end, under a snapshot that names
+    // the damaged topology's digest.
+    let edges = &topology[header_len(&topology)..];
+    for m in [cp.sim.graph().num_edges() as u64 + 1, u64::MAX] {
+        let damaged_edges = patched(edges, 8, &m.to_le_bytes());
+        let digest = checksum64(&damaged_edges);
+        let snapshot =
+            restamped("beeping-mis-snapshot", &patched(payload, 24, &digest.to_le_bytes()));
+        let topology = restamped("beeping-mis-topology", &damaged_edges);
+        assert!(matches!(
+            decode(&snapshot, &topology, fp),
+            Err(SnapshotError::MalformedPayload(_))
+        ));
+    }
 }
 
 #[test]
@@ -142,7 +256,7 @@ fn motion_round_trip_is_field_exact_and_resumable() {
         MotionModel::Drift { speed: 0.02, turn: 0.5 },
     ] {
         let (cp, config, fp) = moving_checkpoint(model);
-        let decoded = decode(&encode(&cp, fp), fp).expect("round trip");
+        let decoded = round_trip(&cp, fp);
         assert_checkpoints_equal(&cp, &decoded);
         // The decoded state must actually drive a resume, and the resumed
         // run must match one resumed from the in-memory checkpoint.
@@ -161,13 +275,15 @@ fn motion_round_trip_is_field_exact_and_resumable() {
 
 #[test]
 fn motionless_snapshots_omit_motion_fields() {
-    // Static runs must keep writing byte-identical snapshots to earlier
-    // builds: the motion fields only appear for moving deployments.
+    // A static run's motion block is its absent flag alone: the payload
+    // ends with one zero byte, and a moving one's with its motion state.
     let (cp, fp) = busy_checkpoint();
     assert!(cp.motion.is_none());
-    let text = String::from_utf8(encode(&cp, fp)).unwrap();
-    assert!(!text.contains("motion_"), "static snapshot leaked motion fields");
-    assert!(decode(&encode(&cp, fp), fp).unwrap().motion.is_none());
+    assert_eq!(encode(&cp, fp).last(), Some(&0), "static snapshot carries a motion block");
+    assert!(round_trip(&cp, fp).motion.is_none());
+    let (moving, _, fp) = moving_checkpoint(MotionModel::Drift { speed: 0.02, turn: 0.5 });
+    let rng = moving.motion.as_ref().unwrap().rng_state.to_le_bytes();
+    assert!(encode(&moving, fp).ends_with(&rng));
 }
 
 #[test]
@@ -178,52 +294,75 @@ fn missing_file_is_io_error() {
 
 #[test]
 fn garbage_is_malformed_header() {
-    assert!(matches!(decode(b"not json at all\n{}", 0), Err(SnapshotError::MalformedHeader(_))));
-    assert!(matches!(decode(b"", 0), Err(SnapshotError::MalformedHeader(_))));
-    assert!(matches!(decode(&[0xFF, 0xFE, b'\n'], 0), Err(SnapshotError::MalformedHeader(_))));
+    let malformed =
+        |bytes: &[u8]| matches!(decode(bytes, &[], 0), Err(SnapshotError::MalformedHeader(_)));
+    assert!(malformed(b"not json at all\n{}"));
+    assert!(malformed(b""));
+    assert!(malformed(&[0xFF, 0xFE, b'\n']));
 }
 
 #[test]
 fn wrong_magic_and_version_skew_are_typed() {
     let (cp, fp) = busy_checkpoint();
-    let text = String::from_utf8(encode(&cp, fp)).unwrap();
+    let bytes = encode(&cp, fp);
+    let topology = topology_of(&cp);
+    let (header, payload) = bytes.split_at(header_len(&bytes));
+    let header = std::str::from_utf8(header).unwrap();
+    let with_header = |header: String| [header.as_bytes(), payload].concat();
 
-    let wrong_magic = text.replace("beeping-mis-snapshot", "some-other-format!!");
+    let wrong_magic = with_header(header.replace("beeping-mis-snapshot", "some-other-format!!"));
     assert!(matches!(
-        decode(wrong_magic.as_bytes(), fp),
+        decode(&wrong_magic, &topology, fp),
         Err(SnapshotError::WrongFormat { found }) if found == "some-other-format!!"
     ));
 
-    let skewed = text.replace("\"version\":1", "\"version\":99");
+    let skewed = with_header(header.replace("\"version\":2", "\"version\":99"));
     assert!(matches!(
-        decode(skewed.as_bytes(), fp),
-        Err(SnapshotError::UnsupportedVersion { found: 99, supported: 1 })
+        decode(&skewed, &topology, fp),
+        Err(SnapshotError::UnsupportedVersion { found: 99, supported: 2 })
+    ));
+    // Topology files exist from version 2 on.
+    let (topology_header, edges) = topology.split_at(header_len(&topology));
+    let old =
+        std::str::from_utf8(topology_header).unwrap().replace("\"version\":2", "\"version\":1");
+    assert!(matches!(
+        decode(&bytes, &[old.as_bytes(), edges].concat(), fp),
+        Err(SnapshotError::UnsupportedVersion { found: 1, supported: 2 })
     ));
 }
 
 #[test]
 fn truncation_is_detected() {
     let (cp, fp) = busy_checkpoint();
-    let bytes = encode(&cp, fp);
-    // Cut the payload short at several depths; all must be Truncated (the
-    // header itself stays intact).
-    let header_len = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
-    for keep in [header_len, header_len + 1, bytes.len() - 2, bytes.len() - 10] {
-        let err = decode(&bytes[..keep], fp).unwrap_err();
-        assert!(matches!(err, SnapshotError::Truncated { .. }), "keep={keep}: {err}");
+    let (bytes, topology) = (encode(&cp, fp), topology_of(&cp));
+    // Cut either payload short at several depths; all must be Truncated
+    // (the header itself stays intact).
+    for file in [&bytes, &topology] {
+        let header_len = header_len(file);
+        for keep in [header_len, header_len + 1, file.len() - 1, file.len() - 10] {
+            let (snapshot, topology) = if file == &bytes {
+                (&bytes[..keep], &topology[..])
+            } else {
+                (&bytes[..], &topology[..keep])
+            };
+            let err = decode(snapshot, topology, fp).unwrap_err();
+            assert!(matches!(err, SnapshotError::Truncated { .. }), "keep={keep}: {err}");
+        }
     }
 }
 
 #[test]
 fn payload_bit_flip_is_checksum_mismatch() {
     let (cp, fp) = busy_checkpoint();
-    let bytes = encode(&cp, fp);
-    let header_len = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+    let (bytes, topology) = (encode(&cp, fp), topology_of(&cp));
     for offset in [0usize, 7, 100] {
         let mut damaged = bytes.clone();
-        let idx = header_len + offset;
-        damaged[idx] ^= 0x01;
-        let err = decode(&damaged, fp).unwrap_err();
+        damaged[header_len(&bytes) + offset] ^= 0x01;
+        let err = decode(&damaged, &topology, fp).unwrap_err();
+        assert!(matches!(err, SnapshotError::ChecksumMismatch { .. }), "offset={offset}: {err}");
+        let mut damaged = topology.clone();
+        damaged[header_len(&topology) + offset] ^= 0x01;
+        let err = decode(&bytes, &damaged, fp).unwrap_err();
         assert!(matches!(err, SnapshotError::ChecksumMismatch { .. }), "offset={offset}: {err}");
     }
 }
@@ -234,7 +373,7 @@ fn different_config_is_refused() {
     let bytes = encode(&cp, fp);
     let other = config_fingerprint::<Algorithm1>(&ResumableConfig::new(999));
     assert_ne!(fp, other);
-    let err = decode(&bytes, other).unwrap_err();
+    let err = decode(&bytes, &topology_of(&cp), other).unwrap_err();
     assert_eq!(err, SnapshotError::ConfigMismatch { expected: other, found: fp });
 }
 
@@ -279,7 +418,7 @@ fn fingerprint_ignores_budget_and_telemetry_but_not_plans() {
 
 #[test]
 fn inconsistent_payload_is_typed_not_panic() {
-    // A snapshot whose vectors disagree decodes fine (the codec does not
+    // A snapshot whose parts disagree decodes fine (the codec does not
     // cross-check) but must be refused by the resume path with a typed
     // error, not a panic.
     let g = random::gnp(10, 0.3, 1);
@@ -289,26 +428,61 @@ fn inconsistent_payload_is_typed_not_panic() {
     let mut run = ResumableRun::new(&g, &algo, config.clone()).unwrap();
     run.tick();
     let cp = run.checkpoint();
-    let text = String::from_utf8(encode(&cp, fp)).unwrap();
+    let bytes = encode(&cp, fp);
+    let payload = &bytes[header_len(&bytes)..];
 
-    // Drop one digit from `active` so it covers 9 nodes instead of 10.
-    let damaged = text.replacen("\"active\":\"1", "\"active\":\"", 1);
-    assert_ne!(damaged, text, "test fixture: expected an all-active prefix");
-    let decoded = decode(restamped(&damaged).as_bytes(), fp).expect("shape still decodes");
+    // Version 2: a channel-1 beep of a node past the last one, the top bit
+    // of the only `sent` word (after four u64, ten levels and ten RNGs).
+    let word = 32 + 10 * (4 + 16);
+    let mut damaged = payload.to_vec();
+    damaged[word + 7] |= 0x80;
+    let decoded = decode(&restamped("beeping-mis-snapshot", &damaged), &topology_of(&cp), fp)
+        .expect("shape still decodes");
     let err = ResumableRun::resume(&algo, config, &decoded).unwrap_err();
     assert!(err.to_string().contains("inconsistent"), "{err}");
+
+    // Version 1: drop one digit from `active` so it covers 23 nodes
+    // instead of 24.
+    let (busy, fp) = busy_checkpoint();
+    let text = std::str::from_utf8(BUSY_V1).unwrap();
+    let damaged = text.replacen("\"active\":\"1", "\"active\":\"", 1);
+    assert_ne!(damaged, text, "test fixture: expected an all-active prefix");
+    let decoded = decode(restamped_v1(&damaged).as_bytes(), &[], fp).expect("shape still decodes");
+    let g = random::gnp(24, 0.15, 3);
+    let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
+    let config = ResumableConfig::new(3);
+    let err = ResumableRun::resume(&algo, config, &decoded).unwrap_err();
+    assert!(err.to_string().contains("inconsistent"), "{err}");
+    assert_eq!(busy.sim.graph(), decoded.sim.graph());
 }
 
-/// Re-stamps the header's length and checksum over the payload line of
-/// `text`, so only the payload's *semantic* damage remains.
-fn restamped(text: &str) -> String {
+/// Re-stamps the header's length and checksum over the payload line of the
+/// version-1 `text`, so only the payload's *semantic* damage remains.
+fn restamped_v1(text: &str) -> String {
     let payload = text.lines().nth(1).unwrap();
     format!(
         "{{\"format\":\"beeping-mis-snapshot\",\"version\":1,\
          \"payload_bytes\":{},\"checksum\":\"{:016x}\"}}\n{payload}\n",
         payload.len(),
-        harness::snapshot::checksum64(payload.as_bytes()),
+        checksum64(payload.as_bytes()),
     )
+}
+
+/// The byte offset of the first value of `field` in `checkpoint`'s
+/// version-2 payload. The motion block ends the payload: positions,
+/// waypoints, pauses and headings, each a count and its values, then the
+/// motion RNG state.
+fn motion_offset(checkpoint: &RunCheckpoint, payload_len: usize, field: &str) -> usize {
+    let m = checkpoint.motion.as_ref().unwrap();
+    let headings = payload_len - 16 - 8 * m.headings.len();
+    let waypoints = headings - 8 - 8 * m.pauses.len() - 8 - 16 * m.waypoints.len();
+    let positions = waypoints - 8 - 16 * m.positions.len();
+    match field {
+        "motion_positions" => positions,
+        "motion_waypoints" => waypoints,
+        "motion_headings" => headings,
+        _ => unreachable!("no such motion field: {field}"),
+    }
 }
 
 #[test]
@@ -327,11 +501,13 @@ fn out_of_square_motion_state_is_refused_on_resume() {
         (drift, "motion_headings", f64::INFINITY, "not finite"),
     ] {
         let (cp, config, fp) = moving_checkpoint(model);
-        let text = String::from_utf8(encode(&cp, fp)).unwrap();
-        // Overwrite the field's first value (16 hex digits of `f64` bits).
-        let at = text.find(&format!("\"{field}\":\"")).unwrap() + field.len() + 4;
-        let damaged = format!("{}{:016x}{}", &text[..at], bad.to_bits(), &text[at + 16..]);
-        let decoded = decode(restamped(&damaged).as_bytes(), fp).expect("shape still decodes");
+        let bytes = encode(&cp, fp);
+        let payload = &bytes[header_len(&bytes)..];
+        // Overwrite the field's first value (the bits of one `f64`).
+        let at = motion_offset(&cp, payload.len(), field);
+        let damaged = patched(payload, at, &bad.to_bits().to_le_bytes());
+        let decoded = decode(&restamped("beeping-mis-snapshot", &damaged), &topology_of(&cp), fp)
+            .expect("shape still decodes");
         let g = config.motion.unwrap().initial_graph(20);
         let algo = Algorithm1::new(&g, LmaxPolicy::global_delta(&g));
         match ResumableRun::resume(&algo, config, &decoded) {
@@ -349,8 +525,8 @@ fn busy_v1_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/busy_checkpoint.v1.snap")
 }
 
-/// A checkpoint of a G(n,p) run with more than 10,000 nodes, so node ids
-/// need 5 decimal digits, taken mid-recovery, so levels are negative too.
+/// A checkpoint of a G(n,p) run with more than 10,000 nodes, taken
+/// mid-recovery, so levels are negative too.
 fn large_checkpoint() -> (RunCheckpoint, u64) {
     let n = 20_000;
     let g = random::gnp(n, 6.0 / (n as f64 - 1.0), 17);
@@ -364,36 +540,62 @@ fn large_checkpoint() -> (RunCheckpoint, u64) {
     }
     let cp = run.checkpoint();
     assert!(cp.sim.states().iter().any(|&l| l < 0), "test fixture: negative levels expected");
-    assert!(cp.sim.graph().edges().any(|(_, v)| v >= 10_000), "test fixture: 5-digit ids");
     (cp, fingerprint)
 }
 
 #[test]
-fn committed_v1_file_decodes_and_reencodes_byte_for_byte() {
+fn committed_v1_file_decodes_and_round_trips_through_v2() {
     let (cp, fp) = busy_checkpoint();
-    assert_eq!(encode(&cp, fp), BUSY_V1, "encode drifted from the committed v1 bytes");
     let decoded = read_file(&busy_v1_path(), fp).expect("committed v1 file decodes");
     assert_checkpoints_equal(&cp, &decoded);
-    assert_eq!(encode(&decoded, fp), BUSY_V1);
+    assert_eq!(decode(BUSY_V1, &[], fp).map(|d| d.sim.round()), Ok(cp.sim.round()));
+    // What the v1 file held is written as version 2 like a live capture.
+    assert_eq!(encode(&decoded, fp), encode(&cp, fp));
+    assert_checkpoints_equal(&cp, &round_trip(&decoded, fp));
+}
+
+#[test]
+fn committed_crash_smoke_snapshots_agree_across_versions() {
+    // The round-24 snapshot of CI's crash smoke, committed as version 1
+    // (graph inline) and as version 2 (with its topology file).
+    let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let v1 = fixtures.join("crash-smoke-gnp256-seed11-r24.snap");
+    let v2 = fixtures.join("crash-smoke-gnp256-seed11-r24/checkpoint.snap");
+    // Read the smoke configuration's fingerprint off a refusal.
+    let fp = match read_file(&v2, 0) {
+        Err(SnapshotError::ConfigMismatch { found, .. }) => found,
+        other => panic!("expected a fingerprint refusal, got {other:?}"),
+    };
+    let old = read_file(&v1, fp).expect("version 1 decodes");
+    let new = read_file(&v2, fp).expect("version 2 decodes");
+    assert_eq!(old.sim.round(), 24);
+    assert_checkpoints_equal(&old, &new);
+    assert_eq!(encode(&old, fp), std::fs::read(&v2).unwrap());
 }
 
 #[test]
 fn encoded_bytes_are_pinned() {
-    // FNV-1a of the whole file pins every byte of the format: a moving
-    // deployment (motion fields) and a large static graph (5-digit ids,
-    // negative levels, tens of thousands of edges).
+    // FNV-1a of the whole files pins every byte of the format: a moving
+    // deployment (motion block) and a large static graph (negative levels,
+    // tens of thousands of edges), each snapshot with its topology file.
     let (moving, _, fp) = moving_checkpoint(MotionModel::RandomWaypoint { speed: 0.03, pause: 2 });
-    let bytes = encode(&moving, fp);
-    assert_eq!((bytes.len(), fnv1a64(&bytes)), (MOVING_PIN.0, MOVING_PIN.1));
+    let pins = |cp: &RunCheckpoint, fp: u64| {
+        let (snapshot, topology) = (encode(cp, fp), topology_of(cp));
+        [(snapshot.len(), fnv1a64(&snapshot)), (topology.len(), fnv1a64(&topology))]
+    };
+    assert_eq!(pins(&moving, fp), MOVING_PIN);
     let (large, fp) = large_checkpoint();
-    let bytes = encode(&large, fp);
-    assert_eq!((bytes.len(), fnv1a64(&bytes)), (LARGE_PIN.0, LARGE_PIN.1));
+    assert_eq!(pins(&large, fp), LARGE_PIN);
 }
 
-/// `(length, FNV-1a)` of the encoded moving checkpoint (random waypoint).
-const MOVING_PIN: (usize, u64) = (3_182, 0x9bcd_e3e8_ddc9_28e6);
-/// `(length, FNV-1a)` of the encoded 20,000-node checkpoint.
-const LARGE_PIN: (usize, u64) = (1_452_417, 0x70d5_1d41_6c3d_88f5);
+/// `(length, FNV-1a)` of the encoded moving checkpoint (random waypoint)
+/// and of its topology file.
+const MOVING_PIN: [(usize, u64); 2] =
+    [(2_156, 0x8229_6834_ca86_3717), (576, 0x05b7_096a_7674_1d40)];
+/// `(length, FNV-1a)` of the encoded 20,000-node checkpoint and of its
+/// topology file.
+const LARGE_PIN: [(usize, u64); 2] =
+    [(412_942, 0x3c6f_0a43_e793_5286), (479_619, 0x7f79_0187_beb8_7175)];
 
 #[test]
 fn write_file_puts_exactly_the_encoded_bytes_on_disk() {
@@ -402,15 +604,30 @@ fn write_file_puts_exactly_the_encoded_bytes_on_disk() {
     for (cp, fp) in [busy_checkpoint(), large_checkpoint()] {
         write_file(&path, &cp, fp).expect("write");
         assert_eq!(std::fs::read(&path).expect("read back"), encode(&cp, fp));
+        let (digest, topology) = encode_topology(cp.sim.graph());
+        assert_eq!(std::fs::read(topology_path(&path, digest)).expect("read back"), topology);
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `topology-*.snap` files in `dir`.
+fn topology_files(dir: &std::path::Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.file_name().unwrap().to_str().unwrap().starts_with("topology-"))
+        .collect();
+    files.sort();
+    files
 }
 
 /// Ticks `run` for up to `rounds` rounds and encodes the checkpoint of
 /// every round with one [`SectionCache`], every third one through
 /// [`SectionCache::write_file`]. Each result must equal a fresh [`encode`]
-/// of the same checkpoint. Returns how many times the topology changed
-/// between consecutive checkpoints.
+/// of the same checkpoint, each write must leave exactly the topology file
+/// its snapshot names, and the files must read back as the checkpoint.
+/// Returns how many times the topology changed between consecutive
+/// checkpoints.
 fn encode_through_one_cache(mut run: ResumableRun<Algorithm1>, rounds: u64, fp: u64) -> usize {
     let dir = scratch_dir("cache");
     let path = dir.join("cp.snap");
@@ -424,6 +641,9 @@ fn encode_through_one_cache(mut run: ResumableRun<Algorithm1>, rounds: u64, fp: 
             cache.write_file(&path, &cp, fp).expect("write");
             let on_disk = std::fs::read(&path).expect("read back");
             assert!(on_disk == fresh, "cached write differs at round {r}");
+            let (digest, _) = encode_topology(cp.sim.graph());
+            assert_eq!(topology_files(&dir), [topology_path(&path, digest)], "round {r}");
+            assert_checkpoints_equal(&cp, &read_file(&path, fp).expect("read back"));
         } else {
             assert!(cache.encode(&cp, fp) == fresh, "cached encode differs at round {r}");
         }
@@ -484,42 +704,55 @@ fn section_cache_follows_a_moving_deployment() {
     assert!(changes >= 5, "the deployment barely moved: {changes} topology changes");
 }
 
+/// Decodes a possibly damaged pair, which must be refused with a typed
+/// error or decode to the very checkpoint the undamaged pair holds.
+fn rejected_or_identical(
+    snapshot: &[u8],
+    topology: &[u8],
+    original: &RunCheckpoint,
+    fp: u64,
+) -> Result<(), TestCaseError> {
+    if let Ok(decoded) = decode(snapshot, topology, fp) {
+        prop_assert_eq!(encode(&decoded, fp), encode(original, fp));
+        prop_assert_eq!(topology_of(&decoded), topology_of(original));
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Corruption robustness: flip any single bit anywhere in a snapshot
-    /// file. The decoder must never panic, and must either reject the file
-    /// with a typed error or (if the flip is immaterial — impossible for
-    /// the payload, conceivable only in header whitespace we do not emit)
-    /// produce the identical checkpoint.
+    /// Corruption robustness: flip any single bit anywhere in the snapshot
+    /// or in its topology file. The decoder must never panic, and must
+    /// either reject the pair with a typed error or (if the flip is
+    /// immaterial — impossible for the payloads, conceivable only in header
+    /// whitespace we do not emit) produce the identical checkpoint.
     #[test]
     fn any_single_bit_flip_is_rejected_or_harmless(
         byte_frac in 0.0f64..1.0,
         bit in 0u8..8,
+        in_topology in any::<bool>(),
     ) {
         let (cp, fp) = busy_checkpoint();
-        let bytes = encode(&cp, fp);
-        let idx = ((byte_frac * bytes.len() as f64) as usize).min(bytes.len() - 1);
-        let mut damaged = bytes.clone();
-        damaged[idx] ^= 1 << bit;
-
-        match decode(&damaged, fp) {
-            Err(_) => {} // any typed rejection is correct
-            Ok(decoded) => {
-                // The flip must have been semantically invisible; the
-                // decoded checkpoint must then be byte-for-byte re-encodable
-                // to the original.
-                prop_assert_eq!(encode(&decoded, fp), bytes);
-            }
-        }
+        let (mut snapshot, mut topology) = (encode(&cp, fp), topology_of(&cp));
+        let file = if in_topology { &mut topology } else { &mut snapshot };
+        let idx = ((byte_frac * file.len() as f64) as usize).min(file.len() - 1);
+        file[idx] ^= 1 << bit;
+        rejected_or_identical(&snapshot, &topology, &cp, fp)?;
     }
 
-    /// Truncation robustness at every possible length.
+    /// Truncation robustness at every possible length, of either file.
     #[test]
-    fn any_truncation_is_rejected(keep_frac in 0.0f64..1.0) {
+    fn any_truncation_is_rejected(keep_frac in 0.0f64..1.0, in_topology in any::<bool>()) {
         let (cp, fp) = busy_checkpoint();
-        let bytes = encode(&cp, fp);
-        let keep = ((keep_frac * bytes.len() as f64) as usize).min(bytes.len() - 1);
-        prop_assert!(decode(&bytes[..keep], fp).is_err());
+        let (snapshot, topology) = (encode(&cp, fp), topology_of(&cp));
+        let file = if in_topology { &topology } else { &snapshot };
+        let keep = ((keep_frac * file.len() as f64) as usize).min(file.len() - 1);
+        let decoded = if in_topology {
+            decode(&snapshot, &topology[..keep], fp)
+        } else {
+            decode(&snapshot[..keep], &topology, fp)
+        };
+        prop_assert!(decoded.is_err());
     }
 }

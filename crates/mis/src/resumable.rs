@@ -19,9 +19,12 @@
 //! that predicate, the round event's `in_mis` and `stable` sizes, the
 //! outcome's MIS, the budget error's stable count and the per-round
 //! observation of [`crate::recovery::run_noisy`]. A refresh diffs one class
-//! byte per node against the live levels and active flags and re-judges
-//! only the 2-hop balls of the nodes that changed, so a sparse round costs
-//! O(n) sequential reads plus the local work instead of an O(n + m) sweep;
+//! byte per node against the live levels and active flags, over the 64-node
+//! chunks the simulator touched since the previous refresh
+//! ([`beeping::Simulator::touched`]), and re-judges only the 2-hop balls of
+//! the nodes that changed. So a sparse Frontier round costs its touched
+//! chunks plus the local work, and a full-sweep round O(n) sequential reads,
+//! instead of an O(n + m) sweep;
 //! after churn or motion edge events, or when the changed set is dense, it
 //! re-judges every node. The stopping rule refreshes it only once every
 //! active node sits at its claiming level or its ℓmax (the paper's
@@ -735,14 +738,17 @@ impl<'g, A: SelfStabilizingMis> RunLoop<'g, A> {
 
     /// The stable-set tracker, brought up to date with the live
     /// configuration (adding its node judgments to the `check.rejudged`
-    /// counter).
+    /// counter). The refresh diffs only the nodes the simulator touched
+    /// since the previous one, and then the touched set starts over.
     pub(crate) fn observe(&mut self) -> &StableSet {
         let judged = self.stable_set.refresh(
             &self.algo,
             self.sim.graph(),
             self.sim.states(),
             self.sim.active(),
+            self.sim.touched(),
         );
+        self.sim.clear_touched();
         if judged > 0 {
             self.config.telemetry.counter_add("check.rejudged", judged);
         }

@@ -12,9 +12,11 @@
 //! the full-sweep oracles the tracker is tested against.
 //!
 //! A refresh diffs the class bytes against the live levels and active flags
-//! — one sequential O(n) pass with no adjacency reads, so every engine is
-//! served the same way — then re-judges `I_t` on `N[changed]` and `S_t` on
-//! `N[I_t-flipped] ∪ changed`, and updates the violation count edge by edge
+//! — one sequential pass with no adjacency reads, over the 64-node chunks
+//! the simulator reports as touched since the last refresh
+//! ([`beeping::Touched`]): every chunk after a full sweep, only the
+//! executed nodes' chunks after a sparse frontier round — then re-judges
+//! `I_t` on `N[changed]` and `S_t` on `N[I_t-flipped] ∪ changed`, and updates the violation count edge by edge
 //! for the changed claimers. It re-judges every node instead after a
 //! topology change (churn or motion edge events rewire neighbourhoods
 //! without changing any class byte) or when the changed set is dense.
@@ -30,6 +32,7 @@
 //! with telemetry on), the outcome, budget errors and
 //! [`crate::recovery::run_noisy`]'s per-round observation.
 
+use beeping::Touched;
 use graphs::Graph;
 
 use crate::levels::Level;
@@ -52,12 +55,16 @@ const AT_MAX: u8 = 4;
 /// (G(2^16, 8/(n−1)), seeds 1–4, 5 interleaved repetitions, 2-core VM),
 /// whose rounds change 2–6% of the nodes: the median op is flat at
 /// 0.200–0.209 s for divisors 4 to 128, 0.217 s when no refresh counts as
-/// dense and 0.241 s when every refresh re-judges everything.
+/// dense and 0.241 s when every refresh re-judges everything. Re-measured
+/// once refreshes diffed only touched chunks (16 interleaved repetitions):
+/// 0.122–0.133 s for divisors 4, 16 and 64 and for none, still flat
+/// (DESIGN.md §8).
 const DENSE_DIVISOR: usize = 16;
 /// Changed sets up to this size are always handled incrementally, so small
 /// graphs exercise the incremental path too.
 const DENSE_FLOOR: usize = 64;
-/// Nodes per chunk of the sequential passes over the class bytes.
+/// Nodes per chunk of the sequential passes over the class bytes: one word
+/// of the simulator's touched set.
 const CHUNK: usize = 64;
 
 /// The class byte of a node with `level`, cap `cap` and participation
@@ -164,8 +171,9 @@ impl StableSet {
         self.stale
     }
 
-    /// Brings the flags up to date with the live configuration. Returns the
-    /// number of node judgments made (one per `I_t` and one per `S_t`
+    /// Brings the flags up to date with the live configuration, of which
+    /// at most the `touched` nodes changed since the last refresh. Returns
+    /// the number of node judgments made (one per `I_t` and one per `S_t`
     /// evaluation); 0 when nothing was signalled since the last refresh.
     pub(crate) fn refresh<A: SelfStabilizingMis>(
         &mut self,
@@ -173,25 +181,28 @@ impl StableSet {
         graph: &Graph,
         levels: &[Level],
         active: &[bool],
+        touched: Touched<'_>,
     ) -> u64 {
         if !self.stale {
             return 0;
         }
         self.stale = false;
-        if !self.rebuild && !self.collect_changes(algo, levels, active) {
+        if !self.rebuild && !self.collect_changes(algo, levels, active, touched) {
             return self.apply_changes(algo, graph, levels, active);
         }
         self.rebuild = false;
         self.rebuild_all(algo, graph, levels, active)
     }
 
-    /// Fills `changed` with the nodes whose class byte is out of date.
-    /// Returns `true` (with `changed` incomplete) once the set turns dense.
+    /// Fills `changed` with the nodes whose class byte is out of date,
+    /// reading only the chunks with a `touched` node. Returns `true` (with
+    /// `changed` incomplete) once the set turns dense.
     fn collect_changes<A: SelfStabilizingMis>(
         &mut self,
         algo: &A,
         levels: &[Level],
         active: &[bool],
+        touched: Touched<'_>,
     ) -> bool {
         let limit = (levels.len() / DENSE_DIVISOR).max(DENSE_FLOOR);
         let caps = algo.policy().lmax_values();
@@ -202,6 +213,9 @@ impl StableSet {
             .zip(active.chunks(CHUNK))
             .zip(self.class.chunks(CHUNK));
         for (k, (((levels, caps), active), class)) in chunks.enumerate() {
+            if touched.word(k) == 0 {
+                continue;
+            }
             let nodes = || levels.iter().zip(caps).zip(active).zip(class);
             let diff =
                 |(((&level, &cap), &is_active), &class): (((&Level, &Level), &bool), &u8)| {
@@ -455,7 +469,9 @@ mod tests {
 
     /// Random sparse edits (level moves toward claiming/ℓmax, departures and
     /// returns) exercise the incremental path; every refresh must agree with
-    /// the oracles.
+    /// the oracles. The refreshes are told which nodes were edited, so the
+    /// chunks without an edit are skipped, except after the dense steps,
+    /// which touch every node.
     fn drive<A: SelfStabilizingMis>(algo: &A, graph: &Graph, seed: u64) {
         let n = graph.len();
         let caps = algo.policy().lmax_values().to_vec();
@@ -464,12 +480,16 @@ mod tests {
         let mut active = vec![true; n];
         let mut set = StableSet::new(n);
         let mut hint = 0;
-        assert_eq!(set.refresh(algo, graph, &levels, &active), 2 * n as u64);
+        let every = Touched::Every;
+        assert_eq!(set.refresh(algo, graph, &levels, &active, every), 2 * n as u64);
         assert_matches(&set, algo, graph, &levels, &active);
+        let mut touched = vec![0u64; n.div_ceil(CHUNK)];
         for step in 0..400 {
             let edits = if step % 50 == 0 { n } else { rng.gen_range(1..=3) };
+            touched.fill(0);
             for _ in 0..edits {
                 let v = rng.gen_range(0..n);
+                touched[v / CHUNK] |= 1 << (v % CHUNK);
                 match rng.gen_range(0..6) {
                     0 => active[v] = !active[v],
                     1 | 2 => levels[v] = A::SPACE.claiming(caps[v]),
@@ -478,10 +498,11 @@ mod tests {
                 }
             }
             set.touch_levels();
-            set.refresh(algo, graph, &levels, &active);
+            let told = if edits == n { every } else { Touched::Words(&touched) };
+            set.refresh(algo, graph, &levels, &active, told);
             assert_matches(&set, algo, graph, &levels, &active);
             assert_off_extreme(algo, graph, &levels, &active, &mut hint);
-            assert_eq!(set.refresh(algo, graph, &levels, &active), 0, "not stale");
+            assert_eq!(set.refresh(algo, graph, &levels, &active, every), 0, "not stale");
         }
     }
 

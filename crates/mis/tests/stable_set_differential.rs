@@ -15,7 +15,10 @@
 //! events refresh the tracker every round, and with telemetry off, where the
 //! stopping rule skips the refresh while some active node is off its extreme
 //! levels. Release builds have no debug cross-check, so the second arm is
-//! what checks that gate in the shipped code.
+//! what checks that gate in the shipped code. A third property runs the
+//! `long-haul` shape: Frontier with telemetry on, faults after the run
+//! settled, where each refresh diffs only the chunks the sparse rounds
+//! touched.
 
 use beeping::byzantine::{ByzantineBehavior, ByzantinePlan};
 use beeping::churn::{ChurnAction, ChurnPlan};
@@ -287,8 +290,56 @@ fn check_run<A: SelfStabilizingMis>(
     }
 }
 
+/// The `long-haul` shape in small: a Frontier run with telemetry on from
+/// the greedy-MIS fixpoint, hit by single-node faults long after it
+/// settled, so every fault lands on sparse rounds. Those rounds hand the
+/// tracker only the chunks of the nodes they executed; the round events
+/// must still match the full sweeps.
+fn frontier_faults_mid_run<A: SelfStabilizingMis>(
+    graph: &Graph,
+    algo: &A,
+    seed: u64,
+    victims: &[usize],
+) -> Result<(), TestCaseError> {
+    let mut faults = FaultPlan::new();
+    for (k, &v) in victims.iter().enumerate() {
+        faults = faults.with_fault(20 + 25 * k as u64, FaultTarget::Nodes(vec![v % graph.len()]));
+    }
+    let case = Case {
+        family: 0,
+        n: graph.len(),
+        seed,
+        engine: 2,
+        two_channel: false,
+        faults: Vec::new(),
+        churn: Vec::new(),
+        byzantine: None,
+        motion: None,
+        start: Start::PointFault(Vec::new()),
+    };
+    let config = ResumableConfig::new(seed)
+        .with_max_rounds(400)
+        .with_engine(EngineMode::Frontier)
+        .with_faults(faults)
+        .with_init(case.init(algo, graph));
+    check_run(graph, algo, config, true)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn frontier_tracker_follows_faults_on_sparse_rounds(
+        seed in any::<u64>(),
+        n in 300usize..900,
+        victims in proptest::collection::vec(any::<usize>(), 1..6),
+    ) {
+        let graph = GraphFamily::Gnp { avg_degree: 6.0 }.generate(n, seed);
+        let algo = Algorithm1::new(&graph, LmaxPolicy::global_delta(&graph));
+        frontier_faults_mid_run(&graph, &algo, seed, &victims)?;
+        let algo = Algorithm2::new(&graph, LmaxPolicy::two_hop_degree(&graph));
+        frontier_faults_mid_run(&graph, &algo, seed, &victims)?;
+    }
 
     #[test]
     fn tracker_matches_full_sweeps(case in arb_case()) {
