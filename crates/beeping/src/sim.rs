@@ -196,11 +196,6 @@ impl Touched<'_> {
             Touched::Words(words) => words.get(k).copied().unwrap_or(0),
         }
     }
-
-    /// Whether node `v` is in the set.
-    pub fn contains(&self, v: NodeId) -> bool {
-        self.word(v >> 6) & (1u64 << (v & 63)) != 0
-    }
 }
 
 /// A synchronous-round simulator of the full-duplex beeping model.
@@ -2915,8 +2910,9 @@ pub(crate) mod tests {
         assert_eq!(sim.states(), twin.states(), "diverged at round {}", sim.round());
         let touched = sim.touched();
         for v in 0..twin.states().len() {
+            let marked = touched.word(v >> 6) >> (v & 63) & 1 == 1;
             if twin.states()[v] != seen.0[v] || twin.active()[v] != seen.1[v] {
-                assert!(touched.contains(v), "node {v} changed untouched by round {}", sim.round());
+                assert!(marked, "node {v} changed untouched by round {}", sim.round());
             }
         }
         sim.clear_touched();
