@@ -69,9 +69,9 @@ const PCG_MULTIPLIER: u128 = 0x2360_ed05_1fc6_5da4_4385_df64_9fcc_f645;
 /// `k` coins per skipped round is ticked in bulk when it wakes.
 ///
 /// An MCG's step is `state ← state · M (mod 2^128)`, so `steps` outputs
-/// compose to a single multiplication by `M^steps`: [`jump_multiplier`]
-/// computes it, [`apply_jump`] applies it. Equivalent to calling
-/// `next_u64` `steps` times.
+/// compose to a single multiplication by `M^steps`: `jump_multiplier`
+/// computes it, `apply_jump` applies it. Equivalent to calling `next_u64`
+/// `steps` times.
 pub fn advance_steps(rng: &mut Pcg64Mcg, steps: u128) {
     apply_jump(rng, jump_multiplier(steps));
 }
@@ -79,7 +79,7 @@ pub fn advance_steps(rng: &mut Pcg64Mcg, steps: u128) {
 /// `M^steps (mod 2^128)`, by square-and-multiply: the multiplier that
 /// [`apply_jump`] uses to advance a generator by `steps` outputs. Many
 /// generators jumped by the same count can share one.
-pub fn jump_multiplier(steps: u128) -> u128 {
+pub(crate) fn jump_multiplier(steps: u128) -> u128 {
     let mut mult: u128 = 1;
     let mut base = PCG_MULTIPLIER;
     let mut k = steps;
@@ -95,7 +95,7 @@ pub fn jump_multiplier(steps: u128) -> u128 {
 
 /// Advances `rng` by the step count `mult` was computed for
 /// ([`jump_multiplier`]): one 128-bit multiply.
-pub fn apply_jump(rng: &mut Pcg64Mcg, mult: u128) {
+pub(crate) fn apply_jump(rng: &mut Pcg64Mcg, mult: u128) {
     *rng = pcg_from_state(pcg_state(rng).wrapping_mul(mult));
 }
 

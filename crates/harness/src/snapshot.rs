@@ -98,7 +98,7 @@ use telemetry::Stopwatch;
 pub const FORMAT: &str = "beeping-mis-snapshot";
 
 /// The magic format string in every topology file header.
-pub const TOPOLOGY_FORMAT: &str = "beeping-mis-topology";
+const TOPOLOGY_FORMAT: &str = "beeping-mis-topology";
 
 /// The file format version this build writes. Snapshots of version 1 are
 /// read too.
